@@ -39,7 +39,7 @@ on every earlier statement and every later statement depends on it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.analysis.schema import ScriptSchema, ViewInfo
 from repro.analysis.verdicts import WRITE_KINDS
@@ -579,17 +579,3 @@ def _portability_anchors(sql: str) -> set[int]:
                 anchors.add(index)
                 break
     return anchors
-
-
-def script_slice_sizes(scripts: Sequence[tuple[str, SliceResult]]) -> dict:
-    """Aggregate reduction statistics for a batch of minimized scripts."""
-    if not scripts:
-        return {"scripts": 0, "statements": 0, "kept": 0, "reduction": 0.0}
-    statements = sum(len(r.kept) + len(r.dropped) for _, r in scripts)
-    kept = sum(len(r.kept) for _, r in scripts)
-    return {
-        "scripts": len(scripts),
-        "statements": statements,
-        "kept": kept,
-        "reduction": (statements - kept) / statements if statements else 0.0,
-    }

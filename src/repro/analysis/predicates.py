@@ -113,10 +113,6 @@ class Interval:
     def point(cls, value: Any) -> "Interval":
         return cls(value, value)
 
-    @property
-    def is_top(self) -> bool:
-        return self.low is None and self.high is None
-
     def contains(self, value: Any) -> bool:
         if isinstance(value, bool):
             value = int(value)

@@ -64,10 +64,6 @@ class BugReport:
     faults: dict[str, list[FaultSpec]] = field(default_factory=dict)
 
     @property
-    def fails_somewhere(self) -> bool:
-        return self.home_failure is not None or bool(self.foreign_failures)
-
-    @property
     def failing_servers(self) -> frozenset[str]:
         servers = set(self.foreign_failures)
         if self.home_failure is not None:
@@ -79,8 +75,3 @@ class BugReport:
         if server == self.reported_for:
             return self.home_failure
         return self.foreign_failures.get(server)
-
-    @property
-    def probe_prefix(self) -> str:
-        """Table-name prefix scoping this bug's script and faults."""
-        return self.bug_id.lower().replace("-", "_")

@@ -73,10 +73,6 @@ def study_to_dict(study: StudyResult) -> dict[str, Any]:
     return {"cells": cells, "total_reports": len(study.corpus)}
 
 
-def study_to_json(study: StudyResult, *, indent: Optional[int] = 2) -> str:
-    return json.dumps(study_to_dict(study), indent=indent)
-
-
 def summarise_corpus(data: dict[str, Any]) -> dict[str, Any]:
     """Recompute headline counts from a corpus JSON dict (round-trip
     verification for exported data)."""

@@ -6,17 +6,20 @@ simulated deployment:
 
 * :mod:`repro.durability.medium` — byte-level storage media (memory
   and file), the "disk" under everything else;
-* :mod:`repro.durability.wal` — checksummed, length-prefixed
-  write-ahead log with prefix-salvage scanning;
-* :mod:`repro.durability.checkpoint` — checksummed logical engine
-  snapshots (DDL history + typed row dumps);
+* :mod:`repro.durability.wal` — write-ahead log of
+  :mod:`repro.records` records with prefix-salvage scanning;
+* :mod:`repro.durability.checkpoint` — logical engine snapshots (DDL
+  history + row dumps in the :mod:`repro.records` scalar codec);
 * :mod:`repro.durability.recovery` — ARIES-lite restart recovery
   (checkpoint restore, WAL redo, open-transaction undo);
+* :mod:`repro.durability.manager` — :class:`ReplicaStore`, the one
+  durable-replica object (WAL + checkpoints + DDL history: append
+  through the storage faults, checkpoint, recover), and the middleware
+  integration around one store per replica: dialect-translated WALs,
+  checkpoint cadence, whole-deployment restart recovery with majority
+  healing;
 * :mod:`repro.durability.session` — the single-product durable
-  harness (bug bank, property tests, benchmarks);
-* :mod:`repro.durability.manager` — middleware integration: per-replica
-  dialect-translated WALs, durable checkpoints, whole-deployment
-  restart recovery with majority healing;
+  harness around one store (bug bank, property tests, benchmarks);
 * :mod:`repro.durability.bank` — minimized storage-fault repro
   scripts with lint-checked ground truth.
 """
@@ -37,12 +40,12 @@ from repro.durability.manager import (
     DurabilityManager,
     ReplicaStore,
     ServerRecovery,
+    classify_storage_effect,
 )
 from repro.durability.medium import (
     FileMedium,
     MemoryMedium,
     StorageMedium,
-    medium_from_path,
 )
 from repro.durability.recovery import (
     RecoveryReport,
@@ -50,7 +53,7 @@ from repro.durability.recovery import (
     engine_state_signature,
     recover_engine,
 )
-from repro.durability.session import DurableSession, classify_storage_effect
+from repro.durability.session import DurableSession
 from repro.durability.wal import (
     WalRecord,
     WalScan,
@@ -81,7 +84,6 @@ __all__ = [
     "classify_storage_effect",
     "encode_record",
     "engine_state_signature",
-    "medium_from_path",
     "recover_engine",
     "scan_records",
     "storage_fault_bank",

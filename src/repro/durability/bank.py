@@ -200,7 +200,7 @@ def classify_repro(report: StorageBugReport) -> StorageClassification:
     )
     session.execute_script(report.minimized().sql)
     buckets = {bucket for _, bucket in session.storage_fault_log}
-    committed = session.wal.next_lsn
+    committed = session.store.wal.next_lsn
 
     disk = session.power_cut()
     recovered, outcome = DurableSession.resume(
@@ -208,7 +208,7 @@ def classify_repro(report: StorageBugReport) -> StorageClassification:
     )
 
     pristine = make_server(report.server)
-    for record in recovered.wal.scan().records:
+    for record in recovered.store.wal.scan().records:
         try:
             pristine.execute(record.sql)
         except SqlError:

@@ -3,88 +3,41 @@
 A checkpoint is *logical*, not a byte image: the schema is stored as
 the replica's own DDL history (replayed verbatim on restore, which
 rebuilds tables, views, indexes, and their constraint metadata through
-the ordinary execution path) and the data as per-table row dumps in a
-tagged JSON codec covering every scalar the engine stores (NULL,
-booleans, integers, floats, strings, ``Decimal``, ``date``,
-``datetime``).  Alongside them it records the WAL watermark: the LSN
-from which redo must resume.
+the ordinary execution path) and the data as per-table row dumps in the
+:mod:`repro.records` scalar codec, which covers every scalar the engine
+stores (NULL, booleans, integers, floats, strings, ``Decimal``,
+``date``, ``datetime``).  Alongside them it records the WAL watermark:
+the LSN from which redo must resume.
 
-Checkpoints share the WAL's checksummed framing (length + CRC32 +
-JSON payload) and the same distrust: a checkpoint that fails its
+A checkpoint blob is one :mod:`repro.records` record around a JSON
+payload, read with the WAL's distrust: a checkpoint that fails its
 checksum or fails to apply is skipped and recovery falls back to the
 previous one — or to a full-history redo when none survive.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
-import struct
-import zlib
-from decimal import Decimal
 from typing import Any, Optional
 
+from repro import records
 from repro.durability.medium import StorageMedium
-
-_HEADER = struct.Struct("<II")
 
 
 class CheckpointInvalid(Exception):
     """A checkpoint blob failed validation and must not be trusted."""
 
 
-# -- value codec ----------------------------------------------------------
-
-
-def encode_value(value: Any) -> Any:
-    """JSON-safe encoding of one stored scalar (type-preserving)."""
-    if isinstance(value, Decimal):
-        return {"$": "decimal", "v": str(value)}
-    if isinstance(value, datetime.datetime):
-        return {"$": "datetime", "v": value.isoformat()}
-    if isinstance(value, datetime.date):
-        return {"$": "date", "v": value.isoformat()}
-    return value
-
-
-def decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        tag, text = value.get("$"), value.get("v")
-        if tag == "decimal":
-            return Decimal(text)
-        if tag == "datetime":
-            return datetime.datetime.fromisoformat(text)
-        if tag == "date":
-            return datetime.date.fromisoformat(text)
-        raise CheckpointInvalid(f"unknown value tag {tag!r}")
-    return value
-
-
-def encode_row(row: list[Any]) -> list[Any]:
-    return [encode_value(value) for value in row]
-
-
-def decode_row(row: list[Any]) -> list[Any]:
-    return [decode_value(value) for value in row]
-
-
-# -- blob framing ---------------------------------------------------------
-
-
 def pack_checkpoint(payload: dict) -> bytes:
-    blob = json.dumps(payload, ensure_ascii=False).encode("utf-8")
-    return _HEADER.pack(len(blob), zlib.crc32(blob)) + blob
+    return records.pack(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
 
 
 def unpack_checkpoint(data: bytes) -> dict:
-    if len(data) < _HEADER.size:
-        raise CheckpointInvalid("truncated checkpoint header")
-    length, checksum = _HEADER.unpack_from(data, 0)
-    blob = data[_HEADER.size:_HEADER.size + length]
-    if len(blob) != length:
-        raise CheckpointInvalid("truncated checkpoint payload")
-    if zlib.crc32(blob) != checksum:
-        raise CheckpointInvalid("checkpoint checksum mismatch")
+    # No size limit: a checkpoint is a whole database, and a length the
+    # blob cannot cover already reads as a torn payload.
+    blob, _, damage = records.unpack(data)
+    if damage is not None:
+        raise CheckpointInvalid(f"checkpoint damaged ({damage})")
     try:
         payload = json.loads(blob.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as error:
@@ -104,7 +57,7 @@ def build_checkpoint(
             {
                 "name": data.name,
                 "columns": data.column_count,
-                "rows": [encode_row(list(row)) for row in data.snapshot()],
+                "rows": [records.encode_row(row) for row in data.snapshot()],
             }
         )
     return {
@@ -160,7 +113,3 @@ class CheckpointStore:
     def load_latest(self) -> Optional[tuple[str, dict]]:
         candidates = self.load_all()
         return candidates[0] if candidates else None
-
-    def clear(self) -> None:
-        for name in self._names():
-            self.medium.delete(name)

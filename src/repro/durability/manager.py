@@ -43,28 +43,92 @@ from repro.durability.recovery import (
     engine_state_signature,
     recover_engine,
 )
-from repro.durability.session import classify_storage_effect
 from repro.durability.wal import WriteAheadLog
 from repro.errors import EngineCrash, FeatureNotSupported
-from repro.sqlengine.analysis import StatementTraits, extract_traits
-from repro.sqlengine.parser import parse_statement
+from repro.faults.effects import (
+    ChecksumCorruptionEffect,
+    LostFlushEffect,
+    StorageEffect,
+    TornWriteEffect,
+)
+from repro.sqlengine.analysis import StatementTraits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.faults.spec import FaultSpec
     from repro.middleware.server import DiverseServer, Replica
+    from repro.servers.product import ServerProduct
 
 #: Medium name of the shared (middleware-form) write-ahead log.
 SHARED_WAL = "_shared/wal"
 
 
-@dataclass
-class ReplicaStore:
-    """One replica's durable artifacts on the medium."""
+def classify_storage_effect(effect: StorageEffect) -> str:
+    """Counter bucket for one fired storage effect."""
+    if isinstance(effect, TornWriteEffect):
+        return "torn"
+    if isinstance(effect, LostFlushEffect):
+        return "lost"
+    if isinstance(effect, ChecksumCorruptionEffect):
+        return "corrupt"
+    return "other"
 
-    key: str
-    wal: WriteAheadLog
-    checkpoints: CheckpointStore
-    #: The replica's full translated DDL history (checkpoint schema).
-    ddl_history: list[str] = field(default_factory=list)
+
+class ReplicaStore:
+    """One replica's durable state on a medium: its WAL (``<name>/wal``),
+    its checkpoints (``<name>/ckpt-<seq>``) and the DDL history the next
+    checkpoint will carry.  The single-product
+    :class:`~repro.durability.session.DurableSession` holds one; the
+    :class:`DurabilityManager` holds one per replica."""
+
+    def __init__(self, medium: StorageMedium, name: str, *, keep: int = 2) -> None:
+        self.name = name
+        self.wal = WriteAheadLog(medium, f"{name}/wal")
+        self.checkpoints = CheckpointStore(medium, name, keep=keep)
+        #: Every DDL statement logged so far (checkpoint schema).
+        self.ddl_history: list[str] = []
+
+    def append(
+        self, product: "ServerProduct", sql: str, traits: StatementTraits
+    ) -> list["FaultSpec"]:
+        """Log one committed write, in ``product``'s dialect, through
+        that product's storage-phase faults; returns the faults that
+        fired on the encoded record."""
+        ctx = StaticContext(sql, traits)
+        fired: list["FaultSpec"] = []
+
+        def mutate(data: bytes) -> Optional[bytes]:
+            mutated, faults = product.injector.mutate_storage(ctx, data)
+            fired.extend(faults)
+            return mutated
+
+        self.wal.append(sql, product.engine.catalog.generation, mutate=mutate)
+        if traits.kind in DDL_KINDS:
+            self.ddl_history.append(sql)
+        return fired
+
+    def checkpoint(self, product: "ServerProduct", taken_at: float = 0.0) -> str:
+        """Publish a checkpoint at the current WAL position."""
+        return self.checkpoints.save(
+            build_checkpoint(
+                product.engine,
+                lsn=self.wal.next_lsn,
+                ddl=self.ddl_history,
+                taken_at=taken_at,
+            )
+        )
+
+    def recover(self, product: "ServerProduct") -> RecoveryReport:
+        """Restart recovery of ``product`` from the medium; the DDL
+        history resumes from what recovery restored and redid."""
+        report = recover_engine(
+            product.engine,
+            self.wal,
+            self.checkpoints,
+            replica=self.name,
+            execute=product.execute,
+        )
+        self.ddl_history = list(report.ddl_history)
+        return report
 
 
 @dataclass
@@ -110,11 +174,7 @@ class DurabilityManager:
         self._shared = WriteAheadLog(self.medium, SHARED_WAL)
         for replica in server.replicas:
             self._stores[replica.key] = ReplicaStore(
-                key=replica.key,
-                wal=WriteAheadLog(self.medium, f"{replica.key}/wal"),
-                checkpoints=CheckpointStore(
-                    self.medium, replica.key, keep=self.keep_checkpoints
-                ),
+                self.medium, replica.key, keep=self.keep_checkpoints
             )
         self._last_checkpoint_writes = server.stats.writes
 
@@ -131,34 +191,17 @@ class DurabilityManager:
         """Append one committed write to the shared and replica WALs."""
         server = self._server
         self._shared.append(bound_sql, server.pipeline.generation)
-        is_ddl = traits.kind in DDL_KINDS
         for replica in server.replicas:
-            store = self._stores[replica.key]
             try:
                 translated = server.pipeline.translation(
                     bound_sql, replica.product.descriptor
                 )
             except FeatureNotSupported:
                 continue
-            ctx = StaticContext(translated, traits)
-            injector = replica.product.injector
-
-            def mutate(
-                data: bytes, _ctx=ctx, _injector=injector
-            ) -> Optional[bytes]:
-                mutated, fired = _injector.mutate_storage(_ctx, data)
-                for fault in fired:
-                    self._count_storage_fault(fault)
-                return mutated
-
-            store.wal.append(
-                translated,
-                replica.product.engine.catalog.generation,
-                mutate=mutate,
-            )
+            store = self._stores[replica.key]
+            for fault in store.append(replica.product, translated, traits):
+                self._count_storage_fault(fault)
             self.stats.wal_records += 1
-            if is_ddl:
-                store.ddl_history.append(translated)
 
     def _count_storage_fault(self, fault) -> None:
         bucket = classify_storage_effect(fault.effect)
@@ -172,35 +215,21 @@ class DurabilityManager:
     # -- checkpoints ----------------------------------------------------
 
     def maybe_checkpoint(self) -> None:
-        """Durably checkpoint every ACTIVE replica on the write cadence
-        (skipped while a transaction is open, like supervisor
-        checkpoints)."""
-        interval = self.checkpoint_interval
-        if not interval:
-            return
-        if self.stats.writes - self._last_checkpoint_writes < interval:
-            return
-        server = self._server
-        active = server.active_replicas()
-        if not active:
-            return
-        if any(r.product.engine.transactions.in_transaction for r in active):
-            return
+        """Durably checkpoint every ACTIVE replica on the supervisor's
+        cadence rule (:meth:`ReplicaSupervisor.checkpoint_due`)."""
+        active = self._server.supervisor.checkpoint_due(
+            self.checkpoint_interval, self._last_checkpoint_writes
+        )
         for replica in active:
             self.checkpoint_replica(replica)
-        self._last_checkpoint_writes = self.stats.writes
+        if active:
+            self._last_checkpoint_writes = self.stats.writes
 
     def checkpoint_replica(self, replica: "Replica") -> str:
         """Write one replica's durable checkpoint at its current WAL
         position (also the re-baseline step after recovery/rebuild)."""
-        store = self._stores[replica.key]
-        name = store.checkpoints.save(
-            build_checkpoint(
-                replica.product.engine,
-                lsn=store.wal.next_lsn,
-                ddl=store.ddl_history,
-                taken_at=self._server.clock.now,
-            )
+        name = self._stores[replica.key].checkpoint(
+            replica.product, self._server.clock.now
         )
         self.stats.durable_checkpoints += 1
         return name
@@ -247,15 +276,8 @@ class DurabilityManager:
         from repro.middleware.supervisor import ReplicaState
 
         for replica in server.replicas:
-            store = self._stores[replica.key]
             try:
-                report = recover_engine(
-                    replica.product.engine,
-                    store.wal,
-                    store.checkpoints,
-                    replica=replica.key,
-                    execute=replica.product.execute,
-                )
+                report = self._stores[replica.key].recover(replica.product)
             except EngineCrash:
                 replica.product.restart()
                 outcome.crashed.append(replica.key)
@@ -263,7 +285,6 @@ class DurabilityManager:
                 continue
             outcome.reports[replica.key] = report
             replica.state = ReplicaState.ACTIVE
-            store.ddl_history = self._translated_ddl_history(replica)
 
         outcome.healed = self._heal_minority()
         outcome.residual_disagreements = server.verify_consistency()

@@ -12,15 +12,15 @@ abstraction so the same code path serves two media:
   encoding survives an actual filesystem round trip.
 
 Neither medium buffers: every :meth:`append` is immediately visible to
-:meth:`read`.  Lost-flush semantics are injected *above* this layer by
-the storage fault effects (a record that never reaches the medium),
-so the media themselves stay dumb and honest.
+:meth:`read` (and, on files, fsynced before it returns).  Lost-flush
+semantics are injected *above* this layer by the storage fault effects
+(a record that never reaches the medium), so the media themselves stay
+dumb and honest.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 
 class StorageMedium:
@@ -95,8 +95,11 @@ class FileMedium(StorageMedium):
     """Medium backed by real files under ``root``.
 
     Names may contain ``/`` separators; directories are created on
-    demand.  ``write`` publishes through a rename so a checkpoint is
-    never observable half-written.
+    demand.  ``append`` and ``write`` return only once the bytes are
+    durable: the file is fsynced, and ``write`` publishes through a
+    rename of an already-synced temp file followed by an fsync of the
+    directory, so a checkpoint is never observable half-written and
+    never lost to a power cut after it was reported saved.
     """
 
     def __init__(self, root: str) -> None:
@@ -111,6 +114,8 @@ class FileMedium(StorageMedium):
     def append(self, name: str, data: bytes) -> None:
         with open(self._path(name), "ab") as handle:
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
 
     def read(self, name: str) -> bytes:
         path = self._path(name)
@@ -124,7 +129,14 @@ class FileMedium(StorageMedium):
         temp = path + ".tmp"
         with open(temp, "wb") as handle:
             handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp, path)
+        directory = os.open(os.path.dirname(path), os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     def truncate(self, name: str, size: int) -> None:
         path = self._path(name)
@@ -152,10 +164,3 @@ class FileMedium(StorageMedium):
                 if rel.startswith(prefix):
                     found.append(rel)
         return sorted(found)
-
-
-def medium_from_path(path: Optional[str]) -> StorageMedium:
-    """A :class:`FileMedium` at ``path``, or a fresh memory medium."""
-    if path is None:
-        return MemoryMedium()
-    return FileMedium(path)

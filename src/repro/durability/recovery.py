@@ -31,13 +31,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.durability.checkpoint import (
-    CheckpointInvalid,
-    CheckpointStore,
-    decode_row,
-)
+from repro import records
+from repro.analysis.verdicts import DDL_KINDS
+from repro.durability.checkpoint import CheckpointInvalid, CheckpointStore
 from repro.durability.wal import WalScan, WriteAheadLog
 from repro.errors import SqlError
+from repro.sqlengine.analysis import extract_traits
+from repro.sqlengine.parser import parse_statement
 
 
 @dataclass
@@ -66,6 +66,10 @@ class RecoveryReport:
     #: Checkpoints that failed validation/application and were skipped.
     checkpoints_skipped: int = 0
     warnings: list[str] = field(default_factory=list)
+    #: The DDL the recovered state was built from — the restored
+    #: checkpoint's schema history plus every DDL record redone — which
+    #: is the history the replica's next checkpoint must carry.
+    ddl_history: list[str] = field(default_factory=list)
 
 
 def apply_checkpoint(engine: Any, payload: dict) -> None:
@@ -92,7 +96,9 @@ def apply_checkpoint(engine: Any, payload: dict) -> None:
                 raise CheckpointInvalid(
                     f"checkpoint width mismatch on {table['name']!r}"
                 )
-            data.replace_rows(decode_row(list(row)) for row in table["rows"])
+            data.replace_rows(records.decode_row(row) for row in table["rows"])
+    except records.ScalarInvalid as error:
+        raise CheckpointInvalid(f"checkpoint row dump: {error}") from None
     finally:
         engine.phase = "serve"
 
@@ -139,6 +145,7 @@ def recover_engine(
                 continue
             report.checkpoint = name
             report.watermark = int(payload["lsn"])
+            report.ddl_history = [str(sql) for sql in payload.get("ddl", ())]
             restored = True
             break
     if not restored:
@@ -156,6 +163,8 @@ def recover_engine(
             if record.lsn < report.watermark:
                 continue
             try:
+                if extract_traits(parse_statement(record.sql)).kind in DDL_KINDS:
+                    report.ddl_history.append(record.sql)
                 run(record.sql)
             except SqlError:
                 report.errored += 1
@@ -185,12 +194,10 @@ def engine_state_signature(engine: Any) -> str:
     restart-recovery healer and the power-cut property tests compare
     these.
     """
-    from repro.durability.checkpoint import encode_row
-
     tables = {}
     for data in engine.storage.tables():
         rows = sorted(
-            json.dumps(encode_row(list(row)), sort_keys=True)
+            json.dumps(records.encode_row(row), sort_keys=True)
             for row in data.snapshot()
         )
         tables[data.name.lower()] = rows

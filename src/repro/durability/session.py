@@ -6,8 +6,10 @@ this module is the one-replica version used wherever a full diverse
 deployment would only get in the way — the durability bug bank, the
 power-cut property tests, and the recovery-time benchmarks.
 
-Every committed write statement is appended to the session's WAL
-(running through the product's storage-phase faults, so a seeded
+Every committed write statement is appended through the session's
+:class:`~repro.durability.manager.ReplicaStore` — the same object, and
+so the same bytes, the middleware keeps per replica — running through
+the product's storage-phase faults (a seeded
 :class:`~repro.faults.effects.TornWriteEffect` tears real bytes), and
 checkpoints are taken on a write-count cadence.  ``power_cut`` +
 ``recover`` simulate kill -9 and restart.
@@ -17,34 +19,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.reachability import StaticContext
-from repro.analysis.verdicts import DDL_KINDS, WRITE_KINDS
-from repro.durability.checkpoint import CheckpointStore, build_checkpoint
+from repro.analysis.verdicts import WRITE_KINDS
+from repro.durability.manager import ReplicaStore, classify_storage_effect
 from repro.durability.medium import MemoryMedium, StorageMedium
-from repro.durability.recovery import RecoveryReport, recover_engine
-from repro.durability.wal import WriteAheadLog
+from repro.durability.recovery import RecoveryReport
 from repro.errors import SqlError
-from repro.faults.effects import (
-    ChecksumCorruptionEffect,
-    LostFlushEffect,
-    StorageEffect,
-    TornWriteEffect,
-)
 from repro.servers.product import ServerProduct
-from repro.sqlengine.analysis import StatementTraits, extract_traits
+from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.engine import Result
 from repro.sqlengine.parser import parse_statement
-
-
-def classify_storage_effect(effect: StorageEffect) -> str:
-    """Counter bucket for one fired storage effect."""
-    if isinstance(effect, TornWriteEffect):
-        return "torn"
-    if isinstance(effect, LostFlushEffect):
-        return "lost"
-    if isinstance(effect, ChecksumCorruptionEffect):
-        return "corrupt"
-    return "other"
 
 
 class DurableSession:
@@ -62,12 +45,8 @@ class DurableSession:
         self.product = product
         self.medium = medium if medium is not None else MemoryMedium()
         self.name = name or product.key
-        self.wal = WriteAheadLog(self.medium, f"{self.name}/wal")
-        self.checkpoints = CheckpointStore(
-            self.medium, self.name, keep=keep_checkpoints
-        )
+        self.store = ReplicaStore(self.medium, self.name, keep=keep_checkpoints)
         self.checkpoint_interval = checkpoint_interval
-        self.ddl_history: list[str] = []
         self._writes_since_checkpoint = 0
         #: (sql, bucket) pairs for every storage fault that fired.
         self.storage_fault_log: list[tuple[str, str]] = []
@@ -75,11 +54,27 @@ class DurableSession:
     # -- execution ------------------------------------------------------
 
     def execute(self, sql: str) -> Result:
-        """Execute one statement; committed writes reach the WAL."""
+        """Execute one statement; committed writes reach the WAL, and
+        every ``checkpoint_interval`` of them publishes a checkpoint
+        (never inside an open transaction — the WAL's BEGIN/COMMIT
+        markers must not straddle the watermark)."""
         traits = extract_traits(parse_statement(sql))
         result = self.product.execute(sql)
-        if traits.kind in WRITE_KINDS:
-            self._log_write(sql, traits)
+        if traits.kind not in WRITE_KINDS:
+            return result
+        for fault in self.store.append(self.product, sql, traits):
+            self.storage_fault_log.append(
+                (sql, classify_storage_effect(fault.effect))
+            )
+        self._writes_since_checkpoint += 1
+        interval = self.checkpoint_interval
+        if (
+            interval
+            and self._writes_since_checkpoint >= interval
+            and not self.product.engine.transactions.in_transaction
+        ):
+            self.store.checkpoint(self.product)
+            self._writes_since_checkpoint = 0
         return result
 
     def execute_script(self, sql: str) -> list[Result]:
@@ -95,47 +90,6 @@ class DurableSession:
                 continue
         return results
 
-    def _log_write(self, sql: str, traits: StatementTraits) -> None:
-        ctx = StaticContext(sql, traits)
-        injector = self.product.injector
-
-        def mutate(data: bytes) -> Optional[bytes]:
-            mutated, fired = injector.mutate_storage(ctx, data)
-            for fault in fired:
-                self.storage_fault_log.append(
-                    (sql, classify_storage_effect(fault.effect))
-                )
-            return mutated
-
-        self.wal.append(sql, self.product.engine.catalog.generation, mutate=mutate)
-        if traits.kind in DDL_KINDS:
-            self.ddl_history.append(sql)
-        self._writes_since_checkpoint += 1
-        self.maybe_checkpoint()
-
-    # -- checkpoints ----------------------------------------------------
-
-    def maybe_checkpoint(self) -> Optional[str]:
-        """Checkpoint on the configured write cadence (never inside an
-        open transaction — the WAL's BEGIN/COMMIT markers must not
-        straddle the watermark)."""
-        interval = self.checkpoint_interval
-        if not interval or self._writes_since_checkpoint < interval:
-            return None
-        return self.checkpoint()
-
-    def checkpoint(self) -> Optional[str]:
-        engine = self.product.engine
-        if engine.transactions.in_transaction:
-            return None
-        name = self.checkpoints.save(
-            build_checkpoint(
-                engine, lsn=self.wal.next_lsn, ddl=self.ddl_history
-            )
-        )
-        self._writes_since_checkpoint = 0
-        return name
-
     # -- crash / restart ------------------------------------------------
 
     def power_cut(self) -> StorageMedium:
@@ -148,31 +102,9 @@ class DurableSession:
     def recover(self) -> RecoveryReport:
         """Restart recovery in place: rebuild the engine from the
         medium, re-derive the DDL history, re-baseline the WAL."""
-        report = recover_engine(
-            self.product.engine,
-            self.wal,
-            self.checkpoints,
-            replica=self.name,
-            execute=self.product.execute,
-        )
-        self._rederive_ddl_history(report)
+        report = self.store.recover(self.product)
         self._writes_since_checkpoint = 0
         return report
-
-    def _rederive_ddl_history(self, report: RecoveryReport) -> None:
-        ddl: list[str] = []
-        if report.checkpoint is not None:
-            for name, payload in self.checkpoints.load_all():
-                if name == report.checkpoint:
-                    ddl = [str(sql) for sql in payload.get("ddl", ())]
-                    break
-        for record in self.wal.scan().records:
-            if record.lsn < report.watermark:
-                continue
-            traits = extract_traits(parse_statement(record.sql))
-            if traits.kind in DDL_KINDS:
-                ddl.append(record.sql)
-        self.ddl_history = ddl
 
     @classmethod
     def resume(

@@ -1,12 +1,6 @@
 """The write-ahead log: checksummed, length-prefixed redo records.
 
-Record framing (little-endian)::
-
-    +----------------+----------------+------------------------+
-    | payload length | CRC32(payload) | payload (JSON, UTF-8)  |
-    |    4 bytes     |    4 bytes     |   ``length`` bytes     |
-    +----------------+----------------+------------------------+
-
+Each record is one :mod:`repro.records` record (length, CRC32, payload).
 The payload carries ``{"lsn": n, "gen": g, "sql": text}``: a
 monotonically increasing log sequence number, the replica catalog's
 ``generation`` counter observed when the statement committed (a cheap
@@ -26,14 +20,11 @@ prefix of the run produces") hold by construction.
 from __future__ import annotations
 
 import json
-import struct
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from repro import records
 from repro.durability.medium import StorageMedium
-
-_HEADER = struct.Struct("<II")
 
 #: Upper bound on a record payload; anything larger read from disk is
 #: treated as a torn/garbage header rather than an allocation request.
@@ -75,34 +66,21 @@ class WalScan:
 def encode_record(lsn: int, generation: int, sql: str) -> bytes:
     payload = json.dumps(
         {"lsn": lsn, "gen": generation, "sql": sql}, ensure_ascii=False
-    ).encode("utf-8")
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    )
+    return records.pack(payload.encode("utf-8"))
 
 
 def scan_records(blob: bytes) -> WalScan:
     """Decode the valid record prefix of raw WAL bytes."""
-    records: list[WalRecord] = []
+    found: list[WalRecord] = []
     offset = 0
-    valid = 0
-    expected_lsn = 0
     stopped: Optional[str] = None
     total = len(blob)
     while offset < total:
-        if offset + _HEADER.size > total:
-            stopped = "torn-header"
-            break
-        length, checksum = _HEADER.unpack_from(blob, offset)
-        if length > MAX_PAYLOAD:
-            stopped = "torn-header"
-            break
-        start = offset + _HEADER.size
-        end = start + length
-        if end > total:
-            stopped = "torn-payload"
-            break
-        payload = blob[start:end]
-        if zlib.crc32(payload) != checksum:
-            stopped = "checksum-mismatch"
+        payload, end, damage = records.unpack(blob, offset, MAX_PAYLOAD)
+        if damage is not None:
+            # A garbage length field is a header nobody finished writing.
+            stopped = "torn-header" if damage == "oversize" else damage
             break
         try:
             fields = json.loads(payload.decode("utf-8"))
@@ -114,15 +92,13 @@ def scan_records(blob: bytes) -> WalScan:
         except (ValueError, KeyError, TypeError, UnicodeDecodeError):
             stopped = "undecodable"
             break
-        if record.lsn != expected_lsn:
+        if record.lsn != len(found):
             stopped = "lsn-gap"
             break
-        records.append(record)
-        expected_lsn += 1
+        found.append(record)
         offset = end
-        valid = end
     return WalScan(
-        records=records, valid_bytes=valid, total_bytes=total, stopped=stopped
+        records=found, valid_bytes=offset, total_bytes=total, stopped=stopped
     )
 
 
@@ -183,8 +159,3 @@ class WriteAheadLog:
             self.medium.truncate(self.name, scan.valid_bytes)
         self._next_lsn = len(scan.records)
         return scan.dropped_bytes
-
-    def reset(self) -> None:
-        """Wipe the log (fresh install / post-rebuild re-baseline)."""
-        self.medium.delete(self.name)
-        self._next_lsn = 0

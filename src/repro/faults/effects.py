@@ -26,9 +26,10 @@ Effects run at one of four hook points:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import EngineCrash, SqlError
+from repro.records import flip_payload_byte
 
 
 @dataclass(frozen=True)
@@ -92,19 +93,6 @@ class ErrorEffect(Effect):
         self.code = code
 
     def apply_before(self, ctx) -> None:
-        raise SqlError(self.message, code=self.code)
-
-
-class LateErrorEffect(Effect):
-    """Raise an SQL error *after* execution (partial work then error)."""
-
-    phase = "after"
-
-    def __init__(self, message: str, code: str = "spurious") -> None:
-        self.message = message
-        self.code = code
-
-    def apply_after(self, ctx, result):
         raise SqlError(self.message, code=self.code)
 
 
@@ -384,18 +372,6 @@ class RowcountSkewEffect(Effect):
         return result
 
 
-class MutateColumnNamesEffect(Effect):
-    """Blank or mangle result column names (e.g. Interbase 222476)."""
-
-    def __init__(self, rename: Callable[[str], str] = lambda name: "") -> None:
-        self.rename = rename
-
-    def apply_after(self, ctx, result):
-        if result.kind == "select":
-            result.columns = [self.rename(name) for name in result.columns]
-        return result
-
-
 class DialectRenderEffect(Effect):
     """Render SELECT values the way a dialect legitimately would.
 
@@ -505,9 +481,6 @@ class ChecksumCorruptionEffect(StorageEffect):
     the checksum mismatch is detected and the record discarded.
     """
 
-    #: First payload byte follows the 8-byte (length, CRC) header.
-    _HEADER_SIZE = 8
-
     def __init__(self, offset: int = 0, xor: int = 0x40) -> None:
         if xor & 0xFF == 0:
             raise ValueError("xor mask must change at least one bit")
@@ -515,12 +488,7 @@ class ChecksumCorruptionEffect(StorageEffect):
         self.xor = xor & 0xFF
 
     def apply_storage(self, ctx, payload: bytes) -> Optional[bytes]:
-        if len(payload) <= self._HEADER_SIZE:
-            return payload  # pragma: no cover - records always carry a payload
-        body = self._HEADER_SIZE + self.offset % (len(payload) - self._HEADER_SIZE)
-        mutated = bytearray(payload)
-        mutated[body] ^= self.xor
-        return bytes(mutated)
+        return flip_payload_byte(payload, self.offset, self.xor)
 
 
 class NetworkEffect(Effect):
@@ -635,13 +603,12 @@ class CorruptFrameEffect(NetworkEffect):
         if self.count is not None and self._corrupted >= self.count:
             return [delivery]
         self._corrupted += 1
-        payload = delivery.payload
-        if len(payload) <= 8:  # pragma: no cover - frames always carry a body
-            return [delivery]
-        body = 8 + self.offset % (len(payload) - 8)
-        mutated = bytearray(payload)
-        mutated[body] ^= self.xor
-        return [replace(delivery, payload=bytes(mutated))]
+        return [
+            replace(
+                delivery,
+                payload=flip_payload_byte(delivery.payload, self.offset, self.xor),
+            )
+        ]
 
 
 class ConnectionResetEffect(NetworkEffect):

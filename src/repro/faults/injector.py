@@ -74,14 +74,6 @@ class FaultInjector:
     def disable(self, fault_id: str) -> None:
         self._faults[fault_id].enabled = False
 
-    def disable_all(self) -> None:
-        for fault in self._faults.values():
-            fault.enabled = False
-
-    def enable_all(self) -> None:
-        for fault in self._faults.values():
-            fault.enabled = True
-
     def reset_history(self) -> None:
         self.activations.clear()
         self.activation_counts.clear()

@@ -61,6 +61,17 @@ def normalize_row(row: Iterable[Any]) -> tuple:
     return tuple(normalize_value(value) for value in row)
 
 
+def normalized_state(engine: Any) -> dict[str, list[tuple]]:
+    """One engine's whole database in canonical form: every base table
+    (lower-cased name) mapped to its sorted normalised rows.  The
+    consistency check and the rebuild admission gate both compare
+    replicas through this dump."""
+    return {
+        data.name.lower(): sorted(normalize_row(row) for row in data.snapshot())
+        for data in engine.storage.tables()
+    }
+
+
 def normalize_result(columns: Iterable[str], rows: Iterable[Iterable[Any]]) -> tuple:
     """Canonical form of a whole result set.
 

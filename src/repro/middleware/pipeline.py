@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Callable
 
 from repro.analysis.dataflow import DefUse, statement_def_use
 from repro.analysis.divergence import StatementDivergence, analyze_divergence
@@ -55,6 +55,12 @@ from repro.errors import FeatureNotSupported
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
 from repro.sqlengine.parser import parse_prepared
+
+#: The cache layers; each owns a ``<layer>_hits``/``<layer>_misses``
+#: counter pair in :class:`PipelineStats`.
+_LAYERS = (
+    "parse", "translate", "verdict", "divergence", "dataflow", "plan", "abstraction",
+)
 
 
 @dataclass
@@ -80,31 +86,20 @@ class PipelineStats:
 
     @property
     def hits(self) -> int:
-        return (
-            self.parse_hits
-            + self.translate_hits
-            + self.verdict_hits
-            + self.divergence_hits
-            + self.dataflow_hits
-            + self.plan_hits
-            + self.abstraction_hits
-        )
+        return sum(getattr(self, layer + "_hits") for layer in _LAYERS)
 
     @property
     def misses(self) -> int:
-        return (
-            self.parse_misses
-            + self.translate_misses
-            + self.verdict_misses
-            + self.divergence_misses
-            + self.dataflow_misses
-            + self.plan_misses
-            + self.abstraction_misses
-        )
+        return sum(getattr(self, layer + "_misses") for layer in _LAYERS)
 
 
 #: A parsed entry: (statement, traits, placeholder count).
 ParsedEntry = tuple[ast.Statement, StatementTraits, int]
+
+
+def _parse(sql: str) -> ParsedEntry:
+    statement, param_count = parse_prepared(sql)
+    return statement, extract_traits(statement), param_count
 
 
 class StatementPipeline:
@@ -116,19 +111,11 @@ class StatementPipeline:
         self.capacity = capacity
         self.generation = 0
         self.stats = PipelineStats()
-        self._parsed: OrderedDict[str, ParsedEntry] = OrderedDict()
-        self._translations: OrderedDict[
-            tuple[str, str, int], Union[str, FeatureNotSupported]
-        ] = OrderedDict()
-        self._verdicts: OrderedDict[tuple[str, int], StatementVerdict] = OrderedDict()
-        self._divergences: OrderedDict[
-            tuple[str, int], StatementDivergence
-        ] = OrderedDict()
-        self._def_uses: OrderedDict[tuple[str, int], DefUse] = OrderedDict()
-        self._plans: OrderedDict[tuple[str, int], str] = OrderedDict()
-        self._abstractions: OrderedDict[
-            tuple[str, int], StatementAbstraction
-        ] = OrderedDict()
+        #: Per layer: its LRU and the names of its two counters.
+        self._layers = {
+            layer: (OrderedDict(), layer + "_hits", layer + "_misses")
+            for layer in _LAYERS
+        }
 
     def bump_generation(self) -> None:
         """Record a schema change: entries keyed on the old generation
@@ -136,40 +123,46 @@ class StatementPipeline:
         self.generation += 1
         self.stats.invalidations += 1
 
+    def _memo(self, layer: str, key: Any, compute: Callable[[], Any]) -> Any:
+        """``layer``'s entry for ``key``, computed and kept (evicting
+        the least recently used entry at capacity) on a miss.  A
+        :class:`FeatureNotSupported` refusal is an entry too: it is
+        kept, and raised on the miss and on every hit.  Any other
+        exception from ``compute`` propagates with nothing kept or
+        counted."""
+        cache, hits, misses = self._layers[layer]
+        entry = cache.get(key)
+        if entry is not None:
+            cache.move_to_end(key)
+            counter = hits
+        else:
+            try:
+                entry = compute()
+            except FeatureNotSupported as refusal:
+                entry = refusal
+            if len(cache) >= self.capacity:
+                cache.popitem(last=False)
+            cache[key] = entry
+            counter = misses
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        if isinstance(entry, FeatureNotSupported):
+            raise entry
+        return entry
+
     # -- stages ------------------------------------------------------------
 
     def parsed(self, sql: str) -> ParsedEntry:
         """Parse one statement and extract its traits, memoized."""
-        entry = self._parsed.get(sql)
-        if entry is not None:
-            self._parsed.move_to_end(sql)
-            self.stats.parse_hits += 1
-            return entry
-        statement, param_count = parse_prepared(sql)
-        entry = (statement, extract_traits(statement), param_count)
-        self._store(self._parsed, sql, entry)
-        self.stats.parse_misses += 1
-        return entry
+        return self._memo("parse", sql, lambda: _parse(sql))
 
     def translation(self, sql: str, descriptor: DialectDescriptor) -> str:
         """Translate ``sql`` to a dialect, memoized; cached refusals
         re-raise their :class:`FeatureNotSupported`."""
-        key = (descriptor.key, sql, self.generation)
-        cached = self._translations.get(key)
-        if cached is not None:
-            self._translations.move_to_end(key)
-            self.stats.translate_hits += 1
-            if isinstance(cached, FeatureNotSupported):
-                raise cached
-            return cached
-        self.stats.translate_misses += 1
-        try:
-            translated = translate_script(sql, descriptor)
-        except FeatureNotSupported as refusal:
-            self._store(self._translations, key, refusal)
-            raise
-        self._store(self._translations, key, translated)
-        return translated
+        return self._memo(
+            "translate",
+            (descriptor.key, sql, self.generation),
+            lambda: translate_script(sql, descriptor),
+        )
 
     def verdict(
         self,
@@ -180,16 +173,11 @@ class StatementPipeline:
     ) -> StatementVerdict:
         """Static-analysis verdict for one statement, memoized per
         schema generation."""
-        key = (sql, self.generation)
-        cached = self._verdicts.get(key)
-        if cached is not None:
-            self._verdicts.move_to_end(key)
-            self.stats.verdict_hits += 1
-            return cached
-        verdict = analyze_statement(statement, schema, traits=traits)
-        self._store(self._verdicts, key, verdict)
-        self.stats.verdict_misses += 1
-        return verdict
+        return self._memo(
+            "verdict",
+            (sql, self.generation),
+            lambda: analyze_statement(statement, schema, traits=traits),
+        )
 
     def divergence(
         self,
@@ -200,16 +188,11 @@ class StatementPipeline:
     ) -> StatementDivergence:
         """Dialect-divergence analysis for one statement, memoized per
         schema generation."""
-        key = (sql, self.generation)
-        cached = self._divergences.get(key)
-        if cached is not None:
-            self._divergences.move_to_end(key)
-            self.stats.divergence_hits += 1
-            return cached
-        divergence = analyze_divergence(statement, schema, traits=traits)
-        self._store(self._divergences, key, divergence)
-        self.stats.divergence_misses += 1
-        return divergence
+        return self._memo(
+            "divergence",
+            (sql, self.generation),
+            lambda: analyze_divergence(statement, schema, traits=traits),
+        )
 
     def def_use(
         self,
@@ -220,16 +203,11 @@ class StatementPipeline:
     ) -> DefUse:
         """Def/use sets for one statement, memoized per schema
         generation."""
-        key = (sql, self.generation)
-        cached = self._def_uses.get(key)
-        if cached is not None:
-            self._def_uses.move_to_end(key)
-            self.stats.dataflow_hits += 1
-            return cached
-        def_use = statement_def_use(statement, schema, traits)
-        self._store(self._def_uses, key, def_use)
-        self.stats.dataflow_misses += 1
-        return def_use
+        return self._memo(
+            "dataflow",
+            (sql, self.generation),
+            lambda: statement_def_use(statement, schema, traits),
+        )
 
     def plan(self, sql: str, catalog) -> str:
         """Rendered logical plan (EXPLAIN text) for one statement,
@@ -239,16 +217,9 @@ class StatementPipeline:
         makes that impossible."""
         from repro.sqlengine.plan import explain_statement
 
-        key = (sql, self.generation)
-        cached = self._plans.get(key)
-        if cached is not None:
-            self._plans.move_to_end(key)
-            self.stats.plan_hits += 1
-            return cached
-        text = explain_statement(sql, catalog)
-        self._store(self._plans, key, text)
-        self.stats.plan_misses += 1
-        return text
+        return self._memo(
+            "plan", (sql, self.generation), lambda: explain_statement(sql, catalog)
+        )
 
     def abstraction(
         self,
@@ -260,20 +231,8 @@ class StatementPipeline:
         WHERE truth, dead predicates, TLP partition triple — memoized
         per schema generation (the abstraction seeds intervals and
         nullability from declared column constraints)."""
-        key = (sql, self.generation)
-        cached = self._abstractions.get(key)
-        if cached is not None:
-            self._abstractions.move_to_end(key)
-            self.stats.abstraction_hits += 1
-            return cached
-        abstraction = summarize_statement(statement, schema)
-        self._store(self._abstractions, key, abstraction)
-        self.stats.abstraction_misses += 1
-        return abstraction
-
-    # -- plumbing ----------------------------------------------------------
-
-    def _store(self, cache: OrderedDict, key, value) -> None:
-        if len(cache) >= self.capacity:
-            cache.popitem(last=False)
-        cache[key] = value
+        return self._memo(
+            "abstraction",
+            (sql, self.generation),
+            lambda: summarize_statement(statement, schema),
+        )

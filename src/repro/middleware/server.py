@@ -93,6 +93,7 @@ from repro.errors import (
 )
 from repro.faults.audit import TimeoutAuditEntry
 from repro.middleware.comparator import ReplicaAnswer, ResultComparator
+from repro.middleware.normalizer import normalized_state
 from repro.middleware.pipeline import StatementPipeline
 from repro.middleware.supervisor import (
     ReplicaHealth,
@@ -300,8 +301,6 @@ class ServerConfig:
     #: wrong results that diverse voting misses when every replica
     #: shares the planner.  Off by default (it doubles read work).
     dual_plan: bool = False
-    #: Bound on entries per pipeline cache layer (parse/translate/verdict).
-    pipeline_capacity: int = 1024
     #: Durability subsystem (:class:`repro.durability.DurabilityManager`):
     #: per-replica write-ahead logs, durable checkpoints, and restart
     #: recovery from the storage medium.  ``None`` keeps the original
@@ -382,7 +381,7 @@ class DiverseServer:
         self.stats = MiddlewareStats()
         #: Memoized front-end stages (parse / per-dialect translation /
         #: analysis verdicts), invalidated on DDL via its generation.
-        self.pipeline = StatementPipeline(capacity=config.pipeline_capacity)
+        self.pipeline = StatementPipeline()
         self.supervisor = config.supervisor or ReplicaSupervisor(
             policy=config.policy, clock=config.clock
         )
@@ -1185,33 +1184,17 @@ class DiverseServer:
         paper's middleware sketch calls this the consistency-enforcing
         check.
         """
-        from repro.middleware.normalizer import normalize_row
-
         active = self.active_replicas()
         if len(active) < 2:
             return {}
-        reference = active[0]
-        table_names = sorted(
-            {
-                table.name.lower()
-                for replica in active
-                for table in replica.product.engine.catalog.tables()
-            }
-        )
-
-        def dump(replica: Replica, name: str):
-            data = replica.product.engine.storage.get_optional(name)
-            if data is None:
-                return None
-            return sorted(normalize_row(row) for row in data.snapshot())
-
+        baseline = normalized_state(active[0].product.engine)
         disagreements: dict[str, list[str]] = {}
-        for name in table_names:
-            baseline = dump(reference, name)
-            for replica in active[1:]:
-                if dump(replica, name) != baseline:
+        for replica in active[1:]:
+            dump = normalized_state(replica.product.engine)
+            for name in baseline.keys() | dump.keys():
+                if dump.get(name) != baseline.get(name):
                     disagreements.setdefault(name, []).append(replica.key)
-        return disagreements
+        return dict(sorted(disagreements.items()))
 
     # -- introspection ---------------------------------------------------------------------
 

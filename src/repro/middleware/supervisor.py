@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import EngineCrash, ReproError, SqlError
 from repro.faults.audit import TimeoutAuditEntry
+from repro.middleware.normalizer import normalized_state
 from repro.sqlengine.engine import EngineSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -309,22 +310,28 @@ class ReplicaSupervisor:
             ):
                 self.start_rebuild(replica)
 
-    def maybe_checkpoint(self) -> None:
-        """Snapshot all active replicas once enough writes accumulated.
-
-        Skipped while a transaction is open (the write log's BEGIN/COMMIT
-        markers must not straddle a checkpoint boundary) and retried on
-        the next committed write.
-        """
-        interval = self.policy.checkpoint_interval
-        if not interval:
-            return
-        if self.stats.writes - self._last_checkpoint_writes < interval:
-            return
+    def checkpoint_due(
+        self, interval: Optional[int], since_writes: int
+    ) -> list["Replica"]:
+        """The replicas to checkpoint now — the one cadence rule of the
+        in-memory and the durable checkpoints: every active replica
+        once ``interval`` writes committed past ``since_writes``, but
+        none while a transaction is open (the write log's BEGIN/COMMIT
+        markers must not straddle a checkpoint boundary); the next
+        committed write asks again."""
+        if not interval or self.stats.writes - since_writes < interval:
+            return []
         active = self._server.active_replicas()
-        if not active:
-            return
         if any(r.product.engine.transactions.in_transaction for r in active):
+            return []
+        return active
+
+    def maybe_checkpoint(self) -> None:
+        """Snapshot all active replicas once enough writes accumulated."""
+        active = self.checkpoint_due(
+            self.policy.checkpoint_interval, self._last_checkpoint_writes
+        )
+        if not active:
             return
         position = len(self._server._write_log)
         for replica in active:
@@ -437,36 +444,22 @@ class ReplicaSupervisor:
                 rebuild.seeded = True
             return
         log = self._server._write_log
-        budget = max(1, self.policy.rebuild_batch)
-        engine = product.engine
-        deadline = self.policy.effective_recovery_deadline
-        engine.phase = "recover"
-        try:
-            while budget > 0 and rebuild.cursor < len(log):
-                sql = log[rebuild.cursor]
+
+        def batch():
+            # Counted as drawn, so a failed step still accounts for the
+            # statement it failed on.
+            for sql in log[rebuild.cursor:rebuild.cursor + max(1, self.policy.rebuild_batch)]:
                 rebuild.cursor += 1
                 rebuild.replayed += 1
-                budget -= 1
                 self.stats.rebuild_replayed_statements += 1
-                try:
-                    translated = self._server.pipeline.translation(
-                        sql, product.descriptor
-                    )
-                    result = product.execute(translated)
-                except SqlError:
-                    continue  # errored at commit time; errors again
-                except EngineCrash:
-                    self._rebuild_failed(replica)
-                    return
-                if deadline is not None and result.virtual_cost > deadline:
-                    self._record_recovery_timeout(
-                        replica, sql, result.virtual_cost, deadline
-                    )
-                    self._rebuild_failed(replica)
-                    return
-        finally:
-            engine.phase = "serve"
-        if rebuild.cursor >= len(log) and not engine.transactions.in_transaction:
+                yield sql
+
+        try:
+            self._replay_log(replica, batch())
+        except (EngineCrash, RecoveryStalled):
+            self._rebuild_failed(replica)
+            return
+        if rebuild.cursor >= len(log) and not product.engine.transactions.in_transaction:
             self._try_admit(replica)
 
     def _try_admit(self, replica: "Replica") -> None:
@@ -497,19 +490,10 @@ class ReplicaSupervisor:
         a majority of the active replicas' states (the
         ``verify_consistency`` criterion applied at the admission
         gate)."""
-        from repro.middleware.normalizer import normalize_row
-
-        def dump(candidate) -> dict:
-            engine = candidate.product.engine
-            return {
-                data.name.lower(): sorted(
-                    normalize_row(row) for row in data.snapshot()
-                )
-                for data in engine.storage.tables()
-            }
-
-        target = dump(replica)
-        matches = sum(1 for peer in active if dump(peer) == target)
+        target = normalized_state(replica.product.engine)
+        matches = sum(
+            1 for peer in active if normalized_state(peer.product.engine) == target
+        )
         return 2 * matches > len(active)
 
     def _rebuild_failed(self, replica: "Replica") -> None:
@@ -572,42 +556,46 @@ class ReplicaSupervisor:
         pending = self._server._pending_write
         if pending is not None:
             tail = tail + [pending]
-        engine = product.engine
-        engine.phase = "recover"
+        self._replay_log(replica, tail)
+        return len(tail)
+
+    def _replay_log(self, replica: "Replica", statements: Iterable[str]) -> None:
+        """Re-execute write-log statements on one replica, in its own
+        dialect, with its engine in the recovery phase.  Statements that
+        legitimately errored at commit time error again and are skipped;
+        one that costs more than the recovery deadline is audited and
+        raises :class:`RecoveryStalled`; an :class:`EngineCrash`
+        propagates.  The caller decides what a failure means."""
+        product = replica.product
         deadline = self.policy.effective_recovery_deadline
+        product.engine.phase = "recover"
         try:
-            for sql in tail:
+            for sql in statements:
                 try:
                     translated = self._server.pipeline.translation(
                         sql, product.descriptor
                     )
                     result = product.execute(translated)
                 except SqlError:
-                    continue  # statements that legitimately error replay as errors
+                    continue
                 if deadline is not None and result.virtual_cost > deadline:
-                    self._record_recovery_timeout(replica, sql, result.virtual_cost, deadline)
+                    self.stats.recovery_timeouts += 1
+                    self._server.timeout_audit.append(
+                        TimeoutAuditEntry(
+                            replica=replica.key,
+                            sql=sql,
+                            virtual_cost=result.virtual_cost,
+                            deadline=deadline,
+                            at=self.clock.now,
+                            during_recovery=True,
+                        )
+                    )
                     raise RecoveryStalled(
                         f"replica {replica.key} stalled replaying {sql!r} "
                         f"(cost {result.virtual_cost} > deadline {deadline})"
                     )
         finally:
-            engine.phase = "serve"
-        return len(tail)
-
-    def _record_recovery_timeout(
-        self, replica: "Replica", sql: str, cost: float, deadline: float
-    ) -> None:
-        self.stats.recovery_timeouts += 1
-        self._server.timeout_audit.append(
-            TimeoutAuditEntry(
-                replica=replica.key,
-                sql=sql,
-                virtual_cost=cost,
-                deadline=deadline,
-                at=self.clock.now,
-                during_recovery=True,
-            )
-        )
+            product.engine.phase = "serve"
 
     def _recovery_failed(self, replica: "Replica", *, manual: bool) -> None:
         health = replica.health

@@ -46,7 +46,6 @@ from repro.net.errors import (
     ServerOverloaded,
     SessionExpired,
 )
-from repro.net.protocol import decode_row
 from repro.net.transport import ClientPort, SimulatedNetwork
 from repro.sqlengine.engine import Result
 
@@ -171,7 +170,7 @@ class NetClient:
         reply = self._recv_matching(seq)
         if reply["type"] == "error":
             self._raise_error(reply)
-        return self._decode_result(reply)
+        return protocol.decode_result(reply)
 
     def prepare(self, seq: int, sql: str) -> Tuple[int, int]:
         """Prepare ``sql`` server-side; returns (handle id, param count)."""
@@ -236,17 +235,6 @@ class NetClient:
             )
             raise factory(message)
         raise ProtocolViolation(f"{code}: {message}")
-
-    @staticmethod
-    def _decode_result(reply: dict) -> Result:
-        return Result(
-            kind=reply["kind"],
-            columns=list(reply["columns"]),
-            rows=[decode_row(row) for row in reply["rows"]],
-            rowcount=reply["rowcount"],
-            virtual_cost=reply.get("virtual_cost", 1.0),
-            warnings=list(reply.get("warnings", ())),
-        )
 
 
 class SessionSupervisor:

@@ -1,34 +1,30 @@
 """The wire protocol: length-prefixed, CRC-checked JSON frames.
 
-Frame layout (all integers little-endian)::
-
-    [4 bytes payload length][4 bytes CRC32 of payload][payload: JSON]
-
-The CRC makes corruption *self-evident*: a receiver that sees a frame
-whose checksum does not match can no longer trust the stream's framing
-and must treat the connection as broken, exactly like the durability
-layer's WAL scan distrusts everything past an invalid record.
+A frame is one :mod:`repro.records` record (length, CRC32, payload)
+around a JSON message.  The CRC makes corruption *self-evident*: a
+receiver that sees a frame whose checksum does not match can no longer
+trust the stream's framing and must treat the connection as broken,
+exactly like the durability layer's WAL scan distrusts everything past
+an invalid record.
 
 Messages are JSON objects with a ``type`` field.  Client → server:
 ``hello`` (open or resume a session), ``execute`` (one statement,
 optionally through a prepared handle), ``prepare``, ``close``.  Server →
 client: ``welcome``, ``result``, ``prepared``, ``closed``, ``error``.
-SQL values that JSON cannot carry (Decimal, date, datetime) ride in
-tagged envelopes so a result survives the round trip bit-for-bit.
+SQL values that JSON cannot carry (Decimal, date, datetime) ride in the
+:mod:`repro.records` scalar envelopes, so a result survives the round
+trip bit-for-bit.  The ``result`` message is written and read here and
+nowhere else.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
-import struct
-import zlib
-from decimal import Decimal
-from typing import Any, Iterator, List, Optional
+from typing import Any, List, Optional
 
+from repro import records
 from repro.net.errors import ProtocolViolation
-
-_HEADER = struct.Struct("<II")
+from repro.sqlengine.engine import Result
 
 #: Upper bound on one frame's payload; a length field beyond it means
 #: the stream is garbage (or hostile), not merely large.
@@ -45,8 +41,6 @@ ERR_OVERLOADED = "overloaded"
 ERR_SESSION_EXPIRED = "session_expired"
 #: The request's sequence number is out of the dedupe window.
 ERR_SEQ_GAP = "seq_gap"
-#: The request referenced an unknown prepared handle.
-ERR_BAD_HANDLE = "bad_handle"
 #: Malformed or out-of-place message.
 ERR_PROTOCOL = "protocol"
 
@@ -57,27 +51,22 @@ class FrameCorrupt(ProtocolViolation):
 
 def encode_frame(message: dict) -> bytes:
     """Serialise one message into its framed wire representation."""
-    payload = json.dumps(
-        message, separators=(",", ":"), default=_json_default
-    ).encode("utf-8")
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    payload = json.dumps(message, separators=(",", ":"), default=_json_default)
+    return records.pack(payload.encode("utf-8"))
 
 
 def decode_frame(frame: bytes) -> dict:
     """Decode one complete frame; raises :class:`FrameCorrupt` when the
     length or checksum does not hold."""
-    if len(frame) < _HEADER.size:
-        raise FrameCorrupt(f"truncated frame header ({len(frame)} byte(s))")
-    length, crc = _HEADER.unpack_from(frame)
-    payload = frame[_HEADER.size:]
-    if length > MAX_FRAME_PAYLOAD:
-        raise FrameCorrupt(f"frame length {length} exceeds the protocol maximum")
-    if len(payload) != length:
-        raise FrameCorrupt(
-            f"frame payload is {len(payload)} byte(s), header says {length}"
-        )
-    if zlib.crc32(payload) != crc:
-        raise FrameCorrupt("frame checksum mismatch")
+    payload, end, damage = records.unpack(frame, 0, MAX_FRAME_PAYLOAD)
+    if damage is None and end != len(frame):
+        damage = "trailing-bytes"
+    if damage is not None:
+        raise FrameCorrupt(f"frame damaged ({damage}, {len(frame)} byte(s))")
+    return _message(payload)
+
+
+def _message(payload: bytes) -> dict:
     try:
         message = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -104,51 +93,36 @@ class FrameStream:
             raise FrameCorrupt("stream already corrupt")
         self._buffer.extend(data)
         messages: List[dict] = []
-        while len(self._buffer) >= _HEADER.size:
-            length, _ = _HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_PAYLOAD:
-                self._poisoned = True
-                raise FrameCorrupt(
-                    f"frame length {length} exceeds the protocol maximum"
-                )
-            if len(self._buffer) < _HEADER.size + length:
-                break
-            frame = bytes(self._buffer[: _HEADER.size + length])
-            del self._buffer[: _HEADER.size + length]
+        while True:
+            payload, end, damage = records.unpack(self._buffer, 0, MAX_FRAME_PAYLOAD)
+            if damage in ("torn-header", "torn-payload"):
+                return messages  # incomplete: wait for more bytes
+            del self._buffer[:end]
             try:
-                messages.append(decode_frame(frame))
+                if damage is not None:
+                    raise FrameCorrupt(f"frame damaged ({damage})")
+                messages.append(_message(payload))
             except FrameCorrupt:
                 self._poisoned = True
                 raise
-        return messages
 
 
 # -- value codec -------------------------------------------------------------
 
 def _json_default(value: Any) -> Any:
-    if isinstance(value, Decimal):
-        return {"$dec": str(value)}
-    if isinstance(value, datetime.datetime):
-        return {"$dt": value.isoformat()}
-    if isinstance(value, datetime.date):
-        return {"$date": value.isoformat()}
-    raise TypeError(f"unserialisable value of type {type(value).__name__}")
+    encoded = records.encode_value(value)
+    if encoded is value:
+        raise TypeError(f"unserialisable value of type {type(value).__name__}")
+    return encoded
 
 
-def decode_value(value: Any) -> Any:
-    """Undo the tagged envelopes of :func:`_json_default`."""
-    if isinstance(value, dict):
-        if "$dec" in value:
-            return Decimal(value["$dec"])
-        if "$dt" in value:
-            return datetime.datetime.fromisoformat(value["$dt"])
-        if "$date" in value:
-            return datetime.date.fromisoformat(value["$date"])
-    return value
-
-
-def decode_row(row: List[Any]) -> tuple:
-    return tuple(decode_value(value) for value in row)
+def decode_row(row: Any) -> list:
+    """One row (or parameter list) of wire scalars; a malformed
+    envelope is the sender's :class:`ProtocolViolation`."""
+    try:
+        return records.decode_row(row)
+    except records.ScalarInvalid as error:
+        raise ProtocolViolation(str(error)) from None
 
 
 # -- message constructors ----------------------------------------------------
@@ -204,7 +178,26 @@ def error(
     return body
 
 
-def iter_messages(frames: Iterator[bytes]) -> Iterator[dict]:
-    """Decode an iterable of complete frames (test convenience)."""
-    for frame in frames:
-        yield decode_frame(frame)
+def result(seq: int, outcome: Result) -> dict:
+    return {
+        "type": "result",
+        "seq": seq,
+        "kind": outcome.kind,
+        "columns": list(outcome.columns),
+        "rows": [list(row) for row in outcome.rows],
+        "rowcount": outcome.rowcount,
+        "virtual_cost": outcome.virtual_cost,
+        "warnings": list(outcome.warnings),
+    }
+
+
+def decode_result(reply: dict) -> Result:
+    """The :class:`Result` a ``result`` message carries."""
+    return Result(
+        kind=reply["kind"],
+        columns=list(reply["columns"]),
+        rows=[tuple(decode_row(row)) for row in reply["rows"]],
+        rowcount=reply["rowcount"],
+        virtual_cost=reply.get("virtual_cost", 1.0),
+        warnings=list(reply.get("warnings", ())),
+    )

@@ -37,7 +37,7 @@ from repro.errors import ReproError
 from repro.middleware.server import DiverseServer
 from repro.net import protocol
 from repro.net.errors import ProtocolViolation, ServerOverloaded, SessionExpired
-from repro.net.protocol import FrameCorrupt, decode_frame, decode_value
+from repro.net.protocol import FrameCorrupt, decode_frame
 from repro.net.session import NetPolicy, NetStats, Session, SessionManager
 from repro.sqlengine.engine import Result
 
@@ -370,7 +370,7 @@ class NetServer:
             handle = session.handles.get(handle_id)
             if handle is None:
                 raise ProtocolViolation(f"unknown prepared handle {handle_id}")
-            values = [decode_value(value) for value in (params or [])]
+            values = protocol.decode_row(params or [])
             result = self._with_shedding(
                 shed_compare,
                 handle.prepared.traits.kind,
@@ -391,7 +391,7 @@ class NetServer:
             )
         self.sessions.note_executed(session, traits, self._statement_def_use(sql))
         self.stats.statements_served += 1
-        return self._encode_result(seq, result)
+        return protocol.result(seq, result)
 
     def _with_shedding(self, shed_compare: bool, kind: str, run: Callable[[], Result]):
         """Run a statement, shedding the cross-replica compare for reads
@@ -417,19 +417,6 @@ class NetServer:
             "seq": message["seq"],
             "handle": handle.handle_id,
             "params": handle.param_count,
-        }
-
-    @staticmethod
-    def _encode_result(seq: int, result: Result) -> dict:
-        return {
-            "type": "result",
-            "seq": seq,
-            "kind": result.kind,
-            "columns": list(result.columns),
-            "rows": [list(row) for row in result.rows],
-            "rowcount": result.rowcount,
-            "virtual_cost": result.virtual_cost,
-            "warnings": list(result.warnings),
         }
 
     # -- parked queue --------------------------------------------------------

@@ -359,9 +359,5 @@ class SessionManager:
         """The live session with this id, if any (no touch, no token)."""
         return self._sessions.get(session_id)
 
-    @property
-    def session_count(self) -> int:
-        return len(self._sessions)
-
     def sessions(self) -> list:
         return list(self._sessions.values())

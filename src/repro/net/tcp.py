@@ -19,7 +19,7 @@ from __future__ import annotations
 import asyncio
 from typing import Dict, List, Optional, Tuple
 
-from repro.net.protocol import FrameCorrupt, FrameStream, decode_frame, encode_frame
+from repro.net.protocol import FrameCorrupt, FrameStream, encode_frame
 from repro.net.server import NetServer
 
 
@@ -116,15 +116,19 @@ async def tcp_exchange(
     Smoke-test convenience: real clients should keep the connection and
     speak the protocol statefully."""
     reader, writer = await asyncio.open_connection(host, port)
+    stream = FrameStream()
+    pending: List[dict] = []
     replies: List[dict] = []
     try:
         for message in messages:
             writer.write(encode_frame(message))
             await writer.drain()
-            header = await asyncio.wait_for(reader.readexactly(8), timeout)
-            length = int.from_bytes(header[:4], "little")
-            payload = await asyncio.wait_for(reader.readexactly(length), timeout)
-            replies.append(decode_frame(header + payload))
+            while not pending:
+                data = await asyncio.wait_for(reader.read(4096), timeout)
+                if not data:
+                    raise asyncio.IncompleteReadError(b"", None)
+                pending.extend(stream.feed(data))
+            replies.append(pending.pop(0))
     finally:
         writer.close()
         try:

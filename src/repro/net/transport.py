@@ -215,10 +215,6 @@ class SimulatedNetwork:
             self.server.supervisor.poll()
         self.net_server.on_tick(self.clock.now)
 
-    @property
-    def pending_frames(self) -> int:
-        return len(self._pending)
-
 
 class ClientPort:
     """One client's endpoint on the simulated network."""

@@ -122,10 +122,6 @@ class ServerProduct:
     def seed_fault(self, fault: FaultSpec) -> None:
         self.injector.add(fault)
 
-    def seed_faults(self, faults: Iterable[FaultSpec]) -> None:
-        for fault in faults:
-            self.injector.add(fault)
-
     def fired_faults(self) -> set[str]:
         return self.injector.fired_fault_ids
 

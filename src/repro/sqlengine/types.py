@@ -59,10 +59,6 @@ class SqlType:
             return f"{self.name}({self.precision})"
         return self.name
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.family in _NUMERIC_FAMILIES
-
 
 INTEGER = SqlType("INTEGER", TypeFamily.INTEGER)
 SMALLINT = SqlType("SMALLINT", TypeFamily.INTEGER)

@@ -41,7 +41,7 @@ def build_scenario(statements, checkpoint_interval):
     )
     for statement in statements:
         session.execute(statement)
-    records = [record.sql for record in session.wal.scan().records]
+    records = [record.sql for record in session.store.wal.scan().records]
     prefixes = set()
     replay = make_server("IB")
     prefixes.add(engine_state_signature(replay.engine))

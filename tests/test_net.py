@@ -8,8 +8,6 @@ non-idempotent statements.
 """
 
 import asyncio
-import datetime
-from decimal import Decimal
 
 import pytest
 
@@ -39,11 +37,10 @@ from repro.net import (
     SessionExpired,
     SessionSupervisor,
     SimulatedNetwork,
-    decode_frame,
     encode_frame,
 )
 from repro.net import protocol
-from repro.net.tcp import TcpNetServer
+from repro.net.tcp import TcpNetServer, tcp_exchange
 from repro.reliability import NetworkPolicyModel
 from repro.servers import make_server
 from repro.workload import WorkloadRunner, run_interleaved
@@ -77,24 +74,8 @@ def supervised(network, **policy_kwargs):
 
 
 class TestFraming:
-    def test_roundtrip_with_typed_values(self):
-        message = {
-            "type": "result",
-            "rows": [[Decimal("1.25"), datetime.date(2004, 6, 28), None]],
-        }
-        frame = encode_frame(message)
-        decoded = decode_frame(frame)
-        from repro.net.protocol import decode_row
-
-        assert tuple(decode_row(decoded["rows"][0])) == (
-            Decimal("1.25"), datetime.date(2004, 6, 28), None,
-        )
-
-    def test_corrupt_payload_fails_crc(self):
-        frame = bytearray(encode_frame({"type": "hello"}))
-        frame[-1] ^= 0x40
-        with pytest.raises(FrameCorrupt):
-            decode_frame(bytes(frame))
+    # Frame damage and the scalar codec are pinned, for every user of
+    # the record format at once, in tests/test_records.py.
 
     def test_stream_reassembles_arbitrary_chunking(self):
         stream = FrameStream()
@@ -183,6 +164,45 @@ class TestSessions:
         refreshed_before = net_server.stats.handles_refreshed
         assert handle.execute([2]).rows
         assert net_server.stats.handles_refreshed > refreshed_before
+
+
+class TestMalformedParams:
+    """A CRC-valid execute frame with undecodable parameters is the
+    client's protocol error, not the frame handler's crash."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            [{"$dec": "zz"}],
+            [{"$date": "nope"}],
+            [{"$": "decimal", "v": "zz"}],
+            [{"$": "datetime", "v": 7}],
+            5,
+        ],
+    )
+    def test_error_reply_and_session_still_serves(self, params):
+        _, net_server, network = deployment()
+        port = network.connect()
+        welcome = port.request(protocol.hello(), 8.0)
+        session, token = welcome["session"], welcome["token"]
+        for seq, sql in enumerate(SETUP, start=1):
+            port.request(protocol.execute(session, token, seq, sql), 8.0)
+        prepared = port.request(
+            protocol.prepare(session, token, 4, "SELECT v FROM t WHERE id = ?"), 8.0
+        )
+        bad = protocol.execute(session, token, 5, "", handle=prepared["handle"])
+        bad["params"] = params
+        reply = port.request(bad, 8.0)
+        assert reply["type"] == "error"
+        assert reply["code"] == protocol.ERR_PROTOCOL
+        assert net_server.stats.protocol_errors == 1
+        # Nothing executed, so sequence number 5 is still unspent.
+        good = port.request(
+            protocol.execute(session, token, 5, "", params=[2], handle=prepared["handle"]),
+            8.0,
+        )
+        assert good["type"] == "result"
+        assert good["rows"] == [[20]]
 
 
 class TestBackpressure:
@@ -505,29 +525,10 @@ class TestTcpBinding:
 
         async def drive():
             await tcp.start()
-            host, port = tcp.address
             try:
-                reader, writer = await asyncio.open_connection(host, port)
-                stream = FrameStream()
-
-                async def exchange(message):
-                    writer.write(encode_frame(message))
-                    await writer.drain()
-                    while True:
-                        data = await asyncio.wait_for(reader.read(4096), 5.0)
-                        replies = stream.feed(data)
-                        if replies:
-                            return replies[0]
-
-                welcome = await exchange(protocol.hello())
-                session, token = welcome["session"], welcome["token"]
-                first = await exchange(
-                    protocol.execute(session, token, 1, SETUP[0])
-                )
-                replay = await exchange(
-                    protocol.execute(session, token, 1, SETUP[0])
-                )
-                writer.close()
+                (welcome,) = await tcp_exchange(*tcp.address, [protocol.hello()])
+                run = protocol.execute(welcome["session"], welcome["token"], 1, SETUP[0])
+                first, replay = await tcp_exchange(*tcp.address, [run, run])
                 return welcome, first, replay
             finally:
                 await tcp.stop()
@@ -537,6 +538,28 @@ class TestTcpBinding:
         assert first["type"] == "result"
         assert replay == first
         assert net_server.stats.duplicates_suppressed == 1
+
+    def test_oversize_length_refused_before_any_payload_read(self):
+        """The peer's length field never sizes a read: a header that
+        claims more than the protocol maximum fails at once, although
+        not one payload byte was sent (waiting for them would time out)."""
+
+        async def hostile(reader, writer):
+            await reader.read(4096)
+            writer.write((protocol.MAX_FRAME_PAYLOAD + 1).to_bytes(4, "little") + bytes(4))
+            await writer.drain()
+
+        async def drive():
+            server = await asyncio.start_server(hostile, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                await tcp_exchange(host, port, [protocol.hello()], timeout=30.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        with pytest.raises(FrameCorrupt):
+            asyncio.run(asyncio.wait_for(drive(), 5.0))
 
 
 class TestNetClientBasics:
