@@ -56,6 +56,7 @@ from repro.faults import (  # noqa: E402
     TornWriteEffect,
 )
 from repro.middleware import DiverseServer, ReplicaState, ServerConfig  # noqa: E402
+from repro.middleware.supervisor import REBUILD_BATCH, REBUILD_SEED_ROWS  # noqa: E402
 from repro.reliability import RebuildPolicyModel  # noqa: E402
 from repro.servers import make_server  # noqa: E402
 from repro.workload import WorkloadRunner  # noqa: E402
@@ -180,13 +181,12 @@ def run_d3(transactions):
     )
     assert server.verify_consistency() == {}, "re-admitted replica must agree"
 
-    policy = server.supervisor.policy
     model = RebuildPolicyModel(
         seed_rows=donor_rows,
-        seed_rate=policy.rebuild_seed_rows,   # rows installed per tick
-        replay_rate=policy.rebuild_batch,     # delta statements per tick
+        seed_rate=REBUILD_SEED_ROWS,   # rows installed per tick
+        replay_rate=REBUILD_BATCH,     # delta statements per tick
         write_arrival_rate=min(
-            policy.rebuild_batch - 1,
+            REBUILD_BATCH - 1,
             server.stats.writes / max(server.clock.now - started_at, 1.0),
         ),
         verify_cost=1.0,

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set,
 from repro.analysis.dataflow import Cell, DefUse, statement_def_use
 from repro.analysis.schema import ScriptSchema
 from repro.sqlengine.analysis import extract_traits
+from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -259,7 +260,6 @@ def session_transactions(
     treated as uncommitted (the serving layer rolls an abandoned holder
     back, never silently commits it).
     """
-    from repro.study.runner import split_statements
 
     schema = ScriptSchema()
     for statement_sql in split_statements(setup):

@@ -47,6 +47,7 @@ from repro.dialects.features import SERVER_KEYS, dialect
 from repro.errors import FeatureNotSupported
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
+from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -376,7 +377,6 @@ def build_graph(sql: str, *, pipeline=None) -> ScriptGraph:
     dependence graph.  ``pipeline`` (a
     :class:`~repro.middleware.pipeline.StatementPipeline`) memoizes the
     parse and def/use stages when given."""
-    from repro.study.runner import split_statements
 
     schema = ScriptSchema()
     nodes: list[StatementNode] = []
@@ -481,7 +481,6 @@ def minimize_report(report: "BugReport") -> SliceResult:
     """
     from repro.bugs.notable import pg_clustered_index_fault
     from repro.dialects.translator import translate_script
-    from repro.study.runner import split_statements
 
     graph = build_graph(report.script)
     total = len(graph)
@@ -529,7 +528,6 @@ def _trigger_matches(sql: str, faults: Iterable) -> set[int]:
     """Statement indices of ``sql`` whose serve- or recover-phase
     context any fault's trigger matches."""
     from repro.analysis.reachability import StaticContext
-    from repro.study.runner import split_statements
 
     faults = list(faults)
     if not faults:
@@ -559,7 +557,6 @@ def _portability_anchors(sql: str) -> set[int]:
     originally-missing tag pins it, making the per-server portability
     prediction of the slice identical to the full script's.
     """
-    from repro.study.runner import split_statements
 
     statements = split_statements(sql)
     per_statement: list[StatementTraits] = [

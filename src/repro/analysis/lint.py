@@ -109,6 +109,7 @@ from repro.dialects.features import SERVER_KEYS, dialect
 from repro.dialects.translator import translate_script, translation_verdict
 from repro.errors import FeatureNotSupported
 from repro.middleware.normalizer import normalize_signature
+from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -297,7 +298,7 @@ def _check_agree_proven(corpus: "Corpus") -> list[LintFinding]:
     """AGREE_PROVEN product pairs must never dynamically diverge on the
     corpus without an active fault."""
     from repro.servers.product import ServerProduct
-    from repro.study.runner import run_script, split_statements
+    from repro.study.runner import run_script
 
     pristine = {server: ServerProduct(dialect(server)) for server in SERVER_KEYS}
     findings: list[LintFinding] = []
@@ -464,7 +465,6 @@ def _check_dead_predicates(corpus: "Corpus") -> list[LintFinding]:
     abstraction: WHERE clauses that can never (or always) hold and CASE
     arms no row can reach (:func:`repro.analysis.predicates.summarize_statement`)."""
     from repro.analysis.predicates import summarize_statement
-    from repro.study.runner import split_statements
 
     findings: list[LintFinding] = []
     for report in corpus:
@@ -537,7 +537,6 @@ def _check_dead_rewrites(corpus: "Corpus") -> list[LintFinding]:
     from repro.errors import ReproError
     from repro.sqlengine.engine import Engine
     from repro.sqlengine.plan import PROBE_SCRIPTS, REWRITE_RULES, PhysicalSelect
-    from repro.study.runner import split_statements
     from repro.workload.generator import TpccGenerator
     from repro.workload.schema import SCHEMA_STATEMENTS
 

@@ -25,6 +25,7 @@ from repro.dialects.features import SERVER_KEYS
 from repro.dialects.translator import translate_script
 from repro.errors import FeatureNotSupported
 from repro.sqlengine.analysis import StatementTraits, extract_traits
+from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -67,7 +68,6 @@ def script_contexts(sql: str, schema: Optional[ScriptSchema] = None) -> list[Sta
     each statement, exactly as the engine would see it.
     """
     from repro.analysis.verdicts import WRITE_KINDS
-    from repro.study.runner import split_statements
 
     if schema is None:
         schema = ScriptSchema()

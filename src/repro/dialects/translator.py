@@ -2,12 +2,14 @@
 
 ``translate_script`` does what the study's authors did by hand:
 
-1. parse the script and extract its feature traits;
+1. scan the script once, parse the tokens and extract its feature
+   traits;
 2. if the target dialect lacks a *gated* feature the script needs,
    give up — the script is dialect-specific for that server
    (:class:`~repro.errors.FeatureNotSupported`);
 3. otherwise rewrite synonym-level spellings (type names, function
-   names) into the target dialect and re-render the script.
+   names) in the same tokens and render them
+   (:func:`repro.sqlengine.lexer.render_tokens`).
 
 The rewrite works on the token stream, so comments vanish and spacing
 normalises, but string literals and quoted identifiers survive exactly.
@@ -21,9 +23,9 @@ from typing import Optional
 from repro.dialects.features import DialectDescriptor, dialect
 from repro.errors import FeatureNotSupported, SqlError
 from repro.sqlengine.analysis import script_traits
+from repro.sqlengine.lexer import render_tokens, tokenize
 from repro.sqlengine.parser import parse_script
 from repro.sqlengine.tokens import Token, TokenKind
-from repro.sqlengine.lexer import tokenize
 
 
 def translate_script(sql: str, target: str | DialectDescriptor) -> str:
@@ -38,10 +40,8 @@ def translate_script(sql: str, target: str | DialectDescriptor) -> str:
         When the script is not valid superset SQL.
     """
     descriptor = target if isinstance(target, DialectDescriptor) else dialect(target)
-    statements = parse_script(sql)
-    traits = script_traits(statements)
-    descriptor.validate(None, traits)
     tokens = tokenize(sql)
+    descriptor.validate(None, script_traits(parse_script(tokens)))
     return render_tokens(_rewrite(tokens, descriptor))
 
 
@@ -100,61 +100,22 @@ def _rewrite(tokens: list[Token], descriptor: DialectDescriptor) -> list[Token]:
             if nxt is not None and nxt.kind is TokenKind.IDENTIFIER:
                 two_word = f"{upper} {nxt.value.upper()}"
                 if two_word in descriptor.type_renames:
-                    result.append(_replace(token, descriptor.type_renames[two_word]))
+                    result.append(token._replace(value=descriptor.type_renames[two_word]))
                     index += 2
                     continue
             is_call = (
                 nxt is not None and nxt.kind is TokenKind.PUNCT and nxt.value == "("
             )
             if is_call and upper in descriptor.function_renames:
-                result.append(_replace(token, descriptor.function_renames[upper]))
+                result.append(token._replace(value=descriptor.function_renames[upper]))
                 index += 1
                 continue
             # Type spellings may be parenthesised (VARCHAR2(10)), so the
             # rename applies whether or not a '(' follows.
             if upper in descriptor.type_renames:
-                result.append(_replace(token, descriptor.type_renames[upper]))
+                result.append(token._replace(value=descriptor.type_renames[upper]))
                 index += 1
                 continue
         result.append(token)
         index += 1
     return result
-
-
-def _replace(token: Token, value: str) -> Token:
-    return Token(token.kind, value, token.position, token.line)
-
-
-_NO_SPACE_BEFORE = {",", ")", ";", "."}
-_NO_SPACE_AFTER = {"(", "."}
-
-
-def render_tokens(tokens: list[Token]) -> str:
-    """Render a token list back to SQL text."""
-    parts: list[str] = []
-    previous: Token | None = None
-    for token in tokens:
-        if token.kind is TokenKind.EOF:
-            break
-        text = _token_text(token)
-        if parts and not (
-            (token.kind is TokenKind.PUNCT and token.value in _NO_SPACE_BEFORE)
-            or (
-                previous is not None
-                and previous.kind is TokenKind.PUNCT
-                and previous.value in _NO_SPACE_AFTER
-            )
-        ):
-            parts.append(" ")
-        parts.append(text)
-        previous = token
-    return "".join(parts)
-
-
-def _token_text(token: Token) -> str:
-    if token.kind is TokenKind.STRING:
-        escaped = token.value.replace("'", "''")
-        return f"'{escaped}'"
-    if token.kind is TokenKind.QUOTED_IDENTIFIER:
-        return f'"{token.value}"'
-    return token.value

@@ -69,18 +69,19 @@ def build_checkpoint(
     }
 
 
+#: Checkpoints kept per replica; older ones are pruned after a
+#: successful save, so a checkpoint torn mid-write never leaves the
+#: replica without a fallback.
+KEEP_CHECKPOINTS = 2
+
+
 class CheckpointStore:
-    """Numbered checkpoint blobs for one replica on a medium.
+    """Numbered checkpoint blobs for one replica on a medium, the last
+    :data:`KEEP_CHECKPOINTS` of them."""
 
-    Keeps the last ``keep`` checkpoints; older ones are pruned after a
-    successful save, so a checkpoint torn mid-write never leaves the
-    replica without a fallback.
-    """
-
-    def __init__(self, medium: StorageMedium, prefix: str, *, keep: int = 2) -> None:
+    def __init__(self, medium: StorageMedium, prefix: str) -> None:
         self.medium = medium
         self.prefix = prefix
-        self.keep = max(1, keep)
 
     def _names(self) -> list[str]:
         return self.medium.names(self.prefix + "/ckpt-")
@@ -96,7 +97,7 @@ class CheckpointStore:
         seq = max((self._sequence(name) for name in existing), default=-1) + 1
         name = f"{self.prefix}/ckpt-{seq:08d}"
         self.medium.write(name, pack_checkpoint(payload))
-        for stale in sorted(existing, key=self._sequence)[: max(0, len(existing) + 1 - self.keep)]:
+        for stale in sorted(existing, key=self._sequence)[: max(0, len(existing) + 1 - KEEP_CHECKPOINTS)]:
             self.medium.delete(stale)
         return name
 

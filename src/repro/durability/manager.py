@@ -80,10 +80,10 @@ class ReplicaStore:
     :class:`~repro.durability.session.DurableSession` holds one; the
     :class:`DurabilityManager` holds one per replica."""
 
-    def __init__(self, medium: StorageMedium, name: str, *, keep: int = 2) -> None:
+    def __init__(self, medium: StorageMedium, name: str) -> None:
         self.name = name
         self.wal = WriteAheadLog(medium, f"{name}/wal")
-        self.checkpoints = CheckpointStore(medium, name, keep=keep)
+        self.checkpoints = CheckpointStore(medium, name)
         #: Every DDL statement logged so far (checkpoint schema).
         self.ddl_history: list[str] = []
 
@@ -157,11 +157,9 @@ class DurabilityManager:
         medium: StorageMedium,
         *,
         checkpoint_interval: Optional[int] = 64,
-        keep_checkpoints: int = 2,
     ) -> None:
         self.medium = medium
         self.checkpoint_interval = checkpoint_interval
-        self.keep_checkpoints = keep_checkpoints
         self._server: Optional["DiverseServer"] = None
         self._stores: dict[str, ReplicaStore] = {}
         self._shared: Optional[WriteAheadLog] = None
@@ -173,9 +171,7 @@ class DurabilityManager:
         self._server = server
         self._shared = WriteAheadLog(self.medium, SHARED_WAL)
         for replica in server.replicas:
-            self._stores[replica.key] = ReplicaStore(
-                self.medium, replica.key, keep=self.keep_checkpoints
-            )
+            self._stores[replica.key] = ReplicaStore(self.medium, replica.key)
         self._last_checkpoint_writes = server.stats.writes
 
     @property

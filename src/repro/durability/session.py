@@ -27,6 +27,7 @@ from repro.errors import SqlError
 from repro.servers.product import ServerProduct
 from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.engine import Result
+from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 
 
@@ -40,12 +41,11 @@ class DurableSession:
         *,
         name: Optional[str] = None,
         checkpoint_interval: Optional[int] = None,
-        keep_checkpoints: int = 2,
     ) -> None:
         self.product = product
         self.medium = medium if medium is not None else MemoryMedium()
         self.name = name or product.key
-        self.store = ReplicaStore(self.medium, self.name, keep=keep_checkpoints)
+        self.store = ReplicaStore(self.medium, self.name)
         self.checkpoint_interval = checkpoint_interval
         self._writes_since_checkpoint = 0
         #: (sql, bucket) pairs for every storage fault that fired.
@@ -80,7 +80,6 @@ class DurableSession:
     def execute_script(self, sql: str) -> list[Result]:
         """Run a multi-statement script, erroring statements skipped
         (bug-script semantics: errors are part of the scenario)."""
-        from repro.study.runner import split_statements
 
         results: list[Result] = []
         for statement in split_statements(sql):

@@ -93,13 +93,14 @@ class PipelineStats:
         return sum(getattr(self, layer + "_misses") for layer in _LAYERS)
 
 
-#: A parsed entry: (statement, traits, placeholder count).
-ParsedEntry = tuple[ast.Statement, StatementTraits, int]
+#: A parsed entry: (statement, traits, text offset of each ``?``
+#: placeholder in statement order).
+ParsedEntry = tuple[ast.Statement, StatementTraits, tuple[int, ...]]
 
 
 def _parse(sql: str) -> ParsedEntry:
-    statement, param_count = parse_prepared(sql)
-    return statement, extract_traits(statement), param_count
+    statement, positions = parse_prepared(sql)
+    return statement, extract_traits(statement), positions
 
 
 class StatementPipeline:

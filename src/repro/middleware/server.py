@@ -106,7 +106,8 @@ from repro.servers.product import ServerProduct
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits
 from repro.sqlengine.engine import EnginePrepared, Result
-from repro.sqlengine.params import placeholder_positions, splice_params
+from repro.sqlengine.lexer import split_statements
+from repro.sqlengine.params import splice_params
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.durability.manager import DurabilityManager
@@ -450,10 +451,10 @@ class DiverseServer:
         """
         if params is not None:
             return self.prepare(sql).execute(tuple(params))
-        statement, traits, param_count = self.pipeline.parsed(sql)
-        if param_count:
+        statement, traits, positions = self.pipeline.parsed(sql)
+        if positions:
             raise MiddlewareError(
-                f"statement has {param_count} unbound parameter(s); "
+                f"statement has {len(positions)} unbound parameter(s); "
                 "use prepare() to execute it with values"
             )
         call = StatementCall(sql=sql, bound_sql=sql)
@@ -638,8 +639,6 @@ class DiverseServer:
             )
 
     def execute_script(self, sql: str) -> list[Result]:
-        from repro.study.runner import split_statements
-
         return [self.execute(statement) for statement in split_statements(sql)]
 
     def _effective_adjudication(self, active_count: int) -> str:
@@ -1020,7 +1019,7 @@ class DiverseServer:
         crash passes on retry and the replica is spared quarantine.
         """
         answer = self._ask(replica, call)
-        if answer.status != "crash" or not self._statement_retry_enabled():
+        if answer.status != "crash" or not self.supervised:
             return answer
         replica.state = ReplicaState.SUSPECTED
         self.stats.statement_retries += 1
@@ -1060,9 +1059,6 @@ class DiverseServer:
             return True
         return False
 
-    def _statement_retry_enabled(self) -> bool:
-        return self.supervised and self.supervisor.policy.statement_retry
-
     def _retry_safe(
         self, is_write: bool, verdict: Optional[StatementVerdict]
     ) -> bool:
@@ -1071,7 +1067,7 @@ class DiverseServer:
         static analyzer proved re-execution changes neither the state
         nor the answer (and the policy knob permits it) — the
         generalisation of the blanket "writes never retry" rule."""
-        if not self._statement_retry_enabled():
+        if not self.supervised:
             return False
         if not is_write:
             return True
@@ -1223,8 +1219,8 @@ class PreparedStatement:
     def __init__(self, server: DiverseServer, sql: str) -> None:
         self._server = server
         self.sql = sql
-        self.statement, self.traits, self.param_count = server.pipeline.parsed(sql)
-        self._positions = placeholder_positions(sql)
+        self.statement, self.traits, self._positions = server.pipeline.parsed(sql)
+        self.param_count = len(self._positions)
         #: replica key -> (pipeline generation, engine-prepared handle)
         self._handles: dict[str, tuple[int, EnginePrepared]] = {}
 

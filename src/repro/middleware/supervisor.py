@@ -116,17 +116,30 @@ class VirtualClock:
 #: its guarantee (majority voting is meaningless below three).
 POLICY_QUORUM = {"majority": 3, "compare": 2, "monitor": 1, "primary": 1}
 
+#: Adjudication fallback order when active replicas drop below the
+#: configured policy's quorum (see :data:`POLICY_QUORUM`).
+DEGRADATION_CHAIN = ("majority", "compare", "primary")
+
+#: Circuit breaker: ``SupervisorPolicy.circuit_threshold`` failed
+#: recoveries within this many clock units retire the replica for good.
+CIRCUIT_WINDOW = 256.0
+
+#: Donor snapshot rows copied per clock tick while seeding a rebuild;
+#: the seed phase of a rebuild therefore costs
+#: ``ceil(donor rows / REBUILD_SEED_ROWS)`` ticks of live traffic.
+REBUILD_SEED_ROWS = 256
+
+#: Write-log statements replayed per tick while a rebuilding replica
+#: catches up with the delta accumulated since its seed snapshot.
+#: Catch-up converges only while this exceeds the live write arrival
+#: rate (at most one write per tick).
+REBUILD_BATCH = 8
+
 
 @dataclass
 class SupervisorPolicy:
     """Tunable knobs of the replica supervision subsystem."""
 
-    #: Re-execute a statement once on a crashed/out-voted replica before
-    #: suspecting it, so probabilistic Heisenbug faults (Section 3.2)
-    #: don't evict a healthy product.  Out-vote retries apply to reads
-    #: and statically-proven re-execution-safe writes (see
-    #: ``idempotent_write_retry``); other writes are never re-run.
-    statement_retry: bool = True
     #: Allow the single-shot retry on *writes* the static analyzer
     #: proves re-execution-safe (state-idempotent with a reproducible
     #: rowcount — e.g. ``UPDATE t SET lbl = 'x' WHERE id = 1``).  Off
@@ -141,15 +154,11 @@ class SupervisorPolicy:
     backoff_factor: float = 2.0
     backoff_cap: float = 64.0
     #: Circuit breaker: this many failed recoveries within
-    #: ``circuit_window`` clock units retires the replica for good.
+    #: :data:`CIRCUIT_WINDOW` clock units retires the replica for good.
     circuit_threshold: int = 5
-    circuit_window: float = 256.0
     #: Snapshot every active replica's engine after this many committed
     #: writes; ``None`` disables checkpointing (full replay always).
     checkpoint_interval: Optional[int] = 32
-    #: Adjudication fallback order when active replicas drop below the
-    #: configured policy's quorum (see :data:`POLICY_QUORUM`).
-    degradation_chain: tuple[str, ...] = ("majority", "compare", "primary")
     #: Per-statement deadline budget in virtual-cost units.  A replica
     #: whose answer costs more is treated as timed out: its answer is
     #: excluded from adjudication, the event is audited as a
@@ -162,19 +171,10 @@ class SupervisorPolicy:
     #: attempt (backoff, then circuit breaker).  ``None`` falls back to
     #: ``statement_deadline``.
     recovery_deadline: Optional[float] = None
-    # -- online rebuild (RETIRED -> REBUILDING -> ACTIVE) ----------------
-    #: Donor snapshot rows copied per clock tick while seeding a
-    #: rebuild; the seed phase of a rebuild therefore costs
-    #: ``ceil(donor rows / rebuild_seed_rows)`` ticks of live traffic.
-    rebuild_seed_rows: int = 256
-    #: Write-log statements replayed per tick while a rebuilding
-    #: replica catches up with the delta accumulated since its seed
-    #: snapshot.  Catch-up converges only while this exceeds the live
-    #: write arrival rate (at most one write per tick).
-    rebuild_batch: int = 8
-    #: Start an automatic rebuild this many clock units after a replica
-    #: is retired (or a rebuild attempt fails).  ``None`` means rebuilds
-    #: are manual (:meth:`DiverseServer.rebuild`).
+    #: Start an automatic online rebuild (RETIRED -> REBUILDING ->
+    #: ACTIVE) this many clock units after a replica is retired (or a
+    #: rebuild attempt fails).  ``None`` means rebuilds are manual
+    #: (:meth:`DiverseServer.rebuild`).
     auto_rebuild_after: Optional[float] = None
 
     def backoff_delay(self, attempt: int) -> float:
@@ -437,7 +437,7 @@ class ReplicaSupervisor:
             return
         product = replica.product
         if not rebuild.seeded:
-            rebuild.seed_rows_loaded += max(1, self.policy.rebuild_seed_rows)
+            rebuild.seed_rows_loaded += REBUILD_SEED_ROWS
             if rebuild.seed_rows_loaded >= rebuild.seed_rows_total:
                 product.restart()  # clear any crash flag before install
                 product.restore(rebuild.snapshot)
@@ -448,7 +448,7 @@ class ReplicaSupervisor:
         def batch():
             # Counted as drawn, so a failed step still accounts for the
             # statement it failed on.
-            for sql in log[rebuild.cursor:rebuild.cursor + max(1, self.policy.rebuild_batch)]:
+            for sql in log[rebuild.cursor:rebuild.cursor + REBUILD_BATCH]:
                 rebuild.cursor += 1
                 rebuild.replayed += 1
                 self.stats.rebuild_replayed_statements += 1
@@ -522,9 +522,9 @@ class ReplicaSupervisor:
 
         if active_count >= need(configured):
             return configured
-        chain = self.policy.degradation_chain
-        if configured in chain:
-            for candidate in chain[chain.index(configured) + 1:]:
+        if configured in DEGRADATION_CHAIN:
+            position = DEGRADATION_CHAIN.index(configured)
+            for candidate in DEGRADATION_CHAIN[position + 1:]:
                 if active_count >= need(candidate):
                     return candidate
         return configured
@@ -602,7 +602,7 @@ class ReplicaSupervisor:
         now = self.clock.now
         health.failure_times.append(now)
         health.failure_times = [
-            t for t in health.failure_times if now - t <= self.policy.circuit_window
+            t for t in health.failure_times if now - t <= CIRCUIT_WINDOW
         ]
         if manual and not self._server.supervised:
             replica.state = ReplicaState.FAILED

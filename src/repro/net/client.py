@@ -70,6 +70,15 @@ _ERROR_TYPES: Dict[str, Callable[[str], Exception]] = {
 }
 
 
+#: Virtual time over which the circuit breaker counts failures.
+CIRCUIT_WINDOW = 512.0
+
+#: Retries of a request the server shed for overload, and the backoff
+#: before retry ``n`` (``OVERLOAD_BACKOFF * n`` virtual time units).
+OVERLOAD_RETRIES = 3
+OVERLOAD_BACKOFF = 4.0
+
+
 @dataclass
 class ClientPolicy:
     """Reconnect, retry, and circuit-breaker tunables (virtual time)."""
@@ -83,12 +92,8 @@ class ClientPolicy:
     backoff_base: float = 1.0
     backoff_factor: float = 2.0
     backoff_cap: float = 32.0
-    #: Failures within the window that trip the circuit open.
+    #: Failures within :data:`CIRCUIT_WINDOW` that trip the circuit open.
     circuit_threshold: int = 8
-    circuit_window: float = 512.0
-    #: Retries of a request the server shed for overload.
-    overload_retries: int = 3
-    overload_backoff: float = 4.0
 
     def backoff_delay(self, attempt: int) -> float:
         """Delay before reconnect ``attempt`` (0 → immediate)."""
@@ -282,10 +287,10 @@ class SessionSupervisor:
 
     def execute(self, sql: str) -> Result:
         """Execute one statement with full recovery discipline."""
-        statement, traits, param_count = self._pipeline.parsed(sql)
-        if param_count:
+        statement, traits, positions = self._pipeline.parsed(sql)
+        if positions:
             raise base_errors.MiddlewareError(
-                f"statement has {param_count} unbound parameter(s); "
+                f"statement has {len(positions)} unbound parameter(s); "
                 "use prepare() to execute it with values"
             )
         result = self._submit(
@@ -353,12 +358,12 @@ class SessionSupervisor:
                 seq = self._next_seq()
                 continue
             except ServerOverloaded:
-                if overloads >= self.policy.overload_retries:
+                if overloads >= OVERLOAD_RETRIES:
                     raise
                 overloads += 1
                 self.stats.overload_retries += 1
                 # Never executed: same sequence number is still ours.
-                self._wait(self.policy.overload_backoff * overloads)
+                self._wait(OVERLOAD_BACKOFF * overloads)
                 continue
             self._failures.clear()
             return reply
@@ -478,19 +483,19 @@ class SessionSupervisor:
     def _note_failure(self) -> None:
         now = self._clock.now
         self._failures.append(now)
-        horizon = now - self.policy.circuit_window
+        horizon = now - CIRCUIT_WINDOW
         while self._failures and self._failures[0] < horizon:
             self._failures.popleft()
 
     def _check_circuit(self) -> None:
-        horizon = self._clock.now - self.policy.circuit_window
+        horizon = self._clock.now - CIRCUIT_WINDOW
         while self._failures and self._failures[0] < horizon:
             self._failures.popleft()
         if len(self._failures) >= self.policy.circuit_threshold:
             self.stats.circuit_open_failures += 1
             raise ConnectionLost(
                 f"circuit open: {len(self._failures)} network failures within "
-                f"{self.policy.circuit_window} virtual time units"
+                f"{CIRCUIT_WINDOW} virtual time units"
             )
 
     def _wait(self, delay: float) -> None:
@@ -515,10 +520,10 @@ class SupervisedHandle:
     def __init__(self, supervisor: SessionSupervisor, sql: str) -> None:
         self._sup = supervisor
         self.sql = sql
-        statement, traits, param_count = supervisor._pipeline.parsed(sql)
+        statement, traits, positions = supervisor._pipeline.parsed(sql)
         self._statement = statement
         self._traits = traits
-        self.param_count = param_count
+        self.param_count = len(positions)
         self._remote: Optional[Tuple[int, int]] = None  # (epoch, handle id)
 
     def _ensure_remote(self) -> None:

@@ -39,12 +39,17 @@ from repro.net.errors import ServerOverloaded, SessionExpired
 from repro.sqlengine.analysis import StatementTraits
 
 
+#: Hard bound on concurrently open sessions; opens beyond it are shed.
+MAX_SESSIONS = 64
+
+#: Prepared handles allowed per session.
+MAX_HANDLES = 64
+
+
 @dataclass
 class NetPolicy:
     """Tunables for the serving layer (admission, shedding, deadlines)."""
 
-    #: Hard bound on concurrently open sessions; opens beyond it are shed.
-    max_sessions: int = 64
     #: Virtual time a session may sit idle before it is expired.
     idle_deadline: float = 256.0
     #: Cached responses kept per session for duplicate suppression.
@@ -60,8 +65,6 @@ class NetPolicy:
     shed_reject_depth: int = 24
     #: Virtual time a parked statement may wait before it is shed.
     queue_deadline: float = 64.0
-    #: Prepared handles allowed per session.
-    max_handles: int = 64
     #: Admit statements statically proven to commute with the open
     #: transaction's write footprint instead of parking them (the
     #: conflict analyzer's serializability certificates).  Off, every
@@ -181,11 +184,9 @@ class SessionManager:
         """Open a fresh session; sheds with an overload error when the
         table is full (after reaping idle sessions)."""
         self.expire_idle(now)
-        if len(self._sessions) >= self.policy.max_sessions:
+        if len(self._sessions) >= MAX_SESSIONS:
             self.stats.sessions_rejected += 1
-            raise ServerOverloaded(
-                f"session table full ({self.policy.max_sessions} open)"
-            )
+            raise ServerOverloaded(f"session table full ({MAX_SESSIONS} open)")
         number = self._next_session
         self._next_session += 1
         session = Session(
@@ -314,7 +315,7 @@ class SessionManager:
     # -- prepared handles ----------------------------------------------------
 
     def prepare_handle(self, session: Session, sql: str) -> SessionHandle:
-        if len(session.handles) >= self.policy.max_handles:
+        if len(session.handles) >= MAX_HANDLES:
             raise ServerOverloaded(
                 f"session {session.session_id} holds {len(session.handles)} "
                 "handles (limit reached)"

@@ -224,9 +224,9 @@ class Engine:
         """
         handle = self._prepared.get(sql)
         if handle is None:
-            statement, param_count = parse_prepared(sql)
+            statement, positions = parse_prepared(sql)
             traits = extract_traits(statement)
-            handle = EnginePrepared(self, sql, statement, param_count, traits)
+            handle = EnginePrepared(self, sql, statement, len(positions), traits)
             if len(self._prepared) >= _PREPARED_CACHE_SIZE:
                 self._prepared.pop(next(iter(self._prepared)))
             self._prepared[sql] = handle

@@ -1,14 +1,22 @@
-"""SQL tokeniser.
+"""SQL text <-> tokens: the scanner, the renderer and the splitter.
 
-Handles identifiers, double-quoted identifiers, single-quoted string
-literals with ``''`` escaping, integer/decimal/scientific numbers,
-``--`` line comments, ``/* */`` block comments, and the operator set in
+:func:`tokenize` is one compiled master pattern plus a dispatch on the
+group that matched.  It handles identifiers, double-quoted identifiers,
+single-quoted string literals with ``''`` escaping, ASCII-digit
+integer/decimal/scientific numbers, ``--`` line comments, ``/* */``
+block comments, and the operator and punctuation sets in
 :mod:`repro.sqlengine.tokens`.
+
+:func:`render_tokens` is the inverse every layer shares (translated
+text, and therefore WAL, checkpoint and wire bytes, is whatever it
+renders), and :func:`split_statements` cuts a script at its top-level
+semicolons and renders each piece.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import re
+from typing import Iterable, Optional
 
 from repro.errors import LexError
 from repro.sqlengine.tokens import (
@@ -21,147 +29,140 @@ from repro.sqlengine.tokens import (
 )
 
 
-class Lexer:
-    """Tokenise SQL text.
+def _any_of(spellings: Iterable[str]) -> str:
+    return "|".join(re.escape(spelling) for spelling in spellings)
 
-    Parameters
-    ----------
-    text:
-        The SQL source.
-    extra_keywords:
-        Product-specific keywords a dialect adds to the common core
-        (e.g. ``CLUSTERED``).
+
+#: The pattern table, tried in order at each position.  Comments come
+#: before the operators that share their first character and numbers
+#: before the ``.`` punctuation; ``unterminated`` is reached only when
+#: the complete form of a comment, string or quoted identifier failed.
+_MASTER = re.compile(
+    "|".join(
+        f"(?P<{group}>{pattern})"
+        for group, pattern in (
+            ("space", r"\s+"),
+            ("comment", r"--[^\n]*|/\*[\s\S]*?\*/"),
+            # ``[^\W\d]`` also admits digits that are not decimal
+            # (superscripts, circled and Roman numerals); the dispatch
+            # refuses a word that starts with one.
+            ("word", r"[^\W\d]\w*"),
+            ("number", r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"),
+            # The lookahead stops a backtrack from closing the literal
+            # on the first quote of an escaped pair.
+            ("string", r"'[^']*(?:''[^']*)*'(?!')"),
+            ("quoted", r'"[^"]*"'),
+            ("unterminated", r"/\*|'|\""),
+            ("operator", _any_of((*MULTI_CHAR_OPERATORS, *sorted(SINGLE_CHAR_OPERATORS)))),
+            ("punct", _any_of(sorted(PUNCTUATION))),
+            ("unexpected", r"[\s\S]"),
+        )
+    )
+)
+
+#: Groups whose token value is the matched text itself (keyed like
+#: ``Match.lastgroup``, which is typed optional).
+_VERBATIM: dict[Optional[str], TokenKind] = {
+    "number": TokenKind.NUMBER,
+    "operator": TokenKind.OPERATOR,
+    "punct": TokenKind.PUNCT,
+}
+
+_UNTERMINATED = {
+    "/": "block comment",
+    "'": "string literal",
+    '"': "quoted identifier",
+}
+
+
+def tokenize(text: str) -> list[Token]:
+    """Tokenise ``text`` into a list of tokens ending with an EOF token.
+
+    Every token carries the offset and the line of its first character.
     """
-
-    def __init__(self, text: str, extra_keywords: Iterable[str] = ()) -> None:
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._keywords = KEYWORDS | {word.upper() for word in extra_keywords}
-
-    def tokens(self) -> list[Token]:
-        """Return the full token list, ending with an EOF token."""
-        return list(self._iter_tokens())
-
-    def _iter_tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._text):
-                yield Token(TokenKind.EOF, "", self._pos, self._line)
-                return
-            yield self._next_token()
-
-    def _skip_whitespace_and_comments(self) -> None:
-        text = self._text
-        while self._pos < len(text):
-            char = text[self._pos]
-            if char == "\n":
-                self._line += 1
-                self._pos += 1
-            elif char.isspace():
-                self._pos += 1
-            elif text.startswith("--", self._pos):
-                end = text.find("\n", self._pos)
-                self._pos = len(text) if end < 0 else end
-            elif text.startswith("/*", self._pos):
-                end = text.find("*/", self._pos + 2)
-                if end < 0:
-                    raise LexError(f"unterminated block comment at line {self._line}")
-                self._line += text.count("\n", self._pos, end)
-                self._pos = end + 2
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    for match in _MASTER.finditer(text):
+        group = match.lastgroup
+        value = match.group()
+        if group == "word":
+            upper = value.upper()
+            if upper in KEYWORDS:
+                append(Token(TokenKind.KEYWORD, upper, match.start(), line))
+            elif value[0].isalpha() or value[0] == "_":
+                append(Token(TokenKind.IDENTIFIER, value, match.start(), line))
             else:
-                return
-
-    def _next_token(self) -> Token:
-        text = self._text
-        start = self._pos
-        char = text[start]
-
-        if char == "'":
-            return self._string_literal()
-        if char == '"':
-            return self._quoted_identifier()
-        if char.isdigit() or (char == "." and self._peek_is_digit(start + 1)):
-            return self._number()
-        if char.isalpha() or char == "_":
-            return self._word()
-        for op in MULTI_CHAR_OPERATORS:
-            if text.startswith(op, start):
-                self._pos += len(op)
-                return Token(TokenKind.OPERATOR, op, start, self._line)
-        if char in SINGLE_CHAR_OPERATORS:
-            self._pos += 1
-            return Token(TokenKind.OPERATOR, char, start, self._line)
-        if char in PUNCTUATION:
-            self._pos += 1
-            return Token(TokenKind.PUNCT, char, start, self._line)
-        raise LexError(f"unexpected character {char!r} at line {self._line}")
-
-    def _peek_is_digit(self, index: int) -> bool:
-        return index < len(self._text) and self._text[index].isdigit()
-
-    def _string_literal(self) -> Token:
-        text = self._text
-        start = self._pos
-        pos = start + 1
-        pieces: list[str] = []
-        while True:
-            end = text.find("'", pos)
-            if end < 0:
-                raise LexError(f"unterminated string literal at line {self._line}")
-            pieces.append(text[pos:end])
-            if text.startswith("''", end):
-                pieces.append("'")
-                pos = end + 2
-            else:
-                self._line += text.count("\n", start, end)
-                self._pos = end + 1
-                return Token(TokenKind.STRING, "".join(pieces), start, self._line)
-
-    def _quoted_identifier(self) -> Token:
-        text = self._text
-        start = self._pos
-        end = text.find('"', start + 1)
-        if end < 0:
-            raise LexError(f"unterminated quoted identifier at line {self._line}")
-        self._pos = end + 1
-        return Token(TokenKind.QUOTED_IDENTIFIER, text[start + 1 : end], start, self._line)
-
-    def _number(self) -> Token:
-        text = self._text
-        start = self._pos
-        pos = start
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos < len(text) and text[pos] == ".":
-            pos += 1
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-        if pos < len(text) and text[pos] in "eE":
-            exp = pos + 1
-            if exp < len(text) and text[exp] in "+-":
-                exp += 1
-            if exp < len(text) and text[exp].isdigit():
-                pos = exp
-                while pos < len(text) and text[pos].isdigit():
-                    pos += 1
-        self._pos = pos
-        return Token(TokenKind.NUMBER, text[start:pos], start, self._line)
-
-    def _word(self) -> Token:
-        text = self._text
-        start = self._pos
-        pos = start
-        while pos < len(text) and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        self._pos = pos
-        word = text[start:pos]
-        upper = word.upper()
-        if upper in self._keywords:
-            return Token(TokenKind.KEYWORD, upper, start, self._line)
-        return Token(TokenKind.IDENTIFIER, word, start, self._line)
+                raise LexError(f"unexpected character {value[0]!r} at line {line}")
+            continue
+        kind = _VERBATIM.get(group)
+        if kind is not None:
+            append(Token(kind, value, match.start(), line))
+            continue
+        if group == "string":
+            decoded = value[1:-1].replace("''", "'")
+            append(Token(TokenKind.STRING, decoded, match.start(), line))
+        elif group == "quoted":
+            append(Token(TokenKind.QUOTED_IDENTIFIER, value[1:-1], match.start(), line))
+        elif group == "unterminated":
+            raise LexError(f"unterminated {_UNTERMINATED[value[0]]} at line {line}")
+        elif group == "unexpected":
+            raise LexError(f"unexpected character {value!r} at line {line}")
+        # Only spaces, comments, strings and quoted identifiers can
+        # span lines.
+        line += value.count("\n")
+    append(Token(TokenKind.EOF, "", len(text), line))
+    return tokens
 
 
-def tokenize(text: str, extra_keywords: Iterable[str] = ()) -> list[Token]:
-    """Convenience wrapper: tokenise ``text`` into a list of tokens."""
-    return Lexer(text, extra_keywords).tokens()
+_NO_SPACE_BEFORE = {",", ")", ";", "."}
+_NO_SPACE_AFTER = {"(", "."}
+
+
+def render_tokens(tokens: list[Token]) -> str:
+    """Render a token list back to SQL text."""
+    parts: list[str] = []
+    previous: Token | None = None
+    for token in tokens:
+        if token.kind is TokenKind.EOF:
+            break
+        text = _token_text(token)
+        if parts and not (
+            (token.kind is TokenKind.PUNCT and token.value in _NO_SPACE_BEFORE)
+            or (
+                previous is not None
+                and previous.kind is TokenKind.PUNCT
+                and previous.value in _NO_SPACE_AFTER
+            )
+        ):
+            parts.append(" ")
+        parts.append(text)
+        previous = token
+    return "".join(parts)
+
+
+def _token_text(token: Token) -> str:
+    if token.kind is TokenKind.STRING:
+        escaped = token.value.replace("'", "''")
+        return f"'{escaped}'"
+    if token.kind is TokenKind.QUOTED_IDENTIFIER:
+        return f'"{token.value}"'
+    return token.value
+
+
+def split_statements(sql: str) -> list[str]:
+    """Split a script into individual statements at top-level semicolons."""
+    statements: list[str] = []
+    current: list[Token] = []
+    for token in tokenize(sql):
+        if token.kind is TokenKind.EOF:
+            break
+        if token.kind is TokenKind.PUNCT and token.value == ";":
+            if current:
+                statements.append(render_tokens(current))
+                current = []
+            continue
+        current.append(token)
+    if current:
+        statements.append(render_tokens(current))
+    return statements

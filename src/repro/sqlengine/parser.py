@@ -18,6 +18,10 @@ from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.lexer import tokenize
 from repro.sqlengine.tokens import Token, TokenKind
 
+#: What a parse starts from: SQL text, or the token list an earlier
+#: :func:`~repro.sqlengine.lexer.tokenize` of that text produced.
+Source = Union[str, list[Token]]
+
 _AGGREGATE_KEYWORDS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 _COMPARISON_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 
@@ -25,12 +29,13 @@ _COMPARISON_OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 class Parser:
     """Parse a token stream into AST statements."""
 
-    def __init__(self, text: str) -> None:
-        self._tokens = tokenize(text)
+    def __init__(self, source: Source) -> None:
+        self._tokens = tokenize(source) if isinstance(source, str) else source
         self._index = 0
-        #: Number of ``?`` placeholders seen so far; doubles as the
-        #: zero-based ordinal assigned to the next one.
-        self.parameter_count = 0
+        #: Text offset of each ``?`` placeholder consumed so far, in
+        #: statement order; its length is the zero-based ordinal of the
+        #: next one.
+        self.parameter_positions: list[int] = []
 
     # -- token plumbing ----------------------------------------------------
 
@@ -118,6 +123,17 @@ class Parser:
             if self._peek().kind is TokenKind.EOF:
                 return statements
             statements.append(self.parse_statement())
+
+    def parse_only_statement(self) -> ast.Statement:
+        """Parse one statement that must be all of the input (trailing
+        semicolons allowed)."""
+        statement = self.parse_statement()
+        while self._accept_punct(";"):
+            pass
+        token = self._peek()
+        if token.kind is not TokenKind.EOF:
+            raise ParseError(f"trailing input {token.value!r} at line {token.line}")
+        return statement
 
     def parse_statement(self) -> ast.Statement:
         token = self._peek()
@@ -424,8 +440,8 @@ class Parser:
             return ast.Literal(False)
         if self._at_punct("?"):
             self._advance()
-            parameter = ast.Parameter(index=self.parameter_count)
-            self.parameter_count += 1
+            parameter = ast.Parameter(index=len(self.parameter_positions))
+            self.parameter_positions.append(token.position)
             return parameter
         if token.is_keyword("CAST"):
             return self._parse_cast()
@@ -750,30 +766,18 @@ class Parser:
         return ast.Delete(table=table, where=where)
 
 
-def parse_statement(text: str) -> ast.Statement:
+def parse_statement(source: Source) -> ast.Statement:
     """Parse exactly one statement (trailing semicolon allowed)."""
-    parser = Parser(text)
-    statement = parser.parse_statement()
-    while parser._accept_punct(";"):
-        pass
-    token = parser._peek()
-    if token.kind is not TokenKind.EOF:
-        raise ParseError(f"trailing input {token.value!r} at line {token.line}")
-    return statement
+    return Parser(source).parse_only_statement()
 
 
-def parse_prepared(text: str) -> tuple[ast.Statement, int]:
-    """Parse exactly one statement, returning it with its ``?`` count."""
-    parser = Parser(text)
-    statement = parser.parse_statement()
-    while parser._accept_punct(";"):
-        pass
-    token = parser._peek()
-    if token.kind is not TokenKind.EOF:
-        raise ParseError(f"trailing input {token.value!r} at line {token.line}")
-    return statement, parser.parameter_count
+def parse_prepared(source: Source) -> tuple[ast.Statement, tuple[int, ...]]:
+    """Parse exactly one statement, returning it with the text offset
+    of each ``?`` placeholder in statement order."""
+    parser = Parser(source)
+    return parser.parse_only_statement(), tuple(parser.parameter_positions)
 
 
-def parse_script(text: str) -> list[ast.Statement]:
+def parse_script(source: Source) -> list[ast.Statement]:
     """Parse a semicolon-separated script."""
-    return Parser(text).parse_script()
+    return Parser(source).parse_script()

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -19,10 +19,9 @@ class TokenKind(Enum):
     EOF = auto()
 
 
-#: Reserved words recognised by the engine.  Dialect descriptors may add
-#: product-specific keywords (e.g. ``CLUSTERED`` for the MSSQL-like
-#: product), so this is the common core; the lexer also accepts a set of
-#: extra keywords passed at construction.
+#: Reserved words recognised by the engine.  Product-specific words
+#: (``CLUSTERED``, ``PRECISION``, ...) stay identifiers; the parser
+#: recognises them by spelling where its grammar allows them.
 KEYWORDS = frozenset(
     {
         "ADD", "ALL", "ALTER", "AND", "AS", "ASC", "AVG", "BEGIN", "BETWEEN",
@@ -47,13 +46,14 @@ SINGLE_CHAR_OPERATORS = frozenset("+-*/%<>=")
 PUNCTUATION = frozenset("(),.;?")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexical token.
 
     ``value`` holds the uppercased text for keywords, the literal text
     for identifiers and operators, and the *decoded* value for string
-    literals (quote-escapes resolved).
+    literals (quote-escapes resolved).  ``position`` is the offset of
+    the token's first character and ``line`` the line that character
+    is on.
     """
 
     kind: TokenKind

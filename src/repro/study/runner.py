@@ -9,12 +9,11 @@ from typing import Optional
 from repro.bugs.corpus import Corpus, build_corpus
 from repro.bugs.report import BugReport
 from repro.dialects.features import SERVER_KEYS, dialect
-from repro.dialects.translator import render_tokens, translate_script
+from repro.dialects.translator import translate_script
 from repro.errors import EngineCrash, FeatureNotSupported, SqlError
 from repro.faults.spec import FaultSpec
 from repro.servers.product import ServerProduct
-from repro.sqlengine.lexer import tokenize
-from repro.sqlengine.tokens import TokenKind
+from repro.sqlengine.lexer import split_statements
 from repro.study.classify import (
     CellOutcome,
     OutcomeKind,
@@ -22,24 +21,6 @@ from repro.study.classify import (
     StatementOutcome,
     classify_run,
 )
-
-
-def split_statements(sql: str) -> list[str]:
-    """Split a script into individual statements at top-level semicolons."""
-    statements: list[str] = []
-    current: list = []
-    for token in tokenize(sql):
-        if token.kind is TokenKind.EOF:
-            break
-        if token.kind is TokenKind.PUNCT and token.value == ";":
-            if current:
-                statements.append(render_tokens(current))
-                current = []
-            continue
-        current.append(token)
-    if current:
-        statements.append(render_tokens(current))
-    return statements
 
 
 def run_script(server: ServerProduct, sql: str) -> ScriptOutcome:

@@ -9,6 +9,7 @@ from repro.bugs import groundtruth as gt
 from repro.dialects.features import SERVER_KEYS
 from repro.faults.spec import FailureKind
 from repro.middleware.normalizer import normalize_signature
+from repro.sqlengine.lexer import split_statements
 from repro.study.classify import CellOutcome, OutcomeKind
 from repro.study.runner import StudyResult
 
@@ -254,7 +255,6 @@ def separate_identical_pairs(study: StudyResult) -> IdenticalPairBreakdown:
     from repro.analysis.divergence import DivergenceKind, analyze_divergence
     from repro.analysis.schema import ScriptSchema
     from repro.sqlengine.parser import parse_statement
-    from repro.study.runner import split_statements
 
     breakdown = IdenticalPairBreakdown()
     for x, y in PAIRS:

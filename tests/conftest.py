@@ -1,12 +1,17 @@
 """Shared fixtures.
 
-The corpus and the full study run are session-scoped: they are
-deterministic and read-only for the tests that consume them, and the
-full study (181 bugs x 4 servers, faulty + oracle runs) takes a few
-seconds we only want to pay once.
+The corpus, the full study run and the lint of the shipped corpus are
+session-scoped: they are deterministic and read-only for the tests
+that consume them, and the full study (181 bugs x 4 servers, faulty +
+oracle runs) and the whole-corpus lint each take seconds we only want
+to pay once.
 """
 
 from __future__ import annotations
+
+import contextlib
+import io
+from dataclasses import dataclass
 
 import pytest
 
@@ -54,3 +59,38 @@ def corpus():
 @pytest.fixture(scope="session")
 def study():
     return run_study()
+
+
+@dataclass(frozen=True)
+class PristineLint:
+    """One lint of the shipped corpus: its findings, and what
+    ``python -m repro lint`` and ``lint --json`` print and return for
+    them."""
+
+    findings: list
+    text_output: str
+    text_status: int
+    json_output: str
+    json_status: int
+
+
+@pytest.fixture(scope="session")
+def pristine_lint(corpus) -> PristineLint:
+    from repro.__main__ import main
+    from repro.analysis import lint
+
+    findings = lint.lint_corpus(corpus)
+
+    def run_cli(argv: list[str]) -> tuple[str, int]:
+        output = io.StringIO()
+        with contextlib.redirect_stdout(output):
+            status = main(argv)
+        return output.getvalue(), status
+
+    # Both CLI renderings report the one lint above instead of running
+    # their own.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lint, "lint_corpus", lambda _corpus: findings)
+        text_output, text_status = run_cli(["lint"])
+        json_output, json_status = run_cli(["lint", "--json"])
+    return PristineLint(findings, text_output, text_status, json_output, json_status)

@@ -115,12 +115,12 @@ class TestCli:
         assert "usage: python -m repro explain" in err
         assert "cannot explain" in err
 
-    def test_lint_json_is_machine_readable(self, capsys):
+    def test_lint_json_is_machine_readable(self, pristine_lint):
         # The shipped corpus has no errors (warnings only), so --json
         # exits 0; every emitted line is one JSON finding record and the
         # human-readable summary is suppressed.
-        assert main(["lint", "--json"]) == 0
-        output = capsys.readouterr().out
+        assert pristine_lint.json_status == 0
+        output = pristine_lint.json_output
         for line in output.splitlines():
             record = json.loads(line)
             assert {"code", "severity", "statement_index", "script_id"} <= set(record)

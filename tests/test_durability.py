@@ -85,7 +85,7 @@ class TestWal:
 class TestCheckpoint:
     def test_store_save_load_prune(self):
         medium = MemoryMedium()
-        store = CheckpointStore(medium, "IB", keep=2)
+        store = CheckpointStore(medium, "IB")
         product = make_server("IB")
         product.execute("CREATE TABLE t (x INT)")
         names = [

@@ -1,0 +1,50 @@
+"""Import direction between the layers, read from the source (so a
+function-local import counts the same as a top-level one)."""
+
+import ast
+from pathlib import Path
+
+import repro
+
+ROOT = Path(repro.__file__).parent
+
+
+def imports_of(package: str) -> dict[str, set[str]]:
+    """``module name -> names`` imported from it anywhere in the files
+    of ``repro.<package>``."""
+    found: dict[str, set[str]] = {}
+    for path in (ROOT / package).rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                found.setdefault(node.module, set()).update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    found.setdefault(alias.name, set())
+    return found
+
+
+def names_from(package: str, target: str) -> set[str]:
+    """Names ``repro.<package>`` imports from ``repro.<target>`` or any
+    module below it; the target's own name when it is imported whole."""
+    prefix = f"repro.{target}"
+    names: set[str] = set()
+    for module, imported in imports_of(package).items():
+        if module == prefix or module.startswith(prefix + "."):
+            names |= imported or {module}
+        elif module == "repro" and target in imported:
+            names.add(prefix)
+    return names
+
+
+def test_the_engine_imports_neither_dialects_nor_study():
+    assert names_from("sqlengine", "dialects") == set()
+    assert names_from("sqlengine", "study") == set()
+
+
+def test_middleware_and_durability_do_not_import_study():
+    assert names_from("middleware", "study") == set()
+    assert names_from("durability", "study") == set()
+
+
+def test_analysis_imports_study_only_to_run_scripts():
+    assert names_from("analysis", "study") <= {"StudyRunner", "run_script"}

@@ -1,9 +1,12 @@
 """Tokeniser unit tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import LexError
+from repro.errors import LexError, ParseError
 from repro.sqlengine.lexer import tokenize
+from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.tokens import TokenKind
 
 
@@ -136,7 +139,75 @@ class TestCommentsAndWhitespace:
         assert tokens[0].line == 1
         assert tokens[1].line == 3
 
-    def test_extra_keywords(self):
-        tokens = tokenize("clustered", extra_keywords=["CLUSTERED"])
-        assert tokens[0].kind is TokenKind.KEYWORD
-        assert tokens[0].value == "CLUSTERED"
+    def test_quoted_identifier_spanning_lines_advances_the_counter(self):
+        tokens = tokenize('SELECT "a\n\n\nb" FROM')
+        assert [t.line for t in tokens] == [1, 1, 4, 4]
+        with pytest.raises(ParseError, match="line 4"):
+            parse_statement('SELECT "a\n\n\nb" FROM FROM')
+
+    def test_multi_line_string_carries_the_line_it_starts_on(self):
+        tokens = tokenize("SELECT\n'a\nb\nc' x")
+        assert [(t.value, t.line) for t in tokens[:3]] == [
+            ("SELECT", 1), ("a\nb\nc", 2), ("x", 4),
+        ]
+
+    def test_every_error_names_the_line_it_is_on(self):
+        for text, message in (
+            ("\n'abc", "unterminated string literal at line 2"),
+            ('\n\n"abc', "unterminated quoted identifier at line 3"),
+            ("'\n' /* x", "unterminated block comment at line 2"),
+            ("/*\n*/ @", "unexpected character '@' at line 2"),
+        ):
+            with pytest.raises(LexError) as caught:
+                tokenize(text)
+            assert str(caught.value) == message
+
+
+class TestNonAsciiDigits:
+    """``str.isdigit`` is true of characters ``int()`` rejects, so a
+    number is ASCII digits only and any other digit cannot start a
+    token."""
+
+    @pytest.mark.parametrize("text", ["²", "1 + ①", "1²", ".²", "٣", "1.٣", "½", "Ⅷ"])
+    def test_cannot_start_a_token(self, text):
+        with pytest.raises(LexError, match="unexpected character"):
+            tokenize(text)
+
+    def test_allowed_inside_a_word_as_before(self):
+        assert values("x² a٣") == ["x²", "a٣"]
+
+
+#: Text dense in the characters the scanner branches on.
+_SQLISH = st.lists(
+    st.sampled_from(
+        list("'\"-/*\n \t.;,()?<>=!|+%eE_aZ019")
+        + ["''", "--", "/*", "*/", "select", "²", "٣", "½", "é", "\r", "\x1c", "\u2003"]
+    ),
+    max_size=30,
+).map("".join)
+
+
+class TestScannerProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _SQLISH))
+    def test_any_text_tokenizes_or_raises_lex_error(self, text):
+        try:
+            tokens = tokenize(text)
+        except LexError:
+            return
+        assert tokens[-1].kind is TokenKind.EOF
+        assert tokens[-1].position == len(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), _SQLISH))
+    def test_every_token_starts_a_spelling_that_rescans_to_it(self, text):
+        try:
+            tokens = tokenize(text)
+        except LexError:
+            return
+        for token in tokens:
+            again = tokenize(text[token.position :])[0]
+            assert (again.kind, again.value, again.position) == (
+                token.kind, token.value, 0,
+            )
+            assert token.line == 1 + text.count("\n", 0, token.position)

@@ -205,6 +205,47 @@ class TestMalformedParams:
         assert good["rows"] == [[20]]
 
 
+class TestNonAsciiDigits:
+    """``str.isdigit`` accepts characters ``int()`` and ``Decimal()``
+    reject; a scanner that used it let such text leave every boundary
+    as a builtin ``ValueError``.  Numbers are ASCII digits only, so the
+    text is a ``LexError`` at the engine, the middleware and the served
+    client, and the session goes on serving."""
+
+    HOSTILE = ("SELECT ²", "SELECT 1 + ①")
+
+    @pytest.mark.parametrize("sql", HOSTILE)
+    def test_lex_error_at_engine_middleware_and_served_client(self, sql):
+        from repro.errors import LexError
+
+        server, _, network = deployment()
+        with pytest.raises(LexError):
+            make_server("IB").engine.execute(sql)
+        with pytest.raises(LexError):
+            server.execute(sql)
+        client = supervised(network)
+        with pytest.raises(LexError):
+            client.execute(sql)
+        before = client._seq
+        assert client.execute("SELECT 1").rows == [(1,)]
+        assert client._seq == before + 1
+
+    @pytest.mark.parametrize("sql", HOSTILE)
+    def test_frame_handler_answers_and_serves_the_next_seq(self, sql):
+        _, net_server, network = deployment()
+        port = network.connect()
+        welcome = port.request(protocol.hello(), 8.0)
+        session, token = welcome["session"], welcome["token"]
+        reply = port.request(protocol.execute(session, token, 1, sql), 8.0)
+        assert reply["type"] == "error"
+        assert reply["code"] == protocol.ERR_SQL
+        assert reply["error_type"] == "LexError"
+        assert net_server.stats.sql_errors == 1
+        good = port.request(protocol.execute(session, token, 2, "SELECT 1"), 8.0)
+        assert good["type"] == "result"
+        assert good["rows"] == [[1]]
+
+
 class TestBackpressure:
     POLICY = NetPolicy(
         idle_deadline=100_000.0,

@@ -11,7 +11,6 @@ from repro.analysis.lint import (
     _check_dead_predicates,
     _check_rewrite_certificates,
     lint_corpus,
-    run_lint,
 )
 from repro.analysis.predicates import (
     Interval,
@@ -360,22 +359,21 @@ class TestLintPredicates:
 
 
 class TestLintDeterminism:
-    def test_findings_are_deduplicated(self, corpus):
-        findings = lint_corpus(corpus)
-        keys = [(f.check, f.subject, f.statement_index) for f in findings]
+    def test_findings_are_deduplicated(self, pristine_lint):
+        keys = [
+            (f.check, f.subject, f.statement_index) for f in pristine_lint.findings
+        ]
         assert len(keys) == len(set(keys))
 
-    def test_lint_is_deterministic(self, corpus):
-        assert [str(f) for f in lint_corpus(corpus)] == [
+    def test_lint_is_deterministic(self, corpus, pristine_lint):
+        assert [str(f) for f in pristine_lint.findings] == [
             str(f) for f in lint_corpus(corpus)
         ]
 
-    def test_json_output_is_stably_sorted(self, corpus):
-        lines: list[str] = []
-        run_lint(corpus, emit=lines.append, as_json=True)
+    def test_json_output_is_stably_sorted(self, pristine_lint):
         import json
 
-        records = [json.loads(line) for line in lines]
+        records = [json.loads(line) for line in pristine_lint.json_output.splitlines()]
         keys = [
             (
                 r["code"],

@@ -9,6 +9,8 @@ from repro.dialects.translator import render_tokens
 from repro.middleware.normalizer import normalize_value
 from repro.sqlengine import Engine
 from repro.sqlengine.lexer import tokenize
+from repro.sqlengine.params import placeholder_positions
+from repro.sqlengine.parser import Parser, parse_prepared, parse_script
 from repro.sqlengine.tokens import TokenKind
 from repro.sqlengine.values import (
     distinct_key,
@@ -145,6 +147,52 @@ class TestLexerProperties:
         rendered = render_tokens(tokenize(sql))
         again = render_tokens(tokenize(rendered))
         assert rendered == again
+
+
+def _tpcc_texts():
+    """The TPC-C schema, population and one seed-1 stream, as literal
+    statements and as ``?`` templates."""
+    from repro.workload import schema
+    from repro.workload.generator import TpccGenerator
+
+    texts = [*schema.SCHEMA_STATEMENTS, *schema.populate_statements()]
+    for transaction in TpccGenerator(seed=1).transactions(40):
+        texts.extend(transaction.statements)
+        texts.extend(template for template, _ in transaction.calls)
+    return texts
+
+
+class TestSharedTokenStream:
+    """Parsing the tokens of a text is parsing the text: the layers
+    that already hold a scan hand it on instead of scanning again."""
+
+    def test_parsing_tokens_equals_parsing_text(self, corpus):
+        texts = [report.script for report in corpus] + _tpcc_texts()
+        for text in texts:
+            assert Parser(tokenize(text)).parse_script() == parse_script(text), text
+
+    def test_tpcc_placeholder_offsets_from_the_parse_equal_the_scan(self):
+        templates = {text for text in _tpcc_texts() if "?" in text}
+        assert templates
+        for template in templates:
+            _, positions = parse_prepared(template)
+            assert list(positions) == placeholder_positions(template), template
+
+    @given(
+        conjuncts=st.lists(
+            st.sampled_from([
+                "a = ?", "b = '?'", "/* ? */ c = ?", "-- ?\n d < ?", '"?" = ?',
+                "e IN (?, 'it''s ?', ?)", "f BETWEEN ? AND\n?", "g = 1",
+            ]),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_placeholder_offsets_from_the_parse_equal_the_scan(self, conjuncts):
+        sql = "SELECT a FROM t WHERE " + " AND ".join(conjuncts)
+        statement, positions = parse_prepared(sql)
+        assert list(positions) == placeholder_positions(sql)
+        assert all(sql[position] == "?" for position in positions)
+        assert parse_prepared(tokenize(sql)) == (statement, positions)
 
 
 class TestLikeProperties:

@@ -67,7 +67,7 @@ def check_checkpoint(how: str) -> None:
     product = make_server("IB")
     product.execute("CREATE TABLE t (x INT)")
     medium = MemoryMedium()
-    store = CheckpointStore(medium, "IB", keep=2)
+    store = CheckpointStore(medium, "IB")
     older = store.save(build_checkpoint(product.engine, lsn=0, ddl=[]))
     newer = store.save(build_checkpoint(product.engine, lsn=1, ddl=[]))
     blob = damaged(medium.read(newer), how)

@@ -250,11 +250,11 @@ class TestPortability:
 
 
 class TestReachabilityAndLint:
-    def test_shipped_corpus_is_clean(self, corpus):
+    def test_shipped_corpus_is_clean(self, pristine_lint):
         # Error-free; the corpus does carry warning-severity dead-code
         # findings (bulk setup writes no SELECT observes), which lint
         # reports without failing.
-        findings = lint_corpus(corpus)
+        findings = pristine_lint.findings
         assert [f for f in findings if f.severity == "error"] == []
         assert all(f.severity == "warning" for f in findings)
 
@@ -284,11 +284,9 @@ class TestReachabilityAndLint:
         findings = lint_corpus(mutated)
         assert any(f.check == "portability-drift" for f in findings)
 
-    def test_lint_cli_clean_on_shipped_corpus(self, capsys):
-        from repro.__main__ import main
-
-        assert main(["lint"]) == 0
-        assert "corpus clean" in capsys.readouterr().out
+    def test_lint_cli_clean_on_shipped_corpus(self, pristine_lint):
+        assert pristine_lint.text_status == 0
+        assert "corpus clean" in pristine_lint.text_output
 
 
 ORDER_FAULT = FaultSpec(
