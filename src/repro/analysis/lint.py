@@ -108,7 +108,6 @@ from repro.analysis.schema import ScriptSchema
 from repro.dialects.features import SERVER_KEYS, dialect
 from repro.dialects.translator import translate_script, translation_verdict
 from repro.errors import FeatureNotSupported
-from repro.middleware.normalizer import normalize_signature
 from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 
@@ -316,9 +315,7 @@ def _check_agree_proven(corpus: "Corpus") -> list[LintFinding]:
                 except FeatureNotSupported:  # pragma: no cover - drift check
                     continue
             pristine[server].reset()
-            outcomes[server] = normalize_signature(
-                run_script(pristine[server], script).signature()
-            )
+            outcomes[server] = run_script(pristine[server], script).normalized_signature()
         statements = split_statements(report.script)
         schema = ScriptSchema()
         for index, statement_sql in enumerate(statements):

@@ -11,6 +11,9 @@
    names) in the same tokens and render them
    (:func:`repro.sqlengine.lexer.render_tokens`).
 
+Steps 2 and 3 are :func:`translate_tokens`, which the middleware's
+pipeline and the durability WAL (for a bound prepared write) call on
+the one scan they already hold.
 The rewrite works on the token stream, so comments vanish and spacing
 normalises, but string literals and quoted identifiers survive exactly.
 """
@@ -22,7 +25,7 @@ from typing import Optional
 
 from repro.dialects.features import DialectDescriptor, dialect
 from repro.errors import FeatureNotSupported, SqlError
-from repro.sqlengine.analysis import script_traits
+from repro.sqlengine.analysis import StatementTraits, script_traits
 from repro.sqlengine.lexer import render_tokens, tokenize
 from repro.sqlengine.parser import parse_script
 from repro.sqlengine.tokens import Token, TokenKind
@@ -41,8 +44,23 @@ def translate_script(sql: str, target: str | DialectDescriptor) -> str:
     """
     descriptor = target if isinstance(target, DialectDescriptor) else dialect(target)
     tokens = tokenize(sql)
-    descriptor.validate(None, script_traits(parse_script(tokens)))
-    return render_tokens(_rewrite(tokens, descriptor))
+    return translate_tokens(tokens, script_traits(parse_script(tokens)), descriptor)[0]
+
+
+def translate_tokens(
+    tokens: list[Token], traits: StatementTraits, descriptor: DialectDescriptor
+) -> tuple[str, bool]:
+    """Gate, rewrite and render one scan in ``descriptor``'s dialect.
+
+    ``traits`` are those of what ``tokens`` parse to.  Returns the
+    translated text and whether the rewrite renamed a token; when it
+    did not, the text parses to what ``tokens`` parse to, so the
+    middleware's pipeline hands the replica its own parse.  Raises
+    :class:`FeatureNotSupported` like :func:`translate_script`.
+    """
+    descriptor.validate(None, traits)
+    rewritten = _rewrite(tokens, descriptor)
+    return render_tokens(rewritten), rewritten != tokens
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,12 @@ twice:
   the InterBase replica damages only the InterBase log: fault
   *diversity* extends to the disks.
 
-A replica whose translation refuses a statement
+A literal write's records are the translations the middleware's
+pipeline already holds for it.  A bound prepared write is scanned once;
+every replica's record is rendered from that one token list by
+:func:`repro.dialects.translator.translate_tokens`, the gate, rewrite
+and render steps of ``translate_script``.  A replica
+whose translation refuses a statement
 (:class:`~repro.errors.FeatureNotSupported`) gets no record — it never
 applied the write in service either, and redo would refuse it again.
 
@@ -36,6 +41,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.reachability import StaticContext
 from repro.analysis.verdicts import DDL_KINDS
+from repro.dialects.translator import translate_tokens
 from repro.durability.checkpoint import CheckpointStore, build_checkpoint
 from repro.durability.medium import StorageMedium
 from repro.durability.recovery import (
@@ -52,10 +58,12 @@ from repro.faults.effects import (
     TornWriteEffect,
 )
 from repro.sqlengine.analysis import StatementTraits
+from repro.sqlengine.engine import executable_text
+from repro.sqlengine.lexer import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.spec import FaultSpec
-    from repro.middleware.server import DiverseServer, Replica
+    from repro.middleware.server import DiverseServer, Replica, StatementCall
     from repro.servers.product import ServerProduct
 
 #: Medium name of the shared (middleware-form) write-ahead log.
@@ -183,15 +191,26 @@ class DurabilityManager:
 
     # -- write path -----------------------------------------------------
 
-    def log_write(self, bound_sql: str, traits: StatementTraits) -> None:
-        """Append one committed write to the shared and replica WALs."""
+    def log_write(self, call: "StatementCall", traits: StatementTraits) -> None:
+        """Append one committed write to the shared and replica WALs.
+
+        A literal write's records are the pipeline's translations, which
+        the service call just resolved; a prepared call's bound text was
+        never translated, so it is scanned once here and rendered for
+        every replica from that scan, and nothing is cached for it."""
         server = self._server
+        bound_sql = call.bound_sql
         self._shared.append(bound_sql, server.pipeline.generation)
+        tokens = None if call.prepared is None else tokenize(bound_sql)
         for replica in server.replicas:
+            descriptor = replica.product.descriptor
             try:
-                translated = server.pipeline.translation(
-                    bound_sql, replica.product.descriptor
-                )
+                if tokens is None:
+                    translated = executable_text(
+                        server.pipeline.translation(bound_sql, descriptor)
+                    )
+                else:
+                    translated, _ = translate_tokens(tokens, traits, descriptor)
             except FeatureNotSupported:
                 continue
             store = self._stores[replica.key]
@@ -248,7 +267,9 @@ class DurabilityManager:
                 continue
             try:
                 history.append(
-                    server.pipeline.translation(sql, replica.product.descriptor)
+                    executable_text(
+                        server.pipeline.translation(sql, replica.product.descriptor)
+                    )
                 )
             except FeatureNotSupported:
                 continue

@@ -36,8 +36,7 @@ from repro.analysis.verdicts import DDL_KINDS
 from repro.durability.checkpoint import CheckpointInvalid, CheckpointStore
 from repro.durability.wal import WalScan, WriteAheadLog
 from repro.errors import SqlError
-from repro.sqlengine.analysis import extract_traits
-from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.engine import Executable, ParsedStatement
 
 
 @dataclass
@@ -109,7 +108,7 @@ def recover_engine(
     checkpoints: Optional[CheckpointStore] = None,
     *,
     replica: str = "?",
-    execute: Optional[Callable[[str], Any]] = None,
+    execute: Optional[Callable[[Executable], Any]] = None,
 ) -> RecoveryReport:
     """Restart one engine from its durable state; see module docs.
 
@@ -163,9 +162,10 @@ def recover_engine(
             if record.lsn < report.watermark:
                 continue
             try:
-                if extract_traits(parse_statement(record.sql)).kind in DDL_KINDS:
+                parsed = ParsedStatement.parse(record.sql)
+                if parsed.traits.kind in DDL_KINDS:
                     report.ddl_history.append(record.sql)
-                run(record.sql)
+                run(parsed)
             except SqlError:
                 report.errored += 1
             report.redone += 1

@@ -25,10 +25,8 @@ from repro.durability.medium import MemoryMedium, StorageMedium
 from repro.durability.recovery import RecoveryReport
 from repro.errors import SqlError
 from repro.servers.product import ServerProduct
-from repro.sqlengine.analysis import extract_traits
-from repro.sqlengine.engine import Result
+from repro.sqlengine.engine import ParsedStatement, Result
 from repro.sqlengine.lexer import split_statements
-from repro.sqlengine.parser import parse_statement
 
 
 class DurableSession:
@@ -58,11 +56,11 @@ class DurableSession:
         every ``checkpoint_interval`` of them publishes a checkpoint
         (never inside an open transaction — the WAL's BEGIN/COMMIT
         markers must not straddle the watermark)."""
-        traits = extract_traits(parse_statement(sql))
-        result = self.product.execute(sql)
-        if traits.kind not in WRITE_KINDS:
+        parsed = ParsedStatement.parse(sql)
+        result = self.product.execute(parsed)
+        if parsed.traits.kind not in WRITE_KINDS:
             return result
-        for fault in self.store.append(self.product, sql, traits):
+        for fault in self.store.append(self.product, sql, parsed.traits):
             self.storage_fault_log.append(
                 (sql, classify_storage_effect(fault.effect))
             )

@@ -49,8 +49,7 @@ from repro.dialects.features import SERVER_KEYS
 from repro.errors import SqlError
 from repro.faults.spec import FaultSpec
 from repro.servers import make_server
-from repro.sqlengine.analysis import extract_traits
-from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.engine import Executable, ParsedStatement, parse_once
 from repro.sqlengine.sqlgen import PredicateGenerator
 
 #: Run the pivot oracle every Nth generated round.
@@ -181,16 +180,21 @@ def run_hunt(
     servers = {key: make_server(key, faults.get(key, ())) for key in products}
     schema = ScriptSchema()
     for statement in setup:
-        schema.observe(parse_statement(statement))
+        parsed_setup = ParsedStatement.parse(statement)
+        schema.observe(parsed_setup.statement)
         for server in servers.values():
-            server.engine.execute(statement)
+            server.engine.execute(parsed_setup)
 
     report = HuntReport(products=products, seed=seed)
     bank = _Bank()
+    #: The round's texts, each parsed once and run on every product.
+    parsed: dict[str, Executable] = {}
 
     def run_on(key: str, sql: str) -> Optional[Counter]:
+        if sql not in parsed:
+            parsed[sql] = parse_once(sql)
         try:
-            return _multiset(servers[key].engine.execute(sql))
+            return _multiset(servers[key].engine.execute(parsed[sql]))
         except SqlError:
             report.errors += 1
             return None
@@ -198,8 +202,9 @@ def run_hunt(
     for round_index in range(count):
         sql = generator.select_statement()
         report.statements += 1
-        stmt = parse_statement(sql)
-        traits = extract_traits(stmt)
+        entry = ParsedStatement.parse(sql)
+        stmt, traits = entry.statement, entry.traits
+        parsed = {sql: entry}
         hosts = [
             key
             for key in products

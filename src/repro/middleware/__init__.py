@@ -9,7 +9,7 @@ parse/translate/analyze front-end across repeated executions.
 """
 
 from repro.middleware.comparator import ComparisonResult, ResultComparator
-from repro.middleware.normalizer import normalize_result, normalize_signature, normalize_value
+from repro.middleware.normalizer import normalize_result
 from repro.middleware.pipeline import PipelineStats, StatementPipeline
 from repro.middleware.server import (
     DiverseServer,
@@ -26,6 +26,7 @@ from repro.middleware.supervisor import (
     VirtualClock,
 )
 from repro.sqlengine.engine import Result
+from repro.sqlengine.values import normalize_value
 
 __all__ = [
     "ComparisonResult",
@@ -43,7 +44,6 @@ __all__ = [
     "SupervisorPolicy",
     "VirtualClock",
     "normalize_result",
-    "normalize_signature",
     "normalize_value",
     "replicated_server",
 ]

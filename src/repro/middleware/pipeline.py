@@ -15,7 +15,9 @@ Cache keys and invalidation:
   token-level rewrite itself is schema-independent, but prepared
   handles derived from a translation are re-prepared after DDL, so the
   generation is part of the key (the satellite contract: dialect AND
-  text AND schema generation).
+  text AND schema generation).  An entry is what the replica's engine
+  runs: the translated text with its parse, built from the parse
+  layer's one scan and parse of the text (see :meth:`translation`).
 * **verdict** — keyed on ``(text, generation)``.  Order verdicts read
   the schema's unique keys (``ORDER BY c`` is TOTAL only while ``c``
   is unique), so a stale entry after ``CREATE INDEX`` / ``ALTER
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from repro.analysis.dataflow import DefUse, statement_def_use
 from repro.analysis.divergence import StatementDivergence, analyze_divergence
@@ -50,11 +52,14 @@ from repro.analysis.predicates import StatementAbstraction, summarize_statement
 from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import StatementVerdict, analyze_statement
 from repro.dialects.features import DialectDescriptor
-from repro.dialects.translator import translate_script
+from repro.dialects.translator import translate_tokens
 from repro.errors import FeatureNotSupported
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
+from repro.sqlengine.engine import Executable, ParsedStatement, parse_once
+from repro.sqlengine.lexer import tokenize
 from repro.sqlengine.parser import parse_prepared
+from repro.sqlengine.tokens import Token
 
 #: The cache layers; each owns a ``<layer>_hits``/``<layer>_misses``
 #: counter pair in :class:`PipelineStats`.
@@ -98,11 +103,6 @@ class PipelineStats:
 ParsedEntry = tuple[ast.Statement, StatementTraits, tuple[int, ...]]
 
 
-def _parse(sql: str) -> ParsedEntry:
-    statement, positions = parse_prepared(sql)
-    return statement, extract_traits(statement), positions
-
-
 class StatementPipeline:
     """Bounded LRU memoization of the per-statement front-end stages."""
 
@@ -117,6 +117,10 @@ class StatementPipeline:
             layer: (OrderedDict(), layer + "_hits", layer + "_misses")
             for layer in _LAYERS
         }
+        #: The text of the latest scan and its tokens, handed to the
+        #: translations of that text that follow.  One list, not one
+        #: per cached text: token lists are large beside their text.
+        self._scan: Optional[tuple[str, list[Token]]] = None
 
     def bump_generation(self) -> None:
         """Record a schema change: entries keyed on the old generation
@@ -154,16 +158,40 @@ class StatementPipeline:
 
     def parsed(self, sql: str) -> ParsedEntry:
         """Parse one statement and extract its traits, memoized."""
-        return self._memo("parse", sql, lambda: _parse(sql))
+        return self._memo("parse", sql, lambda: self._parse(sql))
 
-    def translation(self, sql: str, descriptor: DialectDescriptor) -> str:
-        """Translate ``sql`` to a dialect, memoized; cached refusals
-        re-raise their :class:`FeatureNotSupported`."""
+    def _parse(self, sql: str) -> ParsedEntry:
+        statement, positions = parse_prepared(self._tokens(sql))
+        return statement, extract_traits(statement), positions
+
+    def _tokens(self, sql: str) -> list[Token]:
+        scan = self._scan
+        if scan is None or scan[0] != sql:
+            scan = self._scan = (sql, tokenize(sql))
+        return scan[1]
+
+    def translation(self, sql: str, descriptor: DialectDescriptor) -> Executable:
+        """What a replica of ``descriptor``'s dialect runs for ``sql``,
+        memoized; cached refusals re-raise their
+        :class:`FeatureNotSupported`.
+
+        The text is ``translate_script(sql, descriptor)``, rendered from
+        the scan the parse layer made.  When the rewrite renamed
+        nothing, the entry carries this pipeline's parse and traits;
+        otherwise the text is parsed as the engine would parse it (and
+        is handed on as text when it does not parse)."""
         return self._memo(
             "translate",
             (descriptor.key, sql, self.generation),
-            lambda: translate_script(sql, descriptor),
+            lambda: self._translate(sql, descriptor),
         )
+
+    def _translate(self, sql: str, descriptor: DialectDescriptor) -> Executable:
+        statement, traits, positions = self.parsed(sql)
+        text, renamed = translate_tokens(self._tokens(sql), traits, descriptor)
+        if renamed:
+            return parse_once(text)
+        return ParsedStatement(text, statement, traits, len(positions))
 
     def verdict(
         self,

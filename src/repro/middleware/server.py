@@ -316,13 +316,16 @@ class StatementCall:
     ``sql`` is the template text (with ``?`` placeholders for prepared
     statements); ``bound_sql`` is the literal-substituted text recorded
     in the write log so recovery replay needs no parameter store.  For
-    unprepared statements the two are identical.
+    unprepared statements the two are identical.  ``targets`` holds, per
+    replica product, what that replica runs (see
+    :meth:`DiverseServer._resolve`).
     """
 
     sql: str
     bound_sql: str
     params: tuple = ()
     prepared: Optional["PreparedStatement"] = None
+    targets: dict[ServerProduct, Any] = field(default_factory=dict)
 
 
 #: Upper bound on memoized PreparedStatement handles per server.
@@ -532,11 +535,17 @@ class DiverseServer:
             raise NoReplicasAvailable(f"no active replicas ({states})")
 
         policy = self._effective_adjudication(len(active))
+        single = policy == "primary" or (
+            self.read_split and not is_write and policy != "compare"
+        )
+        if is_write or not single:
+            # Resolve every replica's target before any replica runs, so
+            # that a dialect refusal leaves no replica half-applied.
+            for replica in active:
+                call.targets[replica.product] = self._resolve(call, replica.product)
         self._pending_write = call.bound_sql if is_write else None
         try:
-            if policy == "primary" or (
-                self.read_split and not is_write and policy != "compare"
-            ):
+            if single:
                 result = self._execute_single(call, active, is_write, policy, verdict)
             else:
                 result = self._execute_compared(
@@ -554,7 +563,7 @@ class DiverseServer:
                 for listener in self.ddl_listeners:
                     listener()
             if self.durability is not None:
-                self.durability.log_write(call.bound_sql, traits)
+                self.durability.log_write(call, traits)
             if self.supervised:
                 self.supervisor.maybe_checkpoint()
             if self.durability is not None:
@@ -596,15 +605,7 @@ class DiverseServer:
         for label, use_planner in (("planned", True), ("walker", False)):
             engine.use_planner = use_planner
             try:
-                if call.prepared is not None:
-                    answer_result = call.prepared._execute_on_replica(
-                        replica, call.params
-                    )
-                else:
-                    translated = self.pipeline.translation(
-                        call.sql, replica.product.descriptor
-                    )
-                    answer_result = replica.product.execute(translated)
+                answer_result = self._run(replica.product, call)
                 answers.append(
                     ReplicaAnswer(
                         replica=label,
@@ -985,16 +986,36 @@ class DiverseServer:
 
     # -- plumbing --------------------------------------------------------------------
 
+    def _resolve(self, call: StatementCall, product: ServerProduct) -> Any:
+        """What ``product`` runs for ``call``: the pipeline's translation
+        of the statement into its dialect or, for a prepared call, its
+        engine handle — (re)prepared from that translation when the
+        schema generation moved."""
+        if call.prepared is None:
+            return self.pipeline.translation(call.sql, product.descriptor)
+        handles = call.prepared._handles
+        generation = self.pipeline.generation
+        entry = handles.get(product)
+        if entry is None or entry[0] != generation:
+            translated = self.pipeline.translation(call.sql, product.descriptor)
+            entry = handles[product] = (generation, product.prepare(translated))
+        return entry[1]
+
+    def _run(self, product: ServerProduct, call: StatementCall) -> Result:
+        """Run ``call`` on one replica's product through its resolved
+        target, resolving it first when it was not (a read only one
+        replica answers)."""
+        targets = call.targets
+        if product not in targets:
+            targets[product] = self._resolve(call, product)
+        if call.prepared is not None:
+            return targets[product].execute(call.params)
+        return product.execute(targets[product])
+
     def _ask(self, replica: Replica, call: StatementCall) -> ReplicaAnswer:
         replica.stats.statements += 1
         try:
-            if call.prepared is not None:
-                result = call.prepared._execute_on_replica(replica, call.params)
-            else:
-                translated = self.pipeline.translation(
-                    call.sql, replica.product.descriptor
-                )
-                result = replica.product.execute(translated)
+            result = self._run(replica.product, call)
         except EngineCrash:
             replica.stats.crashes += 1
             return ReplicaAnswer(replica=replica.key, status="crash")
@@ -1221,8 +1242,8 @@ class PreparedStatement:
         self.sql = sql
         self.statement, self.traits, self._positions = server.pipeline.parsed(sql)
         self.param_count = len(self._positions)
-        #: replica key -> (pipeline generation, engine-prepared handle)
-        self._handles: dict[str, tuple[int, EnginePrepared]] = {}
+        #: replica product -> (pipeline generation, engine-prepared handle)
+        self._handles: dict[ServerProduct, tuple[int, EnginePrepared]] = {}
 
     def execute(self, params: Sequence[Any] = ()) -> Result:
         """One adjudicated execution with positional parameter values."""
@@ -1256,19 +1277,6 @@ class PreparedStatement:
         return self._server._execute_bound(
             call, self.statement, self.traits, fast_unanimous=fast_unanimous
         )
-
-    def _execute_on_replica(self, replica: Replica, params: tuple) -> Result:
-        """Run on one replica through its cached engine handle,
-        (re)preparing when the schema generation moved."""
-        generation = self._server.pipeline.generation
-        entry = self._handles.get(replica.key)
-        if entry is None or entry[0] != generation:
-            translated = self._server.pipeline.translation(
-                self.sql, replica.product.descriptor
-            )
-            entry = (generation, replica.product.prepare(translated))
-            self._handles[replica.key] = entry
-        return entry[1].execute(params)
 
 
 def replicated_server(

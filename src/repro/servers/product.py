@@ -7,7 +7,7 @@ from typing import Iterable
 from repro.dialects.features import DialectDescriptor
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec
-from repro.sqlengine.engine import Connection, Engine, EnginePrepared, Result
+from repro.sqlengine.engine import Connection, Engine, EnginePrepared, Executable, Result
 
 
 class ServerProduct:
@@ -62,8 +62,9 @@ class ServerProduct:
 
     # -- execution ----------------------------------------------------------
 
-    def execute(self, sql: str, params=None) -> Result:
-        """Execute SQL, returning the last :class:`Result`.
+    def execute(self, sql: Executable, params=None) -> Result:
+        """Execute SQL (text, or a statement already parsed), returning
+        the last :class:`Result`.
 
         With ``params``, ``sql`` is one statement with ``?``
         placeholders, routed through the (memoized) prepared path — the
@@ -83,7 +84,7 @@ class ServerProduct:
     def execute_script(self, sql: str) -> list[Result]:
         return self.engine.execute_script(sql)
 
-    def prepare(self, sql: str) -> EnginePrepared:
+    def prepare(self, sql: Executable) -> EnginePrepared:
         """Parse one statement (``?`` placeholders allowed) once; the
         returned handle executes it with bound parameters.  Dialect
         validation and fault injection run per execution, exactly as

@@ -16,14 +16,13 @@ The public surface is:
 """
 
 from repro.sqlengine.engine import Connection, Engine, EnginePrepared, Result
-from repro.sqlengine.params import count_placeholders, render_param, substitute_params
+from repro.sqlengine.params import render_param, substitute_params
 
 __all__ = [
     "Connection",
     "Engine",
     "EnginePrepared",
     "Result",
-    "count_placeholders",
     "render_param",
     "substitute_params",
 ]

@@ -6,13 +6,16 @@ before execution, behaviour flags during execution, and result
 transformation after execution — which is how the four simulated server
 products (:mod:`repro.servers`) get their distinct fault behaviour while
 sharing one correct engine.
+
+A caller that runs one statement on several engines parses it once
+and hands each engine the :class:`ParsedStatement` instead of the text.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from repro.errors import (
     CatalogError,
@@ -58,6 +61,46 @@ class Result:
         if not self.rows:
             return None
         return self.rows[0][0]
+
+
+class ParsedStatement(NamedTuple):
+    """One statement's text with its parse: what :meth:`Engine.execute`
+    and :meth:`Engine.prepare` run without scanning or parsing again.
+
+    ``sql`` stays the statement text fault triggers read; ``traits``
+    are ``extract_traits(statement)`` and ``param_count`` the number of
+    its ``?`` placeholders.
+    """
+
+    sql: str
+    statement: ast.Statement
+    traits: StatementTraits
+    param_count: int
+
+    @classmethod
+    def parse(cls, sql: str) -> "ParsedStatement":
+        """Parse ``sql``, one statement (``?`` placeholders allowed)."""
+        statement, positions = parse_prepared(sql)
+        return cls(sql, statement, extract_traits(statement), len(positions))
+
+
+#: What the engine runs: SQL text, or a statement a caller parsed.
+Executable = Union[str, ParsedStatement]
+
+
+def executable_text(sql: Executable) -> str:
+    """The statement text of ``sql``."""
+    return sql if isinstance(sql, str) else sql.sql
+
+
+def parse_once(sql: str) -> Executable:
+    """``sql`` parsed once, for running on several engines — or the
+    text itself when it is not exactly one statement, so that each
+    engine runs or rejects it exactly as it would the text."""
+    try:
+        return ParsedStatement.parse(sql)
+    except SqlError:
+        return sql
 
 
 class ExecutionContext:
@@ -201,19 +244,22 @@ class Engine:
 
     # -- execution -----------------------------------------------------------
 
-    def execute(self, sql: str) -> Result:
+    def execute(self, sql: Executable) -> Result:
         """Execute all statements in ``sql``; return the last result."""
         results = self.execute_script(sql)
         return results[-1] if results else Result(kind="txn")
 
-    def execute_script(self, sql: str) -> list[Result]:
-        """Execute a semicolon-separated script, statement by statement."""
+    def execute_script(self, sql: Executable) -> list[Result]:
+        """Execute a semicolon-separated script, statement by statement
+        (or the one statement a caller already parsed)."""
         if self.crashed:
             raise EngineCrash(self.name, "engine is down (previous crash)")
+        if isinstance(sql, ParsedStatement):
+            return [self._execute_statement(sql.statement, sql.sql, traits=sql.traits)]
         statements = parse_script(sql)
         return [self._execute_statement(stmt, sql) for stmt in statements]
 
-    def prepare(self, sql: str) -> "EnginePrepared":
+    def prepare(self, sql: Executable) -> "EnginePrepared":
         """Parse ``sql`` (one statement, ``?`` placeholders allowed) once
         and return a handle that executes it with bound parameters.
 
@@ -222,14 +268,15 @@ class Engine:
         so the cache never needs DDL invalidation — name binding happens
         at execute time against the live catalog.
         """
-        handle = self._prepared.get(sql)
+        text = executable_text(sql)
+        handle = self._prepared.get(text)
         if handle is None:
-            statement, positions = parse_prepared(sql)
-            traits = extract_traits(statement)
-            handle = EnginePrepared(self, sql, statement, len(positions), traits)
+            handle = EnginePrepared(
+                self, ParsedStatement.parse(sql) if isinstance(sql, str) else sql
+            )
             if len(self._prepared) >= _PREPARED_CACHE_SIZE:
                 self._prepared.pop(next(iter(self._prepared)))
-            self._prepared[sql] = handle
+            self._prepared[text] = handle
         return handle
 
     def _execute_statement(
@@ -791,19 +838,12 @@ class EnginePrepared:
     cached tree is never mutated.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        sql: str,
-        statement: ast.Statement,
-        param_count: int,
-        traits: StatementTraits,
-    ) -> None:
+    def __init__(self, engine: Engine, parsed: ParsedStatement) -> None:
         self._engine = engine
-        self.sql = sql
-        self.statement = statement
-        self.param_count = param_count
-        self.traits = traits
+        self.sql = parsed.sql
+        self.statement = parsed.statement
+        self.param_count = parsed.param_count
+        self.traits = parsed.traits
 
     def execute(self, params: tuple = ()) -> Result:
         """Execute with positional values for the ``?`` placeholders."""

@@ -44,11 +44,6 @@ def render_param(value: Any) -> str:
     raise SqlError(f"cannot bind parameter value {value!r}")
 
 
-def count_placeholders(sql: str) -> int:
-    """Number of ``?`` placeholders in the statement text."""
-    return len(placeholder_positions(sql))
-
-
 def placeholder_positions(sql: str) -> list[int]:
     """Text offsets of each ``?`` placeholder token, in statement order.
 

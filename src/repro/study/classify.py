@@ -8,6 +8,7 @@ from enum import Enum
 from typing import Optional
 
 from repro.faults.spec import Detectability, FailureKind, FaultSpec
+from repro.sqlengine.values import normalize_result
 
 #: A faulty statement whose virtual cost exceeds the oracle's by this
 #: factor is a performance failure (the study's "unacceptable time
@@ -49,6 +50,21 @@ class ScriptOutcome:
 
     def signature(self) -> tuple:
         return tuple(statement.signature() for statement in self.statements)
+
+    def normalized_signature(self) -> tuple:
+        """The signature with representation differences (column-name
+        case, value spelling) normalised away, for cross-server
+        identicality checks."""
+        return tuple(
+            (
+                statement.status,
+                *normalize_result(statement.columns, statement.rows),
+                statement.rowcount,
+            )
+            if statement.status == "ok"
+            else (statement.status,)
+            for statement in self.statements
+        )
 
 
 @dataclass

@@ -13,6 +13,7 @@ from repro.dialects.translator import translate_script
 from repro.errors import EngineCrash, FeatureNotSupported, SqlError
 from repro.faults.spec import FaultSpec
 from repro.servers.product import ServerProduct
+from repro.sqlengine.engine import Executable, parse_once
 from repro.sqlengine.lexer import split_statements
 from repro.study.classify import (
     CellOutcome,
@@ -23,11 +24,14 @@ from repro.study.classify import (
 )
 
 
-def run_script(server: ServerProduct, sql: str) -> ScriptOutcome:
+def run_script(server: ServerProduct, sql: str | list[Executable]) -> ScriptOutcome:
     """Run a script statement by statement, like the study's client did:
-    errors are recorded and execution continues; a crash ends the run."""
+    errors are recorded and execution continues; a crash ends the run.
+
+    ``sql`` is the script text, or its statements already split and
+    parsed (:func:`parse_pieces`) when several servers run it."""
     outcome = ScriptOutcome()
-    for statement in split_statements(sql):
+    for statement in split_statements(sql) if isinstance(sql, str) else sql:
         try:
             result = server.execute(statement)
         except EngineCrash:
@@ -49,6 +53,12 @@ def run_script(server: ServerProduct, sql: str) -> ScriptOutcome:
             )
         )
     return outcome
+
+
+def parse_pieces(sql: str) -> list[Executable]:
+    """The statements of a script, each parsed once (see
+    :func:`~repro.sqlengine.engine.parse_once`)."""
+    return [parse_once(piece) for piece in split_statements(sql)]
 
 
 @dataclass
@@ -133,10 +143,11 @@ class StudyRunner:
         if faulty_server.crashed:  # pragma: no cover - reset clears crashes
             faulty_server.restart()
 
+        pieces = parse_pieces(script)
         before = set(faulty_server.injector.fired_fault_ids)
-        faulty = run_script(faulty_server, script)
+        faulty = run_script(faulty_server, pieces)
         fired = frozenset(faulty_server.injector.fired_fault_ids - before)
-        oracle = run_script(oracle_server, script)
+        oracle = run_script(oracle_server, pieces)
         return classify_run(faulty, oracle, fired, self._fault_index[target])
 
     def run(self) -> StudyResult:

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from repro.bugs import groundtruth as gt
 from repro.dialects.features import SERVER_KEYS
 from repro.faults.spec import FailureKind
-from repro.middleware.normalizer import normalize_signature
 from repro.sqlengine.lexer import split_statements
 from repro.study.classify import CellOutcome, OutcomeKind
 from repro.study.runner import StudyResult
@@ -142,9 +141,7 @@ def _identical_failures(study: StudyResult, bug_id: str, x: str, y: str) -> bool
     cell_y = study.outcome(bug_id, y)
     if cell_x.faulty is None or cell_y.faulty is None:
         return False
-    return normalize_signature(cell_x.faulty.signature()) == normalize_signature(
-        cell_y.faulty.signature()
-    )
+    return cell_x.faulty.normalized_signature() == cell_y.faulty.normalized_signature()
 
 
 def build_table3(study: StudyResult) -> dict[tuple[str, str], Table3Row]:

@@ -22,7 +22,7 @@ from repro.faults import (
     RowDropEffect,
 )
 from repro.middleware import DiverseServer
-from repro.middleware.normalizer import normalize_value
+from repro.sqlengine.values import normalize_value
 from repro.servers import make_server
 from repro.sqlengine.parser import parse_statement
 

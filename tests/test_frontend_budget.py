@@ -1,0 +1,155 @@
+"""The front-end budget: how often each path that runs one statement
+on several engines scans and parses it.
+
+``tokenize`` and the three ``parse_*`` entry points are wrapped in
+every ``repro`` module that holds them (``from x import f`` copies the
+reference, as ``benchmarks/e2e/trace.py`` also knows), and the tests
+assert exact counts, so a second scan or parse cannot come back
+silently.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+
+import repro.hunt
+from repro.durability import DurabilityManager, MemoryMedium
+from repro.middleware import DiverseServer
+from repro.servers import make_server
+from repro.sqlengine import lexer, parser
+from repro.sqlengine.lexer import split_statements
+from repro.study.runner import StudyRunner
+
+KEYS = ("IB", "PG", "OR", "MS")
+
+#: (module, name, bucket) of each counted front-end entry point.
+ENTRY_POINTS = (
+    (lexer, "tokenize", "scans"),
+    (parser, "parse_statement", "parses"),
+    (parser, "parse_prepared", "parses"),
+    (parser, "parse_script", "parses"),
+)
+
+
+class FrontEnd:
+    """Counts of scans and parses, and the texts handed to parses."""
+
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
+        self.parsed_texts: list[str] = []
+
+    def reset(self) -> None:
+        self.counts.clear()
+        self.parsed_texts.clear()
+
+    @property
+    def scans(self) -> int:
+        return self.counts["scans"]
+
+    @property
+    def parses(self) -> int:
+        return self.counts["parses"]
+
+
+@pytest.fixture
+def front_end(monkeypatch) -> FrontEnd:
+    seen = FrontEnd()
+    for module, name, bucket in ENTRY_POINTS:
+        original = getattr(module, name)
+
+        def counted(source, *args, _original=original, _bucket=bucket):
+            seen.counts[_bucket] += 1
+            if _bucket == "parses" and isinstance(source, str):
+                seen.parsed_texts.append(source)
+            return _original(source, *args)
+
+        for holder in list(sys.modules.values()):
+            if not getattr(holder, "__name__", "").startswith("repro"):
+                continue
+            for key, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, key, counted)
+    return seen
+
+
+def four_version(**config) -> DiverseServer:
+    server = DiverseServer([make_server(key) for key in KEYS], **config)
+    server.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(10))")
+    server.execute("INSERT INTO t VALUES (1, 'x')")
+    return server
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT a, b FROM t WHERE a = 1",
+        "INSERT INTO t VALUES (2, 'y')",
+        "UPDATE t SET b = 'z' WHERE a = 1",
+    ],
+)
+def test_literal_statement_is_scanned_and_parsed_once(front_end, sql):
+    server = four_version()
+    front_end.reset()
+    server.execute(sql)
+    assert (front_end.scans, front_end.parses) == (1, 1)
+
+
+def test_repeated_literal_statement_uses_no_front_end(front_end):
+    server = four_version()
+    server.execute("SELECT b FROM t WHERE a = 1")
+    front_end.reset()
+    server.execute("SELECT b FROM t WHERE a = 1")
+    assert (front_end.scans, front_end.parses) == (0, 0)
+
+
+def test_warm_prepared_durable_write_is_scanned_once_and_not_parsed(front_end):
+    server = four_version(durability=DurabilityManager(MemoryMedium()))
+    insert = server.prepare("INSERT INTO t VALUES (?, ?)")
+    insert.execute((2, "y"))
+    front_end.reset()
+    insert.execute((3, "it's"))
+    # The one scan renders every replica's WAL record from the bound text.
+    assert (front_end.scans, front_end.parses) == (1, 0)
+    assert server.stats.wal_records == 4 * 4
+
+
+def test_literal_durable_write_logs_the_translations_it_ran(front_end):
+    server = four_version(durability=DurabilityManager(MemoryMedium()))
+    records = server.stats.wal_records
+    hits = server.pipeline.stats.translate_hits
+    front_end.reset()
+    server.execute("INSERT INTO t VALUES (2, 'y')")
+    # The WAL records are the four translations the replicas just ran.
+    assert (front_end.scans, front_end.parses) == (1, 1)
+    assert server.pipeline.stats.translate_hits == hits + 4
+    assert server.stats.wal_records == records + 4
+
+
+@pytest.mark.parametrize("foreign", [False, True])
+def test_study_cell_parses_each_piece_once_for_the_pair(front_end, corpus, foreign):
+    report = next(
+        report for report in corpus
+        if len(report.runnable_on) == 4 and len(split_statements(report.script)) > 3
+    )
+    target = next(key for key in KEYS if (key != report.reported_for) == foreign)
+    runner = StudyRunner(corpus)
+    pieces = len(split_statements(report.script))
+    front_end.reset()
+    runner.run_cell(report, target)
+    # A foreign target adds translate_script's one scan and parse of the
+    # whole script; the faulty and the oracle server share the pieces'.
+    translation = 1 if foreign else 0
+    assert front_end.parses == pieces + translation
+    assert front_end.scans == 1 + pieces + translation
+
+
+def test_hunt_round_parses_each_distinct_text_once(front_end):
+    front_end.reset()
+    report = repro.hunt.run_hunt(1, seed=3)
+    assert report.tlp_checks and report.pivot_checks
+    texts = Counter(front_end.parsed_texts)
+    assert texts and max(texts.values()) == 1
+    assert front_end.parses == len(texts) == front_end.scans

@@ -48,3 +48,13 @@ def test_middleware_and_durability_do_not_import_study():
 
 def test_analysis_imports_study_only_to_run_scripts():
     assert names_from("analysis", "study") <= {"StudyRunner", "run_script"}
+
+
+def test_the_engine_imports_none_of_the_layers_that_run_it():
+    """The parsed entry ``Engine.execute`` accepts lives in the engine."""
+    for layer in ("middleware", "servers", "durability"):
+        assert names_from("sqlengine", layer) == set(), layer
+
+
+def test_the_study_runs_products_without_the_middleware():
+    assert names_from("study", "middleware") == set()

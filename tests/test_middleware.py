@@ -10,7 +10,8 @@ from repro.errors import (
 from repro.faults import CrashEffect, ErrorEffect, FaultSpec, RelationTrigger, RowDropEffect
 from repro.middleware import DiverseServer, ReplicaState, ResultComparator
 from repro.middleware.comparator import ReplicaAnswer
-from repro.middleware.normalizer import normalize_result, normalize_value
+from repro.middleware.normalizer import normalize_result
+from repro.sqlengine.values import normalize_value
 from repro.middleware.server import replicated_server
 from repro.servers import make_server
 

@@ -3,9 +3,9 @@ diverse middleware."""
 
 import pytest
 
-from repro.errors import SqlError
+from repro.errors import FeatureNotSupported, SqlError
 from repro.faults import CrashEffect, FaultSpec, RelationTrigger
-from repro.middleware import DiverseServer, ReplicaState
+from repro.middleware import DiverseServer, ReplicaState, replicated_server
 from repro.servers import make_server
 
 
@@ -60,6 +60,48 @@ class TestVerifyConsistency:
         server.execute("CREATE TABLE t (a INTEGER)")
         server.replicas[1].state = ReplicaState.FAILED
         assert server.verify_consistency() == {}
+
+
+class TestDialectRefusalIsAtomic:
+    """A write one replica's dialect refuses is refused before any
+    replica applies it (OR lacks ``CHAR_LENGTH``; IB and PG have it)."""
+
+    @pytest.mark.parametrize("adjudication", ["majority", "primary"])
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_refused_write_is_applied_nowhere(self, adjudication, prepared):
+        server = DiverseServer(
+            [make_server(key) for key in ("IB", "PG", "OR", "MS")],
+            adjudication=adjudication,
+        )
+        server.execute("CREATE TABLE t (a INTEGER)")
+        server.execute("INSERT INTO t VALUES (7)")
+        write_log = server.write_log
+        with pytest.raises(FeatureNotSupported):
+            if prepared:
+                server.prepare("INSERT INTO t VALUES (CHAR_LENGTH(?))").execute(("ab",))
+            else:
+                server.execute("INSERT INTO t VALUES (CHAR_LENGTH('ab'))")
+        counts = [
+            replica.product.execute("SELECT COUNT(*) FROM t").scalar()
+            for replica in server.replicas
+        ]
+        assert counts == [1, 1, 1, 1]
+        assert server.write_log == write_log
+        assert server.verify_consistency() == {}
+
+
+def test_prepared_writes_reach_every_copy_of_a_replicated_server():
+    """Identical copies share a replica key; each copy still runs the
+    prepared statement on its own engine."""
+    server = replicated_server(lambda: make_server("IB"), 2)
+    server.execute("CREATE TABLE t (a INTEGER)")
+    server.prepare("INSERT INTO t VALUES (?)").execute((1,))
+    counts = [
+        replica.product.execute("SELECT COUNT(*) FROM t").scalar()
+        for replica in server.replicas
+    ]
+    assert counts == [1, 1]
+    assert server.verify_consistency() == {}
 
 
 class TestTransactionsThroughMiddleware:

@@ -30,7 +30,7 @@ from repro.middleware import (
 from repro.servers import SqlServer, make_server
 from repro.sqlengine import Engine
 from repro.sqlengine.params import (
-    count_placeholders,
+    placeholder_positions,
     render_param,
     substitute_params,
 )
@@ -77,12 +77,12 @@ class TestParamSubstitution:
             render_param(object())
 
     def test_count_placeholders(self):
-        assert count_placeholders("SELECT 1") == 0
-        assert count_placeholders("SELECT ? WHERE a = ?") == 2
+        assert len(placeholder_positions("SELECT 1")) == 0
+        assert len(placeholder_positions("SELECT ? WHERE a = ?")) == 2
 
     def test_question_mark_in_string_literal_is_not_a_placeholder(self):
         sql = "SELECT '?' FROM t WHERE a = ?"
-        assert count_placeholders(sql) == 1
+        assert len(placeholder_positions(sql)) == 1
         assert substitute_params(sql, (7,)) == "SELECT '?' FROM t WHERE a = 7"
 
     def test_substitution_is_positional(self):

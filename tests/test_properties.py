@@ -2,19 +2,30 @@
 
 from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dialects.translator import render_tokens
-from repro.middleware.normalizer import normalize_value
+from repro.dialects import SERVER_KEYS, dialect
+from repro.dialects.translator import render_tokens, translate_script
+from repro.durability import DurabilityManager, MemoryMedium
+from repro.errors import FeatureNotSupported, SqlError
+from repro.middleware import DiverseServer, ServerConfig
+from repro.middleware.pipeline import StatementPipeline
+from repro.servers import make_server
+from repro.servers.product import ServerProduct
 from repro.sqlengine import Engine
-from repro.sqlengine.lexer import tokenize
+from repro.sqlengine.analysis import extract_traits
+from repro.sqlengine.engine import ParsedStatement, parse_once
+from repro.sqlengine.lexer import split_statements, tokenize
 from repro.sqlengine.params import placeholder_positions
-from repro.sqlengine.parser import Parser, parse_prepared, parse_script
+from repro.sqlengine.parser import Parser, parse_prepared, parse_script, parse_statement
+from repro.sqlengine.sqlgen import PredicateGenerator
 from repro.sqlengine.tokens import TokenKind
 from repro.sqlengine.values import (
     distinct_key,
     like_match,
+    normalize_value,
     sql_add,
     sql_compare,
     sql_mul,
@@ -22,6 +33,7 @@ from repro.sqlengine.values import (
     tri_not,
     tri_or,
 )
+from repro.study.runner import parse_pieces, run_script
 
 tribool = st.sampled_from([True, False, None])
 
@@ -193,6 +205,106 @@ class TestSharedTokenStream:
         assert list(positions) == placeholder_positions(sql)
         assert all(sql[position] == "?" for position in positions)
         assert parse_prepared(tokenize(sql)) == (statement, positions)
+
+
+def _pieces(corpus):
+    """Every statement of every corpus script, in its home dialect."""
+    return [piece for report in corpus for piece in split_statements(report.script)]
+
+
+def _hunt_texts(rounds=150):
+    generator = PredicateGenerator(seed=1)
+    texts = generator.schema_statements()
+    for _ in range(rounds):
+        texts.append(generator.select_statement())
+        texts.append(generator.pivot_case()[0])
+    return texts
+
+
+class TestOneParsePerStatement:
+    """What a layer hands an engine instead of text is exactly what the
+    engine would have made of the text: the pipeline's per-dialect
+    entries, the study's pre-parsed pieces and the WAL's rendering."""
+
+    def test_pipeline_entries_equal_translating_and_parsing(self, corpus):
+        texts = _pieces(corpus) + _tpcc_texts() + _hunt_texts()
+        pipeline = StatementPipeline()
+        for sql in texts:
+            for key in SERVER_KEYS:
+                try:
+                    expected = translate_script(sql, key)
+                except FeatureNotSupported as refusal:
+                    with pytest.raises(FeatureNotSupported) as raised:
+                        pipeline.translation(sql, dialect(key))
+                    assert raised.value.feature == refusal.feature
+                    continue
+                entry = pipeline.translation(sql, dialect(key))
+                assert isinstance(entry, ParsedStatement), (sql, key)
+                assert entry.sql == expected, (sql, key)
+                assert entry.statement == parse_statement(expected), (sql, key)
+                assert entry.traits == extract_traits(entry.statement), (sql, key)
+
+    def test_study_pieces_equal_parsing_each_piece(self, corpus):
+        for report in corpus:
+            for key in SERVER_KEYS:
+                try:
+                    script = translate_script(report.script, key)
+                except FeatureNotSupported:
+                    continue
+                pieces = split_statements(script)
+                parsed = parse_pieces(script)
+                assert [entry.sql for entry in parsed] == pieces
+                for piece, entry in zip(pieces, parsed):
+                    assert [entry.statement] == parse_script(piece), piece
+                    assert entry.traits == extract_traits(entry.statement), piece
+
+    def test_a_piece_that_does_not_parse_fails_as_the_engine_fails_it(self, corpus):
+        """A piece that is not one statement is handed on as its text, so
+        the study records the error ``Engine.execute(piece)`` raises."""
+        broken = [piece[: len(piece) // 2] for piece in _pieces(corpus)[::5]]
+        broken += ["SELECT FROM WHERE", "INSERT INTO t VALUES (1", "SELECT 'open"]
+        failed = 0
+        for piece in broken:
+            parsed = parse_once(piece)
+            try:
+                parse_statement(piece)
+            except SqlError:
+                assert parsed == piece
+            else:
+                continue
+            try:
+                Engine("oracle").execute(piece)
+            except SqlError as error:
+                outcome = run_script(ServerProduct(dialect("PG")), [parsed])
+                assert outcome.statements[0].error == str(error), piece
+                failed += 1
+        assert failed > 100
+
+    def test_wal_records_equal_translating_the_bound_text(self):
+        from repro.workload import schema
+        from repro.workload.generator import TpccGenerator
+
+        medium = MemoryMedium()
+        server = DiverseServer(
+            [make_server(key) for key in SERVER_KEYS],
+            config=ServerConfig(durability=DurabilityManager(medium)),
+        )
+        for sql in [*schema.SCHEMA_STATEMENTS, *schema.populate_statements()[:60]]:
+            server.execute(sql)
+        server.execute("CREATE TABLE spelled (a NUMBER(8,2), b VARCHAR2(10))")
+        server.execute("INSERT INTO spelled VALUES (-1.5, NVL(NULL, 'x'))")
+        for index, transaction in enumerate(TpccGenerator(seed=1).transactions(30)):
+            if index % 2:
+                for statement in transaction.statements:
+                    server.execute(statement)
+            else:
+                for template, params in transaction.calls:
+                    server.prepare(template).execute(params)
+        for key in SERVER_KEYS:
+            records = server.durability.store(key).wal.scan().records
+            assert [record.sql for record in records] == [
+                translate_script(sql, key) for sql in server.write_log
+            ], key
 
 
 class TestLikeProperties:

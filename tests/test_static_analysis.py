@@ -29,7 +29,7 @@ from repro.faults import (
     StallEffect,
 )
 from repro.middleware import DiverseServer, ReplicaState, SupervisorPolicy
-from repro.middleware.normalizer import normalize_value
+from repro.sqlengine.values import normalize_value
 from repro.servers import make_server
 from repro.sqlengine.parser import parse_statement
 

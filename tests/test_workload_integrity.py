@@ -62,7 +62,7 @@ class TestCrossServerDeterminism:
         """The same transaction stream leaves byte-identical state on
         all four products — the invariant that makes the middleware's
         comparison sound on fault-free replicas."""
-        from repro.middleware.normalizer import normalize_row
+        from repro.sqlengine.values import normalize_row
 
         def state_of(server):
             tables = sorted(t.name for t in server.engine.catalog.tables())
