@@ -106,8 +106,9 @@ from repro.analysis.verdicts import predicted_hosts
 from repro.analysis.reachability import unreachable_faults
 from repro.analysis.schema import ScriptSchema
 from repro.dialects.features import SERVER_KEYS, dialect
-from repro.dialects.translator import translate_script, translation_verdict
+from repro.dialects.translator import translation_verdict
 from repro.errors import FeatureNotSupported
+from repro.sqlengine.engine import ParsedStatement
 from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 
@@ -260,9 +261,11 @@ def _check_slice_reproduction(corpus: "Corpus") -> list[LintFinding]:
         sliced = minimize_report(report)
         if not sliced.dropped:
             continue  # slice == full script: nothing to drift
-        for server in SERVER_KEYS:
-            full = runner.run_cell(report, server)
-            reduced = runner.run_cell(report, server, script=sliced.sql)
+        # All full cells before all sliced ones: the runner scans and
+        # parses each script once for its four cells.
+        fulls = [runner.run_cell(report, server) for server in SERVER_KEYS]
+        reduceds = [runner.run_cell(report, server, script=sliced.sql) for server in SERVER_KEYS]
+        for server, full, reduced in zip(SERVER_KEYS, fulls, reduceds):
             same = (
                 full.kind is reduced.kind
                 and full.failure_kind is reduced.failure_kind
@@ -297,7 +300,7 @@ def _check_agree_proven(corpus: "Corpus") -> list[LintFinding]:
     """AGREE_PROVEN product pairs must never dynamically diverge on the
     corpus without an active fault."""
     from repro.servers.product import ServerProduct
-    from repro.study.runner import run_script
+    from repro.study.runner import ScriptPieces, run_script
 
     pristine = {server: ServerProduct(dialect(server)) for server in SERVER_KEYS}
     findings: list[LintFinding] = []
@@ -305,21 +308,24 @@ def _check_agree_proven(corpus: "Corpus") -> list[LintFinding]:
         servers = sorted(report.runnable_on)
         if len(servers) < 2:
             continue
+        pieces = ScriptPieces(report.script)
         outcomes = {}
         for server in servers:
-            if server == report.reported_for:
-                script = report.script
-            else:
-                try:
-                    script = translate_script(report.script, server)
-                except FeatureNotSupported:  # pragma: no cover - drift check
-                    continue
+            try:
+                script = (
+                    pieces.home if server == report.reported_for
+                    else pieces.translated(server)
+                )
+            except FeatureNotSupported:  # pragma: no cover - drift check
+                continue
             pristine[server].reset()
             outcomes[server] = run_script(pristine[server], script).normalized_signature()
-        statements = split_statements(report.script)
         schema = ScriptSchema()
-        for index, statement_sql in enumerate(statements):
-            stmt = parse_statement(statement_sql)
+        for index, piece in enumerate(pieces.home):
+            stmt = (
+                piece.statement if isinstance(piece, ParsedStatement)
+                else parse_statement(piece)
+            )
             divergence = analyze_divergence(stmt, schema)
             schema.observe(stmt)
             for i, a in enumerate(servers):

@@ -12,8 +12,8 @@
    (:func:`repro.sqlengine.lexer.render_tokens`).
 
 Steps 2 and 3 are :func:`translate_tokens`, which the middleware's
-pipeline and the durability WAL (for a bound prepared write) call on
-the one scan they already hold.
+pipeline, the durability WAL (for a bound prepared write) and the study
+(for a bug script) call on the one scan they already hold.
 The rewrite works on the token stream, so comments vanish and spacing
 normalises, but string literals and quoted identifiers survive exactly.
 """
@@ -55,7 +55,7 @@ def translate_tokens(
     ``traits`` are those of what ``tokens`` parse to.  Returns the
     translated text and whether the rewrite renamed a token; when it
     did not, the text parses to what ``tokens`` parse to, so the
-    middleware's pipeline hands the replica its own parse.  Raises
+    middleware's pipeline and the study hand a server their own parse.  Raises
     :class:`FeatureNotSupported` like :func:`translate_script`.
     """
     descriptor.validate(None, traits)

@@ -29,7 +29,7 @@ Tag vocabulary (stable, part of the public API):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.functions import AGGREGATE_NAMES
@@ -266,9 +266,13 @@ def _walk_expression(expr: ast.Expression, traits: StatementTraits) -> None:
 
 def script_traits(statements: list[ast.Statement]) -> StatementTraits:
     """Union of traits over a whole script (kind = 'script')."""
+    return union_traits(extract_traits(stmt) for stmt in statements)
+
+
+def union_traits(traits: Iterable[StatementTraits]) -> StatementTraits:
+    """Union of the statements' traits (kind = 'script')."""
     combined = StatementTraits(kind="script")
-    for stmt in statements:
-        traits = extract_traits(stmt)
-        combined.tags |= traits.tags
-        combined.relations |= traits.relations
+    for each in traits:
+        combined.tags |= each.tags
+        combined.relations |= each.relations
     return combined

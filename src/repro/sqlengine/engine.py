@@ -33,6 +33,7 @@ from repro.sqlengine.parser import parse_prepared, parse_script
 from repro.sqlengine.plan.dml import compile_statement
 from repro.sqlengine.plan.logical import PlanRuntimeFallback
 from repro.sqlengine.storage import Storage
+from repro.sqlengine.tokens import Token
 from repro.sqlengine.transactions import TransactionManager
 from repro.sqlengine.typenames import resolve_type
 from repro.sqlengine.types import cast_value
@@ -78,9 +79,10 @@ class ParsedStatement(NamedTuple):
     param_count: int
 
     @classmethod
-    def parse(cls, sql: str) -> "ParsedStatement":
-        """Parse ``sql``, one statement (``?`` placeholders allowed)."""
-        statement, positions = parse_prepared(sql)
+    def parse(cls, sql: str, tokens: Optional[list[Token]] = None) -> "ParsedStatement":
+        """Parse ``sql``, one statement (``?`` placeholders allowed),
+        from ``tokens`` when the caller already holds its scan."""
+        statement, positions = parse_prepared(sql if tokens is None else tokens)
         return cls(sql, statement, extract_traits(statement), len(positions))
 
 
@@ -93,12 +95,15 @@ def executable_text(sql: Executable) -> str:
     return sql if isinstance(sql, str) else sql.sql
 
 
-def parse_once(sql: str) -> Executable:
+def parse_once(sql: str, tokens: Optional[list[Token]] = None) -> Executable:
     """``sql`` parsed once, for running on several engines — or the
     text itself when it is not exactly one statement, so that each
-    engine runs or rejects it exactly as it would the text."""
+    engine runs or rejects it exactly as it would the text.
+
+    ``tokens`` (ending in EOF) stand in for scanning ``sql``: a piece
+    of a longer scan, say, whose text is their rendering."""
     try:
-        return ParsedStatement.parse(sql)
+        return ParsedStatement.parse(sql, tokens)
     except SqlError:
         return sql
 

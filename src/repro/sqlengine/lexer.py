@@ -9,8 +9,8 @@ block comments, and the operator and punctuation sets in
 
 :func:`render_tokens` is the inverse every layer shares (translated
 text, and therefore WAL, checkpoint and wire bytes, is whatever it
-renders), and :func:`split_statements` cuts a script at its top-level
-semicolons and renders each piece.
+renders).  :func:`split_tokens` cuts a scan at its top-level semicolons,
+and :func:`split_statements` renders each piece it cuts from a script.
 """
 
 from __future__ import annotations
@@ -150,19 +150,25 @@ def _token_text(token: Token) -> str:
     return token.value
 
 
-def split_statements(sql: str) -> list[str]:
-    """Split a script into individual statements at top-level semicolons."""
-    statements: list[str] = []
+def split_tokens(tokens: list[Token]) -> list[list[Token]]:
+    """Cut a scan at its top-level semicolons: the non-empty pieces,
+    without the semicolons and the EOF token."""
+    pieces: list[list[Token]] = []
     current: list[Token] = []
-    for token in tokenize(sql):
+    for token in tokens:
         if token.kind is TokenKind.EOF:
             break
         if token.kind is TokenKind.PUNCT and token.value == ";":
             if current:
-                statements.append(render_tokens(current))
+                pieces.append(current)
                 current = []
             continue
         current.append(token)
     if current:
-        statements.append(render_tokens(current))
-    return statements
+        pieces.append(current)
+    return pieces
+
+
+def split_statements(sql: str) -> list[str]:
+    """Split a script into individual statements at top-level semicolons."""
+    return [render_tokens(piece) for piece in split_tokens(tokenize(sql))]

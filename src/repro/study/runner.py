@@ -9,12 +9,13 @@ from typing import Optional
 from repro.bugs.corpus import Corpus, build_corpus
 from repro.bugs.report import BugReport
 from repro.dialects.features import SERVER_KEYS, dialect
-from repro.dialects.translator import translate_script
+from repro.dialects.translator import translate_script, translate_tokens
 from repro.errors import EngineCrash, FeatureNotSupported, SqlError
 from repro.faults.spec import FaultSpec
 from repro.servers.product import ServerProduct
-from repro.sqlengine.engine import Executable, parse_once
-from repro.sqlengine.lexer import split_statements
+from repro.sqlengine.analysis import union_traits
+from repro.sqlengine.engine import Executable, ParsedStatement, parse_once
+from repro.sqlengine.lexer import render_tokens, split_statements, split_tokens, tokenize
 from repro.study.classify import (
     CellOutcome,
     OutcomeKind,
@@ -59,6 +60,43 @@ def parse_pieces(sql: str) -> list[Executable]:
     """The statements of a script, each parsed once (see
     :func:`~repro.sqlengine.engine.parse_once`)."""
     return [parse_once(piece) for piece in split_statements(sql)]
+
+
+class ScriptPieces:
+    """A script scanned once, cut at its top-level semicolons once and
+    each piece parsed once, for every server it runs on.
+
+    Each piece's text is what :func:`split_statements` gives and its
+    parse what :func:`parse_pieces` gives, so a server sees what it
+    would have seen of the text.
+    """
+
+    def __init__(self, script: str) -> None:
+        self.script = script
+        self._tokens = tokenize(script)
+        eof = self._tokens[-1]
+        #: The pieces in the script's own dialect.
+        self.home: list[Executable] = [
+            parse_once(render_tokens(piece), [*piece, eof])
+            for piece in split_tokens(self._tokens)
+        ]
+        parsed = [piece for piece in self.home if isinstance(piece, ParsedStatement)]
+        #: The dialect gate's input, ``script_traits(parse_script(script))``;
+        #: None when a piece is not exactly one statement.
+        self._traits = (
+            union_traits(piece.traits for piece in parsed)
+            if len(parsed) == len(self.home)
+            else None
+        )
+
+    def translated(self, target: str) -> list[Executable]:
+        """``parse_pieces(translate_script(script, target))``, raising
+        like :func:`translate_script`: the home pieces themselves when
+        the translation renames nothing."""
+        if self._traits is None:
+            return parse_pieces(translate_script(self.script, target))
+        text, renamed = translate_tokens(self._tokens, self._traits, dialect(target))
+        return parse_pieces(text) if renamed else self.home
 
 
 @dataclass
@@ -113,6 +151,8 @@ class StudyRunner:
         self._fault_index: dict[str, dict[str, FaultSpec]] = {
             key: {fault.fault_id: fault for fault in faults[key]} for key in SERVER_KEYS
         }
+        #: The last script's pieces: the cells of one bug run in a row.
+        self._last: Optional[ScriptPieces] = None
 
     def run_cell(
         self, report: BugReport, target: str, *, script: Optional[str] = None
@@ -124,17 +164,15 @@ class StudyRunner:
         trigger slice through the exact same pipeline).
         """
         source = report.script if script is None else script
-        if target != report.reported_for:
-            if target in report.translation_pending:
-                return CellOutcome(kind=OutcomeKind.FURTHER_WORK)
-            try:
-                script = translate_script(source, target)
-            except FeatureNotSupported as missing:
-                return CellOutcome(
-                    kind=OutcomeKind.CANNOT_RUN, missing_feature=missing.feature
-                )
-        else:
-            script = source
+        home = target == report.reported_for
+        if not home and target in report.translation_pending:
+            return CellOutcome(kind=OutcomeKind.FURTHER_WORK)
+        if self._last is None or self._last.script != source:
+            self._last = ScriptPieces(source)
+        try:
+            pieces = self._last.home if home else self._last.translated(target)
+        except FeatureNotSupported as missing:
+            return CellOutcome(kind=OutcomeKind.CANNOT_RUN, missing_feature=missing.feature)
 
         faulty_server = self.faulty[target]
         oracle_server = self.oracle[target]
@@ -143,7 +181,6 @@ class StudyRunner:
         if faulty_server.crashed:  # pragma: no cover - reset clears crashes
             faulty_server.restart()
 
-        pieces = parse_pieces(script)
         before = set(faulty_server.injector.fired_fault_ids)
         faulty = run_script(faulty_server, pieces)
         fired = frozenset(faulty_server.injector.fired_fault_ids - before)

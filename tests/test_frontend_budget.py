@@ -21,7 +21,7 @@ from repro.middleware import DiverseServer
 from repro.servers import make_server
 from repro.sqlengine import lexer, parser
 from repro.sqlengine.lexer import split_statements
-from repro.study.runner import StudyRunner
+from repro.study.runner import ScriptPieces, StudyRunner
 
 KEYS = ("IB", "PG", "OR", "MS")
 
@@ -128,22 +128,33 @@ def test_literal_durable_write_logs_the_translations_it_ran(front_end):
     assert server.stats.wal_records == records + 4
 
 
-@pytest.mark.parametrize("foreign", [False, True])
-def test_study_cell_parses_each_piece_once_for_the_pair(front_end, corpus, foreign):
+def _renamed_targets(report) -> int:
+    """How many of the bug's foreign targets its translation renames a
+    token for (they re-parse the translated text)."""
+    pieces = ScriptPieces(report.script)
+    return sum(
+        pieces.translated(key) is not pieces.home for key in KEYS if key != report.reported_for
+    )
+
+
+@pytest.mark.parametrize("renamed", [False, True])
+def test_study_bug_scans_once_and_parses_each_piece_once(front_end, corpus, renamed):
     report = next(
         report for report in corpus
-        if len(report.runnable_on) == 4 and len(split_statements(report.script)) > 3
+        if len(report.runnable_on) == 4
+        and len(split_statements(report.script)) > 3
+        and (_renamed_targets(report) > 0) == renamed
     )
-    target = next(key for key in KEYS if (key != report.reported_for) == foreign)
     runner = StudyRunner(corpus)
     pieces = len(split_statements(report.script))
+    renames = _renamed_targets(report)
     front_end.reset()
-    runner.run_cell(report, target)
-    # A foreign target adds translate_script's one scan and parse of the
-    # whole script; the faulty and the oracle server share the pieces'.
-    translation = 1 if foreign else 0
-    assert front_end.parses == pieces + translation
-    assert front_end.scans == 1 + pieces + translation
+    for target in KEYS:
+        runner.run_cell(report, target)
+    # One scan and one parse per piece serve all four cells; a target
+    # whose translation renames a token splits and parses its text.
+    assert front_end.scans == 1 + renames * (1 + pieces)
+    assert front_end.parses == pieces + renames * pieces
 
 
 def test_hunt_round_parses_each_distinct_text_once(front_end):

@@ -47,7 +47,13 @@ def test_middleware_and_durability_do_not_import_study():
 
 
 def test_analysis_imports_study_only_to_run_scripts():
-    assert names_from("analysis", "study") <= {"StudyRunner", "run_script"}
+    assert names_from("analysis", "study") <= {"ScriptPieces", "StudyRunner", "run_script"}
+
+
+def test_the_study_imports_no_private_name():
+    for package in ("dialects", "sqlengine"):
+        private = {name for name in names_from("study", package) if name.startswith("_")}
+        assert private == set(), package
 
 
 def test_the_engine_imports_none_of_the_layers_that_run_it():

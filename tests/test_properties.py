@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import re
 from decimal import Decimal
 
 import pytest
@@ -33,7 +34,8 @@ from repro.sqlengine.values import (
     tri_not,
     tri_or,
 )
-from repro.study.runner import parse_pieces, run_script
+from repro.study.classify import classify_run
+from repro.study.runner import ScriptPieces, StudyRunner, parse_pieces, run_script
 
 tribool = st.sampled_from([True, False, None])
 
@@ -212,6 +214,18 @@ def _pieces(corpus):
     return [piece for report in corpus for piece in split_statements(report.script)]
 
 
+def _classify_text(runner, key, text):
+    """One cell classified with no pieces parsed ahead: each server
+    splits the text and runs every piece as text."""
+    faulty, oracle = runner.faulty[key], runner.oracle[key]
+    faulty.reset()
+    oracle.reset()
+    faulty_run = run_script(faulty, text)
+    fired = frozenset(faulty.injector.fired_fault_ids)
+    catalog = {fault.fault_id: fault for fault in faulty.injector.faults()}
+    return classify_run(faulty_run, run_script(oracle, text), fired, catalog)
+
+
 def _hunt_texts(rounds=150):
     generator = PredicateGenerator(seed=1)
     texts = generator.schema_statements()
@@ -245,18 +259,65 @@ class TestOneParsePerStatement:
                 assert entry.traits == extract_traits(entry.statement), (sql, key)
 
     def test_study_pieces_equal_parsing_each_piece(self, corpus):
+        """The pieces the study hands each server, from one scan and one
+        parse per piece of the home script, are what splitting the
+        translated script and parsing each piece gives."""
+        renamed = 0
         for report in corpus:
+            shared = ScriptPieces(report.script)
             for key in SERVER_KEYS:
+                home = key == report.reported_for
                 try:
-                    script = translate_script(report.script, key)
-                except FeatureNotSupported:
+                    script = report.script if home else translate_script(report.script, key)
+                except FeatureNotSupported as refusal:
+                    with pytest.raises(FeatureNotSupported) as raised:
+                        shared.translated(key)
+                    assert raised.value.feature == refusal.feature
                     continue
                 pieces = split_statements(script)
                 parsed = parse_pieces(script)
+                handed = shared.home if home else shared.translated(key)
+                renamed += handed is not shared.home
+                assert handed == parsed, (report.bug_id, key)
                 assert [entry.sql for entry in parsed] == pieces
                 for piece, entry in zip(pieces, parsed):
                     assert [entry.statement] == parse_script(piece), piece
                     assert entry.traits == extract_traits(entry.statement), piece
+        assert renamed > 0
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            "CREATE TABLE t (a INTEGER, b VARCHAR(10)); INSERT INTO t VALUES (1, 'x');"
+            " SELECT a FROM t SELECT b FROM t; SELECT a, b FROM t",
+            "CREATE TABLE t (a INTEGER, b VARCHAR(10)); INSERT INTO t VALUES (1, 'x';"
+            " SELECT a FROM t",
+        ],
+        ids=["two-statements-one-piece", "piece-does-not-parse"],
+    )
+    def test_study_script_with_an_unparsed_piece_runs_as_text(self, corpus, script):
+        """A script with a piece that is not exactly one statement is
+        translated as text: each server gets the translated text's
+        pieces, or the translation's error, and classifies as it would
+        the text."""
+        report = next(report for report in corpus if not report.translation_pending)
+        runner = StudyRunner(corpus)
+        shared = ScriptPieces(script)
+        assert shared.home == parse_pieces(script)
+        assert any(isinstance(piece, str) for piece in shared.home)
+        for key in SERVER_KEYS:
+            home = key == report.reported_for
+            try:
+                text = script if home else translate_script(script, key)
+            except SqlError as error:
+                with pytest.raises(type(error), match=re.escape(str(error))):
+                    runner.run_cell(report, key, script=script)
+                continue
+            if not home:
+                assert shared.translated(key) == parse_pieces(text)
+            assert runner.run_cell(report, key, script=script) == _classify_text(
+                runner, key, text
+            ), key
 
     def test_a_piece_that_does_not_parse_fails_as_the_engine_fails_it(self, corpus):
         """A piece that is not one statement is handed on as its text, so
