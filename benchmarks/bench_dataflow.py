@@ -3,7 +3,7 @@
 Three measurements:
 
 * **Slice-size reduction** — every corpus bug script minimized to its
-  static trigger slice (:func:`repro.analysis.dataflow.minimize_report`);
+  static trigger slice (:func:`repro.bugs.corpus.minimize_report`);
   reports the corpus-wide statement reduction (the lint separately
   proves every slice reproduces its ground-truth classification).
 * **Analyzer throughput** — def/use extraction plus divergence
@@ -39,10 +39,10 @@ SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.analysis import ScriptSchema, minimize_report  # noqa: E402
+from repro.analysis import ScriptSchema  # noqa: E402
 from repro.analysis.dataflow import statement_def_use  # noqa: E402
 from repro.analysis.divergence import analyze_divergence  # noqa: E402
-from repro.bugs import build_corpus  # noqa: E402
+from repro.bugs import build_corpus, minimize_report  # noqa: E402
 from repro.faults import (  # noqa: E402
     DialectRenderEffect,
     FaultSpec,

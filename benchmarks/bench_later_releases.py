@@ -12,7 +12,7 @@ paper's general conclusions persist:
 """
 
 
-from repro.servers.releases import release_fault_catalogs
+from repro.study.releases import release_fault_catalogs
 from repro.study import build_table2, build_table3, build_table4, run_study
 
 

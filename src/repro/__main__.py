@@ -192,13 +192,13 @@ def cmd_report(path: str) -> int:
 
 
 def cmd_lint(as_json: bool = False) -> int:
-    from repro.analysis import run_lint
+    from repro.analysis.lint import run_lint
 
     return run_lint(build_corpus(), as_json=as_json)
 
 
 def cmd_slice(bug_id: str) -> int:
-    from repro.analysis import minimize_report
+    from repro.bugs import minimize_report
 
     corpus = build_corpus()
     matches = [report for report in corpus if report.bug_id == bug_id]

@@ -23,8 +23,9 @@ Three *script-level* layers compose the per-statement facts:
 * **Whole-script dataflow** (:mod:`repro.analysis.dataflow`) — per
   statement def/use sets over (table, column) cells, a def-use graph,
   backward slices, dead-statement/dead-column findings, and static
-  minimization of every corpus bug script to its trigger slice
-  (:func:`minimize_report`), validated dynamically by the lint.
+  minimization of a script to the slice its targets and fault triggers
+  need (:func:`minimize_script`; :func:`repro.bugs.minimize_report`
+  applies it to a corpus bug script), validated dynamically by the lint.
 * **Dialect-divergence abstract interpretation**
   (:mod:`repro.analysis.divergence`) — per product pair, can these two
   products legitimately disagree on this statement?  ``AGREE_PROVEN`` /
@@ -43,13 +44,19 @@ Three *script-level* layers compose the per-statement facts:
   (:func:`commutes_with_footprint`) the served dispatcher uses to admit
   statements past an open transaction instead of parking them.
 
-``python -m repro lint`` (:func:`run_lint`) gates all of it in CI.
+Everything exported here is a function of SQL text and schema (at most
+a bare :class:`~repro.sqlengine.engine.Engine` certifies a rewrite): it
+runs no product, fault or middleware, so the package sits below all
+three in the layer table (DESIGN.md section 3).
+The one exception is :mod:`repro.analysis.lint`, which runs the corpus
+through the study harness and is therefore imported on its own:
+``python -m repro lint`` (:func:`repro.analysis.lint.run_lint`) gates
+all of it in CI.
 """
 
 from repro.analysis.conflicts import (
     AnomalyKind,
     AnomalyWitness,
-    ConcurrencyRepro,
     ConflictKind,
     InterleavingReport,
     PairConflict,
@@ -59,7 +66,6 @@ from repro.analysis.conflicts import (
     classify_pair,
     classify_statements,
     commutes_with_footprint,
-    concurrency_fault_bank,
     session_transactions,
 )
 
@@ -69,7 +75,6 @@ from repro.analysis.dataflow import (
     SliceResult,
     StatementNode,
     build_graph,
-    minimize_report,
     minimize_script,
     statement_def_use,
 )
@@ -82,7 +87,6 @@ from repro.analysis.divergence import (
     StatementDivergence,
     analyze_divergence,
 )
-from repro.analysis.lint import LintFinding, lint_corpus, run_lint
 from repro.analysis.predicates import (
     AbstractTruth,
     AbstractValue,
@@ -126,7 +130,6 @@ __all__ = [
     "AccessVerdict",
     "AnomalyKind",
     "AnomalyWitness",
-    "ConcurrencyRepro",
     "ConflictKind",
     "DeadPredicateFinding",
     "DefUse",
@@ -135,7 +138,6 @@ __all__ = [
     "DivergenceVerdict",
     "InterleavingReport",
     "Interval",
-    "LintFinding",
     "PairConflict",
     "OrderVerdict",
     "PROFILES",
@@ -169,13 +171,9 @@ __all__ = [
     "classify_pair",
     "classify_statements",
     "commutes_with_footprint",
-    "concurrency_fault_bank",
     "fault_reachability",
-    "lint_corpus",
-    "minimize_report",
     "minimize_script",
     "predicted_hosts",
-    "run_lint",
     "script_contexts",
     "script_portability",
     "server_contexts",

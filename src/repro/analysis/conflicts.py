@@ -35,30 +35,23 @@ Three layers of fact, each consumed somewhere concrete:
   (unresolved columns widen to ``(relation, "*")``) can only add
   conflicts, so SERIALIZABLE_PROVEN is sound.
 
-The module also hosts the concurrency-anomaly bug bank
-(:func:`concurrency_fault_bank`): minimized two-session repros, one
-per anomaly family, each paired with the
-:class:`~repro.faults.effects.ConcurrencyAnomalyEffect` fault that
-simulates a product exhibiting it.  ``python -m repro lint`` gates the
-bank: every fault trigger must be reachable from its own repro's
-statements, and the analyzer must predict the banked anomaly.
+The concurrency-anomaly bug bank that exercises these verdicts
+(:func:`repro.faults.audit.concurrency_fault_bank`) lives with the
+fault audit; ``python -m repro lint`` checks that the analyzer predicts
+each banked :class:`AnomalyKind`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.dataflow import Cell, DefUse, statement_def_use
 from repro.analysis.schema import ScriptSchema
 from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.effects import Effect
-    from repro.faults.spec import FaultSpec
 
 
 class ConflictKind(Enum):
@@ -693,162 +686,3 @@ def analyze_sessions(
         verdict=verdict,
         pair_counts=pair_counts,
     )
-
-
-# --------------------------------------------------------------------------
-# Concurrency-anomaly bug bank
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConcurrencyRepro:
-    """One banked anomaly: minimized two-session repro + seeded fault."""
-
-    bug_id: str
-    server: str
-    description: str
-    anomaly: AnomalyKind
-    setup: str
-    sessions: Tuple[str, ...]
-    fault: "FaultSpec"
-
-
-def concurrency_fault_bank() -> List[ConcurrencyRepro]:
-    """Minimized repros, one per anomaly family.
-
-    Each entry pairs session scripts the analyzer must flag (the
-    ``concurrency-certificate-drift`` lint check) with a
-    :class:`~repro.faults.effects.ConcurrencyAnomalyEffect` fault whose
-    trigger must match a statement of the repro (the
-    ``concurrency-dead-fault`` check) — modelling a product whose broken
-    isolation exhibits exactly that anomaly.
-    """
-    from repro.faults import (
-        Detectability,
-        DirtyReadEffect,
-        FailureKind,
-        FaultSpec,
-        LostUpdateEffect,
-        PhantomRowEffect,
-        SqlPatternTrigger,
-    )
-
-    def spec(
-        fault_id: str, description: str, pattern: str, effect: "Effect"
-    ) -> "FaultSpec":
-        return FaultSpec(
-            fault_id,
-            description,
-            SqlPatternTrigger(pattern),
-            effect,
-            kind=FailureKind.CONCURRENCY,
-            detectability=Detectability.NON_SELF_EVIDENT,
-        )
-
-    return [
-        ConcurrencyRepro(
-            bug_id="CONC-LOSTUPDATE",
-            server="IB",
-            description="concurrent balance increments overwrite each other",
-            anomaly=AnomalyKind.LOST_UPDATE,
-            setup=(
-                "CREATE TABLE account (acct_id INTEGER PRIMARY KEY, "
-                "balance INTEGER);\n"
-                "INSERT INTO account (acct_id, balance) VALUES (1, 100)"
-            ),
-            sessions=(
-                "BEGIN;\n"
-                "SELECT balance FROM account WHERE acct_id = 1;\n"
-                "UPDATE account SET balance = 110 WHERE acct_id = 1;\n"
-                "COMMIT",
-                "BEGIN;\n"
-                "SELECT balance FROM account WHERE acct_id = 1;\n"
-                "UPDATE account SET balance = 125 WHERE acct_id = 1;\n"
-                "COMMIT",
-            ),
-            fault=spec(
-                "CONC-LOSTUPDATE",
-                "reads return the pre-update balance: a concurrent "
-                "increment is silently lost",
-                r"SELECT\s+balance\s+FROM\s+account",
-                LostUpdateEffect(delta=10),
-            ),
-        ),
-        ConcurrencyRepro(
-            bug_id="CONC-DIRTYREAD",
-            server="OR",
-            description="a rolled-back wallet update is visible to readers",
-            anomaly=AnomalyKind.DIRTY_READ,
-            setup=(
-                "CREATE TABLE wallet (wallet_id INTEGER PRIMARY KEY, "
-                "amount INTEGER);\n"
-                "INSERT INTO wallet (wallet_id, amount) VALUES (1, 40)"
-            ),
-            sessions=(
-                "BEGIN;\n"
-                "UPDATE wallet SET amount = 140 WHERE wallet_id = 1;\n"
-                "ROLLBACK",
-                "SELECT amount FROM wallet WHERE wallet_id = 1",
-            ),
-            fault=spec(
-                "CONC-DIRTYREAD",
-                "reads observe another transaction's uncommitted write",
-                r"SELECT\s+amount\s+FROM\s+wallet",
-                DirtyReadEffect(delta=100),
-            ),
-        ),
-        ConcurrencyRepro(
-            bug_id="CONC-PHANTOM",
-            server="PG",
-            description="a repeated predicate scan returns a phantom row",
-            anomaly=AnomalyKind.PHANTOM,
-            setup=(
-                "CREATE TABLE audit_log (entry_id INTEGER PRIMARY KEY, "
-                "severity INTEGER);\n"
-                "INSERT INTO audit_log (entry_id, severity) VALUES (1, 2);\n"
-                "INSERT INTO audit_log (entry_id, severity) VALUES (2, 4)"
-            ),
-            sessions=(
-                "BEGIN;\n"
-                "SELECT entry_id FROM audit_log WHERE severity > 1;\n"
-                "SELECT entry_id FROM audit_log WHERE severity > 1;\n"
-                "COMMIT",
-                "INSERT INTO audit_log (entry_id, severity) VALUES (3, 5)",
-            ),
-            fault=spec(
-                "CONC-PHANTOM",
-                "a predicate scan returns a row no committed state contains",
-                r"SELECT\s+entry_id\s+FROM\s+audit_log",
-                PhantomRowEffect(),
-            ),
-        ),
-        ConcurrencyRepro(
-            bug_id="CONC-WRITESKEW",
-            server="MS",
-            description="two duty-roster updates each trust the other's pre-image",
-            anomaly=AnomalyKind.WRITE_SKEW,
-            setup=(
-                "CREATE TABLE oncall (ward INTEGER PRIMARY KEY, "
-                "day_duty INTEGER, night_duty INTEGER);\n"
-                "INSERT INTO oncall (ward, day_duty, night_duty) "
-                "VALUES (1, 1, 1)"
-            ),
-            sessions=(
-                "BEGIN;\n"
-                "SELECT night_duty FROM oncall WHERE ward = 1;\n"
-                "UPDATE oncall SET day_duty = 0 WHERE ward = 1;\n"
-                "COMMIT",
-                "BEGIN;\n"
-                "SELECT day_duty FROM oncall WHERE ward = 1;\n"
-                "UPDATE oncall SET night_duty = 0 WHERE ward = 1;\n"
-                "COMMIT",
-            ),
-            fault=spec(
-                "CONC-WRITESKEW",
-                "duty reads return soon-stale values, letting both wards "
-                "go off duty",
-                r"SELECT\s+day_duty\s+FROM\s+oncall",
-                DirtyReadEffect(delta=1),
-            ),
-        ),
-    ]

@@ -15,13 +15,15 @@ facts fall out:
   reference cannot be resolved, the whole relation is assumed.
 * **Dead statements / dead columns** — writes whose effects no later
   SELECT can observe, and created columns no statement ever reads.
-* **Script minimization** (:func:`minimize_report`) — every corpus bug
-  script shrunk to its *trigger slice*: the backward slice of (a) every
-  statement any of the report's seeded fault triggers matches, on any
-  server that hosts the script, and (b) one carrier statement per gated
-  dialect feature the full script uses, so the static portability
-  prediction (and hence the CANNOT_RUN / FURTHER_WORK cells of Table 1)
-  is byte-for-byte preserved.  ``python -m repro lint`` validates every
+* **Script minimization** (:func:`minimize_script`) — a script shrunk
+  to the backward slice of its targets and of every statement a fault
+  trigger matches (:func:`trigger_matches`).  Applied to a corpus bug
+  script (:func:`repro.bugs.minimize_report`) the anchors are the
+  report's seeded fault triggers on every hosting server plus one
+  carrier statement per gated dialect feature
+  (:func:`portability_anchors`), so the static portability prediction
+  (and hence the CANNOT_RUN / FURTHER_WORK cells of Table 1) is
+  byte-for-byte preserved.  ``python -m repro lint`` validates every
   slice dynamically against the ground truth classification.
 
 Cells
@@ -39,19 +41,16 @@ on every earlier statement and every later statement depends on it
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
+from repro.analysis.reachability import StaticContext
 from repro.analysis.schema import ScriptSchema, ViewInfo
 from repro.analysis.verdicts import WRITE_KINDS
 from repro.dialects.features import SERVER_KEYS, dialect
-from repro.errors import FeatureNotSupported
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
 from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bugs.report import BugReport
 
 #: One dependence cell: (relation, column | "*" | "@schema").
 Cell = tuple[str, str]
@@ -444,75 +443,19 @@ class SliceResult:
         return len(self.dropped) / total if total else 0.0
 
 
-def minimize_script(
-    sql: str,
-    targets: Iterable[int] = (),
-    faults: Iterable = (),
-    *,
-    keep_gated_features: bool = False,
-) -> SliceResult:
+def minimize_script(sql: str, targets: Iterable[int] = (), faults: Iterable = ()) -> SliceResult:
     """Shrink ``sql`` to the backward slice of the given targets plus
-    every statement any of ``faults``' triggers statically matches.
-
-    ``keep_gated_features=True`` additionally anchors one carrier
-    statement per gated dialect feature the script uses, preserving the
-    per-server portability prediction of the full script.
-    """
+    every statement any of ``faults``' triggers statically matches."""
     graph = build_graph(sql)
     anchors: dict[int, str] = {int(index): "target" for index in targets}
-    for index in _trigger_matches(sql, faults):
+    for index in trigger_matches(sql, faults):
         anchors.setdefault(index, "trigger")
-    if keep_gated_features:
-        for index in _portability_anchors(sql):
-            anchors.setdefault(index, "portability")
-    return _slice_result(graph, anchors)
+    return slice_graph(graph, anchors)
 
 
-def minimize_report(report: "BugReport") -> SliceResult:
-    """Shrink a corpus bug script to its trigger slice.
-
-    Anchors: every statement that any of the report's seeded fault
-    triggers matches — evaluated per hosting server on that server's
-    *translated* statement sequence (token-level translation preserves
-    statement count and order) — plus one carrier statement per gated
-    feature, so the CANNOT_RUN / FURTHER_WORK classification of every
-    server is preserved.  The paper's shared PostgreSQL clustered-index
-    fault is included whenever PostgreSQL hosts the script.
-    """
-    from repro.bugs.notable import pg_clustered_index_fault
-    from repro.dialects.translator import translate_script
-
-    graph = build_graph(report.script)
-    total = len(graph)
-    anchors: dict[int, str] = {}
-    for server in SERVER_KEYS:
-        if server not in report.runnable_on:
-            continue
-        faults = list(report.faults.get(server, []))
-        if server == "PG":
-            faults.append(pg_clustered_index_fault())
-        if not faults:
-            continue
-        if server == report.reported_for:
-            script = report.script
-        else:
-            try:
-                script = translate_script(report.script, server)
-            except FeatureNotSupported:  # pragma: no cover - lint territory
-                continue
-        if len(split_statements(script)) != total:  # pragma: no cover
-            # Translation changed the statement count: statement indices
-            # no longer align, so minimization cannot be trusted.
-            anchors.update({index: "trigger" for index in range(total)})
-            continue
-        for index in _trigger_matches(script, faults):
-            anchors.setdefault(index, "trigger")
-    for index in _portability_anchors(report.script):
-        anchors.setdefault(index, "portability")
-    return _slice_result(graph, anchors)
-
-
-def _slice_result(graph: ScriptGraph, anchors: dict[int, str]) -> SliceResult:
+def slice_graph(graph: ScriptGraph, anchors: dict[int, str]) -> SliceResult:
+    """The backward slice of ``graph`` closed over ``anchors`` (statement
+    index -> why it is kept)."""
     kept = graph.backward_slice(anchors.keys())
     kept_set = set(kept)
     dropped = [node.index for node in graph.nodes if node.index not in kept_set]
@@ -524,11 +467,9 @@ def _slice_result(graph: ScriptGraph, anchors: dict[int, str]) -> SliceResult:
     )
 
 
-def _trigger_matches(sql: str, faults: Iterable) -> set[int]:
+def trigger_matches(sql: str, faults: Iterable) -> set[int]:
     """Statement indices of ``sql`` whose serve- or recover-phase
     context any fault's trigger matches."""
-    from repro.analysis.reachability import StaticContext
-
     faults = list(faults)
     if not faults:
         return set()
@@ -549,7 +490,7 @@ def _trigger_matches(sql: str, faults: Iterable) -> set[int]:
     return matched
 
 
-def _portability_anchors(sql: str) -> set[int]:
+def portability_anchors(sql: str) -> set[int]:
     """Earliest carrier statement per gated tag missing on any server.
 
     A slice's traits are a subset of the full script's, so every

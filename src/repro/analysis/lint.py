@@ -25,7 +25,7 @@ the script-level analyses can silently drift apart:
 
 ``slice-drift``
     Every bug script's static trigger slice
-    (:func:`repro.analysis.dataflow.minimize_report`) must reproduce
+    (:func:`repro.bugs.corpus.minimize_report`) must reproduce
     the same per-server outcome classification as the full script when
     run through the study pipeline.  A mismatch means the def-use graph
     dropped a statement the bug actually needs.
@@ -57,8 +57,9 @@ three more checks:
     prefix-scan stop reason, the expected number of lost writes, and a
     prefix-consistent recovered state.
 
-The concurrency-anomaly bank (:mod:`repro.analysis.conflicts`) is
-gated by two checks:
+The concurrency-anomaly bank
+(:func:`repro.faults.audit.concurrency_fault_bank`) is gated by two
+checks:
 
 ``concurrency-dead-fault``
     Every banked concurrency fault's trigger must statically match at
@@ -98,22 +99,29 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
-from repro.analysis.dataflow import minimize_report
+from repro.analysis.conflicts import analyze_sessions
+from repro.analysis.dataflow import build_graph
 from repro.analysis.divergence import DivergenceKind, analyze_divergence
-from repro.analysis.verdicts import predicted_hosts
+from repro.analysis.predicates import certify_rewrites, summarize_statement
 from repro.analysis.reachability import unreachable_faults
 from repro.analysis.schema import ScriptSchema
+from repro.analysis.verdicts import predicted_hosts
+from repro.bugs.corpus import Corpus, minimize_report
 from repro.dialects.features import SERVER_KEYS, dialect
 from repro.dialects.translator import translation_verdict
-from repro.errors import FeatureNotSupported
-from repro.sqlengine.engine import ParsedStatement
+from repro.durability.bank import classify_repro, storage_fault_bank, trigger_slice_signature
+from repro.errors import FeatureNotSupported, ReproError
+from repro.faults.audit import concurrency_fault_bank, dead_concurrency_faults, dead_storage_faults
+from repro.servers.product import ServerProduct
+from repro.sqlengine.engine import Engine, ParsedStatement
 from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bugs.corpus import Corpus
+from repro.sqlengine.plan import PROBE_SCRIPTS, REWRITE_RULES, PhysicalSelect
+from repro.study.runner import ScriptPieces, StudyRunner, run_script
+from repro.workload.generator import TpccGenerator
+from repro.workload.schema import SCHEMA_STATEMENTS
 
 
 @dataclass(frozen=True)
@@ -253,8 +261,6 @@ def _check_dead_faults(corpus: "Corpus") -> list[LintFinding]:
 def _check_slice_reproduction(corpus: "Corpus") -> list[LintFinding]:
     """The static trigger slice of every bug script must classify the
     same as the full script, on every server."""
-    from repro.study.runner import StudyRunner
-
     runner = StudyRunner(corpus)
     findings: list[LintFinding] = []
     for report in corpus:
@@ -299,9 +305,6 @@ def _cell_label(cell) -> str:
 def _check_agree_proven(corpus: "Corpus") -> list[LintFinding]:
     """AGREE_PROVEN product pairs must never dynamically diverge on the
     corpus without an active fault."""
-    from repro.servers.product import ServerProduct
-    from repro.study.runner import ScriptPieces, run_script
-
     pristine = {server: ServerProduct(dialect(server)) for server in SERVER_KEYS}
     findings: list[LintFinding] = []
     for report in corpus:
@@ -359,13 +362,6 @@ def _check_storage_bank() -> list[LintFinding]:
     """The durability bug bank's own gate: reachable triggers, unique
     trigger slices, and power-cut classifications matching the banked
     ground truth."""
-    from repro.durability.bank import (
-        classify_repro,
-        storage_fault_bank,
-        trigger_slice_signature,
-    )
-    from repro.faults.audit import dead_storage_faults
-
     bank = storage_fault_bank()
     findings: list[LintFinding] = [
         LintFinding(
@@ -412,9 +408,6 @@ def _check_storage_bank() -> list[LintFinding]:
 def _check_concurrency_bank() -> list[LintFinding]:
     """The concurrency-anomaly bank's gate: reachable triggers and a
     conflict analyzer that still predicts every banked anomaly."""
-    from repro.analysis.conflicts import analyze_sessions, concurrency_fault_bank
-    from repro.faults.audit import dead_concurrency_faults
-
     bank = concurrency_fault_bank()
     findings: list[LintFinding] = [
         LintFinding(
@@ -450,8 +443,6 @@ def _check_rewrite_certificates() -> list[LintFinding]:
     that fails its enumeration/structural law — is an *error*: the
     planner would be applying a transformation nothing proves
     answer-preserving."""
-    from repro.analysis.predicates import certify_rewrites
-
     return [
         LintFinding(
             check="uncertified-rewrite",
@@ -467,8 +458,6 @@ def _check_dead_predicates(corpus: "Corpus") -> list[LintFinding]:
     """Warning-severity dead-predicate findings from the ternary-logic
     abstraction: WHERE clauses that can never (or always) hold and CASE
     arms no row can reach (:func:`repro.analysis.predicates.summarize_statement`)."""
-    from repro.analysis.predicates import summarize_statement
-
     findings: list[LintFinding] = []
     for report in corpus:
         schema = ScriptSchema()
@@ -493,8 +482,6 @@ def _check_dead_code(corpus: "Corpus") -> list[LintFinding]:
     """Warning-severity dead-code findings from each script's def-use
     graph.  Statements the trigger slice anchors are excluded — being
     invisible to SELECTs is often precisely the bug's point."""
-    from repro.analysis.dataflow import build_graph
-
     findings: list[LintFinding] = []
     for report in corpus:
         graph = build_graph(report.script)
@@ -537,12 +524,6 @@ def _check_dead_rewrites(corpus: "Corpus") -> list[LintFinding]:
     whose correctness nothing tests.  Statements are replayed on a
     pristine engine because rule applicability depends on live catalog
     state (index selection reads the unique-key sets)."""
-    from repro.errors import ReproError
-    from repro.sqlengine.engine import Engine
-    from repro.sqlengine.plan import PROBE_SCRIPTS, REWRITE_RULES, PhysicalSelect
-    from repro.workload.generator import TpccGenerator
-    from repro.workload.schema import SCHEMA_STATEMENTS
-
     all_rules = set(REWRITE_RULES)
     exercised: set[str] = set()
 

@@ -50,10 +50,31 @@ from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import VOLATILE_FUNCTIONS
 from repro.errors import TypeMismatch
 from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine.engine import Engine
+from repro.sqlengine.expressions import Evaluator, contains_aggregate
 from repro.sqlengine.functions import AGGREGATE_NAMES
+from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.plan import REWRITE_RULES, PhysicalSelect
+from repro.sqlengine.plan.logical import (
+    Aggregate,
+    CrossJoin,
+    Distinct,
+    DualScan,
+    Filter,
+    HashJoin,
+    IndexLookup,
+    Limit,
+    Project,
+    Scan,
+    Sort,
+    lower_select,
+)
+from repro.sqlengine.plan.physical import _join_key
+from repro.sqlengine.plan.rewrites import _NO_FOLD, _fold_binary, _fold_unary, projection_pruning
+from repro.sqlengine.sqlgen import render_expression, render_statement
 from repro.sqlengine.typenames import resolve_type
 from repro.sqlengine.types import TypeFamily
-from repro.sqlengine.values import tri_and, tri_not, tri_or
+from repro.sqlengine.values import sql_compare, sql_equal, tri_and, tri_not, tri_or
 
 Truth = Optional[bool]
 TruthSet = frozenset
@@ -869,8 +890,6 @@ def _tlp_blockers(stmt: ast.SelectStatement) -> list[str]:
         blockers.append("GROUP BY / HAVING aggregates across the partition")
     if stmt.limit is not None:
         blockers.append("LIMIT truncates partitions differently")
-    from repro.sqlengine.expressions import contains_aggregate
-
     for item in core.items:
         if not isinstance(item.expression, ast.Star) and contains_aggregate(
             item.expression
@@ -905,8 +924,6 @@ def tlp_partition(
     """
     if not isinstance(stmt, ast.SelectStatement) or _tlp_blockers(stmt):
         return None
-    from repro.sqlengine.sqlgen import render_statement
-
     core = stmt.body
     predicate = core.where
 
@@ -1117,9 +1134,6 @@ def _literal_fits(value: Any, fact: AbstractValue) -> bool:
 
 
 def _certify_constant_folding() -> tuple[str, ...]:
-    from repro.sqlengine.expressions import Evaluator
-    from repro.sqlengine.plan.rewrites import _NO_FOLD, _fold_binary, _fold_unary
-
     evaluator = Evaluator(None)
     checked = 0
     for op in _FOLD_BINARY_OPS:
@@ -1183,15 +1197,7 @@ def _certify_constant_folding() -> tuple[str, ...]:
     )
 
 
-def _fresh_engine():
-    from repro.sqlengine.engine import Engine
-
-    return Engine(name="certify")
-
-
 def _only_select_plan(engine):
-    from repro.sqlengine.plan import PhysicalSelect
-
     plans = [
         plan
         for _, _, plan in engine._plans.values()
@@ -1216,9 +1222,6 @@ def _check_key_collision_law(label: str) -> None:
     equal keys must mean ``sql_compare == 0`` and vice versa — that is
     what lets a hash table stand in for the equality predicate.
     """
-    from repro.sqlengine.plan.physical import _join_key
-    from repro.sqlengine.values import sql_compare
-
     for kind in ("n", "s", "d"):
         hashable = []
         for value in _FOLD_DOMAIN:
@@ -1237,8 +1240,6 @@ def _check_key_collision_law(label: str) -> None:
 
 
 def _certify_predicate_pushdown() -> tuple[str, ...]:
-    from repro.sqlengine.values import sql_compare, sql_equal
-
     # Law 1: conjunct splitting — a row passes WHERE (a AND b) iff it
     # passes the filter for a and the filter for b (filters keep TRUE
     # only), so staging conjuncts below the join preserves the row set.
@@ -1269,7 +1270,7 @@ def _certify_predicate_pushdown() -> tuple[str, ...]:
     # Law 4 (behavioral): the rule only fires when every conjunct is
     # total — pushing a raising conjunct below another would change
     # which rows it is evaluated on.
-    engine = _fresh_engine()
+    engine = Engine(name="certify")
     engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
     engine.execute("CREATE TABLE cert_b (id INTEGER PRIMARY KEY, ref INTEGER)")
     engine.execute(
@@ -1279,7 +1280,7 @@ def _certify_predicate_pushdown() -> tuple[str, ...]:
     plan = _only_select_plan(engine)
     if "predicate_pushdown" not in plan.applied_rules:
         raise CertificationError("rule did not fire on its total witness")
-    engine = _fresh_engine()
+    engine = Engine(name="certify")
     engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
     engine.execute(
         "CREATE TABLE cert_b (id INTEGER PRIMARY KEY, ref VARCHAR(8))"
@@ -1305,9 +1306,6 @@ def _certify_predicate_pushdown() -> tuple[str, ...]:
 
 
 def _certify_index_selection() -> tuple[str, ...]:
-    from repro.sqlengine.plan.logical import Filter, IndexLookup
-    from repro.sqlengine.values import sql_equal
-
     # Law 1: a NULL probe value matches nothing under both the equality
     # filter (UNKNOWN) and the lookup (no NULL keys) — agreeing on the
     # empty result.
@@ -1322,7 +1320,7 @@ def _certify_index_selection() -> tuple[str, ...]:
     # row-for-row, so the lookup only needs *completeness* (the unique
     # key guarantees at most one matching row and the collision law
     # guarantees it is found).
-    engine = _fresh_engine()
+    engine = Engine(name="certify")
     engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
     engine.execute("SELECT val FROM cert_a WHERE id = 1")
     plan = _only_select_plan(engine)
@@ -1346,7 +1344,7 @@ def _certify_index_selection() -> tuple[str, ...]:
             "rewritten plan dropped the re-checking Filter above the lookup"
         )
     # Law 4 (behavioral): a non-unique pin must decline.
-    engine = _fresh_engine()
+    engine = Engine(name="certify")
     engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
     engine.execute("SELECT id FROM cert_a WHERE val = 1")
     plan = _only_select_plan(engine)
@@ -1366,21 +1364,6 @@ def _certify_index_selection() -> tuple[str, ...]:
 def _plan_signature(node: Any) -> tuple:
     """Execution-relevant structural signature of a plan tree; excludes
     the annotation-only ``Scan.needed`` field."""
-    from repro.sqlengine.plan.logical import (
-        Aggregate,
-        CrossJoin,
-        Distinct,
-        DualScan,
-        Filter,
-        HashJoin,
-        IndexLookup,
-        Limit,
-        Project,
-        Scan,
-        Sort,
-    )
-    from repro.sqlengine.sqlgen import render_expression
-
     if isinstance(node, Scan):
         return ("Scan", node.table, node.label, node.width, node.offset)
     if isinstance(node, DualScan):
@@ -1451,11 +1434,7 @@ def _plan_signature(node: Any) -> tuple:
 
 
 def _certify_projection_pruning() -> tuple[str, ...]:
-    from repro.sqlengine.parser import parse_statement
-    from repro.sqlengine.plan.logical import lower_select
-    from repro.sqlengine.plan.rewrites import projection_pruning
-
-    engine = _fresh_engine()
+    engine = Engine(name="certify")
     engine.execute(
         "CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER, "
         "pad VARCHAR(8))"
@@ -1496,8 +1475,6 @@ _RULE_CERTIFIERS = {
 
 def certify_rewrites() -> dict[str, RewriteCertificate]:
     """Certificate per registered rewrite rule, in registry order."""
-    from repro.sqlengine.plan import REWRITE_RULES
-
     certificates: dict[str, RewriteCertificate] = {}
     for rule in REWRITE_RULES:
         certifier = _RULE_CERTIFIERS.get(rule)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.analysis.schema import ScriptSchema
+from repro.analysis.verdicts import WRITE_KINDS
 from repro.dialects.features import SERVER_KEYS
 from repro.dialects.translator import translate_script
 from repro.errors import FeatureNotSupported
@@ -67,8 +68,6 @@ def script_contexts(sql: str, schema: Optional[ScriptSchema] = None) -> list[Sta
     Dynamic view tags are predicted against the schema state *before*
     each statement, exactly as the engine would see it.
     """
-    from repro.analysis.verdicts import WRITE_KINDS
-
     if schema is None:
         schema = ScriptSchema()
     contexts: list[StaticContext] = []

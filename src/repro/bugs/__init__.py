@@ -13,9 +13,11 @@ Public surface:
 * :func:`repro.bugs.corpus.build_corpus` — the full corpus plus the
   per-server fault catalogs.
 * :class:`repro.bugs.report.BugReport` — one bug report.
+* :func:`repro.bugs.corpus.minimize_report` — one report's script
+  shrunk to its static trigger slice.
 """
 
-from repro.bugs.corpus import Corpus, build_corpus
+from repro.bugs.corpus import Corpus, build_corpus, minimize_report
 from repro.bugs.report import BugReport
 
-__all__ = ["BugReport", "Corpus", "build_corpus"]
+__all__ = ["BugReport", "Corpus", "build_corpus", "minimize_report"]

@@ -6,6 +6,10 @@ the 13 Section-5 bugs come from :mod:`repro.bugs.notable`; the rest are
 generated with per-bug schemas, dialect gate features, and faults whose
 failure regions are scoped to the bug's own tables.  Everything is
 deterministic — building the corpus twice gives identical objects.
+
+:func:`minimize_report` shrinks one report's script to the slice its
+seeded faults (and the corpus's shared PostgreSQL fault) need, using
+the static slicing of :mod:`repro.analysis.dataflow`.
 """
 
 from __future__ import annotations
@@ -13,10 +17,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
+from repro.analysis.dataflow import (
+    SliceResult,
+    build_graph,
+    portability_anchors,
+    slice_graph,
+    trigger_matches,
+)
 from repro.bugs import groundtruth as gt
 from repro.bugs.notable import NOTABLE_CELLS, notable_bugs, pg_clustered_index_fault
 from repro.bugs.report import BugReport
 from repro.bugs.scripts import build_generic_script, probe_table
+from repro.dialects.translator import translate_script
+from repro.errors import FeatureNotSupported
 from repro.faults.effects import (
     CrashEffect,
     ErrorEffect,
@@ -26,6 +39,7 @@ from repro.faults.effects import (
 )
 from repro.faults.spec import Detectability, FailureKind, FaultSpec
 from repro.faults.triggers import RelationTrigger
+from repro.sqlengine.lexer import split_statements
 
 K = FailureKind
 D = Detectability
@@ -282,3 +296,44 @@ def build_corpus() -> Corpus:
                 f"{len(se_pool)} SE / {len(nse_pool)} NSE left"
             )
     return Corpus(reports)
+
+
+def minimize_report(report: BugReport) -> SliceResult:
+    """Shrink a corpus bug script to its trigger slice.
+
+    Anchors: every statement that any of the report's seeded fault
+    triggers matches — evaluated per hosting server on that server's
+    *translated* statement sequence (token-level translation preserves
+    statement count and order) — plus one carrier statement per gated
+    feature, so the CANNOT_RUN / FURTHER_WORK classification of every
+    server is preserved.  The paper's shared PostgreSQL clustered-index
+    fault is included whenever PostgreSQL hosts the script.
+    """
+    graph = build_graph(report.script)
+    total = len(graph)
+    anchors: dict[int, str] = {}
+    for server in gt.SERVER_KEYS:
+        if server not in report.runnable_on:
+            continue
+        faults = list(report.faults.get(server, []))
+        if server == "PG":
+            faults.append(pg_clustered_index_fault())
+        if not faults:
+            continue
+        if server == report.reported_for:
+            script = report.script
+        else:
+            try:
+                script = translate_script(report.script, server)
+            except FeatureNotSupported:  # pragma: no cover - lint territory
+                continue
+        if len(split_statements(script)) != total:  # pragma: no cover
+            # Translation changed the statement count: statement indices
+            # no longer align, so minimization cannot be trusted.
+            anchors.update({index: "trigger" for index in range(total)})
+            continue
+        for index in trigger_matches(script, faults):
+            anchors.setdefault(index, "trigger")
+    for index in portability_anchors(report.script):
+        anchors.setdefault(index, "portability")
+    return slice_graph(graph, anchors)

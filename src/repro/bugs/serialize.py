@@ -1,10 +1,11 @@
-"""Corpus and study-result serialisation.
+"""Corpus serialisation.
 
 Adoption-grade plumbing: export the bug corpus (scripts + ground truth)
-and an executed study's classifications to JSON for external analysis,
-and re-import a corpus summary for cross-checking.  Fault objects are
-behavioural and are *not* serialised — the JSON captures the study's
-observable evidence, which is what downstream analysis consumes.
+to JSON for external analysis, and re-import a corpus summary for
+cross-checking.  Fault objects are behavioural and are *not*
+serialised — the JSON captures the observable evidence, which is what
+downstream analysis consumes.  An executed study's classifications are
+exported by :func:`repro.study.reporting.study_to_dict`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Any, Optional
 
 from repro.bugs.corpus import Corpus
 from repro.bugs.report import BugReport
-from repro.study.runner import StudyResult
 
 
 def report_to_dict(report: BugReport) -> dict[str, Any]:
@@ -52,25 +52,6 @@ def corpus_to_dict(corpus: Corpus) -> dict[str, Any]:
 
 def corpus_to_json(corpus: Corpus, *, indent: Optional[int] = 2) -> str:
     return json.dumps(corpus_to_dict(corpus), indent=indent)
-
-
-def study_to_dict(study: StudyResult) -> dict[str, Any]:
-    """JSON-friendly view of an executed study's classifications."""
-    cells = []
-    for (bug_id, server), cell in sorted(study.cells.items()):
-        entry: dict[str, Any] = {
-            "bug_id": bug_id,
-            "server": server,
-            "outcome": cell.kind.value,
-        }
-        if cell.failed:
-            entry["failure_kind"] = cell.failure_kind.value
-            entry["detectability"] = cell.detectability.value
-            entry["fired_faults"] = sorted(cell.fired_faults)
-        if cell.missing_feature:
-            entry["missing_feature"] = cell.missing_feature
-        cells.append(entry)
-    return {"cells": cells, "total_reports": len(study.corpus)}
 
 
 def summarise_corpus(data: dict[str, Any]) -> dict[str, Any]:

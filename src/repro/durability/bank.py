@@ -37,6 +37,7 @@ from repro.faults.effects import (
 )
 from repro.faults.spec import Detectability, FailureKind, FaultSpec
 from repro.faults.triggers import SqlPatternTrigger
+from repro.servers import make_server
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,6 @@ def classify_repro(report: StorageBugReport) -> StorageClassification:
     consistency check compares the recovered engine against a pristine
     product replaying exactly the salvaged records.
     """
-    from repro.servers import make_server
-
     session = DurableSession(
         make_server(report.server, [report.fault]), name=report.bug_id
     )

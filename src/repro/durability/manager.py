@@ -57,6 +57,7 @@ from repro.faults.effects import (
     StorageEffect,
     TornWriteEffect,
 )
+from repro.middleware.supervisor import ReplicaState
 from repro.sqlengine.analysis import StatementTraits
 from repro.sqlengine.engine import executable_text
 from repro.sqlengine.lexer import tokenize
@@ -289,8 +290,6 @@ class DurabilityManager:
         server.restore_write_log([r.sql for r in shared_scan.records])
         self._shared.truncate_to_valid()
         outcome.write_log = len(shared_scan.records)
-
-        from repro.middleware.supervisor import ReplicaState
 
         for replica in server.replicas:
             try:

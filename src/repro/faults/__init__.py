@@ -17,7 +17,6 @@ Public surface:
   :class:`~repro.sqlengine.engine.Engine`
 """
 
-from repro.faults.audit import TimeoutAuditEntry
 from repro.faults.effects import (
     BehaviourFlagEffect,
     ChecksumCorruptionEffect,
@@ -103,7 +102,6 @@ __all__ = [
     "StallEffect",
     "StorageEffect",
     "TagTrigger",
-    "TimeoutAuditEntry",
     "TornWriteEffect",
     "TriggerContext",
     "ValueSkewEffect",

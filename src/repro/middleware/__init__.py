@@ -23,6 +23,7 @@ from repro.middleware.supervisor import (
     ReplicaState,
     ReplicaSupervisor,
     SupervisorPolicy,
+    TimeoutAuditEntry,
     VirtualClock,
 )
 from repro.sqlengine.engine import Result
@@ -42,6 +43,7 @@ __all__ = [
     "ServerConfig",
     "StatementPipeline",
     "SupervisorPolicy",
+    "TimeoutAuditEntry",
     "VirtualClock",
     "normalize_result",
     "normalize_value",

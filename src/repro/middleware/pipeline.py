@@ -59,6 +59,7 @@ from repro.sqlengine.analysis import StatementTraits, extract_traits
 from repro.sqlengine.engine import Executable, ParsedStatement, parse_once
 from repro.sqlengine.lexer import tokenize
 from repro.sqlengine.parser import parse_prepared
+from repro.sqlengine.plan import explain_statement
 from repro.sqlengine.tokens import Token
 
 #: The cache layers; each owns a ``<layer>_hits``/``<layer>_misses``
@@ -244,8 +245,6 @@ class StatementPipeline:
         reads the catalog's unique-key sets, so a stale entry after
         ``CREATE INDEX`` would show the wrong plan — the generation key
         makes that impossible."""
-        from repro.sqlengine.plan import explain_statement
-
         return self._memo(
             "plan", (sql, self.generation), lambda: explain_statement(sql, catalog)
         )

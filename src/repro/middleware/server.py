@@ -91,7 +91,6 @@ from repro.errors import (
     SqlError,
     StatementTimeout,
 )
-from repro.faults.audit import TimeoutAuditEntry
 from repro.middleware.comparator import ReplicaAnswer, ResultComparator
 from repro.middleware.normalizer import normalized_state
 from repro.middleware.pipeline import StatementPipeline
@@ -100,6 +99,7 @@ from repro.middleware.supervisor import (
     ReplicaState,
     ReplicaSupervisor,
     SupervisorPolicy,
+    TimeoutAuditEntry,
     VirtualClock,
 )
 from repro.servers.product import ServerProduct
@@ -290,7 +290,6 @@ class ServerConfig:
     normalize: bool = True
     read_split: bool = False
     auto_recover: bool = True
-    supervisor: Optional[ReplicaSupervisor] = None
     policy: Optional[SupervisorPolicy] = None
     clock: Optional[VirtualClock] = None
     allow_duplicates: bool = False
@@ -386,9 +385,7 @@ class DiverseServer:
         #: Memoized front-end stages (parse / per-dialect translation /
         #: analysis verdicts), invalidated on DDL via its generation.
         self.pipeline = StatementPipeline()
-        self.supervisor = config.supervisor or ReplicaSupervisor(
-            policy=config.policy, clock=config.clock
-        )
+        self.supervisor = ReplicaSupervisor(policy=config.policy, clock=config.clock)
         self.supervisor.attach(self)
         #: Durability subsystem (per-replica WALs + durable checkpoints);
         #: ``None`` for the original in-memory-only deployment.

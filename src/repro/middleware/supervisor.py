@@ -23,7 +23,10 @@ replication middleware has:
   replicas are excluded, audited, and quarantined, plus a replay
   deadline (``recovery_deadline``) so a replica that stalls *during*
   recovery fails the attempt — and eventually the circuit breaker —
-  instead of wedging the recovery loop.
+  instead of wedging the recovery loop, and one
+  :class:`TimeoutAuditEntry` per violation so the trail is reviewable
+  (which replica, which statement, how far over budget, in service or
+  during recovery replay).
 
 Everything is deterministic: time is the virtual clock, which advances
 one unit per statement executed through the middleware, so backoff
@@ -33,12 +36,12 @@ exactly across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import EngineCrash, ReproError, SqlError
-from repro.faults.audit import TimeoutAuditEntry
 from repro.middleware.normalizer import normalized_state
 from repro.sqlengine.engine import EngineSnapshot
 
@@ -251,6 +254,34 @@ class ReplicaHealth:
     rebuilds: int = 0
     #: Virtual time the last successful rebuild took (rebuild MTTR).
     last_rebuild_duration: float = 0.0
+
+
+@dataclass
+class TimeoutAuditEntry:
+    """One statement-deadline violation observed by the middleware.
+
+    ``virtual_cost`` is the offending answer's cost — infinite for a
+    hang (the replica never returned), finite for a stall.  ``at`` is
+    the supervisor's virtual-clock time, which makes audit trails
+    reproducible across runs.
+    """
+
+    replica: str
+    sql: str
+    virtual_cost: float
+    deadline: float
+    at: float
+    during_recovery: bool = False
+
+    @property
+    def kind(self) -> str:
+        """``hang`` (never returned) or ``stall`` (returned too late)."""
+        return "hang" if math.isinf(self.virtual_cost) else "stall"
+
+    @property
+    def overrun(self) -> float:
+        """Virtual cost past the deadline (inf for hangs)."""
+        return self.virtual_cost - self.deadline
 
 
 class ReplicaSupervisor:

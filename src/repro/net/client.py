@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import errors as base_errors
 from repro.analysis.schema import ScriptSchema
+from repro.analysis.verdicts import DDL_KINDS, WRITE_KINDS
 from repro.middleware.pipeline import StatementPipeline
 from repro.net import protocol
 from repro.net.errors import (
@@ -471,8 +472,6 @@ class SessionSupervisor:
             self._in_transaction = True
         elif traits.kind in ("commit", "rollback"):
             self._in_transaction = False
-        from repro.analysis.verdicts import DDL_KINDS, WRITE_KINDS
-
         if traits.kind in WRITE_KINDS:
             self._schema.observe(statement)
         if traits.kind in DDL_KINDS:

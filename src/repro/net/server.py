@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.analysis.conflicts import commutes_with_footprint
+from repro.analysis.verdicts import WRITE_KINDS
 from repro.errors import ReproError
 from repro.middleware.server import DiverseServer
 from repro.net import protocol
@@ -396,8 +397,6 @@ class NetServer:
     def _with_shedding(self, shed_compare: bool, kind: str, run: Callable[[], Result]):
         """Run a statement, shedding the cross-replica compare for reads
         under soft overload by temporarily enabling read-split."""
-        from repro.analysis.verdicts import WRITE_KINDS
-
         if not shed_compare or kind in WRITE_KINDS:
             return run()
         self.stats.shed_compares += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.faults.spec import FailureKind
 from repro.reliability.simulate import BugProfile, FailureProcessSimulator
 from repro.study.runner import StudyResult
 
@@ -55,8 +56,6 @@ def bug_area(study: StudyResult, bug_id: str) -> str:
     if report.bug_id.lower().replace("-", "_") + "_probe" in report.script.lower():
         # Generic scripts end in a select + update probe: split by the
         # failing statement kind.
-        from repro.faults.spec import FailureKind
-
         if report.home_failure and report.home_failure[0] is FailureKind.OTHER:
             return "update"
     return "query"

@@ -8,6 +8,7 @@ from repro.dialects.features import DialectDescriptor
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec
 from repro.sqlengine.engine import Connection, Engine, EnginePrepared, Executable, Result
+from repro.sqlengine.plan import explain_statement
 
 
 class ServerProduct:
@@ -77,8 +78,6 @@ class ServerProduct:
     def explain(self, sql: str) -> str:
         """Render the logical plan the engine's planner would use for
         one statement (or a note naming the executor that runs it)."""
-        from repro.sqlengine.plan import explain_statement
-
         return explain_statement(sql, self.engine.catalog)
 
     def execute_script(self, sql: str) -> list[Result]:

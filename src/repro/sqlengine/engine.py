@@ -27,7 +27,7 @@ from repro.errors import (
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
 from repro.sqlengine.catalog import Catalog, ColumnDef, IndexDef, TableSchema, ViewDef
-from repro.sqlengine.executor import QueryResult, SelectExecutor
+from repro.sqlengine.executor import SelectExecutor
 from repro.sqlengine.expressions import ColumnBinding, Environment
 from repro.sqlengine.parser import parse_prepared, parse_script
 from repro.sqlengine.plan.dml import compile_statement
@@ -580,7 +580,7 @@ class Engine:
             planned = self._cached_plan(stmt)
             if planned is not None:
                 try:
-                    return planned.execute(ctx)
+                    return Result(kind="dml", rowcount=planned.execute(ctx))
                 except PlanRuntimeFallback:
                     pass
         schema = self.catalog.table(stmt.table)
@@ -635,7 +635,7 @@ class Engine:
             planned = self._cached_plan(stmt)
             if planned is not None:
                 try:
-                    return planned.execute(ctx)
+                    return Result(kind="dml", rowcount=planned.execute(ctx))
                 except PlanRuntimeFallback:
                     pass
         schema = self.catalog.table(stmt.table)

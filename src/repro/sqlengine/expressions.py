@@ -14,8 +14,9 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import BindError, TypeMismatch
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.functions import AGGREGATE_NAMES, lookup_scalar
-from repro.sqlengine.types import SqlType, cast_value
+from repro.sqlengine.functions import AGGREGATE_NAMES, fn_mod, lookup_scalar
+from repro.sqlengine.typenames import resolve_type
+from repro.sqlengine.types import cast_value
 from repro.sqlengine.values import (
     distinct_key,
     like_match,
@@ -246,8 +247,6 @@ class Evaluator:
         if op == "/":
             return sql_div(left, right)
         if op == "%":
-            from repro.sqlengine.functions import fn_mod
-
             return fn_mod(self._ctx, left, right)
         if op == "||":
             return sql_concat(left, right)
@@ -301,13 +300,8 @@ class Evaluator:
 
     def _eval_castexpr(self, expr: ast.CastExpr, env) -> Any:
         value = self.evaluate(expr.operand, env)
-        target = self._resolve_type(expr.type_name, expr.type_args)
+        target = resolve_type(expr.type_name, expr.type_args)
         return cast_value(value, target)
-
-    def _resolve_type(self, name: str, args) -> SqlType:
-        from repro.sqlengine.typenames import resolve_type
-
-        return resolve_type(name, args)
 
     def _eval_caseexpr(self, expr: ast.CaseExpr, env) -> Any:
         if expr.operand is not None:

@@ -12,8 +12,9 @@ import math
 from decimal import Decimal
 from typing import Any, Callable, Optional
 
-from repro.errors import BindError, TypeMismatch
-from repro.sqlengine.types import format_numeric
+from repro.errors import BindError, DivisionByZero, TypeMismatch
+from repro.sqlengine.typenames import resolve_type
+from repro.sqlengine.types import cast_value, format_numeric
 from repro.sqlengine.values import distinct_key, sql_compare
 
 ScalarFunction = Callable[..., Any]
@@ -62,8 +63,6 @@ def fn_mod(ctx, dividend, divisor):
     lval = _as_number(dividend, "MOD")
     rval = _as_number(divisor, "MOD")
     if rval == 0:
-        from repro.errors import DivisionByZero
-
         raise DivisionByZero("MOD by zero")
     if isinstance(lval, float) or isinstance(rval, float):
         result: Any = math.fmod(float(lval), float(rval))
@@ -250,9 +249,6 @@ def fn_convert(ctx, value, type_text=None):
     """
     if type_text is None:
         return value
-    from repro.sqlengine.typenames import resolve_type
-    from repro.sqlengine.types import cast_value
-
     return cast_value(value, resolve_type(_as_text(type_text, "CONVERT")))
 
 

@@ -17,6 +17,7 @@ from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.expressions import _AMBIGUOUS, ColumnBinding, _resolution_map
 from repro.sqlengine.functions import AGGREGATE_NAMES, fn_mod, lookup_scalar
 from repro.sqlengine.plan.logical import PlanUnsupported
+from repro.sqlengine.typenames import resolve_type
 from repro.sqlengine.types import cast_value
 from repro.sqlengine.values import (
     distinct_key,
@@ -337,8 +338,6 @@ def _compile_function(expr: ast.FunctionCall, scope: Scope) -> Closure:
 
 
 def _compile_cast(expr: ast.CastExpr, scope: Scope) -> Closure:
-    from repro.sqlengine.typenames import resolve_type
-
     operand = compile_expression(expr.operand, scope)
     type_name, type_args = expr.type_name, expr.type_args
     try:

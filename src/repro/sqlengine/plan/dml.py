@@ -6,6 +6,8 @@ statement mirrors the engine's interpreted path exactly — evaluation
 order, cast points, constraint checks, undo records — by delegating the
 shared mutation tail back to the engine
 (:meth:`Engine._insert_rows` / :meth:`Engine.apply_row_update`).
+Planned UPDATE and DELETE return their row count and the engine builds
+the ``Result``, so this module never imports the engine that runs it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from repro.sqlengine.plan.logical import (
     kind_of_value,
     kinds_compatible,
 )
-from repro.sqlengine.plan.physical import _join_key
+from repro.sqlengine.plan.physical import compile_select, _join_key
+from repro.sqlengine.plan.rewrites import _Analyzer, split_conjuncts
 from repro.sqlengine.types import cast_value
 
 
@@ -124,8 +127,6 @@ class PlannedUpdate:
         total and pins every column of a uniqueness constraint."""
         if where is None:
             return None
-        from repro.sqlengine.plan.rewrites import _Analyzer, split_conjuncts
-
         analyzer = _Analyzer(plan)
         conjuncts = split_conjuncts(where)
         checks: list = []
@@ -160,7 +161,7 @@ class PlannedUpdate:
                 return (tuple(indices), getters, kinds)
         return None
 
-    def execute(self, ctx) -> Any:
+    def execute(self, ctx) -> int:
         params = ctx.params
         for index, expected in self._param_checks:
             if index >= len(params):
@@ -182,9 +183,7 @@ class PlannedUpdate:
                 new_values[index] = cast_value(value, sql_type, implicit=True)
             engine.apply_row_update(schema, data, row, new_values, ctx)
             updated += 1
-        from repro.sqlengine.engine import Result
-
-        return Result(kind="dml", rowcount=updated)
+        return updated
 
     def _candidate_rows(self, data, ctx) -> list:
         if self._probe is None:
@@ -223,7 +222,7 @@ class PlannedDelete:
         else:
             self._where = None
 
-    def execute(self, ctx) -> Any:
+    def execute(self, ctx) -> int:
         engine = self._engine
         engine.catalog.table(self._table)  # raises if dropped (defensive)
         data = engine.storage.get(self._table)
@@ -233,15 +232,11 @@ class PlannedDelete:
         else:
             removed = data.delete_rows(lambda row: where(row, None, ctx) is True)
         engine.transactions.record(lambda r=removed, d=data: d.restore_rows(r))
-        from repro.sqlengine.engine import Result
-
-        return Result(kind="dml", rowcount=len(removed))
+        return len(removed)
 
 
 def compile_statement(stmt: ast.Statement, engine) -> Optional[Any]:
     """Compile any plannable statement; None for kinds with no planner."""
-    from repro.sqlengine.plan.physical import compile_select
-
     if isinstance(stmt, ast.SelectStatement):
         return compile_select(stmt, engine)
     if isinstance(stmt, ast.Insert):

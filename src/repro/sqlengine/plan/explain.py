@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine.parser import parse_script
 from repro.sqlengine.plan.logical import (
     Aggregate,
     CrossJoin,
@@ -28,6 +29,7 @@ from repro.sqlengine.plan.logical import (
     Sort,
     lower_select,
 )
+from repro.sqlengine.plan.rewrites import apply_rewrites
 from repro.sqlengine.sqlgen import render_expression
 
 
@@ -130,9 +132,6 @@ def explain_statement(sql: str, catalog=None, *, lenient: bool = True) -> str:
     Non-SELECT statements and shapes outside the planner's subset get a
     one-line note naming the executor that will run them instead.
     """
-    from repro.sqlengine.parser import parse_script
-    from repro.sqlengine.plan.rewrites import apply_rewrites
-
     statements = parse_script(sql)
     if len(statements) != 1:
         raise ValueError("explain takes exactly one statement")

@@ -20,7 +20,7 @@ from decimal import Decimal
 from typing import Any, Optional
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.expressions import ColumnBinding
+from repro.sqlengine.expressions import ColumnBinding, collect_aggregates
 from repro.sqlengine.types import TypeFamily
 
 
@@ -285,8 +285,6 @@ def lower_select(
             root = CrossJoin(root, scan)
     if core.where is not None:
         root = Filter([core.where], root)
-
-    from repro.sqlengine.expressions import collect_aggregates
 
     has_aggregates = any(
         collect_aggregates(item.expression)

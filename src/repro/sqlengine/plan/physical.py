@@ -14,7 +14,7 @@ tells the engine to re-run the statement through the walker.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import BindError, TypeMismatch
 from repro.sqlengine import ast_nodes as ast
@@ -39,6 +39,7 @@ from repro.sqlengine.plan.logical import (
     kinds_compatible,
     lower_select,
 )
+from repro.sqlengine.plan.rewrites import apply_rewrites
 from repro.sqlengine.values import distinct_key, row_key
 
 Source = Callable[[Any], list]
@@ -61,8 +62,6 @@ def compile_select(stmt: ast.SelectStatement, engine) -> "PhysicalSelect":
     Raises :class:`PlanUnsupported` when the statement is outside the
     planner's subset; the caller keeps using the tree-walker.
     """
-    from repro.sqlengine.plan.rewrites import apply_rewrites
-
     plan = lower_select(stmt, engine.catalog)
     apply_rewrites(plan)
     if plan.incomplete:

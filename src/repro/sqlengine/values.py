@@ -13,6 +13,7 @@ from decimal import Decimal
 from typing import Any, Iterable, Optional
 
 from repro.errors import DivisionByZero, TypeMismatch
+from repro.sqlengine.types import format_numeric, parse_timestamp
 
 Tribool = Optional[bool]
 
@@ -112,8 +113,6 @@ def _reconcile(lkind: str, lval: Any, rkind: str, rval: Any) -> tuple:
         except Exception:
             raise TypeMismatch("cannot compare string with number") from None
     if kinds == {"d", "s"}:
-        from repro.sqlengine.types import parse_timestamp
-
         if lkind == "s":
             return "d", parse_timestamp(lval), "d", rval
         return "d", lval, "d", parse_timestamp(rval)
@@ -219,7 +218,6 @@ def sql_concat(left: Any, right: Any) -> Any:
     """String concatenation (``||``) with NULL propagation."""
     if left is None or right is None:
         return None
-    from repro.sqlengine.types import format_numeric
 
     def text(value: Any) -> str:
         if isinstance(value, str):

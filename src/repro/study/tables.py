@@ -5,10 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.divergence import DivergenceKind, analyze_divergence
+from repro.analysis.schema import ScriptSchema
 from repro.bugs import groundtruth as gt
 from repro.dialects.features import SERVER_KEYS
 from repro.faults.spec import FailureKind
 from repro.sqlengine.lexer import split_statements
+from repro.sqlengine.parser import parse_statement
 from repro.study.classify import CellOutcome, OutcomeKind
 from repro.study.runner import StudyResult
 
@@ -249,10 +252,6 @@ class IdenticalPairBreakdown:
 def separate_identical_pairs(study: StudyResult) -> IdenticalPairBreakdown:
     """Split Table 3's "identical failure" cells into identical
     incorrect results vs identically rendered dialect artifacts."""
-    from repro.analysis.divergence import DivergenceKind, analyze_divergence
-    from repro.analysis.schema import ScriptSchema
-    from repro.sqlengine.parser import parse_statement
-
     breakdown = IdenticalPairBreakdown()
     for x, y in PAIRS:
         for report in study.corpus:

@@ -19,7 +19,6 @@ from repro.analysis.conflicts import (
     analyze_sessions,
     classify_statements,
     commutes_with_footprint,
-    concurrency_fault_bank,
     session_transactions,
 )
 from repro.analysis.schema import ScriptSchema
@@ -30,7 +29,7 @@ from repro.faults import (
     LostUpdateEffect,
     SqlPatternTrigger,
 )
-from repro.faults.audit import dead_concurrency_faults
+from repro.faults.audit import concurrency_fault_bank, dead_concurrency_faults
 from repro.middleware import DiverseServer
 from repro.net import (
     ClientPolicy,
@@ -464,7 +463,7 @@ class TestConcurrencyLintGates:
         from repro.analysis import lint as lint_module
 
         monkeypatch.setattr(
-            "repro.analysis.conflicts.concurrency_fault_bank",
+            "repro.analysis.lint.concurrency_fault_bank",
             lambda: [unreachable_entry()],
         )
         findings = lint_module._check_concurrency_bank()
@@ -484,7 +483,7 @@ class TestConcurrencyLintGates:
             ),
         )
         monkeypatch.setattr(
-            "repro.analysis.conflicts.concurrency_fault_bank", lambda: [entry]
+            "repro.analysis.lint.concurrency_fault_bank", lambda: [entry]
         )
         findings = lint_module._check_concurrency_bank()
         assert "concurrency-certificate-drift" in [f.check for f in findings]
@@ -492,10 +491,10 @@ class TestConcurrencyLintGates:
     def test_lint_exits_nonzero_on_dead_concurrency_fault(
         self, monkeypatch, corpus
     ):
-        from repro.analysis import run_lint
+        from repro.analysis.lint import run_lint
 
         monkeypatch.setattr(
-            "repro.analysis.conflicts.concurrency_fault_bank",
+            "repro.analysis.lint.concurrency_fault_bank",
             lambda: [unreachable_entry()],
         )
         lines = []

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.analysis import build_graph, minimize_report, minimize_script
+from repro.analysis import build_graph, minimize_script
 from repro.analysis.dataflow import statement_def_use
 from repro.analysis.schema import ScriptSchema
+from repro.bugs import minimize_report
 from repro.middleware.pipeline import StatementPipeline
 from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.parser import parse_statement

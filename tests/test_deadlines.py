@@ -13,12 +13,12 @@ from repro.faults import (
     RecoveryTrigger,
     SqlPatternTrigger,
     StallEffect,
-    TimeoutAuditEntry,
 )
 from repro.middleware import (
     DiverseServer,
     ReplicaState,
     SupervisorPolicy,
+    TimeoutAuditEntry,
 )
 from repro.middleware.comparator import ReplicaAnswer
 from repro.reliability import QuarantinePolicyModel, TimeoutPolicyModel

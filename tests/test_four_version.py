@@ -80,7 +80,7 @@ class TestFourVersions:
 class TestDeterminism:
     def test_study_is_seed_stable(self, corpus):
         from repro.study import run_study
-        from repro.bugs.serialize import study_to_dict
+        from repro.study.reporting import study_to_dict
 
         first = study_to_dict(run_study(corpus))
         second = study_to_dict(run_study(corpus))

@@ -319,11 +319,11 @@ class TestRewriteCertificates:
         assert _check_rewrite_certificates() == []
 
     def test_unknown_rule_fails_certification(self, monkeypatch):
-        from repro.sqlengine import plan
+        from repro.analysis import predicates
 
-        rules = dict(plan.REWRITE_RULES)
+        rules = dict(predicates.REWRITE_RULES)
         rules["bogus-rewrite"] = None
-        monkeypatch.setattr(plan, "REWRITE_RULES", rules)
+        monkeypatch.setattr(predicates, "REWRITE_RULES", rules)
         certificates = certify_rewrites()
         assert not certificates["bogus-rewrite"].certified
         findings = _check_rewrite_certificates()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.servers.releases import (
+from repro.study.releases import (
     RELEASE_TRAINS,
     faults_for_release,
     make_release_server,

@@ -7,7 +7,6 @@ import pytest
 from repro.bugs.serialize import (
     corpus_to_dict,
     corpus_to_json,
-    study_to_dict,
     summarise_corpus,
 )
 from repro.reliability.availability import (
@@ -17,7 +16,7 @@ from repro.reliability.availability import (
     nines,
     service_availability,
 )
-from repro.study.reporting import study_report_markdown
+from repro.study.reporting import study_report_markdown, study_to_dict
 
 
 class TestCorpusSerialisation:

@@ -11,12 +11,12 @@ from repro.analysis import (
     ScriptSchema,
     analyze_statement,
     fault_reachability,
-    lint_corpus,
     predicted_hosts,
     script_contexts,
     script_portability,
     unreachable_faults,
 )
+from repro.analysis.lint import lint_corpus
 from repro.bugs import build_corpus
 from repro.dialects.features import SERVER_KEYS
 from repro.errors import AdjudicationFailure
