@@ -258,13 +258,18 @@ class StatementDivergence:
     atoms: list[DivergenceAtom] = field(default_factory=list)
     unknowns: list[str] = field(default_factory=list)
 
-    def verdict(self, a: str, b: str, *, normalized: bool = False) -> DivergenceVerdict:
+    def verdict(
+        self, a: str, b: str, *, normalized: bool = False, rows_differ: bool = False
+    ) -> DivergenceVerdict:
         """The verdict for products ``a`` vs ``b``.
 
         With ``normalized=True`` (a comparator that normalizes results
         before voting), atoms whose rule the normalizer folds are
         discounted: the fold already reconciled them, so a disagreement
         that *survives* normalization cannot be benign on their account.
+        ``rows_differ=True`` (the two answers differ as row multisets)
+        likewise discounts row-order atoms: a sort position explains a
+        permutation, never a different set of rows.
         """
         if self.unknowns:
             return DivergenceVerdict(
@@ -274,6 +279,8 @@ class StatementDivergence:
         profile_b = PROFILES[b]
         for atom in self.atoms:
             if normalized and atom.normalizer_folds:
+                continue
+            if rows_differ and atom.rule == "null-sort-position":
                 continue
             fld = RULE_FIELDS[atom.rule]
             if getattr(profile_a, fld) != getattr(profile_b, fld):

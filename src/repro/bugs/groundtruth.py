@@ -14,8 +14,8 @@ inconsistent by one bug (Table 1 implies 29 home-no-failure reports and
 rows sum to 154).  The solution below reproduces Tables 1, 3 and 4
 *exactly*; Table 2 is exact in its totals and two-server rows, with
 three one-off deviations in the no-failure/one-server breakdown
-(groups PG+OR-only, IB-only, PG-only), which the Table-2 benchmark
-reports explicitly.
+(groups PG+OR-only, IB-only, PG-only), which ``TABLE2_KNOWN_DEVIATIONS``
+records explicitly.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def canonical_group(servers: frozenset[str]) -> str:
     return "".join(ch for ch in "IPOM" if LONG[ch] in servers)
 
 
-#: Paper Table 2 published cells, for the benchmark comparison
+#: Paper Table 2 published cells, for the tests' comparison
 #: (group -> (total, none_fail, one_fails, two_fail)).
 PAPER_TABLE2: dict[str, tuple[int, int, int, int]] = {
     "IPOM": (47, 12, 31, 4),
@@ -180,7 +180,7 @@ TABLE2_KNOWN_DEVIATIONS: dict[str, tuple[int, int, int, int]] = {
     "P": (18, 1, 17, 0),
 }
 
-#: Paper Table 1 cells, used by tests and the Table-1 benchmark.
+#: Paper Table 1 cells, used by the tests and ``python -m repro tables``.
 #: reported -> target -> dict of row values.
 PAPER_TABLE1: dict[str, dict[str, dict[str, int]]] = {
     "IB": {

@@ -4,7 +4,7 @@ The middleware-level :class:`~repro.durability.manager.DurabilityManager`
 wires durability into a :class:`~repro.middleware.server.DiverseServer`;
 this module is the one-replica version used wherever a full diverse
 deployment would only get in the way — the durability bug bank, the
-power-cut property tests, and the recovery-time benchmarks.
+power-cut property tests, and the recovery tests.
 
 Every committed write statement is appended through the session's
 :class:`~repro.durability.manager.ReplicaStore` — the same object, and

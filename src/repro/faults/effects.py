@@ -380,7 +380,7 @@ class DialectRenderEffect(Effect):
     carrying a midnight time component, exact numerics rendered at
     canonical scale.  Seeding it on the replicas whose
     :data:`~repro.analysis.divergence.PROFILES` entry carries the
-    behaviour lets benchmarks measure comparator false alarms: with the
+    behaviour lets tests measure comparator false alarms: with the
     divergence analyzer on, a raw-mode comparator must label the
     resulting disagreements ``benign_dialect``, never
     ``fault_indicating``.

@@ -28,9 +28,9 @@ traffic drops out) and banked deduplicated by (oracle, product, failure
 direction), so one underlying fault firing on hundreds of generated
 queries reports once.
 
-``python -m repro hunt [N]`` runs a campaign;
-``benchmarks/bench_hunt.py`` gates it in CI with the two seeded
-predicate bugs (:class:`~repro.faults.PredicateFoldBugEffect`,
+``python -m repro hunt [N]`` runs a campaign; ``tests/test_hunt.py``
+gates it with the two seeded predicate bugs
+(:class:`~repro.faults.PredicateFoldBugEffect`,
 :class:`~repro.faults.PartitionDropBugEffect`).
 """
 
@@ -243,7 +243,7 @@ def _vote_oracle(sql, stmt, schema, results, report, bank, setup, triage):
         if triage:
             if divergence is None:
                 divergence = analyze_divergence(stmt, schema)
-            verdict = divergence.verdict(a, b)
+            verdict = divergence.verdict(a, b, rows_differ=True)
             if verdict.kind is DivergenceKind.BENIGN_DIALECT:
                 report.benign_filtered += 1
                 continue

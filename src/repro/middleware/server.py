@@ -863,8 +863,11 @@ class DiverseServer:
                     for b in group_b:
                         if a.replica not in PROFILES or b.replica not in PROFILES:
                             return False
+                        key_a, key_b = (
+                            x.vote_key(normalize=normalized, ordered=False) for x in (a, b)
+                        )
                         pair_verdict = divergence.verdict(
-                            a.replica, b.replica, normalized=normalized
+                            a.replica, b.replica, normalized=normalized, rows_differ=key_a != key_b
                         )
                         if pair_verdict.kind is not DivergenceKind.BENIGN_DIALECT:
                             return False

@@ -9,10 +9,10 @@ matters:
   Section 6; fewer is better);
 * **non-detectable failures** — identical wrong answers inside the set
   (the paper's four dangerous bugs; these also poison majority voting,
-  see benchmark M2);
+  see experiment M2);
 * **masking quorum** — whether the set can out-vote a wrong member;
 * **throughput cost** — replica count as a proxy for the comparison
-  overhead measured in benchmark W1.
+  overhead of experiment W1.
 
 Scores are lexicographic — correctness evidence first, cost last —
 matching the paper's advice that the candidate users are those with

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.errors import ParseError
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.parser import parse_script
 from repro.sqlengine.plan.logical import (
@@ -126,20 +127,21 @@ def _render_items(items: list[ast.SelectItem]) -> str:
     return ", ".join(parts)
 
 
-def explain_statement(sql: str, catalog=None, *, lenient: bool = True) -> str:
+def explain_statement(sql: str, catalog=None) -> str:
     """Parse one SELECT and render its (rewritten) plan.
 
     Non-SELECT statements and shapes outside the planner's subset get a
-    one-line note naming the executor that will run them instead.
+    one-line note naming the executor that will run them instead; tables
+    missing from ``catalog`` mark the plan incomplete instead of failing.
     """
     statements = parse_script(sql)
     if len(statements) != 1:
-        raise ValueError("explain takes exactly one statement")
+        raise ParseError(f"explain takes exactly one statement, got {len(statements)}")
     stmt = statements[0]
     if not isinstance(stmt, ast.SelectStatement):
         return f"{type(stmt).__name__}: executed directly by the engine (no plan)"
     try:
-        plan = lower_select(stmt, catalog, lenient=lenient)
+        plan = lower_select(stmt, catalog, lenient=True)
     except PlanUnsupported as exc:
         return f"unplanned ({exc}): executed by the tree-walker"
     apply_rewrites(plan)

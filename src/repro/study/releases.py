@@ -12,7 +12,7 @@ releases burn down a bug backlog.
 Later releases here never *introduce* faults: the question the paper
 asks is whether the diversity conclusions survive the bug burn-down,
 not whether software regresses (they do survive; see
-``benchmarks/bench_later_releases.py``).
+``tests/test_releases.py``).
 """
 
 from __future__ import annotations

@@ -10,14 +10,19 @@ to pay once.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 from dataclasses import dataclass
 
 import pytest
 
 from repro.bugs import build_corpus
+from repro.bugs.groundtruth import SERVER_KEYS
+from repro.errors import AdjudicationFailure, SqlError
+from repro.middleware import DiverseServer, ServerConfig
 from repro.servers import make_all_servers, make_server
 from repro.sqlengine import Engine
+from repro.sqlengine.lexer import split_statements
 from repro.study import run_study
 
 
@@ -57,8 +62,53 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
-def study():
-    return run_study()
+def study(corpus):
+    return run_study(corpus)
+
+
+@pytest.fixture(scope="session")
+def corpus_adjudication(study):
+    """``(prepare=False, use_planner=True) -> signature``: every script
+    the study ran on all four products, each through a fresh
+    four-version majority server carrying the corpus faults, as (bug id,
+    (disagreements, masks, adjudication failures), per-statement
+    outcomes).  Memoised: the literal, planned run is shared by the
+    tests that compare against it."""
+    corpus = study.corpus
+    comparable = [r for r in corpus if study.ran_on(r) == frozenset(SERVER_KEYS)]
+
+    @functools.cache
+    def adjudicate(*, prepare=False, use_planner=True):
+        signature = []
+        for report in comparable:
+            server = DiverseServer(
+                [make_server(key, corpus.faults_for(key)) for key in SERVER_KEYS],
+                config=ServerConfig(adjudication="majority", auto_recover=False),
+            )
+            for replica in server.replicas:
+                replica.product.engine.use_planner = use_planner
+            outcomes = []
+            for statement in split_statements(report.script):
+                try:
+                    if prepare:
+                        result = server.prepare(statement).execute(())
+                    else:
+                        result = server.execute(statement)
+                    outcomes.append(("ok", result.rows))
+                except AdjudicationFailure:
+                    outcomes.append(("adjudication-failure",))
+                except SqlError:
+                    outcomes.append(("sql-error",))
+            stats = server.stats
+            signature.append((
+                report.bug_id,
+                (stats.disagreements_detected, stats.failures_masked,
+                 stats.adjudication_failures),
+                outcomes,
+            ))
+        return signature
+
+    return adjudicate
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -114,6 +116,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert "usage: python -m repro explain" in err
         assert "cannot explain" in err
+
+    @pytest.mark.parametrize("sql", ["", "SELECT 1; SELECT 2"])
+    def test_explain_rejects_all_but_one_statement(self, capsys, sql):
+        assert main(["explain", sql]) == 2
+        err = capsys.readouterr().err
+        assert "usage: python -m repro explain" in err
+        assert "exactly one statement" in err
 
     def test_lint_json_is_machine_readable(self, pristine_lint):
         # The shipped corpus has no errors (warnings only), so --json

@@ -24,9 +24,11 @@ from repro.analysis.conflicts import (
 from repro.analysis.schema import ScriptSchema
 from repro.faults import (
     Detectability,
+    DirtyReadEffect,
     FailureKind,
     FaultSpec,
     LostUpdateEffect,
+    PhantomRowEffect,
     SqlPatternTrigger,
 )
 from repro.faults.audit import concurrency_fault_bank, dead_concurrency_faults
@@ -244,9 +246,9 @@ SETUP = (
 HOLDER_WRITE = "UPDATE t SET a = 11 WHERE id = 1"
 
 
-def deployment(conflict_admission=True, **policy_kwargs):
+def deployment(conflict_admission=True, ib_faults=(), **policy_kwargs):
     server = DiverseServer(
-        [make_server("IB"), make_server("OR"), make_server("MS")],
+        [make_server("IB", list(ib_faults)), make_server("OR"), make_server("MS")],
         adjudication="majority",
     )
     policy_kwargs.setdefault("idle_deadline", 100_000.0)
@@ -380,6 +382,106 @@ class TestConflictAdmission:
             "parked_wait_max",
         ):
             assert key in exported
+
+    @pytest.mark.parametrize("terminals", [2, 4, 8, 12])
+    def test_admission_parks_less_and_answers_the_same(self, terminals):
+        # N terminals each offer one commuting and one conflicting read
+        # behind the open write: certified admission serves the
+        # commuting half at once, the blanket rung parks everything, and
+        # both end with every statement answered and replicas agreeing.
+        points = {}
+        for admission in (True, False):
+            server, net_server, network = deployment(
+                conflict_admission=admission,
+                max_parked=10_000,
+                shed_compare_depth=10_000,
+                shed_reject_depth=10_000,
+            )
+            holder, hsession, htoken, seq = open_holder(network)
+            readers = [handshake(network) for _ in range(terminals)]
+            for port, session, token in readers:
+                for rseq, sql in enumerate(
+                    ("SELECT b FROM t WHERE id = 2", "SELECT a FROM t WHERE id = 1"), 1
+                ):
+                    port.send(protocol.execute(session, token, rseq, sql))
+            network.pump()
+            stats = net_server.stats
+            parked, admitted = stats.parked_statements, stats.admitted_commuting
+            holder.request(protocol.execute(hsession, htoken, seq + 1, "COMMIT"), 8.0)
+            network.pump()
+            answered = sum(
+                port.recv(4.0).get("type") == "result"
+                for port, _, _ in readers
+                for _ in range(2)
+            )
+            assert answered == 2 * terminals
+            assert not server.verify_consistency()
+            points[admission] = (parked, admitted)
+        assert points[True][0] < points[False][0]
+        assert points[True][1] == terminals
+        assert points[False][1] == 0
+
+
+#: (name, certified-COMMUTES against HOLDER_WRITE, trigger, statement).
+READ_CLASSES = (
+    ("commuting_read", True, r"SELECT\s+b\s+FROM\s+t", "SELECT b FROM t WHERE id = 2"),
+    ("commuting_scan", True, r"SELECT\s+x\s+FROM\s+u", "SELECT x FROM u WHERE id = 1"),
+    ("conflicting_read", False, r"SELECT\s+a\s+FROM\s+t", "SELECT a FROM t WHERE id = 1"),
+)
+
+ANOMALIES = (
+    ("lost_update", lambda: LostUpdateEffect(delta=5.0)),
+    ("dirty_read", lambda: DirtyReadEffect(delta=5.0)),
+    ("phantom", PhantomRowEffect),
+)
+
+
+def read_behind_holder(sql, ib_faults=()):
+    """One read offered while another session holds a write open,
+    answered after the holder commits."""
+    server, net_server, network = deployment(ib_faults=ib_faults)
+    holder, hsession, htoken, seq = open_holder(network)
+    port, session, token = handshake(network)
+    port.send(protocol.execute(session, token, 1, sql))
+    network.pump()
+    admitted = net_server.stats.admitted_commuting
+    holder.request(protocol.execute(hsession, htoken, seq + 1, "COMMIT"), 8.0)
+    network.pump()
+    return server, admitted, port.recv(4.0)
+
+
+class TestAnomalyMatrix:
+    """Every concurrency anomaly seeded on one replica, triggered by
+    every admission class's read: it fires, is outvoted, and the client
+    sees the fault-free answer — a COMMUTES certificate never smuggles a
+    wrong answer past adjudication."""
+
+    @pytest.mark.parametrize(
+        "effect_name,make_effect", ANOMALIES, ids=[name for name, _ in ANOMALIES]
+    )
+    @pytest.mark.parametrize(
+        "class_name,certified,pattern,sql", READ_CLASSES, ids=[c[0] for c in READ_CLASSES]
+    )
+    def test_anomaly_is_outvoted(
+        self, effect_name, make_effect, class_name, certified, pattern, sql
+    ):
+        baseline, _, expected = read_behind_holder(sql)
+        fault = FaultSpec(
+            f"CONC-{effect_name.upper()}",
+            f"{effect_name} injected into {class_name} answers",
+            SqlPatternTrigger(pattern),
+            make_effect(),
+            kind=FailureKind.CONCURRENCY,
+            detectability=Detectability.NON_SELF_EVIDENT,
+        )
+        server, admitted, reply = read_behind_holder(sql, [fault])
+        stats = server.stats
+        assert admitted == int(certified)
+        assert stats.disagreements_detected > baseline.stats.disagreements_detected
+        assert stats.failures_masked == stats.disagreements_detected
+        assert reply["type"] == "result"
+        assert reply["rows"] == expected["rows"]
+        assert not server.verify_consistency()
 
 
 class TestInterleavedConflictingTerminals:

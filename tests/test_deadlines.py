@@ -287,6 +287,96 @@ class TestStallDuringRecovery:
         assert SupervisorPolicy().effective_recovery_deadline is None
 
 
+STALL_DELAY = 100.0
+
+
+def customer_stall():
+    # A read-only trigger: it never enters the write log, so replay is
+    # not re-stalled and each quarantine cycle prices only the watchdog.
+    return stall_on(r"SELECT\s+c_balance", STALL_DELAY, fault_id="T-STALL-TPCC")
+
+
+def stock_level_hang():
+    return FaultSpec(
+        "T-HANG-TPCC",
+        "never returns from stock-level analysis queries",
+        SqlPatternTrigger(r"COUNT\s*\(\s*DISTINCT\s+s_i_id"),
+        HangEffect("scheduler wedged on a latch"),
+    )
+
+
+def tpcc_under_deadline(fault, deadline, transactions):
+    server = triple([fault], policy=SupervisorPolicy(checkpoint_interval=16))
+    runner = WorkloadRunner(server, seed=13)
+    runner.setup()
+    # Armed for the measured load only: no deployment bulk-loads its
+    # schema under a statement deadline.
+    server.supervisor.policy.statement_deadline = deadline
+    return runner.run(transactions), server
+
+
+#: A sample that keeps every claim; the soak run prices the full load.
+SWEEP_TRANSACTIONS = [24, pytest.param(60, marks=pytest.mark.soak)]
+
+
+class TestDeadlineSweep:
+    """Pricing the watchdog under TPC-C with a recurrently stalling
+    replica: too tight a deadline quarantines healthy replicas (the
+    false positives :class:`TimeoutPolicyModel` prices), too loose a one
+    leaves the stall to the cost-ratio check, which needs the late
+    answer to land — and a hang's never does."""
+
+    @pytest.mark.parametrize("transactions", SWEEP_TRANSACTIONS)
+    def test_deadline_sweep(self, transactions):
+        runs = {
+            deadline: tpcc_under_deadline(customer_stall(), deadline, transactions)
+            for deadline in (None, 200.0, 50.0, 5.0, 0.9)
+        }
+        stats = {deadline: server.stats for deadline, (_, server) in runs.items()}
+        outages = {deadline: metrics.outages for deadline, (metrics, _) in runs.items()}
+        # No watchdog: the stall is seen only by the cost-ratio check.
+        assert stats[None].statement_timeouts == 0
+        assert stats[None].performance_anomalies >= 1
+        # Looser than healthy cost + stall (1 + 100 <= 200): missed too.
+        assert stats[200.0].statement_timeouts == 0
+        # Between the healthy cost and the stall: caught.
+        assert stats[50.0].statement_timeouts >= 1
+        assert stats[5.0].statement_timeouts >= stats[50.0].statement_timeouts
+        assert stats[5.0].retirements == 0
+        assert outages[5.0] == 0
+        # Below the healthy statement cost of 1.0 every answer is a false
+        # positive: the circuit breaker retires all three replicas and
+        # the service goes dark — the cliff the model prices.
+        assert stats[0.9].retirements == 3
+        assert outages[0.9] >= 1
+        assert (
+            TimeoutPolicyModel(deadline=0.9, stall_delay=STALL_DELAY).false_positive_rate
+            > 0.5
+            > TimeoutPolicyModel(deadline=5.0, stall_delay=STALL_DELAY).false_positive_rate
+        )
+        # Wherever nobody was retired, every quarantine cycle kept the
+        # replicas mutually consistent.
+        for deadline, (_, server) in runs.items():
+            if stats[deadline].retirements == 0:
+                assert server.verify_consistency() == {}, deadline
+
+    @pytest.mark.parametrize("transactions", SWEEP_TRANSACTIONS)
+    def test_hang_and_stall_declared_at_the_deadline(self, transactions):
+        for fault, kind in ((stock_level_hang(), "hang"), (customer_stall(), "stall")):
+            metrics, server = tpcc_under_deadline(fault, 50.0, transactions)
+            entries = server.timeout_audit
+            assert entries and all(entry.kind == kind for entry in entries)
+            # The watchdog declares both once the budget is spent...
+            assert max(min(e.virtual_cost, e.deadline) for e in entries) == 50.0
+            # ...but only the stall's answer ever lands for a ratio check.
+            arrival = max(entry.virtual_cost for entry in entries)
+            if kind == "hang":
+                assert math.isinf(arrival)
+            else:
+                assert arrival > 50.0
+            assert metrics.outages == 0
+
+
 class TestPerformanceRatioEpsilon:
     def answers(self, costs):
         return [

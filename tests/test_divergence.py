@@ -118,6 +118,13 @@ class TestAtomCollection:
         assert result.verdict("IB", "MS").kind is DivergenceKind.BENIGN_DIALECT
         assert result.verdict("IB", "PG").kind is DivergenceKind.AGREE_PROVEN
 
+    def test_sort_position_never_excuses_different_rows(self, schema):
+        # A NULL sorted first vs last explains a permutation of the same
+        # rows, not answers that differ as row multisets.
+        result = analyze("SELECT id FROM t ORDER BY n", schema)
+        verdict = result.verdict("IB", "MS", rows_differ=True)
+        assert verdict.kind is DivergenceKind.AGREE_PROVEN
+
     def test_order_by_not_null_key_is_safe(self, schema):
         result = analyze("SELECT id FROM t ORDER BY id", schema)
         assert not any(a.rule == "null-sort-position" for a in result.atoms)
@@ -227,25 +234,42 @@ def seeded_diverse(static_analysis, faults_by_server, *, normalize):
         static_analysis=static_analysis,
         normalize=normalize,
     )
-    server.execute("CREATE TABLE ledger (id INTEGER PRIMARY KEY, tag CHAR(8))")
-    for index in range(4):
-        server.execute(f"INSERT INTO ledger (id, tag) VALUES ({index}, 't{index}')")
+    server.execute(
+        "CREATE TABLE ledger (id INTEGER PRIMARY KEY, amount NUMERIC(10,2), "
+        "tag CHAR(8), booked DATE)"
+    )
+    for index in range(6):
+        server.execute(
+            f"INSERT INTO ledger (id, amount, tag, booked) VALUES "
+            f"({index}, {index * 10}.50, 't{index % 3}', '2004-06-{index + 1:02d}')"
+        )
     return server
 
 
-MS_NOPAD = FaultSpec(
-    "T-NOPAD",
-    "renders CHAR without trailing blanks (MS semantics)",
-    RelationTrigger(["ledger"], kind="select"),
-    DialectRenderEffect("rstrip"),
-)
+def render_fault(fault_id, how):
+    return FaultSpec(
+        fault_id, f"renders ledger answers with {how} (its product's semantics)",
+        RelationTrigger(["ledger"], kind="select"), DialectRenderEffect(how),
+    )
+
+
+#: Exactly the renderings each product's semantic profile departs from
+#: the shared evaluator's output with: MS does not pad CHAR, IB/OR/MS
+#: have only a combined date-time type, OR keeps no exact-numeric scale.
+PROFILE_RENDERINGS = {
+    "MS": [render_fault("T-NOPAD", "rstrip"), render_fault("T-DATETIME-MS", "datetime")],
+    "IB": [render_fault("T-DATETIME-IB", "datetime")],
+    "OR": [render_fault("T-DATETIME-OR", "datetime"), render_fault("T-SCALE", "strip-scale")],
+}
 
 
 class TestComparatorTriage:
     def test_benign_rendering_is_forgiven(self):
-        server = seeded_diverse(True, {"MS": [MS_NOPAD]}, normalize=False)
+        server = seeded_diverse(True, PROFILE_RENDERINGS, normalize=False)
         for _ in range(3):
             server.execute("SELECT tag FROM ledger WHERE id < 3 ORDER BY id")
+            server.execute("SELECT booked FROM ledger WHERE id = 1")
+            server.execute("SELECT amount FROM ledger WHERE id = 1")
         stats = server.stats
         assert stats.disagreements_detected > 0
         assert stats.benign_dialect_divergences > 0
@@ -253,9 +277,11 @@ class TestComparatorTriage:
         assert stats.quarantines == 0
 
     def test_ablation_suspects_correct_replica(self):
-        server = seeded_diverse(False, {"MS": [MS_NOPAD]}, normalize=False)
+        server = seeded_diverse(False, PROFILE_RENDERINGS, normalize=False)
         for _ in range(3):
             server.execute("SELECT tag FROM ledger WHERE id < 3 ORDER BY id")
+            server.execute("SELECT booked FROM ledger WHERE id = 1")
+            server.execute("SELECT amount FROM ledger WHERE id = 1")
         stats = server.stats
         assert stats.fault_indicating_divergences > 0
         assert stats.benign_dialect_divergences == 0

@@ -32,6 +32,7 @@ from repro.middleware import DiverseServer, ReplicaState, ServerConfig, Supervis
 from repro.middleware.supervisor import VirtualClock
 from repro.reliability import RebuildPolicyModel
 from repro.servers import make_server
+from repro.workload import WorkloadRunner
 
 
 def wal_on(medium, name="t/wal"):
@@ -171,6 +172,26 @@ class TestRecovery:
         )
         assert engine_state_signature(again.product.engine) == first
         assert report.stopped is None  # the first recovery truncated
+
+    def test_checkpoint_interval_bounds_the_redo_tail(self):
+        # The ARIES dial in miniature: each checkpoint costs a snapshot
+        # at write time and bounds the redo tail at recovery time.
+        tails = []
+        for interval in (None, 256, 64, 16):
+            session = DurableSession(make_server("IB"), checkpoint_interval=interval)
+            session.execute("CREATE TABLE t (id INT PRIMARY KEY, v DECIMAL(10,2))")
+            for i in range(120):
+                session.execute(f"INSERT INTO t VALUES ({i}, {i}.25)")
+            recovered, report = DurableSession.resume(
+                make_server("IB"), session.power_cut(), checkpoint_interval=interval
+            )
+            assert engine_state_signature(recovered.product.engine) == (
+                engine_state_signature(session.product.engine)
+            )
+            assert report.redone <= (interval or 121)
+            tails.append(report.redone)
+        assert tails[0] == 121  # no checkpoint: the whole log is redone
+        assert tails == sorted(tails, reverse=True)
 
 
 class TestStorageEffects:
@@ -385,6 +406,63 @@ class TestDurabilityManager:
         restarted.recover("IB", force=True)
         assert restarted.verify_consistency() == {}
 
+    def test_disk_storm_restart_heals_the_damaged_minority(self):
+        def storm():
+            return [
+                FaultSpec(
+                    "DISK-TORN", "tears the WAL append of stock updates",
+                    SqlPatternTrigger(r"UPDATE\s+stock"), TornWriteEffect(),
+                    kind=FailureKind.STORAGE,
+                ),
+                FaultSpec(
+                    "DISK-LOST", "loses the WAL append of district updates",
+                    SqlPatternTrigger(r"UPDATE\s+district"), LostFlushEffect(),
+                    kind=FailureKind.STORAGE,
+                ),
+                FaultSpec(
+                    "DISK-ROT", "bit rot on the WAL append of history inserts",
+                    SqlPatternTrigger(r"INSERT\s+INTO\s+history"), ChecksumCorruptionEffect(),
+                    kind=FailureKind.STORAGE,
+                ),
+            ]
+
+        medium = MemoryMedium()
+        server = durable_server(medium, ib_faults=storm(), interval=64)
+        runner = WorkloadRunner(server, seed=7)
+        runner.setup()
+        runner.run(20)
+        stats = server.stats
+        assert stats.wal_torn_writes + stats.wal_lost_flushes + stats.wal_corruptions > 0
+
+        # Whole-deployment power cut: the majority restores a consistent
+        # state and the damaged minority is quarantined and healed.
+        restarted = durable_server(medium.clone(), ib_faults=storm(), interval=64)
+        outcome = restarted.durability.recover_server()
+        assert outcome.residual_disagreements == {}
+        for key in outcome.healed:
+            restarted.recover(key, force=True)
+        assert restarted.verify_consistency() == {}
+
+    def test_rebuild_under_live_tpcc_sees_no_disagreement(self):
+        # The catch-up replays multi-table UPDATE / INSERT / DELETE
+        # traffic that arrived while the donor image was being copied.
+        server = durable_server(MemoryMedium(), interval=64)
+        runner = WorkloadRunner(server, seed=7)
+        runner.setup()
+        runner.run(20)
+        ib = server.replica("IB")
+        server.supervisor.retire(ib)
+        assert server.rebuild("IB")
+
+        metrics = WorkloadRunner(server, seed=11).run(20)
+        server.drive_rebuilds()
+        assert ib.state is ReplicaState.ACTIVE
+        assert server.stats.rebuilds_completed == 1
+        assert server.stats.rebuild_replayed_statements > 0
+        assert metrics.transactions == 20
+        assert metrics.detected_disagreements == 0
+        assert server.verify_consistency() == {}
+
     def test_quarantined_replica_wal_stays_current(self):
         medium = MemoryMedium()
         server = durable_server(medium, interval=None)
@@ -414,6 +492,8 @@ class TestOnlineRebuild:
         assert ib.state is ReplicaState.ACTIVE
         assert server.stats.rebuilds_completed == 1
         assert ib.health.rebuilds == 1
+        # The live traffic never saw a disagreement while it happened.
+        assert server.stats.disagreements_detected == 0
         assert server.verify_consistency() == {}
         # Re-baseline checkpoint was written on admission.
         assert server.durability.store("IB").checkpoints.load_latest() is not None

@@ -112,6 +112,12 @@ class TestJoins:
             ("nut", "north"),
         ]
 
+    def test_self_join_on_the_key_pairs_each_row_with_itself(self):
+        result = self.engine.execute(
+            "SELECT a.id FROM product a JOIN product b ON a.id = b.id WHERE a.id < 3"
+        )
+        assert result.rowcount == 2
+
     def test_left_outer_join_pads_nulls(self):
         result = self.engine.execute(
             "SELECT p.id, s.location FROM product p "

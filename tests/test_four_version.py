@@ -78,13 +78,11 @@ class TestFourVersions:
 
 
 class TestDeterminism:
-    def test_study_is_seed_stable(self, corpus):
+    def test_study_is_seed_stable(self, corpus, study):
         from repro.study import run_study
         from repro.study.reporting import study_to_dict
 
-        first = study_to_dict(run_study(corpus))
-        second = study_to_dict(run_study(corpus))
-        assert first == second
+        assert study_to_dict(run_study(corpus)) == study_to_dict(study)
 
     def test_all_servers_factory_independent_instances(self):
         one = make_all_servers()

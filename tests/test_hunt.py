@@ -9,7 +9,9 @@ from repro.faults import (
     FaultSpec,
     PartitionDropBugEffect,
     PredicateFoldBugEffect,
+    RowDropEffect,
 )
+from repro import hunt
 from repro.hunt import run_hunt
 
 
@@ -114,6 +116,14 @@ class TestSeededPartitionDropBug:
         drop_keys = {f.rekey() for f in drop_report.findings}
         assert fold_keys.isdisjoint(drop_keys)
 
+    def test_voting_is_structurally_blind(self, drop_report):
+        assert drop_report.vote_checks == 0
+
+    def test_every_repro_drops_the_decoy(self, fold_report, drop_report):
+        for report in (fold_report, drop_report):
+            for finding in report.findings:
+                assert "decoy" not in finding.script, finding.rekey()
+
 
 class TestTriage:
     def test_triage_flag_is_accepted(self):
@@ -127,3 +137,27 @@ class TestTriage:
         first = run_hunt(8, seed=13).to_payload()
         second = run_hunt(8, seed=13).to_payload()
         assert first == second
+
+    def test_null_sort_position_does_not_excuse_dropped_rows(self, monkeypatch):
+        # MS sorts NULLs first, IB last, so ORDER BY over the nullable
+        # ``a`` carries a null-sort-position atom for the pair.  Row
+        # order cannot explain a different multiset: MS dropping rows
+        # must be banked by the vote oracle, not filtered as benign.
+        class OrderedGenerator(hunt.PredicateGenerator):
+            def select_statement(self, **kwargs):
+                return super().select_statement(**kwargs) + " ORDER BY a"
+
+        monkeypatch.setattr(hunt, "PredicateGenerator", OrderedGenerator)
+        report = run_hunt(
+            6,
+            seed=7,
+            products=["IB", "MS"],
+            faults={"MS": [_spec("row-drop", RowDropEffect())]},
+        )
+        assert report.benign_filtered == 0
+        assert any(
+            finding.oracle == "vote"
+            and finding.product == "IB/MS"
+            and "ORDER BY a" in finding.statement
+            for finding in report.findings
+        )

@@ -1,10 +1,13 @@
 """End-to-end integration scenarios spanning multiple subsystems."""
 
+import pytest
 
 from repro.bugs import build_corpus
-from repro.errors import AdjudicationFailure
-from repro.middleware import DiverseServer
+from repro.bugs import groundtruth as gt
+from repro.errors import AdjudicationFailure, SqlError
+from repro.middleware import DiverseServer, ReplicaState
 from repro.servers import make_server
+from repro.sqlengine.lexer import split_statements
 from repro.study.runner import StudyRunner, run_script
 
 
@@ -132,6 +135,103 @@ class TestDiverseServerToleratesCorpusBugs:
         for statement in report.script.rstrip(";").split(";\n"):
             server.execute(statement)
         assert server.stats.failures_masked >= 1
+
+
+def run_through(server, report):
+    """Every statement of a bug script through the middleware; a
+    detection is counted in the stats, a unanimous error is correct."""
+    for statement in split_statements(report.script):
+        try:
+            server.execute(statement)
+        except (AdjudicationFailure, SqlError):
+            continue
+    return server
+
+
+class TestDetectionMatchesTable3:
+    """Every runnable bug script through every 2-version pair: the
+    middleware surfaces each failure the pair exhibits except the
+    non-detectable ones — identical wrong answers win the comparison —
+    which validates the middleware against the study's counting."""
+
+    #: PG-43 fails both PG and MS with different spurious errors: the
+    #: middleware sees a unanimous error and propagates it (a fail-safe
+    #: failure the client observes), so no disagreement fires.
+    UNANIMOUS_ERROR_BUGS = {("PG", "MS"): 1}
+
+    @pytest.mark.parametrize("pair", list(gt.PAPER_TABLE3), ids="+".join)
+    def test_pair_detects_all_but_the_nondetectable(self, study, pair):
+        corpus = study.corpus
+        reports = [report for report in corpus if set(pair) <= study.ran_on(report)]
+        detected = sum(
+            run_through(
+                DiverseServer(
+                    [make_server(key, corpus.faults_for(key)) for key in pair],
+                    adjudication="compare",
+                    auto_recover=False,
+                ),
+                report,
+            ).stats.detection_events > 0
+            for report in reports
+        )
+        run, fail_any, _, _, nondetectable, _, _ = gt.PAPER_TABLE3[pair]
+        assert len(reports) == run
+        assert detected == (
+            fail_any - nondetectable - self.UNANIMOUS_ERROR_BUGS.get(pair, 0)
+        )
+
+
+class TestVotingHazard:
+    """A non-detectable bug does not merely slip past a 2-version
+    comparison: in a 3-version majority holding both affected products
+    the two identical wrong answers out-vote the correct replica."""
+
+    #: Non-detectable bug -> (the two products it fails identically, a
+    #: healthy third product).
+    CASES = {
+        "IB-223512": (("IB", "PG"), "OR"),
+        "IB-217042": (("IB", "MS"), "OR"),
+        "PG-77": (("PG", "MS"), "OR"),
+        "MS-58544": (("MS", "IB"), "OR"),
+    }
+
+    def test_identical_wrong_answers_outvote_the_healthy_replica(self, corpus):
+        outvoted = []
+        for bug_id, (affected, healthy) in self.CASES.items():
+            server = DiverseServer(
+                [make_server(key, corpus.faults_for(key)) for key in (*affected, healthy)],
+                adjudication="majority",
+                auto_recover=False,
+            )
+            for statement in split_statements(corpus.get(bug_id).script):
+                try:
+                    server.execute(statement)
+                except SqlError:
+                    continue
+                if server.replica(healthy).state is ReplicaState.SUSPECTED:
+                    outvoted.append(bug_id)
+                    break
+        assert outvoted == list(self.CASES)
+
+    def test_hazard_avoided_by_replica_selection(self, corpus):
+        # An IB without the shared 58544 fault (a later release, or not
+        # pairing the products with the known identical failure): MS's
+        # wrong rows are out-voted and MS, not OR, is suspected.
+        server = run_through(
+            DiverseServer(
+                [
+                    make_server("MS", corpus.faults_for("MS")),
+                    make_server("OR", corpus.faults_for("OR")),
+                    make_server("IB", []),
+                ],
+                adjudication="majority",
+                auto_recover=False,
+            ),
+            corpus.get("MS-58544"),
+        )
+        assert server.stats.failures_masked >= 1
+        assert server.replica("MS").state is ReplicaState.SUSPECTED
+        assert server.replica("OR").state is ReplicaState.ACTIVE
 
 
 class TestStudyRunnerPieces:

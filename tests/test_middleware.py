@@ -1,5 +1,7 @@
 """Diverse-redundancy middleware tests."""
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -112,6 +114,31 @@ class TestComparator:
         right = self.answer("PG", [(10,)])
         assert ResultComparator(normalize=True).compare([left, right]).unanimous
         assert not ResultComparator(normalize=False).compare([left, right]).unanimous
+        # Normalising keeps the sensitivity real bugs need.
+        skewed = [self.answer("IB", [(3.3333333,)]), self.answer("OR", [(3.3334333,)])]
+        assert not ResultComparator(normalize=True).compare(skewed).unanimous
+
+    def test_ablation_false_alarms_on_every_correct_answer(self):
+        # Section 4.3's "differences in the representation of correct
+        # results": 300 correct NUMERIC-vs-INTEGER answer pairs.
+        from decimal import Decimal
+
+        rng = random.Random(5)
+        pairs = []
+        for _ in range(300):
+            value = rng.randint(0, 500)
+            pairs.append([
+                ReplicaAnswer(replica="A", status="ok", columns=("v",),
+                              rows=((Decimal(value) * Decimal("1.00"),),), rowcount=1),
+                ReplicaAnswer(replica="B", status="ok", columns=("V",),
+                              rows=((value,),), rowcount=1),
+            ])
+
+        def false_alarms(comparator):
+            return sum(not comparator.compare(answers).unanimous for answers in pairs)
+
+        assert false_alarms(ResultComparator(normalize=True)) == 0
+        assert false_alarms(ResultComparator(normalize=False)) == 300
 
 
 class TestDiverseServerHappyPath:

@@ -304,6 +304,8 @@ class TestBackpressure:
     def test_parked_statements_serve_after_commit(self):
         net_server, network, holder, session, token, seq = self._held_txn()
         ports = self._flood(network, 3)
+        # Below the reject depth nothing is shed: the ladder parks first.
+        assert net_server.stats.shed_statements == 0
         holder.request(protocol.execute(session, token, seq + 1, "COMMIT"), 8.0)
         network.pump()
         replies = [port.recv(8.0) for port in ports]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SqlError
+from repro.errors import ParseError, SqlError
 from repro.faults import AlwaysTrigger, FaultSpec, PlanStageBugEffect
 from repro.middleware import DiverseServer, ServerConfig
 from repro.servers import make_interbase, make_postgres, make_server
@@ -328,6 +328,13 @@ class TestExplain:
         server.execute("CREATE TABLE u (x INTEGER)")  # bumps the generation
         server.explain("SELECT b FROM t WHERE a = 1")
         assert server.pipeline.stats.plan_misses == 2
+
+    @pytest.mark.parametrize("sql", ["", "SELECT 1; SELECT 2"])
+    def test_explain_of_all_but_one_statement_is_a_parse_error(self, sql):
+        with pytest.raises(ParseError):
+            make_server("PG").explain(sql)
+        with pytest.raises(ParseError):
+            DiverseServer([make_interbase(), make_postgres()]).explain(sql)
 
 
 # -- dual-plan divergence oracle -------------------------------------------

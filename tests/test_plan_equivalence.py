@@ -13,7 +13,9 @@ full 181-bug corpus (every statement shape the study exercises) and
 randomly generated (sqlgen-style) scripts biased toward the planner's
 rewrite triggers — constant-foldable predicates, pushable join
 conjuncts, unique-key point lookups, and DML that stresses the
-storage-level unique indexes.
+storage-level unique indexes.  A third check runs the corpus through
+the four-version middleware with the corpus faults seeded, planner on
+and off, and requires identical adjudication.
 """
 
 from __future__ import annotations
@@ -70,6 +72,13 @@ def _observe(script: list[str], key: str, use_planner: bool) -> list[tuple]:
 def test_corpus_scripts_planned_equals_walker(index, key):
     script = split_statements(CORPUS.reports[index].script)
     assert _observe(script, key, True) == _observe(script, key, False)
+
+
+def test_planner_never_changes_corpus_adjudication(corpus_adjudication):
+    # Through the four-version middleware with the corpus faults seeded:
+    # detections, masks, adjudication failures and every answer equal
+    # the tree-walker's, on every script all four products run.
+    assert corpus_adjudication() == corpus_adjudication(use_planner=False)
 
 
 # -- generated (sqlgen-style) scripts --------------------------------------

@@ -3,9 +3,10 @@
 Covers the redesigned execution API end to end: engine-level prepared
 handles, parameter substitution, the ServerConfig construction surface
 (keyword-only settings), middleware prepared execution
-and batching semantics, the stale-verdict regression after DDL, and a
-property test that prepared execution is observationally identical to
-literal execution on every product under corpus fault injection.
+and batching semantics (down to identical adjudication of the bug
+corpus), the stale-verdict regression after DDL, and a property test
+that prepared execution is observationally identical to literal
+execution on every product under corpus fault injection.
 """
 
 from __future__ import annotations
@@ -287,6 +288,12 @@ class TestMiddlewarePrepared:
         result = server.execute("SELECT owner FROM accounts ORDER BY id")
         assert result.rows == [("ann",), ("bob",), ("cat",)]
         assert any("IB" in warning for warning in result.warnings)
+
+    def test_preparing_never_changes_corpus_adjudication(self, corpus_adjudication):
+        # Every statement of every script all four products run, prepared
+        # and executed with no parameters: detections, masks, adjudication
+        # failures and every answer equal literal execution's.
+        assert corpus_adjudication(prepare=True) == corpus_adjudication()
 
 
 # -- regression: verdict caches must track schema changes -----------------

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import AdjudicationFailure, SqlError
+from repro.errors import AdjudicationFailure, EngineCrash, SqlError
 from repro.faults import ErrorEffect, FaultSpec, RelationTrigger, RowDropEffect, TagTrigger
 from repro.middleware.rephrase import QueryRephraser, RephrasingWrapper
 from repro.servers import make_server
+from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.sqlgen import render_statement
 
@@ -138,8 +139,6 @@ class TestRephrasingWrapper:
     def test_corpus_pg43_masked_by_rephrasing(self, corpus):
         """The actual PG-43 bug: its failure region is the UNION-nested
         NOT IN; distributing the UNION dodges it on PostgreSQL."""
-        from repro.study.runner import split_statements
-
         report = corpus.get("PG-43")
         server = make_server("PG", corpus.faults_for("PG"))
         wrapper = RephrasingWrapper(server)
@@ -154,3 +153,28 @@ class TestRephrasingWrapper:
             pristine.execute(statement)
         expected = pristine.execute(statements[-1])
         assert result.rows == expected.rows
+
+    def test_surfaces_under_a_tenth_of_home_failures(self, corpus):
+        """Corpus-wide, rephrasing catches only the syntax-shaped tail:
+        failures triggered by the data touched, crashes and wrong DDL
+        semantics need genuinely diverse redundancy (Section 7)."""
+        ran = surfaced = 0
+        for report in corpus:
+            if report.home_failure is None:
+                continue
+            ran += 1
+            wrapper = RephrasingWrapper(
+                make_server(report.reported_for, corpus.faults_for(report.reported_for))
+            )
+            detected = False
+            for statement in split_statements(report.script):
+                try:
+                    wrapper.execute(statement)
+                except AdjudicationFailure:
+                    detected = True
+                except (SqlError, EngineCrash):
+                    continue
+            surfaced += detected + wrapper.stats.masked_errors
+        assert ran == 152
+        assert 0 < surfaced < 15
+        assert surfaced / ran < 0.10

@@ -346,6 +346,7 @@ class TestMultisetVoting:
         )
         server.execute("SELECT id, balance FROM accounts")
         assert server.disagreement_log
+        assert server.stats.disagreements_detected == 1
 
 
 def stall_fault(pattern):
@@ -370,6 +371,7 @@ class TestIdempotentWriteRetry:
         assert server.stats.idempotent_write_retries == 1
         assert server.stats.retries_saved == 1
         assert server.stats.statement_timeouts == 0
+        assert server.stats.quarantines == 0
         assert server.replica("IB").state is ReplicaState.ACTIVE
 
     def test_unsafe_write_stall_is_never_retried(self):
@@ -404,6 +406,7 @@ class TestIdempotentWriteRetry:
         server.execute("UPDATE accounts SET lbl = 'z' WHERE id = 1")
         assert server.stats.idempotent_write_retries == 0
         assert server.stats.statement_timeouts == 1
+        assert server.stats.quarantines == 1
 
 
 class TestDateNormalization:

@@ -329,35 +329,61 @@ class TestDeterminism:
         )
 
 
+def stock_level_crash():
+    # A deterministic (Bohrbug) crash on a narrow slice of the TPC-C
+    # load: the statement retry cannot save the replica, so every hit is
+    # a quarantine + recovery cycle.
+    return FaultSpec(
+        "T-STORM",
+        "crashes on stock-level analysis queries",
+        SqlPatternTrigger(r"COUNT\s*\(\s*DISTINCT\s+s_i_id"),
+        CrashEffect("scheduler deadlock"),
+    )
+
+
+def run_storm(server, seed=3):
+    runner = WorkloadRunner(server, seed=seed)
+    runner.setup()
+    return runner.run(40)
+
+
 class TestWorkloadOutages:
     def test_single_replica_outage_is_counted(self):
-        fault = FaultSpec(
-            "T-STORM",
-            "crashes on stock-level analysis queries",
-            SqlPatternTrigger(r"COUNT\s*\(\s*DISTINCT\s+s_i_id"),
-            CrashEffect("scheduler deadlock"),
-        )
-        server = DiverseServer([make_server("IB", [fault])], adjudication="primary")
-        runner = WorkloadRunner(server, seed=3)
-        runner.setup()
-        metrics = runner.run(40)
+        server = DiverseServer([make_server("IB", [stock_level_crash()])], adjudication="primary")
+        metrics = run_storm(server)
         assert metrics.outages >= 1
         assert not metrics.failure_free
 
     def test_triple_absorbs_the_same_storm(self):
-        fault = FaultSpec(
-            "T-STORM",
-            "crashes on stock-level analysis queries",
-            SqlPatternTrigger(r"COUNT\s*\(\s*DISTINCT\s+s_i_id"),
-            CrashEffect("scheduler deadlock"),
-        )
-        server = triple([fault])
-        runner = WorkloadRunner(server, seed=3)
-        runner.setup()
-        metrics = runner.run(40)
+        server = triple([stock_level_crash()])
+        metrics = run_storm(server)
         assert metrics.outages == 0
         assert metrics.crashes == 0
+        assert server.stats.replica_crashes >= 1
         assert server.stats.recoveries >= 1
+        assert server.verify_consistency() == {}
+
+    @pytest.mark.parametrize("interval", [16, None], ids=["checkpointed", "full-replay"])
+    def test_storm_recovery_cost_is_bounded_by_checkpoints(self, interval):
+        # Availability only scales if recovery cost does not grow with
+        # history: with checkpoints each recovery replays the write-log
+        # tail (one interval plus the transaction in flight), without
+        # them the whole history.
+        server = triple(
+            [stock_level_crash()], policy=SupervisorPolicy(checkpoint_interval=interval)
+        )
+        metrics = run_storm(server, seed=13)
+        replayed = max(server.replica("IB").health.replay_lengths)
+        assert metrics.crashes == 0
+        assert metrics.outages == 0
+        assert server.stats.recoveries >= 2
+        assert server.verify_consistency() == {}
+        if interval:
+            assert server.stats.checkpoint_replays >= 1
+            assert replayed <= 2 * interval < len(server.write_log)
+        else:
+            assert server.stats.full_replays >= 2
+            assert replayed > 2 * 16
 
 
 class TestQuarantineModel:

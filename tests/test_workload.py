@@ -86,6 +86,18 @@ class TestRunnerOnMiddleware:
         metrics = runner.run(50)
         assert metrics.failure_free
         assert server.stats.writes > 0 and server.stats.reads > 0
+        assert server.stats.unanimous > 0
+
+    def test_three_version_majority_runs_clean(self):
+        # Section 7: "with the TPC-C load ... We have not observed any
+        # failures so far".
+        server = DiverseServer(
+            [make_server("IB"), make_server("OR"), make_server("MS")],
+            adjudication="majority",
+        )
+        runner = WorkloadRunner(server, seed=3)
+        runner.setup()
+        assert runner.run(30).failure_free
 
     def test_faulty_replica_detected_under_load(self):
         from repro.faults import FaultSpec, RelationTrigger, RowDropEffect
