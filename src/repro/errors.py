@@ -95,6 +95,13 @@ class DivisionByZero(SqlError):
     default_code = "arithmetic"
 
 
+class NumericOverflow(SqlError):
+    """A numeric result outside the finite range.  SQL has no NaN or
+    infinity, so an operation that would produce one is refused."""
+
+    default_code = "arithmetic"
+
+
 class FeatureNotSupported(ReproError):
     """The statement needs a dialect feature this server does not offer.
 

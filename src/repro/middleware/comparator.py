@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Any, Optional
 
 from repro.errors import SqlError
 from repro.middleware.normalizer import normalize_result
+
+#: Types whose equal values are spelled one way: equal values of these
+#: types get equal vote keys under every normalisation.
+_PLAIN = frozenset((type(None), bool, int, str))
 
 
 @dataclass
@@ -21,6 +26,9 @@ class ReplicaAnswer:
     virtual_cost: float = 0.0
     error: str = ""
     result: Any = None  # the raw engine Result for the winning answer
+    #: ``normalize_result`` of this answer, computed at most once and
+    #: shared by :meth:`ResultComparator.compare` with identical answers.
+    _normal: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def unwrap(self):
         """The engine :class:`~repro.sqlengine.engine.Result` behind a
@@ -46,7 +54,9 @@ class ReplicaAnswer:
             # differently, which must not read as disagreement.
             return ("error",)
         if normalize:
-            columns, rows = normalize_result(self.columns, self.rows)
+            if self._normal is None:
+                self._normal = normalize_result(self.columns, self.rows)
+            columns, rows = self._normal
             if not ordered:
                 # Normalised values mix None with tagged tuples, which
                 # do not order against each other — sort by repr, which
@@ -66,6 +76,31 @@ class ReplicaAnswer:
         if not ordered:
             rows = tuple(sorted(rows))
         return ("ok", columns, rows, self.rowcount)
+
+
+def identical(a: ReplicaAnswer, b: ReplicaAnswer) -> bool:
+    """True when ``a`` and ``b`` get equal vote keys under both
+    normalisations and both orderings, decided without normalising.
+
+    Errors and crashes vote on their presence.  Ok answers need equal
+    columns, rowcount and rows (so the same row shape), and value by
+    value the same type; outside ``None``/bool/int/str also the same
+    ``repr`` — for a Decimal that spells sign, digits and exponent, so
+    equal ``as_tuple()``; for a float it tells ``-0.0`` from ``0.0``.
+    The check runs column by column in C (``map``/``zip``)."""
+    if a.status != b.status:
+        return False
+    if a.status != "ok":
+        return True
+    if a.rowcount != b.rowcount or a.columns != b.columns or a.rows != b.rows:
+        return False
+    for left, right in zip(zip_longest(*a.rows), zip_longest(*b.rows)):
+        types = list(map(type, left))
+        if types != list(map(type, right)):
+            return False
+        if not _PLAIN.issuperset(types) and list(map(repr, left)) != list(map(repr, right)):
+            return False
+    return True
 
 
 @dataclass
@@ -114,16 +149,30 @@ class ResultComparator:
     def compare(
         self, answers: list[ReplicaAnswer], *, ordered: bool = True
     ) -> ComparisonResult:
-        buckets: dict[tuple, list[ReplicaAnswer]] = {}
-        order: list[tuple] = []
+        """Agreement classes, largest first, members in input order.
+
+        Answers first fall into classes of :func:`identical` answers: a
+        single class is a unanimous round and nothing is normalised.
+        Otherwise each class's first member computes the vote key once
+        and classes with equal keys merge."""
+        reps: list[ReplicaAnswer] = []  # the first answer of each identity class
+        labels: list[int] = []
         for answer in answers:
-            key = answer.vote_key(normalize=self.normalize, ordered=ordered)
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append(answer)
-        groups = sorted(
-            (buckets[key] for key in order),
-            key=lambda group: (-len(group), group[0].replica),
-        )
-        return ComparisonResult(groups=list(groups))
+            label = next((i for i, rep in enumerate(reps) if identical(rep, answer)), len(reps))
+            if label == len(reps):
+                reps.append(answer)
+            labels.append(label)
+        if len(reps) > 1:
+            by_key: dict[tuple, int] = {}  # vote key -> first class with it
+            merged = [
+                by_key.setdefault(rep.vote_key(normalize=self.normalize, ordered=ordered), i)
+                for i, rep in enumerate(reps)
+            ]
+            for answer, label in zip(answers, labels):
+                answer._normal = reps[label]._normal
+            labels = [merged[label] for label in labels]
+        buckets: dict[int, list[ReplicaAnswer]] = {}
+        for answer, label in zip(answers, labels):
+            buckets.setdefault(label, []).append(answer)
+        groups = sorted(buckets.values(), key=lambda group: (-len(group), group[0].replica))
+        return ComparisonResult(groups=groups)

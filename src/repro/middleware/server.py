@@ -91,7 +91,7 @@ from repro.errors import (
     SqlError,
     StatementTimeout,
 )
-from repro.middleware.comparator import ReplicaAnswer, ResultComparator
+from repro.middleware.comparator import ReplicaAnswer, ResultComparator, identical
 from repro.middleware.normalizer import normalized_state
 from repro.middleware.pipeline import StatementPipeline
 from repro.middleware.supervisor import (
@@ -213,13 +213,10 @@ class MiddlewareStats:
     #: see when every replica shares the same planner.
     dual_plan_divergences: int = 0
     # -- prepared/batch counters -----------------------------------------
-    #: ``executemany`` invocations (one adjudication round each).
+    #: ``executemany`` invocations (each row adjudicated on its own).
     batches: int = 0
     #: Rows executed through ``executemany``.
     batched_statements: int = 0
-    #: Batched rows settled by the raw-equality fast path (identical
-    #: bytes from every replica — no comparator vote needed).
-    batch_fast_votes: int = 0
     # -- online rebuild counters ------------------------------------------
     #: Online rebuilds started (RETIRED/FAILED -> REBUILDING).
     rebuilds_started: int = 0
@@ -503,7 +500,6 @@ class DiverseServer:
         call: StatementCall,
         statement: ast.Statement,
         traits: StatementTraits,
-        fast_unanimous: bool = False,
     ) -> Result:
         """The adjudicated execution core shared by the unprepared,
         prepared, and batched paths.  Charges exactly one supervisor
@@ -546,8 +542,7 @@ class DiverseServer:
                 result = self._execute_single(call, active, is_write, policy, verdict)
             else:
                 result = self._execute_compared(
-                    call, active, is_write, policy, verdict, fast_unanimous,
-                    divergence=divergence,
+                    call, active, is_write, policy, verdict, divergence=divergence
                 )
         finally:
             self._pending_write = None
@@ -738,7 +733,6 @@ class DiverseServer:
         is_write: bool,
         policy: str,
         verdict: Optional[StatementVerdict] = None,
-        fast_unanimous: bool = False,
         divergence: Optional[StatementDivergence] = None,
     ) -> Result:
         answers: list[ReplicaAnswer] = []
@@ -772,13 +766,6 @@ class DiverseServer:
         ordered = not (verdict is not None and verdict.multiset_comparable)
         if not ordered:
             self.stats.multiset_comparisons += 1
-        if fast_unanimous and self._raw_unanimous(answers):
-            # Batch fast path: every replica returned identical bytes,
-            # which implies an identical vote under any normalization
-            # and ordering — skip the comparator, same outcome.
-            self.stats.unanimous += 1
-            self.stats.batch_fast_votes += 1
-            return answers[0].unwrap()
         comparison = self.comparator.compare(answers, ordered=ordered)
         if comparison.unanimous:
             self.stats.unanimous += 1
@@ -828,15 +815,15 @@ class DiverseServer:
             normalize=self.comparator.normalize, ordered=ordered
         )
         outvoted = comparison.minority_replicas()
-        for key in outvoted:
-            replica = self.replica(key)
+        for loser in (answer for group in comparison.groups[1:] for answer in group):
+            replica = self.replica(loser.replica)
             if benign:
                 # A proven dialect divergence is the replica behaving
                 # correctly for its product: mask the difference, but
                 # spend no retry and raise no suspicion.
                 continue
             if self._retry_matches(
-                replica, call, is_write, winner_key, verdict, ordered
+                replica, call, is_write, winner_key, loser, verdict, ordered
             ):
                 continue
             self._suspect(replica)
@@ -872,20 +859,6 @@ class DiverseServer:
                         if pair_verdict.kind is not DivergenceKind.BENIGN_DIALECT:
                             return False
         return True
-
-    @staticmethod
-    def _raw_unanimous(answers: list[ReplicaAnswer]) -> bool:
-        """True when every answer is ok and byte-identical to the first."""
-        first = answers[0]
-        if first.status != "ok":
-            return False
-        return all(
-            answer.status == "ok"
-            and answer.columns == first.columns
-            and answer.rows == first.rows
-            and answer.rowcount == first.rowcount
-            for answer in answers[1:]
-        )
 
     #: A replica answering this many times slower than the fastest peer
     #: is flagged as a performance anomaly (self-evident failure class).
@@ -1057,12 +1030,15 @@ class DiverseServer:
         call: StatementCall,
         is_write: bool,
         winner_key: tuple,
+        loser: ReplicaAnswer,
         verdict: Optional[StatementVerdict] = None,
         ordered: bool = True,
     ) -> bool:
         """Re-run an out-voted statement once; True when the retry agrees
         with the winning answer (a transient fault — keep the replica).
-        Only reads and analyzer-proven re-execution-safe writes retry."""
+        A retry identical to the out-voted ``loser`` lost already and is
+        not normalised.  Only reads and analyzer-proven
+        re-execution-safe writes retry."""
         if not self._retry_safe(is_write, verdict):
             return False
         replica.state = ReplicaState.SUSPECTED
@@ -1072,6 +1048,7 @@ class DiverseServer:
         retry = self._ask(replica, call)
         if (
             retry.status != "crash"
+            and not identical(retry, loser)
             and retry.vote_key(normalize=self.comparator.normalize, ordered=ordered)
             == winner_key
         ):
@@ -1247,22 +1224,7 @@ class PreparedStatement:
 
     def execute(self, params: Sequence[Any] = ()) -> Result:
         """One adjudicated execution with positional parameter values."""
-        return self._execute(tuple(params), fast_unanimous=False)
-
-    def executemany(self, rows: Iterable[Sequence[Any]]) -> list[Result]:
-        """Execute once per parameter tuple — one adjudication round
-        for the batch.  Each row charges one supervisor tick (deadline
-        and quarantine semantics are per-row); a full comparator vote
-        runs only on rows where the replicas diverge, the rest settle
-        on raw answer equality."""
-        self._server.stats.batches += 1
-        results: list[Result] = []
-        for row in rows:
-            self._server.stats.batched_statements += 1
-            results.append(self._execute(tuple(row), fast_unanimous=True))
-        return results
-
-    def _execute(self, params: tuple, fast_unanimous: bool) -> Result:
+        params = tuple(params)
         if len(params) != self.param_count:
             raise MiddlewareError(
                 f"statement takes {self.param_count} parameter(s), "
@@ -1274,9 +1236,17 @@ class PreparedStatement:
         call = StatementCall(
             sql=self.sql, bound_sql=bound_sql, params=params, prepared=self
         )
-        return self._server._execute_bound(
-            call, self.statement, self.traits, fast_unanimous=fast_unanimous
-        )
+        return self._server._execute_bound(call, self.statement, self.traits)
+
+    def executemany(self, rows: Iterable[Sequence[Any]]) -> list[Result]:
+        """:meth:`execute` once per parameter tuple, each row its own
+        adjudicated round and supervisor tick, counted as one batch."""
+        self._server.stats.batches += 1
+        results: list[Result] = []
+        for row in rows:
+            self._server.stats.batched_statements += 1
+            results.append(self.execute(row))
+        return results
 
 
 def replicated_server(

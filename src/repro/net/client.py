@@ -61,6 +61,7 @@ _ERROR_TYPES: Dict[str, Callable[[str], Exception]] = {
     "ConstraintViolation": base_errors.ConstraintViolation,
     "TransactionError": base_errors.TransactionError,
     "DivisionByZero": base_errors.DivisionByZero,
+    "NumericOverflow": base_errors.NumericOverflow,
     "TranslationPending": base_errors.TranslationPending,
     "MiddlewareError": base_errors.MiddlewareError,
     "AdjudicationFailure": base_errors.AdjudicationFailure,

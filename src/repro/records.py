@@ -21,6 +21,7 @@ Standard library only: every layer may import this module.
 from __future__ import annotations
 
 import datetime
+import math
 import struct
 import zlib
 from decimal import Decimal, InvalidOperation
@@ -79,11 +80,22 @@ def flip_payload_byte(record: bytes, offset: int, xor: int) -> bytes:
 
 
 class ScalarInvalid(ValueError):
-    """A tagged scalar envelope has an unknown tag or undecodable text."""
+    """A tagged scalar envelope has an unknown tag or undecodable text,
+    or a value is NaN or infinite."""
+
+
+def finite_decimal(text: Any) -> Decimal:
+    """``Decimal(text)`` for a finite number only.  No SQL value is NaN
+    or infinite, so those spellings raise ``InvalidOperation`` like any
+    other text that is not a number; the engine parses text with it too."""
+    value = Decimal(text)
+    if not value.is_finite():
+        raise InvalidOperation(f"{text!r} is not a finite number")
+    return value
 
 
 _DECODERS = {
-    "decimal": Decimal,
+    "decimal": finite_decimal,
     "datetime": datetime.datetime.fromisoformat,
     "date": datetime.date.fromisoformat,
 }
@@ -103,6 +115,8 @@ def encode_value(value: Any) -> Any:
 def decode_value(value: Any) -> Any:
     """Undo :func:`encode_value`; raises :class:`ScalarInvalid`."""
     if not isinstance(value, dict):
+        if type(value) is float and not math.isfinite(value):
+            raise ScalarInvalid(f"non-finite number {value!r}")
         return value
     tag, text = value.get("$"), value.get("v")
     decoder = _DECODERS.get(tag) if isinstance(tag, str) else None

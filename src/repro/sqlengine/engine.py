@@ -37,7 +37,7 @@ from repro.sqlengine.tokens import Token
 from repro.sqlengine.transactions import TransactionManager
 from repro.sqlengine.typenames import resolve_type
 from repro.sqlengine.types import cast_value
-from repro.sqlengine.values import row_key
+from repro.sqlengine.values import is_finite, row_key
 
 
 @dataclass
@@ -860,6 +860,8 @@ class EnginePrepared:
                 f"statement takes {self.param_count} parameter(s), "
                 f"{len(bound)} given"
             )
+        if not all(map(is_finite, bound)):
+            raise SqlError(f"cannot bind a NaN or infinite parameter value in {bound!r}")
         return self._engine._execute_statement(
             self.statement, self.sql, params=bound, traits=self.traits
         )

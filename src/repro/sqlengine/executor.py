@@ -10,6 +10,7 @@ in controlled ways.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Optional
 
 from repro.errors import BindError, CatalogError, TypeMismatch
@@ -418,42 +419,30 @@ class SelectExecutor:
                 "ORDER BY expression must name an output column of a set operation"
             )
 
-        decorated = []
-        for index, row in enumerate(result.rows):
-            keys = []
-            for item in order_by:
-                value = key_for(index, row, item)
-                keys.append(_sort_key(value, item.descending))
-            decorated.append((tuple(keys), index, row))
-        decorated.sort(key=lambda entry: (entry[0], entry[1]))
-        return QueryResult(result.columns, [entry[2] for entry in decorated])
+        decorated = [
+            (tuple(key_for(index, row, item) for item in order_by), row)
+            for index, row in enumerate(result.rows)
+        ]
+        directions = [item.descending for item in order_by]
+        return QueryResult(result.columns, order_rows(decorated, directions))
 
 
-def _sort_key(value: Any, descending: bool) -> tuple:
-    """Total-order sort key: NULLs sort last ascending, first descending."""
-    if value is None:
-        # Rank separates NULLs from values so their key payloads (which
-        # have different types) are never compared with each other.
-        return (1, 0) if not descending else (0, 0)
-    key = distinct_key(value)
-    if descending:
-        return (1, _Reversed(key))
-    return (0, key)
+def _sort_key(value: Any) -> tuple:
+    # The rank keeps NULL from ever being compared with a value.
+    return (1,) if value is None else (0, distinct_key(value))
 
 
-class _Reversed:
-    """Wrapper inverting comparison order for DESC sort keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and other.key == self.key
+def order_rows(decorated: list[tuple[tuple, tuple]], directions: list[bool]) -> list[tuple]:
+    """The rows of ``decorated`` — ``(ORDER BY values, row)`` pairs in
+    input order — sorted by those values, ``directions[i]`` true for
+    DESC.  NULLs sort last ascending and first descending; ties keep
+    input order.  One stable sort per key, the least significant first
+    (``reverse=`` keeps ties in order), so no key is wrapped to invert
+    its comparisons."""
+    entries = [(*map(_sort_key, values), row) for values, row in decorated]
+    for position in reversed(range(len(directions))):
+        entries.sort(key=itemgetter(position), reverse=directions[position])
+    return [entry[-1] for entry in entries]
 
 
 def _distinct_rows(rows: list[tuple]) -> list[tuple]:

@@ -12,10 +12,11 @@ import math
 from decimal import Decimal
 from typing import Any, Callable, Optional
 
-from repro.errors import BindError, DivisionByZero, TypeMismatch
+from repro.errors import BindError, DivisionByZero, NumericOverflow, TypeMismatch
+from repro.records import finite_decimal
 from repro.sqlengine.typenames import resolve_type
 from repro.sqlengine.types import cast_value, format_numeric
-from repro.sqlengine.values import distinct_key, sql_compare
+from repro.sqlengine.values import distinct_key, sql_add, sql_compare
 
 ScalarFunction = Callable[..., Any]
 
@@ -32,7 +33,7 @@ def _as_number(value: Any, func: str) -> Any:
         return value
     if isinstance(value, str):
         try:
-            return Decimal(value.strip())
+            return finite_decimal(value.strip())
         except Exception:
             raise TypeMismatch(f"{func} requires a numeric argument") from None
     raise TypeMismatch(f"{func} requires a numeric argument")
@@ -108,7 +109,13 @@ def fn_ceil(ctx, value):
 def fn_power(ctx, base, exponent):
     if base is None or exponent is None:
         return None
-    return float(_as_number(base, "POWER")) ** float(_as_number(exponent, "POWER"))
+    try:
+        result = float(_as_number(base, "POWER")) ** float(_as_number(exponent, "POWER"))
+    except (OverflowError, ZeroDivisionError):
+        result = math.inf
+    if type(result) is not float or not math.isfinite(result):
+        raise NumericOverflow("POWER result is not a finite real number")
+    return result
 
 
 def fn_sqrt(ctx, value):
@@ -324,7 +331,7 @@ class Accumulator:
         self._count += 1
         if self.name in ("SUM", "AVG"):
             number = _as_number(value, self.name)
-            self._sum = number if self._sum is None else self._sum + number
+            self._sum = number if self._sum is None else sql_add(self._sum, number)
         elif self.name == "MIN" and (
             self._min is None or sql_compare(value, self._min) < 0
         ):

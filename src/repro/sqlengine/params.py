@@ -24,6 +24,7 @@ from typing import Any, Sequence
 from repro.errors import SqlError
 from repro.sqlengine.lexer import tokenize
 from repro.sqlengine.tokens import TokenKind
+from repro.sqlengine.values import is_finite
 
 
 def render_param(value: Any) -> str:
@@ -37,10 +38,8 @@ def render_param(value: Any) -> str:
     if isinstance(value, str):
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
-    if isinstance(value, (int, Decimal)):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (int, float, Decimal)) and is_finite(value):
+        return repr(value) if isinstance(value, float) else str(value)
     raise SqlError(f"cannot bind parameter value {value!r}")
 
 

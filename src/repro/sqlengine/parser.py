@@ -10,6 +10,7 @@ distinguished parse-level dialect differences from engine behaviour.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from typing import Optional, Union
 
@@ -425,7 +426,10 @@ class Parser:
         token = self._peek()
         if token.kind is TokenKind.NUMBER:
             self._advance()
-            return ast.Literal(self._number_value(token.value))
+            value = self._number_value(token.value)
+            if value == math.inf:  # the sign is an operator, not part of the token
+                raise ParseError(f"number {token.value} out of range at line {token.line}")
+            return ast.Literal(value)
         if token.kind is TokenKind.STRING:
             self._advance()
             return ast.Literal(token.value)

@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 from repro.errors import BindError, TypeMismatch
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.executor import QueryResult, SelectExecutor, _sort_key
+from repro.sqlengine.executor import QueryResult, SelectExecutor, order_rows
 from repro.sqlengine.functions import Accumulator
 from repro.sqlengine.plan.compiler import Scope, compile_expression
 from repro.sqlengine.plan.logical import (
@@ -511,8 +511,8 @@ class PhysicalSelect:
 
         decorated = []
         for index, row in enumerate(out_rows):
-            keys = []
-            for kind, payload, descending in resolved:
+            values = []
+            for kind, payload, _ in resolved:
                 if kind == "ordinal":
                     if not 1 <= payload <= len(row):
                         raise BindError(
@@ -527,7 +527,6 @@ class PhysicalSelect:
                         ctx_aggs[index] if ctx_aggs is not None else None,
                         ctx,
                     )
-                keys.append(_sort_key(value, descending))
-            decorated.append((tuple(keys), index, row))
-        decorated.sort(key=lambda entry: (entry[0], entry[1]))
-        return [entry[2] for entry in decorated]
+                values.append(value)
+            decorated.append((tuple(values), row))
+        return order_rows(decorated, [descending for _, _, descending in resolved])

@@ -9,12 +9,14 @@ validation, and implicit coercions.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from typing import Any, Optional
 
 from repro.errors import TypeMismatch
+from repro.records import finite_decimal
 
 
 class TypeFamily(Enum):
@@ -144,7 +146,7 @@ def _cast_to_integer(value: Any) -> int:
             return int(stripped)
         except ValueError:
             try:
-                return int(Decimal(stripped))
+                return int(finite_decimal(stripped))
             except InvalidOperation:
                 raise TypeMismatch(f"cannot convert {value!r} to integer") from None
     raise TypeMismatch(f"cannot convert {value!r} to integer")
@@ -159,28 +161,24 @@ def _cast_to_decimal(value: Any, target: SqlType) -> Decimal:
         elif isinstance(value, float):
             result = Decimal(str(value))
         elif isinstance(value, str):
-            result = Decimal(value.strip())
+            result = finite_decimal(value.strip())
         else:
             raise TypeMismatch(f"cannot convert {value!r} to decimal")
+        if target.scale is not None:
+            result = result.quantize(Decimal(1).scaleb(-target.scale))
     except InvalidOperation:
         raise TypeMismatch(f"cannot convert {value!r} to decimal") from None
-    if target.scale is not None:
-        quantum = Decimal(1).scaleb(-target.scale)
-        result = result.quantize(quantum)
     return result
 
 
 def _cast_to_float(value: Any) -> float:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float, Decimal)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value.strip())
-        except ValueError:
-            raise TypeMismatch(f"cannot convert {value!r} to float") from None
-    raise TypeMismatch(f"cannot convert {value!r} to float")
+    try:
+        result = float(value.strip() if isinstance(value, str) else value)
+    except (TypeError, ValueError, OverflowError):
+        result = math.nan
+    if not math.isfinite(result):
+        raise TypeMismatch(f"cannot convert {value!r} to float")
+    return result
 
 
 def _cast_to_character(value: Any, target: SqlType) -> str:
@@ -272,7 +270,7 @@ def _looks_numeric(text: str) -> bool:
     if not text:
         return False
     try:
-        Decimal(text)
+        finite_decimal(text)
     except InvalidOperation:
         return False
     return True

@@ -8,11 +8,13 @@ expressions evaluate to ``True``, ``False``, or ``None`` (UNKNOWN).
 from __future__ import annotations
 
 import datetime
+import math
 import re
 from decimal import Decimal
 from typing import Any, Iterable, Optional
 
-from repro.errors import DivisionByZero, TypeMismatch
+from repro.errors import DivisionByZero, NumericOverflow, TypeMismatch
+from repro.records import finite_decimal
 from repro.sqlengine.types import format_numeric, parse_timestamp
 
 Tribool = Optional[bool]
@@ -108,8 +110,8 @@ def _reconcile(lkind: str, lval: Any, rkind: str, rval: Any) -> tuple:
         # Try string -> number first, then number -> string.
         try:
             if lkind == "s":
-                return "n", Decimal(lval.strip()), "n", rval
-            return "n", lval, "n", Decimal(rval.strip())
+                return "n", finite_decimal(lval.strip()), "n", rval
+            return "n", lval, "n", finite_decimal(rval.strip())
         except Exception:
             raise TypeMismatch("cannot compare string with number") from None
     if kinds == {"d", "s"}:
@@ -147,6 +149,11 @@ def row_key(row: tuple) -> tuple:
     return tuple(distinct_key(value) for value in row)
 
 
+def is_finite(value: Any) -> bool:
+    """False for a NaN or infinite float or Decimal: no SQL value is one."""
+    return not isinstance(value, (float, Decimal)) or Decimal(value).is_finite()
+
+
 def sql_add(left: Any, right: Any) -> Any:
     return _arith(left, right, "+")
 
@@ -170,8 +177,7 @@ def _numeric_operand(value: Any, op: str) -> Any:
         return value
     if isinstance(value, str):
         try:
-            text = value.strip()
-            return Decimal(text)
+            return finite_decimal(value.strip())
         except Exception:
             raise TypeMismatch(
                 f"operand {value!r} of {op!r} is not numeric"
@@ -186,26 +192,32 @@ def _arith(left: Any, right: Any, op: str) -> Any:
     lval = _numeric_operand(left, op)
     rval = _numeric_operand(right, op)
     uses_float = isinstance(lval, float) or isinstance(rval, float)
-    if isinstance(lval, Decimal) or isinstance(rval, Decimal):
-        if uses_float:
+    if uses_float:
+        try:
             lval, rval = float(lval), float(rval)
-        else:
-            lval, rval = Decimal(lval), Decimal(rval)
+        except OverflowError:  # an integer beyond the float range
+            raise NumericOverflow(f"{op} overflows the floating-point range") from None
+    elif isinstance(lval, Decimal) or isinstance(rval, Decimal):
+        lval, rval = Decimal(lval), Decimal(rval)
     if op == "+":
-        return lval + rval
-    if op == "-":
-        return lval - rval
-    if op == "*":
-        return lval * rval
-    if op == "/":
+        result = lval + rval
+    elif op == "-":
+        result = lval - rval
+    elif op == "*":
+        result = lval * rval
+    elif op == "/":
         if rval == 0:
             raise DivisionByZero("division by zero")
         if isinstance(lval, int) and isinstance(rval, int):
             # SQL integer division truncates toward zero.
             quotient = abs(lval) // abs(rval)
             return quotient if (lval >= 0) == (rval >= 0) else -quotient
-        return lval / rval
-    raise TypeMismatch(f"unknown arithmetic operator {op!r}")  # pragma: no cover
+        result = lval / rval
+    else:  # pragma: no cover
+        raise TypeMismatch(f"unknown arithmetic operator {op!r}")
+    if uses_float and not math.isfinite(result):
+        raise NumericOverflow(f"{op} overflows the floating-point range")
+    return result
 
 
 def sql_neg(value: Any) -> Any:

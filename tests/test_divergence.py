@@ -286,6 +286,23 @@ class TestComparatorTriage:
         assert stats.fault_indicating_divergences > 0
         assert stats.benign_dialect_divergences == 0
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_executemany_reports_what_execute_reports(self, batched):
+        # OR renders 10.50 as 10.5.  Python's == equates the two
+        # Decimals, but the raw comparator must see them differ, and a
+        # batch must be voted exactly like the same rows run one by one.
+        server = seeded_diverse(
+            True, {"OR": [render_fault("T-SCALE", "strip-scale")]}, normalize=False
+        )
+        sql = "SELECT amount FROM ledger WHERE id = ?"
+        if batched:
+            server.prepare(sql).executemany([(1,), (2,), (3,)])
+        else:
+            for key in (1, 2, 3):
+                server.execute(sql, (key,))
+        assert server.stats.disagreements_detected == 3
+        assert server.stats.benign_dialect_divergences == 3
+
     def test_genuine_fault_still_indicts(self):
         drop = FaultSpec(
             "T-ROWDROP",

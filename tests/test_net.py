@@ -8,10 +8,11 @@ non-idempotent statements.
 """
 
 import asyncio
+from decimal import Decimal
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SqlError
 from repro.faults import (
     ConnectionResetEffect,
     CorruptFrameEffect,
@@ -33,6 +34,7 @@ from repro.net import (
     NetClient,
     NetPolicy,
     NetServer,
+    ProtocolViolation,
     RetryUnsafe,
     SessionExpired,
     SessionSupervisor,
@@ -244,6 +246,64 @@ class TestNonAsciiDigits:
         good = port.request(protocol.execute(session, token, 2, "SELECT 1"), 8.0)
         assert good["type"] == "result"
         assert good["rows"] == [[1]]
+
+
+class TestNonFiniteNumbers:
+    """No SQL value is NaN or infinite.  Each of these texts would make
+    one (or raise a builtin ``OverflowError`` / ``InvalidOperation`` on
+    the way); the source refuses it with an ``SqlError`` at the engine,
+    the middleware and the served client, and the session goes on
+    serving."""
+
+    HOSTILE = (
+        "SELECT POWER(10.0, 400)",
+        "SELECT CEILING(1e308*10)",
+        "SELECT 1 WHERE CAST('nan' AS FLOAT) > 0",
+        "SELECT CAST('Infinity' AS DECIMAL)",
+        "SELECT 1e999",
+        "SELECT v FROM t ORDER BY v * 1e300 * 1e300",
+        "SELECT SUM(x) FROM (SELECT 1e308 AS x FROM t) AS s",
+        f"SELECT 1{'0' * 400} + 1.5e0",
+    )
+
+    @pytest.mark.parametrize("sql", HOSTILE, ids=lambda sql: sql[:48])
+    def test_sql_error_at_engine_middleware_and_served_client(self, sql):
+        server, _, network = deployment()
+        engine = make_server("IB").engine
+        for statement in SETUP:
+            engine.execute(statement)
+        with pytest.raises(SqlError):
+            engine.execute(sql)
+        client = supervised(network)
+        for statement in SETUP:
+            client.execute(statement)
+        with pytest.raises(SqlError):
+            server.execute(sql)
+        with pytest.raises(SqlError):
+            client.execute(sql)
+        assert client.execute("SELECT v FROM t ORDER BY v").rows == [(10,), (20,)]
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("-inf"), Decimal("NaN"), Decimal("Infinity")], ids=repr
+    )
+    def test_bound_parameter_is_refused_before_any_replica_sorts(self, value):
+        sql = "SELECT v FROM t ORDER BY v + ?"
+        server, net_server, network = deployment()
+        engine = make_server("IB").engine
+        for statement in SETUP:
+            engine.execute(statement)
+        with pytest.raises(SqlError):
+            engine.prepare(sql).execute((value,))
+        client = supervised(network)
+        for statement in SETUP:
+            client.execute(statement)
+        with pytest.raises(SqlError):
+            server.execute(sql, [value])
+        # On the wire the value never decodes: the sender's protocol error.
+        with pytest.raises(ProtocolViolation):
+            client.prepare(sql).execute([value])
+        assert net_server.stats.protocol_errors == 1
+        assert client.prepare(sql).execute([1]).rows == [(10,), (20,)]
 
 
 class TestBackpressure:

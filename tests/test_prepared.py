@@ -246,10 +246,11 @@ class TestMiddlewarePrepared:
     def test_executemany_batch_stats(self):
         server = _pair()
         server.execute(ACCOUNTS_DDL)
+        unanimous = server.stats.unanimous
         server.prepare(ACCOUNTS_INSERT).executemany(ACCOUNT_ROWS)
         assert server.stats.batches == 1
         assert server.stats.batched_statements == len(ACCOUNT_ROWS)
-        assert server.stats.batch_fast_votes == len(ACCOUNT_ROWS)
+        assert server.stats.unanimous == unanimous + len(ACCOUNT_ROWS)
 
     def test_write_log_records_bound_text(self):
         server = _pair()

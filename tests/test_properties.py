@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core invariants."""
 
+import dataclasses
+import datetime
 import re
 from decimal import Decimal
 
@@ -12,12 +14,14 @@ from repro.dialects.translator import render_tokens, translate_script
 from repro.durability import DurabilityManager, MemoryMedium
 from repro.errors import FeatureNotSupported, SqlError
 from repro.middleware import DiverseServer, ServerConfig
+from repro.middleware.comparator import ReplicaAnswer, ResultComparator, identical
 from repro.middleware.pipeline import StatementPipeline
 from repro.servers import make_server
 from repro.servers.product import ServerProduct
 from repro.sqlengine import Engine
 from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.engine import ParsedStatement, parse_once
+from repro.sqlengine.executor import order_rows
 from repro.sqlengine.lexer import split_statements, tokenize
 from repro.sqlengine.params import placeholder_positions
 from repro.sqlengine.parser import Parser, parse_prepared, parse_script, parse_statement
@@ -130,6 +134,140 @@ class TestNormalizerProperties:
     def test_distinct_numbers_stay_distinct(self, a, b):
         if sql_compare(a, b) != 0:
             assert normalize_value(a) != normalize_value(b)
+
+
+#: Each group holds values that are ``==`` to each other, or normalise
+#: alike, or are spelled alike, without voting alike under every mode:
+#: what a vote by identity must never confuse.
+_TWINS = (
+    (True, 1, 1.0, Decimal("1"), Decimal("1.0"), Decimal("1.00")),
+    (False, 0, 0.0, -0.0, Decimal("0"), Decimal("-0"), Decimal("0.00")),
+    (123456789012345, 123456789012345.0, Decimal("123456789012345")),
+    ("a", "a  ", "A"),
+    (datetime.date(2004, 6, 1), datetime.datetime(2004, 6, 1), datetime.datetime(2004, 6, 1, 9)),
+    (None,),
+)
+
+
+@st.composite
+def _ballots(draw):
+    """2-6 replica answers, with repeats, drawn from a base answer and
+    up to three variants of it — one twin swapped in, or the row order,
+    column case, rowcount or status changed — over a ragged row shape,
+    so identical, equal and merely normalise-equal answers all occur."""
+    shape = draw(st.lists(st.lists(st.integers(0, len(_TWINS) - 1), max_size=3), max_size=3))
+    rows = tuple(tuple(draw(st.sampled_from(_TWINS[group])) for group in row) for row in shape)
+    pool = [dict(status="ok", columns=("v",), rows=rows, rowcount=1, flipped=False)]
+    for _ in range(draw(st.integers(1, 3))):
+        variant = dict(draw(st.sampled_from(pool)))
+        cells = [(r, c) for r, row in enumerate(variant["rows"]) for c in range(len(row))]
+        change = draw(st.sampled_from(["twin", "twin", "respell", "flip", "case", "count", "status"]))
+        if change in ("twin", "respell") and cells:
+            r, c = draw(st.sampled_from(cells))
+            changed = [list(row) for row in variant["rows"]]
+            twins = _TWINS[shape[r][c]]
+            if change == "respell":  # same type, so only the spelling can tell them apart
+                twins = [twin for twin in twins if type(twin) is type(changed[r][c])]
+            changed[r][c] = draw(st.sampled_from(twins))
+            variant["rows"] = tuple(tuple(row) for row in changed)
+        elif change == "flip":
+            variant["flipped"] = not variant["flipped"]
+        elif change == "case":
+            variant["columns"] = ("V",)
+        elif change == "count":
+            variant["rowcount"] = 0
+        elif change == "status":
+            variant["status"] = draw(st.sampled_from(["error", "crash"]))
+        pool.append(variant)
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=6))
+    return [
+        ReplicaAnswer(
+            replica=f"R{index}", status=spec["status"], columns=spec["columns"],
+            rows=spec["rows"][::-1] if spec["flipped"] else spec["rows"], rowcount=spec["rowcount"],
+        )
+        for index, spec in enumerate(picks)
+    ]
+
+
+def _voted(answers, normalize, ordered):
+    """The vote without identity classes: every answer's key, computed
+    on a fresh copy so nothing a comparison cached can leak in."""
+    buckets: dict = {}
+    for answer in answers:
+        key = dataclasses.replace(answer).vote_key(normalize=normalize, ordered=ordered)
+        buckets.setdefault(key, []).append(answer.replica)
+    return sorted(buckets.values(), key=lambda group: (-len(group), group[0]))
+
+
+class TestIdentityVote:
+    @settings(max_examples=300, deadline=None)
+    @given(answers=_ballots(), normalize=st.booleans(), ordered=st.booleans())
+    def test_identity_classes_vote_like_every_key(self, answers, normalize, ordered):
+        comparison = ResultComparator(normalize=normalize).compare(answers, ordered=ordered)
+        groups = [[answer.replica for answer in group] for group in comparison.groups]
+        assert groups == _voted(answers, normalize, ordered)
+
+    @settings(max_examples=300, deadline=None)
+    @given(answers=_ballots())
+    def test_identical_answers_get_equal_keys_under_every_mode(self, answers):
+        a, b = answers[0], answers[1]
+        if identical(a, b):
+            for normalize in (False, True):
+                for ordered in (False, True):
+                    assert _voted([a, b], normalize, ordered) == [["R0", "R1"]]
+
+
+class _Desc:
+    """Inverts the comparisons of a DESC key in the reference sort."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+    def __eq__(self, other):
+        return other.key == self.key
+
+
+def _composite_order(decorated, directions):
+    """Reference ORDER BY: one sort on a composite key per row — a
+    (rank, key) part per ORDER BY item, then the input position."""
+
+    def key(entry):
+        index, (values, _) = entry
+        parts = []
+        for value, descending in zip(values, directions):
+            if value is None:
+                parts.append((0, 0) if descending else (1, 0))
+            elif descending:
+                parts.append((1, _Desc(distinct_key(value))))
+            else:
+                parts.append((0, distinct_key(value)))
+        return tuple(parts), index
+
+    return [row for _, (_, row) in sorted(enumerate(decorated), key=key)]
+
+
+_ORDER_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.decimals(min_value=-3, max_value=3, places=1),
+    st.floats(min_value=-3, max_value=3, allow_nan=False),
+    st.sampled_from(["a", "a ", "b", "B"]),
+    st.sampled_from([datetime.date(2004, 6, 1), datetime.datetime(2004, 6, 1, 9)]),
+)
+
+
+class TestOrderRows:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), directions=st.lists(st.booleans(), min_size=1, max_size=3))
+    def test_order_rows_equals_the_composite_key_sort(self, data, directions):
+        width = len(directions)
+        values = data.draw(st.lists(st.tuples(*[_ORDER_VALUES] * width), max_size=12))
+        decorated = [(row_values, (index,)) for index, row_values in enumerate(values)]
+        assert order_rows(decorated, directions) == _composite_order(decorated, directions)
 
 
 class TestLexerProperties:

@@ -155,6 +155,12 @@ def test_every_stored_scalar_survives_wire_engine_checkpoint_restore(values):
         {"$": "interval", "v": "1"},
         {"$": ["decimal"], "v": "1"},
         {},
+        # No SQL value is NaN or infinite, whatever spells it.
+        {"$": "decimal", "v": "NaN"},
+        {"$": "decimal", "v": "-Infinity"},
+        {"$": "decimal", "v": "sNaN"},
+        float("nan"),
+        float("inf"),
     ],
 )
 def test_malformed_envelope_is_one_error_mapped_per_user(envelope):
