@@ -38,7 +38,7 @@ Three *script-level* layers compose the per-statement facts:
   (:func:`certify_rewrites`), and dead-predicate lint findings.
 * **Transaction-conflict analysis** (:mod:`repro.analysis.conflicts`) —
   pairwise statement commutativity over def/use cells
-  (:func:`classify_statements`), whole-interleaving serializability
+  (:func:`classify_pair`), whole-interleaving serializability
   verdicts with anomaly witnesses (:func:`analyze_sessions`), and the
   per-statement commuting certificates
   (:func:`commutes_with_footprint`) the served dispatcher uses to admit
@@ -64,7 +64,6 @@ from repro.analysis.conflicts import (
     VerdictStatus,
     analyze_sessions,
     classify_pair,
-    classify_statements,
     commutes_with_footprint,
     session_transactions,
 )
@@ -169,7 +168,6 @@ __all__ = [
     "build_graph",
     "certify_rewrites",
     "classify_pair",
-    "classify_statements",
     "commutes_with_footprint",
     "fault_reachability",
     "minimize_script",

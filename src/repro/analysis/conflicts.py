@@ -161,19 +161,6 @@ def classify_pair(a: DefUse, b: DefUse) -> PairConflict:
     return PairConflict(ConflictKind.COMMUTES)
 
 
-def classify_statements(
-    sql_a: str, sql_b: str, schema: Optional[ScriptSchema] = None
-) -> PairConflict:
-    """Convenience wrapper: classify two SQL texts against a schema."""
-    if schema is None:
-        schema = ScriptSchema()
-    pair: List[DefUse] = []
-    for sql in (sql_a, sql_b):
-        stmt = parse_statement(sql)
-        pair.append(statement_def_use(stmt, schema, extract_traits(stmt)))
-    return classify_pair(pair[0], pair[1])
-
-
 def commutes_with_footprint(def_use: DefUse, writes: Iterable[Cell]) -> bool:
     """Certificate for mid-transaction admission.
 

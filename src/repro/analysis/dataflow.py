@@ -436,12 +436,6 @@ class SliceResult:
     def sql(self) -> str:
         return ";\n".join(self.statements) + (";" if self.statements else "")
 
-    @property
-    def reduction(self) -> float:
-        """Fraction of statements dropped."""
-        total = len(self.kept) + len(self.dropped)
-        return len(self.dropped) / total if total else 0.0
-
 
 def minimize_script(sql: str, targets: Iterable[int] = (), faults: Iterable = ()) -> SliceResult:
     """Shrink ``sql`` to the backward slice of the given targets plus

@@ -1,11 +1,12 @@
 """Static fault-trigger reachability over the bug corpus.
 
-The dynamic dead-fault audit (:mod:`repro.faults.audit`) can only judge
-faults the study actually *fired* — Heisenbug faults, which activate
-probabilistically, are excluded by construction.  This module is the
-static complement: every trigger the corpus seeds is a predicate over
-statement traits, relations, raw SQL, or the engine phase, all of which
-are computable from the scripts without execution.  A fault whose
+The dynamic dead-fault audit (:func:`repro.study.runner.dead_faults`)
+can only judge faults the study actually *fired* — Heisenbug faults,
+which activate probabilistically, are excluded by construction.  This
+module is the static complement: every trigger the corpus seeds is a
+predicate over statement traits, relations, raw SQL, or the engine
+phase, all of which are computable from the scripts without
+execution.  A fault whose
 trigger no statement of any hosting script can ever satisfy is dead by
 construction — Heisenbug or not.
 
@@ -121,7 +122,7 @@ def fault_reachability(corpus: "Corpus") -> dict[str, dict[str, bool]]:
 def unreachable_faults(corpus: "Corpus") -> list[tuple[str, "FaultSpec"]]:
     """Faults no statement of any hosting script can trigger.
 
-    Unlike the dynamic audit's :func:`repro.faults.audit.dead_faults`,
+    Unlike the dynamic audit's :func:`repro.study.runner.dead_faults`,
     Heisenbug faults are *included*: activation probability is
     irrelevant to whether the trigger is reachable at all.
     """

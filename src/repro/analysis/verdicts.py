@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.analysis.schema import ScriptSchema
 from repro.dialects.features import SERVER_KEYS, dialect

@@ -161,10 +161,6 @@ class Corpus:
     def reported_for(self, server: str) -> list[BugReport]:
         return [report for report in self.reports if report.reported_for == server]
 
-    def coincident(self) -> list[BugReport]:
-        """Bugs failing in more than one server (Table 4's 12)."""
-        return [report for report in self.reports if len(report.failing_servers) > 1]
-
     def faults_for(self, server: str) -> list[FaultSpec]:
         """Every fault seeded in ``server`` across the corpus, plus the
         shared PostgreSQL clustered-index fault."""

@@ -69,9 +69,3 @@ class BugReport:
         if self.home_failure is not None:
             servers.add(self.reported_for)
         return frozenset(servers)
-
-    def failure_on(self, server: str) -> Optional[tuple[FailureKind, Detectability]]:
-        """Ground-truth failure classification on ``server`` (or None)."""
-        if server == self.reported_for:
-            return self.home_failure
-        return self.foreign_failures.get(server)

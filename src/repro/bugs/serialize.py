@@ -1,11 +1,9 @@
 """Corpus serialisation.
 
 Adoption-grade plumbing: export the bug corpus (scripts + ground truth)
-to JSON for external analysis, and re-import a corpus summary for
-cross-checking.  Fault objects are behavioural and are *not*
-serialised — the JSON captures the observable evidence, which is what
-downstream analysis consumes.  An executed study's classifications are
-exported by :func:`repro.study.reporting.study_to_dict`.
+to JSON for external analysis (``python -m repro export``).  Fault
+objects are behavioural and are *not* serialised — the JSON captures
+the observable evidence, which is what downstream analysis consumes.
 """
 
 from __future__ import annotations
@@ -53,28 +51,3 @@ def corpus_to_dict(corpus: Corpus) -> dict[str, Any]:
 def corpus_to_json(corpus: Corpus, *, indent: Optional[int] = 2) -> str:
     return json.dumps(corpus_to_dict(corpus), indent=indent)
 
-
-def summarise_corpus(data: dict[str, Any]) -> dict[str, Any]:
-    """Recompute headline counts from a corpus JSON dict (round-trip
-    verification for exported data)."""
-    reports = data["reports"]
-    per_server: dict[str, int] = {}
-    failing = coincident = heisenbugs = 0
-    for report in reports:
-        per_server[report["reported_for"]] = per_server.get(report["reported_for"], 0) + 1
-        failing_servers = set(report["foreign_failures"])
-        if report["home_failure"] is not None:
-            failing_servers.add(report["reported_for"])
-        if failing_servers:
-            failing += 1
-        if len(failing_servers) > 1:
-            coincident += 1
-        if report["heisenbug"]:
-            heisenbugs += 1
-    return {
-        "total": len(reports),
-        "per_server": per_server,
-        "failing_somewhere": failing,
-        "coincident": coincident,
-        "heisenbugs": heisenbugs,
-    }

@@ -21,7 +21,6 @@ from repro.dialects.features import (
     SERVER_KEYS,
     DialectDescriptor,
     dialect,
-    missing_features,
 )
 from repro.dialects.translator import translate_script
 
@@ -31,6 +30,5 @@ __all__ = [
     "FEATURE_SUPPORT",
     "SERVER_KEYS",
     "dialect",
-    "missing_features",
     "translate_script",
 ]

@@ -218,20 +218,3 @@ def dialect(key: str) -> DialectDescriptor:
     except KeyError:
         raise KeyError(f"unknown server key {key!r}; expected one of {SERVER_KEYS}") from None
 
-
-def missing_features(traits: StatementTraits, target: str) -> list[str]:
-    """Gated feature tags in ``traits`` unavailable on server ``target``."""
-    return dialect(target).missing_tags(traits)
-
-
-def feature_matrix_markdown() -> str:
-    """The gated-feature support matrix as a markdown table (docs/report)."""
-    lines = [
-        "| feature | " + " | ".join(SERVER_KEYS) + " |",
-        "|---|" + "---|" * len(SERVER_KEYS),
-    ]
-    for tag in sorted(FEATURE_SUPPORT):
-        support = FEATURE_SUPPORT[tag]
-        cells = " | ".join("✓" if key in support else "—" for key in SERVER_KEYS)
-        lines.append(f"| `{tag}` | {cells} |")
-    return "\n".join(lines)

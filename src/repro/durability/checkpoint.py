@@ -18,7 +18,7 @@ previous one — or to a full-history redo when none survive.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from repro import records
 from repro.durability.medium import StorageMedium
@@ -110,7 +110,3 @@ class CheckpointStore:
             except CheckpointInvalid:
                 continue
         return found
-
-    def load_latest(self) -> Optional[tuple[str, dict]]:
-        candidates = self.load_all()
-        return candidates[0] if candidates else None

@@ -1,34 +1,26 @@
 """Fault-catalog auditing.
 
-Cross-checks a server's seeded fault catalog against an executed study:
-which faults fired, on which bug scripts, with what classification —
-and, crucially, which faults *never* fired (dead faults indicate a bug
-script or trigger drifting out of sync).  The corpus test-suite keeps
-the audit clean; downstream users extending the corpus get the same
-guard.
+:class:`FaultAuditEntry` is the audit record of one seeded fault.  The
+dynamic audit over an executed study — which faults fired, on which
+bug scripts, and which *never* fired (a bug script or trigger drifting
+out of sync) — reads a :class:`~repro.study.runner.StudyResult`, so it
+lives with the study (:func:`repro.study.runner.audit_faults`).
 
-The static complements run nothing: :func:`statically_dead_faults`
-matches the corpus catalogs against the analyzer's reachability pass,
-and the two bug banks that live outside the corpus — the storage bank
-of :mod:`repro.durability.bank` and the concurrency-anomaly bank
-defined here (:func:`concurrency_fault_bank`) — are checked against
-their own repro scripts.
+The checks here run nothing: the two bug banks that live outside the
+corpus — the storage bank of :mod:`repro.durability.bank` and the
+concurrency-anomaly bank defined here (:func:`concurrency_fault_bank`)
+— are checked against their own repro scripts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.analysis.conflicts import AnomalyKind
-from repro.analysis.reachability import script_contexts, unreachable_faults
-from repro.dialects.features import SERVER_KEYS
+from repro.analysis.reachability import script_contexts
 from repro.faults.effects import DirtyReadEffect, Effect, LostUpdateEffect, PhantomRowEffect
 from repro.faults.spec import Detectability, FailureKind, FaultSpec
 from repro.faults.triggers import SqlPatternTrigger
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.study.runner import StudyResult
 
 
 @dataclass
@@ -39,75 +31,13 @@ class FaultAuditEntry:
     server: str
     description: str
     heisenbug: bool
+    #: Bug scripts the fault fired on in an executed study.
     fired_on_bugs: list[str] = field(default_factory=list)
-
-    @property
-    def dead(self) -> bool:
-        """A non-Heisenbug fault that never fired anywhere."""
-        return not self.heisenbug and not self.fired_on_bugs
-
-
-def audit_faults(study: StudyResult) -> dict[str, list[FaultAuditEntry]]:
-    """Audit every server's catalog against the study's fired faults."""
-    corpus = study.corpus
-    audit: dict[str, list[FaultAuditEntry]] = {}
-    for server in SERVER_KEYS:
-        entries = {
-            fault.fault_id: FaultAuditEntry(
-                fault_id=fault.fault_id,
-                server=server,
-                description=fault.description,
-                heisenbug=fault.heisenbug,
-            )
-            for fault in corpus.faults_for(server)
-        }
-        for report in corpus:
-            cell = study.cells.get((report.bug_id, server))
-            if cell is None:
-                continue
-            for fault_id in cell.fired_faults:
-                if fault_id in entries:
-                    entries[fault_id].fired_on_bugs.append(report.bug_id)
-        audit[server] = sorted(entries.values(), key=lambda entry: entry.fault_id)
-    return audit
-
-
-def dead_faults(study: StudyResult) -> list[FaultAuditEntry]:
-    """Non-Heisenbug faults that never fired — corpus drift indicators."""
-    return [
-        entry
-        for entries in audit_faults(study).values()
-        for entry in entries
-        if entry.dead
-    ]
-
-
-def statically_dead_faults(corpus) -> list[FaultAuditEntry]:
-    """The static complement of :func:`dead_faults`: faults whose
-    trigger matches no statement context derivable from the corpus —
-    found *without executing anything*.
-
-    Two differences from the dynamic audit: Heisenbugs are included
-    (their trigger must still be reachable, only their activation is
-    probabilistic), and faults that fire but get masked before the
-    classifier sees them still count as reachable.  A fault dead here is
-    dead for a stronger reason than "didn't fire this run".
-    """
-    return [
-        FaultAuditEntry(
-            fault_id=fault.fault_id,
-            server=server,
-            description=fault.description,
-            heisenbug=fault.heisenbug,
-        )
-        for server, fault in unreachable_faults(corpus)
-    ]
 
 
 def dead_storage_faults(bank) -> list[FaultAuditEntry]:
     """Banked storage faults whose trigger matches no statement of
-    their own repro script — the storage-layer analogue of
-    :func:`statically_dead_faults`.
+    their own repro script.
 
     Storage faults fire on the WAL append of a committed write, so the
     serve-phase statement contexts of the script are exactly the
@@ -297,14 +227,3 @@ def dead_concurrency_faults(bank) -> list[FaultAuditEntry]:
                 )
             )
     return dead
-
-
-def shared_fault_coverage(study: StudyResult) -> dict[str, int]:
-    """How many distinct bug scripts each multi-script fault covered
-    (e.g. the PostgreSQL clustered-index fault spans six scripts)."""
-    coverage: dict[str, int] = {}
-    for entries in audit_faults(study).values():
-        for entry in entries:
-            if len(entry.fired_on_bugs) > 1:
-                coverage[entry.fault_id] = len(set(entry.fired_on_bugs))
-    return coverage

@@ -68,12 +68,6 @@ class FaultInjector:
     def faults(self) -> list[FaultSpec]:
         return list(self._faults.values())
 
-    def enable(self, fault_id: str) -> None:
-        self._faults[fault_id].enabled = True
-
-    def disable(self, fault_id: str) -> None:
-        self._faults[fault_id].enabled = False
-
     def reset_history(self) -> None:
         self.activations.clear()
         self.activation_counts.clear()
@@ -81,15 +75,13 @@ class FaultInjector:
     # -- engine hook protocol ---------------------------------------------------
 
     def flag(self, name: str, ctx: Optional[object] = None) -> bool:
-        """True when an enabled behaviour-flag fault exposes ``name``.
+        """True when a behaviour-flag fault exposes ``name``.
 
         The fault's trigger is consulted when a context is available, so
         flag faults can be scoped (e.g. only for statements touching a
         bug script's tables).
         """
         for fault in self._faults.values():
-            if not fault.enabled:
-                continue
             effect = fault.effect
             if not isinstance(effect, BehaviourFlagEffect) or effect.flag != name:
                 continue
@@ -160,7 +152,7 @@ class FaultInjector:
 
     def _active_faults(self, ctx, phase: str):
         for fault in self._faults.values():
-            if not fault.enabled or fault.effect.phase != phase:
+            if fault.effect.phase != phase:
                 continue
             if not fault.trigger.matches(ctx):
                 continue

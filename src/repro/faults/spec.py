@@ -73,7 +73,6 @@ class FaultSpec:
     detectability: Detectability = Detectability.NON_SELF_EVIDENT
     heisenbug: bool = False
     stress_activation: float = 0.35
-    enabled: bool = True
     #: Free-form origin notes (which paper bug report this models, etc.)
     notes: Optional[str] = None
     tags: set[str] = field(default_factory=set)

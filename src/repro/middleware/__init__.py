@@ -16,7 +16,6 @@ from repro.middleware.server import (
     MiddlewareStats,
     PreparedStatement,
     ServerConfig,
-    replicated_server,
 )
 from repro.middleware.supervisor import (
     RebuildProgress,
@@ -47,5 +46,4 @@ __all__ = [
     "VirtualClock",
     "normalize_result",
     "normalize_value",
-    "replicated_server",
 ]

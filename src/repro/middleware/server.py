@@ -249,8 +249,8 @@ class MiddlewareStats:
             + self.statement_timeouts
         )
 
-    # Every counter is a plain int dataclass field, so reset/merge/
-    # as_dict enumerate ``dataclasses.fields``: a counter added later is
+    # Every counter is a plain int dataclass field, so reset and merge
+    # enumerate ``dataclasses.fields``: a counter added later is
     # automatically covered (and the stats audit test enforces it).
 
     def reset(self) -> None:
@@ -269,19 +269,12 @@ class MiddlewareStats:
             )
         return merged
 
-    def as_dict(self) -> dict[str, int]:
-        """Every counter by name (reporting; no field left behind)."""
-        return {
-            spec.name: getattr(self, spec.name) for spec in dataclass_fields(self)
-        }
-
 
 @dataclass
 class ServerConfig:
-    """Construction-time configuration for :class:`DiverseServer` (and
-    :func:`replicated_server`).  One object carries every knob, so
-    configurations can be shared, compared, and passed around instead
-    of sprawling keyword lists."""
+    """Construction-time configuration for :class:`DiverseServer`.  One
+    object carries every knob, so configurations can be shared,
+    compared, and passed around instead of sprawling keyword lists."""
 
     adjudication: str = "majority"
     normalize: bool = True
@@ -363,7 +356,7 @@ class DiverseServer:
                 if product.key in seen:
                     raise MiddlewareError(
                         f"duplicate product {product.key}: diversity requires "
-                        "distinct products (use replicated_server for identical copies)"
+                        "distinct products (set allow_duplicates for identical copies)"
                     )
                 seen.add(product.key)
         self.config = config
@@ -1247,32 +1240,3 @@ class PreparedStatement:
             self._server.stats.batched_statements += 1
             results.append(self.execute(row))
         return results
-
-
-def replicated_server(
-    factory,
-    count: int = 2,
-    *,
-    config: Optional[ServerConfig] = None,
-    adjudication: Optional[str] = None,
-    **kwargs,
-) -> DiverseServer:
-    """A *non-diverse* replicated server: ``count`` identical copies of
-    one product (the conventional configuration the paper argues
-    against).  Identical copies share identical faults, so coincident
-    wrong answers win the vote — the comparison baseline in benchmarks.
-
-    Accepts a :class:`ServerConfig` (``allow_duplicates`` is forced on)
-    or the equivalent individual keywords.
-    """
-    replicas = [factory() for _ in range(count)]
-    if config is not None:
-        if kwargs or adjudication is not None:
-            raise MiddlewareError(
-                "pass either config= or individual settings, not both"
-            )
-        config = ServerConfig(**{**config.__dict__, "allow_duplicates": True})
-        return DiverseServer(replicas, config=config)
-    if adjudication is not None:
-        kwargs["adjudication"] = adjudication
-    return DiverseServer(replicas, allow_duplicates=True, **kwargs)

@@ -278,11 +278,6 @@ class TimeoutAuditEntry:
         """``hang`` (never returned) or ``stall`` (returned too late)."""
         return "hang" if math.isinf(self.virtual_cost) else "stall"
 
-    @property
-    def overrun(self) -> float:
-        """Virtual cost past the deadline (inf for hangs)."""
-        return self.virtual_cost - self.deadline
-
 
 class ReplicaSupervisor:
     """Drives replica lifecycle for one :class:`DiverseServer`.

@@ -129,9 +129,6 @@ class ClientStats:
         for spec in fields(self):
             setattr(self, spec.name, 0)
 
-    def as_dict(self) -> Dict[str, int]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
 
 class NetClient:
     """One connection to the served middleware; no retry policy."""

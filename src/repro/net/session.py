@@ -110,9 +110,6 @@ class NetStats:
         for spec in fields(self):
             setattr(self, spec.name, 0)
 
-    def as_dict(self) -> Dict[str, float]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
 
 @dataclass
 class SessionHandle:

@@ -76,9 +76,6 @@ class TransportStats:
         for spec in fields(self):
             setattr(self, spec.name, 0)
 
-    def as_dict(self) -> Dict[str, int]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
 
 @dataclass
 class _Conn:

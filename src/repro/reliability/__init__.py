@@ -9,8 +9,6 @@ the failure process of 1-version vs diverse N-version configurations.
 
 from repro.reliability.availability import (
     NetworkPolicyModel,
-    QuarantinePolicyModel,
-    RebuildPolicyModel,
     ReplicaAvailability,
     TimeoutPolicyModel,
     service_availability,
@@ -30,8 +28,6 @@ __all__ = [
     "FailureProcessSimulator",
     "NetworkPolicyModel",
     "PairGain",
-    "QuarantinePolicyModel",
-    "RebuildPolicyModel",
     "ReliabilityModel",
     "ReplicaAvailability",
     "SimulationOutcome",

@@ -115,74 +115,6 @@ def improvement_summary(
 
 
 @dataclass(frozen=True)
-class QuarantinePolicyModel:
-    """MTTR of a *supervised* replica: quarantine, backoff, retirement.
-
-    The middleware's supervisor does not repair a replica in one shot:
-    each incident triggers up to ``max_attempts`` recovery attempts,
-    attempt ``n`` preceded by ``min(base * factor**(n-1), cap)`` units
-    of backoff (the first attempt is immediate) and costing
-    ``attempt_cost`` units of replay work.  Each attempt independently
-    succeeds with ``success_probability``; exhausting the budget means
-    the circuit breaker retires the replica.  This model turns those
-    policy knobs into the effective repair rate the alternating-renewal
-    availability model above consumes — the quarantine/MTTR term of the
-    Section 2.1 availability argument.
-    """
-
-    #: Probability one recovery attempt completes (replay does not crash).
-    success_probability: float
-    max_attempts: int = 8
-    backoff_base: float = 1.0
-    backoff_factor: float = 2.0
-    backoff_cap: float = 64.0
-    #: Repair-time units one replay attempt consumes.
-    attempt_cost: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.success_probability <= 1.0:
-            raise ValueError("success_probability must be in (0, 1]")
-        if self.max_attempts < 1:
-            raise ValueError("at least one recovery attempt is needed")
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Backoff before attempt ``attempt`` (attempt 0 is immediate)."""
-        if attempt <= 0:
-            return 0.0
-        return min(self.backoff_base * self.backoff_factor ** (attempt - 1), self.backoff_cap)
-
-    @property
-    def retirement_probability(self) -> float:
-        """Probability an incident ends in circuit-breaker retirement."""
-        return (1.0 - self.success_probability) ** self.max_attempts
-
-    def expected_repair_time(self) -> float:
-        """E[time from quarantine to rejoin | recovery succeeds].
-
-        Sums backoff waits plus replay costs over the attempt at which
-        recovery first succeeds, conditioned on success within the
-        attempt budget (retired incidents leave the renewal process).
-        """
-        p = self.success_probability
-        q = 1.0 - p
-        success_within_budget = 1.0 - q**self.max_attempts
-        expected = 0.0
-        elapsed = 0.0
-        for attempt in range(self.max_attempts):
-            elapsed += self.backoff_delay(attempt) + self.attempt_cost
-            expected += (q**attempt) * p * elapsed
-        return expected / success_within_budget
-
-    def effective_replica(self, failure_rate: float) -> ReplicaAvailability:
-        """The supervised replica as an alternating-renewal process:
-        its repair rate is the reciprocal of the backoff-aware MTTR."""
-        return ReplicaAvailability(
-            failure_rate=failure_rate,
-            repair_rate=1.0 / self.expected_repair_time(),
-        )
-
-
-@dataclass(frozen=True)
 class TimeoutPolicyModel:
     """Deadline-based timeout detection: the false-positive trade-off.
 
@@ -192,9 +124,8 @@ class TimeoutPolicyModel:
     but it cuts both ways: healthy statements have a cost distribution
     with a tail, and every healthy statement past the deadline is a
     false positive that quarantines a good replica.  This model prices
-    that trade-off — the timeout-detection analogue of
-    :class:`QuarantinePolicyModel` — so a deployment can pick a deadline
-    instead of guessing one.
+    that trade-off, so a deployment can pick a deadline instead of
+    guessing one.
 
     Healthy statement costs are modelled log-normal with median
     ``cost_median`` and shape ``cost_sigma`` (Adams-style heavy tails);
@@ -254,118 +185,13 @@ class TimeoutPolicyModel:
         by contrast, needs an answer it will never get)."""
         return self.deadline
 
-    def spurious_failure_rate(self, statement_rate: float) -> float:
-        """Extra quarantine incidents per unit time caused by false
-        positives at ``statement_rate`` statements per unit time."""
-        if statement_rate < 0:
-            raise ValueError("the statement rate must be non-negative")
-        return statement_rate * self.false_positive_rate
-
-    def effective_replica(
-        self,
-        failure_rate: float,
-        repair: "QuarantinePolicyModel",
-        *,
-        statement_rate: float = 1.0,
-    ) -> ReplicaAvailability:
-        """The watchdog-supervised replica as an alternating-renewal
-        process: false positives inflate the failure rate, and each
-        (true or spurious) incident repairs at the quarantine model's
-        backoff-aware MTTR."""
-        return ReplicaAvailability(
-            failure_rate=failure_rate + self.spurious_failure_rate(statement_rate),
-            repair_rate=1.0 / repair.expected_repair_time(),
-        )
-
-
-@dataclass(frozen=True)
-class RebuildPolicyModel:
-    """MTTR of an online *rebuild*: the term a retired replica adds.
-
-    :class:`QuarantinePolicyModel` prices backoff-and-replay repair of
-    a quarantined replica; once the circuit breaker retires a replica,
-    the supervisor's rebuild path takes over — re-seed from a healthy
-    donor's snapshot, replay the write delta that accumulated while
-    seeding, then verify against the quorum before re-admission.  The
-    service keeps answering throughout (rebuild is background work),
-    so this MTTR feeds the same alternating-renewal availability model:
-    a retired replica is *down* for the expected rebuild time.
-
-    The race in the middle is the interesting part: while the rebuild
-    replays its backlog at ``replay_rate``, live traffic keeps
-    appending at ``write_arrival_rate``.  The backlog drains only if
-    replay outpaces arrival; otherwise the rebuild never catches up
-    and the replica is effectively lost (infinite MTTR) — the analytic
-    form of the supervisor's rebuild deadline.
-    """
-
-    #: Rows the donor snapshot carries (seed-phase work).
-    seed_rows: float
-    #: Rows installed per unit time during the seed phase.
-    seed_rate: float
-    #: Delta statements replayed per unit time during catch-up.
-    replay_rate: float
-    #: Committed writes arriving per unit time while rebuilding.
-    write_arrival_rate: float = 0.0
-    #: Cost of the final verify-against-quorum admission gate.
-    verify_cost: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.seed_rows < 0:
-            raise ValueError("the snapshot row count must be non-negative")
-        if self.seed_rate <= 0 or self.replay_rate <= 0:
-            raise ValueError("seed and replay rates must be positive")
-        if self.write_arrival_rate < 0 or self.verify_cost < 0:
-            raise ValueError("arrival rate and verify cost must be non-negative")
-
-    @property
-    def seed_time(self) -> float:
-        """Time to install the donor snapshot."""
-        return self.seed_rows / self.seed_rate
-
-    @property
-    def catchup_time(self) -> float:
-        """Time to drain the write delta accumulated during the seed.
-
-        The backlog at seed completion is ``arrival * seed_time``; it
-        drains at the *net* rate ``replay - arrival`` and diverges
-        (infinite catch-up) when replay cannot outpace live traffic.
-        """
-        if self.write_arrival_rate == 0:
-            return 0.0
-        drain = self.replay_rate - self.write_arrival_rate
-        if drain <= 0:
-            return math.inf
-        return self.write_arrival_rate * self.seed_time / drain
-
-    def expected_rebuild_time(self) -> float:
-        """E[retirement -> re-admission]: seed + catch-up + verify."""
-        return self.seed_time + self.catchup_time + self.verify_cost
-
-    def effective_replica(self, retirement_rate: float) -> ReplicaAvailability:
-        """The rebuilt replica as an alternating-renewal process:
-        retirements at ``retirement_rate``, each repaired at the
-        rebuild MTTR.  Raises when the rebuild cannot catch up — no
-        finite repair rate exists and the replica should be modelled
-        as absent instead."""
-        mttr = self.expected_rebuild_time()
-        if not math.isfinite(mttr):
-            raise ValueError(
-                "rebuild never catches up (replay_rate <= write_arrival_rate); "
-                "model the replica as permanently retired instead"
-            )
-        return ReplicaAvailability(
-            failure_rate=retirement_rate,
-            repair_rate=1.0 / mttr,
-        )
-
 
 @dataclass(frozen=True)
 class NetworkPolicyModel:
     """Client-observed availability through the serving layer's wire.
 
-    The replica-side models above price what the *middleware* can
-    answer; a served deployment adds a network path that loses, delays,
+    The models above price what the *middleware* can answer; a served
+    deployment adds a network path that loses, delays,
     and resets frames.  The session supervisor turns most of those
     losses into invisible retries — resume the session, resend the same
     sequence number, let the server deduplicate — so a request is only
@@ -448,10 +274,3 @@ class NetworkPolicyModel:
         if weight == 0.0:
             return 0.0
         return total / weight
-
-    def served_availability(self, middleware_availability: float) -> float:
-        """Availability the *client* observes: the middleware must be
-        up and the wire must deliver an exactly-once answer."""
-        if not 0.0 <= middleware_availability <= 1.0:
-            raise ValueError("middleware availability must be in [0, 1]")
-        return middleware_availability * self.request_success_probability()

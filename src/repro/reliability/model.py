@@ -20,7 +20,6 @@ model exposes each as an explicit knob:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -44,13 +43,6 @@ class PairGain:
         if self.m_a == 0:
             return 0.0
         return self.m_ab / self.m_a
-
-    @property
-    def naive_gain_factor(self) -> float:
-        """Reliability improvement factor 1 / ratio (inf when m_AB=0)."""
-        if self.m_ab == 0:
-            return math.inf
-        return self.m_a / self.m_ab
 
 
 def pair_gains_from_study(study: StudyResult) -> dict[tuple[str, str], PairGain]:

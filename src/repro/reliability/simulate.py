@@ -47,13 +47,6 @@ class SimulationOutcome:
     def undetected_rate(self) -> float:
         return self.undetected_wrong / self.demands if self.demands else 0.0
 
-    @property
-    def unreliability(self) -> float:
-        """Probability a demand does not get a correct, trusted answer."""
-        if not self.demands:
-            return 0.0
-        return (self.undetected_wrong + self.detected) / self.demands
-
 
 def bug_profiles_from_study(
     study: StudyResult,

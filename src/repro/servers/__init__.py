@@ -9,11 +9,9 @@ holding that product's seeded fault catalog.
 from repro.servers.product import ServerProduct, SqlServer
 from repro.sqlengine.engine import Result
 from repro.servers.registry import (
-    make_all_servers,
     make_interbase,
     make_mssql,
     make_oracle,
-    make_postgres,
     make_server,
 )
 
@@ -21,10 +19,8 @@ __all__ = [
     "Result",
     "ServerProduct",
     "SqlServer",
-    "make_all_servers",
     "make_interbase",
     "make_mssql",
     "make_oracle",
-    "make_postgres",
     "make_server",
 ]

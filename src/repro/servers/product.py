@@ -119,9 +119,6 @@ class ServerProduct:
 
     # -- fault management ----------------------------------------------------------
 
-    def seed_fault(self, fault: FaultSpec) -> None:
-        self.injector.add(fault)
-
     def fired_faults(self) -> set[str]:
         return self.injector.fired_fault_ids
 
@@ -129,12 +126,3 @@ class ServerProduct:
 #: Public alias: a ServerProduct *is* the single-server SQL surface
 #: (execute / prepare / connect), mirroring DiverseServer's API.
 SqlServer = ServerProduct
-
-
-def clone_pristine(server: ServerProduct) -> ServerProduct:
-    """A fresh server of the same product with *no* seeded faults.
-
-    Used as the oracle when the study classifier needs the correct
-    answer for a bug script (what the output *should* have been).
-    """
-    return ServerProduct(server.descriptor, faults=())

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
-from repro.dialects.features import SERVER_KEYS, dialect
+from repro.dialects.features import dialect
 from repro.faults.spec import FaultSpec
 from repro.servers.product import ServerProduct
 
@@ -25,11 +25,6 @@ def make_interbase(faults: Iterable[FaultSpec] = (), **kwargs) -> ServerProduct:
     return make_server("IB", faults, **kwargs)
 
 
-def make_postgres(faults: Iterable[FaultSpec] = (), **kwargs) -> ServerProduct:
-    """PostgreSQL 7.0.0 analogue."""
-    return make_server("PG", faults, **kwargs)
-
-
 def make_oracle(faults: Iterable[FaultSpec] = (), **kwargs) -> ServerProduct:
     """Oracle 8.0.5 analogue."""
     return make_server("OR", faults, **kwargs)
@@ -38,19 +33,3 @@ def make_oracle(faults: Iterable[FaultSpec] = (), **kwargs) -> ServerProduct:
 def make_mssql(faults: Iterable[FaultSpec] = (), **kwargs) -> ServerProduct:
     """Microsoft SQL Server 7 analogue."""
     return make_server("MS", faults, **kwargs)
-
-
-def make_all_servers(
-    faults_by_server: Optional[dict[str, list[FaultSpec]]] = None,
-    *,
-    seed: int = 0,
-    stress_mode: bool = False,
-) -> dict[str, ServerProduct]:
-    """Build all four products, optionally seeding per-server faults."""
-    faults_by_server = faults_by_server or {}
-    return {
-        key: make_server(
-            key, faults_by_server.get(key, ()), seed=seed, stress_mode=stress_mode
-        )
-        for key in SERVER_KEYS
-    }

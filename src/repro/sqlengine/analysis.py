@@ -43,10 +43,6 @@ class StatementTraits:
     tags: set[str] = field(default_factory=set)
     relations: set[str] = field(default_factory=set)
 
-    def has(self, *tags: str) -> bool:
-        """True when every given tag is present."""
-        return all(tag in self.tags for tag in tags)
-
     def has_any(self, *tags: str) -> bool:
         return any(tag in self.tags for tag in tags)
 

@@ -57,12 +57,6 @@ class Result:
     #: here.  Part of the unified result surface; never affects voting.
     warnings: list[str] = field(default_factory=list)
 
-    def scalar(self) -> Any:
-        """First column of the first row (convenience for tests)."""
-        if not self.rows:
-            return None
-        return self.rows[0][0]
-
 
 class ParsedStatement(NamedTuple):
     """One statement's text with its parse: what :meth:`Engine.execute`
@@ -893,16 +887,6 @@ class Connection:
             raise SqlError("connection is closed")
         self._last = self._engine.execute(sql)
         return self._last
-
-    def fetchall(self) -> list[tuple]:
-        if self._last is None:
-            return []
-        return list(self._last.rows)
-
-    def fetchone(self) -> Optional[tuple]:
-        if self._last is None or not self._last.rows:
-            return None
-        return self._last.rows[0]
 
     @property
     def description(self) -> list[tuple]:

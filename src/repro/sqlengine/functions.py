@@ -9,7 +9,7 @@ can distort results.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import Any, Callable, Optional
 
 from repro.errors import BindError, DivisionByZero, NumericOverflow, TypeMismatch
@@ -66,7 +66,10 @@ def fn_mod(ctx, dividend, divisor):
     if rval == 0:
         raise DivisionByZero("MOD by zero")
     if isinstance(lval, float) or isinstance(rval, float):
-        result: Any = math.fmod(float(lval), float(rval))
+        try:
+            result: Any = math.fmod(float(lval), float(rval))
+        except (OverflowError, ValueError):  # an operand beyond the float range
+            raise NumericOverflow("MOD operand is beyond the floating-point range") from None
     else:
         lint, rint = Decimal(lval), Decimal(rval)
         result = lint - (lint / rint).to_integral_value(rounding="ROUND_DOWN") * rint
@@ -89,8 +92,10 @@ def fn_round(ctx, value, digits=0):
     number = _as_number(value, "ROUND")
     places = int(_as_number(digits, "ROUND")) if digits is not None else 0
     if isinstance(number, Decimal):
-        quantum = Decimal(1).scaleb(-places)
-        return number.quantize(quantum)
+        try:
+            return number.quantize(Decimal(1).scaleb(-places))
+        except InvalidOperation:  # more digits than the decimal context holds
+            raise NumericOverflow("ROUND exceeds the numeric precision") from None
     return round(float(number), places)
 
 

@@ -50,6 +50,15 @@ class Parser:
             self._index += 1
         return token
 
+    def _integer(self, message: str) -> int:
+        """Consume an unsigned integer literal; a fraction or exponent
+        (``1.5``, ``1e3``) is the same parse error as a non-number."""
+        token = self._peek()
+        if token.kind is not TokenKind.NUMBER or not token.value.isdigit():
+            raise ParseError(f"{message} at line {token.line}")
+        self._advance()
+        return int(token.value)
+
     def _at_keyword(self, *words: str) -> bool:
         return self._peek().is_keyword(*words)
 
@@ -185,11 +194,7 @@ class Parser:
             while self._accept_punct(","):
                 order_by.append(self._parse_order_item())
         if self._accept_keyword("LIMIT"):
-            token = self._peek()
-            if token.kind is not TokenKind.NUMBER:
-                raise ParseError(f"LIMIT needs an integer at line {token.line}")
-            self._advance()
-            limit = int(token.value)
+            limit = self._integer("LIMIT needs an integer")
         return ast.SelectStatement(body=body, order_by=order_by, limit=limit)
 
     def _parse_order_item(self) -> ast.OrderItem:
@@ -552,19 +557,12 @@ class Parser:
         name = " ".join(words)
         args: tuple[Optional[int], Optional[int]] = (None, None)
         if self._accept_punct("("):
-            first = self._peek()
-            if first.kind is not TokenKind.NUMBER:
-                raise ParseError(f"expected type length at line {first.line}")
-            self._advance()
+            first = self._integer("expected type length")
             second = None
             if self._accept_punct(","):
-                tok = self._peek()
-                if tok.kind is not TokenKind.NUMBER:
-                    raise ParseError(f"expected type scale at line {tok.line}")
-                self._advance()
-                second = int(tok.value)
+                second = self._integer("expected type scale")
             self._expect_punct(")")
-            args = (int(first.value), second)
+            args = (first, second)
         return name, args
 
     # -- DDL ---------------------------------------------------------------

@@ -17,7 +17,6 @@ from typing import Any, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.expressions import _AMBIGUOUS, _resolution_map
-from repro.sqlengine.plan import logical
 from repro.sqlengine.plan.logical import (
     Aggregate,
     CrossJoin,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from decimal import Decimal
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 from repro.errors import ReproError
 from repro.sqlengine import ast_nodes as ast

@@ -88,27 +88,6 @@ def numeric(precision: int = 18, scale: int = 0, name: str = "NUMERIC") -> SqlTy
     return SqlType(name, TypeFamily.DECIMAL, precision=precision, scale=scale)
 
 
-def infer_literal_type(value: Any) -> SqlType:
-    """Infer an SqlType for a Python literal produced by the parser."""
-    if value is None:
-        return NULL_TYPE
-    if isinstance(value, bool):
-        return BOOLEAN
-    if isinstance(value, int):
-        return INTEGER
-    if isinstance(value, Decimal):
-        return numeric()
-    if isinstance(value, float):
-        return DOUBLE
-    if isinstance(value, str):
-        return varchar(max(len(value), 1))
-    if isinstance(value, datetime.datetime):
-        return TIMESTAMP
-    if isinstance(value, datetime.date):
-        return DATE
-    raise TypeMismatch(f"cannot infer SQL type for python value {value!r}")
-
-
 _DATE_FORMATS = ("%Y-%m-%d", "%Y-%m-%d %H:%M:%S", "%Y-%m-%d %H:%M")
 
 

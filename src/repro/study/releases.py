@@ -22,8 +22,6 @@ from typing import Optional
 
 from repro.bugs.corpus import Corpus
 from repro.faults.spec import FaultSpec
-from repro.servers.product import ServerProduct
-from repro.servers.registry import make_server
 
 
 @dataclass(frozen=True)
@@ -81,13 +79,6 @@ def faults_for_release(corpus: Corpus, server: str, version: str) -> list[FaultS
     baseline = corpus.faults_for(server)
     fixed = release(server, version).fixed_fault_ids(baseline)
     return [fault for fault in baseline if fault.fault_id not in fixed]
-
-
-def make_release_server(
-    corpus: Corpus, server: str, version: str, **kwargs
-) -> ServerProduct:
-    """A server product at a given release level."""
-    return make_server(server, faults_for_release(corpus, server, version), **kwargs)
 
 
 def release_fault_catalogs(

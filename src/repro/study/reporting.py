@@ -1,15 +1,11 @@
-"""Markdown report generation and JSON export for an executed study.
+"""Markdown report generation for an executed study.
 
 Produces a self-contained report (tables + paper comparison +
 commentary hooks) suitable for CI artifacts or sharing.  Used by
-``python -m repro report``.  :func:`study_to_dict` is the study's
-classifications as plain JSON data, beside the corpus export of
-:mod:`repro.bugs.serialize`.
+``python -m repro report``.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.bugs import groundtruth as gt
 from repro.dialects.features import SERVER_KEYS
@@ -22,25 +18,6 @@ from repro.study.tables import (
     failure_type_shares,
     heisenbug_extras,
 )
-
-
-def study_to_dict(study: StudyResult) -> dict[str, Any]:
-    """JSON-friendly view of an executed study's classifications."""
-    cells = []
-    for (bug_id, server), cell in sorted(study.cells.items()):
-        entry: dict[str, Any] = {
-            "bug_id": bug_id,
-            "server": server,
-            "outcome": cell.kind.value,
-        }
-        if cell.failed:
-            entry["failure_kind"] = cell.failure_kind.value
-            entry["detectability"] = cell.detectability.value
-            entry["fired_faults"] = sorted(cell.fired_faults)
-        if cell.missing_feature:
-            entry["missing_feature"] = cell.missing_feature
-        cells.append(entry)
-    return {"cells": cells, "total_reports": len(study.corpus)}
 
 
 _T1_KEYS = [

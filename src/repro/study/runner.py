@@ -11,6 +11,7 @@ from repro.bugs.report import BugReport
 from repro.dialects.features import SERVER_KEYS, dialect
 from repro.dialects.translator import translate_script, translate_tokens
 from repro.errors import EngineCrash, FeatureNotSupported, SqlError
+from repro.faults.audit import FaultAuditEntry
 from repro.faults.spec import FaultSpec
 from repro.servers.product import ServerProduct
 from repro.sqlengine.analysis import union_traits
@@ -123,6 +124,43 @@ class StudyResult:
             for server in SERVER_KEYS
             if self.cells[(report.bug_id, server)].failed
         )
+
+
+def audit_faults(study: StudyResult) -> dict[str, list[FaultAuditEntry]]:
+    """Audit every server's catalog against the study's fired faults:
+    which faults fired, and on which bug scripts."""
+    corpus = study.corpus
+    audit: dict[str, list[FaultAuditEntry]] = {}
+    for server in SERVER_KEYS:
+        entries = {
+            fault.fault_id: FaultAuditEntry(
+                fault_id=fault.fault_id,
+                server=server,
+                description=fault.description,
+                heisenbug=fault.heisenbug,
+            )
+            for fault in corpus.faults_for(server)
+        }
+        for report in corpus:
+            cell = study.cells.get((report.bug_id, server))
+            if cell is None:
+                continue
+            for fault_id in cell.fired_faults:
+                if fault_id in entries:
+                    entries[fault_id].fired_on_bugs.append(report.bug_id)
+        audit[server] = sorted(entries.values(), key=lambda entry: entry.fault_id)
+    return audit
+
+
+def dead_faults(study: StudyResult) -> list[FaultAuditEntry]:
+    """Non-Heisenbug faults that never fired — a bug script or trigger
+    drifting out of sync with the corpus."""
+    return [
+        entry
+        for entries in audit_faults(study).values()
+        for entry in entries
+        if not entry.heisenbug and not entry.fired_on_bugs
+    ]
 
 
 class StudyRunner:

@@ -20,7 +20,7 @@ from repro.bugs import build_corpus
 from repro.bugs.groundtruth import SERVER_KEYS
 from repro.errors import AdjudicationFailure, SqlError
 from repro.middleware import DiverseServer, ServerConfig
-from repro.servers import make_all_servers, make_server
+from repro.servers import make_server
 from repro.sqlengine import Engine
 from repro.sqlengine.lexer import split_statements
 from repro.study import run_study
@@ -48,7 +48,7 @@ def seeded_engine() -> Engine:
 
 @pytest.fixture
 def servers():
-    return make_all_servers()
+    return {key: make_server(key) for key in SERVER_KEYS}
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from repro.analysis.conflicts import (
     ConflictKind,
     VerdictStatus,
     analyze_sessions,
-    classify_statements,
+    classify_pair,
     commutes_with_footprint,
     session_transactions,
 )
@@ -64,7 +64,8 @@ def def_use_of(sql, schema):
 
 class TestPairClassifier:
     def classify(self, sql_a, sql_b):
-        return classify_statements(sql_a, sql_b, schema_for(TABLE_T, TABLE_U))
+        schema = schema_for(TABLE_T, TABLE_U)
+        return classify_pair(def_use_of(sql_a, schema), def_use_of(sql_b, schema))
 
     def test_two_reads_commute(self):
         pair = self.classify(
@@ -373,7 +374,7 @@ class TestConflictAdmission:
         network.pump()
         stats = net_server.stats
         assert stats.parked_wait_total >= stats.parked_wait_max > 0
-        exported = stats.as_dict()
+        exported = {spec.name for spec in dataclasses.fields(stats)}
         for key in (
             "admitted_commuting",
             "parked_unknown",

@@ -1,7 +1,5 @@
 """Whole-script dataflow: def/use graphs, slices, minimization."""
 
-import pytest
-
 from repro.analysis import build_graph, minimize_script
 from repro.analysis.dataflow import statement_def_use
 from repro.analysis.schema import ScriptSchema
@@ -175,7 +173,7 @@ class TestMinimize:
 
     def test_slice_result_reduction(self):
         sliced = minimize_script(TestGraph.SCRIPT, targets=[4])
-        assert sliced.reduction == pytest.approx(2 / 5)
+        assert (len(sliced.kept), len(sliced.dropped)) == (3, 2)
 
 
 class TestPipelineMemoization:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dialects import DIALECTS, dialect, missing_features, translate_script
+from repro.dialects import DIALECTS, dialect, translate_script
 from repro.dialects.translator import render_tokens
 from repro.errors import FeatureNotSupported, ParseError
 from repro.sqlengine.analysis import script_traits
@@ -11,7 +11,7 @@ from repro.sqlengine.parser import parse_script
 
 
 def missing_for(sql, server):
-    return missing_features(script_traits(parse_script(sql)), server)
+    return dialect(server).missing_tags(script_traits(parse_script(sql)))
 
 
 class TestDescriptors:

@@ -1,7 +1,5 @@
 """Durability subsystem: WAL, checkpoints, recovery, rebuild, bank."""
 
-import pytest
-
 from repro.dialects.translator import translate_script
 from repro.durability import (
     CheckpointStore,
@@ -30,7 +28,6 @@ from repro.faults import (
 from repro.faults.audit import dead_storage_faults
 from repro.middleware import DiverseServer, ReplicaState, ServerConfig, SupervisorPolicy
 from repro.middleware.supervisor import VirtualClock
-from repro.reliability import RebuildPolicyModel
 from repro.servers import make_server
 from repro.workload import WorkloadRunner
 
@@ -96,7 +93,7 @@ class TestCheckpoint:
         kept = medium.names("IB/")
         assert len(kept) == 2
         assert names[0] not in kept
-        name, payload = store.load_latest()
+        name, payload = store.load_all()[0]
         assert name == names[-1]
         assert payload["lsn"] == 2
 
@@ -496,7 +493,7 @@ class TestOnlineRebuild:
         assert server.stats.disagreements_detected == 0
         assert server.verify_consistency() == {}
         # Re-baseline checkpoint was written on admission.
-        assert server.durability.store("IB").checkpoints.load_latest() is not None
+        assert server.durability.store("IB").checkpoints.load_all()
 
     def test_rebuild_needs_live_donor(self):
         server = DiverseServer(
@@ -556,44 +553,6 @@ class TestStorageBank:
         )
         entries = dead_storage_faults([dead])
         assert [entry.fault_id for entry in entries] == ["STOR-DEAD"]
-
-
-class TestRebuildPolicyModel:
-    def test_seed_and_catchup_terms(self):
-        model = RebuildPolicyModel(
-            seed_rows=1000, seed_rate=100, replay_rate=50,
-            write_arrival_rate=10, verify_cost=2.0,
-        )
-        assert model.seed_time == pytest.approx(10.0)
-        # Backlog 10*10=100 statements drains at 40/s.
-        assert model.catchup_time == pytest.approx(2.5)
-        assert model.expected_rebuild_time() == pytest.approx(14.5)
-
-    def test_idle_system_has_no_catchup(self):
-        model = RebuildPolicyModel(seed_rows=500, seed_rate=50, replay_rate=10)
-        assert model.catchup_time == 0.0
-        assert model.expected_rebuild_time() == pytest.approx(10.0)
-
-    def test_rebuild_that_cannot_catch_up(self):
-        model = RebuildPolicyModel(
-            seed_rows=100, seed_rate=10, replay_rate=5, write_arrival_rate=5
-        )
-        assert model.expected_rebuild_time() == float("inf")
-        with pytest.raises(ValueError):
-            model.effective_replica(0.01)
-
-    def test_effective_replica_feeds_availability(self):
-        model = RebuildPolicyModel(
-            seed_rows=100, seed_rate=100, replay_rate=20, write_arrival_rate=2
-        )
-        replica = model.effective_replica(0.001)
-        assert 0.99 < replica.availability < 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RebuildPolicyModel(seed_rows=-1, seed_rate=1, replay_rate=1)
-        with pytest.raises(ValueError):
-            RebuildPolicyModel(seed_rows=1, seed_rate=0, replay_rate=1)
 
 
 class TestDiskstormCli:

@@ -8,7 +8,7 @@ from repro.errors import CatalogError, ConstraintViolation, SqlError
 class TestCreateTable:
     def test_create_and_query(self, engine):
         engine.execute("CREATE TABLE t (a INTEGER)")
-        assert engine.execute("SELECT COUNT(*) FROM t").scalar() == 0
+        assert engine.execute("SELECT COUNT(*) FROM t").rows[0][0] == 0
 
     def test_duplicate_table_rejected(self, engine):
         engine.execute("CREATE TABLE t (a INTEGER)")
@@ -80,7 +80,7 @@ class TestDropSemantics:
         with pytest.raises(CatalogError):
             seeded_engine.execute("DROP TABLE v")
         # The view survives.
-        assert seeded_engine.execute("SELECT COUNT(*) FROM v").scalar() == 4
+        assert seeded_engine.execute("SELECT COUNT(*) FROM v").rows[0][0] == 4
 
     def test_drop_view_on_table_rejected(self, seeded_engine):
         with pytest.raises(CatalogError):
@@ -135,13 +135,13 @@ class TestAlterTable:
         seeded_engine.execute("ALTER TABLE product ADD COLUMN origin VARCHAR(10) DEFAULT 'uk'")
         assert seeded_engine.execute(
             "SELECT origin FROM product WHERE id = 1"
-        ).scalar() == "uk"
+        ).rows[0][0] == "uk"
 
     def test_add_column_without_default_backfills_null(self, seeded_engine):
         seeded_engine.execute("ALTER TABLE product ADD COLUMN extra INTEGER")
         assert seeded_engine.execute(
             "SELECT extra FROM product WHERE id = 1"
-        ).scalar() is None
+        ).rows[0][0] is None
 
     def test_add_not_null_without_default_rejected_when_rows_exist(self, seeded_engine):
         with pytest.raises(ConstraintViolation):
@@ -155,4 +155,4 @@ class TestAlterTable:
         seeded_engine.execute("ALTER TABLE product ADD COLUMN score INTEGER DEFAULT 3")
         assert seeded_engine.execute(
             "SELECT SUM(score) FROM product"
-        ).scalar() == 12
+        ).rows[0][0] == 12

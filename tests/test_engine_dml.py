@@ -32,7 +32,7 @@ class TestInsert:
     def test_values_cast_to_column_type(self, engine):
         engine.execute("CREATE TABLE t (a NUMERIC(6,2))")
         engine.execute("INSERT INTO t VALUES ('3.456')")
-        assert engine.execute("SELECT a FROM t").scalar() == Decimal("3.46")
+        assert engine.execute("SELECT a FROM t").rows[0][0] == Decimal("3.46")
 
     def test_string_into_int_rejected(self, engine):
         engine.execute("CREATE TABLE t (a INTEGER)")
@@ -60,7 +60,7 @@ class TestInsert:
         engine.execute("CREATE TABLE t (a INTEGER PRIMARY KEY)")
         with pytest.raises(ConstraintViolation):
             engine.execute("INSERT INTO t VALUES (1), (1)")
-        assert engine.execute("SELECT COUNT(*) FROM t").scalar() == 0
+        assert engine.execute("SELECT COUNT(*) FROM t").rows[0][0] == 0
 
 
 class TestConstraints:
@@ -94,7 +94,7 @@ class TestConstraints:
         # SQL: CHECK is satisfied unless it evaluates to FALSE.
         engine.execute("CREATE TABLE t (a INTEGER CHECK (a > 0))")
         engine.execute("INSERT INTO t VALUES (NULL)")
-        assert engine.execute("SELECT COUNT(*) FROM t").scalar() == 1
+        assert engine.execute("SELECT COUNT(*) FROM t").rows[0][0] == 1
 
     def test_table_level_check(self, engine):
         engine.execute("CREATE TABLE t (a INTEGER, b INTEGER, CHECK (a < b))")
@@ -120,12 +120,12 @@ class TestDefaults:
     def test_default_applied(self, engine):
         engine.execute("CREATE TABLE t (a INTEGER, b INTEGER DEFAULT 7)")
         engine.execute("INSERT INTO t (a) VALUES (1)")
-        assert engine.execute("SELECT b FROM t").scalar() == 7
+        assert engine.execute("SELECT b FROM t").rows[0][0] == 7
 
     def test_default_string(self, engine):
         engine.execute("CREATE TABLE t (a INTEGER, b VARCHAR(5) DEFAULT 'none')")
         engine.execute("INSERT INTO t (a) VALUES (1)")
-        assert engine.execute("SELECT b FROM t").scalar() == "none"
+        assert engine.execute("SELECT b FROM t").rows[0][0] == "none"
 
     def test_wrong_type_default_rejected_at_create(self, engine):
         # SQL-92 conformant behaviour (bug 217042 is this check skipped).
@@ -143,7 +143,7 @@ class TestUpdate:
         assert result.rowcount == 2
         assert seeded_engine.execute(
             "SELECT qty FROM product WHERE id = 3"
-        ).scalar() == 101
+        ).rows[0][0] == 101
 
     def test_update_all_rows(self, seeded_engine):
         assert seeded_engine.execute("UPDATE product SET qty = 0").rowcount == 4
@@ -152,7 +152,7 @@ class TestUpdate:
         seeded_engine.execute("UPDATE product SET price = '5.555' WHERE id = 1")
         assert seeded_engine.execute(
             "SELECT price FROM product WHERE id = 1"
-        ).scalar() == Decimal("5.56")
+        ).rows[0][0] == Decimal("5.56")
 
     def test_update_respects_pk(self, seeded_engine):
         with pytest.raises(ConstraintViolation):
@@ -166,7 +166,7 @@ class TestUpdate:
 
     def test_update_uses_old_row_values(self, seeded_engine):
         seeded_engine.execute("UPDATE product SET qty = qty * 2, price = price WHERE id = 2")
-        assert seeded_engine.execute("SELECT qty FROM product WHERE id = 2").scalar() == 4
+        assert seeded_engine.execute("SELECT qty FROM product WHERE id = 2").rows[0][0] == 4
 
     def test_update_view_rejected(self, seeded_engine):
         seeded_engine.execute("CREATE VIEW v AS SELECT id FROM product")
@@ -178,7 +178,7 @@ class TestDelete:
     def test_delete_with_where(self, seeded_engine):
         result = seeded_engine.execute("DELETE FROM product WHERE qty < 10")
         assert result.rowcount == 2
-        assert seeded_engine.execute("SELECT COUNT(*) FROM product").scalar() == 2
+        assert seeded_engine.execute("SELECT COUNT(*) FROM product").rows[0][0] == 2
 
     def test_delete_all(self, seeded_engine):
         assert seeded_engine.execute("DELETE FROM product").rowcount == 4
@@ -190,4 +190,4 @@ class TestDelete:
         seeded_engine.execute(
             "DELETE FROM product WHERE id IN (SELECT id FROM product WHERE qty > 50)"
         )
-        assert seeded_engine.execute("SELECT COUNT(*) FROM product").scalar() == 2
+        assert seeded_engine.execute("SELECT COUNT(*) FROM product").rows[0][0] == 2

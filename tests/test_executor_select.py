@@ -158,11 +158,11 @@ class TestJoins:
 
 class TestAggregation:
     def test_count_star(self, seeded_engine):
-        assert seeded_engine.execute("SELECT COUNT(*) FROM product").scalar() == 4
+        assert seeded_engine.execute("SELECT COUNT(*) FROM product").rows[0][0] == 4
 
     def test_count_column_skips_nulls(self, seeded_engine):
         seeded_engine.execute("INSERT INTO product (id, name) VALUES (9, 'x')")
-        assert seeded_engine.execute("SELECT COUNT(price) FROM product").scalar() == 4
+        assert seeded_engine.execute("SELECT COUNT(price) FROM product").rows[0][0] == 4
 
     def test_sum_avg_min_max(self, seeded_engine):
         result = seeded_engine.execute(
@@ -199,7 +199,7 @@ class TestAggregation:
             "INSERT INTO product (id, name, price, qty) VALUES (5, 'nut', 1.00, 1)"
         )
         assert (
-            seeded_engine.execute("SELECT COUNT(DISTINCT name) FROM product").scalar() == 4
+            seeded_engine.execute("SELECT COUNT(DISTINCT name) FROM product").rows[0][0] == 4
         )
 
     def test_group_by_expression(self, seeded_engine):

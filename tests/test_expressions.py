@@ -174,7 +174,7 @@ class TestUpdateWithSubquery:
         )
         assert seeded_engine.execute(
             "SELECT qty FROM product WHERE id = 1"
-        ).scalar() == 100
+        ).rows[0][0] == 100
 
     def test_update_where_subquery(self, seeded_engine):
         seeded_engine.execute(
@@ -182,4 +182,4 @@ class TestUpdateWithSubquery:
         )
         assert seeded_engine.execute(
             "SELECT price FROM product WHERE id = 2"
-        ).scalar() == Decimal("0.00")
+        ).rows[0][0] == Decimal("0.00")

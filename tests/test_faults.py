@@ -171,11 +171,13 @@ class TestEffects:
 
 class TestInjector:
     def test_enable_disable(self):
+        """A fault taken out of the catalog stops firing; put back, it
+        fires again."""
         spec = fault(CrashEffect())
         engine = make_engine(spec)
-        engine.injector.disable("F-1")
+        engine.injector.remove("F-1")
         engine.execute("SELECT id FROM victim")
-        engine.injector.enable("F-1")
+        engine.injector.add(spec)
         with pytest.raises(EngineCrash):
             engine.execute("SELECT id FROM victim")
 

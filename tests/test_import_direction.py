@@ -1,14 +1,20 @@
-"""Import direction between the layers of ``src/repro``.
+"""Import direction between the layers of ``src/repro``, and what the
+code reads.
 
 The layer table lives in DESIGN.md section 3 and is read from there. A
 module owns the row of the longest table entry that prefixes its name,
 and may import, at top level or inside a function, only from its own
 entry or a lower row; entries that share a row import neither each
-other. Imports under ``if TYPE_CHECKING:`` run nothing and are exempt.
+other. Imports under ``if TYPE_CHECKING:`` run nothing; the upward ones
+among them are listed in ``TYPE_CHECKING_UP`` and nowhere else.
 The static half reads every import statement with ``ast``; the runtime
 half imports each entry in a fresh interpreter and looks at what
 ``sys.modules`` holds, which also catches a package ``__init__`` that
 re-exports from above.
+
+The same ``ast`` pass answers two more questions: which public
+definitions nothing but the tests reads (the reachability test at the
+end), and which imports nothing reads (a stand-in for ruff's F401).
 """
 
 import ast
@@ -23,11 +29,21 @@ import pytest
 import repro
 
 ROOT = Path(repro.__file__).parent
-DESIGN = ROOT.parents[1] / "DESIGN.md"
+REPO = ROOT.parents[1]
+DESIGN = REPO / "DESIGN.md"
 
 #: The only modules whose function-local imports are allowed: the CLI
 #: front ends, where lazy loading is the point.
 CLI_FRONT_ENDS = {"repro.__main__", "repro.storms"}
+
+#: ``(importer, target)`` for the upward imports under ``if
+#: TYPE_CHECKING:``: types named in annotations whose owner sits above
+#: the importer.
+TYPE_CHECKING_UP = {
+    ("repro.analysis.reachability", "repro.bugs.corpus"),
+    ("repro.analysis.reachability", "repro.faults.spec"),
+    ("repro.middleware.server", "repro.durability.manager"),
+}
 
 
 def read_layers() -> dict[str, int]:
@@ -51,6 +67,8 @@ def module_paths() -> dict[str, Path]:
 
 
 MODULES = module_paths()
+TREES = {module: ast.parse(path.read_text()) for module, path in MODULES.items()}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def owner(module: str) -> str:
@@ -66,26 +84,25 @@ def allowed(importer: str, target: str) -> bool:
     return mine == theirs or LAYERS[theirs] < LAYERS[mine]
 
 
-def runtime_imports(path: Path):
-    """``(line, target module, inside a function)`` for every ``repro``
-    import outside ``if TYPE_CHECKING:``; ``from package import module``
-    names the module."""
-    tree = ast.parse(path.read_text())
-    exempt = {
-        id(node)
-        for block in ast.walk(tree)
-        if isinstance(block, ast.If) and "TYPE_CHECKING" in ast.unparse(block.test)
-        for node in ast.walk(block)
+def is_type_checking(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test)
+
+
+def repro_imports(module: str):
+    """``(line, target module, inside a function, under TYPE_CHECKING)``
+    for every ``repro`` import; ``from package import module`` names
+    the module."""
+    tree = TREES[module]
+    typing_only = {
+        id(node) for block in ast.walk(tree) if is_type_checking(block) for node in ast.walk(block)
     }
     local = {
         id(node)
         for function in ast.walk(tree)
-        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(function, FUNCTIONS)
         for node in ast.walk(function)
     }
     for node in ast.walk(tree):
-        if id(node) in exempt:
-            continue
         if isinstance(node, ast.Import):
             targets = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -99,7 +116,7 @@ def runtime_imports(path: Path):
             continue
         for target in targets:
             if target == "repro" or target.startswith("repro."):
-                yield node.lineno, target, id(node) in local
+                yield node.lineno, target, id(node) in local, id(node) in typing_only
 
 
 def test_every_module_has_a_row():
@@ -116,12 +133,22 @@ def test_every_module_has_a_row():
 def test_imports_point_down(entry):
     wrong = [
         f"{module}:{line} imports {target}"
-        for module, path in sorted(MODULES.items())
+        for module in sorted(MODULES)
         if owner(module) == entry
-        for line, target, _ in runtime_imports(path)
-        if not allowed(module, target)
+        for line, target, _, typing_only in repro_imports(module)
+        if not allowed(module, target) and not typing_only
     ]
     assert wrong == []
+
+
+def test_type_checking_imports_point_up_only_where_listed():
+    up = {
+        (module, target)
+        for module in MODULES
+        for _, target, _, typing_only in repro_imports(module)
+        if typing_only and not allowed(module, target)
+    }
+    assert up == TYPE_CHECKING_UP
 
 
 @pytest.mark.parametrize("entry", sorted(LAYERS, key=lambda entry: (LAYERS[entry], entry)))
@@ -146,9 +173,9 @@ def test_importing_loads_nothing_from_above(entry):
 def test_function_local_imports_only_in_the_cli_front_ends():
     local = [
         f"{module}:{line} imports {target}"
-        for module, path in sorted(MODULES.items())
+        for module in sorted(MODULES)
         if module not in CLI_FRONT_ENDS
-        for line, target, inside in runtime_imports(path)
+        for line, target, inside, _ in repro_imports(module)
         if inside
     ]
     assert local == []
@@ -158,8 +185,10 @@ def imports_of(package: str) -> dict[str, set[str]]:
     """``module name -> names`` imported from it anywhere in the files
     of ``repro.<package>``."""
     found: dict[str, set[str]] = {}
-    for path in (ROOT / package).rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, tree in TREES.items():
+        if module != f"repro.{package}" and not module.startswith(f"repro.{package}."):
+            continue
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module:
                 found.setdefault(node.module, set()).update(a.name for a in node.names)
             elif isinstance(node, ast.Import):
@@ -204,3 +233,197 @@ def test_the_corpus_slices_through_public_dataflow_names():
 
 def test_the_study_runs_products_without_the_middleware():
     assert names_from("study", "middleware") == set()
+
+
+# -- what the entry points reach ---------------------------------------------
+
+#: Public definitions no entry point reaches, kept because a DESIGN.md
+#: section 4 evidence row's test needs them: name -> that row's Exp id.
+ALLOW_LIST = {
+    "repro.faults.effects.PartitionDropBugEffect": "H1",
+    "repro.faults.effects.PlanStageBugEffect": "P2",
+    "repro.faults.effects.PredicateFoldBugEffect": "H1",
+    "repro.middleware.server.MiddlewareStats.detection_events": "M1",
+    "repro.net.tcp.TcpNetServer.address": "NET",
+    "repro.net.tcp.tcp_exchange": "NET",
+    "repro.net.transport.ClientPort.request": "NET",
+    "repro.reliability.availability.TimeoutPolicyModel": "W6",
+    "repro.study.releases.Release.fixed_fault_ids": "R1",
+    "repro.study.releases.faults_for_release": "R1",
+    "repro.study.releases.release": "R1",
+    "repro.study.releases.release_fault_catalogs": "R1",
+    "repro.study.runner.audit_faults": "A2",
+    "repro.study.runner.dead_faults": "A2",
+}
+
+ENTRY_FILES = sorted((REPO / "examples").glob("*.py")) + sorted(
+    (REPO / "benchmarks" / "e2e").glob("*.py")
+)
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*\Z")
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every name through which ``node`` can reach a definition:
+    ``Name`` ids, ``Attribute`` attrs, imported names, and strings
+    shaped like an identifier (``getattr`` dispatch, the benchmark
+    tracer's patch table)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.update(sub.name.split("."))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if IDENTIFIER.match(sub.value):
+                names.add(sub.value)
+    return names
+
+
+def unreachable() -> set[str]:
+    """Public top-level functions and classes under ``src/repro``, and
+    public methods of reachable classes, that nothing reaches from the
+    real entry points.
+
+    The roots are the two CLI front ends, every file under
+    ``examples/`` and ``benchmarks/e2e/``, and every module-level
+    statement under ``src/repro`` that is neither a definition nor an
+    import: an import, an ``__init__`` re-export or ``__all__`` is not a
+    reader. A live definition makes live every definition or public
+    method named by what its body reads; a live method makes its class
+    live, and a live class its private and dunder methods (which covers
+    ``Evaluator._eval_*`` dispatch). Names match bare, whatever object
+    they belong to, which over-approximates liveness: the safe
+    direction, in which a dead definition can escape but one whose name
+    is read anywhere live is never convicted.
+    """
+    nodes: dict[str, ast.AST] = {}
+    classes: dict[str, str] = {}  # method -> its class
+    by_name: dict[str, list[str]] = {}
+    aliases: dict[str, set[str]] = {}
+    roots = set().union(*(names_read(ast.parse(path.read_text())) for path in ENTRY_FILES))
+    for module, tree in TREES.items():
+        if module in CLI_FRONT_ENDS:
+            roots |= names_read(tree)
+            continue
+        for statement in tree.body:
+            if isinstance(statement, DEFINITIONS):
+                name = f"{module}.{statement.name}"
+                nodes[name] = statement
+                by_name.setdefault(statement.name, []).append(name)
+                for item in statement.body if isinstance(statement, ast.ClassDef) else ():
+                    if isinstance(item, FUNCTIONS):
+                        method = f"{name}.{item.name}"
+                        nodes[method], classes[method] = item, name
+                        if not item.name.startswith("_"):
+                            by_name.setdefault(item.name, []).append(method)
+            elif isinstance(statement, (ast.Import, ast.ImportFrom)):
+                for alias in statement.names:
+                    if alias.asname:
+                        aliases.setdefault(alias.asname, set()).add(alias.name)
+            elif not is_type_checking(statement) and "__all__" not in names_read(statement):
+                roots |= names_read(statement)
+
+    live: set[str] = set()
+    pending, seen = list(roots), set()
+
+    def mark(name: str) -> None:
+        if name in live:
+            return
+        live.add(name)
+        node = nodes[name]
+        if name in classes:
+            mark(classes[name])
+        if not isinstance(node, ast.ClassDef):
+            pending.extend(names_read(node))
+            return
+        for item in node.body:
+            if not isinstance(item, FUNCTIONS):
+                pending.extend(names_read(item))
+            elif item.name.startswith("_"):
+                mark(f"{name}.{item.name}")
+        for part in (*node.bases, *node.keywords, *node.decorator_list):
+            pending.extend(names_read(part))
+
+    while pending:
+        name = pending.pop()
+        if name not in seen:
+            seen.add(name)
+            pending.extend(aliases.get(name, ()))
+            for definition in by_name.get(name, ()):
+                mark(definition)
+    return {
+        name
+        for name, node in nodes.items()
+        if name not in live
+        and not node.name.startswith("_")
+        and (name not in classes or classes[name] in live)
+    }
+
+
+def design_exp_ids() -> set[str]:
+    text = DESIGN.read_text()
+    section = text[text.index("## 4. Experiment index") : text.index("## 5. ")]
+    return set(re.findall(r"^\| (\w+) \|", section, flags=re.MULTILINE)) - {"Exp"}
+
+
+def test_every_unread_public_definition_is_evidence():
+    assert unreachable() == set(ALLOW_LIST)
+    assert set(ALLOW_LIST.values()) <= design_exp_ids()
+
+
+# -- unused imports (ruff F401) ----------------------------------------------
+
+
+def annotation_strings(tree: ast.AST):
+    """Names inside quoted annotations: they read an import too."""
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            args = node.args
+            every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            annotations = [arg.annotation for arg in every if arg] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    try:
+                        parsed = ast.parse(sub.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    yield from (name.id for name in ast.walk(parsed) if isinstance(name, ast.Name))
+
+
+def unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= set(annotation_strings(tree))
+    for statement in tree.body:  # names in ``__all__`` are re-exported
+        if "__all__" in names_read(statement):
+            used |= names_read(statement)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.relative_to(REPO)}:{node.lineno} {bound}")
+    return unused
+
+
+def test_no_unused_imports():
+    """Every import outside a package ``__init__`` (whose imports are
+    re-exports) is read in its file."""
+    paths = [
+        path
+        for directory in ("src", "tests", "examples", "benchmarks")
+        for path in sorted((REPO / directory).rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    assert [hit for path in paths for hit in unused_imports(path)] == []

@@ -10,11 +10,10 @@ from repro.errors import (
     SqlError,
 )
 from repro.faults import CrashEffect, ErrorEffect, FaultSpec, RelationTrigger, RowDropEffect
-from repro.middleware import DiverseServer, ReplicaState, ResultComparator
+from repro.middleware import DiverseServer, ReplicaState, ResultComparator, ServerConfig
 from repro.middleware.comparator import ReplicaAnswer
 from repro.middleware.normalizer import normalize_result
 from repro.sqlengine.values import normalize_value
-from repro.middleware.server import replicated_server
 from repro.servers import make_server
 
 
@@ -256,11 +255,11 @@ class TestCrashHandlingAndRecovery:
                           adjudication="majority", auto_recover=False)
         )
         server.execute("SELECT id FROM accounts")  # IB crashes
-        faulty.injector.disable("F-CRASH")
+        faulty.injector.remove("F-CRASH")
         server.recover("IB")
         assert server.replica("IB").state is ReplicaState.ACTIVE
         # The recovered replica has the full state back.
-        assert faulty.execute("SELECT COUNT(*) FROM accounts").scalar() == 2
+        assert faulty.execute("SELECT COUNT(*) FROM accounts").rows[0][0] == 2
 
     def test_auto_recovery(self):
         faulty = make_server("IB", [wrong_rows_fault()])
@@ -303,10 +302,9 @@ class TestModesAndBaselines:
     def test_replicated_non_diverse_baseline_shares_faults(self):
         # Two identical faulty copies agree on the wrong answer.
         server = setup(
-            replicated_server(
-                lambda: make_server("IB", [wrong_rows_fault()]),
-                count=2,
-                adjudication="compare",
+            DiverseServer(
+                [make_server("IB", [wrong_rows_fault()]) for _ in range(2)],
+                config=ServerConfig(adjudication="compare", allow_duplicates=True),
             )
         )
         result = server.execute("SELECT id, balance FROM accounts ORDER BY id")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import FeatureNotSupported, SqlError
 from repro.faults import CrashEffect, FaultSpec, RelationTrigger
-from repro.middleware import DiverseServer, ReplicaState, replicated_server
+from repro.middleware import DiverseServer, ReplicaState, ServerConfig
 from repro.servers import make_server
 
 
@@ -45,7 +45,7 @@ class TestVerifyConsistency:
         server.execute("INSERT INTO t VALUES (1), (2)")
         server.execute("SELECT a FROM t ORDER BY a")  # IB crashes
         assert server.replica("IB").state is ReplicaState.FAILED
-        faulty.injector.disable("F-CRASH")
+        faulty.injector.remove("F-CRASH")
         server.recover("IB")
         assert server.verify_consistency() == {}
 
@@ -82,7 +82,7 @@ class TestDialectRefusalIsAtomic:
             else:
                 server.execute("INSERT INTO t VALUES (CHAR_LENGTH('ab'))")
         counts = [
-            replica.product.execute("SELECT COUNT(*) FROM t").scalar()
+            replica.product.execute("SELECT COUNT(*) FROM t").rows[0][0]
             for replica in server.replicas
         ]
         assert counts == [1, 1, 1, 1]
@@ -93,11 +93,13 @@ class TestDialectRefusalIsAtomic:
 def test_prepared_writes_reach_every_copy_of_a_replicated_server():
     """Identical copies share a replica key; each copy still runs the
     prepared statement on its own engine."""
-    server = replicated_server(lambda: make_server("IB"), 2)
+    server = DiverseServer(
+        [make_server("IB"), make_server("IB")], config=ServerConfig(allow_duplicates=True)
+    )
     server.execute("CREATE TABLE t (a INTEGER)")
     server.prepare("INSERT INTO t VALUES (?)").execute((1,))
     counts = [
-        replica.product.execute("SELECT COUNT(*) FROM t").scalar()
+        replica.product.execute("SELECT COUNT(*) FROM t").rows[0][0]
         for replica in server.replicas
     ]
     assert counts == [1, 1]
@@ -146,4 +148,4 @@ class TestTransactionsThroughMiddleware:
         assert server.verify_consistency() == {}
         assert server.replicas[1].product.execute(
             "SELECT COUNT(*) FROM t"
-        ).scalar() == 1
+        ).rows[0][0] == 1

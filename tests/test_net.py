@@ -12,7 +12,7 @@ from decimal import Decimal
 
 import pytest
 
-from repro.errors import NetworkError, SqlError
+from repro.errors import NetworkError, NumericOverflow, ParseError, SqlError
 from repro.faults import (
     ConnectionResetEffect,
     CorruptFrameEffect,
@@ -246,6 +246,41 @@ class TestNonAsciiDigits:
         good = port.request(protocol.execute(session, token, 2, "SELECT 1"), 8.0)
         assert good["type"] == "result"
         assert good["rows"] == [[1]]
+
+
+class TestBuiltinEscapes:
+    """Texts that used to leave ``Engine.execute`` as a builtin
+    exception: a fraction or exponent where the grammar wants an
+    integer (``ValueError`` from ``int()``), a float MOD operand beyond
+    the float range (``ValueError: math domain error``) and a ROUND to
+    more places than the decimal context holds
+    (``decimal.InvalidOperation``).  Each is the parser's or the
+    evaluator's own error at the engine and an ``SqlError`` at the
+    middleware and the served client, and the session answers the next
+    sequence number.  PostgreSQL and Oracle are the two products whose
+    dialects have both LIMIT and MOD."""
+
+    CASES = (
+        ("SELECT 1 LIMIT 1.5", ParseError),
+        ("CREATE TABLE u (a VARCHAR(1e3))", ParseError),
+        (f"SELECT MOD(1{'0' * 400}.5, 2.5e0)", NumericOverflow),
+        ("SELECT ROUND(1.5, 100)", NumericOverflow),
+    )
+
+    @pytest.mark.parametrize("sql,error", CASES, ids=[sql[:32] for sql, _ in CASES])
+    def test_boundary_error_at_engine_middleware_and_served_client(self, sql, error):
+        server = DiverseServer([make_server("PG"), make_server("OR")])
+        network = SimulatedNetwork(NetServer(server, NetPolicy(idle_deadline=100_000.0)))
+        with pytest.raises(error):
+            make_server("PG").engine.execute(sql)
+        with pytest.raises(SqlError):
+            server.execute(sql)
+        client = supervised(network)
+        with pytest.raises(SqlError):
+            client.execute(sql)
+        before = client._seq
+        assert client.execute("SELECT 1").rows == [(1,)]
+        assert client._seq == before + 1
 
 
 class TestNonFiniteNumbers:
@@ -608,13 +643,6 @@ class TestNetworkPolicyModel:
         clean = NetworkPolicyModel(loss_probability=0.05, max_attempts=7)
         assert clean.request_success_probability() > \
             patient.request_success_probability()
-
-    def test_served_availability_composes_with_middleware(self):
-        model = NetworkPolicyModel(loss_probability=0.1)
-        assert model.served_availability(0.999) < 0.999
-        assert model.served_availability(0.999) == pytest.approx(
-            0.999 * model.request_success_probability()
-        )
 
 
 class TestTcpBinding:

@@ -39,7 +39,7 @@ class TestNullGrouping:
     def test_avg_ignores_nulls(self, nully):
         from decimal import Decimal
 
-        avg = nully.execute("SELECT AVG(v) FROM n").scalar()
+        avg = nully.execute("SELECT AVG(v) FROM n").rows[0][0]
         assert avg == Decimal("40") / 3
 
 
@@ -54,8 +54,8 @@ class TestNullPredicates:
 
     def test_where_not_condition_excludes_unknown(self, nully):
         # NOT (v = 10): UNKNOWN for NULL rows -> excluded from both sides.
-        positive = nully.execute("SELECT COUNT(*) FROM n WHERE v = 10").scalar()
-        negative = nully.execute("SELECT COUNT(*) FROM n WHERE NOT v = 10").scalar()
+        positive = nully.execute("SELECT COUNT(*) FROM n WHERE v = 10").rows[0][0]
+        negative = nully.execute("SELECT COUNT(*) FROM n WHERE NOT v = 10").rows[0][0]
         assert positive == 2 and negative == 1
         assert positive + negative < 5  # the NULL rows vanish from both
 
@@ -83,7 +83,7 @@ class TestNullArithmetic:
         assert result.rows == [(2, None)]
 
     def test_sum_with_some_nulls(self, nully):
-        assert nully.execute("SELECT SUM(v) FROM n").scalar() == 40
+        assert nully.execute("SELECT SUM(v) FROM n").rows[0][0] == 40
 
     def test_scalar_subquery_null_propagates(self, nully):
         result = nully.execute(
@@ -93,4 +93,4 @@ class TestNullArithmetic:
 
     def test_update_to_null_then_aggregate(self, nully):
         nully.execute("UPDATE n SET v = NULL WHERE v = 20")
-        assert nully.execute("SELECT MAX(v) FROM n").scalar() == 10
+        assert nully.execute("SELECT MAX(v) FROM n").rows[0][0] == 10

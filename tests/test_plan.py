@@ -16,7 +16,7 @@ import pytest
 from repro.errors import ParseError, SqlError
 from repro.faults import AlwaysTrigger, FaultSpec, PlanStageBugEffect
 from repro.middleware import DiverseServer, ServerConfig
-from repro.servers import make_interbase, make_postgres, make_server
+from repro.servers import make_interbase, make_server
 from repro.sqlengine import Engine
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plan import (
@@ -318,7 +318,7 @@ class TestExplain:
         assert "IndexLookup t" in server.explain("SELECT b FROM t WHERE a = 1")
 
     def test_diverse_server_explain_is_memoized_per_generation(self):
-        server = DiverseServer([make_interbase(), make_postgres()])
+        server = DiverseServer([make_interbase(), make_server("PG")])
         server.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)")
         first = server.explain("SELECT b FROM t WHERE a = 1")
         again = server.explain("SELECT b FROM t WHERE a = 1")
@@ -334,7 +334,7 @@ class TestExplain:
         with pytest.raises(ParseError):
             make_server("PG").explain(sql)
         with pytest.raises(ParseError):
-            DiverseServer([make_interbase(), make_postgres()]).explain(sql)
+            DiverseServer([make_interbase(), make_server("PG")]).explain(sql)
 
 
 # -- dual-plan divergence oracle -------------------------------------------
@@ -369,7 +369,7 @@ class TestDualPlanOracle:
 
     def test_planner_level_fault_is_flagged(self):
         replica = make_interbase()
-        replica.seed_fault(_plan_bug())
+        replica.injector.add(_plan_bug())
         server = self._serve(replica)
         result = server.execute("SELECT a, b FROM t WHERE a > 0 ORDER BY a")
         assert server.stats.dual_plan_divergences == 1
@@ -379,7 +379,7 @@ class TestDualPlanOracle:
         assert any("dual-plan divergence" in w for w in result.warnings)
 
     def test_oracle_is_off_by_default(self):
-        server = DiverseServer([make_interbase(), make_postgres()])
+        server = DiverseServer([make_interbase(), make_server("PG")])
         server.execute("CREATE TABLE t (a INTEGER PRIMARY KEY)")
         server.execute("INSERT INTO t (a) VALUES (1)")
         server.execute("SELECT a FROM t")

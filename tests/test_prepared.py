@@ -22,12 +22,7 @@ from repro.analysis import OrderVerdict
 from repro.bugs import build_corpus
 from repro.errors import MiddlewareError, ReproError, SqlError
 from repro.faults import FaultSpec, RelationTrigger, RowDropEffect
-from repro.middleware import (
-    DiverseServer,
-    PreparedStatement,
-    ServerConfig,
-    replicated_server,
-)
+from repro.middleware import DiverseServer, PreparedStatement, ServerConfig
 from repro.servers import SqlServer, make_server
 from repro.sqlengine import Engine
 from repro.sqlengine.params import (
@@ -193,10 +188,9 @@ class TestServerConfigApi:
             DiverseServer([make_server("IB"), make_server("OR")], juditication="x")
 
     def test_replicated_server_accepts_config(self):
-        server = replicated_server(
-            lambda: make_server("PG"),
-            count=3,
-            config=ServerConfig(adjudication="majority"),
+        server = DiverseServer(
+            [make_server("PG") for _ in range(3)],
+            config=ServerConfig(adjudication="majority", allow_duplicates=True),
         )
         assert server.adjudication == "majority"
         assert len(server.replicas) == 3

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.servers import make_server
 from repro.study import build_table2, build_table3, build_table4, run_study
 from repro.study.releases import (
     RELEASE_TRAINS,
     faults_for_release,
-    make_release_server,
     release,
     release_fault_catalogs,
 )
@@ -41,7 +41,7 @@ class TestReleaseModel:
             release("PG", "99.9")
 
     def test_release_server_runs(self, corpus):
-        server = make_release_server(corpus, "PG", "7.0.3")
+        server = make_server("PG", faults_for_release(corpus, "PG", "7.0.3"))
         server.execute("CREATE TABLE t (a INTEGER)")
         server.execute("INSERT INTO t VALUES (1)")
         assert server.execute("SELECT a FROM t").rows == [(1,)]

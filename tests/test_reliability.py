@@ -25,14 +25,10 @@ class TestPairGains:
     def test_ratio_and_gain_factor(self):
         gain = PairGain("A", "B", m_a=50, m_ab=2)
         assert gain.ratio == pytest.approx(0.04)
-        assert gain.naive_gain_factor == 25.0
 
     def test_zero_shared_bugs_gives_infinite_gain(self):
-        import math
-
         gain = PairGain("A", "B", m_a=50, m_ab=0)
         assert gain.ratio == 0.0
-        assert math.isinf(gain.naive_gain_factor)
 
     def test_all_ratios_small(self, study):
         # The paper's conclusion: mAB/mA is small for every pair.

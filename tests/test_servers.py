@@ -5,7 +5,6 @@ import pytest
 from repro.errors import EngineCrash, FeatureNotSupported
 from repro.faults import CrashEffect, FaultSpec, RelationTrigger
 from repro.servers import make_server
-from repro.servers.product import clone_pristine
 
 
 class TestConstruction:
@@ -60,7 +59,7 @@ class TestLifecycle:
             server.execute("SELECT a FROM t")
         assert server.crashed
         server.restart()
-        server.injector.disable("F-CRASH")
+        server.injector.remove("F-CRASH")
         assert server.execute("SELECT a FROM t").rows == [(1,)]
 
     def test_reset_wipes_everything(self):
@@ -76,24 +75,15 @@ class TestLifecycle:
         conn.execute("CREATE TABLE t (a INTEGER)")
         conn.execute("INSERT INTO t VALUES (1), (2)")
         conn.execute("SELECT a FROM t ORDER BY a")
-        assert conn.fetchall() == [(1,), (2,)]
-        assert conn.fetchone() == (1,)
         assert [d[0] for d in conn.description] == ["a"]
         conn.close()
         with pytest.raises(Exception):
             conn.execute("SELECT 1")
 
-    def test_clone_pristine_has_no_faults(self):
-        server = self._crashy()
-        pristine = clone_pristine(server)
-        pristine.execute("CREATE TABLE t (a INTEGER)")
-        pristine.execute("INSERT INTO t VALUES (1)")
-        assert pristine.execute("SELECT a FROM t").rows == [(1,)]
-
     def test_seed_fault_after_construction(self):
         server = make_server("OR")
         server.execute("CREATE TABLE t (a INTEGER)")
-        server.seed_fault(
+        server.injector.add(
             FaultSpec("LATE", "late fault", RelationTrigger(["t"], kind="select"), CrashEffect())
         )
         with pytest.raises(EngineCrash):

@@ -13,7 +13,7 @@ from repro.study import (
     failure_type_shares,
 )
 from repro.study.classify import ScriptOutcome, StatementOutcome, classify_run
-from repro.study.runner import split_statements
+from repro.study.runner import audit_faults, dead_faults, split_statements
 from repro.study.tables import heisenbug_extras
 
 
@@ -197,7 +197,11 @@ class TestStudyReproducesPaper:
         for report in study.corpus:
             for server in gt.SERVER_KEYS:
                 cell = study.outcome(report.bug_id, server)
-                expected = report.failure_on(server)
+                expected = (
+                    report.home_failure
+                    if server == report.reported_for
+                    else report.foreign_failures.get(server)
+                )
                 if expected is None:
                     assert not cell.failed, (report.bug_id, server)
                 else:
@@ -222,3 +226,26 @@ class TestStressMode:
         ]
         assert failing_now  # some Heisenbugs now fail...
         assert len(failing_now) < len(heisen)  # ...but not all
+
+
+class TestFaultAudit:
+    def test_no_dead_faults_in_corpus(self, study):
+        """Every deterministic seeded fault fires somewhere: the corpus
+        scripts and triggers are in sync."""
+        assert dead_faults(study) == []
+
+    def test_heisenbugs_never_fire_in_normal_study(self, study):
+        audit = audit_faults(study)
+        for entries in audit.values():
+            for entry in entries:
+                if entry.heisenbug:
+                    assert entry.fired_on_bugs == [], entry.fault_id
+
+    def test_shared_pg_fault_covers_six_scripts(self, study):
+        pg = {entry.fault_id: entry for entry in audit_faults(study)["PG"]}
+        assert len(set(pg["PG-CLUSTERED-INDEX"].fired_on_bugs)) == 6
+
+    def test_audit_totals(self, study):
+        audit = audit_faults(study)
+        assert set(audit) == {"IB", "PG", "OR", "MS"}
+        assert len(audit["PG"]) == len(study.corpus.faults_for("PG"))

@@ -17,8 +17,6 @@ from repro.middleware import (
     SupervisorPolicy,
     VirtualClock,
 )
-from repro.middleware.server import replicated_server
-from repro.reliability import QuarantinePolicyModel
 from repro.servers import make_interbase, make_server
 from repro.workload import WorkloadRunner
 
@@ -386,44 +384,11 @@ class TestWorkloadOutages:
             assert replayed > 2 * 16
 
 
-class TestQuarantineModel:
-    def test_certain_recovery(self):
-        model = QuarantinePolicyModel(success_probability=1.0)
-        assert model.retirement_probability == 0.0
-        # First attempt is immediate and always succeeds: MTTR is one
-        # attempt's replay cost.
-        assert model.expected_repair_time() == pytest.approx(1.0)
-
-    def test_repair_time_grows_as_success_shrinks(self):
-        times = [
-            QuarantinePolicyModel(success_probability=p).expected_repair_time()
-            for p in (0.9, 0.5, 0.2)
-        ]
-        assert times == sorted(times)
-
-    def test_retirement_probability(self):
-        model = QuarantinePolicyModel(success_probability=0.5, max_attempts=3)
-        assert model.retirement_probability == pytest.approx(0.125)
-
-    def test_effective_replica_availability(self):
-        model = QuarantinePolicyModel(success_probability=0.5)
-        replica = model.effective_replica(failure_rate=0.001)
-        assert 0.0 < replica.availability < 1.0
-        mttr = model.expected_repair_time()
-        assert replica.availability == pytest.approx(
-            (1 / mttr) / (0.001 + 1 / mttr)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuarantinePolicyModel(success_probability=0.0)
-        with pytest.raises(ValueError):
-            QuarantinePolicyModel(success_probability=0.5, max_attempts=0)
-
-
 class TestSatelliteFixes:
     def test_replicated_server_shares_init_path(self):
-        server = replicated_server(make_interbase, count=3)
+        server = DiverseServer(
+            [make_interbase() for _ in range(3)], allow_duplicates=True
+        )
         assert server.supervised
         assert server.supervisor is not None
         assert len(server.replicas) == 3

@@ -11,25 +11,25 @@ class TestBasicTransactions:
         seeded_engine.execute("BEGIN")
         seeded_engine.execute("DELETE FROM product WHERE id = 1")
         seeded_engine.execute("COMMIT")
-        assert seeded_engine.execute("SELECT COUNT(*) FROM product").scalar() == 3
+        assert seeded_engine.execute("SELECT COUNT(*) FROM product").rows[0][0] == 3
 
     def test_rollback_restores_deletes(self, seeded_engine):
         seeded_engine.execute("BEGIN")
         seeded_engine.execute("DELETE FROM product")
         seeded_engine.execute("ROLLBACK")
-        assert seeded_engine.execute("SELECT COUNT(*) FROM product").scalar() == 4
+        assert seeded_engine.execute("SELECT COUNT(*) FROM product").rows[0][0] == 4
 
     def test_rollback_restores_updates(self, seeded_engine):
         seeded_engine.execute("BEGIN")
         seeded_engine.execute("UPDATE product SET qty = 0")
         seeded_engine.execute("ROLLBACK")
-        assert seeded_engine.execute("SELECT SUM(qty) FROM product").scalar() == 187
+        assert seeded_engine.execute("SELECT SUM(qty) FROM product").rows[0][0] == 187
 
     def test_rollback_removes_inserts(self, seeded_engine):
         seeded_engine.execute("BEGIN")
         seeded_engine.execute("INSERT INTO product (id, name) VALUES (10, 'x')")
         seeded_engine.execute("ROLLBACK")
-        assert seeded_engine.execute("SELECT COUNT(*) FROM product").scalar() == 4
+        assert seeded_engine.execute("SELECT COUNT(*) FROM product").rows[0][0] == 4
 
     def test_rollback_undoes_ddl(self, seeded_engine):
         seeded_engine.execute("BEGIN")
@@ -41,7 +41,7 @@ class TestBasicTransactions:
         seeded_engine.execute("BEGIN")
         seeded_engine.execute("DROP TABLE product")
         seeded_engine.execute("ROLLBACK")
-        assert seeded_engine.execute("SELECT COUNT(*) FROM product").scalar() == 4
+        assert seeded_engine.execute("SELECT COUNT(*) FROM product").rows[0][0] == 4
 
     def test_autocommit_outside_transaction(self, seeded_engine):
         seeded_engine.execute("DELETE FROM product WHERE id = 1")
@@ -60,7 +60,7 @@ class TestBasicTransactions:
     def test_changes_visible_within_transaction(self, seeded_engine):
         seeded_engine.execute("BEGIN")
         seeded_engine.execute("UPDATE product SET qty = 1 WHERE id = 1")
-        assert seeded_engine.execute("SELECT qty FROM product WHERE id = 1").scalar() == 1
+        assert seeded_engine.execute("SELECT qty FROM product WHERE id = 1").rows[0][0] == 1
         seeded_engine.execute("ROLLBACK")
 
 
@@ -99,7 +99,7 @@ class TestSavepoints:
         seeded_engine.execute("SAVEPOINT sp1")
         seeded_engine.execute("DELETE FROM product")
         seeded_engine.execute("ROLLBACK")
-        assert seeded_engine.execute("SELECT COUNT(*) FROM product").scalar() == 4
+        assert seeded_engine.execute("SELECT COUNT(*) FROM product").rows[0][0] == 4
 
 
 class TestCrashInteraction:
@@ -128,4 +128,4 @@ class TestCrashInteraction:
             engine.execute("SELECT a, COUNT(*) FROM t GROUP BY a")
         engine.restart()
         # The open transaction was rolled back by the crash.
-        assert engine.execute("SELECT COUNT(*) FROM t").scalar() == 1
+        assert engine.execute("SELECT COUNT(*) FROM t").rows[0][0] == 1

@@ -15,7 +15,6 @@ from repro.sqlengine.types import (
     cast_value,
     char,
     format_numeric,
-    infer_literal_type,
     numeric,
     parse_date,
     varchar,
@@ -138,28 +137,6 @@ class TestImplicitStorageCasts:
     def test_explicit_cast_of_same_string_also_rejected(self):
         with pytest.raises(TypeMismatch):
             cast_value("ABC", INTEGER)
-
-
-class TestInference:
-    @pytest.mark.parametrize(
-        "value,family",
-        [
-            (None, "null"),
-            (True, "boolean"),
-            (1, "integer"),
-            (Decimal("1.5"), "decimal"),
-            (1.5, "float"),
-            ("x", "character"),
-            (datetime.date(2004, 1, 1), "date"),
-            (datetime.datetime(2004, 1, 1), "timestamp"),
-        ],
-    )
-    def test_literal_inference(self, value, family):
-        assert infer_literal_type(value).family.value == family
-
-    def test_uninferable_raises(self):
-        with pytest.raises(TypeMismatch):
-            infer_literal_type(object())
 
 
 class TestFormatting:

@@ -21,8 +21,8 @@ def run_on(key, seed=31, transactions=80):
 class TestBusinessInvariants:
     def test_warehouse_ytd_equals_district_ytd_sum(self):
         server = run_on("PG")
-        w_ytd = server.execute("SELECT w_ytd FROM warehouse WHERE w_id = 1").scalar()
-        d_sum = server.execute("SELECT SUM(d_ytd) FROM district WHERE d_w_id = 1").scalar()
+        w_ytd = server.execute("SELECT w_ytd FROM warehouse WHERE w_id = 1").rows[0][0]
+        d_sum = server.execute("SELECT SUM(d_ytd) FROM district WHERE d_w_id = 1").rows[0][0]
         # Both started offset (300000 vs 2x30000) and grow by the same
         # payment amounts.
         assert w_ytd - Decimal("300000.00") == d_sum - Decimal("60000.00")
@@ -36,24 +36,24 @@ class TestBusinessInvariants:
             lines = server.execute(
                 f"SELECT COUNT(*) FROM order_line "
                 f"WHERE ol_o_id = {o_id} AND ol_d_id = {d_id} AND ol_w_id = 1"
-            ).scalar()
+            ).rows[0][0]
             assert lines == ol_cnt
 
     def test_stock_ytd_accounts_for_orders(self):
         server = run_on("MS")
         total_ordered = server.execute(
             "SELECT SUM(ol_quantity) FROM order_line"
-        ).scalar()
-        stock_ytd = server.execute("SELECT SUM(s_ytd) FROM stock").scalar()
+        ).rows[0][0]
+        stock_ytd = server.execute("SELECT SUM(s_ytd) FROM stock").rows[0][0]
         assert total_ordered == stock_ytd
 
     def test_customer_payment_counts_match_history(self):
         server = run_on("OR")
-        payments = server.execute("SELECT COUNT(*) FROM history").scalar()
+        payments = server.execute("SELECT COUNT(*) FROM history").rows[0][0]
         counted = server.execute(
             "SELECT SUM(c_payment_cnt) FROM customer"
-        ).scalar()
-        base = server.execute("SELECT COUNT(*) FROM customer").scalar()
+        ).rows[0][0]
+        base = server.execute("SELECT COUNT(*) FROM customer").rows[0][0]
         assert counted - base == payments  # everyone starts at 1
 
 
@@ -81,8 +81,8 @@ class TestCrossServerDeterminism:
     def test_different_seed_different_state(self):
         first = run_on("PG", seed=1, transactions=30)
         second = run_on("PG", seed=2, transactions=30)
-        a = first.execute("SELECT COUNT(*) FROM order_line").scalar()
-        b = second.execute("SELECT COUNT(*) FROM order_line").scalar()
-        assert (a, first.execute("SELECT w_ytd FROM warehouse").scalar()) != (
-            b, second.execute("SELECT w_ytd FROM warehouse").scalar(),
+        a = first.execute("SELECT COUNT(*) FROM order_line").rows[0][0]
+        b = second.execute("SELECT COUNT(*) FROM order_line").rows[0][0]
+        assert (a, first.execute("SELECT w_ytd FROM warehouse").rows[0][0]) != (
+            b, second.execute("SELECT w_ytd FROM warehouse").rows[0][0],
         )
