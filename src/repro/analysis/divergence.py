@@ -44,8 +44,10 @@ from enum import Enum
 from typing import Optional
 
 from repro.analysis.schema import ScriptSchema
+from repro.analysis.verdicts import VOLATILE_FUNCTIONS
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
+from repro.sqlengine.functions import AGGREGATE_NAMES
 
 # --------------------------------------------------------------------------
 # Abstract type categories
@@ -76,12 +78,6 @@ _TYPE_CATEGORY = {
     "DATETIME": "timestamp",
     "BOOLEAN": "bool",
 }
-
-#: Aggregate functions (nullable on empty input, except COUNT).
-_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
-
-#: Functions whose value varies between calls — defeat the analysis.
-_VOLATILE_FUNCTIONS = frozenset({"GETDATE", "GEN_ID"})
 
 
 @dataclass(frozen=True)
@@ -566,13 +562,13 @@ class _Analysis:
 
     def _function(self, expr: ast.FunctionCall, scope: _Scope) -> AbstractValue:
         name = expr.name.upper()
-        if name in _VOLATILE_FUNCTIONS:
+        if name in VOLATILE_FUNCTIONS:
             self.unknowns.append(f"volatile function {name}")
             return AbstractValue("unknown")
         args = [self.type_of(arg, scope) for arg in expr.args]
         if name == "COUNT":
             return AbstractValue("int", nullable=False)
-        if name in _AGGREGATES:
+        if name in AGGREGATE_NAMES:
             category = args[0].category if args else "unknown"
             if name == "AVG":
                 category = "decimal"

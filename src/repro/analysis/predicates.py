@@ -67,13 +67,13 @@ from repro.sqlengine.plan.logical import (
     Project,
     Scan,
     Sort,
+    kind_of_type,
     lower_select,
 )
 from repro.sqlengine.plan.physical import _join_key
 from repro.sqlengine.plan.rewrites import _NO_FOLD, _fold_binary, _fold_unary, projection_pruning
 from repro.sqlengine.sqlgen import render_expression, render_statement
 from repro.sqlengine.typenames import resolve_type
-from repro.sqlengine.types import TypeFamily
 from repro.sqlengine.values import sql_compare, sql_equal, tri_and, tri_not, tri_or
 
 Truth = Optional[bool]
@@ -86,21 +86,11 @@ ALWAYS_UNKNOWN: TruthSet = frozenset({None})
 BOOL_TRUTH: TruthSet = frozenset({True, False})
 TOP_TRUTH: TruthSet = frozenset({True, False, None})
 
-_FAMILY_KINDS = {
-    TypeFamily.INTEGER: "n",
-    TypeFamily.DECIMAL: "n",
-    TypeFamily.FLOAT: "n",
-    TypeFamily.CHARACTER: "s",
-    TypeFamily.DATE: "d",
-    TypeFamily.TIMESTAMP: "d",
-    TypeFamily.BOOLEAN: "b",
-}
-
 
 def kind_of_type_name(name: str) -> Optional[str]:
     """Comparison kind ('n'/'s'/'d'/'b') of a declared type spelling."""
     try:
-        return _FAMILY_KINDS.get(resolve_type(name).family)
+        return kind_of_type(resolve_type(name))
     except TypeMismatch:
         return None
 

@@ -128,7 +128,6 @@ class AccessVerdict:
     is_write: bool
     idempotent: bool
     reexecution_safe: bool
-    deterministic: bool
 
 
 @dataclass(frozen=True)
@@ -363,7 +362,6 @@ def _access_verdict(
             is_write=False,
             idempotent=True,
             reexecution_safe=deterministic,
-            deterministic=deterministic,
         )
     if isinstance(stmt, ast.Update):
         target = stmt.table.lower()
@@ -381,7 +379,6 @@ def _access_verdict(
             is_write=True,
             idempotent=idempotent,
             reexecution_safe=idempotent and not (assigned & where_columns),
-            deterministic=deterministic,
         )
     if isinstance(stmt, ast.Delete):
         target = stmt.table.lower()
@@ -394,7 +391,6 @@ def _access_verdict(
             # ...but the re-run reports rowcount 0, so the *answer* is
             # not reproducible: never safe for a voting retry.
             reexecution_safe=False,
-            deterministic=deterministic,
         )
     if isinstance(stmt, ast.Insert):
         reads = frozenset(traits.relations) - {stmt.table.lower()}
@@ -404,7 +400,6 @@ def _access_verdict(
             is_write=True,
             idempotent=False,
             reexecution_safe=False,
-            deterministic=deterministic,
         )
     if is_write:
         # DDL and transaction control: re-running a CREATE errors, a
@@ -415,7 +410,6 @@ def _access_verdict(
             is_write=True,
             idempotent=False,
             reexecution_safe=False,
-            deterministic=deterministic,
         )
     return AccessVerdict(
         reads=frozenset(traits.relations),
@@ -423,7 +417,6 @@ def _access_verdict(
         is_write=False,
         idempotent=True,
         reexecution_safe=deterministic,
-        deterministic=deterministic,
     )
 
 

@@ -96,8 +96,6 @@ class DialectDescriptor:
     native_functions: frozenset[str] = frozenset()
     #: Function renames applied when translating *into* this dialect.
     function_renames: dict[str, str] = field(default_factory=dict)
-    #: Style prefix for error messages (flavour only).
-    error_style: str = ""
 
     def supports_tag(self, tag: str) -> bool:
         support = FEATURE_SUPPORT.get(tag)
@@ -163,7 +161,6 @@ DIALECTS: dict[str, DialectDescriptor] = {
         native_functions=_COMMON_FUNCTIONS
         | {"GEN_ID", "SUBSTR", "SUBSTRING", "CHAR_LENGTH", "MIN", "MAX"},
         function_renames={"NVL": "COALESCE", "LEN": "LENGTH", "IFNULL": "COALESCE"},
-        error_style="interbase",
     ),
     "PG": DialectDescriptor(
         key="PG",
@@ -174,7 +171,6 @@ DIALECTS: dict[str, DialectDescriptor] = {
         native_functions=_COMMON_FUNCTIONS
         | {"MOD", "SUBSTR", "SUBSTRING", "CHAR_LENGTH", "LTRIM", "RTRIM"},
         function_renames={"NVL": "COALESCE", "LEN": "LENGTH", "IFNULL": "COALESCE"},
-        error_style="postgres",
     ),
     "OR": DialectDescriptor(
         key="OR",
@@ -190,7 +186,6 @@ DIALECTS: dict[str, DialectDescriptor] = {
             "LEN": "LENGTH",
             "IFNULL": "NVL",
         },
-        error_style="oracle",
     ),
     "MS": DialectDescriptor(
         key="MS",
@@ -206,7 +201,6 @@ DIALECTS: dict[str, DialectDescriptor] = {
         native_functions=_COMMON_FUNCTIONS
         | {"GETDATE", "CONVERT", "SUBSTRING", "CHAR_LENGTH", "LTRIM", "RTRIM", "LEN"},
         function_renames={"SUBSTR": "SUBSTRING", "NVL": "COALESCE", "LENGTH": "LEN"},
-        error_style="mssql",
     ),
 }
 

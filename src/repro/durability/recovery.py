@@ -51,15 +51,10 @@ class RecoveryReport:
     #: Valid WAL records found / redone past the watermark.
     wal_records: int = 0
     redone: int = 0
-    #: Redo statements that (re-)errored, as at original execution.
-    errored: int = 0
     #: Bytes discarded past the first invalid record, and why the scan
     #: stopped (``None`` for a clean log).
     dropped_bytes: int = 0
     stopped: Optional[str] = None
-    #: Records whose logged catalog generation disagreed with the
-    #: engine after redo (schema-history drift cross-check).
-    generation_mismatches: int = 0
     #: A transaction was open at end-of-log and rolled back.
     aborted_transaction: bool = False
     #: Checkpoints that failed validation/application and were skipped.
@@ -152,11 +147,6 @@ def recover_engine(
         engine.restart()
 
     engine.phase = "recover"
-    # The catalog generation counter is monotonic across resets, so the
-    # cross-check is relative: redo must reproduce the *same drift* as
-    # the original run.  A changing offset means redo's schema history
-    # diverged from what the log recorded.
-    offset: Optional[int] = None
     try:
         for record in scan.records:
             if record.lsn < report.watermark:
@@ -167,14 +157,8 @@ def recover_engine(
                     report.ddl_history.append(record.sql)
                 run(parsed)
             except SqlError:
-                report.errored += 1
+                pass  # errored at original execution; errors again
             report.redone += 1
-            drift = engine.catalog.generation - record.generation
-            if offset is None:
-                offset = drift
-            elif drift != offset:
-                report.generation_mismatches += 1
-                offset = drift  # resync so one slip is counted once
     finally:
         engine.phase = "serve"
 

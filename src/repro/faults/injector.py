@@ -15,7 +15,6 @@ class FaultActivation:
     """A record of one fault firing (for study verification and stats)."""
 
     fault_id: str
-    statement_kind: str
     sql: str
     phase: str
 
@@ -37,13 +36,11 @@ class FaultInjector:
 
     def __init__(
         self,
-        server_name: str,
         faults: Iterable[FaultSpec] = (),
         *,
         seed: int = 0,
         stress_mode: bool = False,
     ) -> None:
-        self.server_name = server_name
         self._faults: dict[str, FaultSpec] = {}
         self._rng = random.Random(seed)
         self.stress_mode = stress_mode
@@ -177,7 +174,6 @@ class FaultInjector:
             self.activations.append(
                 FaultActivation(
                     fault_id=fault.fault_id,
-                    statement_kind=getattr(getattr(ctx, "traits", None), "kind", "?"),
                     sql=getattr(ctx, "sql", ""),
                     phase=phase,
                 )

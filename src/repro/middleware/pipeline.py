@@ -87,8 +87,6 @@ class PipelineStats:
     plan_misses: int = 0
     abstraction_hits: int = 0
     abstraction_misses: int = 0
-    #: Schema-generation bumps (each one invalidates the keyed layers).
-    invalidations: int = 0
 
     @property
     def hits(self) -> int:
@@ -127,7 +125,6 @@ class StatementPipeline:
         """Record a schema change: entries keyed on the old generation
         can no longer be returned."""
         self.generation += 1
-        self.stats.invalidations += 1
 
     def _memo(self, layer: str, key: Any, compute: Callable[[], Any]) -> Any:
         """``layer``'s entry for ``key``, computed and kept (evicting

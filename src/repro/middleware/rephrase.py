@@ -166,8 +166,6 @@ class QueryRephraser:
 
 @dataclass
 class RephraserStats:
-    selects: int = 0
-    rephrased: int = 0
     disagreements: int = 0
     masked_errors: int = 0
 
@@ -192,9 +190,7 @@ class RephrasingWrapper:
         stmt = parse_statement(sql)
         if not isinstance(stmt, ast.SelectStatement):
             return self.server.execute(sql)
-        self.stats.selects += 1
         alternative_sql = render_statement(self.rephraser.rephrase(stmt))
-        self.stats.rephrased += 1
 
         original_error: Optional[SqlError] = None
         original: Optional[Result] = None

@@ -72,7 +72,7 @@ others continue" scenario of Section 2.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from repro.analysis.divergence import (
@@ -111,15 +111,6 @@ from repro.sqlengine.params import splice_params
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.durability.manager import DurabilityManager
-
-#: Statement kinds that modify state — the canonical set lives with the
-#: static analyzer (:data:`repro.analysis.verdicts.WRITE_KINDS`).
-_WRITE_KINDS = WRITE_KINDS
-
-#: Statement kinds that change the schema: these bump the pipeline
-#: generation, invalidating translation and verdict cache entries.
-#: The canonical set lives with the analyzer too.
-_DDL_KINDS = DDL_KINDS
 
 
 @dataclass
@@ -188,7 +179,7 @@ class MiddlewareStats:
     #: self-evident performance failures (hangs and stalls).
     statement_timeouts: int = 0
     #: Recovery attempts failed because a replayed statement blew the
-    #: recovery deadline (a replica stalling *during* recovery).
+    #: statement deadline (a replica stalling *during* recovery).
     recovery_timeouts: int = 0
     # -- static-analysis counters ----------------------------------------
     #: SELECTs the analyzer proved order-free and therefore voted as
@@ -248,26 +239,6 @@ class MiddlewareStats:
             + self.performance_anomalies
             + self.statement_timeouts
         )
-
-    # Every counter is a plain int dataclass field, so reset and merge
-    # enumerate ``dataclasses.fields``: a counter added later is
-    # automatically covered (and the stats audit test enforces it).
-
-    def reset(self) -> None:
-        """Zero every counter in place (shared-clock bench reruns)."""
-        for spec in dataclass_fields(self):
-            setattr(self, spec.name, spec.default)
-
-    def merge(self, other: "MiddlewareStats") -> "MiddlewareStats":
-        """Field-wise sum with ``other`` (aggregating across runs)."""
-        merged = MiddlewareStats()
-        for spec in dataclass_fields(self):
-            setattr(
-                merged,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
-        return merged
 
 
 @dataclass
@@ -498,7 +469,7 @@ class DiverseServer:
         prepared, and batched paths.  Charges exactly one supervisor
         tick — ``executemany`` calls this once per row, so deadlines
         and quarantine backoffs see batches as row sequences."""
-        is_write = traits.kind in _WRITE_KINDS
+        is_write = traits.kind in WRITE_KINDS
         verdict: Optional[StatementVerdict] = None
         divergence: Optional[StatementDivergence] = None
         if self.static_analysis:
@@ -543,7 +514,7 @@ class DiverseServer:
             self._write_log.append(call.bound_sql)
             if self.static_analysis:
                 self._schema.observe(statement)
-            if traits.kind in _DDL_KINDS:
+            if traits.kind in DDL_KINDS:
                 self.pipeline.bump_generation()
                 for listener in self.ddl_listeners:
                     listener()
@@ -942,7 +913,6 @@ class DiverseServer:
                 sql=sql,
                 virtual_cost=cost,
                 deadline=deadline,
-                at=self.clock.now,
             )
         )
         if self.supervised:
@@ -1153,7 +1123,7 @@ class DiverseServer:
             statement, traits, _ = self.pipeline.parsed(sql)
             if self.static_analysis:
                 self._schema.observe(statement)
-            if traits.kind in _DDL_KINDS:
+            if traits.kind in DDL_KINDS:
                 self.pipeline.bump_generation()
 
     # -- state consistency -------------------------------------------------------------------

@@ -20,10 +20,10 @@ replication middleware has:
   active replica set drops below what the configured policy needs;
 * a statement **watchdog**: per-statement deadline budgets in
   virtual-cost units (``statement_deadline``) so hung or stalled
-  replicas are excluded, audited, and quarantined, plus a replay
-  deadline (``recovery_deadline``) so a replica that stalls *during*
-  recovery fails the attempt — and eventually the circuit breaker —
-  instead of wedging the recovery loop, and one
+  replicas are excluded, audited, and quarantined; the same deadline
+  bounds recovery replay, so a replica that stalls *during* recovery
+  fails the attempt — and eventually the circuit breaker — instead of
+  wedging the recovery loop, and one
   :class:`TimeoutAuditEntry` per violation so the trail is reviewable
   (which replica, which statement, how far over budget, in service or
   during recovery replay).
@@ -138,6 +138,22 @@ REBUILD_SEED_ROWS = 256
 #: rate (at most one write per tick).
 REBUILD_BATCH = 8
 
+#: Failed recovery attempts per incident before giving up (FAILED).
+MAX_RECOVERY_ATTEMPTS = 8
+
+#: Cap on the backoff before a recovery retry, in clock units.
+RECOVERY_BACKOFF_CAP = 64.0
+
+
+def backoff_delay(attempt: int, cap: float) -> float:
+    """Exponential backoff before retry ``attempt``:
+    ``min(2 ** (attempt - 1), cap)`` virtual-clock units; attempt 0 (the
+    first of an incident) is immediate. The replica supervisor and the
+    session supervisor's reconnects share it, each with its own cap."""
+    if attempt <= 0:
+        return 0.0
+    return min(2.0 ** (attempt - 1), cap)
+
 
 @dataclass
 class SupervisorPolicy:
@@ -148,14 +164,6 @@ class SupervisorPolicy:
     #: rowcount — e.g. ``UPDATE t SET lbl = 'x' WHERE id = 1``).  Off
     #: reverts to the blanket "writes never retry" rule.
     idempotent_write_retry: bool = True
-    #: Failed recovery attempts per incident before giving up (FAILED).
-    max_recovery_attempts: int = 8
-    #: Backoff before retry ``n`` is ``min(base * factor**(n-1), cap)``
-    #: virtual-clock units; the first attempt of an incident is
-    #: immediate.
-    backoff_base: float = 1.0
-    backoff_factor: float = 2.0
-    backoff_cap: float = 64.0
     #: Circuit breaker: this many failed recoveries within
     #: :data:`CIRCUIT_WINDOW` clock units retires the replica for good.
     circuit_threshold: int = 5
@@ -167,31 +175,10 @@ class SupervisorPolicy:
     #: excluded from adjudication, the event is audited as a
     #: self-evident performance failure, and the replica is quarantined
     #: exactly like a crash.  ``None`` disables the watchdog (a hung
-    #: replica is then invisible until it answers, if ever).
+    #: replica is then invisible until it answers, if ever).  Recovery
+    #: replay is held to the same budget: a replayed statement costing
+    #: more fails the recovery attempt (backoff, then circuit breaker).
     statement_deadline: Optional[float] = None
-    #: Per-statement deadline while *replaying* the write log during
-    #: recovery; a replayed statement costing more fails the recovery
-    #: attempt (backoff, then circuit breaker).  ``None`` falls back to
-    #: ``statement_deadline``.
-    recovery_deadline: Optional[float] = None
-    #: Start an automatic online rebuild (RETIRED -> REBUILDING ->
-    #: ACTIVE) this many clock units after a replica is retired (or a
-    #: rebuild attempt fails).  ``None`` means rebuilds are manual
-    #: (:meth:`DiverseServer.rebuild`).
-    auto_rebuild_after: Optional[float] = None
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (attempt 0 is immediate)."""
-        if attempt <= 0:
-            return 0.0
-        return min(self.backoff_base * self.backoff_factor ** (attempt - 1), self.backoff_cap)
-
-    @property
-    def effective_recovery_deadline(self) -> Optional[float]:
-        """The replay-time deadline: explicit, or the statement one."""
-        if self.recovery_deadline is not None:
-            return self.recovery_deadline
-        return self.statement_deadline
 
 
 @dataclass
@@ -222,8 +209,6 @@ class RebuildProgress:
     seed_rows_total: int
     seed_rows_loaded: int = 0
     seeded: bool = False
-    #: Delta statements replayed so far.
-    replayed: int = 0
 
 
 @dataclass
@@ -234,8 +219,6 @@ class ReplicaHealth:
     attempts: int = 0
     #: Virtual time of the next scheduled recovery attempt.
     next_attempt_at: Optional[float] = None
-    #: Virtual time the current incident started.
-    quarantined_at: Optional[float] = None
     #: Virtual times of failed recoveries (pruned to the circuit window).
     failure_times: list[float] = field(default_factory=list)
     #: Total quarantine incidents.
@@ -244,10 +227,6 @@ class ReplicaHealth:
     checkpoint: Optional[Checkpoint] = None
     #: Statements replayed by each successful recovery (bench telemetry).
     replay_lengths: list[int] = field(default_factory=list)
-    #: Virtual time the last successful recovery took from quarantine.
-    last_recovery_duration: float = 0.0
-    #: Virtual time the replica was retired (schedules auto-rebuild).
-    retired_at: Optional[float] = None
     #: The in-flight online rebuild, while state is REBUILDING.
     rebuild: Optional[RebuildProgress] = None
     #: Completed online rebuilds.
@@ -261,16 +240,13 @@ class TimeoutAuditEntry:
     """One statement-deadline violation observed by the middleware.
 
     ``virtual_cost`` is the offending answer's cost — infinite for a
-    hang (the replica never returned), finite for a stall.  ``at`` is
-    the supervisor's virtual-clock time, which makes audit trails
-    reproducible across runs.
+    hang (the replica never returned), finite for a stall.
     """
 
     replica: str
     sql: str
     virtual_cost: float
     deadline: float
-    at: float
     during_recovery: bool = False
 
     @property
@@ -315,9 +291,7 @@ class ReplicaSupervisor:
 
     def poll(self) -> None:
         """Attempt recovery on every quarantined replica whose backoff
-        has elapsed, advance in-flight rebuilds one step, and start
-        scheduled automatic rebuilds of retired replicas."""
-        auto_after = self.policy.auto_rebuild_after
+        has elapsed, and advance in-flight rebuilds one step."""
         for replica in self._server.replicas:
             health = replica.health
             if (
@@ -328,13 +302,6 @@ class ReplicaSupervisor:
                 self.attempt_recovery(replica)
             elif replica.state is ReplicaState.REBUILDING:
                 self.advance_rebuild(replica)
-            elif (
-                replica.state is ReplicaState.RETIRED
-                and auto_after is not None
-                and health.retired_at is not None
-                and self.clock.now - health.retired_at >= auto_after
-            ):
-                self.start_rebuild(replica)
 
     def checkpoint_due(
         self, interval: Optional[int], since_writes: int
@@ -381,7 +348,6 @@ class ReplicaSupervisor:
         replica.state = ReplicaState.QUARANTINED
         health.quarantines += 1
         health.attempts = 0
-        health.quarantined_at = self.clock.now
         health.next_attempt_at = self.clock.now
         self.stats.quarantines += 1
         self.attempt_recovery(replica)
@@ -398,11 +364,7 @@ class ReplicaSupervisor:
         replica.state = ReplicaState.ACTIVE
         health.attempts = 0
         health.next_attempt_at = None
-        health.retired_at = None
         health.replay_lengths.append(replayed)
-        if health.quarantined_at is not None:
-            health.last_recovery_duration = self.clock.now - health.quarantined_at
-            health.quarantined_at = None
         self.stats.replayed_statements += replayed
         replica.stats.recoveries += 1
         self.stats.recoveries += 1
@@ -412,14 +374,12 @@ class ReplicaSupervisor:
     def retire(self, replica: "Replica") -> None:
         """Circuit breaker action: take the replica out of service.
 
-        With ``auto_rebuild_after`` set the retirement schedules an
-        online rebuild; otherwise it is terminal unless forced.  The
-        in-memory checkpoint is discarded — it may capture the very
-        corruption that retired the replica.
+        Terminal until an online rebuild (:meth:`DiverseServer.rebuild`)
+        or a forced recovery.  The in-memory checkpoint is discarded —
+        it may capture the very corruption that retired the replica.
         """
         replica.state = ReplicaState.RETIRED
         replica.health.next_attempt_at = None
-        replica.health.retired_at = self.clock.now
         replica.health.checkpoint = None
         replica.health.rebuild = None
         self.stats.retirements += 1
@@ -476,7 +436,6 @@ class ReplicaSupervisor:
             # statement it failed on.
             for sql in log[rebuild.cursor:rebuild.cursor + REBUILD_BATCH]:
                 rebuild.cursor += 1
-                rebuild.replayed += 1
                 self.stats.rebuild_replayed_statements += 1
                 yield sql
 
@@ -503,7 +462,6 @@ class ReplicaSupervisor:
         health.attempts = 0
         health.next_attempt_at = None
         health.failure_times.clear()
-        health.retired_at = None
         health.rebuilds += 1
         if rebuild is not None:
             health.last_rebuild_duration = self.clock.now - rebuild.started_at
@@ -524,10 +482,9 @@ class ReplicaSupervisor:
 
     def _rebuild_failed(self, replica: "Replica") -> None:
         """A rebuild step crashed, stalled, or failed admission: back
-        to RETIRED; ``auto_rebuild_after`` reschedules from now."""
+        to RETIRED."""
         replica.state = ReplicaState.RETIRED
         replica.health.rebuild = None
-        replica.health.retired_at = self.clock.now
         self.stats.rebuilds_failed += 1
 
     # -- degradation ---------------------------------------------------------
@@ -593,7 +550,7 @@ class ReplicaSupervisor:
         raises :class:`RecoveryStalled`; an :class:`EngineCrash`
         propagates.  The caller decides what a failure means."""
         product = replica.product
-        deadline = self.policy.effective_recovery_deadline
+        deadline = self.policy.statement_deadline
         product.engine.phase = "recover"
         try:
             for sql in statements:
@@ -612,7 +569,6 @@ class ReplicaSupervisor:
                             sql=sql,
                             virtual_cost=result.virtual_cost,
                             deadline=deadline,
-                            at=self.clock.now,
                             during_recovery=True,
                         )
                     )
@@ -637,10 +593,10 @@ class ReplicaSupervisor:
             self.retire(replica)
             return
         health.attempts += 1
-        if health.attempts >= self.policy.max_recovery_attempts:
+        if health.attempts >= MAX_RECOVERY_ATTEMPTS:
             replica.state = ReplicaState.FAILED
             health.next_attempt_at = None
             return
         replica.state = ReplicaState.QUARANTINED
-        health.next_attempt_at = now + self.policy.backoff_delay(health.attempts)
+        health.next_attempt_at = now + backoff_delay(health.attempts, RECOVERY_BACKOFF_CAP)
         self.stats.backoff_waits += 1

@@ -31,13 +31,14 @@ served system exactly-once:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import errors as base_errors
 from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import DDL_KINDS, WRITE_KINDS
 from repro.middleware.pipeline import StatementPipeline
+from repro.middleware.supervisor import backoff_delay
 from repro.net import protocol
 from repro.net.errors import (
     ConnectionLost,
@@ -80,6 +81,12 @@ CIRCUIT_WINDOW = 512.0
 OVERLOAD_RETRIES = 3
 OVERLOAD_BACKOFF = 4.0
 
+#: Reconnect attempts after a connection loss (attempt 0 immediate), and
+#: the cap on the exponential backoff between them
+#: (:func:`~repro.middleware.supervisor.backoff_delay`).
+MAX_RECONNECT_ATTEMPTS = 6
+RECONNECT_BACKOFF_CAP = 32.0
+
 
 @dataclass
 class ClientPolicy:
@@ -87,47 +94,22 @@ class ClientPolicy:
 
     #: How long one request waits for its reply.
     request_timeout: float = 16.0
-    #: Reconnect attempts after a connection loss (attempt 0 immediate).
-    max_reconnect_attempts: int = 6
-    #: Exponential backoff between reconnect attempts, supervisor-style:
-    #: ``min(base * factor**(attempt-1), cap)``, attempt 0 immediate.
-    backoff_base: float = 1.0
-    backoff_factor: float = 2.0
-    backoff_cap: float = 32.0
     #: Failures within :data:`CIRCUIT_WINDOW` that trip the circuit open.
     circuit_threshold: int = 8
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Delay before reconnect ``attempt`` (0 → immediate)."""
-        if attempt <= 0:
-            return 0.0
-        return min(
-            self.backoff_base * (self.backoff_factor ** (attempt - 1)),
-            self.backoff_cap,
-        )
 
 
 @dataclass
 class ClientStats:
     """Client-side counters for the supervisor's decisions."""
 
-    requests: int = 0
     timeouts: int = 0
-    connection_losses: int = 0
     reconnects: int = 0
     sessions_opened: int = 0
     sessions_resumed: int = 0
     resends: int = 0
     safe_retries: int = 0
     unsafe_aborts: int = 0
-    txn_aborts: int = 0
-    overload_retries: int = 0
-    stale_frames: int = 0
     circuit_open_failures: int = 0
-
-    def reset(self) -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
 
 
 class NetClient:
@@ -138,8 +120,6 @@ class NetClient:
         self.timeout = timeout
         self.session_id: Optional[str] = None
         self.token: Optional[str] = None
-        self.server_last_seq = 0
-        self.stale_frames = 0
 
     @property
     def closed(self) -> bool:
@@ -155,7 +135,6 @@ class NetClient:
             self._raise_error(reply)
         self.session_id = reply["session"]
         self.token = reply["token"]
-        self.server_last_seq = reply.get("last_seq", 0)
         return reply
 
     def execute(
@@ -215,15 +194,12 @@ class NetClient:
             reply_seq = reply.get("seq")
             if seq is None:
                 if expect and kind != expect and kind != "error":
-                    self.stale_frames += 1
                     continue
                 if not expect and kind not in ("welcome", "error"):
-                    self.stale_frames += 1
                     continue
                 return reply
             if reply_seq == seq:
                 return reply
-            self.stale_frames += 1
 
     @staticmethod
     def _raise_error(reply: dict) -> None:
@@ -333,7 +309,6 @@ class SessionSupervisor:
         seq = self._next_seq()
         overloads = 0
         while True:
-            self.stats.requests += 1
             try:
                 client = self._client
                 assert client is not None
@@ -341,8 +316,6 @@ class SessionSupervisor:
             except (NetTimeout, ConnectionLost) as err:
                 if isinstance(err, NetTimeout):
                     self.stats.timeouts += 1
-                else:
-                    self.stats.connection_losses += 1
                 resumed = self._recover(
                     err, in_txn_at_entry, retry_safe, describe, on_new_session
                 )
@@ -360,7 +333,6 @@ class SessionSupervisor:
                 if overloads >= OVERLOAD_RETRIES:
                     raise
                 overloads += 1
-                self.stats.overload_retries += 1
                 # Never executed: same sequence number is still ours.
                 self._wait(OVERLOAD_BACKOFF * overloads)
                 continue
@@ -389,7 +361,6 @@ class SessionSupervisor:
         if in_txn_at_entry:
             # The server rolled the transaction back with the session;
             # replaying fragments of it would split the transaction.
-            self.stats.txn_aborts += 1
             raise SessionExpired(
                 "session lost mid-transaction; the server rolled it back"
             ) from cause
@@ -409,8 +380,8 @@ class SessionSupervisor:
         old_session = self._client.session_id if self._client else None
         old_token = self._client.token if self._client else None
         last_error: Optional[Exception] = None
-        for attempt in range(self.policy.max_reconnect_attempts + 1):
-            self._wait(self.policy.backoff_delay(attempt))
+        for attempt in range(MAX_RECONNECT_ATTEMPTS + 1):
+            self._wait(backoff_delay(attempt, RECONNECT_BACKOFF_CAP))
             try:
                 port = self._network.connect()
                 client = NetClient(port, timeout=self.policy.request_timeout)
@@ -432,7 +403,7 @@ class SessionSupervisor:
                 self._note_failure()
                 self._check_circuit()
         raise ConnectionLost(
-            f"reconnect failed after {self.policy.max_reconnect_attempts + 1} "
+            f"reconnect failed after {MAX_RECONNECT_ATTEMPTS + 1} "
             f"attempt(s): {last_error}"
         ) from last_error
 

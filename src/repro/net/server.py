@@ -11,11 +11,11 @@ Admission control and backpressure form a two-rung ladder keyed on the
 parked-statement backlog, deliberately mirroring the replica
 supervisor's majority→compare→primary degradation chain:
 
-1. ``backlog >= shed_compare_depth`` — reads shed their cross-replica
+1. ``backlog >= SHED_COMPARE_DEPTH`` — reads shed their cross-replica
    compare and are answered by a single replica (the middleware's
    read-split path); writes still replicate everywhere.  Service
    quality degrades before service does.
-2. ``backlog >= shed_reject_depth`` — statements are rejected with a
+2. ``backlog >= SHED_REJECT_DEPTH`` — statements are rejected with a
    retryable overload error.  Because the request never executed, its
    sequence number is not consumed and the client retries it verbatim.
 
@@ -44,6 +44,18 @@ from repro.sqlengine.engine import Result
 
 SendFn = Callable[[int, dict], None]
 ResetFn = Callable[[int], None]
+
+#: Hard bound on parked (transaction-blocked) statements.
+MAX_PARKED = 32
+
+#: Backlog length at which reads shed their cross-replica compare
+#: (answered by a single replica, writes still replicated) — the
+#: graceful rung of the degradation ladder.
+SHED_COMPARE_DEPTH = 8
+
+#: Backlog length at which new statements are rejected outright with a
+#: retryable overload error — the hard rung.
+SHED_REJECT_DEPTH = 24
 
 
 @dataclass
@@ -227,7 +239,7 @@ class NetServer:
         # The transaction holder bypasses the reject rung: its next
         # statement (ultimately COMMIT/ROLLBACK) is what drains the
         # backlog, so shedding it would livelock the parked queue.
-        if backlog >= self.policy.shed_reject_depth and not is_holder:
+        if backlog >= SHED_REJECT_DEPTH and not is_holder:
             self.stats.shed_statements += 1
             self._reply(
                 conn_id,
@@ -243,7 +255,7 @@ class NetServer:
         if holder is not None and not is_holder:
             admit = self._commute_verdict(session, message, holder)
             if admit is not True:
-                if backlog >= self.policy.max_parked:
+                if backlog >= MAX_PARKED:
                     self.stats.shed_statements += 1
                     self._reply(
                         conn_id,
@@ -363,7 +375,7 @@ class NetServer:
         handle_id = message.get("handle")
         params = message.get("params")
         shed_compare = (
-            backlog >= self.policy.shed_compare_depth
+            backlog >= SHED_COMPARE_DEPTH
             and not self.server.read_split
             and self.server.adjudication != "compare"
         )

@@ -31,7 +31,7 @@ everything else in the simulation.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.middleware.server import DiverseServer, PreparedStatement
@@ -45,6 +45,9 @@ MAX_SESSIONS = 64
 #: Prepared handles allowed per session.
 MAX_HANDLES = 64
 
+#: Cached responses kept per session for duplicate suppression.
+DEDUPE_WINDOW = 64
+
 
 @dataclass
 class NetPolicy:
@@ -52,17 +55,6 @@ class NetPolicy:
 
     #: Virtual time a session may sit idle before it is expired.
     idle_deadline: float = 256.0
-    #: Cached responses kept per session for duplicate suppression.
-    dedupe_window: int = 64
-    #: Hard bound on parked (transaction-blocked) statements.
-    max_parked: int = 32
-    #: Backlog length at which reads shed their cross-replica compare
-    #: (answered by a single replica, writes still replicated) — the
-    #: graceful rung of the degradation ladder.
-    shed_compare_depth: int = 8
-    #: Backlog length at which new statements are rejected outright
-    #: with a retryable overload error — the hard rung.
-    shed_reject_depth: int = 24
     #: Virtual time a parked statement may wait before it is shed.
     queue_deadline: float = 64.0
     #: Admit statements statically proven to commute with the open
@@ -78,9 +70,7 @@ class NetStats:
 
     sessions_opened: int = 0
     sessions_resumed: int = 0
-    sessions_rejected: int = 0
     sessions_expired: int = 0
-    sessions_closed: int = 0
     statements_served: int = 0
     sql_errors: int = 0
     duplicates_suppressed: int = 0
@@ -89,7 +79,6 @@ class NetStats:
     shed_compares: int = 0
     shed_statements: int = 0
     queue_deadline_sheds: int = 0
-    handles_prepared: int = 0
     handles_invalidated: int = 0
     handles_refreshed: int = 0
     corrupt_frames: int = 0
@@ -105,10 +94,6 @@ class NetStats:
     max_parked_depth: int = 0
     parked_wait_total: float = 0.0
     parked_wait_max: float = 0.0
-
-    def reset(self) -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
 
 
 @dataclass
@@ -132,7 +117,6 @@ class Session:
 
     session_id: str
     token: str
-    created_at: float
     last_active: float
     #: Highest executed sequence number; requests at or below it are
     #: duplicates (answered from cache) or gaps (rejected).
@@ -142,7 +126,6 @@ class Session:
     in_transaction: bool = False
     handles: Dict[int, SessionHandle] = field(default_factory=dict)
     next_handle: int = 1
-    expired: bool = False
     #: Accumulated def/use cells of the open transaction's statements —
     #: the footprint commuting-admission certificates are checked
     #: against.  Cleared at every transaction boundary.
@@ -182,14 +165,12 @@ class SessionManager:
         table is full (after reaping idle sessions)."""
         self.expire_idle(now)
         if len(self._sessions) >= MAX_SESSIONS:
-            self.stats.sessions_rejected += 1
             raise ServerOverloaded(f"session table full ({MAX_SESSIONS} open)")
         number = self._next_session
         self._next_session += 1
         session = Session(
             session_id=f"s{number}",
             token=f"tok-{number:06d}",
-            created_at=now,
             last_active=now,
         )
         self._sessions[session.session_id] = session
@@ -221,7 +202,7 @@ class SessionManager:
         session = self._sessions.get(session_id)
         if session is None or session.token != token:
             return False
-        self._release(session, count_as="closed")
+        self._release(session, expired=False)
         return True
 
     def expire_idle(self, now: float) -> list:
@@ -233,10 +214,10 @@ class SessionManager:
             if now - session.last_active > deadline
         ]
         for session in expired:
-            self._release(session, count_as="expired")
+            self._release(session, expired=True)
         return expired
 
-    def _release(self, session: Session, count_as: str) -> None:
+    def _release(self, session: Session, expired: bool) -> None:
         if self.txn_holder == session.session_id:
             # Never silently commit: an abandoned transaction rolls back.
             try:
@@ -246,14 +227,11 @@ class SessionManager:
                 pass
             self.txn_holder = None
         self._clear_footprint(session)
-        session.expired = True
         session.handles.clear()
         session.responses.clear()
         del self._sessions[session.session_id]
-        if count_as == "expired":
+        if expired:
             self.stats.sessions_expired += 1
-        else:
-            self.stats.sessions_closed += 1
 
     # -- sequence-number dedupe ----------------------------------------------
 
@@ -272,7 +250,7 @@ class SessionManager:
         sequence number without risking a gap."""
         session.last_seq = max(session.last_seq, seq)
         session.responses[seq] = response
-        while len(session.responses) > self.policy.dedupe_window:
+        while len(session.responses) > DEDUPE_WINDOW:
             session.responses.popitem(last=False)
 
     # -- transactions --------------------------------------------------------
@@ -327,7 +305,6 @@ class SessionManager:
         )
         session.next_handle += 1
         session.handles[handle.handle_id] = handle
-        self.stats.handles_prepared += 1
         return handle
 
     def note_handle_executed(self, handle: SessionHandle) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.faults.effects import NetDelivery
@@ -47,7 +47,6 @@ class NetworkContext:
     sql: str
     traits: StatementTraits
     direction: str
-    message_type: str
     session: Optional[str]
     seq: Optional[int]
     now: float
@@ -68,13 +67,6 @@ class TransportStats:
     frames_delayed: int = 0
     frames_duplicated: int = 0
     resets: int = 0
-    connections_opened: int = 0
-    connections_closed: int = 0
-    faults_fired: int = 0
-
-    def reset(self) -> None:
-        for spec in fields(self):
-            setattr(self, spec.name, 0)
 
 
 @dataclass
@@ -111,7 +103,6 @@ class SimulatedNetwork:
         conn = _Conn(conn_id=self._next_conn)
         self._next_conn += 1
         self._conns[conn.conn_id] = conn
-        self.stats.connections_opened += 1
         return ClientPort(self, conn)
 
     def _close(self, conn: _Conn) -> None:
@@ -120,7 +111,6 @@ class SimulatedNetwork:
         conn.closed = True
         conn.inbox.clear()
         self._conns.pop(conn.conn_id, None)
-        self.stats.connections_closed += 1
         self.net_server.on_connection_lost(conn.conn_id)
 
     def _reset_conn(self, conn_id: int) -> None:
@@ -138,8 +128,7 @@ class SimulatedNetwork:
         deliveries = [NetDelivery(payload=payload)]
         if self.injector is not None:
             ctx = self._context(direction, message)
-            deliveries, fired = self.injector.mutate_network(ctx, deliveries[0])
-            self.stats.faults_fired += len(fired)
+            deliveries, _ = self.injector.mutate_network(ctx, deliveries[0])
         if not deliveries:
             self.stats.frames_dropped += 1
             return
@@ -170,7 +159,6 @@ class SimulatedNetwork:
             sql=str(message.get("sql", "") or ""),
             traits=traits,
             direction=direction,
-            message_type=message_type,
             session=message.get("session"),
             seq=message.get("seq"),
             now=self.clock.now,

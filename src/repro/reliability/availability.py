@@ -22,6 +22,9 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+from repro.middleware.supervisor import backoff_delay
+from repro.net.client import MAX_RECONNECT_ATTEMPTS, RECONNECT_BACKOFF_CAP
+
 
 @dataclass(frozen=True)
 class ReplicaAvailability:
@@ -208,37 +211,26 @@ class NetworkPolicyModel:
     ``resume_probability`` (it expired otherwise — outages longer than
     the idle deadline), and an expired session only permits a retry for
     the ``reexecution_safe_fraction`` of the statement mix the static
-    analyzer proves safe.  ``max_attempts`` mirrors the client policy's
-    reconnect budget; the backoff knobs price the latency of surviving.
+    analyzer proves safe.  The attempt budget (one initial attempt plus
+    :data:`~repro.net.client.MAX_RECONNECT_ATTEMPTS`) and the backoff
+    schedule are the session supervisor's own, which price the latency
+    of surviving.
     """
 
     #: P(one request/response round trip is lost or reset).
     loss_probability: float
-    #: Attempts the client may make in total (1 initial + reconnects).
-    max_attempts: int = 7
     #: P(the session is still resumable when the client reconnects).
     resume_probability: float = 0.95
     #: Fraction of the statement mix provably re-execution-safe.
     reexecution_safe_fraction: float = 0.5
-    backoff_base: float = 1.0
-    backoff_factor: float = 2.0
-    backoff_cap: float = 32.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError("loss_probability must be in [0, 1)")
-        if self.max_attempts < 1:
-            raise ValueError("at least one attempt is needed")
         for name in ("resume_probability", "reexecution_safe_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Backoff before attempt ``attempt`` (attempt 0 is immediate)."""
-        if attempt <= 0:
-            return 0.0
-        return min(self.backoff_base * self.backoff_factor ** (attempt - 1), self.backoff_cap)
 
     @property
     def continuation_probability(self) -> float:
@@ -255,7 +247,7 @@ class NetworkPolicyModel:
         s = 1.0 - p
         c = self.continuation_probability
         step = p * c
-        return s * sum(step**k for k in range(self.max_attempts))
+        return s * sum(step**k for k in range(MAX_RECONNECT_ATTEMPTS + 1))
 
     def expected_retry_delay(self) -> float:
         """E[backoff spent | request succeeds] — the latency price of
@@ -266,8 +258,8 @@ class NetworkPolicyModel:
         total = 0.0
         weight = 0.0
         elapsed = 0.0
-        for attempt in range(self.max_attempts):
-            elapsed += self.backoff_delay(attempt)
+        for attempt in range(MAX_RECONNECT_ATTEMPTS + 1):
+            elapsed += backoff_delay(attempt, RECONNECT_BACKOFF_CAP)
             probability = ((p * c) ** attempt) * s
             total += probability * elapsed
             weight += probability

@@ -32,8 +32,6 @@ from repro.study.runner import StudyResult
 class PairGain:
     """Failure-count evidence for one ordered product pair (A -> AB)."""
 
-    product_a: str
-    product_b: str
     m_a: int        # bugs reported for A that fail A
     m_ab: int       # of those, bugs that also fail B
 
@@ -62,7 +60,7 @@ def pair_gains_from_study(study: StudyResult) -> dict[tuple[str, str], PairGain]
                 m_a += 1
                 if study.outcome(report.bug_id, product_b).failed:
                     m_ab += 1
-            gains[(product_a, product_b)] = PairGain(product_a, product_b, m_a, m_ab)
+            gains[(product_a, product_b)] = PairGain(m_a, m_ab)
     return gains
 
 
@@ -72,9 +70,6 @@ class ReliabilityModel:
 
     Parameters
     ----------
-    shared_fraction:
-        Fraction of product-A failures caused by bugs that also fail B
-        (the naive ``m_AB / m_A`` when every bug contributes equally).
     rate_dispersion:
         Shape parameter of the per-bug failure-rate distribution
         (log-normal sigma).  0 means all bugs fail equally often;
@@ -87,7 +82,6 @@ class ReliabilityModel:
         computed from reports is an underestimate).
     """
 
-    shared_fraction: float
     rate_dispersion: float = 0.0
     subtle_underreporting: float = 1.0
     seed: int = 0
@@ -170,7 +164,6 @@ def gain_with_uncertainty(
             exclusive += 1
             exclusive_subtle += int(subtle)
     model = ReliabilityModel(
-        shared_fraction=shared / max(shared + exclusive, 1),
         rate_dispersion=rate_dispersion,
         subtle_underreporting=subtle_underreporting,
         seed=seed,

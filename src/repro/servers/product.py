@@ -35,9 +35,7 @@ class ServerProduct:
         stress_mode: bool = False,
     ) -> None:
         self.descriptor = descriptor
-        self.injector = FaultInjector(
-            descriptor.key, faults, seed=seed, stress_mode=stress_mode
-        )
+        self.injector = FaultInjector(faults, seed=seed, stress_mode=stress_mode)
         self.engine = Engine(
             name=f"{descriptor.product} {descriptor.version}",
             injector=self.injector,

@@ -340,13 +340,11 @@ class CreateIndex:
 @dataclass
 class DropTable:
     name: str
-    if_exists: bool = False
 
 
 @dataclass
 class DropView:
     name: str
-    if_exists: bool = False
 
 
 @dataclass

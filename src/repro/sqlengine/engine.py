@@ -190,7 +190,6 @@ class Engine:
         self.storage = Storage()
         self.transactions = TransactionManager()
         self.crashed = False
-        self.statements_executed = 0
         #: 'serve' normally; 'recover' while the middleware replays the
         #: write log onto this engine (recovery-scoped faults key on it).
         self.phase = "serve"
@@ -296,7 +295,6 @@ class Engine:
             self.crashed = True
             self.transactions.abort_if_open()
             raise
-        self.statements_executed += 1
         return result
 
     def _dispatch(self, stmt: ast.Statement, ctx: ExecutionContext) -> Result:

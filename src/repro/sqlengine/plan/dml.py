@@ -22,6 +22,7 @@ from repro.sqlengine.plan.logical import (
     PlanRuntimeFallback,
     PlanUnsupported,
     Scan,
+    _reject_subqueries,
     _table_unique_sets,
     kind_of_type,
     kind_of_value,
@@ -30,14 +31,6 @@ from repro.sqlengine.plan.logical import (
 from repro.sqlengine.plan.physical import compile_select, _join_key
 from repro.sqlengine.plan.rewrites import _Analyzer, split_conjuncts
 from repro.sqlengine.types import cast_value
-
-
-def _reject_subqueries(expr: ast.Expression) -> None:
-    for node in ast.walk_expressions(expr):
-        if isinstance(node, (ast.ExistsPredicate, ast.ScalarSubquery)):
-            raise PlanUnsupported("subquery expression")
-        if isinstance(node, ast.InPredicate) and node.subquery is not None:
-            raise PlanUnsupported("IN subquery")
 
 
 def _table_plan(stmt: ast.Statement, engine, schema) -> LogicalPlan:

@@ -293,6 +293,9 @@ _NUMERIC_COLUMNS = ("a", "b", "d")
 _STRING_VALUES = ("a", "b", "ab", "abc", "x", "")
 _LIKE_PATTERNS = ("a%", "%b", "%a%", "ab", "_b%")
 
+#: Probability that a generated nullable column value is NULL.
+NULL_RATE = 0.3
+
 
 class PredicateGenerator:
     """Deterministic NULL-rich query generation for the hunt campaign.
@@ -304,9 +307,8 @@ class PredicateGenerator:
     per product with the static portability verdict.
     """
 
-    def __init__(self, *, seed: int = 0, rows: int = 24, null_rate: float = 0.3) -> None:
+    def __init__(self, *, seed: int = 0, rows: int = 24) -> None:
         self._rng = random.Random(seed)
-        self.null_rate = null_rate
         self.rows: list[dict[str, Any]] = []
         for index in range(1, rows + 1):
             self.rows.append(
@@ -322,7 +324,7 @@ class PredicateGenerator:
             )
 
     def _maybe_null(self, make):
-        return None if self._rng.random() < self.null_rate else make()
+        return None if self._rng.random() < NULL_RATE else make()
 
     def _small_int(self) -> int:
         return self._rng.randint(-5, 9)

@@ -399,7 +399,7 @@ class NetStorm(Storm):
             NetPolicy(idle_deadline=4096.0, queue_deadline=128.0),
         )
         self.network = SimulatedNetwork(
-            self.net_server, injector=FaultInjector("net", net_faults)
+            self.net_server, injector=FaultInjector(net_faults)
         )
         self.supervisors = [
             SessionSupervisor(

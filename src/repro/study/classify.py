@@ -74,7 +74,6 @@ class CellOutcome:
     kind: OutcomeKind
     failure_kind: Optional[FailureKind] = None
     detectability: Optional[Detectability] = None
-    missing_feature: Optional[str] = None
     faulty: Optional[ScriptOutcome] = None
     fired_faults: frozenset[str] = frozenset()
 

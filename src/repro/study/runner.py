@@ -209,8 +209,8 @@ class StudyRunner:
             self._last = ScriptPieces(source)
         try:
             pieces = self._last.home if home else self._last.translated(target)
-        except FeatureNotSupported as missing:
-            return CellOutcome(kind=OutcomeKind.CANNOT_RUN, missing_feature=missing.feature)
+        except FeatureNotSupported:
+            return CellOutcome(kind=OutcomeKind.CANNOT_RUN)
 
         faulty_server = self.faulty[target]
         oracle_server = self.oracle[target]

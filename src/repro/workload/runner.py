@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Protocol
+from typing import Any, Iterable, Optional, Protocol
 
 from repro.errors import (
     AdjudicationFailure,
@@ -174,26 +174,34 @@ class WorkloadRunner:
         generator = generator or TpccGenerator(seed=self.seed, mix=self.mix)
         metrics = WorkloadMetrics()
         start = time.perf_counter()
-        for transaction in generator.transactions(transaction_count):
+        for _ in self._steps(generator.transactions(transaction_count), metrics):
+            pass
+        metrics.elapsed_seconds = time.perf_counter() - start
+        return metrics
+
+    def _steps(self, transactions: Iterable[Transaction], metrics: WorkloadMetrics):
+        """Run ``transactions`` with their accounting and retries, as
+        the one generator :meth:`run` and :func:`run_interleaved` step:
+        it yields ``False`` after every executed statement (the
+        statement-granularity interleaving point) and ``True`` after
+        every transaction."""
+        for transaction in transactions:
             metrics.transactions += 1
             metrics.per_profile[transaction.name] = (
                 metrics.per_profile.get(transaction.name, 0) + 1
             )
-            self._run_transaction(transaction, metrics)
-        metrics.elapsed_seconds = time.perf_counter() - start
-        return metrics
-
-    def _run_transaction(self, transaction: Transaction, metrics: WorkloadMetrics) -> None:
-        aborted = False
-        for attempt in range(self.retries + 1):
-            if self._attempt(transaction, metrics):
-                if attempt > 0:
-                    metrics.retried_successes += 1
-                return
-            if not aborted:
-                aborted = True
-                metrics.aborted_transactions += 1
-        metrics.exhausted_retries += 1
+            aborted = False
+            for attempt in range(self.retries + 1):
+                if (yield from self._attempt_steps(transaction, metrics)):
+                    if attempt > 0:
+                        metrics.retried_successes += 1
+                    break
+                if not aborted:
+                    aborted = True
+                    metrics.aborted_transactions += 1
+            else:
+                metrics.exhausted_retries += 1
+            yield True
 
     def _calls(self, transaction: Transaction) -> list[tuple[str, tuple]]:
         if self.use_prepared:
@@ -209,18 +217,10 @@ class WorkloadRunner:
             self._prepared_cache[template] = handle
         return handle.execute(params)
 
-    def _attempt(self, transaction: Transaction, metrics: WorkloadMetrics) -> bool:
-        steps = self._attempt_steps(transaction, metrics)
-        while True:
-            try:
-                next(steps)
-            except StopIteration as stop:
-                return bool(stop.value)
-
     def _attempt_steps(self, transaction: Transaction, metrics: WorkloadMetrics):
-        """One transaction attempt as a generator: yields after every
-        executed statement (the statement-granularity interleaving
-        point); its return value is the attempt's success."""
+        """One transaction attempt as a generator: yields ``False`` after
+        every executed statement; its return value is the attempt's
+        success."""
         in_transaction = False
         budget = self.transaction_deadline
         spent = 0.0
@@ -270,24 +270,8 @@ class WorkloadRunner:
                     metrics.deadline_aborts += 1
                     self._abort(metrics, in_transaction)
                     return False
-            yield
+            yield False
         return True
-
-    def _terminal_steps(self, transaction: Transaction, metrics: WorkloadMetrics):
-        """:meth:`_run_transaction` as a generator (retries included),
-        yielding at every statement boundary so terminals can interleave
-        mid-transaction."""
-        aborted = False
-        for attempt in range(self.retries + 1):
-            ok = yield from self._attempt_steps(transaction, metrics)
-            if ok:
-                if attempt > 0:
-                    metrics.retried_successes += 1
-                return
-            if not aborted:
-                aborted = True
-                metrics.aborted_transactions += 1
-        metrics.exhausted_retries += 1
 
     def _abort(self, metrics: WorkloadMetrics, in_transaction: bool) -> None:
         metrics.aborted_attempts += 1
@@ -322,58 +306,26 @@ def run_interleaved(
     """
     if granularity not in ("transaction", "statement"):
         raise ValueError(f"unknown interleaving granularity {granularity!r}")
-    sessions = [
-        (
-            runner,
-            iter(
-                TpccGenerator(
-                    seed=runner.seed, mix=runner.mix
-                ).transactions(transactions_each)
-            ),
-            WorkloadMetrics(),
+    every_metrics = [WorkloadMetrics() for _ in runners]
+    terminals = [
+        runner._steps(
+            TpccGenerator(seed=runner.seed, mix=runner.mix).transactions(transactions_each),
+            metrics,
         )
-        for runner in runners
+        for runner, metrics in zip(runners, every_metrics)
     ]
     start = time.perf_counter()
-    if granularity == "transaction":
-        active = True
-        while active:
-            active = False
-            for runner, stream, metrics in sessions:
-                transaction = next(stream, None)
-                if transaction is None:
-                    continue
-                active = True
-                metrics.transactions += 1
-                metrics.per_profile[transaction.name] = (
-                    metrics.per_profile.get(transaction.name, 0) + 1
-                )
-                runner._run_transaction(transaction, metrics)
-    else:
-        steps: list[Optional[Any]] = [None] * len(sessions)
-        active = True
-        while active:
-            active = False
-            for index, (runner, stream, metrics) in enumerate(sessions):
-                gen = steps[index]
-                if gen is None:
-                    transaction = next(stream, None)
-                    if transaction is None:
-                        continue
-                    metrics.transactions += 1
-                    metrics.per_profile[transaction.name] = (
-                        metrics.per_profile.get(transaction.name, 0) + 1
-                    )
-                    gen = runner._terminal_steps(transaction, metrics)
-                    steps[index] = gen
-                active = True
-                try:
-                    next(gen)
-                except StopIteration:
-                    steps[index] = None
+    while terminals:
+        for terminal in list(terminals):
+            # One statement, or through the end of one transaction.
+            for transaction_done in terminal:
+                if transaction_done or granularity == "statement":
+                    break
+            else:
+                terminals.remove(terminal)
     elapsed = time.perf_counter() - start
     merged = WorkloadMetrics()
-    for _, _, metrics in sessions:
+    for metrics in every_metrics:
         metrics.elapsed_seconds = elapsed
         merged.merge(metrics)
     return merged

@@ -41,6 +41,7 @@ from repro.net import (
     SimulatedNetwork,
 )
 from repro.net import protocol
+from repro.net import server as dispatcher
 from repro.servers import make_server
 from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.parser import parse_statement
@@ -385,19 +386,16 @@ class TestConflictAdmission:
             assert key in exported
 
     @pytest.mark.parametrize("terminals", [2, 4, 8, 12])
-    def test_admission_parks_less_and_answers_the_same(self, terminals):
+    def test_admission_parks_less_and_answers_the_same(self, terminals, monkeypatch):
         # N terminals each offer one commuting and one conflicting read
         # behind the open write: certified admission serves the
         # commuting half at once, the blanket rung parks everything, and
         # both end with every statement answered and replicas agreeing.
+        for constant in ("MAX_PARKED", "SHED_COMPARE_DEPTH", "SHED_REJECT_DEPTH"):
+            monkeypatch.setattr(dispatcher, constant, 10_000)
         points = {}
         for admission in (True, False):
-            server, net_server, network = deployment(
-                conflict_admission=admission,
-                max_parked=10_000,
-                shed_compare_depth=10_000,
-                shed_reject_depth=10_000,
-            )
+            server, net_server, network = deployment(conflict_admission=admission)
             holder, hsession, htoken, seq = open_holder(network)
             readers = [handshake(network) for _ in range(terminals)]
             for port, session, token in readers:

@@ -100,10 +100,10 @@ class TestHangAndStallEffects:
 
     def test_audit_entry_classifies_kind(self):
         hang = TimeoutAuditEntry(
-            replica="IB", sql="SELECT 1", virtual_cost=math.inf, deadline=50.0, at=3.0
+            replica="IB", sql="SELECT 1", virtual_cost=math.inf, deadline=50.0
         )
         stall = TimeoutAuditEntry(
-            replica="IB", sql="SELECT 1", virtual_cost=101.0, deadline=50.0, at=3.0
+            replica="IB", sql="SELECT 1", virtual_cost=101.0, deadline=50.0
         )
         assert hang.kind == "hang"
         assert stall.kind == "stall"
@@ -173,10 +173,8 @@ class TestStatementDeadline:
         # replay — re-executing the statement would double-apply it.
         server = seed_accounts(
             triple(
-                [stall_on(r"INSERT\s+INTO\s+accounts.*VALUES\s*\(3", 100.0)],
-                policy=SupervisorPolicy(
-                    statement_deadline=50.0, recovery_deadline=1000.0
-                ),
+                [stall_on(r"INSERT\s+INTO\s+accounts.*VALUES\s*\(3", 100.0, once=True)],
+                policy=SupervisorPolicy(statement_deadline=50.0),
             )
         )
         retries_before = server.stats.statement_retries
@@ -185,8 +183,8 @@ class TestStatementDeadline:
         assert server.stats.statement_timeouts == 1
         assert server.timeout_audit[-1].kind == "stall"
         assert server.stats.quarantines == 1
-        # Replay (under the looser recovery deadline) rebuilt the
-        # replica with the stalled write applied exactly once.
+        # Replay (the stall fired once, in service) rebuilt the replica
+        # with the stalled write applied exactly once.
         assert server.replica("IB").state is ReplicaState.ACTIVE
         assert server.verify_consistency() == {}
 
@@ -276,15 +274,6 @@ class TestStallDuringRecovery:
         # The healthy pair kept serving throughout.
         result = server.execute("SELECT id FROM accounts ORDER BY id")
         assert [row[0] for row in result.rows] == [1, 2]
-
-    def test_recovery_deadline_falls_back_to_statement_deadline(self):
-        assert SupervisorPolicy(
-            statement_deadline=50.0
-        ).effective_recovery_deadline == 50.0
-        assert SupervisorPolicy(
-            statement_deadline=50.0, recovery_deadline=200.0
-        ).effective_recovery_deadline == 200.0
-        assert SupervisorPolicy().effective_recovery_deadline is None
 
 
 STALL_DELAY = 100.0

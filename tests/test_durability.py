@@ -1,5 +1,7 @@
 """Durability subsystem: WAL, checkpoints, recovery, rebuild, bank."""
 
+import dataclasses
+
 from repro.dialects.translator import translate_script
 from repro.durability import (
     CheckpointStore,
@@ -26,7 +28,12 @@ from repro.faults import (
     TornWriteEffect,
 )
 from repro.faults.audit import dead_storage_faults
-from repro.middleware import DiverseServer, ReplicaState, ServerConfig, SupervisorPolicy
+from repro.middleware import (
+    DiverseServer,
+    MiddlewareStats,
+    ReplicaState,
+    ServerConfig,
+)
 from repro.middleware.supervisor import VirtualClock
 from repro.servers import make_server
 from repro.workload import WorkloadRunner
@@ -506,21 +513,6 @@ class TestOnlineRebuild:
             server.supervisor.retire(replica)
         assert not server.rebuild("IB")
 
-    def test_auto_rebuild_after_schedules_itself(self):
-        medium = MemoryMedium()
-        server = durable_server(
-            medium, policy=SupervisorPolicy(auto_rebuild_after=5.0)
-        )
-        run_script(server, SCRIPT)
-        ib = server.replica("IB")
-        server.supervisor.retire(ib)
-        for i in range(100, 130):
-            server.execute(f"INSERT INTO t VALUES ({i}, {i})")
-            if ib.state is ReplicaState.ACTIVE:
-                break
-        assert ib.state is ReplicaState.ACTIVE
-        assert server.stats.rebuilds_started == 1
-
 
 class TestStorageBank:
     def test_every_banked_repro_matches_ground_truth(self):
@@ -563,3 +555,16 @@ class TestDiskstormCli:
         out = capsys.readouterr().out
         assert "phase 2 -- power cut + restart" in out
         assert "IB final state: active" in out
+
+
+def test_durability_counters_present():
+    """The rebuild and durability counters exist (guards against a
+    rename breaking the telemetry consumers in the CLI drills and
+    benchmarks)."""
+    names = {field.name for field in dataclasses.fields(MiddlewareStats)}
+    assert {
+        "rebuilds_started", "rebuilds_completed", "rebuilds_failed",
+        "rebuild_replayed_statements", "wal_records", "wal_torn_writes",
+        "wal_lost_flushes", "wal_corruptions", "durable_checkpoints",
+        "durable_recoveries",
+    } <= names

@@ -24,7 +24,7 @@ from repro.sqlengine import Engine
 
 
 def make_engine(*faults, stress=False, seed=0):
-    injector = FaultInjector("test", faults, stress_mode=stress, seed=seed)
+    injector = FaultInjector(faults, stress_mode=stress, seed=seed)
     engine = Engine("test", injector=injector)
     engine.execute("CREATE TABLE victim (id INTEGER, val INTEGER)")
     engine.execute("INSERT INTO victim VALUES (1, 10), (2, 20), (3, 30), (4, 40)")
@@ -96,7 +96,7 @@ class TestTriggers:
     def test_never_and_always(self):
         engine = make_engine(fault(CrashEffect(), NeverTrigger()))
         engine.execute("SELECT id FROM victim")
-        injector = FaultInjector("t", [fault(CrashEffect(), AlwaysTrigger())])
+        injector = FaultInjector([fault(CrashEffect(), AlwaysTrigger())])
         engine2 = Engine("t", injector=injector)
         with pytest.raises(EngineCrash):
             engine2.execute("SELECT 1")
@@ -182,7 +182,7 @@ class TestInjector:
             engine.execute("SELECT id FROM victim")
 
     def test_duplicate_fault_id_rejected(self):
-        injector = FaultInjector("t", [fault(CrashEffect())])
+        injector = FaultInjector([fault(CrashEffect())])
         with pytest.raises(ValueError):
             injector.add(fault(CrashEffect()))
 

@@ -12,9 +12,11 @@ half imports each entry in a fresh interpreter and looks at what
 ``sys.modules`` holds, which also catches a package ``__init__`` that
 re-exports from above.
 
-The same ``ast`` pass answers two more questions: which public
-definitions nothing but the tests reads (the reachability test at the
-end), and which imports nothing reads (a stand-in for ruff's F401).
+The same ``ast`` pass answers more questions: which public definitions
+nothing but the tests reads (the reachability test), which options
+nothing but the tests sets, which attributes nothing reads at all,
+which function bodies are written twice, and which imports nothing
+reads (a stand-in for ruff's F401).
 """
 
 import ast
@@ -282,10 +284,14 @@ def names_read(node: ast.AST) -> set[str]:
     return names
 
 
-def unreachable() -> set[str]:
-    """Public top-level functions and classes under ``src/repro``, and
-    public methods of reachable classes, that nothing reaches from the
-    real entry points.
+ENTRY_TREES = [ast.parse(path.read_text()) for path in ENTRY_FILES]
+
+
+def reach() -> tuple[dict[str, ast.AST], dict[str, str], set[str], list[ast.AST]]:
+    """``(definitions, method -> class, live, roots)``: every top-level
+    function and class under ``src/repro`` and every method, by
+    qualified name; which of them the real entry points reach; and the
+    root nodes themselves.
 
     The roots are the two CLI front ends, every file under
     ``examples/`` and ``benchmarks/e2e/``, and every module-level
@@ -303,10 +309,10 @@ def unreachable() -> set[str]:
     classes: dict[str, str] = {}  # method -> its class
     by_name: dict[str, list[str]] = {}
     aliases: dict[str, set[str]] = {}
-    roots = set().union(*(names_read(ast.parse(path.read_text())) for path in ENTRY_FILES))
+    root_nodes: list[ast.AST] = list(ENTRY_TREES)
     for module, tree in TREES.items():
         if module in CLI_FRONT_ENDS:
-            roots |= names_read(tree)
+            root_nodes.append(tree)
             continue
         for statement in tree.body:
             if isinstance(statement, DEFINITIONS):
@@ -324,10 +330,10 @@ def unreachable() -> set[str]:
                     if alias.asname:
                         aliases.setdefault(alias.asname, set()).add(alias.name)
             elif not is_type_checking(statement) and "__all__" not in names_read(statement):
-                roots |= names_read(statement)
+                root_nodes.append(statement)
 
     live: set[str] = set()
-    pending, seen = list(roots), set()
+    pending, seen = list(set().union(*map(names_read, root_nodes))), set()
 
     def mark(name: str) -> None:
         if name in live:
@@ -354,12 +360,22 @@ def unreachable() -> set[str]:
             pending.extend(aliases.get(name, ()))
             for definition in by_name.get(name, ()):
                 mark(definition)
+    return nodes, classes, live, root_nodes
+
+
+NODES, CLASSES, LIVE, ROOT_NODES = reach()
+
+
+def unreachable() -> set[str]:
+    """Public top-level functions and classes under ``src/repro``, and
+    public methods of reachable classes, that nothing reaches from the
+    real entry points."""
     return {
         name
-        for name, node in nodes.items()
-        if name not in live
+        for name, node in NODES.items()
+        if name not in LIVE
         and not node.name.startswith("_")
-        and (name not in classes or classes[name] in live)
+        and (name not in CLASSES or CLASSES[name] in LIVE)
     }
 
 
@@ -372,6 +388,248 @@ def design_exp_ids() -> set[str]:
 def test_every_unread_public_definition_is_evidence():
     assert unreachable() == set(ALLOW_LIST)
     assert set(ALLOW_LIST.values()) <= design_exp_ids()
+
+
+# -- options nobody sets -----------------------------------------------------
+
+#: Options no live root sets, kept because a DESIGN.md section 4
+#: evidence row's test flips them: option -> that row's Exp id.
+OPTION_ALLOW_LIST = {
+    "repro.hunt.run_hunt(triage=)": "H1",
+    "repro.middleware.server.ServerConfig.allow_duplicates": "M2",
+    "repro.middleware.server.ServerConfig.dual_plan": "P2",
+    "repro.middleware.supervisor.SupervisorPolicy.idempotent_write_retry": "A4",
+    "repro.net.session.NetPolicy.conflict_admission": "C1",
+    "repro.reliability.availability.TimeoutPolicyModel.cost_median": "W6",
+    "repro.reliability.availability.TimeoutPolicyModel.cost_sigma": "W6",
+    "repro.reliability.availability.TimeoutPolicyModel.stall_delay": "W6",
+    "repro.study.runner.StudyRunner.__init__(faults_by_server=)": "R1",
+    "repro.study.runner.run_study(faults_by_server=)": "R1",
+}
+
+OPTION_CLASS = re.compile(r"\w*(Config|Policy|PolicyModel)\Z")
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list)
+
+
+def fields_of(node: ast.ClassDef):
+    """``(name, defaulted)`` for every field a dataclass declares."""
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            if "ClassVar" not in ast.unparse(item.annotation):
+                yield item.target.id, item.value is not None
+
+
+def options() -> dict[str, str]:
+    """``qualified option -> bare name``: every defaulted field of a
+    ``*Config`` / ``*Policy`` / ``*PolicyModel`` dataclass, and every
+    keyword-only parameter of a public function or a public class's
+    constructor under ``src/repro``."""
+    found = {}
+    for module, tree in TREES.items():
+        for statement in tree.body:
+            if isinstance(statement, FUNCTIONS) and not statement.name.startswith("_"):
+                for arg in statement.args.kwonlyargs:
+                    found[f"{module}.{statement.name}({arg.arg}=)"] = arg.arg
+            if not isinstance(statement, ast.ClassDef) or statement.name.startswith("_"):
+                continue
+            cls = f"{module}.{statement.name}"
+            if OPTION_CLASS.match(statement.name) and is_dataclass(statement):
+                for name, defaulted in fields_of(statement):
+                    if defaulted:
+                        found[f"{cls}.{name}"] = name
+            for item in statement.body:
+                if isinstance(item, FUNCTIONS) and item.name == "__init__":
+                    for arg in item.args.kwonlyargs:
+                        found[f"{cls}.{item.name}({arg.arg}=)"] = arg.arg
+    return found
+
+
+def parameters(function: ast.AST) -> set[str]:
+    args = function.args
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return {arg.arg for arg in every if arg}
+
+
+def names_set(node: ast.AST) -> set[str]:
+    """Names ``node`` gives a value: keyword arguments, attribute
+    stores and identifier strings (a ``runner_kwargs`` key, a
+    ``setattr`` name). Forwarding a same-named parameter of the
+    enclosing function, ``x=x`` or ``self.x = x``, sets nothing."""
+    names = set()
+    pending: list[tuple[ast.AST, set[str]]] = [(node, set())]
+    while pending:
+        sub, params = pending.pop()
+        if isinstance(sub, (*FUNCTIONS, ast.Lambda)):
+            params = parameters(sub)
+
+        def forwards(name: str, value: ast.AST) -> bool:
+            return isinstance(value, ast.Name) and value.id == name and name in params
+
+        if isinstance(sub, ast.keyword) and sub.arg and not forwards(sub.arg, sub.value):
+            names.add(sub.arg)
+        elif isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and sub.value:
+            targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+            for target in targets:
+                for store in ast.walk(target):
+                    if isinstance(store, ast.Attribute) and not forwards(store.attr, sub.value):
+                        names.add(store.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if IDENTIFIER.match(sub.value):
+                names.add(sub.value)
+        pending.extend((child, params) for child in ast.iter_child_nodes(sub))
+    return names
+
+
+def live_nodes():
+    """The root nodes, then every live definition (a live class only
+    through what is not a method: its methods are definitions of their
+    own)."""
+    yield from ROOT_NODES
+    for name in LIVE:
+        node = NODES[name]
+        if not isinstance(node, ast.ClassDef):
+            yield node
+            continue
+        yield from (item for item in node.body if not isinstance(item, FUNCTIONS))
+        yield from (*node.bases, *node.keywords, *node.decorator_list)
+
+
+def unset_options() -> set[str]:
+    """Options in scope that no live root sets; tests are no setters."""
+    live_set = set().union(*map(names_set, live_nodes()))
+    return {option for option, name in options().items() if name not in live_set}
+
+
+def evidence_files(exp_id: str) -> set[str]:
+    """The test files DESIGN.md section 4's row ``exp_id`` names."""
+    row = re.search(rf"^\| {exp_id} \|.*$", DESIGN.read_text(), flags=re.MULTILINE)
+    return set(re.findall(r"test_\w+\.py", row.group(0).rsplit("|", 2)[1]))
+
+
+def test_every_unset_option_is_evidence():
+    assert unset_options() == set(OPTION_ALLOW_LIST)
+    assert set(OPTION_ALLOW_LIST.values()) <= design_exp_ids()
+    options_by_name = options()
+    for option, exp_id in OPTION_ALLOW_LIST.items():
+        setters = set().union(
+            *(
+                names_set(ast.parse((REPO / "tests" / name).read_text()))
+                for name in evidence_files(exp_id)
+            )
+        )
+        assert options_by_name[option] in setters, (option, exp_id)
+
+
+# -- state nobody reads ------------------------------------------------------
+
+READER_FILES = [
+    path
+    for directory in ("src", "tests", "examples", "benchmarks/e2e")
+    for path in sorted((REPO / directory).rglob("*.py"))
+]
+
+
+def attributes() -> dict[str, str]:
+    """``qualified attribute -> bare name``: every dataclass field, and
+    every attribute an ``__init__`` assigns on ``self``."""
+    found = {}
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = f"{module}.{node.name}"
+            if is_dataclass(node):
+                found.update((f"{cls}.{name}", name) for name, _ in fields_of(node))
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and item.name == "__init__":
+                    for store in ast.walk(item):
+                        if (
+                            isinstance(store, ast.Attribute)
+                            and isinstance(store.ctx, ast.Store)
+                            and isinstance(store.value, ast.Name)
+                            and store.value.id == "self"
+                        ):
+                            found[f"{cls}.{store.attr}"] = store.attr
+    return found
+
+
+def computed_name(node: ast.AST):
+    """A pattern for a name built from string pieces, ``layer +
+    "_hits"`` or ``f"{layer}_hits"``; ``None`` for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return re.escape(node.value)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left, right = computed_name(node.left), computed_name(node.right)
+        return None if left is None and right is None else (left or r"\w*") + (right or r"\w*")
+    if isinstance(node, ast.JoinedStr):
+        return "".join(
+            re.escape(part.value) if isinstance(part, ast.Constant) else r"\w*"
+            for part in node.values
+        )
+    return None
+
+
+def names_loaded(tree: ast.AST) -> tuple[set[str], list[re.Pattern]]:
+    """Attribute loads, identifier strings, and patterns for the names
+    ``getattr`` computes."""
+    names, patterns = set(), []
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if IDENTIFIER.match(sub.value):
+                names.add(sub.value)
+        elif isinstance(sub, ast.Call) and ast.unparse(sub.func) == "getattr":
+            pattern = computed_name(sub.args[1]) if len(sub.args) > 1 else None
+            if pattern:
+                patterns.append(re.compile(pattern + r"\Z"))
+    return names, patterns
+
+
+def unread_attributes() -> set[str]:
+    """Attributes nothing reads, in ``src/repro``, tests, examples or
+    ``benchmarks/e2e``."""
+    names, patterns = set(), []
+    for path in READER_FILES:
+        found, computed = names_loaded(ast.parse(path.read_text()))
+        names |= found
+        patterns += computed
+    return {
+        attribute
+        for attribute, name in attributes().items()
+        if name not in names and not any(pattern.match(name) for pattern in patterns)
+    }
+
+
+def test_every_attribute_is_read():
+    assert unread_attributes() == set()
+
+
+# -- one owner per algorithm -------------------------------------------------
+
+
+def duplicate_bodies() -> list[list[str]]:
+    """Functions under ``src/repro`` whose bodies, docstring aside, hold
+    three or more statements (nested ones counted) and have the same
+    AST dump."""
+    bodies: dict[str, list[str]] = {}
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, FUNCTIONS):
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            statements = sum(isinstance(sub, ast.stmt) for part in body for sub in ast.walk(part))
+            if statements >= 3:
+                dump = ast.dump(ast.Module(body=body, type_ignores=[]))
+                bodies.setdefault(dump, []).append(f"{module}.{node.name}")
+    return sorted(sorted(names) for names in bodies.values() if len(names) > 1)
+
+
+def test_no_function_body_is_written_twice():
+    assert duplicate_bodies() == []
 
 
 # -- unused imports (ruff F401) ----------------------------------------------

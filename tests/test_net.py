@@ -25,7 +25,7 @@ from repro.faults import (
     ReorderFrameEffect,
     SqlPatternTrigger,
 )
-from repro.middleware import DiverseServer, SupervisorPolicy
+from repro.middleware import DiverseServer
 from repro.net import (
     ClientPolicy,
     ConnectionLost,
@@ -41,9 +41,15 @@ from repro.net import (
     SimulatedNetwork,
     encode_frame,
 )
+from repro.middleware.supervisor import RECOVERY_BACKOFF_CAP, backoff_delay
+from repro.net import client as net_client
 from repro.net import protocol
+from repro.net import server as dispatcher
+from repro.net import session as net_session
+from repro.net.client import RECONNECT_BACKOFF_CAP
 from repro.net.tcp import TcpNetServer, tcp_exchange
 from repro.reliability import NetworkPolicyModel
+from repro.reliability import availability
 from repro.servers import make_server
 from repro.workload import WorkloadRunner, run_interleaved
 
@@ -54,7 +60,7 @@ def deployment(net_faults=(), net_policy=None, ib_faults=()):
         adjudication="majority",
     )
     net_server = NetServer(server, net_policy or NetPolicy(idle_deadline=100_000.0))
-    injector = FaultInjector("net", list(net_faults)) if net_faults else None
+    injector = FaultInjector(list(net_faults)) if net_faults else None
     network = SimulatedNetwork(net_server, injector=injector)
     return server, net_server, network
 
@@ -115,10 +121,9 @@ class TestSessions:
         # Executed exactly once: a second CREATE would be a SQL error.
         assert replay["type"] == "result"
 
-    def test_seq_below_dedupe_window_is_a_gap(self):
-        _, net_server, network = deployment(
-            net_policy=NetPolicy(idle_deadline=100_000.0, dedupe_window=2)
-        )
+    def test_seq_below_dedupe_window_is_a_gap(self, monkeypatch):
+        monkeypatch.setattr(net_session, "DEDUPE_WINDOW", 2)
+        _, net_server, network = deployment()
         port = network.connect()
         welcome = port.request(protocol.hello(), 8.0)
         session, token = welcome["session"], welcome["token"]
@@ -342,13 +347,13 @@ class TestNonFiniteNumbers:
 
 
 class TestBackpressure:
-    POLICY = NetPolicy(
-        idle_deadline=100_000.0,
-        queue_deadline=50_000.0,
-        shed_compare_depth=2,
-        shed_reject_depth=4,
-        max_parked=6,
-    )
+    POLICY = NetPolicy(idle_deadline=100_000.0, queue_deadline=50_000.0)
+
+    @pytest.fixture(autouse=True)
+    def shallow_ladder(self, monkeypatch):
+        monkeypatch.setattr(dispatcher, "SHED_COMPARE_DEPTH", 2)
+        monkeypatch.setattr(dispatcher, "SHED_REJECT_DEPTH", 4)
+        monkeypatch.setattr(dispatcher, "MAX_PARKED", 6)
 
     def _held_txn(self):
         _, net_server, network = deployment(net_policy=self.POLICY)
@@ -416,29 +421,25 @@ class TestBackpressure:
 
 
 class TestBackoffBoundaries:
+    """The one ``backoff_delay``: the replica supervisor's recovery
+    retries and the session supervisor's reconnects, each with its cap."""
+
     def test_supervisor_policy_attempt_zero_is_immediate(self):
-        policy = SupervisorPolicy(backoff_base=3.0)
-        assert policy.backoff_delay(0) == 0.0
-        assert policy.backoff_delay(-1) == 0.0
-        assert policy.backoff_delay(1) == 3.0
+        assert backoff_delay(0, RECOVERY_BACKOFF_CAP) == 0.0
+        assert backoff_delay(-1, RECOVERY_BACKOFF_CAP) == 0.0
+        assert backoff_delay(1, RECOVERY_BACKOFF_CAP) == 1.0
 
     def test_supervisor_policy_factor_growth_and_cap_clamp(self):
-        policy = SupervisorPolicy(
-            backoff_base=1.0, backoff_factor=3.0, backoff_cap=10.0
-        )
-        assert [policy.backoff_delay(n) for n in range(1, 5)] == [
-            1.0, 3.0, 9.0, 10.0,
-        ]
-        # The cap also clamps a base that is already over it.
-        over = SupervisorPolicy(backoff_base=50.0, backoff_cap=10.0)
-        assert over.backoff_delay(1) == 10.0
+        assert [backoff_delay(n, 10.0) for n in range(1, 6)] == [1.0, 2.0, 4.0, 8.0, 10.0]
+        # The cap also clamps a first delay that is already over it.
+        assert backoff_delay(1, 0.5) == 0.5
+        assert [backoff_delay(n, RECOVERY_BACKOFF_CAP) for n in (7, 8)] == [64.0, 64.0]
 
     def test_client_policy_mirrors_the_same_boundaries(self):
-        policy = ClientPolicy(
-            backoff_base=2.0, backoff_factor=2.0, backoff_cap=5.0
-        )
-        assert policy.backoff_delay(0) == 0.0
-        assert [policy.backoff_delay(n) for n in range(1, 4)] == [2.0, 4.0, 5.0]
+        assert backoff_delay(0, RECONNECT_BACKOFF_CAP) == 0.0
+        assert [backoff_delay(n, RECONNECT_BACKOFF_CAP) for n in (1, 5, 6, 7)] == [
+            1.0, 16.0, 32.0, 32.0,
+        ]
 
 
 class TestSupervisorRecovery:
@@ -523,14 +524,12 @@ class TestSupervisorRecovery:
         # Crucially: zero or one execution, never two.
         assert len([s for s in server.write_log if "VALUES (7" in s]) <= 1
 
-    def test_circuit_breaker_opens_after_repeated_failures(self):
+    def test_circuit_breaker_opens_after_repeated_failures(self, monkeypatch):
+        monkeypatch.setattr(net_client, "MAX_RECONNECT_ATTEMPTS", 2)
         _, _, network = deployment(
             [net_fault("DROP", r"SELECT v", DropFrameEffect())]  # unbounded
         )
-        client = supervised(
-            network, request_timeout=4.0, circuit_threshold=3,
-            max_reconnect_attempts=2,
-        )
+        client = supervised(network, request_timeout=4.0, circuit_threshold=3)
         for sql in SETUP:
             client.execute(sql)
         with pytest.raises(ConnectionLost):
@@ -635,14 +634,13 @@ class TestNetworkPolicyModel:
         assert model.request_success_probability() == pytest.approx(1.0)
         assert model.expected_retry_delay() == 0.0
 
-    def test_success_falls_with_loss_and_rises_with_attempts(self):
-        lossy = NetworkPolicyModel(loss_probability=0.3, max_attempts=2)
-        patient = NetworkPolicyModel(loss_probability=0.3, max_attempts=7)
-        assert patient.request_success_probability() > \
-            lossy.request_success_probability()
-        clean = NetworkPolicyModel(loss_probability=0.05, max_attempts=7)
-        assert clean.request_success_probability() > \
-            patient.request_success_probability()
+    def test_success_falls_with_loss_and_rises_with_attempts(self, monkeypatch):
+        patient = NetworkPolicyModel(loss_probability=0.3).request_success_probability()
+        clean = NetworkPolicyModel(loss_probability=0.05).request_success_probability()
+        assert clean > patient
+        monkeypatch.setattr(availability, "MAX_RECONNECT_ATTEMPTS", 1)
+        lossy = NetworkPolicyModel(loss_probability=0.3).request_success_probability()
+        assert patient > lossy
 
 
 class TestTcpBinding:

@@ -23,11 +23,11 @@ class TestPairGains:
         assert gains[("PG", "OR")].m_ab == 0
 
     def test_ratio_and_gain_factor(self):
-        gain = PairGain("A", "B", m_a=50, m_ab=2)
+        gain = PairGain(m_a=50, m_ab=2)
         assert gain.ratio == pytest.approx(0.04)
 
     def test_zero_shared_bugs_gives_infinite_gain(self):
-        gain = PairGain("A", "B", m_a=50, m_ab=0)
+        gain = PairGain(m_a=50, m_ab=0)
         assert gain.ratio == 0.0
 
     def test_all_ratios_small(self, study):
@@ -38,26 +38,26 @@ class TestPairGains:
 
 class TestReliabilityModel:
     def test_equal_rates_recover_naive_ratio(self):
-        model = ReliabilityModel(shared_fraction=0.1, rate_dispersion=0.0)
+        model = ReliabilityModel(rate_dispersion=0.0)
         mean, low, high = model.expected_ratio(5, 45)
         assert mean == pytest.approx(0.1)
         assert low == high == pytest.approx(0.1)
 
     def test_dispersion_widens_uncertainty(self):
-        model = ReliabilityModel(shared_fraction=0.1, rate_dispersion=2.0, seed=3)
+        model = ReliabilityModel(rate_dispersion=2.0, seed=3)
         mean, low, high = model.expected_ratio(5, 45, samples=500)
         assert high > low
         assert 0.0 <= low <= mean <= high <= 1.0
 
     def test_underreporting_raises_shared_weight(self):
-        base = ReliabilityModel(0.1, rate_dispersion=0.0, subtle_underreporting=1.0)
-        biased = ReliabilityModel(0.1, rate_dispersion=0.0, subtle_underreporting=10.0)
+        base = ReliabilityModel(rate_dispersion=0.0, subtle_underreporting=1.0)
+        biased = ReliabilityModel(rate_dispersion=0.0, subtle_underreporting=10.0)
         naive, *_ = base.expected_ratio(5, 45, shared_subtle=5, exclusive_subtle=0)
         skewed, *_ = biased.expected_ratio(5, 45, shared_subtle=5, exclusive_subtle=0)
         assert skewed > naive
 
     def test_empty_inputs(self):
-        model = ReliabilityModel(0.0)
+        model = ReliabilityModel()
         assert model.expected_ratio(0, 0) == (0.0, 0.0, 0.0)
 
     def test_gain_with_uncertainty_from_study(self, study):

@@ -17,6 +17,7 @@ from repro.middleware import (
     SupervisorPolicy,
     VirtualClock,
 )
+from repro.middleware import supervisor
 from repro.servers import make_interbase, make_server
 from repro.workload import WorkloadRunner
 
@@ -191,13 +192,12 @@ class TestBackoffAndCircuitBreaker:
         assert ib.state is ReplicaState.ACTIVE
         assert server.verify_consistency() == {}
 
-    def test_attempt_budget_exhaustion_fails_replica(self):
+    def test_attempt_budget_exhaustion_fails_replica(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "MAX_RECOVERY_ATTEMPTS", 3)
         server = seed_accounts(
             triple(
                 [crash_on_accounts_select(), crash_during_recovery()],
-                policy=SupervisorPolicy(
-                    max_recovery_attempts=3, circuit_threshold=100
-                ),
+                policy=SupervisorPolicy(circuit_threshold=100),
             )
         )
         server.execute("SELECT id FROM accounts")
@@ -210,8 +210,7 @@ class TestBackoffAndCircuitBreaker:
         assert server.stats.retirements == 0
 
     def test_backoff_delay_is_capped(self):
-        policy = SupervisorPolicy(backoff_base=1.0, backoff_factor=2.0, backoff_cap=8.0)
-        assert [policy.backoff_delay(n) for n in range(6)] == [
+        assert [supervisor.backoff_delay(n, 8.0) for n in range(6)] == [
             0.0, 1.0, 2.0, 4.0, 8.0, 8.0,
         ]
 

@@ -109,7 +109,6 @@ class TestCrashInteraction:
         from repro.errors import EngineCrash
 
         injector = FaultInjector(
-            "t",
             [
                 FaultSpec(
                     "crash-on-groupby",
