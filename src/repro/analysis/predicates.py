@@ -1258,40 +1258,35 @@ def _certify_predicate_pushdown() -> tuple[str, ...]:
             raise CertificationError("NULL equality returned TRUE")
     _check_key_collision_law("hash")
     # Law 4 (behavioral): the rule only fires when every conjunct is
-    # total — pushing a raising conjunct below another would change
-    # which rows it is evaluated on.
-    engine = Engine(name="certify")
-    engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
-    engine.execute("CREATE TABLE cert_b (id INTEGER PRIMARY KEY, ref INTEGER)")
-    engine.execute(
+    # total — pushing a raising conjunct below another, or stopping at
+    # the first conjunct that rejects a row, would change which rows it
+    # is evaluated on; over a join as over one table.
+    witnesses = (
         "SELECT cert_a.val FROM cert_a, cert_b "
-        "WHERE cert_a.id = cert_b.ref AND cert_a.val > 0"
+        "WHERE cert_a.id = cert_b.ref AND cert_a.val > 0",
+        "SELECT ref FROM cert_b WHERE id > 0 AND ref > 1",
     )
-    plan = _only_select_plan(engine)
-    if "predicate_pushdown" not in plan.applied_rules:
-        raise CertificationError("rule did not fire on its total witness")
-    engine = Engine(name="certify")
-    engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
-    engine.execute(
-        "CREATE TABLE cert_b (id INTEGER PRIMARY KEY, ref VARCHAR(8))"
-    )
-    engine.execute(
-        "SELECT cert_a.val FROM cert_a, cert_b "
-        "WHERE cert_a.id = cert_b.ref AND cert_a.val > 0"
-    )
-    plan = _only_select_plan(engine)
-    if "predicate_pushdown" in plan.applied_rules:
-        raise CertificationError(
-            "rule fired with a non-total (number/string) conjunct"
-        )
+    for ref_type, total in (("INTEGER", True), ("VARCHAR(8)", False)):
+        for sql in witnesses:
+            engine = Engine(name="certify")
+            engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
+            engine.execute(f"CREATE TABLE cert_b (id INTEGER PRIMARY KEY, ref {ref_type})")
+            engine.execute(sql)
+            plan = _only_select_plan(engine)
+            if ("predicate_pushdown" in plan.applied_rules) != total:
+                raise CertificationError(
+                    f"rule did not fire on its total witness: {sql}"
+                    if total
+                    else f"rule fired with a non-total (number/string) conjunct: {sql}"
+                )
     return (
         "AND-splitting: row passes (a AND b) iff it passes both filters "
         "(all 9 truth pairs)",
         "AND commutativity/associativity over all 27 truth triples",
         "NULL join keys never match; hash-key collision coincides with "
         "three-valued equality on the literal domain",
-        "totality gate holds: witness with a number/string conjunct "
-        "declines, total witness fires",
+        "totality gate holds over a join and over one table: witnesses "
+        "with a number/string conjunct decline, total witnesses fire",
     )
 
 

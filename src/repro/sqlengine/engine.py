@@ -14,6 +14,7 @@ and hands each engine the :class:`ParsedStatement` instead of the text.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Union
 
@@ -31,7 +32,7 @@ from repro.sqlengine.executor import SelectExecutor
 from repro.sqlengine.expressions import ColumnBinding, Environment
 from repro.sqlengine.parser import parse_prepared, parse_script
 from repro.sqlengine.plan.dml import compile_statement
-from repro.sqlengine.plan.logical import PlanRuntimeFallback
+from repro.sqlengine.plan.logical import PlanRuntimeFallback, PlanUnsupported
 from repro.sqlengine.storage import Storage
 from repro.sqlengine.tokens import Token
 from repro.sqlengine.transactions import TransactionManager
@@ -204,6 +205,11 @@ class Engine:
         #: Planner kill switch: the dual-plan oracle and benchmarks
         #: toggle this to force interpreted (tree-walker) execution.
         self.use_planner = True
+        #: Statements the planner handed to the walker, by reason: the
+        #: ``PlanUnsupported`` message (or exception class) of a failed
+        #: compile, once per compile, and ``"runtime: <reason>"`` per
+        #: failed runtime precondition.
+        self.plan_fallbacks: Counter[str] = Counter()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -354,34 +360,38 @@ class Engine:
             return entry[2]
         try:
             plan = compile_statement(stmt, self)
-        except Exception:
+        except Exception as error:
             # Outside the planner's subset (PlanUnsupported), or the
             # statement will fail in a way the walker must report (an
             # unknown table, say): the interpreted path is authoritative
             # for both, so record "no plan" and step aside.
+            reason = str(error) if isinstance(error, PlanUnsupported) else type(error).__name__
+            self.plan_fallbacks[reason] += 1
             plan = None
         if len(self._plans) >= _PLAN_CACHE_SIZE:
             self._plans.pop(next(iter(self._plans)))
         self._plans[id(stmt)] = (stmt, generation, plan)
         return plan
 
+    def _planned(self, stmt: ast.Statement, ctx: ExecutionContext) -> Any:
+        """What the compiled plan for ``stmt`` returns, or None when the
+        walker must run it: planner off, no plan, or a runtime
+        precondition that failed (counted in ``plan_fallbacks``)."""
+        if not self.use_planner:
+            return None
+        plan = self._cached_plan(stmt)
+        if plan is None:
+            return None
+        try:
+            return plan.execute(ctx)
+        except PlanRuntimeFallback as fallback:
+            self.plan_fallbacks[f"runtime: {fallback}"] += 1
+            return None
+
     def _execute_select(self, stmt: ast.SelectStatement, ctx: ExecutionContext) -> Result:
-        if self.use_planner:
-            plan = self._cached_plan(stmt)
-            if plan is not None:
-                try:
-                    output = plan.execute(ctx)
-                except PlanRuntimeFallback:
-                    output = None
-                if output is not None:
-                    return Result(
-                        kind="select",
-                        columns=output.columns,
-                        rows=output.rows,
-                        rowcount=len(output.rows),
-                    )
-        executor = SelectExecutor(self, ctx)
-        output = executor.execute_select(stmt)
+        output = self._planned(stmt, ctx)
+        if output is None:
+            output = SelectExecutor(self, ctx).execute_select(stmt)
         return Result(
             kind="select",
             columns=output.columns,
@@ -392,13 +402,9 @@ class Engine:
     # -- DML -------------------------------------------------------------------
 
     def _execute_insert(self, stmt: ast.Insert, ctx: ExecutionContext) -> Result:
-        if self.use_planner:
-            planned = self._cached_plan(stmt)
-            if planned is not None:
-                try:
-                    return planned.execute(ctx)
-                except PlanRuntimeFallback:
-                    pass
+        result = self._planned(stmt, ctx)
+        if result is not None:
+            return result
         schema = self.catalog.table(stmt.table)
         data = self.storage.get(stmt.table)
         executor = SelectExecutor(self, ctx)
@@ -568,13 +574,9 @@ class Engine:
                     )
 
     def _execute_update(self, stmt: ast.Update, ctx: ExecutionContext) -> Result:
-        if self.use_planner:
-            planned = self._cached_plan(stmt)
-            if planned is not None:
-                try:
-                    return Result(kind="dml", rowcount=planned.execute(ctx))
-                except PlanRuntimeFallback:
-                    pass
+        rowcount = self._planned(stmt, ctx)
+        if rowcount is not None:
+            return Result(kind="dml", rowcount=rowcount)
         schema = self.catalog.table(stmt.table)
         data = self.storage.get(stmt.table)
         executor = SelectExecutor(self, ctx)
@@ -623,13 +625,9 @@ class Engine:
         )
 
     def _execute_delete(self, stmt: ast.Delete, ctx: ExecutionContext) -> Result:
-        if self.use_planner:
-            planned = self._cached_plan(stmt)
-            if planned is not None:
-                try:
-                    return Result(kind="dml", rowcount=planned.execute(ctx))
-                except PlanRuntimeFallback:
-                    pass
+        rowcount = self._planned(stmt, ctx)
+        if rowcount is not None:
+            return Result(kind="dml", rowcount=rowcount)
         schema = self.catalog.table(stmt.table)
         data = self.storage.get(stmt.table)
         executor = SelectExecutor(self, ctx)

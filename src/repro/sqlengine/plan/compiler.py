@@ -10,6 +10,7 @@ a query over zero rows must stay silent on the compiled path too.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import BindError, TypeMismatch
@@ -83,13 +84,17 @@ def _tribool(value: Any) -> Optional[bool]:
     raise TypeMismatch(f"expected a boolean condition, got {value!r}")
 
 
-_CMP_TESTS = {
-    "=": lambda c: c == 0,
-    "<>": lambda c: c != 0,
-    "<": lambda c: c < 0,
-    "<=": lambda c: c <= 0,
-    ">": lambda c: c > 0,
-    ">=": lambda c: c >= 0,
+#: The six comparison operators: the one table constant folding, the
+#: compiled comparisons and the filter kernel read.  ``test(cmp, 0)``
+#: turns a ``sql_compare`` result into the comparison's truth; on two
+#: exact ``int`` operands, ``test(left, right)`` is the comparison itself.
+CMP_OPERATORS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 _ARITH_FNS = {"+": sql_add, "-": sql_sub, "*": sql_mul, "/": sql_div, "||": sql_concat}
@@ -222,7 +227,7 @@ def _compile_binary(expr: ast.BinaryOp, scope: Scope) -> Closure:
             _tribool(left(row, aggs, ctx)), _tribool(right(row, aggs, ctx))
         )
 
-    test = _CMP_TESTS.get(op)
+    test = CMP_OPERATORS.get(op)
     if test is not None:
         fused = _fuse_comparison(expr, test, scope)
         if fused is not None:
@@ -234,7 +239,7 @@ def _compile_binary(expr: ast.BinaryOp, scope: Scope) -> Closure:
             cmp = sql_compare(left(row, aggs, ctx), right(row, aggs, ctx))
             if cmp is None:
                 return None
-            return test(cmp)
+            return test(cmp, 0)
 
         return compare
 
@@ -276,7 +281,7 @@ def _fuse_comparison(expr: ast.BinaryOp, test, scope: Scope) -> Optional[Closure
             cmp = sql_compare(row[lindex], params[pindex])
             if cmp is None:
                 return None
-            return test(cmp)
+            return test(cmp, 0)
 
         return col_param
     if type(right) is ast.Literal:
@@ -286,7 +291,7 @@ def _fuse_comparison(expr: ast.BinaryOp, test, scope: Scope) -> Optional[Closure
             cmp = sql_compare(row[lindex], value)
             if cmp is None:
                 return None
-            return test(cmp)
+            return test(cmp, 0)
 
         return col_literal
     if type(right) is ast.ColumnRef:
@@ -298,7 +303,7 @@ def _fuse_comparison(expr: ast.BinaryOp, test, scope: Scope) -> Optional[Closure
             cmp = sql_compare(row[lindex], row[rindex])
             if cmp is None:
                 return None
-            return test(cmp)
+            return test(cmp, 0)
 
         return col_col
     return None

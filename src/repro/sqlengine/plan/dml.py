@@ -25,10 +25,13 @@ from repro.sqlengine.plan.logical import (
     _reject_subqueries,
     _table_unique_sets,
     kind_of_type,
-    kind_of_value,
-    kinds_compatible,
 )
-from repro.sqlengine.plan.physical import compile_select, _join_key
+from repro.sqlengine.plan.physical import (
+    _join_key,
+    check_params,
+    compile_filter,
+    compile_select,
+)
 from repro.sqlengine.plan.rewrites import _Analyzer, split_conjuncts
 from repro.sqlengine.types import cast_value
 
@@ -48,6 +51,21 @@ def _table_plan(stmt: ast.Statement, engine, schema) -> LogicalPlan:
         kinds=kinds,
         unique_sets=[_table_unique_sets(engine.catalog, schema)],
     )
+
+
+def _compile_where(where, plan: LogicalPlan, scope: Scope) -> tuple:
+    """``(selector, conjuncts)`` for a DML WHERE clause: the filter
+    kernel over it, and its conjuncts when they are all total (their
+    parameter kinds join ``plan.param_checks``), else None.  A WHERE
+    that is not total stays one expression; no WHERE keeps every row."""
+    if where is None:
+        return (lambda rows, ctx: rows), []
+    conjuncts = split_conjuncts(where)
+    checks: list = []
+    if all(_Analyzer(plan).is_total(conjunct, checks) for conjunct in conjuncts):
+        plan.param_checks.extend(checks)
+        return compile_filter(conjuncts, scope, True), conjuncts
+    return compile_filter([where], scope, False), None
 
 
 class PlannedInsert:
@@ -103,28 +121,23 @@ class PlannedUpdate:
             _reject_subqueries(stmt.where)
         for _, expr in stmt.assignments:
             _reject_subqueries(expr)
-        self._where = (
-            compile_expression(stmt.where, scope) if stmt.where is not None else None
-        )
+        self._select, conjuncts = _compile_where(stmt.where, plan, scope)
         self._assignments = []
         for name, expr in stmt.assignments:
             index = schema.column_index(name)
             self._assignments.append(
                 (index, schema.columns[index].sql_type, compile_expression(expr, scope))
             )
-        self._probe = self._compile_probe(stmt.where, plan, scope)
+        self._probe = self._compile_probe(conjuncts, plan, scope)
+        self._total = conjuncts is not None
         self._param_checks = tuple(plan.param_checks)
 
-    def _compile_probe(self, where, plan: LogicalPlan, scope: Scope):
+    def _compile_probe(self, conjuncts, plan: LogicalPlan, scope: Scope):
         """(key indices, key getters, key kinds) when the WHERE clause is
         total and pins every column of a uniqueness constraint."""
-        if where is None:
+        if not conjuncts:
             return None
         analyzer = _Analyzer(plan)
-        conjuncts = split_conjuncts(where)
-        checks: list = []
-        if not all(analyzer.is_total(conjunct, checks) for conjunct in conjuncts):
-            return None
         pinned: dict[int, ast.Expression] = {}
         for conjunct in conjuncts:
             if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
@@ -150,26 +163,25 @@ class PlannedUpdate:
                 getters = [
                     compile_expression(pinned[local], scope) for local in indices
                 ]
-                plan.param_checks.extend(checks)
                 return (tuple(indices), getters, kinds)
         return None
 
     def execute(self, ctx) -> int:
-        params = ctx.params
-        for index, expected in self._param_checks:
-            if index >= len(params):
-                raise PlanRuntimeFallback("unbound parameter")
-            if not kinds_compatible(kind_of_value(params[index]), expected):
-                raise PlanRuntimeFallback("parameter kind mismatch")
+        check_params(self._param_checks, ctx.params)
         engine = self._engine
         schema = engine.catalog.table(self._table)
         data = engine.storage.get(self._table)
         candidates = self._candidate_rows(data, ctx)
-        where = self._where
+        select = self._select
+        if self._total:
+            rows = select(candidates, ctx)
+        else:
+            # A WHERE that may raise is evaluated row by row between the
+            # updates, as the walker does, so an error leaves the same
+            # rows updated.
+            rows = (row for row in candidates if select([row], ctx))
         updated = 0
-        for row in candidates:
-            if where is not None and where(row, None, ctx) is not True:
-                continue
+        for row in rows:
             new_values: dict[int, Any] = {}
             for index, sql_type, closure in self._assignments:
                 value = closure(row, None, ctx)
@@ -210,20 +222,19 @@ class PlannedDelete:
         schema = engine.catalog.table(stmt.table)
         if stmt.where is not None:
             _reject_subqueries(stmt.where)
-            plan = _table_plan(stmt, engine, schema)
-            self._where = compile_expression(stmt.where, Scope(plan.bindings))
-        else:
-            self._where = None
+        plan = _table_plan(stmt, engine, schema)
+        self._select, _ = _compile_where(stmt.where, plan, Scope(plan.bindings))
+        self._param_checks = tuple(plan.param_checks)
 
     def execute(self, ctx) -> int:
+        check_params(self._param_checks, ctx.params)
         engine = self._engine
         engine.catalog.table(self._table)  # raises if dropped (defensive)
         data = engine.storage.get(self._table)
-        where = self._where
-        if where is None:
-            removed = data.delete_rows(lambda row: True)
-        else:
-            removed = data.delete_rows(lambda row: where(row, None, ctx) is True)
+        # Every row is tested before any is removed, as the walker's
+        # delete_rows does, so a raising WHERE removes nothing.
+        doomed = {id(row) for row in self._select(data.rows(), ctx)}
+        removed = data.delete_rows(lambda row: id(row) in doomed)
         engine.transactions.record(lambda r=removed, d=data: d.restore_rows(r))
         return len(removed)
 

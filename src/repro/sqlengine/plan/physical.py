@@ -14,13 +14,20 @@ tells the engine to re-run the statement through the walker.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from operator import itemgetter
+from typing import Any, Callable, Optional
 
 from repro.errors import BindError, TypeMismatch
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.executor import QueryResult, SelectExecutor, order_rows
+from repro.sqlengine.expressions import _AMBIGUOUS
 from repro.sqlengine.functions import Accumulator
-from repro.sqlengine.plan.compiler import Scope, compile_expression
+from repro.sqlengine.plan.compiler import (
+    CMP_OPERATORS,
+    Closure,
+    Scope,
+    compile_expression,
+)
 from repro.sqlengine.plan.logical import (
     Aggregate,
     CrossJoin,
@@ -40,9 +47,10 @@ from repro.sqlengine.plan.logical import (
     lower_select,
 )
 from repro.sqlengine.plan.rewrites import apply_rewrites
-from repro.sqlengine.values import distinct_key, row_key
+from repro.sqlengine.values import distinct_key, row_key, sql_compare
 
 Source = Callable[[Any], list]
+Selector = Callable[[list, Any], list]
 
 
 def _join_key(value: Any, expected: str):
@@ -54,6 +62,93 @@ def _join_key(value: Any, expected: str):
         return ("n", int(value)) if expected == "n" else None
     key = distinct_key(value)
     return key if key[0] == expected else None
+
+
+def check_params(checks: tuple, params: tuple) -> None:
+    """The per-execution half of a plan's totality proof: every
+    ``(parameter index, kind)`` check holds, or the walker runs the
+    statement instead."""
+    for index, expected in checks:
+        if index >= len(params):
+            raise PlanRuntimeFallback("unbound parameter")
+        if not kinds_compatible(kind_of_value(params[index]), expected):
+            raise PlanRuntimeFallback("parameter kind mismatch")
+
+
+def _hoisted_comparison(conjunct: ast.Expression, scope: Scope) -> Optional[tuple]:
+    """``(column index, operator, parameter index or None, literal)``
+    for a ``column <op> parameter|literal`` conjunct; None otherwise."""
+    if type(conjunct) is not ast.BinaryOp or conjunct.op not in CMP_OPERATORS:
+        return None
+    column, operand = conjunct.left, conjunct.right
+    if type(column) is not ast.ColumnRef:
+        return None
+    index = scope.resolve(column)
+    if index is None or index == _AMBIGUOUS:
+        return None
+    test = CMP_OPERATORS[conjunct.op]
+    if type(operand) is ast.Parameter:
+        return (index, test, operand.index, None)
+    if type(operand) is ast.Literal:
+        return (index, test, None, operand.value)
+    return None
+
+
+def compile_filter(conjuncts: list, scope: Scope, total: bool) -> Selector:
+    """The filter kernel: ``(rows, ctx) -> rows`` keeping the rows on
+    which every conjunct is SQL TRUE, stopping at the first conjunct
+    that is not.
+
+    Early exit is sound because a filter holds more than one conjunct
+    only when they were proved total (predicate pushdown, planned
+    UPDATE / DELETE), so no skipped one could raise.  ``total`` says that
+    the plan checks the conjuncts' parameter kinds before it runs, so a
+    ``column <op> parameter|literal`` conjunct fetches its operand once
+    per execution: a NULL operand makes the result empty, and a row
+    compares with the Python operator when the stored value and the
+    operand are both exactly ``int`` (``sql_compare`` otherwise).  Any
+    other conjunct runs its compiled closure in the same loop.
+    """
+    hoisted: list[tuple] = []
+    predicates: list[Closure] = []
+    for conjunct in conjuncts:
+        spec = _hoisted_comparison(conjunct, scope) if total else None
+        if spec is None:
+            predicates.append(compile_expression(conjunct, scope))
+        else:
+            hoisted.append(spec)
+    if not hoisted and len(predicates) == 1:
+        predicate = predicates[0]
+        return lambda rows, ctx: [row for row in rows if predicate(row, None, ctx) is True]
+
+    def select(rows: list, ctx: Any) -> list:
+        params = ctx.params
+        bound = []
+        for index, test, param, literal in hoisted:
+            operand = literal if param is None else params[param]
+            if operand is None:
+                return []  # `col <op> NULL` is never TRUE
+            bound.append((index, test, operand, type(operand) is int))
+        kept = []
+        for row in rows:
+            for index, test, operand, exact in bound:
+                stored = row[index]
+                if exact and type(stored) is int:
+                    if not test(stored, operand):
+                        break
+                else:
+                    cmp = sql_compare(stored, operand)
+                    if cmp is None or not test(cmp, 0):
+                        break
+            else:
+                for predicate in predicates:
+                    if predicate(row, None, ctx) is not True:
+                        break
+                else:
+                    kept.append(row)
+        return kept
+
+    return select
 
 
 def compile_select(stmt: ast.SelectStatement, engine) -> "PhysicalSelect":
@@ -124,7 +219,9 @@ class PhysicalSelect:
         items = root.items
 
         self._name_parts = self._compile_names(items, bindings)
-        self._project = self._compile_projection(items, bindings, out_scope)
+        self._project, self._columns = self._compile_projection(
+            items, bindings, out_scope
+        )
         self._order_spec = (
             self._compile_order(sort_items, out_scope) if self._has_sort else None
         )
@@ -192,8 +289,10 @@ class PhysicalSelect:
         return names
 
     def _compile_projection(self, items, bindings, scope: Scope):
-        """Row projector ``(row, aggs, ctx) -> tuple``; ``*`` expands to
-        direct column fetches at compile time."""
+        """Row projector ``(row, aggs, ctx) -> tuple``, plus a
+        ``row -> tuple`` column fetch when every item is a column (else
+        None): ``*`` and each column reference that resolves cleanly
+        become column positions at compile time."""
         parts: list[tuple] = []  # ("col", index) | ("fn", closure)
         for item in items:
             expr = item.expression
@@ -202,11 +301,20 @@ class PhysicalSelect:
                     if expr.table is None or binding.label.lower() == expr.table.lower():
                         parts.append(("col", index))
                 continue
+            if isinstance(expr, ast.ColumnRef):
+                index = scope.resolve(expr)
+                if index is not None and index != _AMBIGUOUS:
+                    parts.append(("col", index))
+                    continue
             parts.append(("fn", compile_expression(expr, scope)))
 
-        if all(kind == "col" for kind, _ in parts):
+        if parts and all(kind == "col" for kind, _ in parts):
             indices = [payload for _, payload in parts]
-            return lambda row, aggs, ctx: tuple(row[i] for i in indices)
+            # itemgetter of one index returns the bare value, not a 1-tuple.
+            columns = (
+                itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
+            )
+            return (lambda row, aggs, ctx: columns(row)), columns
 
         def project(row: Any, aggs: Any, ctx: Any) -> tuple:
             values = []
@@ -217,7 +325,7 @@ class PhysicalSelect:
                     values.append(payload(row, aggs, ctx))
             return tuple(values)
 
-        return project
+        return project, None
 
     def _compile_order(self, order_by, scope: Scope):
         """ORDER BY recipe; the walker resolves unqualified column names
@@ -251,28 +359,9 @@ class PhysicalSelect:
             return self._compile_lookup(node, plan)
         if isinstance(node, Filter):
             child = self._compile_source(node.child, plan)
-            shift = self._subtree_shift(node.child)
-            scope = Scope(plan.bindings, shift=shift)
-            predicates = [compile_expression(c, scope) for c in node.conjuncts]
-            if len(predicates) == 1:
-                predicate = predicates[0]
-                return lambda ctx: [
-                    row for row in child(ctx) if predicate(row, None, ctx) is True
-                ]
-
-            def filter_rows(ctx: Any) -> list:
-                kept = []
-                for row in child(ctx):
-                    for predicate in predicates:
-                        # Early exit is sound: multi-conjunct filters only
-                        # come from rewrites, which require totality.
-                        if predicate(row, None, ctx) is not True:
-                            break
-                    else:
-                        kept.append(row)
-                return kept
-
-            return filter_rows
+            scope = Scope(plan.bindings, shift=self._subtree_shift(node.child))
+            select = compile_filter(node.conjuncts, scope, node.pushed)
+            return lambda ctx: select(child(ctx), ctx)
         if isinstance(node, CrossJoin):
             left = self._compile_source(node.left, plan)
             right = self._compile_source(node.right, plan)
@@ -400,14 +489,7 @@ class PhysicalSelect:
     # -- execution -----------------------------------------------------------
 
     def execute(self, ctx) -> QueryResult:
-        params = ctx.params
-        for index, expected in self._param_checks:
-            if index >= len(params):
-                raise PlanRuntimeFallback("unbound parameter")
-            kind = kind_of_value(params[index])
-            if not kinds_compatible(kind, expected):
-                raise PlanRuntimeFallback("parameter kind mismatch")
-
+        check_params(self._param_checks, ctx.params)
         rows = self._source(ctx)
         if rows and ctx.flag("plan_filter_truncates"):
             # Injected planner fault (dual-plan oracle target): the
@@ -418,8 +500,11 @@ class PhysicalSelect:
             names, out_rows, ctx_rows, ctx_aggs = self._run_grouped(rows, ctx)
         else:
             names = self._names(ctx)
-            project = self._project
-            out_rows = [project(row, None, ctx) for row in rows]
+            if self._columns is not None:
+                out_rows = list(map(self._columns, rows))
+            else:
+                project = self._project
+                out_rows = [project(row, None, ctx) for row in rows]
             ctx_rows = rows
             ctx_aggs = None
 

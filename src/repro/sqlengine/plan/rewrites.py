@@ -17,6 +17,7 @@ from typing import Any, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.expressions import _AMBIGUOUS, _resolution_map
+from repro.sqlengine.plan.compiler import CMP_OPERATORS
 from repro.sqlengine.plan.logical import (
     Aggregate,
     CrossJoin,
@@ -45,7 +46,6 @@ from repro.sqlengine.values import (
     tri_or,
 )
 
-_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 _ARITHMETIC = {"+": sql_add, "-": sql_sub, "*": sql_mul, "/": sql_div}
 
 
@@ -143,7 +143,7 @@ class _Analyzer:
                 self.total_boolean(expr.left, checks)
                 self.total_boolean(expr.right, checks)
                 return
-            if expr.op in _COMPARISONS:
+            if expr.op in CMP_OPERATORS:
                 left = self.operand_kind(expr.left, checks)
                 right = self.operand_kind(expr.right, checks)
                 self._pair_total(left, right, checks)
@@ -306,14 +306,11 @@ def _fold_binary(op: str, left: Any, right: Any) -> Any:
             return _ARITHMETIC[op](left, right)
         if op == "||":
             return sql_concat(left, right)
-        if op in _COMPARISONS:
+        if op in CMP_OPERATORS:
             cmp = sql_compare(left, right)
             if cmp is None:
                 return None
-            return {
-                "=": cmp == 0, "<>": cmp != 0, "<": cmp < 0,
-                "<=": cmp <= 0, ">": cmp > 0, ">=": cmp >= 0,
-            }[op]
+            return CMP_OPERATORS[op](cmp, 0)
         if op in ("AND", "OR"):
             for value in (left, right):
                 if not (value is None or isinstance(value, bool)):
@@ -339,18 +336,19 @@ def _fold_unary(op: str, value: Any) -> Any:
 
 
 def predicate_pushdown(plan: LogicalPlan) -> None:
-    """Split a total WHERE over a cross join into per-scan filters and
-    hash equi-joins.
+    """Split a total WHERE into pushed conjunct filters: over a cross
+    join, per-scan filters and hash equi-joins; over a single scan, one
+    conjunct list.
 
-    Only fires when *every* conjunct is total: pushing conjunct B below
-    conjunct A means B is no longer evaluated on rows A rejected, which
-    is observable whenever B can raise.
+    Only fires when *every* conjunct is total: a pushed filter stops at
+    the first conjunct that rejects a row, so the conjuncts after it are
+    not evaluated on that row, which is observable whenever one can
+    raise.  A WHERE that is not total stays one expression, evaluated
+    whole on every row as the walker does.
     """
-    if len(plan.scans) < 2:
-        return
     projection = _projection(plan)
     node = projection.child
-    if not isinstance(node, Filter) or not isinstance(node.child, CrossJoin):
+    if not isinstance(node, Filter) or not isinstance(node.child, (Scan, CrossJoin)):
         return
     analyzer = _Analyzer(plan)
     conjuncts: list[ast.Expression] = []
@@ -358,6 +356,11 @@ def predicate_pushdown(plan: LogicalPlan) -> None:
         conjuncts.extend(split_conjuncts(predicate))
     checks: list[tuple[int, str]] = []
     if not all(analyzer.is_total(conjunct, checks) for conjunct in conjuncts):
+        return
+    if isinstance(node.child, Scan):
+        projection.child = Filter(conjuncts, node.child, pushed=True)
+        plan.param_checks.extend(checks)
+        plan.applied_rules.append("predicate_pushdown")
         return
 
     per_scan: dict[int, list[ast.Expression]] = {}

@@ -87,6 +87,28 @@ class TestLoweringAndRewrites:
         )
         assert "predicate_pushdown" in plan.applied_rules
 
+    def test_predicate_pushdown_splits_a_total_single_table_where(self):
+        engine = _engine()
+        plan = _plan_for(
+            engine, "SELECT owner FROM accounts WHERE balance > ? AND owner <> 'bob'"
+        )
+        assert "predicate_pushdown" in plan.applied_rules
+        text = explain_plan(plan)
+        assert "Filter (balance > ?) AND (owner <> 'bob') [pushed]" in text
+        assert "runtime checks: ?1:n" in text
+
+    def test_predicate_pushdown_keeps_a_non_total_where_whole(self):
+        # `owner > 1` compares a string with a number and may raise, so
+        # the WHERE stays one expression evaluated whole on every row.
+        engine = _engine()
+        plan = _plan_for(
+            engine, "SELECT owner FROM accounts WHERE balance > 6 AND owner > 1"
+        )
+        assert "predicate_pushdown" not in plan.applied_rules
+        text = explain_plan(plan)
+        assert "Filter ((balance > 6) AND (owner > 1))\n" in text
+        assert "[pushed]" not in text
+
     def test_projection_pruning_narrows_scans(self):
         engine = _engine()
         plan = _plan_for(engine, "SELECT owner FROM accounts")
@@ -236,6 +258,17 @@ class TestPlanCache:
         entries = list(engine._plans.values())
         assert len(entries) == 1
         assert entries[0][2] is None  # compiled once, walker serves it
+        assert engine.plan_fallbacks == {"subquery expression": 1}
+
+    def test_runtime_fallbacks_are_counted_by_reason(self):
+        engine = _engine()
+        handle = engine.prepare("SELECT owner FROM accounts WHERE id = ?")
+        handle.execute((2,))
+        assert engine.plan_fallbacks == {}
+        # A string parameter for a numeric key: the walker parses it.
+        assert handle.execute(("2",)).rows == handle.execute((2,)).rows
+        handle.execute(("3",))
+        assert engine.plan_fallbacks == {"runtime: parameter kind mismatch": 2}
 
     def test_reset_clears_plans(self):
         engine = _engine()

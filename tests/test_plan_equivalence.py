@@ -95,6 +95,8 @@ _PREDICATES = (
     "name IN ('alpha', 'gamma')",
     "qty * 2 >= {m} OR name = 'beta'",
     "NOT (qty < {n})",
+    "qty > {n} AND id < {m}",  # split into pushed conjuncts
+    "name = 'beta' AND price > {n} AND qty IS NOT NULL",
 )
 
 _SELECTS = (
