@@ -49,9 +49,9 @@ Commands
     dropped statement indices.
 ``explain "SQL"``
     Show the optimized logical plan the planned executor compiles for
-    one statement against the TPC-C schema (rewrites applied, runtime
-    parameter checks), or the note naming the executor that runs it
-    when no plan applies.
+    one statement against the TPC-C schema (rewrites applied; each
+    ``?`` planned as the kind of the operand it is compared with), or
+    the note naming the executor that runs it when no plan applies.
 ``tlp "SQL"``
     Show the ternary-logic abstraction of one SELECT against the hunt
     schema: the WHERE clause's abstract truth set, dead-predicate

@@ -371,22 +371,16 @@ def _cells_overlap(defs: frozenset[Cell], uses: frozenset[Cell]) -> bool:
     return False
 
 
-def build_graph(sql: str, *, pipeline=None) -> ScriptGraph:
+def build_graph(sql: str) -> ScriptGraph:
     """Parse a script and compose its per-statement def/use sets into a
-    dependence graph.  ``pipeline`` (a
-    :class:`~repro.middleware.pipeline.StatementPipeline`) memoizes the
-    parse and def/use stages when given."""
+    dependence graph."""
 
     schema = ScriptSchema()
     nodes: list[StatementNode] = []
     for index, statement_sql in enumerate(split_statements(sql)):
-        if pipeline is not None:
-            stmt, traits, _ = pipeline.parsed(statement_sql)
-            def_use = pipeline.def_use(statement_sql, stmt, schema, traits)
-        else:
-            stmt = parse_statement(statement_sql)
-            traits = extract_traits(stmt)
-            def_use = statement_def_use(stmt, schema, traits)
+        stmt = parse_statement(statement_sql)
+        traits = extract_traits(stmt)
+        def_use = statement_def_use(stmt, schema, traits)
         nodes.append(
             StatementNode(
                 index=index,
@@ -398,8 +392,6 @@ def build_graph(sql: str, *, pipeline=None) -> ScriptGraph:
             )
         )
         schema.observe(stmt)
-        if pipeline is not None and traits.kind in WRITE_KINDS:
-            pass  # the caller's pipeline generation tracks executed DDL only
 
     deps: list[frozenset[int]] = []
     for j, node in enumerate(nodes):

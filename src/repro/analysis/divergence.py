@@ -48,36 +48,32 @@ from repro.analysis.verdicts import VOLATILE_FUNCTIONS
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
 from repro.sqlengine.functions import AGGREGATE_NAMES
+from repro.sqlengine.typenames import ALL_TYPE_NAMES, resolve_type
+from repro.sqlengine.types import SqlType, TypeFamily
 
 # --------------------------------------------------------------------------
 # Abstract type categories
 # --------------------------------------------------------------------------
 
-_TYPE_CATEGORY = {
-    "INTEGER": "int",
-    "INT": "int",
-    "SMALLINT": "int",
-    "BIGINT": "int",
-    "NUMERIC": "decimal",
-    "DECIMAL": "decimal",
-    "NUMBER": "decimal",
-    "FLOAT": "float",
-    "DOUBLE": "float",
-    "DOUBLE PRECISION": "float",
-    "REAL": "float",
-    "CHAR": "char",
-    "CHARACTER": "char",
-    "NCHAR": "char",
-    "VARCHAR": "varchar",
-    "VARCHAR2": "varchar",
-    "NVARCHAR": "varchar",
-    "TEXT": "varchar",
-    "CLOB": "varchar",
-    "DATE": "date",
-    "TIMESTAMP": "timestamp",
-    "DATETIME": "timestamp",
-    "BOOLEAN": "bool",
+_FAMILY_CATEGORY = {
+    TypeFamily.INTEGER: "int",
+    TypeFamily.DECIMAL: "decimal",
+    TypeFamily.FLOAT: "float",
+    TypeFamily.DATE: "date",
+    TypeFamily.TIMESTAMP: "timestamp",
+    TypeFamily.BOOLEAN: "bool",
 }
+
+
+def _category(sql_type: SqlType) -> str:
+    if sql_type.family is TypeFamily.CHARACTER:
+        return "char" if sql_type.pad_char else "varchar"
+    return _FAMILY_CATEGORY[sql_type.family]
+
+
+#: Abstract category of every type spelling the engine resolves; any
+#: other spelling is one the engine rejects, so its category is unknown.
+_TYPE_CATEGORY = {name: _category(resolve_type(name)) for name in ALL_TYPE_NAMES}
 
 
 @dataclass(frozen=True)

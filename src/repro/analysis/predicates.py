@@ -53,26 +53,11 @@ from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.engine import Engine
 from repro.sqlengine.expressions import Evaluator, contains_aggregate
 from repro.sqlengine.functions import AGGREGATE_NAMES
-from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plan import REWRITE_RULES, PhysicalSelect
-from repro.sqlengine.plan.logical import (
-    Aggregate,
-    CrossJoin,
-    Distinct,
-    DualScan,
-    Filter,
-    HashJoin,
-    IndexLookup,
-    Limit,
-    Project,
-    Scan,
-    Sort,
-    kind_of_type,
-    lower_select,
-)
+from repro.sqlengine.plan.logical import Filter, IndexLookup, kind_of_type
 from repro.sqlengine.plan.physical import _join_key
-from repro.sqlengine.plan.rewrites import _NO_FOLD, _fold_binary, _fold_unary, projection_pruning
-from repro.sqlengine.sqlgen import render_expression, render_statement
+from repro.sqlengine.plan.rewrites import _NO_FOLD, _fold_binary, _fold_unary
+from repro.sqlengine.sqlgen import render_statement
 from repro.sqlengine.typenames import resolve_type
 from repro.sqlengine.values import sql_compare, sql_equal, tri_and, tri_not, tri_or
 
@@ -1346,115 +1331,12 @@ def _certify_index_selection() -> tuple[str, ...]:
     )
 
 
-def _plan_signature(node: Any) -> tuple:
-    """Execution-relevant structural signature of a plan tree; excludes
-    the annotation-only ``Scan.needed`` field."""
-    if isinstance(node, Scan):
-        return ("Scan", node.table, node.label, node.width, node.offset)
-    if isinstance(node, DualScan):
-        return ("DualScan",)
-    if isinstance(node, IndexLookup):
-        return (
-            "IndexLookup",
-            _plan_signature(node.scan),
-            node.index_name,
-            tuple(node.key_columns),
-            tuple(render_expression(expr) for expr in node.key_exprs),
-        )
-    if isinstance(node, Filter):
-        return (
-            "Filter",
-            tuple(render_expression(expr) for expr in node.conjuncts),
-            _plan_signature(node.child),
-        )
-    if isinstance(node, (CrossJoin, HashJoin)):
-        extra = ()
-        if isinstance(node, HashJoin):
-            extra = (
-                render_expression(node.left_key),
-                render_expression(node.right_key),
-                node.key_kind,
-            )
-        return (
-            type(node).__name__,
-            _plan_signature(node.left),
-            _plan_signature(node.right),
-        ) + extra
-    if isinstance(node, Project):
-        return (
-            "Project",
-            tuple(
-                "*" if isinstance(item.expression, ast.Star)
-                else render_expression(item.expression)
-                for item in node.items
-            ),
-            _plan_signature(node.child),
-        )
-    if isinstance(node, Aggregate):
-        return (
-            "Aggregate",
-            tuple(
-                "*" if isinstance(item.expression, ast.Star)
-                else render_expression(item.expression)
-                for item in node.items
-            ),
-            tuple(render_expression(expr) for expr in node.group_by),
-            render_expression(node.having) if node.having is not None else None,
-            _plan_signature(node.child),
-        )
-    if isinstance(node, Distinct):
-        return ("Distinct", _plan_signature(node.child))
-    if isinstance(node, Sort):
-        return (
-            "Sort",
-            tuple(
-                (render_expression(item.expression), item.descending)
-                for item in node.order_by
-            ),
-            _plan_signature(node.child),
-        )
-    if isinstance(node, Limit):
-        return ("Limit", node.count, _plan_signature(node.child))
-    raise CertificationError(f"unknown plan node {type(node).__name__}")
-
-
-def _certify_projection_pruning() -> tuple[str, ...]:
-    engine = Engine(name="certify")
-    engine.execute(
-        "CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER, "
-        "pad VARCHAR(8))"
-    )
-    stmt = parse_statement("SELECT val FROM cert_a WHERE id > 0")
-    plan = lower_select(stmt, engine.catalog)
-    before = _plan_signature(plan.root)
-    projection_pruning(plan)
-    after = _plan_signature(plan.root)
-    if before != after:
-        raise CertificationError(
-            "projection pruning changed the execution-relevant plan "
-            "structure — it must stay annotation-only"
-        )
-    if "projection_pruning" not in plan.applied_rules:
-        raise CertificationError("rule did not fire on its witness")
-    pruned = [scan.needed for scan in plan.scans if scan.needed is not None]
-    if not pruned or sorted(pruned[0]) != ["id", "val"]:
-        raise CertificationError(
-            f"pruning annotation wrong: {pruned!r} (expected id, val live)"
-        )
-    return (
-        "pre/post plan signatures identical over every execution-relevant "
-        "field (the rule is annotation-only)",
-        "the annotation names exactly the referenced columns on the witness",
-    )
-
-
 #: Rule name -> certifier.  Every entry in ``REWRITE_RULES`` must have
 #: one; an uncertified rule is an error-severity lint finding.
 _RULE_CERTIFIERS = {
     "constant_folding": _certify_constant_folding,
     "predicate_pushdown": _certify_predicate_pushdown,
     "index_selection": _certify_index_selection,
-    "projection_pruning": _certify_projection_pruning,
 }
 
 

@@ -10,7 +10,7 @@ because the study's Interbase bug 223512 is precisely two products
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import CatalogError
 from repro.sqlengine import ast_nodes as ast
@@ -96,6 +96,15 @@ class IndexDef:
     clustered: bool = False
 
 
+class UniqueKey(NamedTuple):
+    """One uniqueness constraint of a table."""
+
+    name: str                  # 'PRIMARY KEY', 'UNIQUE', or the index name
+    columns: list[str]         # column names, in key order
+    indices: tuple[int, ...]   # column positions within the table
+    primary: bool
+
+
 class Catalog:
     """All schema objects of one database instance."""
 
@@ -107,6 +116,8 @@ class Catalog:
         #: statement caches key derived artifacts (analysis verdicts,
         #: translations) on this so DDL invalidates them.
         self.generation: int = 0
+        #: table key -> (generation, :meth:`unique_sets` of the table).
+        self._unique_sets: dict[str, tuple[int, list[UniqueKey]]] = {}
 
     def bump(self) -> None:
         """Record a schema change made outside the add/drop helpers
@@ -166,6 +177,37 @@ class Catalog:
     def indexes_on(self, table: str) -> list[IndexDef]:
         key = table.lower()
         return [ix for ix in self._indexes.values() if ix.table.lower() == key]
+
+    def unique_sets(self, schema: TableSchema) -> list[UniqueKey]:
+        """The uniqueness constraints of ``schema``'s table: primary key
+        first, then UNIQUE column sets, then unique indexes.
+
+        Cached per table and generation: every inserted or updated row
+        consults this, and the constraints only change on DDL."""
+        key = schema.name.lower()
+        cached = self._unique_sets.get(key)
+        if cached is not None and cached[0] == self.generation:
+            return cached[1]
+        constraints = []
+        if schema.primary_key:
+            constraints.append(("PRIMARY KEY", schema.primary_key, True))
+        constraints.extend(("UNIQUE", columns, False) for columns in schema.unique_sets)
+        constraints.extend(
+            (index.name, index.columns, False)
+            for index in self.indexes_on(schema.name)
+            if index.unique
+        )
+        sets = [
+            UniqueKey(
+                name,
+                list(columns),
+                tuple(schema.column_index(column) for column in columns),
+                primary,
+            )
+            for name, columns, primary in constraints
+        ]
+        self._unique_sets[key] = (self.generation, sets)
+        return sets
 
     # -- creation ----------------------------------------------------------
 
@@ -242,4 +284,5 @@ class Catalog:
         self._tables.clear()
         self._views.clear()
         self._indexes.clear()
+        self._unique_sets.clear()
         self.generation += 1

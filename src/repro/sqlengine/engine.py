@@ -32,7 +32,7 @@ from repro.sqlengine.executor import SelectExecutor
 from repro.sqlengine.expressions import ColumnBinding, Environment
 from repro.sqlengine.parser import parse_prepared, parse_script
 from repro.sqlengine.plan.dml import compile_statement
-from repro.sqlengine.plan.logical import PlanRuntimeFallback, PlanUnsupported
+from repro.sqlengine.plan.logical import PlanUnsupported, kind_of_class
 from repro.sqlengine.storage import Storage
 from repro.sqlengine.tokens import Token
 from repro.sqlengine.transactions import TransactionManager
@@ -195,20 +195,18 @@ class Engine:
         #: write log onto this engine (recovery-scoped faults key on it).
         self.phase = "serve"
         self._prepared: dict[str, EnginePrepared] = {}
-        #: table key -> (schema generation, uniqueness constraint sets).
-        self._unique_sets: dict[str, tuple[int, list]] = {}
-        #: Compiled statement plans, keyed by AST identity (each entry
-        #: holds a strong statement reference so ids cannot be
-        #: recycled), guarded by the schema generation.  ``None``
-        #: records "not plannable — use the tree-walker".
-        self._plans: dict[int, tuple[Any, int, Any]] = {}
+        #: Compiled statement plans, keyed by AST identity and the
+        #: bound parameters' types (each entry holds a strong statement
+        #: reference so ids cannot be recycled), guarded by the schema
+        #: generation.  ``None`` records "not plannable — use the
+        #: tree-walker".
+        self._plans: dict[tuple[int, tuple], tuple[Any, int, Any]] = {}
         #: Planner kill switch: the dual-plan oracle and benchmarks
         #: toggle this to force interpreted (tree-walker) execution.
         self.use_planner = True
         #: Statements the planner handed to the walker, by reason: the
         #: ``PlanUnsupported`` message (or exception class) of a failed
-        #: compile, once per compile, and ``"runtime: <reason>"`` per
-        #: failed runtime precondition.
+        #: compile, once per compile.
         self.plan_fallbacks: Counter[str] = Counter()
 
     # -- lifecycle -----------------------------------------------------------
@@ -218,7 +216,6 @@ class Engine:
         self.transactions.abort_if_open()
         self.catalog.clear()
         self.storage.clear()
-        self._unique_sets.clear()
         self._plans.clear()
         self.crashed = False
 
@@ -242,7 +239,6 @@ class Engine:
         self.storage = snapshot.storage.clone()
         # A restore rewinds the generation counter, so generation-keyed
         # caches cannot be trusted across it.
-        self._unique_sets.clear()
         self._plans.clear()
         self.crashed = False
 
@@ -345,21 +341,26 @@ class Engine:
 
     # -- planned execution -----------------------------------------------------
 
-    def _cached_plan(self, stmt: ast.Statement) -> Any:
-        """The compiled plan for this AST, or None when unplannable.
+    def _cached_plan(self, stmt: ast.Statement, params: tuple) -> Any:
+        """The compiled plan for this AST and these parameters' types,
+        or None when unplannable.
 
         Keyed by object identity with a strong statement reference (so
         ids cannot be recycled) — prepared statements re-execute the
         same AST object, which is what makes the cache hit.  Statement
         *text* is not a safe key: every statement of a multi-statement
-        script shares one source text.
+        script shares one source text.  The parameter types are part of
+        the key because the planner decides from their kinds which
+        conjuncts are total; literal SQL binds none.
         """
-        entry = self._plans.get(id(stmt))
+        types = tuple(map(type, params)) if params else ()
+        key = (id(stmt), types)
+        entry = self._plans.get(key)
         generation = self.catalog.generation
         if entry is not None and entry[0] is stmt and entry[1] == generation:
             return entry[2]
         try:
-            plan = compile_statement(stmt, self)
+            plan = compile_statement(stmt, self, tuple(map(kind_of_class, types)))
         except Exception as error:
             # Outside the planner's subset (PlanUnsupported), or the
             # statement will fail in a way the walker must report (an
@@ -370,23 +371,16 @@ class Engine:
             plan = None
         if len(self._plans) >= _PLAN_CACHE_SIZE:
             self._plans.pop(next(iter(self._plans)))
-        self._plans[id(stmt)] = (stmt, generation, plan)
+        self._plans[key] = (stmt, generation, plan)
         return plan
 
     def _planned(self, stmt: ast.Statement, ctx: ExecutionContext) -> Any:
         """What the compiled plan for ``stmt`` returns, or None when the
-        walker must run it: planner off, no plan, or a runtime
-        precondition that failed (counted in ``plan_fallbacks``)."""
+        walker must run it: planner off, or no plan."""
         if not self.use_planner:
             return None
-        plan = self._cached_plan(stmt)
-        if plan is None:
-            return None
-        try:
-            return plan.execute(ctx)
-        except PlanRuntimeFallback as fallback:
-            self.plan_fallbacks[f"runtime: {fallback}"] += 1
-            return None
+        plan = self._cached_plan(stmt, ctx.params)
+        return None if plan is None else plan.execute(ctx)
 
     def _execute_select(self, stmt: ast.SelectStatement, ctx: ExecutionContext) -> Result:
         output = self._planned(stmt, ctx)
@@ -506,31 +500,6 @@ class Engine:
                     f"CHECK constraint on table {schema.name!r} violated"
                 )
 
-    def _unique_column_sets(self, schema: TableSchema) -> list[tuple[list[int], bool]]:
-        """(column indices, is_primary) for each uniqueness constraint.
-
-        Cached per table and schema generation: every inserted or
-        updated row consults this, and the constraint structure only
-        changes on DDL.  The cache is cleared on reset/restore because
-        a restore can rewind the generation counter.
-        """
-        table_key = schema.name.lower()
-        cached = self._unique_sets.get(table_key)
-        if cached is not None and cached[0] == self.catalog.generation:
-            return cached[1]
-        sets: list[tuple[list[int], bool]] = []
-        if schema.primary_key:
-            sets.append(([schema.column_index(c) for c in schema.primary_key], True))
-        for unique in schema.unique_sets:
-            sets.append(([schema.column_index(c) for c in unique], False))
-        for index_def in self.catalog.indexes_on(schema.name):
-            if index_def.unique:
-                sets.append(
-                    ([schema.column_index(c) for c in index_def.columns], False)
-                )
-        self._unique_sets[table_key] = (self.catalog.generation, sets)
-        return sets
-
     def _check_uniqueness(
         self,
         schema: TableSchema,
@@ -540,22 +509,22 @@ class Engine:
         pending: list[list[Any]] = (),
         skip: Optional[list[Any]] = None,
     ) -> None:
-        for indices, is_primary in self._unique_column_sets(schema):
+        for _, _, indices, primary in self.catalog.unique_sets(schema):
             values = [row[i] for i in indices]
             if any(value is None for value in values):
-                if is_primary:
+                if primary:
                     raise ConstraintViolation(
                         f"primary key of {schema.name!r} may not be NULL"
                     )
                 continue  # SQL UNIQUE ignores NULLs
             key = row_key(tuple(values))
-            index = data.unique_index(tuple(indices))
+            index = data.unique_index(indices)
             if index is not None:
                 # Maintained-index probe: O(1) against the heap, then
                 # just the (small) pending batch linearly.
                 hit = index.map.get(key)
                 if hit is not None and hit is not row and hit is not skip:
-                    label = "primary key" if is_primary else "unique"
+                    label = "primary key" if primary else "unique"
                     raise ConstraintViolation(
                         f"{label} constraint violated on {schema.name!r}"
                     )
@@ -568,7 +537,7 @@ class Engine:
                 if existing is row or existing is skip:
                     continue
                 if row_key(tuple(existing[i] for i in indices)) == key:
-                    label = "primary key" if is_primary else "unique"
+                    label = "primary key" if primary else "unique"
                     raise ConstraintViolation(
                         f"{label} constraint violated on {schema.name!r}"
                     )

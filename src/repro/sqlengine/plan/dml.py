@@ -19,24 +19,21 @@ from repro.sqlengine.expressions import ColumnBinding
 from repro.sqlengine.plan.compiler import Scope, compile_expression
 from repro.sqlengine.plan.logical import (
     LogicalPlan,
-    PlanRuntimeFallback,
     PlanUnsupported,
     Scan,
     _reject_subqueries,
-    _table_unique_sets,
     kind_of_type,
 )
 from repro.sqlengine.plan.physical import (
-    _join_key,
-    check_params,
     compile_filter,
     compile_select,
+    compile_unique_probe,
 )
 from repro.sqlengine.plan.rewrites import _Analyzer, split_conjuncts
 from repro.sqlengine.types import cast_value
 
 
-def _table_plan(stmt: ast.Statement, engine, schema) -> LogicalPlan:
+def _table_plan(stmt: ast.Statement, engine, schema, param_kinds: tuple) -> LogicalPlan:
     """A single-scan pseudo-plan so DML can reuse the SELECT analyzer
     (the walker binds DML rows under the schema's declared name)."""
     scan = Scan(table=schema.name, label=schema.name, width=len(schema.columns))
@@ -49,23 +46,27 @@ def _table_plan(stmt: ast.Statement, engine, schema) -> LogicalPlan:
         scans=[scan],
         bindings=bindings,
         kinds=kinds,
-        unique_sets=[_table_unique_sets(engine.catalog, schema)],
+        unique_sets=[engine.catalog.unique_sets(schema)],
+        param_kinds=param_kinds,
     )
 
 
 def _compile_where(where, plan: LogicalPlan, scope: Scope) -> tuple:
     """``(selector, conjuncts)`` for a DML WHERE clause: the filter
-    kernel over it, and its conjuncts when they are all total (their
-    parameter kinds join ``plan.param_checks``), else None.  A WHERE
-    that is not total stays one expression; no WHERE keeps every row."""
+    kernel over it, and its conjuncts when they are all total for the
+    plan's parameter kinds, else None.  A WHERE that is not total stays
+    one expression; no WHERE keeps every row."""
     if where is None:
         return (lambda rows, ctx: rows), []
     conjuncts = split_conjuncts(where)
-    checks: list = []
-    if all(_Analyzer(plan).is_total(conjunct, checks) for conjunct in conjuncts):
-        plan.param_checks.extend(checks)
+    analyzer = _Analyzer(plan)
+    if all(analyzer.is_total(conjunct) for conjunct in conjuncts):
         return compile_filter(conjuncts, scope, True), conjuncts
     return compile_filter([where], scope, False), None
+
+
+def _whole_heap(data, ctx) -> list:
+    return data.rows()
 
 
 class PlannedInsert:
@@ -111,11 +112,11 @@ class PlannedUpdate:
     total and pins a unique key, an index point lookup instead of a
     heap scan."""
 
-    def __init__(self, stmt: ast.Update, engine) -> None:
+    def __init__(self, stmt: ast.Update, engine, param_kinds: tuple) -> None:
         self._engine = engine
         self._table = stmt.table
         schema = engine.catalog.table(stmt.table)
-        plan = _table_plan(stmt, engine, schema)
+        plan = _table_plan(stmt, engine, schema, param_kinds)
         scope = Scope(plan.bindings)
         if stmt.where is not None:
             _reject_subqueries(stmt.where)
@@ -128,15 +129,16 @@ class PlannedUpdate:
             self._assignments.append(
                 (index, schema.columns[index].sql_type, compile_expression(expr, scope))
             )
-        self._probe = self._compile_probe(conjuncts, plan, scope)
+        self._candidate_rows = self._compile_probe(conjuncts, plan, scope)
         self._total = conjuncts is not None
-        self._param_checks = tuple(plan.param_checks)
 
-    def _compile_probe(self, conjuncts, plan: LogicalPlan, scope: Scope):
-        """(key indices, key getters, key kinds) when the WHERE clause is
-        total and pins every column of a uniqueness constraint."""
+    @staticmethod
+    def _compile_probe(conjuncts, plan: LogicalPlan, scope: Scope):
+        """``(table data, ctx) -> candidate rows``: a unique-key probe
+        when the WHERE clause is total and pins every column of a
+        uniqueness constraint, else the whole heap."""
         if not conjuncts:
-            return None
+            return _whole_heap
         analyzer = _Analyzer(plan)
         pinned: dict[int, ast.Expression] = {}
         for conjunct in conjuncts:
@@ -154,20 +156,19 @@ class PlannedUpdate:
                 if index is not None:
                     pinned.setdefault(index, value)
         if not pinned:
-            return None
-        for _, _, indices in plan.unique_sets[0]:
+            return _whole_heap
+        for _, _, indices, _ in plan.unique_sets[0]:
             if all(local in pinned for local in indices):
-                kinds = [plan.kinds[local] for local in indices]
-                if any(kind is None for kind in kinds):
+                kinds = tuple(plan.kinds[local] for local in indices)
+                if None in kinds:
                     continue
                 getters = [
                     compile_expression(pinned[local], scope) for local in indices
                 ]
-                return (tuple(indices), getters, kinds)
-        return None
+                return compile_unique_probe(indices, kinds, getters)
+        return _whole_heap
 
     def execute(self, ctx) -> int:
-        check_params(self._param_checks, ctx.params)
         engine = self._engine
         schema = engine.catalog.table(self._table)
         data = engine.storage.get(self._table)
@@ -190,44 +191,20 @@ class PlannedUpdate:
             updated += 1
         return updated
 
-    def _candidate_rows(self, data, ctx) -> list:
-        if self._probe is None:
-            return data.rows()
-        indices, getters, kinds = self._probe
-        index = data.unique_index(indices)
-        if index is None:
-            raise PlanRuntimeFallback("unique index unavailable")
-        for position, stored_kinds in enumerate(index.kinds):
-            if stored_kinds - {kinds[position]}:
-                raise PlanRuntimeFallback("heterogeneous stored key kinds")
-        key = []
-        for getter, expected in zip(getters, kinds):
-            value = getter(None, None, ctx)
-            if value is None:
-                return []  # `col = NULL` matches nothing
-            part = _join_key(value, expected)
-            if part is None:
-                raise PlanRuntimeFallback("probe value kind mismatch")
-            key.append(part)
-        row = index.map.get(tuple(key))
-        return [row] if row is not None else []
-
 
 class PlannedDelete:
     """DELETE with a compiled predicate over the heap scan."""
 
-    def __init__(self, stmt: ast.Delete, engine) -> None:
+    def __init__(self, stmt: ast.Delete, engine, param_kinds: tuple) -> None:
         self._engine = engine
         self._table = stmt.table
         schema = engine.catalog.table(stmt.table)
         if stmt.where is not None:
             _reject_subqueries(stmt.where)
-        plan = _table_plan(stmt, engine, schema)
+        plan = _table_plan(stmt, engine, schema, param_kinds)
         self._select, _ = _compile_where(stmt.where, plan, Scope(plan.bindings))
-        self._param_checks = tuple(plan.param_checks)
 
     def execute(self, ctx) -> int:
-        check_params(self._param_checks, ctx.params)
         engine = self._engine
         engine.catalog.table(self._table)  # raises if dropped (defensive)
         data = engine.storage.get(self._table)
@@ -239,14 +216,15 @@ class PlannedDelete:
         return len(removed)
 
 
-def compile_statement(stmt: ast.Statement, engine) -> Optional[Any]:
-    """Compile any plannable statement; None for kinds with no planner."""
+def compile_statement(stmt: ast.Statement, engine, param_kinds: tuple) -> Optional[Any]:
+    """Compile any plannable statement for parameters of
+    ``param_kinds``; None for kinds with no planner."""
     if isinstance(stmt, ast.SelectStatement):
-        return compile_select(stmt, engine)
+        return compile_select(stmt, engine, param_kinds)
     if isinstance(stmt, ast.Insert):
         return PlannedInsert(stmt, engine)
     if isinstance(stmt, ast.Update):
-        return PlannedUpdate(stmt, engine)
+        return PlannedUpdate(stmt, engine, param_kinds)
     if isinstance(stmt, ast.Delete):
-        return PlannedDelete(stmt, engine)
+        return PlannedDelete(stmt, engine, param_kinds)
     return None

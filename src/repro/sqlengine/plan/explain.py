@@ -42,9 +42,6 @@ def explain_plan(plan: LogicalPlan) -> str:
         lines.append(f"rewrites: {', '.join(plan.applied_rules)}")
     else:
         lines.append("rewrites: (none)")
-    if plan.param_checks:
-        checks = ", ".join(f"?{index + 1}:{kind}" for index, kind in plan.param_checks)
-        lines.append(f"runtime checks: {checks}")
     return "\n".join(lines)
 
 
@@ -102,11 +99,7 @@ def _render_node(node: Any, lines: list[str], depth: int) -> None:
         )
     elif isinstance(node, Scan):
         label = f" as {node.label}" if node.label != node.table else ""
-        if node.needed is not None:
-            columns = f" [{', '.join(node.needed)}]"
-        else:
-            columns = ""
-        lines.append(f"{pad}Scan {node.table}{label}{columns}")
+        lines.append(f"{pad}Scan {node.table}{label}")
     elif isinstance(node, DualScan):
         lines.append(f"{pad}DualScan")
     else:  # pragma: no cover - every logical node is handled above
@@ -141,7 +134,9 @@ def explain_statement(sql: str, catalog=None) -> str:
     if not isinstance(stmt, ast.SelectStatement):
         return f"{type(stmt).__name__}: executed directly by the engine (no plan)"
     try:
-        plan = lower_select(stmt, catalog, lenient=True)
+        # No values are bound: each `?` is planned as the kind of the
+        # operand it is compared with, the plan every well-typed call gets.
+        plan = lower_select(stmt, catalog, None, lenient=True)
     except PlanUnsupported as exc:
         return f"unplanned ({exc}): executed by the tree-walker"
     apply_rewrites(plan)

@@ -20,18 +20,13 @@ from decimal import Decimal
 from typing import Any, Optional
 
 from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine.catalog import UniqueKey
 from repro.sqlengine.expressions import ColumnBinding, collect_aggregates
 from repro.sqlengine.types import TypeFamily
 
 
 class PlanUnsupported(Exception):
     """Statement shape the planner does not handle; use the walker."""
-
-
-class PlanRuntimeFallback(Exception):
-    """A compiled plan's runtime precondition failed for this execution
-    (unbound or kind-incompatible parameter, poisoned index); the caller
-    re-executes through the tree-walker."""
 
 
 # -- node types --------------------------------------------------------------
@@ -45,10 +40,6 @@ class Scan:
     label: str          # binding name (alias or table name)
     width: int          # column count at plan time
     offset: int = 0     # column offset in the combined FROM row
-    #: Column names actually referenced by the statement, set by the
-    #: projection-pruning rewrite (annotation only: the physical scan
-    #: keeps full rows so column offsets stay stable).
-    needed: Optional[list[str]] = None
 
 
 @dataclass(eq=False)
@@ -138,14 +129,15 @@ class LogicalPlan:
     #: Declared comparison kind per combined column ('n'/'s'/'d'/'b'),
     #: or None when unknown (lenient lowering of a missing table).
     kinds: list[Optional[str]]
-    #: Uniqueness constraints per scan position: (display name, column
-    #: names, column indices within the table).
-    unique_sets: list[list[tuple[str, list[str], list[int]]]] = field(default_factory=list)
+    #: Uniqueness constraints per scan position (``Catalog.unique_sets``).
+    unique_sets: list[list[UniqueKey]] = field(default_factory=list)
+    #: Comparison kind of each bound parameter's value (see
+    #: :func:`kind_of_class`): the plan is valid only for parameters of
+    #: these kinds, and the engine caches one plan per kind tuple.
+    #: ``None`` when no values are bound (EXPLAIN), where each ``?``
+    #: takes the kind of the operand it is compared with.
+    param_kinds: Optional[tuple[Optional[str], ...]] = ()
     applied_rules: list[str] = field(default_factory=list)
-    #: (parameter index, expected comparison kind) pairs that must hold
-    #: at execute time for the rewritten structure to be total; checked
-    #: by the physical plan, which falls back to the walker otherwise.
-    param_checks: list[tuple[int, str]] = field(default_factory=list)
     #: True when a scan's table was missing from the catalog (lenient
     #: mode, for EXPLAIN only — such plans are not compilable).
     incomplete: bool = False
@@ -170,18 +162,19 @@ def kind_of_type(sql_type) -> Optional[str]:
     return _FAMILY_KINDS.get(sql_type.family)
 
 
-def kind_of_value(value: Any) -> Optional[str]:
-    """Comparison kind of a concrete value; ``None`` for SQL NULL is
-    reported as ``"null"`` (comparisons with it never raise)."""
-    if value is None:
+def kind_of_class(cls: type) -> Optional[str]:
+    """Comparison kind of every value of Python class ``cls``; SQL NULL
+    (``NoneType``) is reported as ``"null"`` (comparisons with it never
+    raise), and a class outside the SQL value domain as ``None``."""
+    if cls is type(None):
         return "null"
-    if isinstance(value, bool):
+    if issubclass(cls, bool):
         return "b"
-    if isinstance(value, (int, float, Decimal)):
+    if issubclass(cls, (int, float, Decimal)):
         return "n"
-    if isinstance(value, str):
+    if issubclass(cls, str):
         return "s"
-    if isinstance(value, (datetime.datetime, datetime.date)):
+    if issubclass(cls, datetime.date):
         return "d"
     return None
 
@@ -229,9 +222,14 @@ def _core_expressions(core: ast.SelectCore, stmt: ast.SelectStatement):
 
 
 def lower_select(
-    stmt: ast.SelectStatement, catalog, *, lenient: bool = False
+    stmt: ast.SelectStatement,
+    catalog,
+    param_kinds: Optional[tuple] = (),
+    *,
+    lenient: bool = False,
 ) -> LogicalPlan:
-    """Lower a SELECT statement into a :class:`LogicalPlan`.
+    """Lower a SELECT statement into a :class:`LogicalPlan` for
+    parameters of ``param_kinds`` (see :attr:`LogicalPlan.param_kinds`).
 
     ``lenient`` keeps lowering alive when a referenced table is missing
     from the catalog (EXPLAIN against an empty schema); the resulting
@@ -247,7 +245,7 @@ def lower_select(
     scans: list[Scan] = []
     bindings: list[ColumnBinding] = []
     kinds: list[Optional[str]] = []
-    unique_sets: list[list[tuple[str, list[str], list[int]]]] = []
+    unique_sets: list[list[UniqueKey]] = []
     incomplete = False
 
     for item in core.from_items:
@@ -265,7 +263,7 @@ def lower_select(
             for column in schema.columns:
                 bindings.append(ColumnBinding(label, column.name))
                 kinds.append(kind_of_type(column.sql_type))
-            unique_sets.append(_table_unique_sets(catalog, schema))
+            unique_sets.append(catalog.unique_sets(schema))
         elif catalog is not None and catalog.has_view(item.name):
             raise PlanUnsupported(f"view {item.name!r}")
         elif lenient:
@@ -310,24 +308,6 @@ def lower_select(
         bindings=bindings,
         kinds=kinds,
         unique_sets=unique_sets,
+        param_kinds=param_kinds,
         incomplete=incomplete,
     )
-
-
-def _table_unique_sets(catalog, schema) -> list[tuple[str, list[str], list[int]]]:
-    """Uniqueness constraints of one table, primary key first — the
-    same structure (and order) :meth:`Engine._unique_column_sets` uses."""
-    sets: list[tuple[str, list[str], list[int]]] = []
-    if schema.primary_key:
-        names = list(schema.primary_key)
-        sets.append(("PRIMARY KEY", names, [schema.column_index(c) for c in names]))
-    for unique in schema.unique_sets:
-        names = list(unique)
-        sets.append(("UNIQUE", names, [schema.column_index(c) for c in names]))
-    for index_def in catalog.indexes_on(schema.name):
-        if index_def.unique:
-            names = list(index_def.columns)
-            sets.append(
-                (index_def.name, names, [schema.column_index(c) for c in names])
-            )
-    return sets

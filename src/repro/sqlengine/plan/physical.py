@@ -6,10 +6,13 @@ into a :class:`PhysicalSelect` whose ``execute(ctx)`` produces the same
 same rows, same order, same column names, same errors — while running
 compiled closures over row batches instead of per-row AST recursion.
 
-Runtime preconditions the optimiser could not prove statically
-(parameter kinds, clean unique indexes, homogeneous join-key kinds) are
-checked per execution; when one fails, :class:`PlanRuntimeFallback`
-tells the engine to re-run the statement through the walker.
+A plan is compiled for one tuple of parameter kinds, so everything its
+shape depends on is decided before it runs.  What only the data can
+tell is handled in place, never by handing the statement back to the
+walker: a unique-key probe that cannot use its index (poisoned, stored
+key kinds that differ, a probe value that will not hash) returns the
+whole heap, and the filter above it re-applies every conjunct; a hash
+join whose keys will not hash evaluates the equality row by row.
 """
 
 from __future__ import annotations
@@ -38,12 +41,9 @@ from repro.sqlengine.plan.logical import (
     IndexLookup,
     Limit,
     LogicalPlan,
-    PlanRuntimeFallback,
     PlanUnsupported,
     Scan,
     Sort,
-    kind_of_value,
-    kinds_compatible,
     lower_select,
 )
 from repro.sqlengine.plan.rewrites import apply_rewrites
@@ -64,15 +64,36 @@ def _join_key(value: Any, expected: str):
     return key if key[0] == expected else None
 
 
-def check_params(checks: tuple, params: tuple) -> None:
-    """The per-execution half of a plan's totality proof: every
-    ``(parameter index, kind)`` check holds, or the walker runs the
-    statement instead."""
-    for index, expected in checks:
-        if index >= len(params):
-            raise PlanRuntimeFallback("unbound parameter")
-        if not kinds_compatible(kind_of_value(params[index]), expected):
-            raise PlanRuntimeFallback("parameter kind mismatch")
+def compile_unique_probe(
+    indices: tuple, kinds: tuple, getters: list
+) -> Callable[[Any, Any], list]:
+    """``(table data, ctx) -> rows`` for a unique-key point probe: the
+    row holding the key, if any, or the whole heap when the index cannot
+    answer (unavailable, stored key kinds other than the declared ones,
+    a probe value that does not hash under its kind).  The caller
+    re-applies every conjunct to what the probe returns, so the heap is
+    always a correct answer."""
+
+    def probe(data: Any, ctx: Any) -> list:
+        index = data.unique_index(indices)
+        if index is None:
+            return data.rows()
+        for stored, kind in zip(index.kinds, kinds):
+            if stored - {kind}:
+                return data.rows()
+        key = []
+        for getter, expected in zip(getters, kinds):
+            value = getter(None, None, ctx)
+            if value is None:
+                return []  # `col = NULL` is never TRUE; the walker keeps no rows
+            part = _join_key(value, expected)
+            if part is None:
+                return data.rows()
+            key.append(part)
+        row = index.map.get(tuple(key))
+        return [row] if row is not None else []
+
+    return probe
 
 
 def _hoisted_comparison(conjunct: ast.Expression, scope: Scope) -> Optional[tuple]:
@@ -102,7 +123,7 @@ def compile_filter(conjuncts: list, scope: Scope, total: bool) -> Selector:
     Early exit is sound because a filter holds more than one conjunct
     only when they were proved total (predicate pushdown, planned
     UPDATE / DELETE), so no skipped one could raise.  ``total`` says that
-    the plan checks the conjuncts' parameter kinds before it runs, so a
+    the conjuncts were proved total for the plan's parameter kinds, so a
     ``column <op> parameter|literal`` conjunct fetches its operand once
     per execution: a NULL operand makes the result empty, and a row
     compares with the Python operator when the stored value and the
@@ -151,13 +172,16 @@ def compile_filter(conjuncts: list, scope: Scope, total: bool) -> Selector:
     return select
 
 
-def compile_select(stmt: ast.SelectStatement, engine) -> "PhysicalSelect":
-    """Lower, rewrite, and compile a SELECT for ``engine``.
+def compile_select(
+    stmt: ast.SelectStatement, engine, param_kinds: tuple = ()
+) -> "PhysicalSelect":
+    """Lower, rewrite, and compile a SELECT for ``engine`` and
+    parameters of ``param_kinds``.
 
     Raises :class:`PlanUnsupported` when the statement is outside the
     planner's subset; the caller keeps using the tree-walker.
     """
-    plan = lower_select(stmt, engine.catalog)
+    plan = lower_select(stmt, engine.catalog, param_kinds)
     apply_rewrites(plan)
     if plan.incomplete:
         raise PlanUnsupported("plan references a missing table")
@@ -226,7 +250,6 @@ class PhysicalSelect:
             self._compile_order(sort_items, out_scope) if self._has_sort else None
         )
         self._source = self._compile_source(root.child, plan)
-        self._param_checks = tuple(plan.param_checks)
 
     # -- compilation ---------------------------------------------------------
 
@@ -391,33 +414,13 @@ class PhysicalSelect:
     def _compile_lookup(self, node: IndexLookup, plan: LogicalPlan) -> Source:
         engine = self._engine
         table = node.scan.table
-        indices = tuple(node.key_indices)
-        kinds = tuple(node.key_kinds)
         probe_scope = Scope(plan.bindings)
-        getters = [compile_expression(expr, probe_scope) for expr in node.key_exprs]
-
-        def lookup(ctx: Any) -> list:
-            data = engine.storage.get(table)
-            index = data.unique_index(indices)
-            if index is None:
-                raise PlanRuntimeFallback("unique index unavailable")
-            for position, stored_kinds in enumerate(index.kinds):
-                if stored_kinds - {kinds[position]}:
-                    raise PlanRuntimeFallback("heterogeneous stored key kinds")
-            key = []
-            for getter, expected in zip(getters, kinds):
-                value = getter(None, None, ctx)
-                if value is None:
-                    # `col = NULL` is never TRUE; the walker keeps no rows.
-                    return []
-                part = _join_key(value, expected)
-                if part is None:
-                    raise PlanRuntimeFallback("probe value kind mismatch")
-                key.append(part)
-            row = index.map.get(tuple(key))
-            return [row] if row is not None else []
-
-        return lookup
+        probe = compile_unique_probe(
+            tuple(node.key_indices),
+            tuple(node.key_kinds),
+            [compile_expression(expr, probe_scope) for expr in node.key_exprs],
+        )
+        return lambda ctx: probe(engine.storage.get(table), ctx)
 
     def _compile_hash_join(self, node: HashJoin, plan: LogicalPlan) -> Source:
         left = self._compile_source(node.left, plan)
@@ -489,7 +492,6 @@ class PhysicalSelect:
     # -- execution -----------------------------------------------------------
 
     def execute(self, ctx) -> QueryResult:
-        check_params(self._param_checks, ctx.params)
         rows = self._source(ctx)
         if rows and ctx.flag("plan_filter_truncates"):
             # Injected planner fault (dual-plan oracle target): the

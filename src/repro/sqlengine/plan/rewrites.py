@@ -6,9 +6,11 @@ errors.  The walker evaluates the whole WHERE clause on every candidate
 row (three-valued AND evaluates both operands), so any rewrite that
 changes *which rows* an expression is evaluated on is only sound when
 that expression is **total**: provably unable to raise for any row.
-Totality is decided statically from declared column kinds, with
-parameter kinds deferred to a cheap per-execution check
-(:attr:`LogicalPlan.param_checks`).
+Totality is decided when the plan is compiled, from declared column
+kinds and the kinds of the bound parameters
+(:attr:`LogicalPlan.param_kinds`), which the engine's plan cache keys
+on; a conjunct that is not total for those kinds keeps the
+conservative plan, so nothing is left to check at run time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.sqlengine.plan.logical import (
     Project,
     Scan,
     Sort,
-    kind_of_value,
+    kind_of_class,
     kinds_compatible,
 )
 from repro.sqlengine.values import (
@@ -54,6 +56,11 @@ _ARITHMETIC = {"+": sql_add, "-": sql_sub, "*": sql_mul, "/": sql_div}
 
 class _NotTotal(Exception):
     """Internal: the analyzed expression may raise for some row."""
+
+
+#: Kind of a ``?`` in a plan compiled without bound values (EXPLAIN):
+#: compatible with any one operand it is compared with.
+_ANY_KIND = "?"
 
 
 class _Analyzer:
@@ -94,44 +101,43 @@ class _Analyzer:
 
     # -- totality ----------------------------------------------------------
 
-    def operand_kind(self, expr: ast.Expression, checks: list) -> Any:
-        """Comparison kind of a simple operand: a kind tag, the marker
-        ``("param", i)``, or :class:`_NotTotal`."""
+    def operand_kind(self, expr: ast.Expression) -> str:
+        """Comparison kind of a simple operand: a kind tag, or
+        :data:`_ANY_KIND` for an EXPLAIN-time parameter; raises
+        :class:`_NotTotal` when the kind is unknown."""
         if isinstance(expr, ast.Literal):
-            kind = kind_of_value(expr.value)
-            if kind is None:
-                raise _NotTotal
-            return kind
-        if isinstance(expr, ast.ColumnRef):
+            kind = kind_of_class(type(expr.value))
+        elif isinstance(expr, ast.Parameter):
+            param_kinds = self._plan.param_kinds
+            if param_kinds is None:
+                return _ANY_KIND
+            kind = param_kinds[expr.index] if expr.index < len(param_kinds) else None
+        elif isinstance(expr, ast.ColumnRef):
             index = self.resolve(expr)
-            if index is None:
-                raise _NotTotal
-            kind = self._plan.kinds[index]
-            if kind is None or kind == "b":
+            kind = None if index is None else self._plan.kinds[index]
+            if kind == "b":
                 # Boolean columns are rare and their numeric reconcile
                 # rules are asymmetric; keep them on the walker.
                 raise _NotTotal
-            return kind
-        if isinstance(expr, ast.Parameter):
-            return ("param", expr.index)
-        raise _NotTotal
+        else:
+            raise _NotTotal
+        if kind is None:
+            raise _NotTotal
+        return kind
 
-    def _pair_total(self, left: Any, right: Any, checks: list) -> None:
-        """Require that comparing operands of these kinds never raises,
-        deferring parameter kinds to runtime checks."""
-        if isinstance(left, tuple) and isinstance(right, tuple):
-            raise _NotTotal  # parameter-vs-parameter: kind unknowable
-        if isinstance(left, tuple):
-            left, right = right, left
-        if isinstance(right, tuple):
-            if left == "null":
-                return
-            checks.append((right[1], left))
+    @staticmethod
+    def _pair_total(left: str, right: str) -> None:
+        """Require that comparing operands of these kinds never raises.
+        An EXPLAIN-time parameter takes the kind of the other operand;
+        two of them give it none."""
+        if _ANY_KIND in (left, right):
+            if left == right:
+                raise _NotTotal
             return
         if not kinds_compatible(left, right):
             raise _NotTotal
 
-    def total_boolean(self, expr: ast.Expression, checks: list) -> None:
+    def total_boolean(self, expr: ast.Expression) -> None:
         """Raise :class:`_NotTotal` unless ``expr`` is a boolean-valued
         expression that can never raise, whatever row it sees."""
         if isinstance(expr, ast.Literal):
@@ -140,42 +146,40 @@ class _Analyzer:
             raise _NotTotal
         if isinstance(expr, ast.BinaryOp):
             if expr.op in ("AND", "OR"):
-                self.total_boolean(expr.left, checks)
-                self.total_boolean(expr.right, checks)
+                self.total_boolean(expr.left)
+                self.total_boolean(expr.right)
                 return
             if expr.op in CMP_OPERATORS:
-                left = self.operand_kind(expr.left, checks)
-                right = self.operand_kind(expr.right, checks)
-                self._pair_total(left, right, checks)
+                left = self.operand_kind(expr.left)
+                right = self.operand_kind(expr.right)
+                self._pair_total(left, right)
                 return
             raise _NotTotal
         if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
-            self.total_boolean(expr.operand, checks)
+            self.total_boolean(expr.operand)
             return
         if isinstance(expr, ast.IsNullPredicate):
-            self.operand_kind(expr.operand, checks)
+            self.operand_kind(expr.operand)
             return
         if isinstance(expr, ast.BetweenPredicate):
-            value = self.operand_kind(expr.operand, checks)
-            self._pair_total(value, self.operand_kind(expr.low, checks), checks)
-            self._pair_total(value, self.operand_kind(expr.high, checks), checks)
+            value = self.operand_kind(expr.operand)
+            self._pair_total(value, self.operand_kind(expr.low))
+            self._pair_total(value, self.operand_kind(expr.high))
             return
         if isinstance(expr, ast.InPredicate):
             if expr.values is None:
                 raise _NotTotal
-            value = self.operand_kind(expr.operand, checks)
+            value = self.operand_kind(expr.operand)
             for item in expr.values:
-                self._pair_total(value, self.operand_kind(item, checks), checks)
+                self._pair_total(value, self.operand_kind(item))
             return
         raise _NotTotal
 
-    def is_total(self, expr: ast.Expression, checks: list) -> bool:
-        probe: list = []
+    def is_total(self, expr: ast.Expression) -> bool:
         try:
-            self.total_boolean(expr, probe)
+            self.total_boolean(expr)
         except _NotTotal:
             return False
-        checks.extend(probe)
         return True
 
 
@@ -354,12 +358,10 @@ def predicate_pushdown(plan: LogicalPlan) -> None:
     conjuncts: list[ast.Expression] = []
     for predicate in node.conjuncts:
         conjuncts.extend(split_conjuncts(predicate))
-    checks: list[tuple[int, str]] = []
-    if not all(analyzer.is_total(conjunct, checks) for conjunct in conjuncts):
+    if not all(analyzer.is_total(conjunct) for conjunct in conjuncts):
         return
     if isinstance(node.child, Scan):
         projection.child = Filter(conjuncts, node.child, pushed=True)
-        plan.param_checks.extend(checks)
         plan.applied_rules.append("predicate_pushdown")
         return
 
@@ -431,7 +433,6 @@ def predicate_pushdown(plan: LogicalPlan) -> None:
     ]
     post = leftover + residual
     projection.child = Filter(post, tree) if post else tree
-    plan.param_checks.extend(checks)
     plan.applied_rules.append("predicate_pushdown")
 
 
@@ -446,8 +447,7 @@ def index_selection(plan: LogicalPlan) -> None:
         conjuncts: list[ast.Expression] = []
         for predicate in filter_node.conjuncts:
             conjuncts.extend(split_conjuncts(predicate))
-        checks: list[tuple[int, str]] = []
-        if not all(analyzer.is_total(conjunct, checks) for conjunct in conjuncts):
+        if not all(analyzer.is_total(conjunct) for conjunct in conjuncts):
             return
         position = plan.scans.index(scan)
         pinned: dict[int, ast.Expression] = {}  # table-local index -> expr
@@ -469,7 +469,7 @@ def index_selection(plan: LogicalPlan) -> None:
                 pinned.setdefault(local, value)
         if not pinned:
             return
-        for name, columns, indices in plan.unique_sets[position]:
+        for name, columns, indices, _ in plan.unique_sets[position]:
             if all(local in pinned for local in indices):
                 kinds = [plan.kinds[scan.offset + local] for local in indices]
                 if any(kind is None for kind in kinds):
@@ -482,7 +482,6 @@ def index_selection(plan: LogicalPlan) -> None:
                     key_exprs=[pinned[local] for local in indices],
                     key_kinds=kinds,
                 )
-                plan.param_checks.extend(checks)
                 applied[0] = True
                 return
 
@@ -503,72 +502,6 @@ def index_selection(plan: LogicalPlan) -> None:
         plan.applied_rules.append("index_selection")
 
 
-def projection_pruning(plan: LogicalPlan) -> None:
-    """Annotate scans with the columns the statement actually uses.
-
-    Annotation-only: physical scans keep full-width rows so compiled
-    column offsets stay valid, but EXPLAIN shows what a columnar
-    executor could skip, and the rule keeps the rewrite registry honest
-    about which statements would benefit.
-    """
-    if not plan.scans or plan.incomplete:
-        return
-    analyzer = _Analyzer(plan)
-    needed: list[set[int]] = [set() for _ in plan.scans]
-    fully: list[bool] = [False] * len(plan.scans)
-
-    projection = _projection(plan)
-    for item in projection.items:
-        if isinstance(item.expression, ast.Star):
-            table = item.expression.table
-            for position, scan in enumerate(plan.scans):
-                if table is None or scan.label.lower() == table.lower():
-                    fully[position] = True
-
-    def note(expr: ast.Expression) -> None:
-        for node in ast.walk_expressions(expr):
-            if isinstance(node, ast.ColumnRef):
-                index = analyzer.resolve(node)
-                if index is None:
-                    # Unknown or ambiguous: every candidate column with a
-                    # matching name stays live (the reference will raise
-                    # at runtime, but pruning must not assume that).
-                    for candidate, binding in enumerate(plan.bindings):
-                        if binding.name.lower() == node.name.lower():
-                            position = analyzer.scan_of(candidate)
-                            needed[position].add(candidate - plan.scans[position].offset)
-                    continue
-                position = analyzer.scan_of(index)
-                needed[position].add(index - plan.scans[position].offset)
-
-    core, stmt = plan.core, plan.statement
-    for item in projection.items:
-        if not isinstance(item.expression, ast.Star):
-            note(item.expression)
-    if core.where is not None:
-        note(core.where)
-    for expr in core.group_by:
-        note(expr)
-    if core.having is not None:
-        note(core.having)
-    for order in stmt.order_by:
-        note(order.expression)
-
-    pruned_any = False
-    for position, scan in enumerate(plan.scans):
-        if fully[position] or scan.width == 0:
-            continue
-        if len(needed[position]) < scan.width:
-            offset = scan.offset
-            scan.needed = [
-                plan.bindings[offset + local].name
-                for local in sorted(needed[position])
-            ]
-            pruned_any = True
-    if pruned_any:
-        plan.applied_rules.append("projection_pruning")
-
-
 #: Registered rewrite rules, in application order.  The lint layer
 #: cross-checks that every rule here is exercised by at least one corpus
 #: or sqlgen script (dead-rewrite detection).
@@ -576,7 +509,6 @@ REWRITE_RULES = {
     "constant_folding": constant_folding,
     "predicate_pushdown": predicate_pushdown,
     "index_selection": index_selection,
-    "projection_pruning": projection_pruning,
 }
 
 
@@ -591,7 +523,7 @@ PROBE_SCRIPTS = (
     "CREATE TABLE probe_b (id INTEGER PRIMARY KEY, ref INTEGER)",
     "INSERT INTO probe_a (id, val) VALUES (1, 10)",
     "INSERT INTO probe_b (id, ref) VALUES (1, 1)",
-    # constant_folding (and projection_pruning):
+    # constant_folding:
     "SELECT val FROM probe_a WHERE val > 1 + 1",
     # predicate_pushdown:
     "SELECT probe_a.val FROM probe_a, probe_b "

@@ -316,3 +316,44 @@ class TestComparatorTriage:
         stats = server.stats
         assert stats.fault_indicating_divergences > 0
         assert stats.benign_dialect_divergences == 0
+
+
+def _typed(spelling: str) -> list:
+    """Rules and IB/OR verdict of two probes over columns of one type."""
+    schema = ScriptSchema()
+    schema.observe(parse_statement(f"CREATE TABLE s (a {spelling}, b {spelling})"))
+    outcome = []
+    for sql in ("SELECT a / b FROM s", "SELECT a FROM s"):
+        result = analyze(sql, schema)
+        outcome.append((sorted(a.rule for a in result.atoms), result.verdict("IB", "OR").kind))
+    return outcome
+
+
+class TestTypeSpellings:
+    """A column's abstract type comes from the engine's own type
+    resolution: a spelling the engine accepts types like its canonical
+    twin, and one the engine rejects types as unknown."""
+
+    @pytest.mark.parametrize(
+        ("spelling", "twin"),
+        [
+            ("INT4", "INTEGER"),
+            ("INT2", "SMALLINT"),
+            ("INT8", "BIGINT"),
+            ("DEC(8,2)", "NUMERIC(8,2)"),
+            ("BOOL", "BOOLEAN"),
+            ("CHARACTER VARYING(8)", "VARCHAR(8)"),
+        ],
+    )
+    def test_engine_spelling_types_as_its_twin(self, spelling, twin):
+        assert _typed(spelling) == _typed(twin)
+
+    def test_int4_division_is_benign_dialect(self):
+        (rules, kind), _ = _typed("INT4")
+        assert "integer-division" in rules
+        assert kind is DivergenceKind.BENIGN_DIALECT
+
+    @pytest.mark.parametrize("spelling", ["DOUBLE", "CLOB"])
+    def test_spelling_the_engine_rejects_is_unknown(self, spelling):
+        (rules, kind), _ = _typed(spelling)
+        assert kind is DivergenceKind.UNKNOWN

@@ -13,6 +13,7 @@ from repro.faults import (
 )
 from repro import hunt
 from repro.hunt import run_hunt
+from repro.servers import make_server
 
 
 def _spec(fault_id, effect):
@@ -61,6 +62,17 @@ class TestPristineCampaign:
 
     def test_no_execution_errors(self, pristine_report):
         assert pristine_report.errors == 0
+
+    def test_no_statement_falls_back_to_the_walker(self, monkeypatch):
+        servers = []
+
+        def recorded(key, faults=()):
+            servers.append(make_server(key, faults))
+            return servers[-1]
+
+        monkeypatch.setattr(hunt, "make_server", recorded)
+        run_hunt(30, seed=7)
+        assert [server.engine.plan_fallbacks for server in servers] == [{}] * 4
 
     def test_payload_shape(self, pristine_report):
         payload = pristine_report.to_payload()

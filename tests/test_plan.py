@@ -2,14 +2,17 @@
 
 Covers the logical/physical plan layer end to end: lowering SELECTs
 into operator trees, the rule-based rewrites (constant folding,
-predicate pushdown, projection pruning, index selection), EXPLAIN
-rendering at every API level, the engine's generation-checked plan
-cache, unique-index maintenance in storage, runtime fallback to the
-tree-walker, planned DML, and the dual-plan divergence oracle that
-catches planner-level wrong results on a single replica.
+predicate pushdown, index selection), EXPLAIN rendering at every API
+level, the engine's plan cache (one plan per statement, parameter-type
+tuple and catalog generation), unique-index maintenance in storage,
+point probes served from a scan when the index cannot answer, planned
+DML, and the dual-plan divergence oracle that catches planner-level
+wrong results on a single replica.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal
 
 import pytest
 
@@ -50,8 +53,21 @@ def _engine() -> Engine:
     return engine
 
 
-def _plan_for(engine: Engine, sql: str):
-    plan = lower_select(parse_statement(sql), engine.catalog)
+def _outcome(engine: Engine, sql: str, params: tuple) -> tuple:
+    """What a prepared execution answers (rows and count, or the error)
+    and the table it leaves behind."""
+    try:
+        result = engine.prepare(sql).execute(params)
+    except SqlError as error:
+        answer: tuple = ("error", type(error).__name__, str(error))
+    else:
+        answer = (result.rows, result.rowcount)
+    table = engine.execute("SELECT id, owner, balance FROM accounts")
+    return answer, sorted(table.rows, key=repr)
+
+
+def _plan_for(engine: Engine, sql: str, param_kinds: tuple = ()):
+    plan = lower_select(parse_statement(sql), engine.catalog, param_kinds)
     return apply_rewrites(plan)
 
 
@@ -90,12 +106,14 @@ class TestLoweringAndRewrites:
     def test_predicate_pushdown_splits_a_total_single_table_where(self):
         engine = _engine()
         plan = _plan_for(
-            engine, "SELECT owner FROM accounts WHERE balance > ? AND owner <> 'bob'"
+            engine,
+            "SELECT owner FROM accounts WHERE balance > ? AND owner <> 'bob'",
+            ("n",),
         )
         assert "predicate_pushdown" in plan.applied_rules
         text = explain_plan(plan)
         assert "Filter (balance > ?) AND (owner <> 'bob') [pushed]" in text
-        assert "runtime checks: ?1:n" in text
+        assert "runtime checks" not in text
 
     def test_predicate_pushdown_keeps_a_non_total_where_whole(self):
         # `owner > 1` compares a string with a number and may raise, so
@@ -108,13 +126,6 @@ class TestLoweringAndRewrites:
         text = explain_plan(plan)
         assert "Filter ((balance > 6) AND (owner > 1))\n" in text
         assert "[pushed]" not in text
-
-    def test_projection_pruning_narrows_scans(self):
-        engine = _engine()
-        plan = _plan_for(engine, "SELECT owner FROM accounts")
-        assert "projection_pruning" in plan.applied_rules
-        # The scan only materializes the column the query reads.
-        assert "Scan accounts [owner]" in explain_plan(plan)
 
     def test_index_selection_uses_primary_key(self):
         engine = _engine()
@@ -207,6 +218,56 @@ class TestCompiledExecution:
         with pytest.raises(SqlError):
             engine.execute("UPDATE accounts SET id = 0 WHERE id = 3")
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT owner FROM accounts WHERE id = ?",
+            "UPDATE accounts SET balance = balance + 1 WHERE id = ?",
+            "DELETE FROM accounts WHERE id = ?",
+        ],
+    )
+    @pytest.mark.parametrize(
+        "value", ["2", True, None, 2.0, Decimal("2"), 2], ids=repr
+    )
+    def test_any_parameter_type_on_a_numeric_key_answers_as_the_walker(
+        self, sql, value
+    ):
+        outcomes = []
+        for use_planner in (True, False):
+            engine = _engine()
+            engine.use_planner = use_planner
+            outcomes.append(_outcome(engine, sql, (value,)))
+            assert engine.plan_fallbacks == {}
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "stray",
+        [[1, "dup", Decimal("1.00")], ["7", "odd", Decimal("7.00")]],
+        ids=["duplicate-key", "string-key"],
+    )
+    def test_point_probes_scan_when_the_index_cannot_answer(self, stray):
+        # Rows written past the engine: a duplicate key poisons the
+        # primary-key index, a string in the numeric key column gives it
+        # a second stored kind.  Either way the lookup plan serves the
+        # statement from a scan, with the same answers as the walker.
+        engines = []
+        for use_planner in (True, False):
+            engine = _engine()
+            engine.use_planner = use_planner
+            engine.storage.get("accounts").insert(stray)
+            engines.append(engine)
+        planned, walker = engines
+        index = planned.storage.get("accounts").unique_index((0,))
+        assert index is None or index.kinds[0] == {"n", "s"}
+        select = "SELECT owner FROM accounts WHERE id = ?"
+        update = "UPDATE accounts SET owner = 'upd' WHERE id = ?"
+        for key in (1, 2, 7):
+            for sql in (select, update):
+                assert _outcome(planned, sql, (key,)) == _outcome(walker, sql, (key,))
+        plan = compile_select(parse_statement(select), planned, ("n",)).plan
+        assert "index_selection" in plan.applied_rules
+        assert planned.plan_fallbacks == {}
+
     def test_parameter_kind_mismatch_falls_back_to_walker(self):
         planned, walker = _engine(), _engine()
         walker.use_planner = False
@@ -260,15 +321,20 @@ class TestPlanCache:
         assert entries[0][2] is None  # compiled once, walker serves it
         assert engine.plan_fallbacks == {"subquery expression": 1}
 
-    def test_runtime_fallbacks_are_counted_by_reason(self):
+    def test_one_plan_per_parameter_type_tuple(self):
         engine = _engine()
+        engine._plans.clear()
         handle = engine.prepare("SELECT owner FROM accounts WHERE id = ?")
-        handle.execute((2,))
+        for value in (2, "2", 3, None, "3", 2.0, 1):
+            handle.execute((value,))
+        plans = {types: plan.plan for (_, types), (_, _, plan) in engine._plans.items()}
+        assert list(plans) == [(int,), (str,), (type(None),), (float,)]
+        # A numeric parameter pins the key; a string one may raise
+        # against a number, so its plan keeps the WHERE whole and scans.
+        assert "index_selection" in plans[(int,)].applied_rules
+        assert "index_selection" in plans[(float,)].applied_rules
+        assert plans[(str,)].applied_rules == []
         assert engine.plan_fallbacks == {}
-        # A string parameter for a numeric key: the walker parses it.
-        assert handle.execute(("2",)).rows == handle.execute((2,)).rows
-        handle.execute(("3",))
-        assert engine.plan_fallbacks == {"runtime: parameter kind mismatch": 2}
 
     def test_reset_clears_plans(self):
         engine = _engine()
@@ -332,8 +398,8 @@ class TestExplain:
         )
         assert text.startswith("plan:")
         assert "IndexLookup accounts via PRIMARY KEY" in text
-        assert "rewrites:" in text
-        assert "runtime checks: ?1:n" in text
+        assert "rewrites: predicate_pushdown, index_selection" in text
+        assert "runtime checks" not in text
 
     def test_explain_statement_names_walker_for_unplanned_shapes(self):
         engine = _engine()

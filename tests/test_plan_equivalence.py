@@ -1,7 +1,8 @@
 """Property test: compiled-plan execution equals the tree-walker.
 
 The planner's contract is observational equivalence: for every
-statement — planned, runtime-fallback, or unplanned — the compiled path
+statement — planned (for whatever parameter kinds it was compiled) or
+unplanned — the compiled path
 must produce the same rows, the same column names, and the same errors
 (message included) as the reference tree-walker.  Row order is compared
 exactly when the static analyzer proves the order deterministic
