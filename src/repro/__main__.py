@@ -48,10 +48,10 @@ Commands
     subsequence that preserves the bug's reproduction — with the
     dropped statement indices.
 ``explain "SQL"``
-    Show the optimized logical plan the planned executor compiles for
-    one statement against the TPC-C schema (rewrites applied; each
-    ``?`` planned as the kind of the operand it is compared with), or
-    the note naming the executor that runs it when no plan applies.
+    Show the optimized logical plan the engine compiles for one SELECT
+    against the TPC-C schema (rewrites applied; each ``?`` planned as
+    the kind of the operand it is compared with), or a one-line note
+    for any other statement.
 ``tlp "SQL"``
     Show the ternary-logic abstraction of one SELECT against the hunt
     schema: the WHERE clause's abstract truth set, dead-predicate

@@ -51,9 +51,10 @@ from repro.analysis.verdicts import VOLATILE_FUNCTIONS
 from repro.errors import TypeMismatch
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.engine import Engine
-from repro.sqlengine.expressions import Evaluator, contains_aggregate
+from repro.sqlengine.expressions import contains_aggregate
 from repro.sqlengine.functions import AGGREGATE_NAMES
 from repro.sqlengine.plan import REWRITE_RULES, PhysicalSelect
+from repro.sqlengine.plan.compiler import Scope, compile_expression
 from repro.sqlengine.plan.logical import Filter, IndexLookup, kind_of_type
 from repro.sqlengine.plan.physical import _join_key
 from repro.sqlengine.plan.rewrites import _NO_FOLD, _fold_binary, _fold_unary
@@ -230,8 +231,8 @@ TOP_ABSTRACT_TRUTH = AbstractTruth(TOP_TRUTH, may_raise=True)
 
 
 def _truth_of_value(value: AbstractValue) -> AbstractTruth:
-    """Boolean coercion of an abstract value, mirroring the walker's
-    ``_as_tribool`` (NULL passes through, non-bool raises)."""
+    """Boolean coercion of an abstract value, mirroring the compiled
+    ``_tribool`` (NULL passes through, non-bool raises)."""
     possible = set()
     may_raise = value.may_raise
     if value.nullable:
@@ -259,7 +260,7 @@ def _value_of_truth(truth: AbstractTruth) -> AbstractValue:
 
 
 # --------------------------------------------------------------------------
-# Environments
+# Abstract row environments
 # --------------------------------------------------------------------------
 
 _AMBIGUOUS = object()
@@ -423,7 +424,7 @@ class _Interpreter:
                 left = self.truth(expr.left)
                 right = self.truth(expr.right)
                 # Both operands are always evaluated (no short-circuit in
-                # the walker), so raise possibilities join.
+                # the compiled AND/OR), so raise possibilities join.
                 return AbstractTruth(
                     frozenset(
                         connect(a, b) for a in left.truth for b in right.truth
@@ -652,7 +653,7 @@ class _Interpreter:
             return _value_of_truth(self.truth(expr))
         operand = self.value(expr.operand)
         if expr.op == "+":
-            return operand  # the walker passes the operand through as-is
+            return operand  # unary plus passes the operand through as-is
         # Unary minus: numeric coercion (strings parse, may raise).
         if operand.kind == "n":
             interval = _iv_neg(operand.interval)
@@ -1109,7 +1110,13 @@ def _literal_fits(value: Any, fact: AbstractValue) -> bool:
 
 
 def _certify_constant_folding() -> tuple[str, ...]:
-    evaluator = Evaluator(None)
+    # Each fold is checked against the closure the compiler builds for
+    # the unfolded expression where no row is available.
+    no_row = Scope((), no_row=True)
+
+    def evaluate(node: ast.Expression) -> Any:
+        return compile_expression(node, no_row)(None, None, None)
+
     checked = 0
     for op in _FOLD_BINARY_OPS:
         for left in _FOLD_DOMAIN:
@@ -1117,7 +1124,7 @@ def _certify_constant_folding() -> tuple[str, ...]:
                 node = ast.BinaryOp(op, ast.Literal(left), ast.Literal(right))
                 folded = _fold_binary(op, left, right)
                 try:
-                    concrete = evaluator.evaluate(node, None)
+                    concrete = evaluate(node)
                 except Exception:
                     if folded is not _NO_FOLD:
                         raise CertificationError(
@@ -1144,7 +1151,7 @@ def _certify_constant_folding() -> tuple[str, ...]:
             node = ast.UnaryOp(op, ast.Literal(operand))
             folded = _fold_unary(op, operand)
             try:
-                concrete = evaluator.evaluate(node, None)
+                concrete = evaluate(node)
             except Exception:
                 if folded is not _NO_FOLD:
                     raise CertificationError(

@@ -682,13 +682,14 @@ class BehaviourFlagEffect(Effect):
 
 
 class PlanStageBugEffect(BehaviourFlagEffect):
-    """A wrong-result bug inside the *compiled plan* executor only.
+    """A wrong-result bug inside one rewrite's physical stage only.
 
-    Sets the ``plan_filter_truncates`` flag, which the physical plan's
-    filter stage consults (it silently drops the last row of the scan
-    batch).  The tree-walker never reads the flag, so the same
-    statement on the same replica answers differently depending on the
-    execution strategy — exactly the fault class the dual-plan oracle
+    Sets the ``plan_filter_truncates`` flag, which the pushed-filter
+    stage over a block's first FROM leaf consults (it silently drops
+    the last row it keeps).  Only a plan rewritten by
+    ``predicate_pushdown`` has that stage, so the same
+    statement on the same replica answers differently with and without
+    the rewrite rules — exactly the fault class the dual-plan oracle
     (``ServerConfig.dual_plan``) exists to catch, and one that
     cross-replica voting misses when every replica runs the planner.
     """
@@ -700,9 +701,9 @@ class PlanStageBugEffect(BehaviourFlagEffect):
 class PredicateFoldBugEffect(BehaviourFlagEffect):
     """A three-valued-logic bug: ``NOT UNKNOWN`` evaluates to TRUE.
 
-    Sets the ``fold_not_unknown_true`` flag, consulted by both the
-    tree-walker and the compiled NOT closures — so *every* executor on
-    the replica agrees on the wrong answer and neither cross-replica
+    Sets the ``fold_not_unknown_true`` flag, consulted by the compiled
+    NOT closure of every plan — so every plan on the replica agrees on
+    the wrong answer and neither cross-replica
     voting (single replica) nor the dual-plan oracle sees anything.
     The static TLP oracle does: rows where ``p`` is UNKNOWN land in
     both the ``NOT p`` and the ``p IS NULL`` partition, so the
@@ -718,8 +719,8 @@ class PartitionDropBugEffect(BehaviourFlagEffect):
     (anything but a bare column, literal, or parameter) answers FALSE
     even when the value is NULL.
 
-    Sets the ``isnull_composite_false`` flag, consulted by both
-    executors.  Bare-column NULL tests — the overwhelmingly common form
+    Sets the ``isnull_composite_false`` flag, consulted by every
+    compiled ``IS NULL``.  Bare-column NULL tests — the overwhelmingly common form
     in the corpus — stay correct, so the fault hides from ordinary
     workloads and from any oracle that never writes a composite NULL
     test.  The TLP oracle always does: its third partition is

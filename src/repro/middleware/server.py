@@ -196,12 +196,12 @@ class MiddlewareStats:
     #: genuinely suspicious ones; these drive quarantine as before).
     fault_indicating_divergences: int = 0
     # -- dual-plan oracle counters ----------------------------------------
-    #: SELECTs re-executed through both the compiled plan and the
-    #: tree-walker on one replica (``ServerConfig.dual_plan``).
+    #: SELECTs re-executed through both the rewritten and the
+    #: unrewritten plan on one replica (``ServerConfig.dual_plan``).
     dual_plan_checks: int = 0
-    #: Checks where the two execution strategies disagreed — an
-    #: optimiser-level wrong answer that cross-replica voting cannot
-    #: see when every replica shares the same planner.
+    #: Checks where the two plans disagreed — an optimiser-level wrong
+    #: answer that cross-replica voting cannot see when every replica
+    #: shares the same planner.
     dual_plan_divergences: int = 0
     # -- prepared/batch counters -----------------------------------------
     #: ``executemany`` invocations (each row adjudicated on its own).
@@ -257,10 +257,11 @@ class ServerConfig:
     static_analysis: bool = True
     #: Multi-plan divergence oracle (differential query execution): every
     #: adjudicated SELECT is additionally run twice on one replica —
-    #: through its compiled plan and through the tree-walker — and the
-    #: two answers compared like replica votes.  Catches optimiser-level
-    #: wrong results that diverse voting misses when every replica
-    #: shares the planner.  Off by default (it doubles read work).
+    #: through its plan with the rewrite rules applied and through the
+    #: plan the same lowering gives with none — and the two answers
+    #: compared like replica votes.  Catches optimiser-level wrong
+    #: results that diverse voting misses when every replica shares the
+    #: planner.  Off by default (it doubles read work).
     dual_plan: bool = False
     #: Durability subsystem (:class:`repro.durability.DurabilityManager`):
     #: per-replica write-ahead logs, durable checkpoints, and restart
@@ -366,7 +367,7 @@ class DiverseServer:
         #: (sql, group leaders) pairs recorded in ``monitor`` mode.
         self.disagreement_log: list[tuple[str, list[str]]] = []
         #: (sql, replica key) pairs where the dual-plan oracle found the
-        #: compiled plan and the tree-walker disagreeing.
+        #: rewritten and the unrewritten plan disagreeing.
         self.dual_plan_log: list[tuple[str, str]] = []
         #: One entry per statement-deadline violation (service and
         #: recovery), alongside the fault audit.
@@ -546,10 +547,10 @@ class DiverseServer:
         result: Result,
     ) -> None:
         """Multi-plan divergence oracle: re-run the SELECT twice on one
-        replica — once through its compiled plan, once through the
-        tree-walker — and compare the two answers exactly as replica
-        votes are compared (same normalisation, same order verdict).
-        Disagreement means an optimiser/executor-level wrong answer on
+        replica — once through its rewritten plan, once through the
+        plan with no rewrite rules — and compare the two answers exactly
+        as replica votes are compared (same normalisation, same order
+        verdict).  Disagreement means an optimiser-level wrong answer on
         that replica, a fault class cross-replica voting cannot see
         when every replica shares the same planner."""
         active = self.active_replicas()
@@ -558,8 +559,8 @@ class DiverseServer:
         replica = active[0]
         engine = replica.product.engine
         answers: list[ReplicaAnswer] = []
-        for label, use_planner in (("planned", True), ("walker", False)):
-            engine.use_planner = use_planner
+        for label, rewrite in (("rewritten", True), ("unrewritten", False)):
+            engine.rewrite = rewrite
             try:
                 answer_result = self._run(replica.product, call)
                 answers.append(
@@ -581,7 +582,7 @@ class DiverseServer:
                     ReplicaAnswer(replica=label, status="error", error=str(error))
                 )
             finally:
-                engine.use_planner = True
+                engine.rewrite = True
         if any(answer.status == "crash" for answer in answers):
             return  # a crashed run proves nothing about the planner
         self.stats.dual_plan_checks += 1
@@ -591,8 +592,8 @@ class DiverseServer:
             self.stats.dual_plan_divergences += 1
             self.dual_plan_log.append((call.bound_sql, replica.key))
             result.warnings.append(
-                f"dual-plan divergence on {replica.key}: compiled plan and "
-                "tree-walker disagree"
+                f"dual-plan divergence on {replica.key}: rewritten and "
+                "unrewritten plans disagree"
             )
 
     def execute_script(self, sql: str) -> list[Result]:

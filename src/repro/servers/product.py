@@ -75,7 +75,7 @@ class ServerProduct:
 
     def explain(self, sql: str) -> str:
         """Render the logical plan the engine's planner would use for
-        one statement (or a note naming the executor that runs it)."""
+        one SELECT (or a one-line note for any other statement)."""
         return explain_statement(sql, self.engine.catalog)
 
     def execute_script(self, sql: str) -> list[Result]:

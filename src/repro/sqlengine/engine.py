@@ -14,7 +14,6 @@ and hands each engine the :class:`ParsedStatement` instead of the text.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Optional, Union
 
@@ -28,11 +27,11 @@ from repro.errors import (
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
 from repro.sqlengine.catalog import Catalog, ColumnDef, IndexDef, TableSchema, ViewDef
-from repro.sqlengine.executor import SelectExecutor
-from repro.sqlengine.expressions import ColumnBinding, Environment
+from repro.sqlengine.expressions import ColumnBinding
 from repro.sqlengine.parser import parse_prepared, parse_script
 from repro.sqlengine.plan.dml import compile_statement
-from repro.sqlengine.plan.logical import PlanUnsupported, kind_of_class
+from repro.sqlengine.plan.logical import kind_of_class
+from repro.sqlengine.plan.physical import compile_row_expression, compile_select
 from repro.sqlengine.storage import Storage
 from repro.sqlengine.tokens import Token
 from repro.sqlengine.transactions import TransactionManager
@@ -195,19 +194,17 @@ class Engine:
         #: write log onto this engine (recovery-scoped faults key on it).
         self.phase = "serve"
         self._prepared: dict[str, EnginePrepared] = {}
-        #: Compiled statement plans, keyed by AST identity and the
-        #: bound parameters' types (each entry holds a strong statement
-        #: reference so ids cannot be recycled), guarded by the schema
-        #: generation.  ``None`` records "not plannable — use the
-        #: tree-walker".
-        self._plans: dict[tuple[int, tuple], tuple[Any, int, Any]] = {}
-        #: Planner kill switch: the dual-plan oracle and benchmarks
-        #: toggle this to force interpreted (tree-walker) execution.
-        self.use_planner = True
-        #: Statements the planner handed to the walker, by reason: the
-        #: ``PlanUnsupported`` message (or exception class) of a failed
-        #: compile, once per compile.
-        self.plan_fallbacks: Counter[str] = Counter()
+        #: Compiled statement plans, keyed by AST identity, the bound
+        #: parameters' types and :attr:`rewrite` (each entry holds a
+        #: strong statement reference so ids cannot be recycled),
+        #: guarded by the schema generation.
+        self._plans: dict[tuple[int, tuple, bool], tuple[Any, int, Any]] = {}
+        #: Whether SELECT plans apply ``REWRITE_RULES``; the dual-plan
+        #: oracle turns it off for its unrewritten second plan.
+        self.rewrite = True
+        #: Compiled CHECKs and DEFAULTs per table (see
+        #: :meth:`_table_constraints`), guarded by the schema generation.
+        self._constraints: dict[str, tuple[TableSchema, int, tuple]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -217,6 +214,7 @@ class Engine:
         self.catalog.clear()
         self.storage.clear()
         self._plans.clear()
+        self._constraints.clear()
         self.crashed = False
 
     def restart(self) -> None:
@@ -240,6 +238,7 @@ class Engine:
         # A restore rewinds the generation counter, so generation-keyed
         # caches cannot be trusted across it.
         self._plans.clear()
+        self._constraints.clear()
         self.crashed = False
 
     # -- execution -----------------------------------------------------------
@@ -342,8 +341,8 @@ class Engine:
     # -- planned execution -----------------------------------------------------
 
     def _cached_plan(self, stmt: ast.Statement, params: tuple) -> Any:
-        """The compiled plan for this AST and these parameters' types,
-        or None when unplannable.
+        """The compiled plan for this AST, these parameters' types and
+        the current :attr:`rewrite` choice.
 
         Keyed by object identity with a strong statement reference (so
         ids cannot be recycled) — prepared statements re-execute the
@@ -351,41 +350,25 @@ class Engine:
         *text* is not a safe key: every statement of a multi-statement
         script shares one source text.  The parameter types are part of
         the key because the planner decides from their kinds which
-        conjuncts are total; literal SQL binds none.
+        conjuncts are total; literal SQL binds none.  A compile that
+        raises (a missing target table, say) caches nothing.
         """
         types = tuple(map(type, params)) if params else ()
-        key = (id(stmt), types)
+        key = (id(stmt), types, self.rewrite)
         entry = self._plans.get(key)
         generation = self.catalog.generation
         if entry is not None and entry[0] is stmt and entry[1] == generation:
             return entry[2]
-        try:
-            plan = compile_statement(stmt, self, tuple(map(kind_of_class, types)))
-        except Exception as error:
-            # Outside the planner's subset (PlanUnsupported), or the
-            # statement will fail in a way the walker must report (an
-            # unknown table, say): the interpreted path is authoritative
-            # for both, so record "no plan" and step aside.
-            reason = str(error) if isinstance(error, PlanUnsupported) else type(error).__name__
-            self.plan_fallbacks[reason] += 1
-            plan = None
+        plan = compile_statement(
+            stmt, self, tuple(map(kind_of_class, types)), self.rewrite
+        )
         if len(self._plans) >= _PLAN_CACHE_SIZE:
             self._plans.pop(next(iter(self._plans)))
         self._plans[key] = (stmt, generation, plan)
         return plan
 
-    def _planned(self, stmt: ast.Statement, ctx: ExecutionContext) -> Any:
-        """What the compiled plan for ``stmt`` returns, or None when the
-        walker must run it: planner off, or no plan."""
-        if not self.use_planner:
-            return None
-        plan = self._cached_plan(stmt, ctx.params)
-        return None if plan is None else plan.execute(ctx)
-
     def _execute_select(self, stmt: ast.SelectStatement, ctx: ExecutionContext) -> Result:
-        output = self._planned(stmt, ctx)
-        if output is None:
-            output = SelectExecutor(self, ctx).execute_select(stmt)
+        output = self._cached_plan(stmt, ctx.params).execute(ctx)
         return Result(
             kind="select",
             columns=output.columns,
@@ -396,29 +379,7 @@ class Engine:
     # -- DML -------------------------------------------------------------------
 
     def _execute_insert(self, stmt: ast.Insert, ctx: ExecutionContext) -> Result:
-        result = self._planned(stmt, ctx)
-        if result is not None:
-            return result
-        schema = self.catalog.table(stmt.table)
-        data = self.storage.get(stmt.table)
-        executor = SelectExecutor(self, ctx)
-
-        if stmt.columns is not None:
-            target_indices = [schema.column_index(name) for name in stmt.columns]
-            if len(set(target_indices)) != len(target_indices):
-                raise SqlError(f"duplicate column in INSERT into {stmt.table!r}")
-        else:
-            target_indices = list(range(len(schema.columns)))
-
-        if stmt.rows is not None:
-            source_rows = [
-                tuple(executor.evaluator.evaluate(expr, None) for expr in row)
-                for row in stmt.rows
-            ]
-        else:
-            source_rows = executor.execute_select(stmt.query).rows
-
-        return self._insert_rows(schema, data, target_indices, source_rows, ctx)
+        return self._cached_plan(stmt, ctx.params).execute(ctx)
 
     def _insert_rows(
         self,
@@ -428,9 +389,8 @@ class Engine:
         source_rows: list[tuple],
         ctx: ExecutionContext,
     ) -> Result:
-        """Validate and store evaluated INSERT rows (shared by the
-        interpreted and planned paths): all checks run against the
-        pending batch before any row lands in the heap."""
+        """Validate and store evaluated INSERT rows: all checks run
+        against the pending batch before any row lands in the heap."""
         inserted: list[list[Any]] = []
         pending: list[list[Any]] = []
         for source in source_rows:
@@ -460,20 +420,60 @@ class Engine:
         for index, value in zip(target_indices, source):
             column = schema.columns[index]
             row[index] = cast_value(value, column.sql_type, implicit=True)
+        defaults = None
         for index, column in enumerate(schema.columns):
             if row[index] is missing:
-                row[index] = self._default_value(column, ctx)
+                if defaults is None:
+                    defaults = self._table_constraints(schema)[1]
+                default = defaults[index]
+                row[index] = None if default is None else self._cast_default(
+                    default(None, None, ctx), column
+                )
         return row
 
-    def _default_value(self, column: ColumnDef, ctx: ExecutionContext) -> Any:
-        if column.default is None:
-            return None
-        executor = SelectExecutor(self, ctx)
-        value = executor.evaluator.evaluate(column.default, None)
+    @staticmethod
+    def _cast_default(value: Any, column: ColumnDef) -> Any:
         # This cast is where a wrongly-typed DEFAULT that slipped through
         # creation (bug 217042 behaviour) finally fails — the "detected
         # with high latency" runtime error the paper describes.
         return cast_value(value, column.sql_type, implicit=True)
+
+    def _table_constraints(self, schema: TableSchema) -> tuple:
+        """``(checks, defaults)`` of ``schema``, compiled once per table
+        and catalog generation: each CHECK as ``(closure, violation
+        message)``, column CHECKs in column order then table CHECKs, and
+        per column its DEFAULT's closure or None."""
+        # Probed with `in` and a subscript: this runs for every inserted
+        # and updated row.
+        constraints = self._constraints
+        generation = self.catalog.generation
+        if schema.name in constraints:
+            entry = constraints[schema.name]
+            if entry[0] is schema and entry[1] == generation:
+                return entry[2]
+        bindings = [ColumnBinding(schema.name, column.name) for column in schema.columns]
+        checks = [
+            (
+                compile_row_expression(column.check, self, bindings),
+                f"CHECK constraint on column {column.name!r} violated",
+            )
+            for column in schema.columns
+            if column.check is not None
+        ]
+        checks.extend(
+            (
+                compile_row_expression(check, self, bindings),
+                f"CHECK constraint on table {schema.name!r} violated",
+            )
+            for check in schema.checks
+        )
+        defaults = [
+            None if column.default is None else compile_row_expression(column.default, self)
+            for column in schema.columns
+        ]
+        compiled = (checks, defaults)
+        constraints[schema.name] = (schema, generation, compiled)
+        return compiled
 
     def _check_row_constraints(
         self, schema: TableSchema, row: list[Any], ctx: ExecutionContext
@@ -483,22 +483,9 @@ class Engine:
                 raise ConstraintViolation(
                     f"column {column.name!r} of {schema.name!r} may not be NULL"
                 )
-        columns = [ColumnBinding(schema.name, column.name) for column in schema.columns]
-        env = Environment(columns, tuple(row))
-        executor = SelectExecutor(self, ctx)
-        for column in schema.columns:
-            if (
-                column.check is not None
-                and executor.evaluator.evaluate(column.check, env) is False
-            ):
-                raise ConstraintViolation(
-                    f"CHECK constraint on column {column.name!r} violated"
-                )
-        for check in schema.checks:
-            if executor.evaluator.evaluate(check, env) is False:
-                raise ConstraintViolation(
-                    f"CHECK constraint on table {schema.name!r} violated"
-                )
+        for check, message in self._table_constraints(schema)[0]:
+            if check(row, None, ctx) is False:
+                raise ConstraintViolation(message)
 
     def _check_uniqueness(
         self,
@@ -543,32 +530,7 @@ class Engine:
                     )
 
     def _execute_update(self, stmt: ast.Update, ctx: ExecutionContext) -> Result:
-        rowcount = self._planned(stmt, ctx)
-        if rowcount is not None:
-            return Result(kind="dml", rowcount=rowcount)
-        schema = self.catalog.table(stmt.table)
-        data = self.storage.get(stmt.table)
-        executor = SelectExecutor(self, ctx)
-        columns = [ColumnBinding(schema.name, column.name) for column in schema.columns]
-        assignment_indices = [
-            (schema.column_index(name), expr) for name, expr in stmt.assignments
-        ]
-        updated = 0
-        # One environment reused across the scan; every expression read
-        # finishes before the row is patched, so the live row is safe.
-        env = Environment(columns, ())
-        for row in data.rows():
-            env.row = row
-            if stmt.where is not None and not executor.evaluator.truthy(stmt.where, env):
-                continue
-            new_values: dict[int, Any] = {}
-            for index, expr in assignment_indices:
-                column = schema.columns[index]
-                value = executor.evaluator.evaluate(expr, env)
-                new_values[index] = cast_value(value, column.sql_type, implicit=True)
-            self.apply_row_update(schema, data, row, new_values, ctx)
-            updated += 1
-        return Result(kind="dml", rowcount=updated)
+        return Result(kind="dml", rowcount=self._cached_plan(stmt, ctx.params).execute(ctx))
 
     def apply_row_update(
         self,
@@ -578,8 +540,7 @@ class Engine:
         new_values: dict[int, Any],
         ctx: ExecutionContext,
     ) -> None:
-        """Validate and apply one row's UPDATE, recording undo.  Shared
-        by the interpreted scan and the planned UPDATE path; goes
+        """Validate and apply one row's UPDATE, recording undo.  Goes
         through :meth:`TableData.update_row` so maintained unique
         indexes stay consistent without a rebuild."""
         old_values = {index: row[index] for index in new_values}
@@ -594,30 +555,16 @@ class Engine:
         )
 
     def _execute_delete(self, stmt: ast.Delete, ctx: ExecutionContext) -> Result:
-        rowcount = self._planned(stmt, ctx)
-        if rowcount is not None:
-            return Result(kind="dml", rowcount=rowcount)
-        schema = self.catalog.table(stmt.table)
-        data = self.storage.get(stmt.table)
-        executor = SelectExecutor(self, ctx)
-        columns = [ColumnBinding(schema.name, column.name) for column in schema.columns]
-
-        env = Environment(columns, ())
-
-        def matches(row: list[Any]) -> bool:
-            if stmt.where is None:
-                return True
-            env.row = row
-            return executor.evaluator.truthy(stmt.where, env)
-
-        removed = data.delete_rows(matches)
-        self.transactions.record(lambda r=removed, d=data: d.restore_rows(r))
-        return Result(kind="dml", rowcount=len(removed))
+        return Result(kind="dml", rowcount=self._cached_plan(stmt, ctx.params).execute(ctx))
 
     # -- DDL -------------------------------------------------------------------
 
+    def _no_row_value(self, expr: ast.Expression, ctx: ExecutionContext) -> Any:
+        """What ``expr`` evaluates to where no row is available (a
+        DEFAULT before its table or column exists)."""
+        return compile_row_expression(expr, self)(None, None, ctx)
+
     def _execute_create_table(self, stmt: ast.CreateTable, ctx: ExecutionContext) -> Result:
-        executor = SelectExecutor(self, ctx)
         columns: list[ColumnDef] = []
         primary_key: list[str] = []
         unique_sets: list[list[str]] = []
@@ -628,7 +575,7 @@ class Engine:
                 # SQL-92 requires the DEFAULT to be assignable to the
                 # column type at definition time.  Interbase report
                 # 217042(3) shows two products skipping this check.
-                value = executor.evaluator.evaluate(spec.default, None)
+                value = self._no_row_value(spec.default, ctx)
                 try:
                     cast_value(value, sql_type, implicit=True)
                 except TypeMismatch:
@@ -683,8 +630,7 @@ class Engine:
         view = ViewDef(name=stmt.name, query=stmt.query, column_names=stmt.column_names)
         # Validate the defining query by running it once, like products
         # that bind views eagerly; surfaces missing tables/columns now.
-        executor = SelectExecutor(self, ctx)
-        output = executor.execute_select(stmt.query)
+        output = compile_select(stmt.query, self).execute(ctx)
         if stmt.column_names is not None and len(stmt.column_names) != len(output.columns):
             raise CatalogError(
                 f"view {stmt.name!r} column list does not match its query"
@@ -773,7 +719,7 @@ class Engine:
         )
         fill: Any = None
         if column.default is not None:
-            fill = self._default_value(column, ctx)
+            fill = self._cast_default(self._no_row_value(column.default, ctx), column)
         if column.not_null and fill is None and len(data) > 0:
             raise ConstraintViolation(
                 f"cannot add NOT NULL column {column.name!r} without a default"

@@ -1,30 +1,30 @@
 """Planned query execution: logical plans, rewrites, compiled operators.
 
-The planner lowers a parsed SELECT into a logical operator tree
-(:mod:`.logical`), improves it with rule-based rewrites
+Every SELECT, INSERT, UPDATE and DELETE runs on a compiled plan.  The
+planner lowers a parsed SELECT into logical query blocks
+(:mod:`.logical` — joins of every kind, views and derived tables, set
+operations), improves each block with rule-based rewrites
 (:mod:`.rewrites` — constant folding, predicate pushdown, index
 selection over the catalog's unique-key sets), and compiles the result
-into Python closures over row batches (:mod:`.physical`), replacing the
-per-row AST walk of :mod:`repro.sqlengine.executor` on the hot path.
+into Python closures over row batches (:mod:`.physical`); expressions,
+subqueries included, compile through :mod:`.compiler`, and DML through
+:mod:`.dml`.
 
-A plan is compiled for one tuple of parameter kinds, and the engine
-caches one plan per statement and parameter-type tuple, so every
-decision that depends on the parameters (which conjuncts are total and
-may be split or hoisted, whether a unique-key lookup applies) is made
-at compile time.  Statement shapes outside the supported subset raise
-:class:`PlanUnsupported` at compile time and run on the tree-walker,
-whose semantics are the reference the compiled path must reproduce
-bit-for-bit; a compiled plan never hands a statement back at run time.
+A plan is compiled for one tuple of parameter kinds and one choice of
+rule set, and the engine caches one plan per statement, parameter-type
+tuple and rule set, so every decision that depends on the parameters
+(which conjuncts are total and may be split or hoisted, whether a
+unique-key lookup applies) is made at compile time.  The plan compiled
+with no rewrite rules is the dual-plan oracle's second opinion.
 """
 
-from repro.sqlengine.plan.logical import LogicalPlan, PlanUnsupported, lower_select
+from repro.sqlengine.plan.logical import LogicalPlan, lower_select
 from repro.sqlengine.plan.rewrites import PROBE_SCRIPTS, REWRITE_RULES, apply_rewrites
 from repro.sqlengine.plan.physical import PhysicalSelect, compile_select
 from repro.sqlengine.plan.explain import explain_plan, explain_statement
 
 __all__ = [
     "LogicalPlan",
-    "PlanUnsupported",
     "lower_select",
     "PROBE_SCRIPTS",
     "REWRITE_RULES",

@@ -1,11 +1,16 @@
 """Expression-to-closure compilation.
 
-Compiles AST expressions into Python closures ``f(row, aggs, ctx)``
-that reproduce :class:`repro.sqlengine.expressions.Evaluator` exactly:
-the same values, the same evaluation order of subexpressions, and the
-same errors with the same messages.  Name-resolution failures compile
-into closures that *raise when called* — the walker raises per row, so
-a query over zero rows must stay silent on the compiled path too.
+Compiles AST expressions into Python closures ``f(row, aggs, ctx)``:
+the one evaluator of SQL expressions, for statement plans, CHECK
+constraints and DEFAULTs alike.  Name-resolution failures compile into
+closures that *raise when called*, so a query over zero rows stays
+silent.
+
+A subquery compiles into a plan of its own (through
+:attr:`Scope.queries`), run each time the expression is evaluated.  A
+correlated reference resolves through the chain of enclosing scopes at
+compile time and reads the enclosing row from that scope's ``frame``,
+which the subquery closure fills just before it runs the subquery.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from repro.errors import BindError, TypeMismatch
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.expressions import _AMBIGUOUS, ColumnBinding, _resolution_map
 from repro.sqlengine.functions import AGGREGATE_NAMES, fn_mod, lookup_scalar
-from repro.sqlengine.plan.logical import PlanUnsupported
 from repro.sqlengine.typenames import resolve_type
 from repro.sqlengine.types import cast_value
 from repro.sqlengine.values import (
@@ -41,12 +45,17 @@ Closure = Callable[[Any, Any, Any], Any]
 class Scope:
     """Compile-time resolution context.
 
-    ``bindings`` are the visible columns; ``shift`` translates global
-    binding indices into the local row coordinates of the operator the
-    closure will run in (per-scan filters see table-local rows).
-    ``agg_slots`` maps ``id(FunctionCall)`` to a position in the
-    per-group aggregate value tuple; ``None`` means a non-aggregating
-    row context (aggregate references raise, as the walker's do).
+    ``bindings`` are the visible columns (``resolution`` their
+    precomputed :func:`_resolution_map`, when the caller shares one);
+    ``shift`` translates binding indices into the local row coordinates
+    of the operator the closure will run in (per-scan filters see
+    table-local rows).  ``agg_slots`` maps ``id(FunctionCall)`` to a
+    position in the per-group aggregate value tuple; ``None`` means a
+    non-aggregating row context (aggregate references raise).
+    ``no_row`` marks a context with no row at all (a DEFAULT, INSERT
+    VALUES).  ``outer`` is the scope a subquery is evaluated in, which
+    its unresolved column references fall back to; ``queries`` compiles
+    subqueries (``None``: subqueries are not available here).
     """
 
     def __init__(
@@ -56,12 +65,21 @@ class Scope:
         shift: int = 0,
         agg_slots: Optional[dict[int, int]] = None,
         no_row: bool = False,
+        outer: Optional["Scope"] = None,
+        queries: Any = None,
+        resolution: Optional[dict] = None,
     ) -> None:
-        self.bindings = bindings
         self.shift = shift
         self.agg_slots = agg_slots
         self.no_row = no_row
-        self._resolution = _resolution_map(bindings) if bindings or not no_row else {}
+        self.outer = outer
+        self.queries = queries
+        if resolution is None:
+            resolution = _resolution_map(bindings)
+        self._resolution = resolution
+        #: The row this scope's closures are evaluating, set by each
+        #: subquery closure compiled here before it runs its plan.
+        self.frame: list = [None]
 
     def resolve(self, ref: ast.ColumnRef):
         """Local row index, ``_AMBIGUOUS``, or None for unknown."""
@@ -168,13 +186,56 @@ def compile_expression(expr: ast.Expression, scope: Scope) -> Closure:
     if node_type is ast.InPredicate:
         return _compile_in(expr, scope)
 
+    if node_type is ast.ExistsPredicate:
+        run = _compile_subquery(expr.subquery, scope)
+        negated = expr.negated
+
+        def exists(row: Any, aggs: Any, ctx: Any) -> bool:
+            found = bool(run(row, ctx).rows)
+            return not found if negated else found
+
+        return exists
+
+    if node_type is ast.ScalarSubquery:
+        run = _compile_subquery(expr.subquery, scope)
+
+        def scalar(row: Any, aggs: Any, ctx: Any) -> Any:
+            rows = run(row, ctx).rows
+            if not rows:
+                return None
+            if len(rows) > 1:
+                raise TypeMismatch("scalar subquery returned more than one row")
+            if len(rows[0]) != 1:
+                raise TypeMismatch("scalar subquery must return exactly one column")
+            return rows[0][0]
+
+        return scalar
+
     if node_type is ast.Star:
         return _raiser(lambda: BindError("'*' is not a value expression here"))
 
-    # Exists / ScalarSubquery / anything new: lowering rejects these
-    # before compilation is attempted; reaching here is a planner bug
-    # guard, not a user error.
-    raise PlanUnsupported(f"cannot compile {node_type.__name__}")
+    name = node_type.__name__
+    return _raiser(lambda: BindError(f"cannot evaluate {name}"))
+
+
+def _compile_subquery(stmt: ast.SelectStatement, scope: Scope):
+    """``(row, ctx) -> QueryResult``: ``stmt``'s plan, run with ``row``
+    as the current row of ``scope``."""
+    queries = scope.queries
+    if queries is None:
+
+        def unavailable(row: Any, ctx: Any) -> Any:
+            raise BindError("subqueries are not available in this context")
+
+        return unavailable
+    plan = queries.subquery(stmt, None if scope.no_row else scope)
+    frame = scope.frame
+
+    def run(row: Any, ctx: Any) -> Any:
+        frame[0] = row
+        return plan.execute(ctx)
+
+    return run
 
 
 # -- leaves ------------------------------------------------------------------
@@ -187,13 +248,20 @@ def _compile_column(expr: ast.ColumnRef, scope: Scope) -> Closure:
             lambda: BindError(f"column {qualified!r} used where no row is available")
         )
     index = scope.resolve(expr)
+    owner = scope
+    while index is None and owner.outer is not None:
+        owner = owner.outer
+        index = owner.resolve(expr)
     if index == _AMBIGUOUS:
         name = expr.name
         return _raiser(lambda: BindError(f"ambiguous column reference {name!r}"))
     if index is None:
         qualified = expr.qualified
         return _raiser(lambda: BindError(f"unknown column {qualified!r}"))
-    return lambda row, aggs, ctx: row[index]
+    if owner is scope:
+        return lambda row, aggs, ctx: row[index]
+    frame = owner.frame
+    return lambda row, aggs, ctx: frame[0][index]
 
 
 def _compile_parameter(index: int) -> Closure:
@@ -349,7 +417,7 @@ def _compile_cast(expr: ast.CastExpr, scope: Scope) -> Closure:
         target = resolve_type(type_name, type_args)
     except Exception:
         # Unresolvable type: evaluate the operand first, then raise the
-        # resolver's error — the walker's order.
+        # resolver's error.
         def cast_deferred(row: Any, aggs: Any, ctx: Any) -> Any:
             value = operand(row, aggs, ctx)
             return cast_value(value, resolve_type(type_name, type_args))
@@ -445,29 +513,38 @@ def _compile_like(expr: ast.LikePredicate, scope: Scope) -> Closure:
 
 
 def _compile_in(expr: ast.InPredicate, scope: Scope) -> Closure:
-    if expr.values is None:
-        raise PlanUnsupported("IN subquery")
     operand = compile_expression(expr.operand, scope)
-    items = [compile_expression(item, scope) for item in expr.values]
     negated = expr.negated
+    if expr.values is None:
+        run = _compile_subquery(expr.subquery, scope)
+
+        def in_subquery(row: Any, aggs: Any, ctx: Any) -> Optional[bool]:
+            value = operand(row, aggs, ctx)
+            rows = run(row, ctx).rows
+            if rows and len(rows[0]) != 1:
+                raise TypeMismatch("IN subquery must return exactly one column")
+            return _in_semantics(value, [found[0] for found in rows], negated)
+
+        return in_subquery
+    items = [compile_expression(item, scope) for item in expr.values]
 
     def contains(row: Any, aggs: Any, ctx: Any) -> Optional[bool]:
         value = operand(row, aggs, ctx)
-        candidates = [item(row, aggs, ctx) for item in items]
-        if value is None:
-            return None
-        saw_null = False
-        for candidate in candidates:
-            if candidate is None:
-                saw_null = True
-                continue
-            if (
-                distinct_key(candidate) == distinct_key(value)
-                or sql_compare(value, candidate) == 0
-            ):
-                return False if negated else True
-        if saw_null:
-            return None
-        return True if negated else False
+        return _in_semantics(value, [item(row, aggs, ctx) for item in items], negated)
 
     return contains
+
+
+def _in_semantics(value: Any, candidates: list, negated: bool) -> Optional[bool]:
+    if value is None:
+        return None
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+            continue
+        if distinct_key(candidate) == distinct_key(value) or sql_compare(value, candidate) == 0:
+            return False if negated else True
+    if saw_null:
+        return None
+    return True if negated else False

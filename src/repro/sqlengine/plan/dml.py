@@ -1,30 +1,28 @@
 """Compiled DML: planned INSERT / UPDATE / DELETE execution.
 
 DML planning reuses the expression compiler and, for UPDATE, the same
-unique-key point-lookup machinery as SELECT plans.  Each planned
-statement mirrors the engine's interpreted path exactly — evaluation
-order, cast points, constraint checks, undo records — by delegating the
-shared mutation tail back to the engine
-(:meth:`Engine._insert_rows` / :meth:`Engine.apply_row_update`).
-Planned UPDATE and DELETE return their row count and the engine builds
-the ``Result``, so this module never imports the engine that runs it.
+unique-key point-lookup machinery as SELECT plans; ``INSERT ... SELECT``
+and subqueries in WHERE, SET and VALUES compile as SELECT plans one
+nesting level down.  The mutation tail — casts, constraint checks,
+undo records — is the engine's (:meth:`Engine._insert_rows` /
+:meth:`Engine.apply_row_update`).  The target table and columns are
+resolved at compile time, so a missing one raises from
+:func:`compile_statement`, before any value is evaluated.  Planned
+UPDATE and DELETE return their row count and the engine builds the
+``Result``, so this module never imports the engine that runs it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
+from repro.errors import SqlError
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.expressions import ColumnBinding
 from repro.sqlengine.plan.compiler import Scope, compile_expression
-from repro.sqlengine.plan.logical import (
-    LogicalPlan,
-    PlanUnsupported,
-    Scan,
-    _reject_subqueries,
-    kind_of_type,
-)
+from repro.sqlengine.plan.logical import LogicalPlan, Scan, kind_of_type
 from repro.sqlengine.plan.physical import (
+    QueryCompiler,
     compile_filter,
     compile_select,
     compile_unique_probe,
@@ -33,22 +31,22 @@ from repro.sqlengine.plan.rewrites import _Analyzer, split_conjuncts
 from repro.sqlengine.types import cast_value
 
 
-def _table_plan(stmt: ast.Statement, engine, schema, param_kinds: tuple) -> LogicalPlan:
+def _table_plan(engine, schema, queries: QueryCompiler) -> tuple[LogicalPlan, Scope]:
     """A single-scan pseudo-plan so DML can reuse the SELECT analyzer
-    (the walker binds DML rows under the schema's declared name)."""
+    (DML rows bind under the schema's declared name), and the scope
+    its expressions compile in."""
     scan = Scan(table=schema.name, label=schema.name, width=len(schema.columns))
     bindings = [ColumnBinding(schema.name, column.name) for column in schema.columns]
     kinds = [kind_of_type(column.sql_type) for column in schema.columns]
-    return LogicalPlan(
-        statement=stmt,
-        core=None,
+    plan = LogicalPlan(
         root=None,
         scans=[scan],
         bindings=bindings,
         kinds=kinds,
         unique_sets=[engine.catalog.unique_sets(schema)],
-        param_kinds=param_kinds,
+        param_kinds=queries.param_kinds,
     )
+    return plan, Scope(bindings, queries=queries, resolution=plan.resolution())
 
 
 def _compile_where(where, plan: LogicalPlan, scope: Scope) -> tuple:
@@ -70,38 +68,38 @@ def _whole_heap(data, ctx) -> list:
 
 
 class PlannedInsert:
-    """INSERT ... VALUES with pre-compiled value closures."""
+    """INSERT ... VALUES with pre-compiled value closures, or INSERT ...
+    SELECT with a compiled query.  Every source row is evaluated before
+    the first is checked (width, constraints) and stored."""
 
-    def __init__(self, stmt: ast.Insert, engine) -> None:
-        if stmt.rows is None:
-            raise PlanUnsupported("INSERT ... SELECT")
+    def __init__(self, stmt: ast.Insert, engine, queries: QueryCompiler) -> None:
         self._engine = engine
         self._table = stmt.table
         schema = engine.catalog.table(stmt.table)
         if stmt.columns is not None:
             target = [schema.column_index(name) for name in stmt.columns]
             if len(set(target)) != len(target):
-                raise PlanUnsupported("duplicate INSERT column")
+                raise SqlError(f"duplicate column in INSERT into {stmt.table!r}")
         else:
             target = list(range(len(schema.columns)))
         self._target_indices = target
-        scope = Scope((), no_row=True)
-        rows = []
-        for row in stmt.rows:
-            for expr in row:
-                _reject_subqueries(expr)
-            if len(row) != len(target):
-                raise PlanUnsupported("INSERT width mismatch")
-            rows.append([compile_expression(expr, scope) for expr in row])
-        self._rows = rows
+        if stmt.rows is None:
+            self._query = queries.subquery(stmt.query, None)
+            return
+        self._query = None
+        scope = Scope((), no_row=True, queries=queries)
+        self._rows = [[compile_expression(expr, scope) for expr in row] for row in stmt.rows]
 
     def execute(self, ctx) -> Any:
         engine = self._engine
         schema = engine.catalog.table(self._table)
         data = engine.storage.get(self._table)
-        source_rows = [
-            tuple(closure(None, None, ctx) for closure in row) for row in self._rows
-        ]
+        if self._query is not None:
+            source_rows = self._query.execute(ctx).rows
+        else:
+            source_rows = [
+                tuple(closure(None, None, ctx) for closure in row) for row in self._rows
+            ]
         return engine._insert_rows(
             schema, data, self._target_indices, source_rows, ctx
         )
@@ -112,16 +110,11 @@ class PlannedUpdate:
     total and pins a unique key, an index point lookup instead of a
     heap scan."""
 
-    def __init__(self, stmt: ast.Update, engine, param_kinds: tuple) -> None:
+    def __init__(self, stmt: ast.Update, engine, queries: QueryCompiler) -> None:
         self._engine = engine
         self._table = stmt.table
         schema = engine.catalog.table(stmt.table)
-        plan = _table_plan(stmt, engine, schema, param_kinds)
-        scope = Scope(plan.bindings)
-        if stmt.where is not None:
-            _reject_subqueries(stmt.where)
-        for _, expr in stmt.assignments:
-            _reject_subqueries(expr)
+        plan, scope = _table_plan(engine, schema, queries)
         self._select, conjuncts = _compile_where(stmt.where, plan, scope)
         self._assignments = []
         for name, expr in stmt.assignments:
@@ -177,9 +170,9 @@ class PlannedUpdate:
         if self._total:
             rows = select(candidates, ctx)
         else:
-            # A WHERE that may raise is evaluated row by row between the
-            # updates, as the walker does, so an error leaves the same
-            # rows updated.
+            # A WHERE that may raise (or read the table through a
+            # subquery) is evaluated row by row between the updates, so
+            # an error leaves the rows before it updated.
             rows = (row for row in candidates if select([row], ctx))
         updated = 0
         for row in rows:
@@ -195,36 +188,35 @@ class PlannedUpdate:
 class PlannedDelete:
     """DELETE with a compiled predicate over the heap scan."""
 
-    def __init__(self, stmt: ast.Delete, engine, param_kinds: tuple) -> None:
+    def __init__(self, stmt: ast.Delete, engine, queries: QueryCompiler) -> None:
         self._engine = engine
         self._table = stmt.table
         schema = engine.catalog.table(stmt.table)
-        if stmt.where is not None:
-            _reject_subqueries(stmt.where)
-        plan = _table_plan(stmt, engine, schema, param_kinds)
-        self._select, _ = _compile_where(stmt.where, plan, Scope(plan.bindings))
+        plan, scope = _table_plan(engine, schema, queries)
+        self._select, _ = _compile_where(stmt.where, plan, scope)
 
     def execute(self, ctx) -> int:
         engine = self._engine
         engine.catalog.table(self._table)  # raises if dropped (defensive)
         data = engine.storage.get(self._table)
-        # Every row is tested before any is removed, as the walker's
-        # delete_rows does, so a raising WHERE removes nothing.
+        # Every row is tested before any is removed, so a raising WHERE
+        # removes nothing and a subquery sees the whole table.
         doomed = {id(row) for row in self._select(data.rows(), ctx)}
         removed = data.delete_rows(lambda row: id(row) in doomed)
         engine.transactions.record(lambda r=removed, d=data: d.restore_rows(r))
         return len(removed)
 
 
-def compile_statement(stmt: ast.Statement, engine, param_kinds: tuple) -> Optional[Any]:
-    """Compile any plannable statement for parameters of
-    ``param_kinds``; None for kinds with no planner."""
+def compile_statement(stmt: ast.Statement, engine, param_kinds: tuple, rewrite: bool) -> Any:
+    """Compile a SELECT, INSERT, UPDATE or DELETE for parameters of
+    ``param_kinds``, SELECT blocks with the rewrite rules applied
+    unless ``rewrite`` is false."""
     if isinstance(stmt, ast.SelectStatement):
-        return compile_select(stmt, engine, param_kinds)
+        return compile_select(stmt, engine, param_kinds, rewrite)
+    # DML expressions run at depth 0: their subqueries at 1.
+    queries = QueryCompiler(engine, param_kinds, rewrite, 0)
     if isinstance(stmt, ast.Insert):
-        return PlannedInsert(stmt, engine)
+        return PlannedInsert(stmt, engine, queries)
     if isinstance(stmt, ast.Update):
-        return PlannedUpdate(stmt, engine, param_kinds)
-    if isinstance(stmt, ast.Delete):
-        return PlannedDelete(stmt, engine, param_kinds)
-    return None
+        return PlannedUpdate(stmt, engine, queries)
+    return PlannedDelete(stmt, engine, queries)

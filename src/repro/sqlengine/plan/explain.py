@@ -1,10 +1,10 @@
 """EXPLAIN rendering for logical plans.
 
 ``explain_plan`` pretty-prints a lowered (and usually rewritten)
-:class:`~repro.sqlengine.plan.logical.LogicalPlan`; ``explain_statement``
-is the one-stop entry the servers and the CLI use: parse, lower, rewrite,
-render — falling back to a short "unplanned" note for statement shapes
-the planner leaves to the tree-walker.
+:class:`~repro.sqlengine.plan.logical.LogicalPlan`, the blocks of its
+set operations, views and derived tables indented under them;
+``explain_statement`` is the one-stop entry the servers and the CLI
+use: parse, lower, rewrite, render.
 """
 
 from __future__ import annotations
@@ -17,17 +17,20 @@ from repro.sqlengine.parser import parse_script
 from repro.sqlengine.plan.logical import (
     Aggregate,
     CrossJoin,
+    Derived,
     Distinct,
     DualScan,
     Filter,
     HashJoin,
     IndexLookup,
+    Join,
     Limit,
     LogicalPlan,
-    PlanUnsupported,
     Project,
     Scan,
+    SetOp,
     Sort,
+    blocks,
     lower_select,
 )
 from repro.sqlengine.plan.rewrites import apply_rewrites
@@ -38,8 +41,9 @@ def explain_plan(plan: LogicalPlan) -> str:
     """Render a logical plan as an indented operator tree."""
     lines: list[str] = []
     _render_node(plan.root, lines, 0)
-    if plan.applied_rules:
-        lines.append(f"rewrites: {', '.join(plan.applied_rules)}")
+    rules = list(dict.fromkeys(rule for block in blocks(plan) for rule in block.applied_rules))
+    if rules:
+        lines.append(f"rewrites: {', '.join(rules)}")
     else:
         lines.append("rewrites: (none)")
     return "\n".join(lines)
@@ -89,6 +93,23 @@ def _render_node(node: Any, lines: list[str], depth: int) -> None:
         lines.append(f"{pad}CrossJoin")
         _render_node(node.left, lines, depth + 1)
         _render_node(node.right, lines, depth + 1)
+    elif isinstance(node, Join):
+        condition = (
+            f" ON {render_expression(node.condition)}" if node.condition is not None else ""
+        )
+        lines.append(f"{pad}Join {node.kind}{condition}")
+        _render_node(node.left, lines, depth + 1)
+        _render_node(node.right, lines, depth + 1)
+    elif isinstance(node, SetOp):
+        lines.append(f"{pad}SetOp {node.op}{' ALL' if node.all else ''}")
+        _render_node(node.left.root, lines, depth + 1)
+        _render_node(node.right.root, lines, depth + 1)
+    elif isinstance(node, Derived):
+        source = f"View {node.view.name}" if node.view is not None else "Derived"
+        label = f" as {node.label}" if node.view is None or node.label != node.view.name else ""
+        lines.append(f"{pad}{source}{label}")
+        if node.block is not None:
+            _render_node(node.block.root, lines, depth + 1)
     elif isinstance(node, IndexLookup):
         keys = ", ".join(
             f"{column} = {render_expression(expr)}"
@@ -123,9 +144,8 @@ def _render_items(items: list[ast.SelectItem]) -> str:
 def explain_statement(sql: str, catalog=None) -> str:
     """Parse one SELECT and render its (rewritten) plan.
 
-    Non-SELECT statements and shapes outside the planner's subset get a
-    one-line note naming the executor that will run them instead; tables
-    missing from ``catalog`` mark the plan incomplete instead of failing.
+    Non-SELECT statements get a one-line note; tables missing from
+    ``catalog`` mark the plan incomplete instead of failing.
     """
     statements = parse_script(sql)
     if len(statements) != 1:
@@ -133,12 +153,8 @@ def explain_statement(sql: str, catalog=None) -> str:
     stmt = statements[0]
     if not isinstance(stmt, ast.SelectStatement):
         return f"{type(stmt).__name__}: executed directly by the engine (no plan)"
-    try:
-        # No values are bound: each `?` is planned as the kind of the
-        # operand it is compared with, the plan every well-typed call gets.
-        plan = lower_select(stmt, catalog, None, lenient=True)
-    except PlanUnsupported as exc:
-        return f"unplanned ({exc}): executed by the tree-walker"
-    apply_rewrites(plan)
+    # No values are bound: each `?` is planned as the kind of the
+    # operand it is compared with, the plan every well-typed call gets.
+    plan = apply_rewrites(lower_select(stmt, catalog, None))
     header = "plan (incomplete: missing tables)" if plan.incomplete else "plan"
     return f"{header}:\n{explain_plan(plan)}"

@@ -1,48 +1,54 @@
 """Physical plan compilation: logical operators to batch closures.
 
-``compile_select`` turns a lowered + rewritten :class:`LogicalPlan`
-into a :class:`PhysicalSelect` whose ``execute(ctx)`` produces the same
-:class:`~repro.sqlengine.executor.QueryResult` as the tree-walker —
-same rows, same order, same column names, same errors — while running
-compiled closures over row batches instead of per-row AST recursion.
+``compile_select`` turns a SELECT into a :class:`PhysicalSelect` whose
+``execute(ctx)`` produces a :class:`QueryResult` by running compiled
+closures over row batches.  Every query block is a plan of its own,
+compiled by one :class:`QueryCompiler` per nesting level: the operands
+of a set operation, each view and derived table (run again on every
+read), and each subquery an expression holds (run each time the
+expression is evaluated).
 
-A plan is compiled for one tuple of parameter kinds, so everything its
-shape depends on is decided before it runs.  What only the data can
-tell is handled in place, never by handing the statement back to the
-walker: a unique-key probe that cannot use its index (poisoned, stored
-key kinds that differ, a probe value that will not hash) returns the
-whole heap, and the filter above it re-applies every conjunct; a hash
-join whose keys will not hash evaluates the equality row by row.
+A plan is compiled for one tuple of parameter kinds and one choice of
+rewrite rules, so everything its shape depends on is decided before it
+runs.  What only the data can tell is handled in place: a unique-key
+probe that cannot use its index (poisoned, stored key kinds that
+differ, a probe value that will not hash) returns the whole heap, and
+the filter above it re-applies every conjunct; a hash join whose keys
+will not hash evaluates the equality row by row.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
-from repro.errors import BindError, TypeMismatch
+from repro.errors import BindError, CatalogError, TypeMismatch
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.executor import QueryResult, SelectExecutor, order_rows
-from repro.sqlengine.expressions import _AMBIGUOUS
+from repro.sqlengine.expressions import _AMBIGUOUS, collect_aggregates
 from repro.sqlengine.functions import Accumulator
 from repro.sqlengine.plan.compiler import (
     CMP_OPERATORS,
     Closure,
     Scope,
+    _raiser,
     compile_expression,
 )
 from repro.sqlengine.plan.logical import (
+    MAX_SUBQUERY_DEPTH,
     Aggregate,
     CrossJoin,
+    Derived,
     Distinct,
     DualScan,
     Filter,
     HashJoin,
     IndexLookup,
+    Join,
     Limit,
     LogicalPlan,
-    PlanUnsupported,
     Scan,
+    SetOp,
     Sort,
     lower_select,
 )
@@ -53,11 +59,60 @@ Source = Callable[[Any], list]
 Selector = Callable[[list, Any], list]
 
 
+@dataclass
+class QueryResult:
+    """Final output of a SELECT: plain column names plus rows."""
+
+    columns: list[str]
+    rows: list[tuple]
+
+
+def _sort_key(value: Any) -> tuple:
+    # The rank keeps NULL from ever being compared with a value.
+    return (1,) if value is None else (0, distinct_key(value))
+
+
+def order_rows(decorated: list[tuple[tuple, tuple]], directions: list[bool]) -> list[tuple]:
+    """The rows of ``decorated`` — ``(ORDER BY values, row)`` pairs in
+    input order — sorted by those values, ``directions[i]`` true for
+    DESC.  NULLs sort last ascending and first descending; ties keep
+    input order.  One stable sort per key, the least significant first
+    (``reverse=`` keeps ties in order), so no key is wrapped to invert
+    its comparisons."""
+    entries = [(*map(_sort_key, values), row) for values, row in decorated]
+    for position in reversed(range(len(directions))):
+        entries.sort(key=itemgetter(position), reverse=directions[position])
+    return [entry[-1] for entry in entries]
+
+
+def _distinct_rows(rows: list[tuple]) -> list[tuple]:
+    seen: set = set()
+    result: list[tuple] = []
+    for row in rows:
+        key = row_key(row)
+        if key not in seen:
+            seen.add(key)
+            result.append(row)
+    return result
+
+
+def _collect_core_aggregates(block) -> list[ast.FunctionCall]:
+    """The aggregate calls of a select list and HAVING (``block`` is an
+    :class:`Aggregate` node, holding them after constant folding)."""
+    nodes: list[ast.FunctionCall] = []
+    for item in block.items:
+        if not isinstance(item.expression, ast.Star):
+            nodes.extend(collect_aggregates(item.expression))
+    if block.having is not None:
+        nodes.extend(collect_aggregates(block.having))
+    return nodes
+
+
 def _join_key(value: Any, expected: str):
     """Hash key for a join/index probe: ``distinct_key`` with booleans
     bridged onto the numeric kind (matching ``sql_compare``'s
     bool/number reconciliation).  Returns None when the value's kind is
-    not ``expected`` — hashing it would diverge from the walker."""
+    not ``expected`` — hashing it would diverge from ``sql_compare``."""
     if isinstance(value, bool):
         return ("n", int(value)) if expected == "n" else None
     key = distinct_key(value)
@@ -85,7 +140,7 @@ def compile_unique_probe(
         for getter, expected in zip(getters, kinds):
             value = getter(None, None, ctx)
             if value is None:
-                return []  # `col = NULL` is never TRUE; the walker keeps no rows
+                return []  # `col = NULL` is never TRUE: no row qualifies
             part = _join_key(value, expected)
             if part is None:
                 return data.rows()
@@ -172,20 +227,60 @@ def compile_filter(conjuncts: list, scope: Scope, total: bool) -> Selector:
     return select
 
 
-def compile_select(
-    stmt: ast.SelectStatement, engine, param_kinds: tuple = ()
-) -> "PhysicalSelect":
-    """Lower, rewrite, and compile a SELECT for ``engine`` and
-    parameters of ``param_kinds``.
+class _TooDeep:
+    """The plan of a block nested deeper than ``MAX_SUBQUERY_DEPTH``."""
 
-    Raises :class:`PlanUnsupported` when the statement is outside the
-    planner's subset; the caller keeps using the tree-walker.
-    """
-    plan = lower_select(stmt, engine.catalog, param_kinds)
-    apply_rewrites(plan)
-    if plan.incomplete:
-        raise PlanUnsupported("plan references a missing table")
-    return PhysicalSelect(plan, engine)
+    def execute(self, ctx) -> QueryResult:
+        raise BindError("subquery nesting too deep")
+
+
+class QueryCompiler:
+    """What every block at one nesting level compiles against: the
+    engine, the parameter kinds, whether the rewrite rules apply, and
+    the ``depth`` its blocks run at (1 for a SELECT of its own, 0 for
+    the expressions of DML, CHECK and DEFAULT, whose subqueries run
+    at 1)."""
+
+    def __init__(self, engine, param_kinds: Optional[tuple], rewrite: bool, depth: int) -> None:
+        self.engine = engine
+        self.param_kinds = param_kinds
+        self.rewrite = rewrite
+        self.depth = depth
+
+    def nested(self) -> "QueryCompiler":
+        return QueryCompiler(self.engine, self.param_kinds, self.rewrite, self.depth + 1)
+
+    def query(self, stmt: ast.SelectStatement, outer: Optional[Scope]) -> Any:
+        """The plan of ``stmt`` at this level, whose column references
+        fall back to ``outer``."""
+        if self.depth > MAX_SUBQUERY_DEPTH:
+            return _TooDeep()
+        plan = lower_select(stmt, self.engine.catalog, self.param_kinds, self.depth)
+        if self.rewrite:
+            apply_rewrites(plan)
+        return PhysicalSelect(plan, self, outer)
+
+    def subquery(self, stmt: ast.SelectStatement, outer: Optional[Scope]) -> Any:
+        """The plan of a subquery evaluated in ``outer``, one level down."""
+        return self.nested().query(stmt, outer)
+
+
+def compile_select(
+    stmt: ast.SelectStatement, engine, param_kinds: tuple = (), rewrite: bool = True
+) -> "PhysicalSelect":
+    """Lower, rewrite (unless ``rewrite`` is false) and compile a SELECT
+    for ``engine`` and parameters of ``param_kinds``."""
+    return QueryCompiler(engine, param_kinds, rewrite, 1).query(stmt, None)
+
+
+def compile_row_expression(expr: ast.Expression, engine, bindings=None) -> Closure:
+    """A closure for an expression the engine evaluates outside any
+    statement plan: a CHECK over a table row (``bindings``), or a
+    DEFAULT where no row is available (``bindings`` None)."""
+    queries = QueryCompiler(engine, (), True, 0)
+    if bindings is None:
+        return compile_expression(expr, Scope((), no_row=True, queries=queries))
+    return compile_expression(expr, Scope(bindings, queries=queries))
 
 
 class PhysicalSelect:
@@ -195,36 +290,43 @@ class PhysicalSelect:
     current; the engine's plan cache enforces that.
     """
 
-    def __init__(self, plan: LogicalPlan, engine) -> None:
+    def __init__(self, plan: LogicalPlan, compiler: QueryCompiler, outer: Optional[Scope] = None) -> None:
         self.plan = plan
-        self._engine = engine
-        stmt = plan.statement
-        core = plan.core
+        self._compiler = compiler
+        self._outer = outer
 
         root = plan.root
         self._limit = None
         if isinstance(root, Limit):
             self._limit = root.count
             root = root.child
-        self._has_sort = False
+        sort_items = None
         if isinstance(root, Sort):
-            self._has_sort = True
             sort_items = root.order_by
             root = root.child
+        self._name_parts = plan.names
         self._distinct = False
+
+        if isinstance(root, SetOp):
+            self._setop = self._compile_setop(root)
+            self._order_spec = (
+                self._compile_order(sort_items, None) if sort_items else None
+            )
+            return
+        self._setop = None
         if isinstance(root, Distinct):
             self._distinct = True
             root = root.child
 
         bindings = plan.bindings
         self._width = len(bindings)
-        row_scope = Scope(bindings)
+        row_scope = self._scope()
 
         if isinstance(root, Aggregate):
             self._grouped = True
-            agg_nodes = SelectExecutor._collect_core_aggregates(core)
+            agg_nodes = _collect_core_aggregates(root)
             slots = {id(node): position for position, node in enumerate(agg_nodes)}
-            out_scope = Scope(bindings, agg_slots=slots)
+            out_scope = self._scope(agg_slots=slots)
             self._agg_specs = [
                 (node.name, node.distinct, node.star, self._agg_arg(node, row_scope))
                 for node in agg_nodes
@@ -240,16 +342,25 @@ class PhysicalSelect:
         else:
             self._grouped = False
             out_scope = row_scope
-        items = root.items
 
-        self._name_parts = self._compile_names(items, bindings)
         self._project, self._columns = self._compile_projection(
-            items, bindings, out_scope
+            root.items, bindings, out_scope
         )
         self._order_spec = (
-            self._compile_order(sort_items, out_scope) if self._has_sort else None
+            self._compile_order(sort_items, out_scope) if sort_items else None
         )
-        self._source = self._compile_source(root.child, plan)
+        self._source = self._compile_source(root.child)
+        plan.compiled()
+
+    def _scope(self, **options) -> Scope:
+        """A scope over the block's combined FROM row."""
+        return Scope(
+            self.plan.bindings,
+            outer=self._outer,
+            queries=self._compiler,
+            resolution=self.plan.resolution(),
+            **options,
+        )
 
     # -- compilation ---------------------------------------------------------
 
@@ -257,7 +368,7 @@ class PhysicalSelect:
     def _agg_arg(node: ast.FunctionCall, row_scope: Scope):
         """Per-row accumulator feed for one aggregate call: None for
         ``COUNT(*)``, an arg closure, or a raising marker for wrong
-        arity (the walker raises per accumulated row)."""
+        arity (raised per accumulated row)."""
         if node.star:
             return None
         if len(node.args) != 1:
@@ -268,37 +379,6 @@ class PhysicalSelect:
 
             return bad_arity
         return compile_expression(node.args[0], row_scope)
-
-    def _compile_names(self, items, bindings):
-        """Output-name recipe mirroring ``SelectExecutor._output_names``:
-        literal strings, per-execution flag consults for unaliased
-        AVG/SUM (Interbase 222476), and a raising part for a qualified
-        ``*`` that matches no table."""
-        parts: list[tuple] = []
-        for item in items:
-            expr = item.expression
-            if isinstance(expr, ast.Star):
-                matched = False
-                for binding in bindings:
-                    if expr.table is None or binding.label.lower() == expr.table.lower():
-                        parts.append(("name", binding.name))
-                        matched = True
-                if expr.table is not None and not matched:
-                    table = expr.table
-                    parts.append(("error", f"unknown table {table!r} in select list"))
-                continue
-            if item.alias:
-                parts.append(("name", item.alias))
-            elif isinstance(expr, ast.ColumnRef):
-                parts.append(("name", expr.name))
-            elif isinstance(expr, ast.FunctionCall):
-                if expr.name in ("AVG", "SUM"):
-                    parts.append(("flag", expr.name))
-                else:
-                    parts.append(("name", expr.name))
-            else:
-                parts.append(("name", "EXPR"))
-        return parts
 
     def _names(self, ctx) -> list[str]:
         names: list[str] = []
@@ -350,44 +430,95 @@ class PhysicalSelect:
 
         return project, None
 
-    def _compile_order(self, order_by, scope: Scope):
-        """ORDER BY recipe; the walker resolves unqualified column names
-        against *output* names first, which can vary per execution
+    def _compile_order(self, order_by, scope: Optional[Scope]):
+        """ORDER BY recipe.  Unqualified column names resolve against
+        the *output* names first, which can vary per execution
         (flag-dependent aggregate names), so name resolution happens at
-        execute time against the computed name list."""
+        execute time against the computed name list.  A set operation
+        (``scope`` None) orders by position or output name only."""
         spec: list[tuple] = []
         for item in order_by:
             expr = item.expression
             if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
                 spec.append(("ordinal", expr.value, item.descending))
                 continue
+            if scope is None:
+                key = _raiser(
+                    lambda: BindError(
+                        "ORDER BY expression must name an output column of a set operation"
+                    )
+                )
+            else:
+                key = compile_expression(expr, scope)
             if isinstance(expr, ast.ColumnRef) and expr.table is None:
-                fallback = compile_expression(expr, scope)
-                spec.append(("byname", (expr.name.lower(), fallback), item.descending))
-                continue
-            spec.append(("expr", compile_expression(expr, scope), item.descending))
+                spec.append(("byname", (expr.name.lower(), key), item.descending))
+            else:
+                spec.append(("expr", key, item.descending))
         return spec
+
+    def _compile_setop(self, node: SetOp) -> Callable[[Any], QueryResult]:
+        left = PhysicalSelect(node.left, self._compiler, self._outer)
+        right = PhysicalSelect(node.right, self._compiler, self._outer)
+        op, keep_all = node.op, node.all
+
+        def setop(ctx: Any) -> QueryResult:
+            left_result = left.execute(ctx)
+            right_result = right.execute(ctx)
+            if len(left_result.columns) != len(right_result.columns):
+                raise TypeMismatch(
+                    f"{op} operands have different column counts "
+                    f"({len(left_result.columns)} vs {len(right_result.columns)})"
+                )
+            if op == "UNION":
+                rows = left_result.rows + right_result.rows
+                if not keep_all:
+                    rows = _distinct_rows(rows)
+            else:
+                right_keys = {row_key(row) for row in right_result.rows}
+                keep = op == "INTERSECT"
+                rows = _distinct_rows(
+                    [row for row in left_result.rows if (row_key(row) in right_keys) == keep]
+                )
+            return QueryResult(left_result.columns, rows)
+
+        return setop
 
     # -- source tree ---------------------------------------------------------
 
-    def _compile_source(self, node: Any, plan: LogicalPlan) -> Source:
-        engine = self._engine
+    def _compile_source(self, node: Any) -> Source:
+        engine = self._compiler.engine
         if isinstance(node, DualScan):
             return lambda ctx: [()]
         if isinstance(node, Scan):
-            storage = engine.storage
             table = node.table
+            if not engine.catalog.has_table(table):
+                return lambda ctx: _raise(CatalogError(f"relation {table!r} does not exist"))
+            storage = engine.storage
             return lambda ctx: storage.get(table).rows()
+        if isinstance(node, Derived):
+            return self._compile_derived(node)
         if isinstance(node, IndexLookup):
-            return self._compile_lookup(node, plan)
+            return self._compile_lookup(node)
         if isinstance(node, Filter):
-            child = self._compile_source(node.child, plan)
-            scope = Scope(plan.bindings, shift=self._subtree_shift(node.child))
-            select = compile_filter(node.conjuncts, scope, node.pushed)
-            return lambda ctx: select(child(ctx), ctx)
+            child = self._compile_source(node.child)
+            shift = _subtree_shift(node.child)
+            select = compile_filter(node.conjuncts, self._scope(shift=shift), node.pushed)
+            if not node.pushed or shift:
+                return lambda ctx: select(child(ctx), ctx)
+
+            def pushed(ctx: Any) -> list:
+                rows = select(child(ctx), ctx)
+                if rows and ctx.flag("plan_filter_truncates"):
+                    # Injected planner fault (dual-plan oracle target):
+                    # the pushed filter over the first FROM leaf drops
+                    # the last row it keeps.
+                    return rows[:-1]
+                return rows
+
+            return pushed
         if isinstance(node, CrossJoin):
-            left = self._compile_source(node.left, plan)
-            right = self._compile_source(node.right, plan)
+            left = self._compile_source(node.left)
+            right = self._compile_source(node.right)
 
             def cross(ctx: Any) -> list:
                 left_rows = left(ctx)
@@ -396,44 +527,104 @@ class PhysicalSelect:
 
             return cross
         if isinstance(node, HashJoin):
-            return self._compile_hash_join(node, plan)
-        raise PlanUnsupported(f"no physical operator for {type(node).__name__}")
+            return self._compile_hash_join(node)
+        return self._compile_join(node)
 
-    @staticmethod
-    def _subtree_shift(node: Any) -> int:
-        """Row coordinates of a source subtree: scan-local below joins
-        (shift by the scan's combined-row offset), combined above."""
-        while isinstance(node, Filter):
-            node = node.child
-        if isinstance(node, Scan):
-            return node.offset
-        if isinstance(node, IndexLookup):
-            return node.scan.offset
-        return 0
+    def _compile_derived(self, node: Derived) -> Source:
+        """A view or derived table: its block, run on every read (a view
+        noted in ``ctx`` first, and sees no outer row)."""
+        view = node.view
+        if node.block is None:
+            block: Any = _TooDeep()
+        else:
+            outer = None if view is not None else self._outer
+            block = PhysicalSelect(node.block, self._compiler.nested(), outer)
+        mismatch = node.mismatch
 
-    def _compile_lookup(self, node: IndexLookup, plan: LogicalPlan) -> Source:
-        engine = self._engine
+        def derived(ctx: Any) -> list:
+            if view is not None:
+                ctx.note_view_use(view)
+            rows = block.execute(ctx).rows
+            if mismatch:
+                raise CatalogError(f"view {view.name!r} column list does not match its query")
+            return [list(row) for row in rows]
+
+        return derived
+
+    def _compile_join(self, node: Join) -> Source:
+        """An explicit join: both sides built, then a nested loop whose
+        ON condition sees only the two sides' columns (and the outer
+        query's).  RIGHT runs as a LEFT join of the flipped sides."""
+        left = self._compile_source(node.left)
+        right = self._compile_source(node.right)
+        kind = node.kind
+        left_width, right_width = node.left_width, node.right_width
+        split = node.offset + left_width
+        left_bindings = self.plan.bindings[node.offset : split]
+        right_bindings = self.plan.bindings[split : split + right_width]
+        if kind == "RIGHT":
+            left_bindings, right_bindings = right_bindings, left_bindings
+        condition = None
+        if node.condition is not None and kind != "CROSS":
+            scope = Scope(
+                left_bindings + right_bindings, outer=self._outer, queries=self._compiler
+            )
+            condition = compile_expression(node.condition, scope)
+
+        def loop(outer_rows: list, inner_rows: list, ctx: Any, pad, matched_inner) -> list:
+            rows = []
+            for outer_row in outer_rows:
+                matched = False
+                for position, inner_row in enumerate(inner_rows):
+                    combined = outer_row + inner_row
+                    if condition is None or condition(combined, None, ctx) is True:
+                        rows.append(combined)
+                        matched = True
+                        if matched_inner is not None:
+                            matched_inner[position] = True
+                if pad is not None and not matched:
+                    rows.append(outer_row + pad)
+            return rows
+
+        def join(ctx: Any) -> list:
+            left_rows = left(ctx)
+            right_rows = right(ctx)
+            if kind in ("CROSS", "INNER"):
+                return loop(left_rows, right_rows, ctx, None, None)
+            if kind == "LEFT":
+                return loop(left_rows, right_rows, ctx, [None] * right_width, None)
+            if kind == "RIGHT":
+                flipped = loop(right_rows, left_rows, ctx, [None] * left_width, None)
+                return [row[right_width:] + row[:right_width] for row in flipped]
+            matched = [False] * len(right_rows)
+            rows = loop(left_rows, right_rows, ctx, [None] * right_width, matched)
+            pad = [None] * left_width
+            rows.extend(pad + row for row, hit in zip(right_rows, matched) if not hit)
+            return rows
+
+        return join
+
+    def _compile_lookup(self, node: IndexLookup) -> Source:
+        storage = self._compiler.engine.storage
         table = node.scan.table
-        probe_scope = Scope(plan.bindings)
+        probe_scope = self._scope()
         probe = compile_unique_probe(
             tuple(node.key_indices),
             tuple(node.key_kinds),
             [compile_expression(expr, probe_scope) for expr in node.key_exprs],
         )
-        return lambda ctx: probe(engine.storage.get(table), ctx)
+        return lambda ctx: probe(storage.get(table), ctx)
 
-    def _compile_hash_join(self, node: HashJoin, plan: LogicalPlan) -> Source:
-        left = self._compile_source(node.left, plan)
-        right = self._compile_source(node.right, plan)
-        scope = Scope(plan.bindings)
-        analyzer_resolve = Scope(plan.bindings)
-        left_index = analyzer_resolve.resolve(node.left_key)
-        right_shift = self._subtree_shift(node.right)
-        right_index = analyzer_resolve.resolve(node.right_key) - right_shift
+    def _compile_hash_join(self, node: HashJoin) -> Source:
+        left = self._compile_source(node.left)
+        right = self._compile_source(node.right)
+        scope = self._scope()
+        left_index = scope.resolve(node.left_key)
+        right_index = scope.resolve(node.right_key) - _subtree_shift(node.right)
         expected = node.key_kind
         # Exact-semantics fallback for rows/batches whose key values the
         # hash cannot represent faithfully: evaluate the original
-        # equality predicate over the cross product, as the walker does.
+        # equality predicate over the cross product.
         equality = compile_expression(
             ast.BinaryOp("=", node.left_key, node.right_key), scope
         )
@@ -475,7 +666,7 @@ class PhysicalSelect:
                     key = None
                 if key is None:
                     # Odd probe value: nested-loop this row only, keeping
-                    # the walker's per-comparison raise behaviour.
+                    # the equality's per-comparison raise behaviour.
                     for rrow in right_rows:
                         combined = lrow + rrow
                         if equality(combined, None, ctx) is True:
@@ -492,15 +683,15 @@ class PhysicalSelect:
     # -- execution -----------------------------------------------------------
 
     def execute(self, ctx) -> QueryResult:
-        rows = self._source(ctx)
-        if rows and ctx.flag("plan_filter_truncates"):
-            # Injected planner fault (dual-plan oracle target): the
-            # compiled filter stage drops the final row of the batch.
-            rows = rows[:-1]
-
-        if self._grouped:
-            names, out_rows, ctx_rows, ctx_aggs = self._run_grouped(rows, ctx)
+        if self._setop is not None:
+            result = self._setop(ctx)
+            names = result.columns
+            out_rows = ctx_rows = result.rows
+            ctx_aggs = None
+        elif self._grouped:
+            names, out_rows, ctx_rows, ctx_aggs = self._run_grouped(self._source(ctx), ctx)
         else:
+            rows = self._source(ctx)
             names = self._names(ctx)
             if self._columns is not None:
                 out_rows = list(map(self._columns, rows))
@@ -617,3 +808,19 @@ class PhysicalSelect:
                 values.append(value)
             decorated.append((tuple(values), row))
         return order_rows(decorated, [descending for _, _, descending in resolved])
+
+
+def _raise(error: Exception) -> Any:
+    raise error
+
+
+def _subtree_shift(node: Any) -> int:
+    """Row coordinates of a source subtree: leaf-local below joins
+    (shift by the leaf's combined-row offset), combined above."""
+    while isinstance(node, Filter):
+        node = node.child
+    if isinstance(node, (Scan, Derived)):
+        return node.offset
+    if isinstance(node, IndexLookup):
+        return node.scan.offset
+    return 0

@@ -1,8 +1,8 @@
 """Rule-based logical-plan rewrites.
 
-Every rule must preserve the tree-walker's observable semantics
+Every rule must preserve the unrewritten plan's observable semantics
 *exactly*: the same rows in the same order, and — harder — the same
-errors.  The walker evaluates the whole WHERE clause on every candidate
+errors.  That plan evaluates the whole WHERE clause on every candidate
 row (three-valued AND evaluates both operands), so any rewrite that
 changes *which rows* an expression is evaluated on is only sound when
 that expression is **total**: provably unable to raise for any row.
@@ -18,11 +18,12 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.expressions import _AMBIGUOUS, _resolution_map
+from repro.sqlengine.expressions import _AMBIGUOUS
 from repro.sqlengine.plan.compiler import CMP_OPERATORS
 from repro.sqlengine.plan.logical import (
     Aggregate,
     CrossJoin,
+    Derived,
     Distinct,
     Filter,
     HashJoin,
@@ -32,6 +33,7 @@ from repro.sqlengine.plan.logical import (
     Project,
     Scan,
     Sort,
+    blocks,
     kind_of_class,
     kinds_compatible,
 )
@@ -68,7 +70,7 @@ class _Analyzer:
 
     def __init__(self, plan: LogicalPlan) -> None:
         self._plan = plan
-        self._resolution = _resolution_map(plan.bindings)
+        self._resolution = plan.resolution()
         #: Combined-column offset ranges per scan position.
         self._ranges = [
             (scan.offset, scan.offset + scan.width) for scan in plan.scans
@@ -117,7 +119,7 @@ class _Analyzer:
             kind = None if index is None else self._plan.kinds[index]
             if kind == "b":
                 # Boolean columns are rare and their numeric reconcile
-                # rules are asymmetric; keep them on the walker.
+                # rules are asymmetric; keep their conjuncts whole.
                 raise _NotTotal
         else:
             raise _NotTotal
@@ -201,6 +203,14 @@ def _projection(plan: LogicalPlan):
     return node
 
 
+def _comma_leaves(node: Any) -> bool:
+    """True when ``node`` is one FROM leaf or comma-joined leaves (no
+    explicit join, whose ON condition scopes its own columns)."""
+    if isinstance(node, CrossJoin):
+        return _comma_leaves(node.left) and _comma_leaves(node.right)
+    return isinstance(node, (Scan, Derived))
+
+
 # -- rules -------------------------------------------------------------------
 
 
@@ -208,10 +218,10 @@ def constant_folding(plan: LogicalPlan) -> None:
     """Evaluate literal-only subexpressions at plan time.
 
     Folding happens in a *copy* of the expression tree — the original
-    AST is shared with the tree-walker path and prepared-statement
-    caches, so it is never mutated.  Subexpressions whose evaluation
-    raises (``1/0``) are left unfolded: the error must keep surfacing
-    per-row at runtime, exactly as the walker raises it.
+    AST is shared with every other plan of the statement and with
+    prepared-statement caches, so it is never mutated.  Subexpressions
+    whose evaluation raises (``1/0``) are left unfolded: the error must
+    keep surfacing per-row at runtime, exactly as unfolded.
     """
     folded_any = [False]
 
@@ -348,11 +358,13 @@ def predicate_pushdown(plan: LogicalPlan) -> None:
     the first conjunct that rejects a row, so the conjuncts after it are
     not evaluated on that row, which is observable whenever one can
     raise.  A WHERE that is not total stays one expression, evaluated
-    whole on every row as the walker does.
+    whole on every row.
     """
     projection = _projection(plan)
     node = projection.child
     if not isinstance(node, Filter) or not isinstance(node.child, (Scan, CrossJoin)):
+        return
+    if not _comma_leaves(node.child):
         return
     analyzer = _Analyzer(plan)
     conjuncts: list[ast.Expression] = []
@@ -534,7 +546,8 @@ PROBE_SCRIPTS = (
 
 
 def apply_rewrites(plan: LogicalPlan) -> LogicalPlan:
-    """Apply every registered rule to ``plan``, in order."""
-    for rule in REWRITE_RULES.values():
-        rule(plan)
+    """Apply every registered rule, in order, to each block of ``plan``."""
+    for block in blocks(plan):
+        for rule in REWRITE_RULES.values():
+            rule(block)
     return plan

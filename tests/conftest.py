@@ -24,6 +24,7 @@ from repro.servers import make_server
 from repro.sqlengine import Engine
 from repro.sqlengine.lexer import split_statements
 from repro.study import run_study
+from tests.reference import reference_server
 
 
 @pytest.fixture
@@ -68,25 +69,25 @@ def study(corpus):
 
 @pytest.fixture(scope="session")
 def corpus_adjudication(study):
-    """``(prepare=False, use_planner=True) -> signature``: every script
+    """``(prepare=False, reference=False) -> signature``: every script
     the study ran on all four products, each through a fresh
     four-version majority server carrying the corpus faults, as (bug id,
     (disagreements, masks, adjudication failures), per-statement
-    outcomes).  Memoised: the literal, planned run is shared by the
-    tests that compare against it."""
+    outcomes).  ``reference`` runs the products on
+    :class:`tests.reference.ReferenceEngine`.  Memoised: the literal,
+    compiled run is shared by the tests that compare against it."""
     corpus = study.corpus
     comparable = [r for r in corpus if study.ran_on(r) == frozenset(SERVER_KEYS)]
 
     @functools.cache
-    def adjudicate(*, prepare=False, use_planner=True):
+    def adjudicate(*, prepare=False, reference=False):
+        build = reference_server if reference else make_server
         signature = []
         for report in comparable:
             server = DiverseServer(
-                [make_server(key, corpus.faults_for(key)) for key in SERVER_KEYS],
+                [build(key, corpus.faults_for(key)) for key in SERVER_KEYS],
                 config=ServerConfig(adjudication="majority", auto_recover=False),
             )
-            for replica in server.replicas:
-                replica.product.engine.use_planner = use_planner
             outcomes = []
             for statement in split_statements(report.script):
                 try:

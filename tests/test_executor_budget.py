@@ -10,9 +10,9 @@ otherwise; the first conjunct that rejects a row stops the rest.
 the tests assert exact counts.  The kernel's edges (NULL, NUMERIC,
 float, CHAR padding, bool) are checked against the tree-walker, and so
 is a WHERE that may raise, which must not be split.  Last, every TPC-C
-template runs on all four products without one planner fallback, so a
-kernel precondition cannot quietly hand the hot statements back to the
-walker.
+template runs on all four products with the same answers as on the
+tree-walker (:class:`tests.reference.ReferenceEngine`), every statement
+served by a cached compiled plan.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plan import compile_select
 from repro.workload.generator import TpccGenerator, TransactionMix
 from repro.workload.schema import SCHEMA_STATEMENTS, populate_statements
+from tests.reference import ReferenceEngine, reference_server
 
 KEYS = ("IB", "PG", "OR", "MS")
 
@@ -47,11 +48,10 @@ def compared(monkeypatch) -> list:
     return calls
 
 
-def table(use_planner: bool = True) -> Engine:
+def table(cls: type = Engine) -> Engine:
     """Six rows, no key (so no index lookup): ``a`` 0-5, ``b`` = a % 2,
     ``n`` = a.50, ``c`` 'ab' on row 0 and the digit of ``a`` elsewhere."""
-    engine = Engine(name="budget")
-    engine.use_planner = use_planner
+    engine = cls(name="budget")
     engine.execute("CREATE TABLE t (a INTEGER, b INTEGER, n NUMERIC(6,2), c CHAR(4))")
     for a in range(6):
         c = "ab" if a == 0 else str(a)
@@ -64,7 +64,6 @@ def test_integer_filter_with_int_parameter_never_calls_sql_compare(compared):
     result = engine.prepare("SELECT a FROM t WHERE b = ? AND a > 1").execute((1,))
     assert result.rows == [(3,), (5,)]
     assert compared == []
-    assert engine.plan_fallbacks == {}
 
 
 def test_integer_dml_filters_never_call_sql_compare(compared):
@@ -73,7 +72,6 @@ def test_integer_dml_filters_never_call_sql_compare(compared):
     assert update.execute((1,)).rowcount == 2
     assert engine.prepare("DELETE FROM t WHERE b = ? AND a > 10").execute((1,)).rowcount == 2
     assert compared == []
-    assert engine.plan_fallbacks == {}
 
 
 def test_first_conjunct_that_rejects_a_row_stops_the_rest(compared):
@@ -133,9 +131,7 @@ def outcome(engine: Engine, sql: str, params: tuple) -> tuple:
 
 @pytest.mark.parametrize(("sql", "params"), EDGES)
 def test_kernel_edges_equal_the_walker(sql, params):
-    planned = table()
-    assert outcome(planned, sql, params) == outcome(table(use_planner=False), sql, params)
-    assert planned.plan_fallbacks == {}
+    assert outcome(table(), sql, params) == outcome(table(ReferenceEngine), sql, params)
 
 
 def test_where_that_may_raise_is_not_split():
@@ -146,25 +142,30 @@ def test_where_that_may_raise_is_not_split():
     planned = table()
     plan = compile_select(parse_statement(sql), planned).plan
     assert "predicate_pushdown" not in plan.applied_rules
-    assert outcome(planned, sql, ()) == outcome(table(use_planner=False), sql, ())
+    assert outcome(planned, sql, ()) == outcome(table(ReferenceEngine), sql, ())
     assert outcome(planned, sql, ())[:2] == ("error", "TypeMismatch")
 
 
 @pytest.mark.parametrize("prepared", [True, False], ids=["prepared", "literal"])
 @pytest.mark.parametrize("key", KEYS)
 def test_tpcc_templates_never_fall_back_to_the_walker(key, prepared):
-    server = make_server(key)
+    servers = [make_server(key), reference_server(key)]
     for sql in SCHEMA_STATEMENTS + populate_statements():
-        server.execute(sql)
+        for server in servers:
+            server.execute(sql)
     generator = TpccGenerator(seed=1)
     profiles, _ = TransactionMix().choices()
     for _ in range(3):
         for profile in profiles:
             transaction = getattr(generator, profile)()
-            if prepared:
-                for template, params in transaction.calls:
-                    server.execute(template, params)
-            else:
-                for sql in transaction.statements:
-                    server.execute(sql)
-    assert server.engine.plan_fallbacks == {}
+            calls = (
+                transaction.calls
+                if prepared
+                else [(sql, None) for sql in transaction.statements]
+            )
+            for sql, params in calls:
+                compiled, walker = (server.execute(sql, params) for server in servers)
+                assert (compiled.columns, compiled.rows, compiled.rowcount) == (
+                    walker.columns, walker.rows, walker.rowcount
+                ), sql
+    assert all(plan is not None for _, _, plan in servers[0].engine._plans.values())

@@ -1,18 +1,29 @@
-"""Expression evaluator unit tests (below the executor)."""
+"""Expression evaluation unit tests (below the plans).
+
+Every case runs twice: on the closure :mod:`repro.sqlengine.plan.compiler`
+builds, which is what the engine runs, and on the reference walker's
+:class:`~tests.reference.Evaluator`; the two must agree on the value
+(type included) or on the error (class and message).
+"""
 
 from decimal import Decimal
 
 import pytest
 
-from repro.errors import BindError, TypeMismatch
+from repro.errors import BindError, SqlError, TypeMismatch
+from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.expressions import (
     ColumnBinding,
-    Environment,
-    Evaluator,
     collect_aggregates,
     contains_aggregate,
 )
 from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.plan.compiler import Scope, compile_expression
+from tests.reference import Environment, Evaluator
+
+#: The row scope the lookups run in, and the scope enclosing it.
+COLUMNS = [ColumnBinding("t", "a"), ColumnBinding("u", "a"), ColumnBinding("t", "b")]
+OUTER = [ColumnBinding("o", "x")]
 
 
 def expr_of(sql_fragment):
@@ -20,8 +31,43 @@ def expr_of(sql_fragment):
     return stmt.body.items[0].expression
 
 
-def evaluate(sql_fragment, env=None):
-    return Evaluator(ctx=None).evaluate(expr_of(sql_fragment), env)
+def _outcome(run):
+    try:
+        value = run()
+    except SqlError as error:
+        return ("error", type(error), str(error)), error
+    return ("value", type(value), value), None
+
+
+def both(expr, row=None, outer_row=None):
+    """``expr`` on the compiled closure and on the reference evaluator:
+    over :data:`COLUMNS` bound to ``row`` (no row at all when None),
+    enclosed by :data:`OUTER` bound to ``outer_row`` when given.  The
+    two must agree; returns the value or raises the error."""
+    outer_scope = outer_env = None
+    if outer_row is not None:
+        outer_scope = Scope(OUTER)
+        outer_scope.frame[0] = outer_row
+        outer_env = Environment(OUTER, outer_row)
+    if row is None:
+        scope, env = Scope((), no_row=True), None
+    else:
+        scope = Scope(COLUMNS, outer=outer_scope)
+        env = Environment(COLUMNS, row, outer=outer_env)
+    compiled, error = _outcome(lambda: compile_expression(expr, scope)(row, None, None))
+    reference, _ = _outcome(lambda: Evaluator(ctx=None).evaluate(expr, env))
+    assert compiled == reference
+    if error is not None:
+        raise error
+    return compiled[2]
+
+
+def evaluate(sql_fragment):
+    return both(expr_of(sql_fragment))
+
+
+def lookup(name, table, outer_row=None):
+    return both(ast.ColumnRef(name, table), row=(1, 2, 3), outer_row=outer_row)
 
 
 class TestLiteralEvaluation:
@@ -54,34 +100,27 @@ class TestLiteralEvaluation:
 
 
 class TestEnvironmentLookup:
-    def make_env(self, outer=None):
-        columns = [ColumnBinding("t", "a"), ColumnBinding("u", "a"), ColumnBinding("t", "b")]
-        return Environment(columns, (1, 2, 3), outer=outer)
-
     def test_qualified_lookup(self):
-        env = self.make_env()
-        assert env.lookup("a", "t") == 1
-        assert env.lookup("a", "u") == 2
+        assert lookup("a", "t") == 1
+        assert lookup("a", "u") == 2
 
     def test_unqualified_ambiguity(self):
         with pytest.raises(BindError, match="ambiguous"):
-            self.make_env().lookup("a", None)
+            lookup("a", None)
 
     def test_unqualified_unique(self):
-        assert self.make_env().lookup("b", None) == 3
+        assert lookup("b", None) == 3
 
     def test_case_insensitive(self):
-        assert self.make_env().lookup("B", "T") == 3
+        assert lookup("B", "T") == 3
 
     def test_outer_chain(self):
-        outer = Environment([ColumnBinding("o", "x")], (9,))
-        env = self.make_env(outer=outer)
-        assert env.lookup("x", None) == 9
-        assert env.lookup("x", "o") == 9
+        assert lookup("x", None, outer_row=(9,)) == 9
+        assert lookup("x", "o", outer_row=(9,)) == 9
 
     def test_missing_column(self):
         with pytest.raises(BindError, match="unknown column"):
-            self.make_env().lookup("zzz", None)
+            lookup("zzz", None)
 
     def test_column_without_env(self):
         with pytest.raises(BindError):
@@ -148,9 +187,8 @@ class TestSubqueryGuards:
             evaluate("(SELECT 1)")
 
     def test_aggregate_outside_query_rejected(self):
-        env = Environment([ColumnBinding("t", "a")], (1,))
-        with pytest.raises(BindError):
-            Evaluator(ctx=None).evaluate(expr_of("SUM(a)"), env)
+        with pytest.raises(BindError, match="outside an aggregating query"):
+            both(expr_of("SUM(a)"), row=(1, 2, 3))
 
 
 class TestAggregateDetection:

@@ -14,6 +14,7 @@ from repro.faults import (
 from repro import hunt
 from repro.hunt import run_hunt
 from repro.servers import make_server
+from tests.reference import reference_server
 
 
 def _spec(fault_id, effect):
@@ -63,7 +64,9 @@ class TestPristineCampaign:
     def test_no_execution_errors(self, pristine_report):
         assert pristine_report.errors == 0
 
-    def test_no_statement_falls_back_to_the_walker(self, monkeypatch):
+    def test_no_statement_falls_back_to_the_walker(self, pristine_report, monkeypatch):
+        # Every statement runs on a compiled plan, and the campaign on
+        # the tree-walker (the tests' reference) reports the same.
         servers = []
 
         def recorded(key, faults=()):
@@ -72,7 +75,11 @@ class TestPristineCampaign:
 
         monkeypatch.setattr(hunt, "make_server", recorded)
         run_hunt(30, seed=7)
-        assert [server.engine.plan_fallbacks for server in servers] == [{}] * 4
+        assert all(
+            plan is not None for server in servers for _, _, plan in server.engine._plans.values()
+        )
+        monkeypatch.setattr(hunt, "make_server", reference_server)
+        assert run_hunt(30, seed=7).to_payload() == pristine_report.to_payload()
 
     def test_payload_shape(self, pristine_report):
         payload = pristine_report.to_payload()

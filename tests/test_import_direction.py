@@ -299,9 +299,9 @@ def reach() -> tuple[dict[str, ast.AST], dict[str, str], set[str], list[ast.AST]
     import: an import, an ``__init__`` re-export or ``__all__`` is not a
     reader. A live definition makes live every definition or public
     method named by what its body reads; a live method makes its class
-    live, and a live class its private and dunder methods (which covers
-    ``Evaluator._eval_*`` dispatch). Names match bare, whatever object
-    they belong to, which over-approximates liveness: the safe
+    live, and a live class its private and dunder methods (which a
+    ``getattr`` may reach by a computed name). Names match bare,
+    whatever object they belong to, which over-approximates liveness: the safe
     direction, in which a dead definition can escape but one whose name
     is read anywhere live is never convicted.
     """

@@ -4,10 +4,11 @@ Covers the logical/physical plan layer end to end: lowering SELECTs
 into operator trees, the rule-based rewrites (constant folding,
 predicate pushdown, index selection), EXPLAIN rendering at every API
 level, the engine's plan cache (one plan per statement, parameter-type
-tuple and catalog generation), unique-index maintenance in storage,
-point probes served from a scan when the index cannot answer, planned
-DML, and the dual-plan divergence oracle that catches planner-level
-wrong results on a single replica.
+tuple, rule set and catalog generation), unique-index maintenance in
+storage, point probes served from a scan when the index cannot answer,
+planned DML, and the dual-plan divergence oracle that catches
+rewrite-level wrong results on a single replica.  Answers are compared
+with :class:`tests.reference.ReferenceEngine`, the tree-walker.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from decimal import Decimal
 
 import pytest
 
-from repro.errors import ParseError, SqlError
+from repro.errors import CatalogError, ParseError, SqlError
 from repro.faults import AlwaysTrigger, FaultSpec, PlanStageBugEffect
 from repro.middleware import DiverseServer, ServerConfig
 from repro.servers import make_interbase, make_server
@@ -26,17 +27,17 @@ from repro.sqlengine.plan import (
     PROBE_SCRIPTS,
     REWRITE_RULES,
     PhysicalSelect,
-    PlanUnsupported,
     apply_rewrites,
     compile_select,
     explain_plan,
     explain_statement,
     lower_select,
 )
+from tests.reference import ReferenceEngine
 
 
-def _engine() -> Engine:
-    engine = Engine(name="plan-test")
+def _engine(cls: type = Engine) -> Engine:
+    engine = cls(name="plan-test")
     engine.execute(
         "CREATE TABLE accounts (id INTEGER PRIMARY KEY, owner VARCHAR(10), "
         "balance NUMERIC(8,2))"
@@ -143,16 +144,20 @@ class TestLoweringAndRewrites:
                 fired.update(plan.plan.applied_rules)
         assert fired >= set(REWRITE_RULES)
 
-    def test_subqueries_are_unplanned(self):
+    def test_rewrites_reach_every_block(self):
+        # Each operand of a set operation and each derived table is a
+        # block of its own, rewritten on its own.
         engine = _engine()
-        with pytest.raises(PlanUnsupported):
-            compile_select(
-                parse_statement(
-                    "SELECT owner FROM accounts "
-                    "WHERE EXISTS (SELECT 1 FROM branches)"
-                ),
-                engine,
-            )
+        plan = _plan_for(
+            engine,
+            "SELECT owner FROM (SELECT owner FROM accounts WHERE id = 1) d "
+            "UNION SELECT city FROM branches WHERE bid > 1 + 1",
+        )
+        text = explain_plan(plan)
+        assert "SetOp UNION" in text
+        assert "Derived as d" in text
+        assert "IndexLookup accounts via PRIMARY KEY" in text
+        assert "(bid > 2)" in text
 
 
 # -- compiled execution matches the walker ---------------------------------
@@ -175,8 +180,7 @@ class TestCompiledExecution:
 
     def test_planned_results_equal_walker(self):
         for sql in self.PROBES:
-            planned, walker = _engine(), _engine()
-            walker.use_planner = False
+            planned, walker = _engine(), _engine(ReferenceEngine)
             left = planned.execute(sql)
             right = walker.execute(sql)
             assert left.columns == right.columns, sql
@@ -187,8 +191,7 @@ class TestCompiledExecution:
             "SELECT nosuch FROM accounts",
             "SELECT owner + 1 FROM accounts",
         ]:
-            planned, walker = _engine(), _engine()
-            walker.use_planner = False
+            planned, walker = _engine(), _engine(ReferenceEngine)
             with pytest.raises(SqlError) as planned_error:
                 planned.execute(sql)
             with pytest.raises(SqlError) as walker_error:
@@ -196,8 +199,7 @@ class TestCompiledExecution:
             assert str(planned_error.value) == str(walker_error.value), sql
 
     def test_planned_dml_matches_walker(self):
-        planned, walker = _engine(), _engine()
-        walker.use_planner = False
+        planned, walker = _engine(), _engine(ReferenceEngine)
         script = [
             "INSERT INTO accounts (id, owner, balance) VALUES (9, 'eve', 1.00)",
             "UPDATE accounts SET balance = balance + 1 WHERE id = 9",
@@ -232,12 +234,9 @@ class TestCompiledExecution:
     def test_any_parameter_type_on_a_numeric_key_answers_as_the_walker(
         self, sql, value
     ):
-        outcomes = []
-        for use_planner in (True, False):
-            engine = _engine()
-            engine.use_planner = use_planner
-            outcomes.append(_outcome(engine, sql, (value,)))
-            assert engine.plan_fallbacks == {}
+        outcomes = [
+            _outcome(_engine(cls), sql, (value,)) for cls in (Engine, ReferenceEngine)
+        ]
         assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize(
@@ -251,9 +250,8 @@ class TestCompiledExecution:
         # a second stored kind.  Either way the lookup plan serves the
         # statement from a scan, with the same answers as the walker.
         engines = []
-        for use_planner in (True, False):
-            engine = _engine()
-            engine.use_planner = use_planner
+        for cls in (Engine, ReferenceEngine):
+            engine = _engine(cls)
             engine.storage.get("accounts").insert(stray)
             engines.append(engine)
         planned, walker = engines
@@ -266,20 +264,6 @@ class TestCompiledExecution:
                 assert _outcome(planned, sql, (key,)) == _outcome(walker, sql, (key,))
         plan = compile_select(parse_statement(select), planned, ("n",)).plan
         assert "index_selection" in plan.applied_rules
-        assert planned.plan_fallbacks == {}
-
-    def test_parameter_kind_mismatch_falls_back_to_walker(self):
-        planned, walker = _engine(), _engine()
-        walker.use_planner = False
-        sql = "SELECT owner FROM accounts WHERE id = ?"
-        for params in [(2,), ("two",)]:
-            outcomes = []
-            for engine in (planned, walker):
-                try:
-                    outcomes.append(("ok", engine.prepare(sql).execute(params).rows))
-                except SqlError as error:
-                    outcomes.append(("error", str(error)))
-            assert outcomes[0] == outcomes[1], params
 
 
 # -- the plan cache --------------------------------------------------------
@@ -292,8 +276,7 @@ class TestPlanCache:
         handle = engine.prepare("SELECT owner FROM accounts WHERE id = ?")
         handle.execute((1,))
         handle.execute((2,))
-        plans = [p for (_s, _g, p) in engine._plans.values() if p is not None]
-        assert len(plans) == 1
+        assert len(engine._plans) == 1
 
     def test_ddl_invalidates_cached_plans(self):
         engine = _engine()
@@ -308,18 +291,41 @@ class TestPlanCache:
         assert new_generation == engine.catalog.generation
         assert new_plan is not plan
 
-    def test_unsupported_statement_caches_negative_entry(self):
+    def test_failed_compile_is_not_cached(self):
         engine = _engine()
         engine._plans.clear()
-        handle = engine.prepare(
-            "SELECT owner FROM accounts WHERE EXISTS (SELECT 1 FROM branches)"
-        )
-        handle.execute(())
-        handle.execute(())
-        entries = list(engine._plans.values())
-        assert len(entries) == 1
-        assert entries[0][2] is None  # compiled once, walker serves it
-        assert engine.plan_fallbacks == {"subquery expression": 1}
+        handle = engine.prepare("INSERT INTO later (x) VALUES (1)")
+        for _ in range(2):
+            with pytest.raises(CatalogError, match="table 'later' does not exist"):
+                handle.execute(())
+        assert not engine._plans
+        engine.execute("CREATE TABLE later (x INTEGER)")
+        assert handle.execute(()).rowcount == 1
+
+    def test_missing_relation_raises_only_when_read(self):
+        # The walker built every FROM item, so a missing table raises
+        # even beside an empty one, but a subquery nobody evaluates
+        # never reads its relation.
+        for cls in (Engine, ReferenceEngine):
+            engine = _engine(cls)
+            engine.execute("CREATE TABLE empty (x INTEGER)")
+            with pytest.raises(CatalogError, match="relation 'nosuch' does not exist"):
+                engine.execute("SELECT * FROM empty, nosuch")
+            result = engine.execute(
+                "SELECT x FROM empty WHERE EXISTS (SELECT 1 FROM nosuch)"
+            )
+            assert result.rows == []
+
+    def test_rule_set_is_part_of_the_key(self):
+        engine = _engine()
+        engine._plans.clear()
+        handle = engine.prepare("SELECT owner FROM accounts WHERE id = ?")
+        handle.execute((1,))
+        engine.rewrite = False
+        handle.execute((1,))
+        plans = {key[2]: plan.plan for key, (_, _, plan) in engine._plans.items()}
+        assert "index_selection" in plans[True].applied_rules
+        assert plans[False].applied_rules == []
 
     def test_one_plan_per_parameter_type_tuple(self):
         engine = _engine()
@@ -327,14 +333,13 @@ class TestPlanCache:
         handle = engine.prepare("SELECT owner FROM accounts WHERE id = ?")
         for value in (2, "2", 3, None, "3", 2.0, 1):
             handle.execute((value,))
-        plans = {types: plan.plan for (_, types), (_, _, plan) in engine._plans.items()}
+        plans = {types: plan.plan for (_, types, _), (_, _, plan) in engine._plans.items()}
         assert list(plans) == [(int,), (str,), (type(None),), (float,)]
         # A numeric parameter pins the key; a string one may raise
         # against a number, so its plan keeps the WHERE whole and scans.
         assert "index_selection" in plans[(int,)].applied_rules
         assert "index_selection" in plans[(float,)].applied_rules
         assert plans[(str,)].applied_rules == []
-        assert engine.plan_fallbacks == {}
 
     def test_reset_clears_plans(self):
         engine = _engine()
@@ -401,13 +406,20 @@ class TestExplain:
         assert "rewrites: predicate_pushdown, index_selection" in text
         assert "runtime checks" not in text
 
-    def test_explain_statement_names_walker_for_unplanned_shapes(self):
+    def test_explain_statement_renders_every_shape(self):
         engine = _engine()
-        note = explain_statement(
-            "SELECT owner FROM accounts WHERE EXISTS (SELECT 1 FROM branches)",
+        engine.execute("CREATE VIEW rich AS SELECT DISTINCT owner FROM accounts")
+        text = explain_statement(
+            "SELECT owner FROM rich r LEFT JOIN branches ON owner = city "
+            "WHERE EXISTS (SELECT 1 FROM branches) "
+            "EXCEPT SELECT owner FROM accounts",
             engine.catalog,
         )
-        assert "unplanned" in note and "tree-walker" in note
+        assert text.startswith("plan:")
+        assert "SetOp EXCEPT" in text
+        assert "Join LEFT ON (owner = city)" in text
+        assert "View rich as r" in text
+        assert "Filter (EXISTS (SELECT 1 FROM branches))" in text
         ddl = explain_statement("CREATE TABLE z (x INTEGER)", engine.catalog)
         assert "executed directly by the engine" in ddl
 
@@ -484,9 +496,16 @@ class TestDualPlanOracle:
         server.execute("SELECT a FROM t")
         assert server.stats.dual_plan_checks == 0
 
-    def test_use_planner_kill_switch(self):
-        engine = _engine()
-        engine.use_planner = False
-        engine._plans.clear()
-        engine.execute("SELECT owner FROM accounts WHERE id = 1")
-        assert not engine._plans  # walker path compiles nothing
+    def test_unrewritten_plan_skips_the_faulty_stage(self):
+        # The seeded fault lives in the pushed-filter stage, which only
+        # predicate pushdown builds: with no rules the answer is whole.
+        replica = make_interbase()
+        replica.injector.add(_plan_bug())
+        engine = replica.engine
+        engine.execute("CREATE TABLE t (a INTEGER PRIMARY KEY)")
+        for i in range(3):
+            engine.execute(f"INSERT INTO t (a) VALUES ({i})")
+        sql = "SELECT a FROM t WHERE a >= 0 ORDER BY a"
+        assert engine.execute(sql).rows == [(0,), (1,)]
+        engine.rewrite = False
+        assert engine.execute(sql).rows == [(0,), (1,), (2,)]

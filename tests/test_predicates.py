@@ -25,8 +25,9 @@ from repro.analysis.schema import ScriptSchema
 from repro.errors import SqlError
 from repro.servers import make_server
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.expressions import ColumnBinding, Environment, Evaluator
+from repro.sqlengine.expressions import ColumnBinding
 from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.plan.compiler import Scope, compile_expression
 from repro.sqlengine.sqlgen import DECOY_TABLE, HUNT_TABLE, PredicateGenerator
 from repro.study.runner import split_statements
 
@@ -149,8 +150,8 @@ class TestDeadPredicates:
 
 
 def _concrete(expr: ast.Expression, row: dict):
-    env = Environment(HUNT_BINDINGS, tuple(row[c] for c in HUNT_COLUMNS))
-    return Evaluator(None).evaluate(expr, env)
+    closure = compile_expression(expr, Scope(HUNT_BINDINGS))
+    return closure(tuple(row[c] for c in HUNT_COLUMNS), None, None)
 
 
 class TestSoundnessProperties:

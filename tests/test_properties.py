@@ -21,7 +21,7 @@ from repro.servers.product import ServerProduct
 from repro.sqlengine import Engine
 from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.engine import ParsedStatement, parse_once
-from repro.sqlengine.executor import order_rows
+from repro.sqlengine.plan.physical import order_rows
 from repro.sqlengine.lexer import split_statements, tokenize
 from repro.sqlengine.params import placeholder_positions
 from repro.sqlengine.parser import Parser, parse_prepared, parse_script, parse_statement
