@@ -289,13 +289,20 @@ def analyze_divergence(
     stmt: ast.Statement,
     schema: Optional[ScriptSchema] = None,
     traits: Optional[StatementTraits] = None,
+    classes: Optional[tuple[type, ...]] = None,
 ) -> StatementDivergence:
-    """Collect one statement's dialect-sensitive sites."""
+    """Collect one statement's dialect-sensitive sites.
+
+    ``classes`` are the classes of the values bound to the statement's
+    ``?`` parameters when those values were lifted from a literal
+    statement: each parameter is then typed exactly as a literal of its
+    class, so the shape's analysis is the literal statement's.  Without
+    them a parameter's type is unknown."""
     if schema is None:
         schema = ScriptSchema()
     if traits is None:
         traits = extract_traits(stmt)
-    analysis = _Analysis(schema)
+    analysis = _Analysis(schema, classes)
     if isinstance(stmt, ast.SelectStatement):
         analysis.walk_select(stmt, top_level=True)
     elif isinstance(stmt, ast.Insert):
@@ -326,8 +333,11 @@ _Scope = dict[str, str]  # binding name -> relation name
 class _Analysis:
     """One statement's abstract-interpretation pass."""
 
-    def __init__(self, schema: ScriptSchema) -> None:
+    def __init__(
+        self, schema: ScriptSchema, classes: Optional[tuple[type, ...]] = None
+    ) -> None:
         self.schema = schema
+        self.classes = classes
         self.atoms: list[DivergenceAtom] = []
         self.unknowns: list[str] = []
 
@@ -417,13 +427,15 @@ class _Analysis:
 
     def type_of(self, expr: ast.Expression, scope: _Scope) -> AbstractValue:
         if isinstance(expr, ast.Literal):
-            return self._literal(expr)
+            return _literal_value(type(expr.value))
         if isinstance(expr, ast.ColumnRef):
             return self._column(expr, scope)
         if isinstance(expr, ast.Star):
             return self._star(expr, scope)
         if isinstance(expr, ast.Parameter):
-            return AbstractValue("unknown")
+            if self.classes is None:
+                return AbstractValue("unknown")
+            return _literal_value(self.classes[expr.index])
         if isinstance(expr, ast.BinaryOp):
             return self._binary(expr, scope)
         if isinstance(expr, ast.UnaryOp):
@@ -467,20 +479,6 @@ class _Analysis:
             self.walk_select(expr.subquery)
             return AbstractValue("unknown")  # scalar subqueries may be empty
         return AbstractValue("unknown")  # pragma: no cover - exhaustive above
-
-    def _literal(self, expr: ast.Literal) -> AbstractValue:
-        value = expr.value
-        if value is None:
-            return AbstractValue("null", nullable=True)
-        if isinstance(value, bool):
-            return AbstractValue("bool", nullable=False)
-        if isinstance(value, int):
-            return AbstractValue("int", nullable=False)
-        if isinstance(value, float):
-            return AbstractValue("float", nullable=False)
-        if isinstance(value, str):
-            return AbstractValue("varchar", nullable=False)
-        return AbstractValue("decimal", nullable=False)  # Decimal literal
 
     def _column(self, expr: ast.ColumnRef, scope: _Scope) -> AbstractValue:
         candidates: list[str] = []
@@ -604,6 +602,22 @@ class _Analysis:
             "unknown",
         )
         return AbstractValue(category, nullable)
+
+
+#: The abstract type of a literal, by the class of its value.
+_LITERAL_VALUES = {
+    type(None): AbstractValue("null", nullable=True),
+    bool: AbstractValue("bool", nullable=False),
+    int: AbstractValue("int", nullable=False),
+    float: AbstractValue("float", nullable=False),
+    str: AbstractValue("varchar", nullable=False),
+}
+
+
+def _literal_value(cls: type) -> AbstractValue:
+    """A literal's abstract type from its value's class (a Decimal's is
+    the fallback)."""
+    return _LITERAL_VALUES.get(cls, AbstractValue("decimal", nullable=False))
 
 
 def _numeric_join(left: AbstractValue, right: AbstractValue) -> str:

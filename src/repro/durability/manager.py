@@ -15,8 +15,10 @@ twice:
   the InterBase replica damages only the InterBase log: fault
   *diversity* extends to the disks.
 
-A literal write's records are the translations the middleware's
-pipeline already holds for it.  A bound prepared write is scanned once;
+A literal write's records are the texts its replicas ran: the
+pipeline's translations, or, for a statement the middleware lifted to
+a prepared shape, its literals spliced into the shape's translations.
+A bound prepared write is scanned once;
 every replica's record is rendered from that one token list by
 :func:`repro.dialects.translator.translate_tokens`, the gate, rewrite
 and render steps of ``translate_script``.  A replica
@@ -195,23 +197,23 @@ class DurabilityManager:
     def log_write(self, call: "StatementCall", traits: StatementTraits) -> None:
         """Append one committed write to the shared and replica WALs.
 
-        A literal write's records are the pipeline's translations, which
-        the service call just resolved; a prepared call's bound text was
-        never translated, so it is scanned once here and rendered for
-        every replica from that scan, and nothing is cached for it."""
+        A literal write's records are the texts its replicas ran
+        (:meth:`DiverseServer.literal_text`), resolved by the service
+        call; a prepared call's bound text was never translated, so it
+        is scanned once here and rendered for every replica from that
+        scan, and nothing is cached for it."""
         server = self._server
         bound_sql = call.bound_sql
         self._shared.append(bound_sql, server.pipeline.generation)
-        tokens = None if call.prepared is None else tokenize(bound_sql)
+        bound = call.prepared is not None and call.lift is None
+        tokens = tokenize(bound_sql) if bound else None
         for replica in server.replicas:
-            descriptor = replica.product.descriptor
+            product = replica.product
             try:
                 if tokens is None:
-                    translated = executable_text(
-                        server.pipeline.translation(bound_sql, descriptor)
-                    )
+                    translated = server.literal_text(call, product)
                 else:
-                    translated, _ = translate_tokens(tokens, traits, descriptor)
+                    translated, _ = translate_tokens(tokens, traits, product.descriptor)
             except FeatureNotSupported:
                 continue
             store = self._stores[replica.key]

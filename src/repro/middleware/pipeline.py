@@ -1,14 +1,25 @@
 """Front-end memoization for the prepared-statement pipeline.
 
 Every ``DiverseServer.execute`` call runs the same front-end stages:
-parse the statement, extract traits, translate it to each replica's
-dialect, and (with static analysis on) compute order/access verdicts.
-All of that work depends only on the statement *text* and — for the
-verdicts and per-dialect artifacts — on the current schema, so it is
-memoized here and amortized across repeated executions.
+lift its literals, parse the statement, extract traits, translate it to
+each replica's dialect, and (with static analysis on) compute
+order/access verdicts.  All of that work depends only on the statement
+*text* and — for the verdicts and per-dialect artifacts — on the
+current schema, so it is memoized here and amortized across repeated
+executions.
 
 Cache keys and invalidation:
 
+* **lift** — keyed on statement text alone: the
+  :class:`~repro.sqlengine.params.Lifted` shape and literals of a
+  SELECT/INSERT/UPDATE/DELETE (:func:`~repro.sqlengine.params.lift_literals`),
+  or ``False`` when nothing lifts.  The server runs a lifted statement
+  as a prepared call on its shape, so every later layer — and each
+  engine's compiled plan — is keyed by the shape text (plus, for the
+  divergence layer and the plans, the lifted values' classes) instead
+  of the literal text.  The lift reuses the text's one scan; the
+  shape's tokens are held for the parse and translations of the shape
+  that follow.
 * **parsed** — keyed on statement text alone.  Parsing is
   schema-independent; name binding happens at execute time.
 * **translation** — keyed on ``(dialect key, text, generation)``.  The
@@ -23,9 +34,13 @@ Cache keys and invalidation:
   is unique), so a stale entry after ``CREATE INDEX`` / ``ALTER
   TABLE`` would be wrong.  Bumping the generation on every DDL makes
   that impossible.
-* **divergence** / **def_use** — keyed on ``(text, generation)`` for
-  the same reason: both read declared column types/nullability and the
-  view catalog from the schema.
+* **divergence** — keyed on ``(text, parameter classes, generation)``:
+  a lifted statement's parameters are typed by the classes of the
+  values bound to them (``None`` for a prepared statement, whose
+  parameters stay untyped).
+* **def_use** — keyed on ``(text, generation)``: like the divergence
+  layer, it reads declared column types/nullability and the view
+  catalog from the schema.
 * **abstraction** — keyed on ``(text, generation)``.  The ternary-logic
   predicate abstraction seeds its intervals and nullability from the
   schema's declared column types and constraints, so DDL invalidates
@@ -58,14 +73,16 @@ from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
 from repro.sqlengine.engine import Executable, ParsedStatement, parse_once
 from repro.sqlengine.lexer import tokenize
+from repro.sqlengine.params import Lifted, lift_literals
 from repro.sqlengine.parser import parse_prepared
 from repro.sqlengine.plan import explain_statement
 from repro.sqlengine.tokens import Token
 
 #: The cache layers; each owns a ``<layer>_hits``/``<layer>_misses``
-#: counter pair in :class:`PipelineStats`.
+#: counter pair in :class:`PipelineStats`.  ``lift`` comes first.
 _LAYERS = (
-    "parse", "translate", "verdict", "divergence", "dataflow", "plan", "abstraction",
+    "lift", "parse", "translate", "verdict", "divergence", "dataflow", "plan",
+    "abstraction",
 )
 
 
@@ -73,6 +90,8 @@ _LAYERS = (
 class PipelineStats:
     """Hit/miss accounting for each cache layer."""
 
+    lift_hits: int = 0
+    lift_misses: int = 0
     parse_hits: int = 0
     parse_misses: int = 0
     translate_hits: int = 0
@@ -88,13 +107,17 @@ class PipelineStats:
     abstraction_hits: int = 0
     abstraction_misses: int = 0
 
+    # The totals cover the front-end stages, every layer but ``lift``:
+    # the lift layer finds the key the stages are looked up by, and a
+    # new literal text costs its one scan whatever the stages hold.
+
     @property
     def hits(self) -> int:
-        return sum(getattr(self, layer + "_hits") for layer in _LAYERS)
+        return sum(getattr(self, layer + "_hits") for layer in _LAYERS[1:])
 
     @property
     def misses(self) -> int:
-        return sum(getattr(self, layer + "_misses") for layer in _LAYERS)
+        return sum(getattr(self, layer + "_misses") for layer in _LAYERS[1:])
 
 
 #: A parsed entry: (statement, traits, text offset of each ``?``
@@ -116,10 +139,11 @@ class StatementPipeline:
             layer: (OrderedDict(), layer + "_hits", layer + "_misses")
             for layer in _LAYERS
         }
-        #: The text of the latest scan and its tokens, handed to the
-        #: translations of that text that follow.  One list, not one
-        #: per cached text: token lists are large beside their text.
-        self._scan: Optional[tuple[str, list[Token]]] = None
+        #: The latest scan's text and tokens, and the tokens of the
+        #: shape lifted from it, handed to the parses and translations
+        #: of those texts that follow.  Not one list per cached text:
+        #: token lists are large beside their text.
+        self._scans: dict[str, list[Token]] = {}
 
     def bump_generation(self) -> None:
         """Record a schema change: entries keyed on the old generation
@@ -154,6 +178,20 @@ class StatementPipeline:
 
     # -- stages ------------------------------------------------------------
 
+    def lifted(self, sql: str) -> Optional[Lifted]:
+        """``sql`` with its value literals lifted into parameters
+        (:func:`~repro.sqlengine.params.lift_literals`), memoized; None
+        when nothing lifts."""
+        return self._memo("lift", sql, lambda: self._lift(sql)) or None
+
+    def _lift(self, sql: str) -> Any:
+        lifted = lift_literals(self._tokens(sql))
+        if lifted is None:
+            return False
+        entry, tokens = lifted
+        self._scans[entry.shape] = tokens
+        return entry
+
     def parsed(self, sql: str) -> ParsedEntry:
         """Parse one statement and extract its traits, memoized."""
         return self._memo("parse", sql, lambda: self._parse(sql))
@@ -163,10 +201,11 @@ class StatementPipeline:
         return statement, extract_traits(statement), positions
 
     def _tokens(self, sql: str) -> list[Token]:
-        scan = self._scan
-        if scan is None or scan[0] != sql:
-            scan = self._scan = (sql, tokenize(sql))
-        return scan[1]
+        tokens = self._scans.get(sql)
+        if tokens is None:
+            tokens = tokenize(sql)
+            self._scans = {sql: tokens}
+        return tokens
 
     def translation(self, sql: str, descriptor: DialectDescriptor) -> Executable:
         """What a replica of ``descriptor``'s dialect runs for ``sql``,
@@ -175,9 +214,11 @@ class StatementPipeline:
 
         The text is ``translate_script(sql, descriptor)``, rendered from
         the scan the parse layer made.  When the rewrite renamed
-        nothing, the entry carries this pipeline's parse and traits;
-        otherwise the text is parsed as the engine would parse it (and
-        is handed on as text when it does not parse)."""
+        nothing, the entry carries this pipeline's parse and traits
+        (and its placeholder offsets, when the rendering is ``sql``
+        itself, as a lifted shape's is); otherwise the text is parsed
+        as the engine would parse it (and is handed on as text when it
+        does not parse)."""
         return self._memo(
             "translate",
             (descriptor.key, sql, self.generation),
@@ -187,9 +228,9 @@ class StatementPipeline:
     def _translate(self, sql: str, descriptor: DialectDescriptor) -> Executable:
         statement, traits, positions = self.parsed(sql)
         text, renamed = translate_tokens(self._tokens(sql), traits, descriptor)
-        if renamed:
+        if renamed or (positions and text != sql):
             return parse_once(text)
-        return ParsedStatement(text, statement, traits, len(positions))
+        return ParsedStatement(text, statement, traits, positions)
 
     def verdict(
         self,
@@ -212,13 +253,15 @@ class StatementPipeline:
         statement: ast.Statement,
         schema: ScriptSchema,
         traits: StatementTraits,
+        classes: Optional[tuple[type, ...]] = None,
     ) -> StatementDivergence:
         """Dialect-divergence analysis for one statement, memoized per
-        schema generation."""
+        parameter classes (see :func:`analyze_divergence`) and schema
+        generation."""
         return self._memo(
             "divergence",
-            (sql, self.generation),
-            lambda: analyze_divergence(statement, schema, traits=traits),
+            (sql, classes, self.generation),
+            lambda: analyze_divergence(statement, schema, traits, classes),
         )
 
     def def_use(

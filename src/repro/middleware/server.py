@@ -73,7 +73,8 @@ others continue" scenario of Section 2.1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
 
 from repro.analysis.divergence import (
     PROFILES,
@@ -105,12 +106,14 @@ from repro.middleware.supervisor import (
 from repro.servers.product import ServerProduct
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits
-from repro.sqlengine.engine import EnginePrepared, Result
+from repro.sqlengine.engine import EnginePrepared, Result, executable_text
 from repro.sqlengine.lexer import split_statements
-from repro.sqlengine.params import splice_params
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.durability.manager import DurabilityManager
+from repro.sqlengine.params import (
+    Lifted,
+    misreads_literals,
+    render_param,
+    splice_texts,
+)
 
 
 @dataclass
@@ -241,6 +244,19 @@ class MiddlewareStats:
         )
 
 
+class Durability(Protocol):
+    """What the server asks of its durability subsystem
+    (:class:`repro.durability.DurabilityManager`)."""
+
+    def attach(self, server: "DiverseServer") -> None: ...
+
+    def log_write(self, call: "StatementCall", traits: StatementTraits) -> None: ...
+
+    def maybe_checkpoint(self) -> None: ...
+
+    def on_replica_recovered(self, replica: Replica) -> None: ...
+
+
 @dataclass
 class ServerConfig:
     """Construction-time configuration for :class:`DiverseServer`.  One
@@ -267,7 +283,7 @@ class ServerConfig:
     #: per-replica write-ahead logs, durable checkpoints, and restart
     #: recovery from the storage medium.  ``None`` keeps the original
     #: in-memory-only deployment.
-    durability: Optional["DurabilityManager"] = None
+    durability: Optional[Durability] = None
 
 
 @dataclass
@@ -275,11 +291,14 @@ class StatementCall:
     """One execution of one statement, as seen by the replica plumbing.
 
     ``sql`` is the template text (with ``?`` placeholders for prepared
-    statements); ``bound_sql`` is the literal-substituted text recorded
-    in the write log so recovery replay needs no parameter store.  For
-    unprepared statements the two are identical.  ``targets`` holds, per
-    replica product, what that replica runs (see
-    :meth:`DiverseServer._resolve`).
+    statements); ``bound_sql`` is the literal text recorded in the write
+    log so recovery replay needs no parameter store.  For unprepared
+    statements that did not lift the two are identical.  A lifted
+    literal statement runs as a prepared call on its shape: ``sql`` is
+    the shape, ``bound_sql`` the statement exactly as the client sent
+    it, and ``lift`` the literals lifted from it (``params`` their
+    values).  ``targets`` holds, per replica product, what that replica
+    runs (see :meth:`DiverseServer._resolve`).
     """
 
     sql: str
@@ -287,6 +306,7 @@ class StatementCall:
     params: tuple = ()
     prepared: Optional["PreparedStatement"] = None
     targets: dict[ServerProduct, Any] = field(default_factory=dict)
+    lift: Optional[Lifted] = None
 
 
 #: Upper bound on memoized PreparedStatement handles per server.
@@ -359,7 +379,9 @@ class DiverseServer:
         #: the log); recoveries triggered mid-statement replay it too.
         self._pending_write: Optional[str] = None
         self._read_cursor = 0
-        self._prepared: dict[str, PreparedStatement] = {}
+        #: Prepared handles by statement text, and the parse errors of
+        #: texts that did not prepare (lifted shapes, among them).
+        self._prepared: dict[str, PreparedStatement | SqlError] = {}
         #: Called (no arguments) after each committed DDL statement has
         #: bumped the pipeline generation; the serving layer uses this
         #: to eagerly invalidate cross-session prepared handles.
@@ -410,9 +432,23 @@ class DiverseServer:
         With ``params``, ``sql`` may contain ``?`` placeholders and is
         routed through the (memoized) prepared pipeline — the unified
         execution surface shared with :class:`~repro.servers.SqlServer`.
+
+        Without, the value literals of a SELECT, INSERT, UPDATE or
+        DELETE are lifted into parameters (:meth:`StatementPipeline.lifted`)
+        and the statement runs as a prepared call on its shape, whose
+        parse, translations, analyses and engine plans every statement
+        of that shape shares.  Each replica still sees the literal
+        statement in its dialect, the write log records ``sql`` as
+        sent, and a shape that cannot stand for its statements (see
+        :meth:`_shape`) leaves them to run as literal text.
         """
         if params is not None:
             return self.prepare(sql).execute(tuple(params))
+        lifted = self.pipeline.lifted(sql)
+        if lifted is not None:
+            shape = self._shape(lifted.shape)
+            if shape is not None:
+                return shape.execute_lifted(sql, lifted)
         statement, traits, positions = self.pipeline.parsed(sql)
         if positions:
             raise MiddlewareError(
@@ -451,14 +487,32 @@ class DiverseServer:
     def prepare(self, sql: str) -> "PreparedStatement":
         """Parse, analyze, and translate ``sql`` once; execute it many
         times with bound parameters through the returned handle.
-        Handles are memoized per statement text."""
+        Handles are memoized per statement text, and so is the
+        :class:`SqlError` of a text that does not parse."""
         handle = self._prepared.get(sql)
         if handle is None:
-            handle = PreparedStatement(self, sql)
+            try:
+                handle = PreparedStatement(self, sql)
+            except SqlError as error:
+                handle = error
             if len(self._prepared) >= _PREPARED_CACHE_SIZE:
                 self._prepared.pop(next(iter(self._prepared)))
             self._prepared[sql] = handle
+        if isinstance(handle, SqlError):
+            raise handle
         return handle
+
+    def _shape(self, sql: str) -> Optional["PreparedStatement"]:
+        """The prepared statement literal statements lifted to shape
+        ``sql`` run as; None when the shape cannot stand for them: it
+        does not parse (``VARCHAR(?)``), or it would read a parameter
+        otherwise than the literal it stands for (``ORDER BY ?``,
+        ``- ?``).  Both answers are kept with the prepared handles."""
+        try:
+            handle = self.prepare(sql)
+        except SqlError:
+            return None
+        return handle if handle.lifts else None
 
     def _execute_bound(
         self,
@@ -476,7 +530,11 @@ class DiverseServer:
         if self.static_analysis:
             verdict = self.pipeline.verdict(call.sql, statement, self._schema, traits)
             divergence = self.pipeline.divergence(
-                call.sql, statement, self._schema, traits
+                call.sql,
+                statement,
+                self._schema,
+                traits,
+                None if call.lift is None else tuple(map(type, call.params)),
             )
         self.stats.statements += 1
         if is_write:
@@ -946,8 +1004,22 @@ class DiverseServer:
         if product not in targets:
             targets[product] = self._resolve(call, product)
         if call.prepared is not None:
-            return targets[product].execute(call.params)
+            if call.lift is None:
+                return targets[product].execute(call.params)
+            return targets[product].execute(call.params, self.literal_text(call, product))
         return product.execute(targets[product])
+
+    def literal_text(self, call: StatementCall, product: ServerProduct) -> str:
+        """The literal statement ``product`` runs for an unprepared
+        ``call``, in its dialect: the pipeline's translation or, for a
+        lifted call, the literals spliced into the translation of the
+        shape — the same text, as renames touch identifiers only.
+        Raises :class:`FeatureNotSupported` when the dialect refuses
+        the statement."""
+        if call.lift is None:
+            return executable_text(self.pipeline.translation(call.sql, product.descriptor))
+        target = call.targets.get(product) or self._resolve(call, product)
+        return splice_texts(target.sql, target.positions, call.lift.texts)
 
     def _ask(self, replica: Replica, call: StatementCall) -> ReplicaAnswer:
         replica.stats.statements += 1
@@ -1186,6 +1258,17 @@ class PreparedStatement:
         #: replica product -> (pipeline generation, engine-prepared handle)
         self._handles: dict[ServerProduct, tuple[int, EnginePrepared]] = {}
 
+    @cached_property
+    def lifts(self) -> bool:
+        """Whether this statement can be the shape literal statements
+        lift to (see :func:`~repro.sqlengine.params.misreads_literals`)."""
+        return not misreads_literals(self.statement)
+
+    @cached_property
+    def literal_traits(self) -> StatementTraits:
+        """The traits of the literal statements lifted to this shape."""
+        return self.traits.literal()
+
     def execute(self, params: Sequence[Any] = ()) -> Result:
         """One adjudicated execution with positional parameter values."""
         params = tuple(params)
@@ -1195,12 +1278,27 @@ class PreparedStatement:
                 f"{len(params)} given"
             )
         bound_sql = (
-            splice_params(self.sql, self._positions, params) if params else self.sql
+            splice_texts(self.sql, self._positions, tuple(map(render_param, params)))
+            if params
+            else self.sql
         )
         call = StatementCall(
             sql=self.sql, bound_sql=bound_sql, params=params, prepared=self
         )
         return self._server._execute_bound(call, self.statement, self.traits)
+
+    def execute_lifted(self, sql: str, lifted: Lifted) -> Result:
+        """The adjudicated execution of literal statement ``sql``, whose
+        literals lifted to this shape: bound to their values, logged
+        and reported as ``sql``."""
+        call = StatementCall(
+            sql=self.sql,
+            bound_sql=sql,
+            params=lifted.values,
+            prepared=self,
+            lift=lifted,
+        )
+        return self._server._execute_bound(call, self.statement, self.literal_traits)
 
     def executemany(self, rows: Iterable[Sequence[Any]]) -> list[Result]:
         """:meth:`execute` once per parameter tuple, each row its own

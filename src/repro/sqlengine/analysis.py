@@ -46,6 +46,12 @@ class StatementTraits:
     def has_any(self, *tags: str) -> bool:
         return any(tag in self.tags for tag in tags)
 
+    def literal(self) -> "StatementTraits":
+        """These traits as the statement would have them with a literal
+        in place of each ``?`` placeholder: without ``clause.parameter``
+        (no other tag depends on what a value is spelled as)."""
+        return StatementTraits(self.kind, self.tags - {"clause.parameter"}, self.relations)
+
 
 def extract_traits(stmt: ast.Statement) -> StatementTraits:
     """Extract the trait set of one parsed statement."""

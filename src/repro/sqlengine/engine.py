@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional, Union
 
 from repro.errors import (
@@ -63,21 +64,21 @@ class ParsedStatement(NamedTuple):
     and :meth:`Engine.prepare` run without scanning or parsing again.
 
     ``sql`` stays the statement text fault triggers read; ``traits``
-    are ``extract_traits(statement)`` and ``param_count`` the number of
-    its ``?`` placeholders.
+    are ``extract_traits(statement)`` and ``positions`` the offset in
+    ``sql`` of each of its ``?`` placeholders.
     """
 
     sql: str
     statement: ast.Statement
     traits: StatementTraits
-    param_count: int
+    positions: tuple[int, ...]
 
     @classmethod
     def parse(cls, sql: str, tokens: Optional[list[Token]] = None) -> "ParsedStatement":
         """Parse ``sql``, one statement (``?`` placeholders allowed),
         from ``tokens`` when the caller already holds its scan."""
         statement, positions = parse_prepared(sql if tokens is None else tokens)
-        return cls(sql, statement, extract_traits(statement), len(positions))
+        return cls(sql, statement, extract_traits(statement), positions)
 
 
 #: What the engine runs: SQL text, or a statement a caller parsed.
@@ -752,11 +753,24 @@ class EnginePrepared:
         self._engine = engine
         self.sql = parsed.sql
         self.statement = parsed.statement
-        self.param_count = parsed.param_count
+        #: The offset in :attr:`sql` of each ``?`` placeholder.
+        self.positions = parsed.positions
+        self.param_count = len(parsed.positions)
         self.traits = parsed.traits
 
-    def execute(self, params: tuple = ()) -> Result:
-        """Execute with positional values for the ``?`` placeholders."""
+    @cached_property
+    def literal_traits(self) -> StatementTraits:
+        """The traits of this statement with literals in place of its
+        placeholders."""
+        return self.traits.literal()
+
+    def execute(self, params: tuple = (), literal: Optional[str] = None) -> Result:
+        """Execute with positional values for the ``?`` placeholders.
+
+        ``literal`` is the statement text the values were lifted from:
+        :attr:`sql` with each value's literal spliced in at its ``?``.
+        The execution then stands for that literal statement: fault
+        triggers see its text and :attr:`literal_traits`."""
         if self._engine.crashed:
             raise EngineCrash(self._engine.name, "engine is down (previous crash)")
         bound = tuple(params)
@@ -767,8 +781,12 @@ class EnginePrepared:
             )
         if not all(map(is_finite, bound)):
             raise SqlError(f"cannot bind a NaN or infinite parameter value in {bound!r}")
+        if literal is None:
+            return self._engine._execute_statement(
+                self.statement, self.sql, params=bound, traits=self.traits
+            )
         return self._engine._execute_statement(
-            self.statement, self.sql, params=bound, traits=self.traits
+            self.statement, literal, params=bound, traits=self.literal_traits
         )
 
     def executemany(self, rows) -> list[Result]:

@@ -121,12 +121,19 @@ _NO_SPACE_AFTER = {"(", "."}
 
 def render_tokens(tokens: list[Token]) -> str:
     """Render a token list back to SQL text."""
+    return "".join(render_parts(tokens))
+
+
+def render_parts(tokens: list[Token]) -> list[str]:
+    """:func:`render_tokens` one piece per token before EOF: the
+    token's text, after the blank that separates it from the previous
+    one, if any."""
     parts: list[str] = []
     previous: Token | None = None
     for token in tokens:
         if token.kind is TokenKind.EOF:
             break
-        text = _token_text(token)
+        text = token_text(token)
         if parts and not (
             (token.kind is TokenKind.PUNCT and token.value in _NO_SPACE_BEFORE)
             or (
@@ -135,13 +142,15 @@ def render_tokens(tokens: list[Token]) -> str:
                 and previous.value in _NO_SPACE_AFTER
             )
         ):
-            parts.append(" ")
+            text = " " + text
         parts.append(text)
         previous = token
-    return "".join(parts)
+    return parts
 
 
-def _token_text(token: Token) -> str:
+def token_text(token: Token) -> str:
+    """The SQL spelling of one token: a string literal quoted with its
+    quotes doubled, a quoted identifier in double quotes."""
     if token.kind is TokenKind.STRING:
         escaped = token.value.replace("'", "''")
         return f"'{escaped}'"

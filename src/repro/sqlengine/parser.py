@@ -431,7 +431,7 @@ class Parser:
         token = self._peek()
         if token.kind is TokenKind.NUMBER:
             self._advance()
-            value = self._number_value(token.value)
+            value = number_value(token.value)
             if value == math.inf:  # the sign is an operator, not part of the token
                 raise ParseError(f"number {token.value} out of range at line {token.line}")
             return ast.Literal(value)
@@ -473,14 +473,6 @@ class Parser:
                 return self._parse_function_call(name)
             return self._parse_column_ref()
         raise ParseError(f"unexpected {token.value!r} at line {token.line}")
-
-    @staticmethod
-    def _number_value(text: str) -> Union[int, float, Decimal]:
-        if "e" in text or "E" in text:
-            return float(text)
-        if "." in text:
-            return Decimal(text)
-        return int(text)
 
     def _parse_column_ref(self) -> ast.ColumnRef:
         first = self._identifier("column name")
@@ -766,6 +758,16 @@ class Parser:
         if self._accept_keyword("WHERE"):
             where = self._parse_expression()
         return ast.Delete(table=table, where=where)
+
+
+def number_value(text: str) -> Union[int, float, Decimal]:
+    """The value of a NUMBER token's text: a float with an exponent, an
+    exact Decimal with a point, an int otherwise."""
+    if "e" in text or "E" in text:
+        return float(text)
+    if "." in text:
+        return Decimal(text)
+    return int(text)
 
 
 def parse_statement(source: Source) -> ast.Statement:

@@ -16,10 +16,13 @@ from collections import Counter
 import pytest
 
 import repro.hunt
+from repro.dialects.translator import translate_tokens
 from repro.durability import DurabilityManager, MemoryMedium
 from repro.middleware import DiverseServer
 from repro.servers import make_server
+from repro.sqlengine import engine as engine_module
 from repro.sqlengine import lexer, parser
+from repro.sqlengine.engine import parse_once
 from repro.sqlengine.lexer import split_statements
 from repro.study.runner import ScriptPieces, StudyRunner
 
@@ -78,23 +81,45 @@ def front_end(monkeypatch) -> FrontEnd:
 def four_version(**config) -> DiverseServer:
     server = DiverseServer([make_server(key) for key in KEYS], **config)
     server.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(10))")
-    server.execute("INSERT INTO t VALUES (1, 'x')")
+    server.execute("INSERT INTO t (a, b) VALUES (1, 'x')")
     return server
 
 
-@pytest.mark.parametrize(
-    "sql",
-    [
-        "SELECT a, b FROM t WHERE a = 1",
-        "INSERT INTO t VALUES (2, 'y')",
-        "UPDATE t SET b = 'z' WHERE a = 1",
-    ],
-)
+#: Literal statements of shapes the set-up did not run, and the same
+#: shapes with other literals.
+NEW_SHAPES = [
+    ("SELECT a, b FROM t WHERE a = 1", "SELECT a, b FROM t WHERE a = 7"),
+    ("INSERT INTO t VALUES (2, 'y')", "INSERT INTO t VALUES (3, 'it''s')"),
+    ("UPDATE t SET b = 'z' WHERE a = 1", "UPDATE t SET b = 'w' WHERE a = 2"),
+]
+
+
+@pytest.mark.parametrize("sql", [first for first, _ in NEW_SHAPES])
 def test_literal_statement_is_scanned_and_parsed_once(front_end, sql):
     server = four_version()
     front_end.reset()
     server.execute(sql)
+    # The scan lifts the literals; the one parse is the new shape's.
     assert (front_end.scans, front_end.parses) == (1, 1)
+
+
+@pytest.mark.parametrize("first, second", NEW_SHAPES)
+def test_new_literals_of_a_known_shape_compile_nothing(front_end, monkeypatch, first, second):
+    compiled = Counter()
+
+    def counting(stmt, engine, *args, _compile=engine_module.compile_statement):
+        compiled[engine.name] += 1
+        return _compile(stmt, engine, *args)
+
+    monkeypatch.setattr(engine_module, "compile_statement", counting)
+    server = four_version()
+    server.execute(first)
+    front_end.reset()
+    compiled.clear()
+    server.execute(second)
+    assert (front_end.scans, front_end.parses) == (1, 0)
+    assert sum(compiled.values()) == 0
+    assert server.pipeline.stats.lift_misses == 4
 
 
 def test_repeated_literal_statement_uses_no_front_end(front_end):
@@ -119,13 +144,15 @@ def test_warm_prepared_durable_write_is_scanned_once_and_not_parsed(front_end):
 def test_literal_durable_write_logs_the_translations_it_ran(front_end):
     server = four_version(durability=DurabilityManager(MemoryMedium()))
     records = server.stats.wal_records
-    hits = server.pipeline.stats.translate_hits
+    sql = "INSERT INTO t (b, a) VALUES ('it''s', 2)"  # a new shape
     front_end.reset()
-    server.execute("INSERT INTO t VALUES (2, 'y')")
-    # The WAL records are the four translations the replicas just ran.
+    server.execute(sql)
     assert (front_end.scans, front_end.parses) == (1, 1)
-    assert server.pipeline.stats.translate_hits == hits + 4
     assert server.stats.wal_records == records + 4
+    tokens, traits = lexer.tokenize(sql), parse_once(sql).traits
+    for replica in server.replicas:
+        logged = server.durability.store(replica.key).wal.scan().records[-1].sql
+        assert logged == translate_tokens(tokens, traits, replica.product.descriptor)[0]
 
 
 def _renamed_targets(report) -> int:

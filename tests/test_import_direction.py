@@ -44,7 +44,6 @@ CLI_FRONT_ENDS = {"repro.__main__", "repro.storms"}
 TYPE_CHECKING_UP = {
     ("repro.analysis.reachability", "repro.bugs.corpus"),
     ("repro.analysis.reachability", "repro.faults.spec"),
-    ("repro.middleware.server", "repro.durability.manager"),
 }
 
 
