@@ -31,11 +31,13 @@ Three *script-level* layers compose the per-statement facts:
   products legitimately disagree on this statement?  ``AGREE_PROVEN`` /
   ``BENIGN_DIALECT`` / ``UNKNOWN`` verdicts consumed by the comparator
   (benign divergence is not suspicion) and the Table-4 pipeline.
-* **Predicate abstraction** (:mod:`repro.analysis.predicates`) — an
-  abstract interpreter over expression trees with three-valued truth,
-  nullability, and interval lattices; powers the static TLP partition
-  oracle (:func:`tlp_partition`), rewrite-soundness certificates
-  (:func:`certify_rewrites`), and dead-predicate lint findings.
+* **Predicate abstraction** (:mod:`repro.analysis.predicates`) — the
+  value lattice's interpreter (:mod:`repro.sqlengine.plan.lattice`:
+  three-valued truth, nullability, interval and category facts, the
+  same the divergence analysis reads) over schema-seeded environments;
+  powers the static TLP partition oracle (:func:`tlp_partition`),
+  rewrite-soundness certificates (:func:`certify_rewrites`), and
+  dead-predicate lint findings.
 * **Transaction-conflict analysis** (:mod:`repro.analysis.conflicts`) —
   pairwise statement commutativity over def/use cells
   (:func:`classify_pair`), whole-interleaving serializability
@@ -87,10 +89,7 @@ from repro.analysis.divergence import (
     analyze_divergence,
 )
 from repro.analysis.predicates import (
-    AbstractTruth,
-    AbstractValue,
     DeadPredicateFinding,
-    Interval,
     PredicateEnv,
     RewriteCertificate,
     StatementAbstraction,
@@ -122,6 +121,7 @@ from repro.analysis.verdicts import (
     script_portability,
     statement_portability,
 )
+from repro.sqlengine.plan.lattice import AbstractTruth, AbstractValue, Interval
 
 __all__ = [
     "AbstractTruth",

@@ -8,12 +8,15 @@ scale preservation are all *dialect* semantics the paper's comparator
 had to tolerate.  The middleware's normalizer and translator embody
 those semantics dynamically; this module makes them a *static* fact.
 
-The analyzer walks one statement's expression trees over per-product
-:class:`SemanticProfile` records, abstractly typing each expression
-from the :class:`~repro.analysis.schema.ScriptSchema`'s declared column
-types, and collects :class:`DivergenceAtom` sites — (operator, rule)
-pairs where the answer depends on a profile field.  For a product pair
-the verdict is then:
+The analyzer walks one statement's expression trees and collects
+:class:`DivergenceAtom` sites — (operator, rule) pairs where the answer
+depends on a :class:`SemanticProfile` field.  It types nothing itself:
+each site reads the category and nullability of its operands from the
+shared value lattice (:class:`repro.sqlengine.plan.lattice.Interpreter`)
+over a :class:`~repro.analysis.predicates.PredicateEnv` built from the
+:class:`~repro.analysis.schema.ScriptSchema` — per SELECT core, columns
+under an outer join nullable, or per table for INSERT/UPDATE/DELETE.
+For a product pair the verdict is then:
 
 ``AGREE_PROVEN``
     No atom's rule differs between the two profiles and nothing in the
@@ -43,46 +46,17 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+from repro.analysis.predicates import PredicateEnv, flatten_from
 from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import VOLATILE_FUNCTIONS
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.analysis import StatementTraits, extract_traits
-from repro.sqlengine.functions import AGGREGATE_NAMES
-from repro.sqlengine.typenames import ALL_TYPE_NAMES, resolve_type
-from repro.sqlengine.types import SqlType, TypeFamily
-
-# --------------------------------------------------------------------------
-# Abstract type categories
-# --------------------------------------------------------------------------
-
-_FAMILY_CATEGORY = {
-    TypeFamily.INTEGER: "int",
-    TypeFamily.DECIMAL: "decimal",
-    TypeFamily.FLOAT: "float",
-    TypeFamily.DATE: "date",
-    TypeFamily.TIMESTAMP: "timestamp",
-    TypeFamily.BOOLEAN: "bool",
-}
-
-
-def _category(sql_type: SqlType) -> str:
-    if sql_type.family is TypeFamily.CHARACTER:
-        return "char" if sql_type.pad_char else "varchar"
-    return _FAMILY_CATEGORY[sql_type.family]
-
-
-#: Abstract category of every type spelling the engine resolves; any
-#: other spelling is one the engine rejects, so its category is unknown.
-_TYPE_CATEGORY = {name: _category(resolve_type(name)) for name in ALL_TYPE_NAMES}
-
-
-@dataclass(frozen=True)
-class AbstractValue:
-    """Abstract type of one expression: category plus nullability."""
-
-    category: str  # int/decimal/float/char/varchar/date/timestamp/bool/null/unknown
-    nullable: bool = True
-
+from repro.sqlengine.plan.compiler import CMP_OPERATORS
+from repro.sqlengine.plan.lattice import (
+    TOP_VALUE,
+    AbstractValue,
+    Interpreter,
+    category_of_type_name,
+)
 
 # --------------------------------------------------------------------------
 # Semantic profiles
@@ -288,223 +262,126 @@ class StatementDivergence:
 def analyze_divergence(
     stmt: ast.Statement,
     schema: Optional[ScriptSchema] = None,
-    traits: Optional[StatementTraits] = None,
     classes: Optional[tuple[type, ...]] = None,
 ) -> StatementDivergence:
     """Collect one statement's dialect-sensitive sites.
 
     ``classes`` are the classes of the values bound to the statement's
     ``?`` parameters when those values were lifted from a literal
-    statement: each parameter is then typed exactly as a literal of its
+    statement: each parameter then has the facts of a literal of its
     class, so the shape's analysis is the literal statement's.  Without
     them a parameter's type is unknown."""
-    if schema is None:
-        schema = ScriptSchema()
-    if traits is None:
-        traits = extract_traits(stmt)
-    analysis = _Analysis(schema, classes)
+    walk = _AtomWalk(schema or ScriptSchema(), classes or ())
     if isinstance(stmt, ast.SelectStatement):
-        analysis.walk_select(stmt, top_level=True)
+        walk.select(stmt, top_level=True)
     elif isinstance(stmt, ast.Insert):
-        scope = analysis.scope_for_table(stmt.table)
+        walk.table(stmt.table)
         for row in stmt.rows or []:
             for expr in row:
-                analysis.type_of(expr, scope)
+                walk.expression(expr)
         if stmt.query is not None:
-            analysis.walk_select(stmt.query)
-    elif isinstance(stmt, ast.Update):
-        scope = analysis.scope_for_table(stmt.table)
-        for _, expr in stmt.assignments:
-            analysis.type_of(expr, scope)
+            walk.select(stmt.query)
+    elif isinstance(stmt, (ast.Update, ast.Delete)):
+        walk.table(stmt.table)
+        if isinstance(stmt, ast.Update):
+            for _, expr in stmt.assignments:
+                walk.expression(expr)
         if stmt.where is not None:
-            analysis.type_of(stmt.where, scope)
-    elif isinstance(stmt, ast.Delete):
-        scope = analysis.scope_for_table(stmt.table)
-        if stmt.where is not None:
-            analysis.type_of(stmt.where, scope)
+            walk.expression(stmt.where)
     # DDL and transaction control have no dialect-sensitive answers the
     # comparator votes on (status-only results): no atoms.
-    return StatementDivergence(atoms=analysis.atoms, unknowns=analysis.unknowns)
+    return StatementDivergence(atoms=walk.atoms, unknowns=walk.unknowns)
 
 
-_Scope = dict[str, str]  # binding name -> relation name
+class _AtomWalk:
+    """One statement's walk: every expression in evaluation order, each
+    dialect-sensitive site read off the shared interpreter's category and
+    nullability facts for its operands."""
 
-
-class _Analysis:
-    """One statement's abstract-interpretation pass."""
-
-    def __init__(
-        self, schema: ScriptSchema, classes: Optional[tuple[type, ...]] = None
-    ) -> None:
+    def __init__(self, schema: ScriptSchema, classes: tuple[type, ...]) -> None:
         self.schema = schema
         self.classes = classes
+        self.interp: Optional[Interpreter] = None
         self.atoms: list[DivergenceAtom] = []
         self.unknowns: list[str] = []
 
-    # -- scopes ------------------------------------------------------------
+    def table(self, name: str) -> None:
+        """Read facts from one table's columns (INSERT/UPDATE/DELETE)."""
+        self.interp = Interpreter(PredicateEnv.for_table(name, self.schema, self.classes))
 
-    def scope_for_table(self, table: str) -> _Scope:
-        return {table.lower(): table.lower()}
-
-    def _bind(self, item: ast.FromItem, scope: _Scope, nullable_all: bool) -> None:
-        if isinstance(item, ast.TableRef):
-            scope[item.binding_name.lower()] = item.name.lower()
-        elif isinstance(item, ast.SubqueryRef):
-            # Derived-table columns are analyzed inside the subquery;
-            # references through the alias resolve to unknown (defeat
-            # only if they feed an atom-capable position).
-            self.walk_select(item.subquery)
-            scope[item.alias.lower()] = f"@derived:{item.alias.lower()}"
-        elif isinstance(item, ast.Join):
-            self._bind(item.left, scope, nullable_all)
-            self._bind(item.right, scope, nullable_all)
-            if item.condition is not None:
-                self.type_of(item.condition, scope)
-
-    # -- statement walks ---------------------------------------------------
-
-    def walk_select(self, stmt: ast.SelectStatement, top_level: bool = False) -> None:
+    def select(self, stmt: ast.SelectStatement, top_level: bool = False) -> None:
+        outer = self.interp
         output: list[AbstractValue] = []
+        first: Optional[Interpreter] = None
         for core in stmt.cores():
-            scope: _Scope = {}
+            # Facts from this core's FROM clause.
+            self.interp = Interpreter(PredicateEnv.for_select(core, self.schema, self.classes))
+            first = first or self.interp
+            for item in core.from_items:
+                self._from_item(item)
             outer_join = any(
                 isinstance(item, ast.Join) and item.kind in ("LEFT", "RIGHT", "FULL")
                 for item in core.from_items
             )
-            for item in core.from_items:
-                self._bind(item, scope, outer_join)
             core_output: list[AbstractValue] = []
             for select_item in core.items:
-                value = self.type_of(select_item.expression, scope)
+                expr = select_item.expression
+                self.expression(expr)
+                if isinstance(expr, ast.Star):
+                    self._star(expr, core)
+                    value = TOP_VALUE
+                else:
+                    value = self.interp.value(expr)
+                    if top_level:
+                        self._rendering_atoms(value.category)
                 if outer_join:
-                    value = AbstractValue(value.category, nullable=True)
+                    value = AbstractValue(value.category)
                 core_output.append(value)
-                if top_level:
-                    self._rendering_atoms(value)
             if not output:
                 output = core_output
-            if core.where is not None:
-                self.type_of(core.where, scope)
-            for expr in core.group_by:
-                self.type_of(expr, scope)
-            if core.having is not None:
-                self.type_of(core.having, scope)
+            for expr in (core.where, *core.group_by, core.having):
+                if expr is not None:
+                    self.expression(expr)
+        self.interp = first
         for order_item in stmt.order_by:
-            value = self._order_key_type(order_item.expression, output, stmt)
+            expr = order_item.expression
+            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+                # Positional ORDER BY (ORDER BY 1) sorts the nth output item.
+                index = expr.value - 1
+                value = output[index] if 0 <= index < len(output) else TOP_VALUE
+            else:
+                self.expression(expr)
+                value = self.interp.value(expr)
             if value.nullable:
                 self.atoms.append(DivergenceAtom.make("ORDER BY", "null-sort-position"))
+        self.interp = outer
 
-    def _order_key_type(
-        self,
-        expr: ast.Expression,
-        output: list[AbstractValue],
-        stmt: ast.SelectStatement,
-    ) -> AbstractValue:
-        # Positional ORDER BY (ORDER BY 1) sorts the nth output item.
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            index = expr.value - 1
-            if 0 <= index < len(output):
-                return output[index]
-            return AbstractValue("unknown")
-        cores = stmt.cores()
-        scope: _Scope = {}
-        if cores:
-            for item in cores[0].from_items:
-                if isinstance(item, ast.TableRef):
-                    scope[item.binding_name.lower()] = item.name.lower()
-        return self.type_of(expr, scope)
+    def _from_item(self, item: ast.FromItem) -> None:
+        if isinstance(item, ast.SubqueryRef):
+            # Derived-table columns are analyzed inside the subquery;
+            # references through the alias have unknown type.
+            self.select(item.subquery)
+        elif isinstance(item, ast.Join):
+            self._from_item(item.left)
+            self._from_item(item.right)
+            if item.condition is not None:
+                self.expression(item.condition)
 
-    def _rendering_atoms(self, value: AbstractValue) -> None:
+    def _rendering_atoms(self, category: str) -> None:
         """Atoms for how a selected value *renders* to the client."""
-        if value.category == "char":
-            self.atoms.append(DivergenceAtom.make("SELECT item", "char-padding"))
-        elif value.category == "date":
-            self.atoms.append(DivergenceAtom.make("SELECT item", "date-midnight-fold"))
-        elif value.category == "decimal":
-            self.atoms.append(DivergenceAtom.make("SELECT item", "numeric-scale"))
+        rule = _RENDERING_RULES.get(category)
+        if rule is not None:
+            self.atoms.append(DivergenceAtom.make("SELECT item", rule))
 
-    # -- expression typing -------------------------------------------------
-
-    def type_of(self, expr: ast.Expression, scope: _Scope) -> AbstractValue:
-        if isinstance(expr, ast.Literal):
-            return _literal_value(type(expr.value))
-        if isinstance(expr, ast.ColumnRef):
-            return self._column(expr, scope)
-        if isinstance(expr, ast.Star):
-            return self._star(expr, scope)
-        if isinstance(expr, ast.Parameter):
-            if self.classes is None:
-                return AbstractValue("unknown")
-            return _literal_value(self.classes[expr.index])
-        if isinstance(expr, ast.BinaryOp):
-            return self._binary(expr, scope)
-        if isinstance(expr, ast.UnaryOp):
-            operand = self.type_of(expr.operand, scope)
-            if expr.op == "NOT":
-                return AbstractValue("bool", operand.nullable)
-            return operand
-        if isinstance(expr, ast.FunctionCall):
-            return self._function(expr, scope)
-        if isinstance(expr, ast.CastExpr):
-            operand = self.type_of(expr.operand, scope)
-            category = _TYPE_CATEGORY.get(expr.type_name.upper(), "unknown")
-            return AbstractValue(category, operand.nullable)
-        if isinstance(expr, ast.CaseExpr):
-            return self._case(expr, scope)
-        if isinstance(expr, ast.IsNullPredicate):
-            self.type_of(expr.operand, scope)
-            return AbstractValue("bool", nullable=False)
-        if isinstance(expr, ast.BetweenPredicate):
-            operand = self.type_of(expr.operand, scope)
-            low = self.type_of(expr.low, scope)
-            high = self.type_of(expr.high, scope)
-            self._comparison_atoms("BETWEEN", operand, low)
-            self._comparison_atoms("BETWEEN", operand, high)
-            return AbstractValue("bool")
-        if isinstance(expr, ast.LikePredicate):
-            self.type_of(expr.operand, scope)
-            self.type_of(expr.pattern, scope)
-            return AbstractValue("bool")
-        if isinstance(expr, ast.InPredicate):
-            operand = self.type_of(expr.operand, scope)
-            for value_expr in expr.values or []:
-                self._comparison_atoms("IN", operand, self.type_of(value_expr, scope))
-            if expr.subquery is not None:
-                self.walk_select(expr.subquery)
-            return AbstractValue("bool")
-        if isinstance(expr, ast.ExistsPredicate):
-            self.walk_select(expr.subquery)
-            return AbstractValue("bool", nullable=False)
-        if isinstance(expr, ast.ScalarSubquery):
-            self.walk_select(expr.subquery)
-            return AbstractValue("unknown")  # scalar subqueries may be empty
-        return AbstractValue("unknown")  # pragma: no cover - exhaustive above
-
-    def _column(self, expr: ast.ColumnRef, scope: _Scope) -> AbstractValue:
-        candidates: list[str] = []
-        if expr.table is not None:
-            relation = scope.get(expr.table.lower())
-            if relation is not None:
-                candidates = [relation]
-        else:
-            candidates = list(scope.values())
-        for relation in candidates:
-            if relation.startswith("@derived:"):
-                continue
-            fact = self.schema.column_fact(relation, expr.name)
-            if fact is not None:
-                type_name, nullable = fact
-                category = _TYPE_CATEGORY.get(type_name, "unknown")
-                return AbstractValue(category, nullable)
-        return AbstractValue("unknown")
-
-    def _star(self, expr: ast.Star, scope: _Scope) -> AbstractValue:
-        # Per-column rendering atoms for every expanded column.
-        relations = (
-            [scope[expr.table.lower()]]
-            if expr.table is not None and expr.table.lower() in scope
-            else list(scope.values())
-        )
+    def _star(self, expr: ast.Star, core: ast.SelectCore) -> None:
+        """Rendering atoms for every column ``*`` expands to."""
+        scope = {}  # binding name -> relation name
+        for item in flatten_from(core.from_items):
+            binding = item.binding_name.lower()
+            is_table = isinstance(item, ast.TableRef)
+            scope[binding] = item.name.lower() if is_table else f"@derived:{binding}"
+        qualifier = expr.table.lower() if expr.table is not None else None
+        relations = [scope[qualifier]] if qualifier in scope else list(scope.values())
         resolved = False
         for relation in relations:
             table = self.schema.table(relation)
@@ -513,116 +390,52 @@ class _Analysis:
             resolved = True
             for column in table.columns:
                 fact = self.schema.column_fact(relation, column)
-                if fact is None:
-                    continue
-                type_name, nullable = fact
-                category = _TYPE_CATEGORY.get(type_name, "unknown")
-                self._rendering_atoms(AbstractValue(category, nullable))
+                if fact is not None:
+                    self._rendering_atoms(category_of_type_name(fact[0]))
         if not resolved and relations:
             self.unknowns.append(
                 "unresolvable * expansion over " + ", ".join(sorted(relations))
             )
-        return AbstractValue("unknown")
 
-    def _binary(self, expr: ast.BinaryOp, scope: _Scope) -> AbstractValue:
-        left = self.type_of(expr.left, scope)
-        right = self.type_of(expr.right, scope)
-        nullable = left.nullable or right.nullable
-        op = expr.op
-        if op == "/":
-            if left.category == "int" and right.category == "int":
-                self.atoms.append(DivergenceAtom.make("/", "integer-division"))
-                return AbstractValue("decimal", nullable)
-            if "unknown" in (left.category, right.category):
-                self.unknowns.append("operand of '/' has unknown type")
-            return AbstractValue(_numeric_join(left, right), nullable)
-        if op == "||":
-            if left.nullable or right.nullable:
-                self.atoms.append(DivergenceAtom.make("||", "null-concat"))
-            return AbstractValue("varchar", nullable)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            self._comparison_atoms(op, left, right)
-            return AbstractValue("bool", nullable)
-        if op in ("AND", "OR"):
-            return AbstractValue("bool", nullable)
-        # '+', '-', '*'
-        return AbstractValue(_numeric_join(left, right), nullable)
+    def expression(self, expr: ast.Expression) -> None:
+        """Collect the atoms of one expression tree, children first."""
+        if isinstance(expr, ast.FunctionCall) and expr.name.upper() in VOLATILE_FUNCTIONS:
+            self.unknowns.append(f"volatile function {expr.name.upper()}")
+            return
+        for child in expr.children():
+            self.expression(child)
+        if isinstance(expr, ast.BinaryOp):
+            if expr.op == "/":
+                left = self.interp.value(expr.left).category
+                right = self.interp.value(expr.right).category
+                if left == right == "int":
+                    self.atoms.append(DivergenceAtom.make("/", "integer-division"))
+                elif "unknown" in (left, right):
+                    self.unknowns.append("operand of '/' has unknown type")
+            elif expr.op == "||":
+                if self.interp.value(expr.left).nullable or self.interp.value(expr.right).nullable:
+                    self.atoms.append(DivergenceAtom.make("||", "null-concat"))
+            elif expr.op in CMP_OPERATORS:
+                self._comparison(expr.op, expr.left, expr.right)
+        elif isinstance(expr, ast.BetweenPredicate):
+            self._comparison("BETWEEN", expr.operand, expr.low)
+            self._comparison("BETWEEN", expr.operand, expr.high)
+        elif isinstance(expr, ast.InPredicate):
+            for value in expr.values or []:
+                self._comparison("IN", expr.operand, value)
+        if isinstance(expr, (ast.InPredicate, ast.ExistsPredicate, ast.ScalarSubquery)):
+            if expr.subquery is not None:
+                self.select(expr.subquery)
 
-    def _comparison_atoms(
-        self, op: str, left: AbstractValue, right: AbstractValue
-    ) -> None:
-        if "char" in (left.category, right.category):
+    def _comparison(self, op: str, left: ast.Expression, right: ast.Expression) -> None:
+        categories = (self.interp.value(left).category, self.interp.value(right).category)
+        if "char" in categories:
             self.atoms.append(DivergenceAtom.make(op, "trailing-blank-comparison"))
 
-    def _function(self, expr: ast.FunctionCall, scope: _Scope) -> AbstractValue:
-        name = expr.name.upper()
-        if name in VOLATILE_FUNCTIONS:
-            self.unknowns.append(f"volatile function {name}")
-            return AbstractValue("unknown")
-        args = [self.type_of(arg, scope) for arg in expr.args]
-        if name == "COUNT":
-            return AbstractValue("int", nullable=False)
-        if name in AGGREGATE_NAMES:
-            category = args[0].category if args else "unknown"
-            if name == "AVG":
-                category = "decimal"
-            return AbstractValue(category, nullable=True)  # empty input -> NULL
-        if name in ("UPPER", "LOWER", "TRIM", "SUBSTR", "SUBSTRING"):
-            nullable = any(arg.nullable for arg in args) if args else True
-            return AbstractValue("varchar", nullable)
-        if name in ("ABS", "MOD", "ROUND", "LENGTH", "CHAR_LENGTH"):
-            nullable = any(arg.nullable for arg in args) if args else True
-            category = args[0].category if name in ("ABS", "ROUND") and args else "int"
-            return AbstractValue(category, nullable)
-        if name == "COALESCE":
-            nullable = all(arg.nullable for arg in args) if args else True
-            category = next(
-                (arg.category for arg in args if arg.category != "null"), "unknown"
-            )
-            return AbstractValue(category, nullable)
-        if name == "NULLIF":
-            category = args[0].category if args else "unknown"
-            return AbstractValue(category, nullable=True)
-        return AbstractValue("unknown", True)
 
-    def _case(self, expr: ast.CaseExpr, scope: _Scope) -> AbstractValue:
-        if expr.operand is not None:
-            self.type_of(expr.operand, scope)
-        results: list[AbstractValue] = []
-        for when, then in expr.branches:
-            self.type_of(when, scope)
-            results.append(self.type_of(then, scope))
-        if expr.else_result is not None:
-            results.append(self.type_of(expr.else_result, scope))
-            nullable = any(result.nullable for result in results)
-        else:
-            nullable = True  # missing ELSE yields NULL
-        category = next(
-            (result.category for result in results if result.category != "null"),
-            "unknown",
-        )
-        return AbstractValue(category, nullable)
-
-
-#: The abstract type of a literal, by the class of its value.
-_LITERAL_VALUES = {
-    type(None): AbstractValue("null", nullable=True),
-    bool: AbstractValue("bool", nullable=False),
-    int: AbstractValue("int", nullable=False),
-    float: AbstractValue("float", nullable=False),
-    str: AbstractValue("varchar", nullable=False),
+#: The rendering rule a selected value of each category is subject to.
+_RENDERING_RULES = {
+    "char": "char-padding",
+    "date": "date-midnight-fold",
+    "decimal": "numeric-scale",
 }
-
-
-def _literal_value(cls: type) -> AbstractValue:
-    """A literal's abstract type from its value's class (a Decimal's is
-    the fallback)."""
-    return _LITERAL_VALUES.get(cls, AbstractValue("decimal", nullable=False))
-
-
-def _numeric_join(left: AbstractValue, right: AbstractValue) -> str:
-    categories = {left.category, right.category}
-    for dominant in ("float", "decimal", "int"):
-        if dominant in categories:
-            return dominant
-    return "unknown"

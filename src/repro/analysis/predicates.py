@@ -1,30 +1,14 @@
-"""Ternary-logic predicate abstraction over ``sqlengine`` expressions.
+"""Ternary-logic predicate analyses over ``sqlengine`` expressions.
 
-Three cooperating lattices, each a sound over-approximation of the
-concrete evaluator in :mod:`repro.sqlengine.expressions`:
-
-* **Truth** — the set of SQL three-valued outcomes (``True``/``False``/
-  ``None`` = UNKNOWN) a boolean expression can take.  The full set
-  ``{T, F, U}`` is the lattice top.
-* **Nullability** — whether a value expression can (or must) evaluate
-  to NULL, seeded from ``ScriptSchema`` NOT NULL / PRIMARY KEY facts.
-* **Intervals** — numeric bounds for kind-``n`` expressions, seeded
-  from literals and refined through ``+``/``-``/``*`` and unary minus.
-  Declared integer/decimal types do *not* bound intervals: the engine
-  casts without range enforcement (see ``types._cast_to_integer``), so
-  a SMALLINT column can legitimately hold any integer.
-
-The soundness contract, relied on by the property tests and the TLP
-certificates: for any expression ``e`` analyzed under an environment
-built from the schema facts, and any concrete row consistent with those
-facts, either the concrete evaluation raises and ``may_raise`` is True,
-or the concrete result is a member of the abstract truth set (for
-boolean positions) / satisfies the abstract value facts (kind,
-nullability, interval).  The abstraction is product-independent — one
-conservative answer covers all four profiles (IB/PG/OR/MS): e.g. ``||``
-over a definitely-NULL operand is *nullable* but never
-*definitely NULL*, because Oracle's ``null_concat='empty'`` profile
-yields a non-NULL string where the others propagate NULL.
+The lattices themselves — truth sets, nullability, intervals, value
+categories and may-raise, with the interpreter that computes them — are
+:mod:`repro.sqlengine.plan.lattice`'s, shared with the planner and the
+divergence triage.  This module supplies the environment they are
+computed in, :class:`PredicateEnv`: per-column facts seeded from
+``ScriptSchema`` declared types and NOT NULL / PRIMARY KEY constraints,
+widened to nullable under an outer join and to the top for views,
+derived tables and ambiguous names, plus facts for ``?`` parameters
+when their classes are known.
 
 On top of the interpreter:
 
@@ -48,216 +32,26 @@ from typing import Any, Iterable, Optional
 
 from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import VOLATILE_FUNCTIONS
-from repro.errors import TypeMismatch
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.engine import Engine
 from repro.sqlengine.expressions import contains_aggregate
-from repro.sqlengine.functions import AGGREGATE_NAMES
 from repro.sqlengine.plan import REWRITE_RULES, PhysicalSelect
 from repro.sqlengine.plan.compiler import Scope, compile_expression
-from repro.sqlengine.plan.logical import Filter, IndexLookup, kind_of_type
+from repro.sqlengine.plan.lattice import (
+    CATEGORY_KIND,
+    CLASS_CATEGORY,
+    TOP_VALUE,
+    AbstractTruth,
+    AbstractValue,
+    Interpreter,
+    category_of_class,
+    category_of_type_name,
+)
+from repro.sqlengine.plan.logical import Filter, IndexLookup
 from repro.sqlengine.plan.physical import _join_key
 from repro.sqlengine.plan.rewrites import _NO_FOLD, _fold_binary, _fold_unary
 from repro.sqlengine.sqlgen import render_statement
-from repro.sqlengine.typenames import resolve_type
-from repro.sqlengine.values import sql_compare, sql_equal, tri_and, tri_not, tri_or
-
-Truth = Optional[bool]
-TruthSet = frozenset
-
-#: The three-valued truth lattice's named elements.
-ALWAYS_TRUE: TruthSet = frozenset({True})
-ALWAYS_FALSE: TruthSet = frozenset({False})
-ALWAYS_UNKNOWN: TruthSet = frozenset({None})
-BOOL_TRUTH: TruthSet = frozenset({True, False})
-TOP_TRUTH: TruthSet = frozenset({True, False, None})
-
-
-def kind_of_type_name(name: str) -> Optional[str]:
-    """Comparison kind ('n'/'s'/'d'/'b') of a declared type spelling."""
-    try:
-        return kind_of_type(resolve_type(name))
-    except TypeMismatch:
-        return None
-
-
-def kind_of_literal(value: Any) -> Optional[str]:
-    """Comparison kind of a parsed literal value (None for SQL NULL)."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
-        return "b"
-    if isinstance(value, (int, float, Decimal)):
-        return "n"
-    if isinstance(value, str):
-        return "s"
-    return None
-
-
-# --------------------------------------------------------------------------
-# Interval lattice
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed numeric interval; a ``None`` bound is unbounded."""
-
-    low: Optional[Any] = None
-    high: Optional[Any] = None
-
-    @classmethod
-    def point(cls, value: Any) -> "Interval":
-        return cls(value, value)
-
-    def contains(self, value: Any) -> bool:
-        if isinstance(value, bool):
-            value = int(value)
-        if self.low is not None and value < self.low:
-            return False
-        if self.high is not None and value > self.high:
-            return False
-        return True
-
-    def join(self, other: "Interval") -> "Interval":
-        low = None
-        if self.low is not None and other.low is not None:
-            low = min(self.low, other.low)
-        high = None
-        if self.high is not None and other.high is not None:
-            high = max(self.high, other.high)
-        return Interval(low, high)
-
-
-TOP_INTERVAL = Interval()
-#: Booleans coerce to 0/1 in numeric positions.
-BOOL_INTERVAL = Interval(0, 1)
-
-
-def _iv_neg(a: Interval) -> Interval:
-    return Interval(
-        -a.high if a.high is not None else None,
-        -a.low if a.low is not None else None,
-    )
-
-
-def _iv_add(a: Interval, b: Interval) -> Interval:
-    low = a.low + b.low if a.low is not None and b.low is not None else None
-    high = a.high + b.high if a.high is not None and b.high is not None else None
-    return Interval(low, high)
-
-
-def _iv_sub(a: Interval, b: Interval) -> Interval:
-    low = a.low - b.high if a.low is not None and b.high is not None else None
-    high = a.high - b.low if a.high is not None and b.low is not None else None
-    return Interval(low, high)
-
-
-def _iv_mul(a: Interval, b: Interval) -> Interval:
-    bounds = (a.low, a.high, b.low, b.high)
-    if any(bound is None for bound in bounds):
-        return TOP_INTERVAL
-    products = [a.low * b.low, a.low * b.high, a.high * b.low, a.high * b.high]
-    return Interval(min(products), max(products))
-
-
-def possible_signs(a: Interval, b: Interval) -> frozenset:
-    """Possible outcomes of ``sql_compare`` (-1/0/1) between a value in
-    ``a`` and a value in ``b``."""
-    signs = set()
-    if a.low is None or b.high is None or a.low < b.high:
-        signs.add(-1)
-    overlap_low = a.low is None or b.high is None or a.low <= b.high
-    overlap_high = b.low is None or a.high is None or b.low <= a.high
-    if overlap_low and overlap_high:
-        signs.add(0)
-    if a.high is None or b.low is None or a.high > b.low:
-        signs.add(1)
-    return frozenset(signs)
-
-
-# --------------------------------------------------------------------------
-# Abstract values and truths
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AbstractValue:
-    """Lattice facts about one value expression."""
-
-    kind: Optional[str] = None      # 'n'/'s'/'d'/'b'; None = unknown
-    nullable: bool = True           # may evaluate to NULL
-    definitely_null: bool = False   # evaluates to NULL whenever it evaluates
-    interval: Interval = TOP_INTERVAL
-    may_raise: bool = False         # evaluation may raise an engine error
-
-
-#: Unknown everything: the value-lattice top.
-TOP_VALUE = AbstractValue(kind=None, nullable=True, may_raise=True)
-#: The NULL literal.
-NULL_VALUE = AbstractValue(kind=None, nullable=True, definitely_null=True)
-
-
-@dataclass(frozen=True)
-class AbstractTruth:
-    """Lattice facts about one boolean position: the set of three-valued
-    outcomes it can produce, plus whether it can raise instead."""
-
-    truth: TruthSet
-    may_raise: bool = False
-
-    @property
-    def always_true(self) -> bool:
-        return self.truth == ALWAYS_TRUE and not self.may_raise
-
-    @property
-    def never_true(self) -> bool:
-        return True not in self.truth and bool(self.truth) and not self.may_raise
-
-    @property
-    def total(self) -> bool:
-        """Proven to evaluate without raising on every row."""
-        return not self.may_raise
-
-    def describe(self) -> str:
-        names = {True: "TRUE", False: "FALSE", None: "UNKNOWN"}
-        members = "{" + ", ".join(
-            names[item] for item in (True, False, None) if item in self.truth
-        ) + "}"
-        return members + (" (may raise)" if self.may_raise else "")
-
-
-TOP_ABSTRACT_TRUTH = AbstractTruth(TOP_TRUTH, may_raise=True)
-
-
-def _truth_of_value(value: AbstractValue) -> AbstractTruth:
-    """Boolean coercion of an abstract value, mirroring the compiled
-    ``_tribool`` (NULL passes through, non-bool raises)."""
-    possible = set()
-    may_raise = value.may_raise
-    if value.nullable:
-        possible.add(None)
-    if not value.definitely_null:
-        if value.kind == "b":
-            possible.update((True, False))
-        elif value.kind is None:
-            possible.update((True, False))
-            may_raise = True
-        else:
-            may_raise = True  # a non-NULL non-boolean always raises
-    return AbstractTruth(frozenset(possible), may_raise)
-
-
-def _value_of_truth(truth: AbstractTruth) -> AbstractValue:
-    """A boolean predicate used as a value."""
-    return AbstractValue(
-        kind="b",
-        nullable=None in truth.truth,
-        definitely_null=bool(truth.truth) and truth.truth <= ALWAYS_UNKNOWN,
-        interval=BOOL_INTERVAL,
-        may_raise=truth.may_raise,
-    )
-
+from repro.sqlengine.values import sql_compare, sql_equal, tri_and
 
 # --------------------------------------------------------------------------
 # Abstract row environments
@@ -268,30 +62,43 @@ _AMBIGUOUS = object()
 
 class PredicateEnv:
     """Abstract row environment: per-column lattice facts for the
-    relations in scope, built from :class:`ScriptSchema`.
+    relations in scope, built from :class:`ScriptSchema`, and facts for
+    the ``?`` parameters bound with values of known classes.
 
     Unresolvable references (unknown table, derived table, ambiguous
-    unqualified name) widen to :data:`TOP_VALUE` — sound because TOP
-    includes every outcome and ``may_raise``.
+    unqualified name) and parameters of unknown class widen to
+    :data:`TOP_VALUE` — sound because TOP includes every outcome and
+    ``may_raise``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, classes: Iterable[type] = ()) -> None:
         self._facts: dict[tuple[Optional[str], str], Any] = {}
         self._opaque: set[Optional[str]] = set()
+        self._params = tuple(
+            AbstractValue(
+                category_of_class(cls),
+                nullable=cls is type(None),
+                definitely_null=cls is type(None),
+            )
+            for cls in classes
+        )
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def for_select(
-        cls, core: ast.SelectCore, schema: Optional[ScriptSchema]
+        cls,
+        core: ast.SelectCore,
+        schema: Optional[ScriptSchema],
+        classes: Iterable[type] = (),
     ) -> "PredicateEnv":
-        env = cls()
+        env = cls(classes)
         schema = schema or ScriptSchema()
         outer_join = any(
             isinstance(item, ast.Join) and item.kind in ("LEFT", "RIGHT", "FULL")
             for item in core.from_items
         )
-        for item in _flatten_from(core.from_items):
+        for item in flatten_from(core.from_items):
             if isinstance(item, ast.TableRef):
                 env.add_table(
                     item.binding_name, item.name, schema, force_nullable=outer_join
@@ -303,9 +110,9 @@ class PredicateEnv:
 
     @classmethod
     def for_table(
-        cls, table: str, schema: Optional[ScriptSchema]
+        cls, table: str, schema: Optional[ScriptSchema], classes: Iterable[type] = ()
     ) -> "PredicateEnv":
-        env = cls()
+        env = cls(classes)
         env.add_table(table, table, schema or ScriptSchema())
         return env
 
@@ -328,7 +135,7 @@ class PredicateEnv:
             fact = schema.column_fact(table_name, column)
             type_name, nullable = fact if fact is not None else (None, True)
             value = AbstractValue(
-                kind=kind_of_type_name(type_name) if type_name else None,
+                category_of_type_name(type_name) if type_name else "unknown",
                 nullable=nullable or force_nullable,
             )
             self._set((label.lower(), column), value)
@@ -354,11 +161,18 @@ class PredicateEnv:
             return TOP_VALUE
         return fact
 
+    def parameter(self, index: int) -> AbstractValue:
+        if index < len(self._params):
+            return self._params[index]
+        return TOP_VALUE
 
-def _flatten_from(items: Iterable[ast.FromItem]):
+
+def flatten_from(items: Iterable[ast.FromItem]):
+    """The table and subquery leaves of FROM items, joins flattened, in
+    FROM order."""
     for item in items:
         if isinstance(item, ast.Join):
-            yield from _flatten_from((item.left, item.right))
+            yield from flatten_from((item.left, item.right))
         else:
             yield item
 
@@ -366,423 +180,18 @@ def _flatten_from(items: Iterable[ast.FromItem]):
 EMPTY_ENV = PredicateEnv()
 
 
-# --------------------------------------------------------------------------
-# The abstract interpreter
-# --------------------------------------------------------------------------
-
-_COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
-
-_SIGN_RESULT = {
-    "=": lambda s: s == 0,
-    "<>": lambda s: s != 0,
-    "<": lambda s: s < 0,
-    "<=": lambda s: s <= 0,
-    ">": lambda s: s > 0,
-    ">=": lambda s: s >= 0,
-}
-
-#: Kind pairs ``sql_compare`` reconciles without ever raising.
-_TOTAL_COMPARE_KINDS = frozenset(
-    {
-        frozenset({"n"}),
-        frozenset({"s"}),
-        frozenset({"d"}),
-        frozenset({"b"}),
-        frozenset({"n", "b"}),
-    }
-)
-#: Kind pairs that reconcile but can raise on unparseable values.
-_PARTIAL_COMPARE_KINDS = frozenset(
-    {frozenset({"n", "s"}), frozenset({"d", "s"})}
-)
-
-
-class _Interpreter:
-    """One environment's abstract-interpretation pass."""
-
-    def __init__(self, env: PredicateEnv) -> None:
-        self.env = env
-
-    # -- truth lattice -----------------------------------------------------
-
-    def truth(self, expr: ast.Expression) -> AbstractTruth:
-        if isinstance(expr, ast.Literal):
-            value = expr.value
-            if value is None:
-                return AbstractTruth(ALWAYS_UNKNOWN)
-            if isinstance(value, bool):
-                return AbstractTruth(frozenset({value}))
-            return AbstractTruth(frozenset(), may_raise=True)
-        if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
-            inner = self.truth(expr.operand)
-            return AbstractTruth(
-                frozenset(tri_not(item) for item in inner.truth), inner.may_raise
-            )
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op in ("AND", "OR"):
-                connect = tri_and if expr.op == "AND" else tri_or
-                left = self.truth(expr.left)
-                right = self.truth(expr.right)
-                # Both operands are always evaluated (no short-circuit in
-                # the compiled AND/OR), so raise possibilities join.
-                return AbstractTruth(
-                    frozenset(
-                        connect(a, b) for a in left.truth for b in right.truth
-                    ),
-                    left.may_raise or right.may_raise,
-                )
-            if expr.op in _COMPARISON_OPS:
-                return self.compare(
-                    self.value(expr.left), self.value(expr.right), expr.op
-                )
-        if isinstance(expr, ast.IsNullPredicate):
-            operand = self.value(expr.operand)
-            if operand.definitely_null:
-                truths: set[Truth] = {True}
-            elif not operand.nullable:
-                truths = {False}
-            else:
-                truths = {True, False}
-            if expr.negated:
-                truths = {not item for item in truths}
-            return AbstractTruth(frozenset(truths), operand.may_raise)
-        if isinstance(expr, ast.BetweenPredicate):
-            return self._between(expr)
-        if isinstance(expr, ast.InPredicate):
-            return self._in_list(expr)
-        if isinstance(expr, ast.LikePredicate):
-            return self._like(expr)
-        if isinstance(expr, ast.CaseExpr):
-            return self._case(expr, "truth")
-        if isinstance(expr, ast.ExistsPredicate):
-            return AbstractTruth(BOOL_TRUTH, may_raise=True)
-        if isinstance(expr, ast.Star):
-            return AbstractTruth(frozenset(), may_raise=True)
-        return _truth_of_value(self.value(expr))
-
-    def compare(
-        self, left: AbstractValue, right: AbstractValue, op: str
-    ) -> AbstractTruth:
-        """Abstract ``sql_compare`` plus the operator's sign test."""
-        may_raise = left.may_raise or right.may_raise
-        possible: set[Truth] = set()
-        if left.nullable or right.nullable:
-            possible.add(None)
-        if left.definitely_null or right.definitely_null:
-            return AbstractTruth(frozenset(possible), may_raise)
-        if left.kind is None or right.kind is None:
-            may_raise = True
-            signs: frozenset = frozenset({-1, 0, 1})
-        else:
-            kinds = frozenset({left.kind, right.kind})
-            if kinds in _TOTAL_COMPARE_KINDS:
-                if kinds == frozenset({"n"}):
-                    signs = possible_signs(left.interval, right.interval)
-                elif kinds == frozenset({"n", "b"}):
-                    left_iv = left.interval if left.kind == "n" else BOOL_INTERVAL
-                    right_iv = right.interval if right.kind == "n" else BOOL_INTERVAL
-                    signs = possible_signs(left_iv, right_iv)
-                else:
-                    signs = frozenset({-1, 0, 1})
-            elif kinds in _PARTIAL_COMPARE_KINDS:
-                may_raise = True
-                signs = frozenset({-1, 0, 1})
-            else:
-                # _reconcile raises for every other kind pair.
-                return AbstractTruth(frozenset(possible), True)
-        test = _SIGN_RESULT[op]
-        for sign in signs:
-            possible.add(test(sign))
-        return AbstractTruth(frozenset(possible), may_raise)
-
-    def _between(self, expr: ast.BetweenPredicate) -> AbstractTruth:
-        value = self.value(expr.operand)
-        low = self.value(expr.low)
-        high = self.value(expr.high)
-        ge_low = self.compare(value, low, ">=")
-        le_high = self.compare(value, high, "<=")
-        truths = frozenset(
-            tri_and(a, b) for a in ge_low.truth for b in le_high.truth
-        )
-        if expr.negated:
-            truths = frozenset(tri_not(item) for item in truths)
-        return AbstractTruth(truths, ge_low.may_raise or le_high.may_raise)
-
-    def _in_list(self, expr: ast.InPredicate) -> AbstractTruth:
-        if expr.values is None:
-            return TOP_ABSTRACT_TRUTH  # IN (SELECT ...): beyond this layer
-        value = self.value(expr.operand)
-        equalities = [
-            self.compare(value, self.value(item), "=") for item in expr.values
-        ]
-        may_raise = value.may_raise or any(eq.may_raise for eq in equalities)
-        possible: set[Truth] = set()
-        if value.nullable:
-            possible.add(None)
-        if not value.definitely_null:
-            if not equalities:
-                possible.add(False)
-            else:
-                if any(True in eq.truth for eq in equalities):
-                    possible.add(True)
-                # A no-match pass ends UNKNOWN if some candidate was
-                # NULL, FALSE otherwise; both need every candidate to
-                # offer a non-TRUE outcome.
-                if all(eq.truth - ALWAYS_TRUE for eq in equalities):
-                    if any(None in eq.truth for eq in equalities):
-                        possible.add(None)
-                    if all(False in eq.truth for eq in equalities):
-                        possible.add(False)
-        if expr.negated:
-            possible = {tri_not(item) for item in possible}
-        return AbstractTruth(frozenset(possible), may_raise)
-
-    def _like(self, expr: ast.LikePredicate) -> AbstractTruth:
-        value = self.value(expr.operand)
-        pattern = self.value(expr.pattern)
-        may_raise = value.may_raise or pattern.may_raise
-        if expr.escape is not None:
-            escape = self.value(expr.escape)
-            may_raise = may_raise or escape.may_raise or not escape.definitely_null
-        possible: set[Truth] = set()
-        if value.nullable or pattern.nullable:
-            possible.add(None)
-        if not value.definitely_null and not pattern.definitely_null:
-            if value.kind in (None, "s") and pattern.kind in (None, "s"):
-                possible.update((True, False))
-                if value.kind is None or pattern.kind is None:
-                    may_raise = True
-            else:
-                may_raise = True  # non-string operands raise TypeMismatch
-        if expr.negated:
-            possible = {tri_not(item) for item in possible}
-        return AbstractTruth(frozenset(possible), may_raise)
-
-    def _branch_condition(
-        self, expr: ast.CaseExpr, when: ast.Expression
-    ) -> AbstractTruth:
-        """Truth of 'this CASE branch is taken' (taken iff TRUE)."""
-        if expr.operand is None:
-            return self.truth(when)
-        # Simple CASE: taken iff subject = candidate is TRUE (both
-        # non-NULL and comparing equal).
-        return self.compare(self.value(expr.operand), self.value(when), "=")
-
-    def _case(self, expr: ast.CaseExpr, mode: str):
-        """Join of reachable branch results; ``mode`` is ``'truth'`` or
-        ``'value'`` (selecting the lattice the branches are joined in)."""
-        analyze = self.truth if mode == "truth" else self.value
-        results = []
-        may_raise = False
-        reachable = True
-        for when, then in expr.branches:
-            condition = self._branch_condition(expr, when)
-            may_raise = may_raise or condition.may_raise
-            if reachable and True in condition.truth:
-                results.append(analyze(then))
-            if reachable and condition.always_true:
-                reachable = False
-        if reachable:
-            if expr.else_result is not None:
-                results.append(analyze(expr.else_result))
-            else:
-                results.append(
-                    AbstractTruth(ALWAYS_UNKNOWN)
-                    if mode == "truth"
-                    else NULL_VALUE
-                )
-        if mode == "truth":
-            truths = frozenset().union(*(result.truth for result in results))
-            return AbstractTruth(
-                truths, may_raise or any(result.may_raise for result in results)
-            )
-        return _join_values(results, extra_raise=may_raise)
-
-    # -- value lattice -----------------------------------------------------
-
-    def value(self, expr: ast.Expression) -> AbstractValue:
-        if isinstance(expr, ast.Literal):
-            return self._literal(expr.value)
-        if isinstance(expr, ast.ColumnRef):
-            return self.env.lookup(expr)
-        if isinstance(expr, ast.Parameter):
-            return TOP_VALUE
-        if isinstance(expr, ast.UnaryOp):
-            return self._unary(expr)
-        if isinstance(expr, ast.BinaryOp):
-            return self._binary(expr)
-        if isinstance(expr, ast.CastExpr):
-            return self._cast(expr)
-        if isinstance(expr, ast.CaseExpr):
-            return self._case(expr, "value")
-        if isinstance(
-            expr,
-            (
-                ast.IsNullPredicate,
-                ast.BetweenPredicate,
-                ast.LikePredicate,
-                ast.InPredicate,
-            ),
-        ):
-            return _value_of_truth(self.truth(expr))
-        if isinstance(expr, ast.ExistsPredicate):
-            return AbstractValue(
-                kind="b", nullable=False, interval=BOOL_INTERVAL, may_raise=True
-            )
-        if isinstance(expr, ast.FunctionCall):
-            return self._function(expr)
-        return TOP_VALUE  # ScalarSubquery, Star, anything new
-
-    def _literal(self, value: Any) -> AbstractValue:
-        if value is None:
-            return NULL_VALUE
-        if isinstance(value, bool):
-            return AbstractValue(
-                kind="b", nullable=False, interval=Interval.point(int(value))
-            )
-        if isinstance(value, (int, float, Decimal)):
-            return AbstractValue(
-                kind="n", nullable=False, interval=Interval.point(value)
-            )
-        if isinstance(value, str):
-            return AbstractValue(kind="s", nullable=False)
-        return TOP_VALUE
-
-    def _unary(self, expr: ast.UnaryOp) -> AbstractValue:
-        if expr.op == "NOT":
-            return _value_of_truth(self.truth(expr))
-        operand = self.value(expr.operand)
-        if expr.op == "+":
-            return operand  # unary plus passes the operand through as-is
-        # Unary minus: numeric coercion (strings parse, may raise).
-        if operand.kind == "n":
-            interval = _iv_neg(operand.interval)
-            may_raise = operand.may_raise
-        elif operand.kind == "b":
-            interval = _iv_neg(BOOL_INTERVAL)
-            may_raise = operand.may_raise
-        else:
-            interval = TOP_INTERVAL
-            may_raise = True
-        return AbstractValue(
-            kind="n",
-            nullable=operand.nullable,
-            definitely_null=operand.definitely_null,
-            interval=interval,
-            may_raise=may_raise,
-        )
-
-    def _binary(self, expr: ast.BinaryOp) -> AbstractValue:
-        op = expr.op
-        if op in ("AND", "OR") or op in _COMPARISON_OPS:
-            return _value_of_truth(self.truth(expr))
-        left = self.value(expr.left)
-        right = self.value(expr.right)
-        may_raise = left.may_raise or right.may_raise
-        nullable = left.nullable or right.nullable
-        definitely_null = left.definitely_null or right.definitely_null
-        if op == "||":
-            # Product profiles split on NULL || x (propagate vs empty):
-            # nullable when either side is, never definitely NULL.
-            return AbstractValue(
-                kind="s",
-                nullable=nullable,
-                definitely_null=False,
-                may_raise=may_raise,
-            )
-        if op == "%":
-            return AbstractValue(kind="n", nullable=True, may_raise=True)
-        # '+', '-', '*', '/': numeric coercion of both operands.
-        numeric_kinds = ("n", "b")
-        coercible = left.kind in numeric_kinds and right.kind in numeric_kinds
-        if not coercible:
-            may_raise = True  # string parse / TypeMismatch possible
-        left_iv = BOOL_INTERVAL if left.kind == "b" else left.interval
-        right_iv = BOOL_INTERVAL if right.kind == "b" else right.interval
-        if not coercible:
-            left_iv = right_iv = TOP_INTERVAL
-        if op == "+":
-            interval = _iv_add(left_iv, right_iv)
-        elif op == "-":
-            interval = _iv_sub(left_iv, right_iv)
-        elif op == "*":
-            interval = _iv_mul(left_iv, right_iv)
-        else:  # '/'
-            interval = TOP_INTERVAL
-            if right.definitely_null or not right_iv.contains(0):
-                pass  # NULL divisor propagates NULL; 0 excluded: no raise
-            else:
-                may_raise = True  # DivisionByZero possible
-        return AbstractValue(
-            kind="n",
-            nullable=nullable,
-            definitely_null=definitely_null,
-            interval=interval,
-            may_raise=may_raise,
-        )
-
-    def _cast(self, expr: ast.CastExpr) -> AbstractValue:
-        operand = self.value(expr.operand)
-        kind = kind_of_type_name(expr.type_name)
-        # CAST(NULL AS t) is NULL without raising; any other operand can
-        # fail conversion.
-        may_raise = operand.may_raise or kind is None or not operand.definitely_null
-        return AbstractValue(
-            kind=kind,
-            nullable=operand.nullable,
-            definitely_null=operand.definitely_null,
-            may_raise=may_raise,
-        )
-
-    def _function(self, expr: ast.FunctionCall) -> AbstractValue:
-        name = expr.name.upper()
-        if name == "COUNT":
-            return AbstractValue(
-                kind="n",
-                nullable=False,
-                interval=Interval(0, None),
-                may_raise=True,  # argument evaluation can still raise
-            )
-        if name in AGGREGATE_NAMES:
-            return TOP_VALUE
-        return TOP_VALUE
-
-
-def _join_values(values: list, *, extra_raise: bool = False) -> AbstractValue:
-    """Least upper bound of possible results (CASE branch join)."""
-    if not values:
-        return AbstractValue(
-            kind=None, nullable=False, may_raise=True
-        )  # no branch can produce a value: evaluation cannot complete
-    kinds = {value.kind for value in values}
-    kind = kinds.pop() if len(kinds) == 1 else None
-    interval = values[0].interval
-    for value in values[1:]:
-        interval = interval.join(value.interval)
-    return AbstractValue(
-        kind=kind,
-        nullable=any(value.nullable for value in values),
-        definitely_null=all(value.definitely_null for value in values),
-        interval=interval if kind == "n" else TOP_INTERVAL,
-        may_raise=extra_raise or any(value.may_raise for value in values),
-    )
-
-
-# -- public entry points -----------------------------------------------------
-
-
 def abstract_truth(
     expr: ast.Expression, env: Optional[PredicateEnv] = None
 ) -> AbstractTruth:
     """Abstract three-valued truth of a boolean position."""
-    return _Interpreter(env or EMPTY_ENV).truth(expr)
+    return Interpreter(env or EMPTY_ENV).truth(expr)
 
 
 def abstract_value(
     expr: ast.Expression, env: Optional[PredicateEnv] = None
 ) -> AbstractValue:
     """Abstract value facts of an expression."""
-    return _Interpreter(env or EMPTY_ENV).value(expr)
+    return Interpreter(env or EMPTY_ENV).value(expr)
 
 
 # --------------------------------------------------------------------------
@@ -969,7 +378,7 @@ class StatementAbstraction:
 
 
 def _dead_case_arms(
-    expr: ast.CaseExpr, interp: _Interpreter
+    expr: ast.CaseExpr, interp: Interpreter
 ) -> list[DeadPredicateFinding]:
     findings: list[DeadPredicateFinding] = []
     reachable = True
@@ -982,7 +391,7 @@ def _dead_case_arms(
                 )
             )
             continue
-        condition = interp._branch_condition(expr, when)
+        condition = interp.branch_condition(expr, when)
         if not condition.may_raise and True not in condition.truth:
             findings.append(
                 DeadPredicateFinding(
@@ -1032,7 +441,7 @@ def summarize_statement(
         where = stmt.where
     if env is None:
         return StatementAbstraction(kind=kind)
-    interp = _Interpreter(env)
+    interp = Interpreter(env)
     where_truth = interp.truth(where) if where is not None else None
     dead: list[DeadPredicateFinding] = []
     if where_truth is not None:
@@ -1101,8 +510,8 @@ def _literal_fits(value: Any, fact: AbstractValue) -> bool:
     """Does a folded literal satisfy the original's abstract facts?"""
     if value is None:
         return fact.nullable
-    kind = kind_of_literal(value)
-    if fact.kind is not None and kind != fact.kind:
+    kind = CATEGORY_KIND[CLASS_CATEGORY[type(value)]]
+    if fact.category != "unknown" and kind != CATEGORY_KIND[fact.category]:
         return False
     if kind == "n" and not fact.interval.contains(value):
         return False

@@ -252,7 +252,6 @@ class StatementPipeline:
         sql: str,
         statement: ast.Statement,
         schema: ScriptSchema,
-        traits: StatementTraits,
         classes: Optional[tuple[type, ...]] = None,
     ) -> StatementDivergence:
         """Dialect-divergence analysis for one statement, memoized per
@@ -261,7 +260,7 @@ class StatementPipeline:
         return self._memo(
             "divergence",
             (sql, classes, self.generation),
-            lambda: analyze_divergence(statement, schema, traits, classes),
+            lambda: analyze_divergence(statement, schema, classes),
         )
 
     def def_use(

@@ -533,7 +533,6 @@ class DiverseServer:
                 call.sql,
                 statement,
                 self._schema,
-                traits,
                 None if call.lift is None else tuple(map(type, call.params)),
             )
         self.stats.statements += 1

@@ -31,7 +31,7 @@ from repro.sqlengine.catalog import Catalog, ColumnDef, IndexDef, TableSchema, V
 from repro.sqlengine.expressions import ColumnBinding
 from repro.sqlengine.parser import parse_prepared, parse_script
 from repro.sqlengine.plan.dml import compile_statement
-from repro.sqlengine.plan.logical import kind_of_class
+from repro.sqlengine.plan.lattice import kind_of_class
 from repro.sqlengine.plan.physical import compile_row_expression, compile_select
 from repro.sqlengine.storage import Storage
 from repro.sqlengine.tokens import Token

@@ -8,7 +8,9 @@ operations), improves each block with rule-based rewrites
 selection over the catalog's unique-key sets), and compiles the result
 into Python closures over row batches (:mod:`.physical`); expressions,
 subqueries included, compile through :mod:`.compiler`, and DML through
-:mod:`.dml`.
+:mod:`.dml`.  :mod:`.lattice` owns what an expression can be — value
+categories and comparison kinds, nullability, intervals, may-raise —
+for the planner's totality gate and for the static analyses above.
 
 A plan is compiled for one tuple of parameter kinds and one choice of
 rule set, and the engine caches one plan per statement, parameter-type

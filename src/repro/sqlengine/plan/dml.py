@@ -20,21 +20,22 @@ from repro.errors import SqlError
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.expressions import ColumnBinding
 from repro.sqlengine.plan.compiler import Scope, compile_expression
-from repro.sqlengine.plan.logical import LogicalPlan, Scan, kind_of_type
+from repro.sqlengine.plan.lattice import kind_of_type
+from repro.sqlengine.plan.logical import LogicalPlan, Scan
 from repro.sqlengine.plan.physical import (
     QueryCompiler,
     compile_filter,
     compile_select,
     compile_unique_probe,
 )
-from repro.sqlengine.plan.rewrites import _Analyzer, split_conjuncts
+from repro.sqlengine.plan.rewrites import is_total, split_conjuncts, unique_pin
 from repro.sqlengine.types import cast_value
 
 
 def _table_plan(engine, schema, queries: QueryCompiler) -> tuple[LogicalPlan, Scope]:
-    """A single-scan pseudo-plan so DML can reuse the SELECT analyzer
-    (DML rows bind under the schema's declared name), and the scope
-    its expressions compile in."""
+    """A single-scan pseudo-plan so DML can reuse the SELECT planner's
+    totality gate and unique-key pin (DML rows bind under the schema's
+    declared name), and the scope its expressions compile in."""
     scan = Scan(table=schema.name, label=schema.name, width=len(schema.columns))
     bindings = [ColumnBinding(schema.name, column.name) for column in schema.columns]
     kinds = [kind_of_type(column.sql_type) for column in schema.columns]
@@ -57,8 +58,7 @@ def _compile_where(where, plan: LogicalPlan, scope: Scope) -> tuple:
     if where is None:
         return (lambda rows, ctx: rows), []
     conjuncts = split_conjuncts(where)
-    analyzer = _Analyzer(plan)
-    if all(analyzer.is_total(conjunct) for conjunct in conjuncts):
+    if all(is_total(plan, conjunct) for conjunct in conjuncts):
         return compile_filter(conjuncts, scope, True), conjuncts
     return compile_filter([where], scope, False), None
 
@@ -130,36 +130,12 @@ class PlannedUpdate:
         """``(table data, ctx) -> candidate rows``: a unique-key probe
         when the WHERE clause is total and pins every column of a
         uniqueness constraint, else the whole heap."""
-        if not conjuncts:
+        pin = unique_pin(plan, 0, conjuncts) if conjuncts else None
+        if pin is None:
             return _whole_heap
-        analyzer = _Analyzer(plan)
-        pinned: dict[int, ast.Expression] = {}
-        for conjunct in conjuncts:
-            if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-                continue
-            for column, value in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if not isinstance(column, ast.ColumnRef):
-                    continue
-                if not isinstance(value, (ast.Literal, ast.Parameter)):
-                    continue
-                index = analyzer.resolve(column)
-                if index is not None:
-                    pinned.setdefault(index, value)
-        if not pinned:
-            return _whole_heap
-        for _, _, indices, _ in plan.unique_sets[0]:
-            if all(local in pinned for local in indices):
-                kinds = tuple(plan.kinds[local] for local in indices)
-                if None in kinds:
-                    continue
-                getters = [
-                    compile_expression(pinned[local], scope) for local in indices
-                ]
-                return compile_unique_probe(indices, kinds, getters)
-        return _whole_heap
+        key, exprs, kinds = pin
+        getters = [compile_expression(expr, scope) for expr in exprs]
+        return compile_unique_probe(key.indices, tuple(kinds), getters)
 
     def execute(self, ctx) -> int:
         engine = self._engine

@@ -21,16 +21,14 @@ the plan ``incomplete`` for EXPLAIN.
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass, field
-from decimal import Decimal
 from functools import reduce
 from typing import Any, Optional
 
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.catalog import UniqueKey, ViewDef
 from repro.sqlengine.expressions import ColumnBinding, _resolution_map, collect_aggregates
-from repro.sqlengine.types import TypeFamily
+from repro.sqlengine.plan.lattice import kind_of_type
 
 #: Query blocks nested deeper than this (subqueries, views, derived
 #: tables) raise ``subquery nesting too deep`` when they are run.
@@ -170,8 +168,9 @@ class LogicalPlan:
 
     root: Any
     #: Comparison kind of each bound parameter's value (see
-    #: :func:`kind_of_class`): the plan is valid only for parameters of
-    #: these kinds, and the engine caches one plan per kind tuple.
+    #: :func:`.lattice.kind_of_class`): the plan is valid only for
+    #: parameters of these kinds, and the engine caches one plan per
+    #: kind tuple.
     #: ``None`` when no values are bound (EXPLAIN), where each ``?``
     #: takes the kind of the operand it is compared with.
     param_kinds: Optional[tuple[Optional[str], ...]] = ()
@@ -208,59 +207,6 @@ class LogicalPlan:
         """Column names of the block's result when it runs without
         error and without the ``empty_agg_field_names`` flag."""
         return [payload for kind, payload in self.names if kind != "error"]
-
-
-# -- kind classification -----------------------------------------------------
-
-_FAMILY_KINDS = {
-    TypeFamily.INTEGER: "n",
-    TypeFamily.DECIMAL: "n",
-    TypeFamily.FLOAT: "n",
-    TypeFamily.CHARACTER: "s",
-    TypeFamily.DATE: "d",
-    TypeFamily.TIMESTAMP: "d",
-    TypeFamily.BOOLEAN: "b",
-}
-
-
-def kind_of_type(sql_type) -> Optional[str]:
-    """Comparison kind (:func:`repro.sqlengine.values._comparable` tag)
-    of values stored in a column of the given declared type."""
-    return _FAMILY_KINDS.get(sql_type.family)
-
-
-def kind_of_class(cls: type) -> Optional[str]:
-    """Comparison kind of every value of Python class ``cls``; SQL NULL
-    (``NoneType``) is reported as ``"null"`` (comparisons with it never
-    raise), and a class outside the SQL value domain as ``None``."""
-    if cls is type(None):
-        return "null"
-    if issubclass(cls, bool):
-        return "b"
-    if issubclass(cls, (int, float, Decimal)):
-        return "n"
-    if issubclass(cls, str):
-        return "s"
-    if issubclass(cls, datetime.date):
-        return "d"
-    return None
-
-
-def kinds_compatible(left: Optional[str], right: Optional[str]) -> bool:
-    """True when comparing values of these kinds can never raise.
-
-    Same-kind comparisons are total; ``{'n', 'b'}`` reconciles
-    numerically without parsing.  Everything else (number/string,
-    date/string...) can raise :class:`TypeMismatch` depending on the
-    values, so rewrites must not change how often it is evaluated.
-    """
-    if left == "null" or right == "null":
-        return True
-    if left is None or right is None:
-        return False
-    if left == right:
-        return True
-    return {left, right} == {"n", "b"}
 
 
 # -- lowering ----------------------------------------------------------------

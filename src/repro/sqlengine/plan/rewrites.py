@@ -6,11 +6,12 @@ errors.  That plan evaluates the whole WHERE clause on every candidate
 row (three-valued AND evaluates both operands), so any rewrite that
 changes *which rows* an expression is evaluated on is only sound when
 that expression is **total**: provably unable to raise for any row.
-Totality is decided when the plan is compiled, from declared column
-kinds and the kinds of the bound parameters
-(:attr:`LogicalPlan.param_kinds`), which the engine's plan cache keys
-on; a conjunct that is not total for those kinds keeps the
-conservative plan, so nothing is left to check at run time.
+Totality is decided when the plan is compiled by :func:`is_total`, a
+syntactic gate over declared column kinds and the kinds of the bound
+parameters (:attr:`LogicalPlan.param_kinds`, which the engine's plan
+cache keys on), read through the value lattice's kind and comparison
+tables (:mod:`.lattice`); a conjunct that is not total for those kinds
+keeps the conservative plan, so nothing is left to check at run time.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine.catalog import UniqueKey
 from repro.sqlengine.expressions import _AMBIGUOUS
 from repro.sqlengine.plan.compiler import CMP_OPERATORS
+from repro.sqlengine.plan.lattice import CATEGORY_KIND, CLASS_CATEGORY, COMPARE
 from repro.sqlengine.plan.logical import (
     Aggregate,
     CrossJoin,
@@ -34,8 +37,6 @@ from repro.sqlengine.plan.logical import (
     Scan,
     Sort,
     blocks,
-    kind_of_class,
-    kinds_compatible,
 )
 from repro.sqlengine.values import (
     sql_add,
@@ -55,134 +56,135 @@ _ARITHMETIC = {"+": sql_add, "-": sql_sub, "*": sql_mul, "/": sql_div}
 
 # -- shared analysis ---------------------------------------------------------
 
-
-class _NotTotal(Exception):
-    """Internal: the analyzed expression may raise for some row."""
-
-
 #: Kind of a ``?`` in a plan compiled without bound values (EXPLAIN):
 #: compatible with any one operand it is compared with.
 _ANY_KIND = "?"
 
 
-class _Analyzer:
-    """Static totality/shape analysis against a plan's combined bindings."""
+def _column_index(resolution: dict, ref: ast.ColumnRef) -> Optional[int]:
+    """Combined column index, or None for unknown/ambiguous refs."""
+    index = resolution.get(ref.key)
+    if index is None or index == _AMBIGUOUS:
+        return None
+    return index
 
-    def __init__(self, plan: LogicalPlan) -> None:
-        self._plan = plan
-        self._resolution = plan.resolution()
-        #: Combined-column offset ranges per scan position.
-        self._ranges = [
-            (scan.offset, scan.offset + scan.width) for scan in plan.scans
-        ]
 
-    def resolve(self, ref: ast.ColumnRef) -> Optional[int]:
-        """Combined column index, or None for unknown/ambiguous refs."""
-        index = self._resolution.get(ref.key)
-        if index is None or index == _AMBIGUOUS:
-            return None
-        return index
+def _scan_of(plan: LogicalPlan, column_index: int) -> int:
+    for position, scan in enumerate(plan.scans):
+        if scan.offset <= column_index < scan.offset + scan.width:
+            return position
+    raise AssertionError("column index outside all scans")
 
-    def scan_of(self, column_index: int) -> int:
-        for position, (low, high) in enumerate(self._ranges):
-            if low <= column_index < high:
-                return position
-        raise AssertionError("column index outside all scans")
 
-    def scans_used(self, expr: ast.Expression) -> Optional[set[int]]:
-        """Scan positions referenced by ``expr``; None when a reference
-        does not resolve (unknown or ambiguous column)."""
-        used: set[int] = set()
-        for node in ast.walk_expressions(expr):
-            if isinstance(node, ast.ColumnRef):
-                index = self.resolve(node)
-                if index is None:
-                    return None
-                used.add(self.scan_of(index))
-        return used
+def _scans_used(plan: LogicalPlan, expr: ast.Expression) -> Optional[set[int]]:
+    """Scan positions referenced by ``expr``; None when a reference
+    does not resolve (unknown or ambiguous column)."""
+    resolution = plan.resolution()
+    used: set[int] = set()
+    for node in ast.walk_expressions(expr):
+        if isinstance(node, ast.ColumnRef):
+            index = _column_index(resolution, node)
+            if index is None:
+                return None
+            used.add(_scan_of(plan, index))
+    return used
 
-    # -- totality ----------------------------------------------------------
 
-    def operand_kind(self, expr: ast.Expression) -> str:
-        """Comparison kind of a simple operand: a kind tag, or
-        :data:`_ANY_KIND` for an EXPLAIN-time parameter; raises
-        :class:`_NotTotal` when the kind is unknown."""
-        if isinstance(expr, ast.Literal):
-            kind = kind_of_class(type(expr.value))
-        elif isinstance(expr, ast.Parameter):
-            param_kinds = self._plan.param_kinds
-            if param_kinds is None:
-                return _ANY_KIND
-            kind = param_kinds[expr.index] if expr.index < len(param_kinds) else None
-        elif isinstance(expr, ast.ColumnRef):
-            index = self.resolve(expr)
-            kind = None if index is None else self._plan.kinds[index]
-            if kind == "b":
-                # Boolean columns are rare and their numeric reconcile
-                # rules are asymmetric; keep their conjuncts whole.
-                raise _NotTotal
-        else:
-            raise _NotTotal
-        if kind is None:
-            raise _NotTotal
-        return kind
+def _leaf_kind(plan: LogicalPlan, expr: ast.Expression) -> Optional[str]:
+    """Comparison kind of a column, literal or ``?`` operand, or
+    :data:`_ANY_KIND` for an EXPLAIN-time parameter; None when unknown,
+    for any other operand, and for a boolean column (rare, and its
+    numeric reconcile rules are asymmetric: its conjuncts stay whole)."""
+    if isinstance(expr, ast.Literal):
+        return CATEGORY_KIND[CLASS_CATEGORY.get(type(expr.value), "unknown")]
+    if isinstance(expr, ast.Parameter):
+        param_kinds = plan.param_kinds
+        if param_kinds is None:
+            return _ANY_KIND
+        return param_kinds[expr.index] if expr.index < len(param_kinds) else None
+    if isinstance(expr, ast.ColumnRef):
+        index = _column_index(plan.resolution(), expr)
+        kind = None if index is None else plan.kinds[index]
+        return None if kind == "b" else kind
+    return None
 
-    @staticmethod
-    def _pair_total(left: str, right: str) -> None:
-        """Require that comparing operands of these kinds never raises.
-        An EXPLAIN-time parameter takes the kind of the other operand;
-        two of them give it none."""
-        if _ANY_KIND in (left, right):
-            if left == right:
-                raise _NotTotal
-            return
-        if not kinds_compatible(left, right):
-            raise _NotTotal
 
-    def total_boolean(self, expr: ast.Expression) -> None:
-        """Raise :class:`_NotTotal` unless ``expr`` is a boolean-valued
-        expression that can never raise, whatever row it sees."""
-        if isinstance(expr, ast.Literal):
-            if expr.value is None or isinstance(expr.value, bool):
-                return
-            raise _NotTotal
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op in ("AND", "OR"):
-                self.total_boolean(expr.left)
-                self.total_boolean(expr.right)
-                return
-            if expr.op in CMP_OPERATORS:
-                left = self.operand_kind(expr.left)
-                right = self.operand_kind(expr.right)
-                self._pair_total(left, right)
-                return
-            raise _NotTotal
-        if isinstance(expr, ast.UnaryOp) and expr.op == "NOT":
-            self.total_boolean(expr.operand)
-            return
-        if isinstance(expr, ast.IsNullPredicate):
-            self.operand_kind(expr.operand)
-            return
-        if isinstance(expr, ast.BetweenPredicate):
-            value = self.operand_kind(expr.operand)
-            self._pair_total(value, self.operand_kind(expr.low))
-            self._pair_total(value, self.operand_kind(expr.high))
-            return
-        if isinstance(expr, ast.InPredicate):
-            if expr.values is None:
-                raise _NotTotal
-            value = self.operand_kind(expr.operand)
-            for item in expr.values:
-                self._pair_total(value, self.operand_kind(item))
-            return
-        raise _NotTotal
+def _comparable(left: Optional[str], right: Optional[str]) -> bool:
+    """Comparing operands of these kinds never raises.  An EXPLAIN-time
+    parameter takes the kind of the other operand; two of them give it
+    none."""
+    if left is None or right is None:
+        return False
+    if _ANY_KIND in (left, right):
+        return left != right
+    return COMPARE.get((left, right)) == "total"
 
-    def is_total(self, expr: ast.Expression) -> bool:
-        try:
-            self.total_boolean(expr)
-        except _NotTotal:
-            return False
-        return True
+
+def is_total(plan: LogicalPlan, expr: ast.Expression) -> bool:
+    """The planner's totality gate: True when ``expr`` is a boolean
+    expression that can never raise, whatever row of ``plan`` it sees —
+    TRUE, FALSE or NULL, AND/OR/NOT of total expressions, or a
+    comparison, BETWEEN, IN-list or IS NULL over columns, literals and
+    parameters whose kinds the comparison table calls total.
+
+    Deliberately syntactic: the lattice's interpreter proves everything
+    this gate accepts, and more, but at several times the cost per
+    conjunct on a path every literal statement compiles through."""
+    if isinstance(expr, ast.Literal):
+        return expr.value is None or isinstance(expr.value, bool)
+    if isinstance(expr, ast.BinaryOp):
+        if expr.op in ("AND", "OR"):
+            return is_total(plan, expr.left) and is_total(plan, expr.right)
+        return expr.op in CMP_OPERATORS and _comparable(
+            _leaf_kind(plan, expr.left), _leaf_kind(plan, expr.right)
+        )
+    if isinstance(expr, ast.UnaryOp):
+        return expr.op == "NOT" and is_total(plan, expr.operand)
+    if isinstance(expr, ast.IsNullPredicate):
+        return _leaf_kind(plan, expr.operand) is not None
+    if isinstance(expr, ast.BetweenPredicate):
+        value = _leaf_kind(plan, expr.operand)
+        return _comparable(value, _leaf_kind(plan, expr.low)) and _comparable(
+            value, _leaf_kind(plan, expr.high)
+        )
+    if isinstance(expr, ast.InPredicate) and expr.values is not None:
+        value = _leaf_kind(plan, expr.operand)
+        return value is not None and all(
+            _comparable(value, _leaf_kind(plan, item)) for item in expr.values
+        )
+    return False
+
+
+def unique_pin(
+    plan: LogicalPlan, position: int, conjuncts: list[ast.Expression]
+) -> Optional[tuple[UniqueKey, list[ast.Expression], list[str]]]:
+    """The first uniqueness constraint of scan ``position`` whose every
+    column some ``column = literal|?`` conjunct pins, with the probe
+    expressions and the declared kinds of its columns; None when no
+    constraint is fully pinned by columns of known kind."""
+    scan = plan.scans[position]
+    resolution = plan.resolution()
+    pinned: dict[int, ast.Expression] = {}  # table-local index -> expr
+    for conjunct in conjuncts:
+        if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+            continue
+        for column, value in (
+            (conjunct.left, conjunct.right),
+            (conjunct.right, conjunct.left),
+        ):
+            if not isinstance(column, ast.ColumnRef):
+                continue
+            if not isinstance(value, (ast.Literal, ast.Parameter)):
+                continue
+            index = _column_index(resolution, column)
+            if index is not None and scan.offset <= index < scan.offset + scan.width:
+                pinned.setdefault(index - scan.offset, value)
+    for key in plan.unique_sets[position]:
+        if all(local in pinned for local in key.indices):
+            kinds = [plan.kinds[scan.offset + local] for local in key.indices]
+            if None not in kinds:
+                return key, [pinned[local] for local in key.indices], kinds
+    return None
 
 
 def split_conjuncts(expr: ast.Expression) -> list[ast.Expression]:
@@ -366,11 +368,10 @@ def predicate_pushdown(plan: LogicalPlan) -> None:
         return
     if not _comma_leaves(node.child):
         return
-    analyzer = _Analyzer(plan)
     conjuncts: list[ast.Expression] = []
     for predicate in node.conjuncts:
         conjuncts.extend(split_conjuncts(predicate))
-    if not all(analyzer.is_total(conjunct) for conjunct in conjuncts):
+    if not all(is_total(plan, conjunct) for conjunct in conjuncts):
         return
     if isinstance(node.child, Scan):
         projection.child = Filter(conjuncts, node.child, pushed=True)
@@ -380,8 +381,9 @@ def predicate_pushdown(plan: LogicalPlan) -> None:
     per_scan: dict[int, list[ast.Expression]] = {}
     equi_pairs: list[tuple[int, int, ast.BinaryOp]] = []  # (scan, scan, a=b)
     residual: list[ast.Expression] = []
+    resolution = plan.resolution()
     for conjunct in conjuncts:
-        used = analyzer.scans_used(conjunct)
+        used = _scans_used(plan, conjunct)
         if used is None:
             return  # unresolvable reference despite totality: be safe
         if len(used) <= 1:
@@ -395,8 +397,8 @@ def predicate_pushdown(plan: LogicalPlan) -> None:
             and isinstance(conjunct.left, ast.ColumnRef)
             and isinstance(conjunct.right, ast.ColumnRef)
         ):
-            left_scan = analyzer.scan_of(analyzer.resolve(conjunct.left))
-            right_scan = analyzer.scan_of(analyzer.resolve(conjunct.right))
+            left_scan = _scan_of(plan, _column_index(resolution, conjunct.left))
+            right_scan = _scan_of(plan, _column_index(resolution, conjunct.right))
             equi_pairs.append((left_scan, right_scan, conjunct))
             continue
         residual.append(conjunct)
@@ -431,7 +433,7 @@ def predicate_pushdown(plan: LogicalPlan) -> None:
             used_pairs.add(pair_index)
             left_key = conjunct.left if left_first else conjunct.right
             right_key = conjunct.right if left_first else conjunct.left
-            key_kind = plan.kinds[analyzer.resolve(left_key)]
+            key_kind = plan.kinds[_column_index(resolution, left_key)]
             if key_kind == "b":
                 key_kind = "n"
             tree = HashJoin(tree, right, left_key, right_key, key_kind)
@@ -452,50 +454,27 @@ def index_selection(plan: LogicalPlan) -> None:
     """Replace a filtered scan with a unique-key point lookup when a
     total conjunct set pins every column of a uniqueness constraint to a
     row-independent value."""
-    analyzer = _Analyzer(plan)
     applied = [False]
 
     def try_scan(filter_node: Filter, scan: Scan) -> None:
         conjuncts: list[ast.Expression] = []
         for predicate in filter_node.conjuncts:
             conjuncts.extend(split_conjuncts(predicate))
-        if not all(analyzer.is_total(conjunct) for conjunct in conjuncts):
+        if not all(is_total(plan, conjunct) for conjunct in conjuncts):
             return
-        position = plan.scans.index(scan)
-        pinned: dict[int, ast.Expression] = {}  # table-local index -> expr
-        for conjunct in conjuncts:
-            if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-                continue
-            for column, value in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if not isinstance(column, ast.ColumnRef):
-                    continue
-                if not isinstance(value, (ast.Literal, ast.Parameter)):
-                    continue
-                index = analyzer.resolve(column)
-                if index is None or analyzer.scan_of(index) != position:
-                    continue
-                local = index - scan.offset
-                pinned.setdefault(local, value)
-        if not pinned:
+        pin = unique_pin(plan, plan.scans.index(scan), conjuncts)
+        if pin is None:
             return
-        for name, columns, indices, _ in plan.unique_sets[position]:
-            if all(local in pinned for local in indices):
-                kinds = [plan.kinds[scan.offset + local] for local in indices]
-                if any(kind is None for kind in kinds):
-                    continue
-                filter_node.child = IndexLookup(
-                    scan=scan,
-                    index_name=name,
-                    key_columns=columns,
-                    key_indices=list(indices),
-                    key_exprs=[pinned[local] for local in indices],
-                    key_kinds=kinds,
-                )
-                applied[0] = True
-                return
+        key, exprs, kinds = pin
+        filter_node.child = IndexLookup(
+            scan=scan,
+            index_name=key.name,
+            key_columns=key.columns,
+            key_indices=list(key.indices),
+            key_exprs=exprs,
+            key_kinds=kinds,
+        )
+        applied[0] = True
 
     def walk(node: Any) -> None:
         if isinstance(node, (Limit, Sort, Distinct, Project, Aggregate)):

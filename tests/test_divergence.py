@@ -112,6 +112,24 @@ class TestAtomCollection:
         )
         assert not any(a.rule == "null-concat" for a in result.atoms)
 
+    def test_outer_join_makes_not_null_operands_nullable(self):
+        # b.name is NOT NULL in the schema, but the LEFT JOIN pads
+        # unmatched rows with NULL: OR renders 'x' where IB renders NULL.
+        outer = ScriptSchema()
+        outer.observe(parse_statement("CREATE TABLE a (id INTEGER PRIMARY KEY)"))
+        outer.observe(
+            parse_statement(
+                "CREATE TABLE b (id INTEGER PRIMARY KEY, name VARCHAR(8) NOT NULL)"
+            )
+        )
+        result = analyze(
+            "SELECT b.name || 'x' FROM a LEFT JOIN b ON a.id = b.id", outer
+        )
+        assert [a.rule for a in result.atoms] == ["null-concat"]
+        assert result.verdict("IB", "OR").kind is DivergenceKind.BENIGN_DIALECT
+        inner = analyze("SELECT b.name || 'x' FROM a JOIN b ON a.id = b.id", outer)
+        assert inner.atoms == []
+
     def test_order_by_nullable_key(self, schema):
         result = analyze("SELECT id FROM t ORDER BY n", schema)
         assert any(a.rule == "null-sort-position" for a in result.atoms)

@@ -303,7 +303,7 @@ def test_lifted_parameters_are_typed_as_their_literals(sql):
     lifted, tokens = lift_literals(tokenize(sql))
     shape = parse_once(lifted.shape, tokens)
     classes = tuple(map(type, lifted.values))
-    assert analyze_divergence(shape.statement, schema, None, classes) == (
+    assert analyze_divergence(shape.statement, schema, classes) == (
         analyze_divergence(parse_once(sql).statement, schema)
     )
 

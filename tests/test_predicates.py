@@ -4,6 +4,7 @@ certificates, and the lint checks built on top."""
 
 from decimal import Decimal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from repro.analysis.lint import (
     lint_corpus,
 )
 from repro.analysis.predicates import (
-    Interval,
     PredicateEnv,
     abstract_truth,
     abstract_value,
@@ -22,12 +22,14 @@ from repro.analysis.predicates import (
     tlp_partition,
 )
 from repro.analysis.schema import ScriptSchema
-from repro.errors import SqlError
+from repro.errors import NumericOverflow, SqlError
 from repro.servers import make_server
+from repro.sqlengine import Engine
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.expressions import ColumnBinding
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plan.compiler import Scope, compile_expression
+from repro.sqlengine.plan.lattice import Interval
 from repro.sqlengine.sqlgen import DECOY_TABLE, HUNT_TABLE, PredicateGenerator
 from repro.study.runner import split_statements
 
@@ -193,6 +195,107 @@ class TestSoundnessProperties:
                     concrete, bool
                 ):
                     assert abstract.interval.contains(concrete)
+
+
+FLOAT_TABLE = "CREATE TABLE ft (id INTEGER PRIMARY KEY, f FLOAT, g FLOAT NOT NULL, n INTEGER)"
+FLOAT_COLUMNS = ("id", "f", "g", "n")
+FLOAT_BINDINGS = tuple(ColumnBinding("ft", name) for name in FLOAT_COLUMNS)
+FLOAT_SCHEMA = ScriptSchema()
+FLOAT_SCHEMA.observe(parse_statement(FLOAT_TABLE))
+FLOAT_ENV = PredicateEnv.for_select(parse_statement("SELECT id FROM ft").body, FLOAT_SCHEMA)
+#: Floats near the top of the range, and a tiny one that blows a
+#: quotient up.
+NEAR_MAX = (1e308, -1e308, 1.7e308, 1e300, 1e-300, 2.0, 0.5)
+
+
+def _float_where(sql_predicate: str) -> ast.Expression:
+    return parse_statement(f"SELECT id FROM ft WHERE {sql_predicate}").body.where
+
+
+class TestFloatOverflow:
+    """Float arithmetic refuses an infinite result (``NumericOverflow``),
+    so only arithmetic over exact operands (int, decimal, bool) is
+    proven unable to raise."""
+
+    @pytest.mark.parametrize(
+        "predicate", ["1e300 * 1e300 > 0", "f * f > 0", "f / 1e-300 > 0"]
+    )
+    def test_overflowing_float_arithmetic_may_raise(self, predicate):
+        engine = Engine("float")
+        engine.execute(FLOAT_TABLE)
+        engine.execute("INSERT INTO ft (id, f, g, n) VALUES (1, 1e300, 1e300, 1)")
+        with pytest.raises(NumericOverflow):
+            engine.execute(f"SELECT id FROM ft WHERE {predicate}")
+        truth = abstract_truth(_float_where(predicate), FLOAT_ENV)
+        assert truth.may_raise and not truth.always_true
+        stmt = parse_statement(f"SELECT id FROM ft WHERE {predicate}")
+        assert not tlp_partition(stmt, FLOAT_SCHEMA).certificate.total
+        assert summarize_statement(stmt, FLOAT_SCHEMA).dead == ()
+
+    def test_exact_arithmetic_stays_total(self):
+        assert abstract_truth(_float_where("n * n + 1 > 0"), FLOAT_ENV).total
+        assert abstract_truth(_float_where("2.5 * 4 = 10"), FLOAT_ENV).always_true
+
+    def test_float_meets_decimal_bounds(self):
+        # The engine widens a Decimal to float; the lattice's bounds
+        # cannot mix the two, so it widens them to the top instead.
+        value = abstract_value(_float_where("(2.5 * 1e300) IS NULL").operand, FLOAT_ENV)
+        assert value.category == "float" and value.may_raise
+        assert value.interval.contains(2.5e300)
+
+
+_FLOAT_LEAVES = st.one_of(
+    st.sampled_from([ast.ColumnRef(name) for name in ("f", "g", "n")]),
+    st.sampled_from(NEAR_MAX).map(ast.Literal),
+    st.integers(-3, 3).map(ast.Literal),
+)
+_FLOAT_TERMS = st.recursive(
+    _FLOAT_LEAVES,
+    lambda terms: st.tuples(st.sampled_from("+-*/"), terms, terms).map(
+        lambda parts: ast.BinaryOp(*parts)
+    ),
+    max_leaves=5,
+)
+_FLOAT_PREDICATES = st.tuples(
+    st.sampled_from(("=", "<>", "<", "<=", ">", ">=")), _FLOAT_TERMS, _FLOAT_TERMS
+).map(lambda parts: ast.BinaryOp(*parts))
+_FLOAT_ROWS = st.fixed_dictionaries(
+    {
+        "id": st.just(1),
+        "f": st.sampled_from((None, 0.0) + NEAR_MAX),
+        "g": st.sampled_from((0.0,) + NEAR_MAX),
+        "n": st.sampled_from((None, 0, 3, -2)),
+    }
+)
+
+
+class TestFloatSoundness:
+    """The soundness contract over a FLOAT column and literals near
+    1e308, where float arithmetic overflows."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(predicate=_FLOAT_PREDICATES, row=_FLOAT_ROWS)
+    def test_truth_and_value_soundness(self, predicate, row):
+        scope = Scope(FLOAT_BINDINGS)
+        values = tuple(row[column] for column in FLOAT_COLUMNS)
+        for node in ast.walk_expressions(predicate):
+            abstract = abstract_value(node, FLOAT_ENV)
+            try:
+                concrete = compile_expression(node, scope)(values, None, None)
+            except SqlError:
+                assert abstract.may_raise, node
+                continue
+            if concrete is None:
+                assert abstract.nullable, node
+            elif not isinstance(concrete, bool):
+                assert abstract.interval.contains(concrete), node
+        truth = abstract_truth(predicate, FLOAT_ENV)
+        try:
+            concrete = compile_expression(predicate, scope)(values, None, None)
+        except SqlError:
+            assert truth.may_raise
+            return
+        assert concrete in truth.truth
 
 
 def _campaign_servers():
