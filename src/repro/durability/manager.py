@@ -197,15 +197,19 @@ class DurabilityManager:
     def log_write(self, call: "StatementCall", traits: StatementTraits) -> None:
         """Append one committed write to the shared and replica WALs.
 
-        A literal write's records are the texts its replicas ran
+        A write that binds no values of its own (a lifted literal
+        statement, or a statement run on the handle of its own text)
+        records the texts its replicas ran
         (:meth:`DiverseServer.literal_text`), resolved by the service
-        call; a prepared call's bound text was never translated, so it
-        is scanned once here and rendered for every replica from that
-        scan, and nothing is cached for it."""
+        call.  A bound call's text was never translated, so it is
+        scanned once here and rendered for every replica from that
+        scan, and nothing is cached for it: splicing a rendered value
+        into the translated template is not that rendering (``-5``
+        beside the ``- 5`` replay runs)."""
         server = self._server
         bound_sql = call.bound_sql
         self._shared.append(bound_sql, server.pipeline.generation)
-        bound = call.prepared is not None and call.lift is None
+        bound = call.params and call.lift is None
         tokens = tokenize(bound_sql) if bound else None
         for replica in server.replicas:
             product = replica.product

@@ -75,14 +75,12 @@ from repro.sqlengine.engine import Executable, ParsedStatement, parse_once
 from repro.sqlengine.lexer import tokenize
 from repro.sqlengine.params import Lifted, lift_literals
 from repro.sqlengine.parser import parse_prepared
-from repro.sqlengine.plan import explain_statement
 from repro.sqlengine.tokens import Token
 
 #: The cache layers; each owns a ``<layer>_hits``/``<layer>_misses``
 #: counter pair in :class:`PipelineStats`.  ``lift`` comes first.
 _LAYERS = (
-    "lift", "parse", "translate", "verdict", "divergence", "dataflow", "plan",
-    "abstraction",
+    "lift", "parse", "translate", "verdict", "divergence", "dataflow", "abstraction",
 )
 
 
@@ -102,8 +100,6 @@ class PipelineStats:
     divergence_misses: int = 0
     dataflow_hits: int = 0
     dataflow_misses: int = 0
-    plan_hits: int = 0
-    plan_misses: int = 0
     abstraction_hits: int = 0
     abstraction_misses: int = 0
 
@@ -276,16 +272,6 @@ class StatementPipeline:
             "dataflow",
             (sql, self.generation),
             lambda: statement_def_use(statement, schema, traits),
-        )
-
-    def plan(self, sql: str, catalog) -> str:
-        """Rendered logical plan (EXPLAIN text) for one statement,
-        memoized per schema generation.  The index-selection rewrite
-        reads the catalog's unique-key sets, so a stale entry after
-        ``CREATE INDEX`` would show the wrong plan — the generation key
-        makes that impossible."""
-        return self._memo(
-            "plan", (sql, self.generation), lambda: explain_statement(sql, catalog)
         )
 
     def abstraction(

@@ -6,6 +6,21 @@ products (black-box approach: only their client interfaces are used),
 compares the answers after representation normalisation, adjudicates,
 and manages replica failure and recovery.
 
+One replica round
+-----------------
+
+Every statement runs as a prepared call (:class:`StatementCall`): a
+bound call on its template, a lifted literal statement on its shape,
+and any other statement (DDL, transaction control, a shape that cannot
+stand for its statements) on a handle of its own text with no
+parameters.  One answer loop (:meth:`DiverseServer._answers`) asks the
+replicas — all of them for an adjudicated round, until the first
+answer for the single path (``primary`` and read-split reads) — and
+sorts the self-evident failures out of the answers: a crash gets a
+restart and one retry when supervised, a straggler over the statement
+deadline one retry when re-execution is safe, and a replica failing
+still is evicted.  The answers left are what the round adjudicates.
+
 Adjudication policies
 ---------------------
 
@@ -106,7 +121,7 @@ from repro.middleware.supervisor import (
 from repro.servers.product import ServerProduct
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits
-from repro.sqlengine.engine import EnginePrepared, Result, executable_text
+from repro.sqlengine.engine import EnginePrepared, Result
 from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.params import (
     Lifted,
@@ -288,25 +303,27 @@ class ServerConfig:
 
 @dataclass
 class StatementCall:
-    """One execution of one statement, as seen by the replica plumbing.
+    """One execution of one statement, as seen by the replica plumbing:
+    a call of the prepared statement ``prepared``, whose text is
+    ``sql``.
 
-    ``sql`` is the template text (with ``?`` placeholders for prepared
-    statements); ``bound_sql`` is the literal text recorded in the write
-    log so recovery replay needs no parameter store.  For unprepared
-    statements that did not lift the two are identical.  A lifted
-    literal statement runs as a prepared call on its shape: ``sql`` is
-    the shape, ``bound_sql`` the statement exactly as the client sent
-    it, and ``lift`` the literals lifted from it (``params`` their
-    values).  ``targets`` holds, per replica product, what that replica
-    runs (see :meth:`DiverseServer._resolve`).
+    ``bound_sql`` is the literal text recorded in the write log so
+    recovery replay needs no parameter store.  A bound call has its
+    ``params`` spliced into the template; a lifted literal statement
+    runs on its shape, with ``bound_sql`` the statement exactly as the
+    client sent it and ``lift`` the literals lifted from it
+    (``params`` their values); a statement that does not lift runs on
+    a handle of its own text, so ``bound_sql`` is ``sql`` and there are
+    no ``params``.  ``targets`` holds, per replica product, the engine
+    handle that replica runs (see :meth:`DiverseServer._resolve`).
     """
 
     sql: str
     bound_sql: str
+    prepared: "PreparedStatement"
     params: tuple = ()
-    prepared: Optional["PreparedStatement"] = None
-    targets: dict[ServerProduct, Any] = field(default_factory=dict)
     lift: Optional[Lifted] = None
+    targets: dict[ServerProduct, EnginePrepared] = field(default_factory=dict)
 
 
 #: Upper bound on memoized PreparedStatement handles per server.
@@ -431,16 +448,18 @@ class DiverseServer:
 
         With ``params``, ``sql`` may contain ``?`` placeholders and is
         routed through the (memoized) prepared pipeline — the unified
-        execution surface shared with :class:`~repro.servers.SqlServer`.
+        execution surface shared with
+        :class:`~repro.servers.ServerProduct`.
 
         Without, the value literals of a SELECT, INSERT, UPDATE or
         DELETE are lifted into parameters (:meth:`StatementPipeline.lifted`)
         and the statement runs as a prepared call on its shape, whose
         parse, translations, analyses and engine plans every statement
         of that shape shares.  Each replica still sees the literal
-        statement in its dialect, the write log records ``sql`` as
-        sent, and a shape that cannot stand for its statements (see
-        :meth:`_shape`) leaves them to run as literal text.
+        statement in its dialect, and the write log records ``sql`` as
+        sent.  A statement that does not lift, or whose shape cannot
+        stand for it (see :meth:`_shape`), runs on the handle of its
+        own text.
         """
         if params is not None:
             return self.prepare(sql).execute(tuple(params))
@@ -449,21 +468,19 @@ class DiverseServer:
             shape = self._shape(lifted.shape)
             if shape is not None:
                 return shape.execute_lifted(sql, lifted)
-        statement, traits, positions = self.pipeline.parsed(sql)
-        if positions:
+        handle = self.prepare(sql)
+        if handle.param_count:
             raise MiddlewareError(
-                f"statement has {len(positions)} unbound parameter(s); "
+                f"statement has {handle.param_count} unbound parameter(s); "
                 "use prepare() to execute it with values"
             )
-        call = StatementCall(sql=sql, bound_sql=sql)
-        return self._execute_bound(call, statement, traits)
+        call = StatementCall(sql, sql, handle)
+        return self._execute_bound(call, handle.statement, handle.traits)
 
     def explain(self, sql: str) -> str:
-        """Render the logical plan one replica's planner would use for
-        ``sql`` (memoized per statement text and schema generation)."""
-        active = self.active_replicas()
-        catalog = active[0].product.engine.catalog if active else None
-        return self.pipeline.plan(sql, catalog)
+        """Render the logical plan the first active replica's planner
+        would use for ``sql`` (:meth:`ServerProduct.explain`)."""
+        return (self.active_replicas() or self.replicas)[0].product.explain(sql)
 
     def def_use(self, sql: str):
         """Def/use cells of one statement against the current schema.
@@ -520,10 +537,10 @@ class DiverseServer:
         statement: ast.Statement,
         traits: StatementTraits,
     ) -> Result:
-        """The adjudicated execution core shared by the unprepared,
-        prepared, and batched paths.  Charges exactly one supervisor
-        tick — ``executemany`` calls this once per row, so deadlines
-        and quarantine backoffs see batches as row sequences."""
+        """The replica round every call runs, literal, lifted, bound or
+        batched.  Charges exactly one supervisor tick — ``executemany``
+        calls this once per row, so deadlines and quarantine backoffs
+        see batches as row sequences."""
         is_write = traits.kind in WRITE_KINDS
         verdict: Optional[StatementVerdict] = None
         divergence: Optional[StatementDivergence] = None
@@ -563,8 +580,9 @@ class DiverseServer:
             if single:
                 result = self._execute_single(call, active, is_write, policy, verdict)
             else:
-                result = self._execute_compared(
-                    call, active, is_write, policy, verdict, divergence=divergence
+                answers = self._answers(call, active, is_write, verdict)
+                result = self._adjudicate(
+                    call, answers, is_write, policy, verdict, divergence
                 )
         finally:
             self._pending_write = None
@@ -669,7 +687,7 @@ class DiverseServer:
                 self.stats.quorum_losses += 1
         return effective
 
-    # -- single-replica path (primary / read-split) ---------------------------------
+    # -- the replica round -------------------------------------------------------
 
     def _execute_single(
         self,
@@ -677,108 +695,107 @@ class DiverseServer:
         active: list[Replica],
         is_write: bool,
         policy: str,
-        verdict: Optional[StatementVerdict] = None,
+        verdict: Optional[StatementVerdict],
     ) -> Result:
-        if is_write and policy != "primary":
-            return self._execute_compared(call, active, is_write, policy, verdict)
-        if is_write or policy == "primary":
-            order = active  # primary answers; no read rotation
-        else:
-            order = self._rotate(active)
-        deadline = self.statement_deadline
-        crashed: list[Replica] = []
-        timed_out: list[Replica] = []
-        #: Replicas that already saw this statement (asked directly, or
-        #: quarantined with it pending — recovery replays it for them).
-        handled: set[str] = set()
-        for replica in order:
-            answer = self._ask_with_crash_retry(replica, call)
-            handled.add(replica.key)
-            if answer.status == "crash":
-                crashed.append(replica)
-                self._handle_crash(replica)
-                continue
-            if (
-                deadline is not None
-                and answer.status == "ok"
-                and answer.virtual_cost > deadline
-            ):
-                retry = self._retry_within_deadline(
-                    replica, call, is_write, deadline, verdict
-                )
-                if retry is None:
-                    timed_out.append(replica)
-                    self._handle_timeout(
-                        replica, call.bound_sql, answer.virtual_cost, deadline
-                    )
-                    continue
-                answer = retry
-            if answer.status == "error":
-                raise SqlError(answer.error)
-            if is_write and policy == "primary":
-                # Propagate the write to the other replicas unchecked.
-                for other in active:
-                    if other.key in handled:
-                        continue
-                    other_answer = self._ask(other, call)
-                    if other_answer.status == "crash":
-                        self._handle_crash(other)
-                    elif (
-                        deadline is not None
-                        and other_answer.status == "ok"
-                        and other_answer.virtual_cost > deadline
-                    ):
-                        self._handle_timeout(
-                            other, call.bound_sql, other_answer.virtual_cost, deadline
-                        )
-            return answer.result
-        if timed_out:
-            keys = ", ".join(replica.key for replica in timed_out)
-            raise StatementTimeout(
-                f"no replica answered {call.bound_sql!r} within the deadline "
-                f"(timed out: {keys})",
-                deadline=deadline or 0.0,
-            )
-        keys = ", ".join(replica.key for replica in crashed)
-        raise NoReplicasAvailable(f"all replicas crashed on this statement ({keys})")
+        """The single path (``primary``, and read-split reads): the first
+        replica to answer answers, unchecked.  A primary write then
+        reaches the other replicas with no retry; those that crash or
+        straggle are evicted."""
+        rest = iter(active if policy == "primary" else self._rotate(active))
+        answer = self._answers(call, rest, is_write, verdict, first=True)[0]
+        if answer.status == "error":
+            raise SqlError(answer.error)
+        if is_write:
+            deadline = self.statement_deadline
+            for replica in rest:
+                other = self._ask(replica, call)
+                if other.status == "crash" or (
+                    deadline is not None
+                    and other.status == "ok"
+                    and other.virtual_cost > deadline
+                ):
+                    self._evict(replica, other, call.bound_sql)
+        return answer.result
 
     def _rotate(self, active: list[Replica]) -> list[Replica]:
         self._read_cursor = (self._read_cursor + 1) % len(active)
         return active[self._read_cursor :] + active[: self._read_cursor]
 
-    # -- compared path ------------------------------------------------------------
-
-    def _execute_compared(
+    def _answers(
         self,
         call: StatementCall,
-        active: list[Replica],
+        replicas: Iterable[Replica],
+        is_write: bool,
+        verdict: Optional[StatementVerdict],
+        first: bool = False,
+    ) -> list[ReplicaAnswer]:
+        """Ask ``replicas`` in turn, only until one answers when
+        ``first``, and return their answers (errors included); raise
+        when none answered.
+
+        A crash gets a restart and one retry when supervised: crash
+        effects fire before the engine touches the statement, so the
+        retry never double-applies a write, and a transient (Heisenbug)
+        crash passes.  An answer over the statement deadline gets one
+        retry when :meth:`_retry_safe` allows it: a transient stall
+        clears.  A replica that still crashed or straggled is evicted,
+        and the answers left adjudicate among themselves (straggler
+        tolerance)."""
+        deadline = self.statement_deadline
+        answers: list[ReplicaAnswer] = []
+        crashed: list[str] = []
+        timed_out: list[str] = []
+        for replica in replicas:
+            answer = self._ask(replica, call)
+            if answer.status == "crash" and self.supervised:
+                replica.product.restart()
+                answer = (
+                    self._retry(replica, call, lambda again: again.status != "crash")
+                    or answer
+                )
+            late = (
+                deadline is not None
+                and answer.status == "ok"
+                and answer.virtual_cost > deadline
+            )
+            if late and self._retry_safe(is_write, verdict):
+                retry = self._retry(
+                    replica,
+                    call,
+                    lambda again: again.status == "ok" and again.virtual_cost <= deadline,
+                    is_write,
+                )
+                if retry is not None:
+                    answer, late = retry, False
+            if late or answer.status == "crash":
+                (timed_out if late else crashed).append(replica.key)
+                self._evict(replica, answer, call.bound_sql)
+                continue
+            answers.append(answer)
+            if first:
+                break
+        if answers:
+            return answers
+        if timed_out:
+            raise StatementTimeout(
+                f"no replica answered {call.bound_sql!r} within the deadline "
+                f"(timed out: {', '.join(timed_out)})",
+                deadline=deadline or 0.0,
+            )
+        raise NoReplicasAvailable(
+            f"all replicas crashed on this statement ({', '.join(crashed)})"
+        )
+
+    def _adjudicate(
+        self,
+        call: StatementCall,
+        answers: list[ReplicaAnswer],
         is_write: bool,
         policy: str,
-        verdict: Optional[StatementVerdict] = None,
-        divergence: Optional[StatementDivergence] = None,
+        verdict: Optional[StatementVerdict],
+        divergence: Optional[StatementDivergence],
     ) -> Result:
-        answers: list[ReplicaAnswer] = []
-        crashed: list[Replica] = []
-        for replica in active:
-            answer = self._ask_with_crash_retry(replica, call)
-            if answer.status == "crash":
-                crashed.append(replica)
-            else:
-                answers.append(answer)
-        for replica in crashed:
-            self._handle_crash(replica)
-        answers, timed_out = self._enforce_deadline(call, answers, is_write, verdict)
-        if not answers:
-            if timed_out:
-                keys = ", ".join(answer.replica for answer in timed_out)
-                raise StatementTimeout(
-                    f"no replica answered {call.bound_sql!r} within the deadline "
-                    f"(timed out: {keys})",
-                    deadline=self.statement_deadline or 0.0,
-                )
-            keys = ", ".join(replica.key for replica in crashed)
-            raise NoReplicasAvailable(f"all replicas crashed on this statement ({keys})")
-
+        """Vote on the answers of every asked replica."""
         self._check_performance(answers)
         # The analyzer's order verdict picks the vote granularity: a
         # SELECT proven UNORDERED votes on the row multiset, so correct
@@ -844,8 +861,16 @@ class DiverseServer:
                 # correctly for its product: mask the difference, but
                 # spend no retry and raise no suspicion.
                 continue
-            if self._retry_matches(
-                replica, call, is_write, winner_key, loser, verdict, ordered
+            # A retry identical to the out-voted answer lost already and
+            # is not normalised.
+            if self._retry_safe(is_write, verdict) and self._retry(
+                replica,
+                call,
+                lambda again: again.status != "crash"
+                and not identical(again, loser)
+                and again.vote_key(normalize=self.comparator.normalize, ordered=ordered)
+                == winner_key,
+                is_write,
             ):
                 continue
             self._suspect(replica)
@@ -898,95 +923,86 @@ class DiverseServer:
         ):
             self.stats.performance_anomalies += 1
 
-    # -- statement watchdog ----------------------------------------------------
+    # -- retry and eviction ----------------------------------------------------
 
-    def _enforce_deadline(
-        self,
-        call: StatementCall,
-        answers: list[ReplicaAnswer],
-        is_write: bool,
-        verdict: Optional[StatementVerdict] = None,
-    ) -> tuple[list[ReplicaAnswer], list[ReplicaAnswer]]:
-        """Split answers into within-deadline responders and timed-out
-        stragglers.  Stragglers are audited and quarantined; responders
-        adjudicate among themselves (straggler tolerance).  With no
-        deadline configured every answer is a responder."""
-        deadline = self.statement_deadline
-        if deadline is None:
-            return answers, []
-        responders: list[ReplicaAnswer] = []
-        timed_out: list[ReplicaAnswer] = []
-        for answer in answers:
-            if answer.status != "ok" or answer.virtual_cost <= deadline:
-                responders.append(answer)
-                continue
-            replica = self.replica(answer.replica)
-            retry = self._retry_within_deadline(
-                replica, call, is_write, deadline, verdict
-            )
-            if retry is not None:
-                responders.append(retry)
-                continue
-            timed_out.append(answer)
-            self._handle_timeout(replica, call.bound_sql, answer.virtual_cost, deadline)
-        return responders, timed_out
-
-    def _retry_within_deadline(
+    def _retry(
         self,
         replica: Replica,
         call: StatementCall,
-        is_write: bool,
-        deadline: float,
-        verdict: Optional[StatementVerdict] = None,
+        accept: Callable[[ReplicaAnswer], bool],
+        is_write: bool = False,
     ) -> Optional[ReplicaAnswer]:
-        """Re-run a statement once on a straggler; a transient stall
-        clears on retry and the replica is spared quarantine.  Writes
-        are only re-run when the analyzer proved re-execution safe —
-        otherwise the slow attempt already applied them and a rerun
-        would double-apply."""
-        if not self._retry_safe(is_write, verdict):
-            return None
+        """Re-run ``call`` once on ``replica``, SUSPECTED meanwhile: the
+        retry's answer when ``accept`` takes it (a transient fault; the
+        replica is ACTIVE again), else None.  ``is_write`` counts the
+        retry of a write the analyzer proved re-execution-safe."""
         replica.state = ReplicaState.SUSPECTED
         self.stats.statement_retries += 1
         if is_write:
             self.stats.idempotent_write_retries += 1
         retry = self._ask(replica, call)
-        if retry.status == "ok" and retry.virtual_cost <= deadline:
-            replica.state = ReplicaState.ACTIVE
-            self.stats.retries_saved += 1
-            return retry
-        return None
+        if not accept(retry):
+            return None
+        replica.state = ReplicaState.ACTIVE
+        self.stats.retries_saved += 1
+        return retry
 
-    def _handle_timeout(
-        self, replica: Replica, sql: str, cost: float, deadline: float
-    ) -> None:
-        """Record a deadline violation (a self-evident performance
-        failure) and hand the straggler to the supervisor like a crash:
-        repeated timeouts drive ACTIVE → SUSPECTED → QUARANTINED."""
-        self.stats.statement_timeouts += 1
-        replica.stats.timeouts += 1
-        self.timeout_audit.append(
-            TimeoutAuditEntry(
-                replica=replica.key,
-                sql=sql,
-                virtual_cost=cost,
-                deadline=deadline,
-            )
+    def _retry_safe(
+        self, is_write: bool, verdict: Optional[StatementVerdict]
+    ) -> bool:
+        """Whether a single-shot re-execution of this statement on one
+        replica is allowed.  Reads always are; writes only when the
+        static analyzer proved re-execution changes neither the state
+        nor the answer (and the policy knob permits it) — the
+        generalisation of the blanket "writes never retry" rule.  A
+        write's slow attempt has already applied, so re-running any
+        other write would double-apply it."""
+        if not self.supervised:
+            return False
+        if not is_write:
+            return True
+        return (
+            self.policy.idempotent_write_retry
+            and verdict is not None
+            and verdict.access.reexecution_safe
         )
+
+    def _evict(self, replica: Replica, answer: ReplicaAnswer, sql: str) -> None:
+        """Take a replica that crashed on ``sql``, or answered it over the
+        statement deadline, out of the active set.  A deadline violation
+        (a self-evident performance failure) is audited.  Supervised,
+        the replica is quarantined and recovered — repeated failures
+        drive it toward retirement — otherwise it is marked FAILED."""
+        if answer.status == "crash":
+            self.stats.replica_crashes += 1
+        else:
+            self.stats.statement_timeouts += 1
+            replica.stats.timeouts += 1
+            self.timeout_audit.append(
+                TimeoutAuditEntry(
+                    replica=replica.key,
+                    sql=sql,
+                    virtual_cost=answer.virtual_cost,
+                    deadline=self.statement_deadline,
+                )
+            )
         if self.supervised:
             self.supervisor.quarantine(replica)
         else:
             replica.state = ReplicaState.FAILED
 
+    def _suspect(self, replica: Replica) -> None:
+        replica.stats.outvoted += 1
+        replica.state = ReplicaState.SUSPECTED
+        if self.supervised:
+            self.supervisor.quarantine(replica)
+
     # -- plumbing --------------------------------------------------------------------
 
-    def _resolve(self, call: StatementCall, product: ServerProduct) -> Any:
-        """What ``product`` runs for ``call``: the pipeline's translation
-        of the statement into its dialect or, for a prepared call, its
-        engine handle — (re)prepared from that translation when the
-        schema generation moved."""
-        if call.prepared is None:
-            return self.pipeline.translation(call.sql, product.descriptor)
+    def _resolve(self, call: StatementCall, product: ServerProduct) -> EnginePrepared:
+        """The engine handle ``product`` runs ``call`` through, (re)prepared
+        from the pipeline's translation of the statement into its
+        dialect when the schema generation moved."""
         handles = call.prepared._handles
         generation = self.pipeline.generation
         entry = handles.get(product)
@@ -1002,22 +1018,20 @@ class DiverseServer:
         targets = call.targets
         if product not in targets:
             targets[product] = self._resolve(call, product)
-        if call.prepared is not None:
-            if call.lift is None:
-                return targets[product].execute(call.params)
-            return targets[product].execute(call.params, self.literal_text(call, product))
-        return product.execute(targets[product])
+        if call.lift is None:
+            return targets[product].execute(call.params)
+        return targets[product].execute(call.params, self.literal_text(call, product))
 
     def literal_text(self, call: StatementCall, product: ServerProduct) -> str:
-        """The literal statement ``product`` runs for an unprepared
-        ``call``, in its dialect: the pipeline's translation or, for a
-        lifted call, the literals spliced into the translation of the
-        shape — the same text, as renames touch identifiers only.
-        Raises :class:`FeatureNotSupported` when the dialect refuses
-        the statement."""
-        if call.lift is None:
-            return executable_text(self.pipeline.translation(call.sql, product.descriptor))
+        """The literal statement ``product`` runs for a ``call`` that
+        binds no values of its own, in its dialect: the translation of
+        the handle's text, with a lifted call's literals spliced in —
+        the translation of the literal statement, as renames touch
+        identifiers only.  Raises :class:`FeatureNotSupported` when the
+        dialect refuses the statement."""
         target = call.targets.get(product) or self._resolve(call, product)
+        if call.lift is None:
+            return target.sql
         return splice_texts(target.sql, target.positions, call.lift.texts)
 
     def _ask(self, replica: Replica, call: StatementCall) -> ReplicaAnswer:
@@ -1039,89 +1053,6 @@ class DiverseServer:
             virtual_cost=result.virtual_cost,
             result=result,
         )
-
-    def _ask_with_crash_retry(self, replica: Replica, call: StatementCall) -> ReplicaAnswer:
-        """Ask once; on a crash, restart and retry once before giving up.
-
-        Crash effects fire before the engine touches the statement, so a
-        retry never double-applies a write.  A transient (Heisenbug)
-        crash passes on retry and the replica is spared quarantine.
-        """
-        answer = self._ask(replica, call)
-        if answer.status != "crash" or not self.supervised:
-            return answer
-        replica.state = ReplicaState.SUSPECTED
-        self.stats.statement_retries += 1
-        replica.product.restart()
-        retry = self._ask(replica, call)
-        if retry.status != "crash":
-            replica.state = ReplicaState.ACTIVE
-            self.stats.retries_saved += 1
-        return retry
-
-    def _retry_matches(
-        self,
-        replica: Replica,
-        call: StatementCall,
-        is_write: bool,
-        winner_key: tuple,
-        loser: ReplicaAnswer,
-        verdict: Optional[StatementVerdict] = None,
-        ordered: bool = True,
-    ) -> bool:
-        """Re-run an out-voted statement once; True when the retry agrees
-        with the winning answer (a transient fault — keep the replica).
-        A retry identical to the out-voted ``loser`` lost already and is
-        not normalised.  Only reads and analyzer-proven
-        re-execution-safe writes retry."""
-        if not self._retry_safe(is_write, verdict):
-            return False
-        replica.state = ReplicaState.SUSPECTED
-        self.stats.statement_retries += 1
-        if is_write:
-            self.stats.idempotent_write_retries += 1
-        retry = self._ask(replica, call)
-        if (
-            retry.status != "crash"
-            and not identical(retry, loser)
-            and retry.vote_key(normalize=self.comparator.normalize, ordered=ordered)
-            == winner_key
-        ):
-            replica.state = ReplicaState.ACTIVE
-            self.stats.retries_saved += 1
-            return True
-        return False
-
-    def _retry_safe(
-        self, is_write: bool, verdict: Optional[StatementVerdict]
-    ) -> bool:
-        """Whether a single-shot re-execution of this statement on one
-        replica is allowed.  Reads always are; writes only when the
-        static analyzer proved re-execution changes neither the state
-        nor the answer (and the policy knob permits it) — the
-        generalisation of the blanket "writes never retry" rule."""
-        if not self.supervised:
-            return False
-        if not is_write:
-            return True
-        return (
-            self.policy.idempotent_write_retry
-            and verdict is not None
-            and verdict.access.reexecution_safe
-        )
-
-    def _handle_crash(self, replica: Replica) -> None:
-        self.stats.replica_crashes += 1
-        if self.supervised:
-            self.supervisor.quarantine(replica)
-        else:
-            replica.state = ReplicaState.FAILED
-
-    def _suspect(self, replica: Replica) -> None:
-        replica.stats.outvoted += 1
-        replica.state = ReplicaState.SUSPECTED
-        if self.supervised:
-            self.supervisor.quarantine(replica)
 
     # -- recovery ---------------------------------------------------------------------
 
@@ -1281,22 +1212,14 @@ class PreparedStatement:
             if params
             else self.sql
         )
-        call = StatementCall(
-            sql=self.sql, bound_sql=bound_sql, params=params, prepared=self
-        )
+        call = StatementCall(self.sql, bound_sql, self, params)
         return self._server._execute_bound(call, self.statement, self.traits)
 
     def execute_lifted(self, sql: str, lifted: Lifted) -> Result:
         """The adjudicated execution of literal statement ``sql``, whose
         literals lifted to this shape: bound to their values, logged
         and reported as ``sql``."""
-        call = StatementCall(
-            sql=self.sql,
-            bound_sql=sql,
-            params=lifted.values,
-            prepared=self,
-            lift=lifted,
-        )
+        call = StatementCall(self.sql, sql, self, lifted.values, lifted)
         return self._server._execute_bound(call, self.statement, self.literal_traits)
 
     def executemany(self, rows: Iterable[Sequence[Any]]) -> list[Result]:

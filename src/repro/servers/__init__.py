@@ -6,7 +6,7 @@ Each :class:`~repro.servers.product.ServerProduct` wraps one
 holding that product's seeded fault catalog.
 """
 
-from repro.servers.product import ServerProduct, SqlServer
+from repro.servers.product import ServerProduct
 from repro.sqlengine.engine import Result
 from repro.servers.registry import (
     make_interbase,
@@ -18,7 +18,6 @@ from repro.servers.registry import (
 __all__ = [
     "Result",
     "ServerProduct",
-    "SqlServer",
     "make_interbase",
     "make_mssql",
     "make_oracle",

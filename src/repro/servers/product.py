@@ -7,7 +7,7 @@ from typing import Iterable
 from repro.dialects.features import DialectDescriptor
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSpec
-from repro.sqlengine.engine import Connection, Engine, EnginePrepared, Executable, Result
+from repro.sqlengine.engine import Engine, EnginePrepared, Executable, Result
 from repro.sqlengine.plan import explain_statement
 
 
@@ -88,10 +88,6 @@ class ServerProduct:
         for :meth:`execute` of the equivalent literal statement."""
         return self.engine.prepare(sql)
 
-    def connect(self) -> Connection:
-        """Open a DB-API-flavoured connection (black-box client API)."""
-        return Connection(self.engine)
-
     # -- lifecycle -------------------------------------------------------------
 
     @property
@@ -119,8 +115,3 @@ class ServerProduct:
 
     def fired_faults(self) -> set[str]:
         return self.injector.fired_fault_ids
-
-
-#: Public alias: a ServerProduct *is* the single-server SQL surface
-#: (execute / prepare / connect), mirroring DiverseServer's API.
-SqlServer = ServerProduct

@@ -8,18 +8,15 @@ The public surface is:
 
 * :class:`repro.sqlengine.engine.Engine` — one database instance; accepts
   SQL text and returns :class:`repro.sqlengine.engine.Result`.
-* :class:`repro.sqlengine.engine.Connection` — a DB-API-flavoured session
-  with transaction state.
 * :func:`repro.sqlengine.parser.parse_script` /
   :func:`repro.sqlengine.parser.parse_statement` — standalone parsing, used
   by the dialect translator and feature extractor.
 """
 
-from repro.sqlengine.engine import Connection, Engine, EnginePrepared, Result
+from repro.sqlengine.engine import Engine, EnginePrepared, Result
 from repro.sqlengine.params import render_param, substitute_params
 
 __all__ = [
-    "Connection",
     "Engine",
     "EnginePrepared",
     "Result",

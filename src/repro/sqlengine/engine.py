@@ -792,44 +792,3 @@ class EnginePrepared:
     def executemany(self, rows) -> list[Result]:
         """Execute once per parameter tuple, in order."""
         return [self.execute(row) for row in rows]
-
-
-class Connection:
-    """DB-API-flavoured session over an :class:`Engine`.
-
-    The middleware and the examples talk to servers through this class,
-    mirroring how the paper's middleware would sit on the products'
-    standard client interfaces (the "black-box" approach).
-    """
-
-    def __init__(self, engine: Engine) -> None:
-        self._engine = engine
-        self._last: Optional[Result] = None
-        self.closed = False
-
-    @property
-    def engine(self) -> Engine:
-        return self._engine
-
-    def execute(self, sql: str) -> Result:
-        if self.closed:
-            raise SqlError("connection is closed")
-        self._last = self._engine.execute(sql)
-        return self._last
-
-    @property
-    def description(self) -> list[tuple]:
-        if self._last is None:
-            return []
-        return [(name,) for name in self._last.columns]
-
-    def commit(self) -> None:
-        if self._engine.transactions.in_transaction:
-            self._engine.transactions.commit()
-
-    def rollback(self) -> None:
-        if self._engine.transactions.in_transaction:
-            self._engine.transactions.rollback()
-
-    def close(self) -> None:
-        self.closed = True

@@ -21,7 +21,7 @@ from repro.workload.schema import SCHEMA_STATEMENTS, populate_statements
 
 
 class SqlEndpoint(Protocol):
-    """Anything accepting SQL: ServerProduct, DiverseServer, Connection.
+    """Anything accepting SQL: ServerProduct, DiverseServer.
 
     Endpoints additionally offering ``prepare(sql)`` (ServerProduct and
     DiverseServer both do) can be driven in prepared mode

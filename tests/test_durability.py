@@ -1,6 +1,7 @@
 """Durability subsystem: WAL, checkpoints, recovery, rebuild, bank."""
 
 import dataclasses
+from decimal import Decimal
 
 from repro.dialects.translator import translate_script
 from repro.durability import (
@@ -36,6 +37,7 @@ from repro.middleware import (
 )
 from repro.middleware.supervisor import VirtualClock
 from repro.servers import make_server
+from repro.sqlengine.engine import executable_text
 from repro.workload import WorkloadRunner
 
 
@@ -466,6 +468,35 @@ class TestDurabilityManager:
         assert metrics.transactions == 20
         assert metrics.detected_disagreements == 0
         assert server.verify_consistency() == {}
+
+    def test_bound_write_logs_the_text_replay_runs(self):
+        # Supervisor replay runs the translation of the bound text, where
+        # ``-5`` renders as ``- 5``: splicing the rendered values into the
+        # translated template would log text that replay never runs.
+        server = DiverseServer(
+            [make_server(key) for key in ("IB", "PG", "OR", "MS")],
+            config=ServerConfig(durability=DurabilityManager(MemoryMedium())),
+        )
+        server.execute(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER, f FLOAT, "
+            "d DECIMAL(8, 2), s VARCHAR(20))"
+        )
+        insert = server.prepare("INSERT INTO t VALUES (?, ?, ?, ?, ?)")
+        update = server.prepare("UPDATE t SET n = ?, f = ? WHERE id = ?")
+        calls = [
+            (insert, (1, -5, -2.5, Decimal("-3.25"), "it's")),
+            (insert, (2, 7, 1.5e-7, Decimal("12.50"), 'say "hi"')),
+            (insert, (3, -1, 6.02e23, Decimal("0.01"), "")),
+            (update, (-40, -1e-300, 2)),
+        ]
+        for handle, params in calls:
+            handle.execute(params)
+            bound_sql = server.write_log[-1]
+            for replica in server.replicas:
+                logged = server.durability.store(replica.key).wal.scan().records[-1].sql
+                replayed = server.pipeline.translation(bound_sql, replica.product.descriptor)
+                assert logged == executable_text(replayed), (replica.key, bound_sql)
+        assert server.stats.wal_records == 4 * (1 + len(calls))
 
     def test_quarantined_replica_wal_stays_current(self):
         medium = MemoryMedium()

@@ -182,7 +182,7 @@ class Pair:
         """How many shapes ran prepared."""
         return sum(
             1 for handle in self.server._prepared.values()
-            if not isinstance(handle, SqlError) and handle.lifts
+            if not isinstance(handle, SqlError) and handle.param_count and handle.lifts
         )
 
 

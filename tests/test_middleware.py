@@ -299,6 +299,23 @@ class TestModesAndBaselines:
         server.execute("SELECT id FROM accounts")
         assert server.stats.unanimous == 0 or server.stats.reads > 0
 
+    def test_read_split_asks_until_the_first_answer(self):
+        server = setup(
+            DiverseServer(
+                [make_server("IB", [crash_fault()]), make_server("OR"), make_server("MS")],
+                adjudication="majority", read_split=True, auto_recover=False,
+            )
+        )
+        before = {r.key: r.stats.statements for r in server.replicas}
+        for _ in range(3):
+            assert len(server.execute("SELECT id FROM accounts").rows) == 2
+        asked = {r.key: r.stats.statements - before[r.key] for r in server.replicas}
+        # Reads rotate OR, MS, IB; each asks one replica, and IB's crash
+        # evicts it (unsupervised: no retry) and hands the read to OR.
+        assert asked == {"IB": 1, "OR": 2, "MS": 1}
+        assert server.replica("IB").state is ReplicaState.FAILED
+        assert server.stats.replica_crashes == 1
+
     def test_replicated_non_diverse_baseline_shares_faults(self):
         # Two identical faulty copies agree on the wrong answer.
         server = setup(

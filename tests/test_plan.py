@@ -428,18 +428,6 @@ class TestExplain:
         server.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)")
         assert "IndexLookup t" in server.explain("SELECT b FROM t WHERE a = 1")
 
-    def test_diverse_server_explain_is_memoized_per_generation(self):
-        server = DiverseServer([make_interbase(), make_server("PG")])
-        server.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b INTEGER)")
-        first = server.explain("SELECT b FROM t WHERE a = 1")
-        again = server.explain("SELECT b FROM t WHERE a = 1")
-        assert first == again
-        assert server.pipeline.stats.plan_hits == 1
-        assert server.pipeline.stats.plan_misses == 1
-        server.execute("CREATE TABLE u (x INTEGER)")  # bumps the generation
-        server.explain("SELECT b FROM t WHERE a = 1")
-        assert server.pipeline.stats.plan_misses == 2
-
     @pytest.mark.parametrize("sql", ["", "SELECT 1; SELECT 2"])
     def test_explain_of_all_but_one_statement_is_a_parse_error(self, sql):
         with pytest.raises(ParseError):

@@ -69,17 +69,6 @@ class TestLifecycle:
         with pytest.raises(Exception):
             server.execute("SELECT a FROM t")
 
-    def test_connection_interface(self):
-        server = make_server("PG")
-        conn = server.connect()
-        conn.execute("CREATE TABLE t (a INTEGER)")
-        conn.execute("INSERT INTO t VALUES (1), (2)")
-        conn.execute("SELECT a FROM t ORDER BY a")
-        assert [d[0] for d in conn.description] == ["a"]
-        conn.close()
-        with pytest.raises(Exception):
-            conn.execute("SELECT 1")
-
     def test_seed_fault_after_construction(self):
         server = make_server("OR")
         server.execute("CREATE TABLE t (a INTEGER)")
