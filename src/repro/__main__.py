@@ -320,11 +320,11 @@ def cmd_tlp(sql: str) -> int:
         print(f"no TLP partition: {reasons}")
         return 0
     print(f"certificate: {summary.tlp.certificate.describe()}")
-    print(f"base:        {summary.tlp.base}")
+    print(f"base:        {summary.tlp.base.sql}")
     for label, partition in zip(
         ("p", "NOT p", "p IS NULL"), summary.tlp.partitions
     ):
-        print(f"{label:<12} {partition}")
+        print(f"{label:<12} {partition.sql}")
     return 0
 
 

@@ -115,7 +115,7 @@ from repro.durability.bank import classify_repro, storage_fault_bank, trigger_sl
 from repro.errors import FeatureNotSupported, ReproError
 from repro.faults.audit import concurrency_fault_bank, dead_concurrency_faults, dead_storage_faults
 from repro.servers.product import ServerProduct
-from repro.sqlengine.engine import Engine, ParsedStatement
+from repro.sqlengine.engine import Engine, ParsedStatement, parse_once, statement_plans
 from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plan import PROBE_SCRIPTS, REWRITE_RULES, PhysicalSelect
@@ -527,32 +527,33 @@ def _check_dead_rewrites(corpus: "Corpus") -> list[LintFinding]:
     all_rules = set(REWRITE_RULES)
     exercised: set[str] = set()
 
-    def harvest(engine: Engine) -> None:
-        for _, _, plan in engine._plans.values():
-            if isinstance(plan, PhysicalSelect):
-                exercised.update(plan.plan.applied_rules)
+    def run(engine: Engine, sql: str) -> None:
+        """Run one statement and note the rules its SELECT plans
+        applied (a statement that errors by design may still have
+        compiled one)."""
+        piece = parse_once(sql)
+        try:
+            engine.execute(piece)
+        except ReproError:
+            pass
+        if isinstance(piece, ParsedStatement):
+            for plan in statement_plans(piece.statement):
+                if isinstance(plan, PhysicalSelect):
+                    exercised.update(plan.plan.applied_rules)
 
     # The planner's own witness scripts first (one per registered rule,
     # cheap): a rule that silently regressed into never applying is
     # caught even when no corpus script happens to exercise it.
     engine = Engine(name="lint")
     for sql in PROBE_SCRIPTS:
-        try:
-            engine.execute(sql)
-        except ReproError:
-            continue
-    harvest(engine)
+        run(engine, sql)
     if exercised >= all_rules:
         return []
 
     for report in corpus:
         engine = Engine(name="lint")
         for sql in split_statements(report.script):
-            try:
-                engine.execute(sql)
-            except ReproError:
-                continue  # scripts that error by design still compile plans
-        harvest(engine)
+            run(engine, sql)
         if exercised >= all_rules:
             return []
 
@@ -562,11 +563,7 @@ def _check_dead_rewrites(corpus: "Corpus") -> list[LintFinding]:
     generator = TpccGenerator(seed=1)
     for transaction in generator.transactions(4):
         for sql in transaction.statements:
-            try:
-                engine.execute(sql)
-            except ReproError:
-                continue
-    harvest(engine)
+            run(engine, sql)
 
     return [
         LintFinding(

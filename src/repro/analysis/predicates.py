@@ -33,7 +33,8 @@ from typing import Any, Iterable, Optional
 from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import VOLATILE_FUNCTIONS
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.engine import Engine
+from repro.sqlengine.analysis import extract_traits
+from repro.sqlengine.engine import Engine, ParsedStatement, statement_plans
 from repro.sqlengine.expressions import contains_aggregate
 from repro.sqlengine.plan import REWRITE_RULES, PhysicalSelect
 from repro.sqlengine.plan.compiler import Scope, compile_expression
@@ -218,10 +219,12 @@ class TlpCertificate:
 class TlpTriple:
     """One SELECT's ternary-logic partition: the ORDER-BY-stripped base
     query plus the three partition queries whose multiset union must
-    equal it."""
+    equal it, each built from the analysed tree (no parse) with its
+    rendered text, equal to what parsing that text gives."""
 
-    base: str
-    partitions: tuple[str, str, str]  # WHERE p / WHERE NOT p / WHERE p IS NULL
+    base: ParsedStatement
+    #: WHERE p / WHERE NOT p / WHERE p IS NULL
+    partitions: tuple[ParsedStatement, ParsedStatement, ParsedStatement]
     certificate: TlpCertificate
 
 
@@ -312,20 +315,22 @@ def tlp_partition(
     core = stmt.body
     predicate = core.where
 
-    def select_with(where: Optional[ast.Expression]) -> str:
-        return render_statement(
-            ast.SelectStatement(
-                body=ast.SelectCore(
-                    items=core.items,
-                    from_items=core.from_items,
-                    where=where,
-                    group_by=[],
-                    having=None,
-                    distinct=False,
-                ),
-                order_by=[],
-                limit=None,
-            )
+    def select_with(where: Optional[ast.Expression]) -> ParsedStatement:
+        statement = ast.SelectStatement(
+            body=ast.SelectCore(
+                items=core.items,
+                from_items=core.from_items,
+                where=where,
+                group_by=[],
+                having=None,
+                distinct=False,
+            ),
+            order_by=[],
+            limit=None,
+        )
+        # No placeholders: a parameter blocks the partition.
+        return ParsedStatement(
+            render_statement(statement), statement, extract_traits(statement), ()
         )
 
     env = PredicateEnv.for_select(core, schema)
@@ -588,10 +593,13 @@ def _certify_constant_folding() -> tuple[str, ...]:
     )
 
 
-def _only_select_plan(engine):
+def _select_plan(engine: Engine, sql: str):
+    """The logical plan ``engine`` compiled to run the SELECT ``sql``."""
+    parsed = ParsedStatement.parse(sql)
+    engine.execute(parsed)
     plans = [
         plan
-        for _, _, plan in engine._plans.values()
+        for plan in statement_plans(parsed.statement)
         if isinstance(plan, PhysicalSelect)
     ]
     if len(plans) != 1:
@@ -672,8 +680,7 @@ def _certify_predicate_pushdown() -> tuple[str, ...]:
             engine = Engine(name="certify")
             engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
             engine.execute(f"CREATE TABLE cert_b (id INTEGER PRIMARY KEY, ref {ref_type})")
-            engine.execute(sql)
-            plan = _only_select_plan(engine)
+            plan = _select_plan(engine, sql)
             if ("predicate_pushdown" in plan.applied_rules) != total:
                 raise CertificationError(
                     f"rule did not fire on its total witness: {sql}"
@@ -708,8 +715,7 @@ def _certify_index_selection() -> tuple[str, ...]:
     # guarantees it is found).
     engine = Engine(name="certify")
     engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
-    engine.execute("SELECT val FROM cert_a WHERE id = 1")
-    plan = _only_select_plan(engine)
+    plan = _select_plan(engine, "SELECT val FROM cert_a WHERE id = 1")
     if "index_selection" not in plan.applied_rules:
         raise CertificationError("rule did not fire on its unique-key witness")
 
@@ -732,8 +738,7 @@ def _certify_index_selection() -> tuple[str, ...]:
     # Law 4 (behavioral): a non-unique pin must decline.
     engine = Engine(name="certify")
     engine.execute("CREATE TABLE cert_a (id INTEGER PRIMARY KEY, val INTEGER)")
-    engine.execute("SELECT id FROM cert_a WHERE val = 1")
-    plan = _only_select_plan(engine)
+    plan = _select_plan(engine, "SELECT id FROM cert_a WHERE val = 1")
     if "index_selection" in plan.applied_rules:
         raise CertificationError("rule fired without a unique key")
     return (

@@ -14,12 +14,13 @@ The evaluation is exact because triggers only inspect the
 :class:`~repro.sqlengine.engine.ExecutionContext` surface that
 :class:`StaticContext` duck-types: ``sql``, ``traits``, ``all_tags``
 (static tags plus schema-predicted dynamic view tags), and
-``engine.phase``.
+``engine.phase``.  The corpus and its faults live above this layer;
+:class:`FaultCorpus` and :class:`SeededFault` name what is read of them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Any, Iterable, Iterator, Optional, Protocol, Sequence
 
 from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import WRITE_KINDS
@@ -30,9 +31,33 @@ from repro.sqlengine.analysis import StatementTraits, extract_traits
 from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.parser import parse_statement
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.bugs.corpus import Corpus
-    from repro.faults.spec import FaultSpec
+
+class _Trigger(Protocol):
+    def matches(self, ctx: Any) -> bool: ...
+
+
+class SeededFault(Protocol):
+    """What is read of a seeded fault (:class:`repro.faults.FaultSpec`)."""
+
+    fault_id: str
+
+    @property  # read-only, so any trigger class fits
+    def trigger(self) -> _Trigger: ...
+
+
+class _Report(Protocol):
+    reported_for: str
+    script: str
+    runnable_on: frozenset[str]
+
+
+class FaultCorpus(Protocol):
+    """What is read of the bug corpus (:class:`repro.bugs.corpus.Corpus`):
+    its reports and each server's seeded faults."""
+
+    def __iter__(self) -> Iterator[_Report]: ...
+
+    def faults_for(self, server: str) -> Sequence[SeededFault]: ...
 
 
 class _StaticEngine:
@@ -85,7 +110,7 @@ def script_contexts(sql: str, schema: Optional[ScriptSchema] = None) -> list[Sta
     return contexts
 
 
-def server_contexts(corpus: "Corpus", server: str) -> list[StaticContext]:
+def server_contexts(corpus: FaultCorpus, server: str) -> list[StaticContext]:
     """Static contexts for every statement ``server`` would execute
     across the corpus: its own reports verbatim, foreign runnable
     reports through the dialect translator."""
@@ -106,7 +131,7 @@ def server_contexts(corpus: "Corpus", server: str) -> list[StaticContext]:
     return contexts
 
 
-def fault_reachability(corpus: "Corpus") -> dict[str, dict[str, bool]]:
+def fault_reachability(corpus: FaultCorpus) -> dict[str, dict[str, bool]]:
     """Per server: fault id -> is any seeded trigger statically
     reachable from the statements that server would execute?"""
     result: dict[str, dict[str, bool]] = {}
@@ -119,7 +144,7 @@ def fault_reachability(corpus: "Corpus") -> dict[str, dict[str, bool]]:
     return result
 
 
-def unreachable_faults(corpus: "Corpus") -> list[tuple[str, "FaultSpec"]]:
+def unreachable_faults(corpus: FaultCorpus) -> list[tuple[str, SeededFault]]:
     """Faults no statement of any hosting script can trigger.
 
     Unlike the dynamic audit's :func:`repro.study.runner.dead_faults`,
@@ -127,7 +152,7 @@ def unreachable_faults(corpus: "Corpus") -> list[tuple[str, "FaultSpec"]]:
     irrelevant to whether the trigger is reachable at all.
     """
     reachability = fault_reachability(corpus)
-    dead: list[tuple[str, FaultSpec]] = []
+    dead: list[tuple[str, SeededFault]] = []
     for server in SERVER_KEYS:
         reachable = reachability[server]
         for fault in corpus.faults_for(server):

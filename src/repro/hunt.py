@@ -22,6 +22,15 @@ check each one against oracles that need no reference implementation:
   not alarmed on (zero false positives on pristine products is the CI
   gate).
 
+The campaign runs each product's engine directly, not through the
+middleware.  Every statement it runs is parsed once per campaign and
+handed to every product as one :class:`ParsedStatement`: the generated
+query and the pivot query from their text, the TLP base and partitions
+as built from the tree :func:`tlp_partition` holds.  Over equal
+catalogs the products share one compiled plan per statement.  The
+memo that keeps one statement per text spans the campaign, bounded by
+``_PARSED_MEMO_SIZE``.
+
 Hits are auto-minimized via the static slicer
 (:func:`repro.analysis.dataflow.minimize_script` — the decoy-table
 traffic drops out) and banked deduplicated by (oracle, product, failure
@@ -49,11 +58,15 @@ from repro.dialects.features import SERVER_KEYS
 from repro.errors import SqlError
 from repro.faults.spec import FaultSpec
 from repro.servers import make_server
-from repro.sqlengine.engine import Executable, ParsedStatement, parse_once
+from repro.sqlengine.engine import Executable, ParsedStatement, executable_text, parse_once
 from repro.sqlengine.sqlgen import PredicateGenerator
 
 #: Run the pivot oracle every Nth generated round.
 _PIVOT_EVERY = 3
+
+#: Upper bound on the statements a campaign remembers parsed (and so
+#: compiled); evicts oldest.
+_PARSED_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -187,14 +200,24 @@ def run_hunt(
 
     report = HuntReport(products=products, seed=seed)
     bank = _Bank()
-    #: The round's texts, each parsed once and run on every product.
+    #: The campaign's statements by text, each parsed once and run on
+    #: every product: one statement object per text, so its plan is
+    #: compiled once and shared by the products (while remembered).
     parsed: dict[str, Executable] = {}
 
-    def run_on(key: str, sql: str) -> Optional[Counter]:
-        if sql not in parsed:
-            parsed[sql] = parse_once(sql)
+    def remember(sql: Executable) -> Executable:
+        text = executable_text(sql)
+        entry = parsed.get(text)
+        if entry is None:
+            entry = parse_once(sql) if isinstance(sql, str) else sql
+            if len(parsed) >= _PARSED_MEMO_SIZE:
+                del parsed[next(iter(parsed))]
+            parsed[text] = entry
+        return entry
+
+    def run_on(key: str, sql: Executable) -> Optional[Counter]:
         try:
-            return _multiset(servers[key].engine.execute(parsed[sql]))
+            return _multiset(servers[key].engine.execute(remember(sql)))
         except SqlError:
             report.errors += 1
             return None
@@ -202,9 +225,11 @@ def run_hunt(
     for round_index in range(count):
         sql = generator.select_statement()
         report.statements += 1
-        entry = ParsedStatement.parse(sql)
+        entry = parsed.get(sql)
+        if not isinstance(entry, ParsedStatement):
+            entry = ParsedStatement.parse(sql)
+            remember(entry)
         stmt, traits = entry.statement, entry.traits
-        parsed = {sql: entry}
         hosts = [
             key
             for key in products

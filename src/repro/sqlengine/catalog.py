@@ -118,6 +118,9 @@ class Catalog:
         self.generation: int = 0
         #: table key -> (generation, :meth:`unique_sets` of the table).
         self._unique_sets: dict[str, tuple[int, list[UniqueKey]]] = {}
+        #: ``(generation, content token)``: :meth:`content_token` as of
+        #: that generation.
+        self.token: tuple[int, str] = (-1, "")
 
     def bump(self) -> None:
         """Record a schema change made outside the add/drop helpers
@@ -135,7 +138,28 @@ class Catalog:
         copied._views = dict(self._views)
         copied._indexes = dict(self._indexes)
         copied.generation = self.generation
+        copied.token = self.token
         return copied
+
+    def content_token(self) -> str:
+        """What the catalog holds, as one value: the tables, views and
+        indexes, each with every field, in the order they were made.
+
+        Two catalogs with equal tokens resolve every name, type, key and
+        view body alike, which is all a compiled plan reads of them, so
+        the engine's plan cache keys plans by it.  Computed once per
+        :attr:`generation` (every schema change bumps it)."""
+        generation, token = self.token
+        if generation != self.generation:
+            token = repr(
+                (
+                    list(self._tables.values()),
+                    list(self._views.values()),
+                    list(self._indexes.values()),
+                )
+            )
+            self.token = (self.generation, token)
+        return token
 
     # -- lookup ------------------------------------------------------------
 

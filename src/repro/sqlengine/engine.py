@@ -14,6 +14,7 @@ and hands each engine the :class:`ParsedStatement` instead of the text.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional, Union
@@ -171,8 +172,26 @@ StatementValidator = Callable[[ast.Statement, StatementTraits], None]
 #: Upper bound on memoized prepared handles per engine; evicts oldest.
 _PREPARED_CACHE_SIZE = 512
 
-#: Upper bound on cached compiled plans per engine; evicts oldest.
-_PLAN_CACHE_SIZE = 512
+#: The one plan cache: ``(id(statement), parameter types, rewrite,
+#: catalog content token)`` -> compiled plan.  A plan reads nothing of
+#: the engine that compiled it, so every engine that runs one statement
+#: over an equal catalog shares it.  A statement's plans live exactly as
+#: long as the statement (:func:`_forget_plans`).
+_PLANS: dict[tuple, Any] = {}
+#: ``id(statement)`` -> the keys of its plans in :data:`_PLANS`.
+_PLAN_KEYS: dict[int, list[tuple]] = {}
+
+
+def _forget_plans(statement_id: int) -> None:
+    """Drop a statement's plans; its finalizer calls this, before its
+    id can be reused."""
+    for key in _PLAN_KEYS.pop(statement_id):
+        del _PLANS[key]
+
+
+def statement_plans(statement: ast.Statement) -> list:
+    """The plans compiled so far for ``statement``, oldest first."""
+    return [_PLANS[key] for key in _PLAN_KEYS.get(id(statement), ())]
 
 
 class Engine:
@@ -195,11 +214,6 @@ class Engine:
         #: write log onto this engine (recovery-scoped faults key on it).
         self.phase = "serve"
         self._prepared: dict[str, EnginePrepared] = {}
-        #: Compiled statement plans, keyed by AST identity, the bound
-        #: parameters' types and :attr:`rewrite` (each entry holds a
-        #: strong statement reference so ids cannot be recycled),
-        #: guarded by the schema generation.
-        self._plans: dict[tuple[int, tuple, bool], tuple[Any, int, Any]] = {}
         #: Whether SELECT plans apply ``REWRITE_RULES``; the dual-plan
         #: oracle turns it off for its unrewritten second plan.
         self.rewrite = True
@@ -214,7 +228,6 @@ class Engine:
         self.transactions.abort_if_open()
         self.catalog.clear()
         self.storage.clear()
-        self._plans.clear()
         self._constraints.clear()
         self.crashed = False
 
@@ -238,7 +251,6 @@ class Engine:
         self.storage = snapshot.storage.clone()
         # A restore rewinds the generation counter, so generation-keyed
         # caches cannot be trusted across it.
-        self._plans.clear()
         self._constraints.clear()
         self.crashed = False
 
@@ -342,30 +354,40 @@ class Engine:
     # -- planned execution -----------------------------------------------------
 
     def _cached_plan(self, stmt: ast.Statement, params: tuple) -> Any:
-        """The compiled plan for this AST, these parameters' types and
-        the current :attr:`rewrite` choice.
+        """The compiled plan for this AST, these parameters' types, the
+        current :attr:`rewrite` choice and the catalog's content, from
+        the one plan cache (:data:`_PLANS`).
 
-        Keyed by object identity with a strong statement reference (so
-        ids cannot be recycled) — prepared statements re-execute the
-        same AST object, which is what makes the cache hit.  Statement
-        *text* is not a safe key: every statement of a multi-statement
-        script shares one source text.  The parameter types are part of
-        the key because the planner decides from their kinds which
-        conjuncts are total; literal SQL binds none.  A compile that
-        raises (a missing target table, say) caches nothing.
+        A plan depends on nothing else, so every engine that runs one
+        statement object (a :class:`ParsedStatement` handed to several
+        engines, a prepared statement re-executed) over an equal
+        catalog shares one compile, and a DDL, reset or restore that
+        changes the content misses.  The statement is keyed by identity
+        and its plans dropped when it dies: its *text* is not a safe
+        key, since every statement of a multi-statement script shares
+        one source text.  The parameter types are part of the key
+        because the planner decides from their kinds which conjuncts are
+        total; literal SQL binds none.  A compile that raises (a missing
+        target table, say) caches nothing.
         """
         types = tuple(map(type, params)) if params else ()
-        key = (id(stmt), types, self.rewrite)
-        entry = self._plans.get(key)
-        generation = self.catalog.generation
-        if entry is not None and entry[0] is stmt and entry[1] == generation:
-            return entry[2]
+        catalog = self.catalog
+        generation, token = catalog.token
+        if generation != catalog.generation:
+            token = catalog.content_token()
+        key = (id(stmt), types, self.rewrite, token)
+        plan = _PLANS.get(key)
+        if plan is not None:
+            return plan
         plan = compile_statement(
-            stmt, self, tuple(map(kind_of_class, types)), self.rewrite
+            stmt, catalog, tuple(map(kind_of_class, types)), self.rewrite
         )
-        if len(self._plans) >= _PLAN_CACHE_SIZE:
-            self._plans.pop(next(iter(self._plans)))
-        self._plans[key] = (stmt, generation, plan)
+        keys = _PLAN_KEYS.get(key[0])
+        if keys is None:
+            keys = _PLAN_KEYS[key[0]] = []
+            weakref.finalize(stmt, _forget_plans, key[0]).atexit = False
+        keys.append(key)
+        _PLANS[key] = plan
         return plan
 
     def _execute_select(self, stmt: ast.SelectStatement, ctx: ExecutionContext) -> Result:
@@ -455,7 +477,7 @@ class Engine:
         bindings = [ColumnBinding(schema.name, column.name) for column in schema.columns]
         checks = [
             (
-                compile_row_expression(column.check, self, bindings),
+                compile_row_expression(column.check, self.catalog, bindings),
                 f"CHECK constraint on column {column.name!r} violated",
             )
             for column in schema.columns
@@ -463,13 +485,15 @@ class Engine:
         ]
         checks.extend(
             (
-                compile_row_expression(check, self, bindings),
+                compile_row_expression(check, self.catalog, bindings),
                 f"CHECK constraint on table {schema.name!r} violated",
             )
             for check in schema.checks
         )
         defaults = [
-            None if column.default is None else compile_row_expression(column.default, self)
+            None
+            if column.default is None
+            else compile_row_expression(column.default, self.catalog)
             for column in schema.columns
         ]
         compiled = (checks, defaults)
@@ -563,7 +587,7 @@ class Engine:
     def _no_row_value(self, expr: ast.Expression, ctx: ExecutionContext) -> Any:
         """What ``expr`` evaluates to where no row is available (a
         DEFAULT before its table or column exists)."""
-        return compile_row_expression(expr, self)(None, None, ctx)
+        return compile_row_expression(expr, self.catalog)(None, None, ctx)
 
     def _execute_create_table(self, stmt: ast.CreateTable, ctx: ExecutionContext) -> Result:
         columns: list[ColumnDef] = []
@@ -631,7 +655,7 @@ class Engine:
         view = ViewDef(name=stmt.name, query=stmt.query, column_names=stmt.column_names)
         # Validate the defining query by running it once, like products
         # that bind views eagerly; surfaces missing tables/columns now.
-        output = compile_select(stmt.query, self).execute(ctx)
+        output = compile_select(stmt.query, self.catalog).execute(ctx)
         if stmt.column_names is not None and len(stmt.column_names) != len(output.columns):
             raise CatalogError(
                 f"view {stmt.name!r} column list does not match its query"

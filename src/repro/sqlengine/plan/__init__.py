@@ -12,12 +12,14 @@ subqueries included, compile through :mod:`.compiler`, and DML through
 categories and comparison kinds, nullability, intervals, may-raise —
 for the planner's totality gate and for the static analyses above.
 
-A plan is compiled for one tuple of parameter kinds and one choice of
-rule set, and the engine caches one plan per statement, parameter-type
-tuple and rule set, so every decision that depends on the parameters
-(which conjuncts are total and may be split or hoisted, whether a
-unique-key lookup applies) is made at compile time.  The plan compiled
-with no rewrite rules is the dual-plan oracle's second opinion.
+A plan is compiled against a catalog for one tuple of parameter kinds
+and one choice of rule set, so every decision that depends on the
+parameters (which conjuncts are total and may be split or hoisted,
+whether a unique-key lookup applies) is made at compile time.  It reads
+rows from the engine that runs it, so the engine caches one plan per
+statement, parameter-type tuple, rule set and catalog content, shared by
+every engine that runs the statement.  The plan compiled with no
+rewrite rules is the dual-plan oracle's second opinion.
 """
 
 from repro.sqlengine.plan.logical import LogicalPlan, lower_select

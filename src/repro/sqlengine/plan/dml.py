@@ -5,11 +5,13 @@ unique-key point-lookup machinery as SELECT plans; ``INSERT ... SELECT``
 and subqueries in WHERE, SET and VALUES compile as SELECT plans one
 nesting level down.  The mutation tail — casts, constraint checks,
 undo records — is the engine's (:meth:`Engine._insert_rows` /
-:meth:`Engine.apply_row_update`).  The target table and columns are
-resolved at compile time, so a missing one raises from
-:func:`compile_statement`, before any value is evaluated.  Planned
-UPDATE and DELETE return their row count and the engine builds the
-``Result``, so this module never imports the engine that runs it.
+:meth:`Engine.apply_row_update`), reached through ``ctx.engine``.  The
+target table and columns are resolved against the catalog at compile
+time, so a missing one raises from :func:`compile_statement`, before any
+value is evaluated; the schema, rows and undo log are those of the
+engine the plan runs on.  Planned UPDATE and DELETE return their row
+count and the engine builds the ``Result``, so this module never
+imports the engine that runs it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from repro.sqlengine.plan.rewrites import is_total, split_conjuncts, unique_pin
 from repro.sqlengine.types import cast_value
 
 
-def _table_plan(engine, schema, queries: QueryCompiler) -> tuple[LogicalPlan, Scope]:
+def _table_plan(schema, queries: QueryCompiler) -> tuple[LogicalPlan, Scope]:
     """A single-scan pseudo-plan so DML can reuse the SELECT planner's
     totality gate and unique-key pin (DML rows bind under the schema's
     declared name), and the scope its expressions compile in."""
@@ -44,7 +46,7 @@ def _table_plan(engine, schema, queries: QueryCompiler) -> tuple[LogicalPlan, Sc
         scans=[scan],
         bindings=bindings,
         kinds=kinds,
-        unique_sets=[engine.catalog.unique_sets(schema)],
+        unique_sets=[queries.catalog.unique_sets(schema)],
         param_kinds=queries.param_kinds,
     )
     return plan, Scope(bindings, queries=queries, resolution=plan.resolution())
@@ -72,10 +74,9 @@ class PlannedInsert:
     SELECT with a compiled query.  Every source row is evaluated before
     the first is checked (width, constraints) and stored."""
 
-    def __init__(self, stmt: ast.Insert, engine, queries: QueryCompiler) -> None:
-        self._engine = engine
+    def __init__(self, stmt: ast.Insert, queries: QueryCompiler) -> None:
         self._table = stmt.table
-        schema = engine.catalog.table(stmt.table)
+        schema = queries.catalog.table(stmt.table)
         if stmt.columns is not None:
             target = [schema.column_index(name) for name in stmt.columns]
             if len(set(target)) != len(target):
@@ -91,7 +92,7 @@ class PlannedInsert:
         self._rows = [[compile_expression(expr, scope) for expr in row] for row in stmt.rows]
 
     def execute(self, ctx) -> Any:
-        engine = self._engine
+        engine = ctx.engine
         schema = engine.catalog.table(self._table)
         data = engine.storage.get(self._table)
         if self._query is not None:
@@ -110,11 +111,10 @@ class PlannedUpdate:
     total and pins a unique key, an index point lookup instead of a
     heap scan."""
 
-    def __init__(self, stmt: ast.Update, engine, queries: QueryCompiler) -> None:
-        self._engine = engine
+    def __init__(self, stmt: ast.Update, queries: QueryCompiler) -> None:
         self._table = stmt.table
-        schema = engine.catalog.table(stmt.table)
-        plan, scope = _table_plan(engine, schema, queries)
+        schema = queries.catalog.table(stmt.table)
+        plan, scope = _table_plan(schema, queries)
         self._select, conjuncts = _compile_where(stmt.where, plan, scope)
         self._assignments = []
         for name, expr in stmt.assignments:
@@ -138,7 +138,7 @@ class PlannedUpdate:
         return compile_unique_probe(key.indices, tuple(kinds), getters)
 
     def execute(self, ctx) -> int:
-        engine = self._engine
+        engine = ctx.engine
         schema = engine.catalog.table(self._table)
         data = engine.storage.get(self._table)
         candidates = self._candidate_rows(data, ctx)
@@ -164,15 +164,14 @@ class PlannedUpdate:
 class PlannedDelete:
     """DELETE with a compiled predicate over the heap scan."""
 
-    def __init__(self, stmt: ast.Delete, engine, queries: QueryCompiler) -> None:
-        self._engine = engine
+    def __init__(self, stmt: ast.Delete, queries: QueryCompiler) -> None:
         self._table = stmt.table
-        schema = engine.catalog.table(stmt.table)
-        plan, scope = _table_plan(engine, schema, queries)
+        schema = queries.catalog.table(stmt.table)
+        plan, scope = _table_plan(schema, queries)
         self._select, _ = _compile_where(stmt.where, plan, scope)
 
     def execute(self, ctx) -> int:
-        engine = self._engine
+        engine = ctx.engine
         engine.catalog.table(self._table)  # raises if dropped (defensive)
         data = engine.storage.get(self._table)
         # Every row is tested before any is removed, so a raising WHERE
@@ -183,16 +182,16 @@ class PlannedDelete:
         return len(removed)
 
 
-def compile_statement(stmt: ast.Statement, engine, param_kinds: tuple, rewrite: bool) -> Any:
-    """Compile a SELECT, INSERT, UPDATE or DELETE for parameters of
-    ``param_kinds``, SELECT blocks with the rewrite rules applied
-    unless ``rewrite`` is false."""
+def compile_statement(stmt: ast.Statement, catalog, param_kinds: tuple, rewrite: bool) -> Any:
+    """Compile a SELECT, INSERT, UPDATE or DELETE against ``catalog``
+    for parameters of ``param_kinds``, SELECT blocks with the rewrite
+    rules applied unless ``rewrite`` is false."""
     if isinstance(stmt, ast.SelectStatement):
-        return compile_select(stmt, engine, param_kinds, rewrite)
+        return compile_select(stmt, catalog, param_kinds, rewrite)
     # DML expressions run at depth 0: their subqueries at 1.
-    queries = QueryCompiler(engine, param_kinds, rewrite, 0)
+    queries = QueryCompiler(catalog, param_kinds, rewrite, 0)
     if isinstance(stmt, ast.Insert):
-        return PlannedInsert(stmt, engine, queries)
+        return PlannedInsert(stmt, queries)
     if isinstance(stmt, ast.Update):
-        return PlannedUpdate(stmt, engine, queries)
-    return PlannedDelete(stmt, engine, queries)
+        return PlannedUpdate(stmt, queries)
+    return PlannedDelete(stmt, queries)

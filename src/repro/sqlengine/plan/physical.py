@@ -10,7 +10,9 @@ expression is evaluated).
 
 A plan is compiled for one tuple of parameter kinds and one choice of
 rewrite rules, so everything its shape depends on is decided before it
-runs.  What only the data can tell is handled in place: a unique-key
+runs.  It reads the catalog only while it compiles and the rows of
+``ctx.engine`` only while it runs, so one plan serves every engine whose
+catalog has the content it was compiled against.  What only the data can tell is handled in place: a unique-key
 probe that cannot use its index (poisoned, stored key kinds that
 differ, a probe value that will not hash) returns the whole heap, and
 the filter above it re-applies every conjunct; a hash join whose keys
@@ -236,26 +238,26 @@ class _TooDeep:
 
 class QueryCompiler:
     """What every block at one nesting level compiles against: the
-    engine, the parameter kinds, whether the rewrite rules apply, and
+    catalog, the parameter kinds, whether the rewrite rules apply, and
     the ``depth`` its blocks run at (1 for a SELECT of its own, 0 for
     the expressions of DML, CHECK and DEFAULT, whose subqueries run
     at 1)."""
 
-    def __init__(self, engine, param_kinds: Optional[tuple], rewrite: bool, depth: int) -> None:
-        self.engine = engine
+    def __init__(self, catalog, param_kinds: Optional[tuple], rewrite: bool, depth: int) -> None:
+        self.catalog = catalog
         self.param_kinds = param_kinds
         self.rewrite = rewrite
         self.depth = depth
 
     def nested(self) -> "QueryCompiler":
-        return QueryCompiler(self.engine, self.param_kinds, self.rewrite, self.depth + 1)
+        return QueryCompiler(self.catalog, self.param_kinds, self.rewrite, self.depth + 1)
 
     def query(self, stmt: ast.SelectStatement, outer: Optional[Scope]) -> Any:
         """The plan of ``stmt`` at this level, whose column references
         fall back to ``outer``."""
         if self.depth > MAX_SUBQUERY_DEPTH:
             return _TooDeep()
-        plan = lower_select(stmt, self.engine.catalog, self.param_kinds, self.depth)
+        plan = lower_select(stmt, self.catalog, self.param_kinds, self.depth)
         if self.rewrite:
             apply_rewrites(plan)
         return PhysicalSelect(plan, self, outer)
@@ -266,28 +268,29 @@ class QueryCompiler:
 
 
 def compile_select(
-    stmt: ast.SelectStatement, engine, param_kinds: tuple = (), rewrite: bool = True
+    stmt: ast.SelectStatement, catalog, param_kinds: tuple = (), rewrite: bool = True
 ) -> "PhysicalSelect":
     """Lower, rewrite (unless ``rewrite`` is false) and compile a SELECT
-    for ``engine`` and parameters of ``param_kinds``."""
-    return QueryCompiler(engine, param_kinds, rewrite, 1).query(stmt, None)
+    against ``catalog`` for parameters of ``param_kinds``."""
+    return QueryCompiler(catalog, param_kinds, rewrite, 1).query(stmt, None)
 
 
-def compile_row_expression(expr: ast.Expression, engine, bindings=None) -> Closure:
+def compile_row_expression(expr: ast.Expression, catalog, bindings=None) -> Closure:
     """A closure for an expression the engine evaluates outside any
     statement plan: a CHECK over a table row (``bindings``), or a
     DEFAULT where no row is available (``bindings`` None)."""
-    queries = QueryCompiler(engine, (), True, 0)
+    queries = QueryCompiler(catalog, (), True, 0)
     if bindings is None:
         return compile_expression(expr, Scope((), no_row=True, queries=queries))
     return compile_expression(expr, Scope(bindings, queries=queries))
 
 
 class PhysicalSelect:
-    """A compiled SELECT plan bound to one engine's catalog snapshot.
+    """A compiled SELECT plan for one catalog's content.
 
-    Valid only while the catalog generation it was compiled against is
-    current; the engine's plan cache enforces that.
+    It reads rows from ``ctx.engine`` at run time, so it runs on any
+    engine whose catalog has the content it was compiled against; the
+    engine's plan cache keys it by that content.
     """
 
     def __init__(self, plan: LogicalPlan, compiler: QueryCompiler, outer: Optional[Scope] = None) -> None:
@@ -486,15 +489,13 @@ class PhysicalSelect:
     # -- source tree ---------------------------------------------------------
 
     def _compile_source(self, node: Any) -> Source:
-        engine = self._compiler.engine
         if isinstance(node, DualScan):
             return lambda ctx: [()]
         if isinstance(node, Scan):
             table = node.table
-            if not engine.catalog.has_table(table):
+            if not self._compiler.catalog.has_table(table):
                 return lambda ctx: _raise(CatalogError(f"relation {table!r} does not exist"))
-            storage = engine.storage
-            return lambda ctx: storage.get(table).rows()
+            return lambda ctx: ctx.engine.storage.get(table).rows()
         if isinstance(node, Derived):
             return self._compile_derived(node)
         if isinstance(node, IndexLookup):
@@ -605,7 +606,6 @@ class PhysicalSelect:
         return join
 
     def _compile_lookup(self, node: IndexLookup) -> Source:
-        storage = self._compiler.engine.storage
         table = node.scan.table
         probe_scope = self._scope()
         probe = compile_unique_probe(
@@ -613,7 +613,7 @@ class PhysicalSelect:
             tuple(node.key_kinds),
             [compile_expression(expr, probe_scope) for expr in node.key_exprs],
         )
-        return lambda ctx: probe(storage.get(table), ctx)
+        return lambda ctx: probe(ctx.engine.storage.get(table), ctx)
 
     def _compile_hash_join(self, node: HashJoin) -> Source:
         left = self._compile_source(node.left)

@@ -25,6 +25,7 @@ import repro.sqlengine.plan.physical
 from repro.errors import SqlError
 from repro.servers import make_server
 from repro.sqlengine import Engine
+from repro.sqlengine import engine as engine_module
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plan import compile_select
 from repro.workload.generator import TpccGenerator, TransactionMix
@@ -140,7 +141,7 @@ def test_where_that_may_raise_is_not_split():
     # row 0 although `a > 2` rejects it; a split filter would stop there.
     sql = "SELECT a FROM t WHERE a > 2 AND c > 1"
     planned = table()
-    plan = compile_select(parse_statement(sql), planned).plan
+    plan = compile_select(parse_statement(sql), planned.catalog).plan
     assert "predicate_pushdown" not in plan.applied_rules
     assert outcome(planned, sql, ()) == outcome(table(ReferenceEngine), sql, ())
     assert outcome(planned, sql, ())[:2] == ("error", "TypeMismatch")
@@ -148,7 +149,23 @@ def test_where_that_may_raise_is_not_split():
 
 @pytest.mark.parametrize("prepared", [True, False], ids=["prepared", "literal"])
 @pytest.mark.parametrize("key", KEYS)
-def test_tpcc_templates_never_fall_back_to_the_walker(key, prepared):
+def test_tpcc_templates_never_fall_back_to_the_walker(key, prepared, monkeypatch):
+    # Each (statement, parameter types) pair the compiled server looks
+    # up compiles exactly once, and its answers equal the walker's.
+    compiles = []
+    looked_up = {}
+
+    def counting(stmt, *args, _compile=engine_module.compile_statement):
+        compiles.append(stmt)
+        return _compile(stmt, *args)
+
+    def recording(self, stmt, params, _lookup=Engine._cached_plan):
+        # Holding the statement keeps its id from being reused.
+        looked_up[id(stmt), tuple(map(type, params))] = stmt
+        return _lookup(self, stmt, params)
+
+    monkeypatch.setattr(engine_module, "compile_statement", counting)
+    monkeypatch.setattr(Engine, "_cached_plan", recording)
     servers = [make_server(key), reference_server(key)]
     for sql in SCHEMA_STATEMENTS + populate_statements():
         for server in servers:
@@ -168,4 +185,4 @@ def test_tpcc_templates_never_fall_back_to_the_walker(key, prepared):
                 assert (compiled.columns, compiled.rows, compiled.rowcount) == (
                     walker.columns, walker.rows, walker.rowcount
                 ), sql
-    assert all(plan is not None for _, _, plan in servers[0].engine._plans.values())
+    assert len(compiles) == len(looked_up) > len(SCHEMA_STATEMENTS)

@@ -105,11 +105,11 @@ def test_literal_statement_is_scanned_and_parsed_once(front_end, sql):
 
 @pytest.mark.parametrize("first, second", NEW_SHAPES)
 def test_new_literals_of_a_known_shape_compile_nothing(front_end, monkeypatch, first, second):
-    compiled = Counter()
+    compiled = []
 
-    def counting(stmt, engine, *args, _compile=engine_module.compile_statement):
-        compiled[engine.name] += 1
-        return _compile(stmt, engine, *args)
+    def counting(stmt, *args, _compile=engine_module.compile_statement):
+        compiled.append(stmt)
+        return _compile(stmt, *args)
 
     monkeypatch.setattr(engine_module, "compile_statement", counting)
     server = four_version()
@@ -118,7 +118,7 @@ def test_new_literals_of_a_known_shape_compile_nothing(front_end, monkeypatch, f
     compiled.clear()
     server.execute(second)
     assert (front_end.scans, front_end.parses) == (1, 0)
-    assert sum(compiled.values()) == 0
+    assert compiled == []
     assert server.pipeline.stats.lift_misses == 4
 
 
@@ -184,10 +184,53 @@ def test_study_bug_scans_once_and_parses_each_piece_once(front_end, corpus, rena
     assert front_end.parses == pieces + renames * pieces
 
 
-def test_hunt_round_parses_each_distinct_text_once(front_end):
+def test_hunt_round_parses_each_distinct_text_once(front_end, monkeypatch):
+    # Over a campaign the hunt parses its set-up, each generated
+    # statement and each pivot query once, and nothing else: the TLP
+    # base and partitions are built from the tree the oracle holds.
+    # Each distinct statement it runs compiles once for all products.
+    rounds = 12
+    generated: list[str] = []
+    partitioned: list[str] = []
+    compiled = []
+
+    class Recording(repro.hunt.PredicateGenerator):
+        def select_statement(self, **kwargs):
+            generated.append(super().select_statement(**kwargs))
+            return generated[-1]
+
+        def pivot_case(self):
+            sql, pivot_id = super().pivot_case()
+            generated.append(sql)
+            return sql, pivot_id
+
+    def partition(stmt, schema, _partition=repro.hunt.tlp_partition):
+        triple = _partition(stmt, schema)
+        if triple is not None:
+            partitioned.extend(piece.sql for piece in (triple.base, *triple.partitions))
+        return triple
+
+    def counting(stmt, *args, _compile=engine_module.compile_statement):
+        compiled.append(stmt)
+        return _compile(stmt, *args)
+
+    monkeypatch.setattr(repro.hunt, "PredicateGenerator", Recording)
+    monkeypatch.setattr(repro.hunt, "tlp_partition", partition)
+    monkeypatch.setattr(engine_module, "compile_statement", counting)
+    setup = Recording(seed=3).schema_statements()
     front_end.reset()
-    report = repro.hunt.run_hunt(1, seed=3)
-    assert report.tlp_checks and report.pivot_checks
+    report = repro.hunt.run_hunt(rounds, seed=3)
+    assert report.tlp_checks and report.pivot_checks and not report.errors
+    pivots = len(range(0, rounds, repro.hunt._PIVOT_EVERY))
+    # No generated text repeats in this campaign, so each is one parse.
+    assert len(generated) == len(set(generated)) == rounds + pivots
     texts = Counter(front_end.parsed_texts)
-    assert texts and max(texts.values()) == 1
-    assert front_end.parses == len(texts) == front_end.scans
+    assert max(texts.values()) == 1
+    assert set(texts) == set(setup) | set(generated)
+    # A partition ``WHERE p`` may be the generated text itself; every
+    # other TLP text was rendered, never parsed.
+    tlp_only = set(partitioned) - set(generated)
+    assert tlp_only and not tlp_only & set(texts)
+    assert front_end.parses == front_end.scans == len(setup) + rounds + pivots
+    inserts = [sql for sql in setup if sql.startswith("INSERT")]
+    assert len(compiled) == len(set(inserts) | set(generated) | set(partitioned))

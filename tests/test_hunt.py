@@ -13,8 +13,13 @@ from repro.faults import (
 )
 from repro import hunt
 from repro.hunt import run_hunt
-from repro.servers import make_server
+from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine import engine as engine_module
+from repro.sqlengine.engine import Engine, ParsedStatement
 from tests.reference import reference_server
+
+#: The statements that run on a compiled plan.
+_PLANNED = (ast.SelectStatement, ast.Insert, ast.Update, ast.Delete)
 
 
 def _spec(fault_id, effect):
@@ -64,20 +69,30 @@ class TestPristineCampaign:
     def test_no_execution_errors(self, pristine_report):
         assert pristine_report.errors == 0
 
-    def test_no_statement_falls_back_to_the_walker(self, pristine_report, monkeypatch):
-        # Every statement runs on a compiled plan, and the campaign on
-        # the tree-walker (the tests' reference) reports the same.
-        servers = []
+    def test_compiles_one_plan_per_distinct_statement_and_matches_the_walker(
+        self, pristine_report, monkeypatch
+    ):
+        # The four products run each statement object over equal
+        # catalogs, so each distinct statement the campaign ran compiles
+        # once; and the campaign on the tree-walker (the tests'
+        # reference) reports the same.
+        compiled = []
+        ran = set()
 
-        def recorded(key, faults=()):
-            servers.append(make_server(key, faults))
-            return servers[-1]
+        def counting(stmt, *args, _compile=engine_module.compile_statement):
+            compiled.append(stmt)
+            return _compile(stmt, *args)
 
-        monkeypatch.setattr(hunt, "make_server", recorded)
+        def recording(self, sql, _execute=Engine.execute):
+            if isinstance(sql, ParsedStatement) and isinstance(sql.statement, _PLANNED):
+                ran.add(sql.sql)
+            return _execute(self, sql)
+
+        monkeypatch.setattr(engine_module, "compile_statement", counting)
+        monkeypatch.setattr(Engine, "execute", recording)
         run_hunt(30, seed=7)
-        assert all(
-            plan is not None for server in servers for _, _, plan in server.engine._plans.values()
-        )
+        assert len(compiled) == len(ran) > 30
+        monkeypatch.undo()
         monkeypatch.setattr(hunt, "make_server", reference_server)
         assert run_hunt(30, seed=7).to_payload() == pristine_report.to_payload()
 

@@ -41,10 +41,7 @@ CLI_FRONT_ENDS = {"repro.__main__", "repro.storms"}
 #: ``(importer, target)`` for the upward imports under ``if
 #: TYPE_CHECKING:``: types named in annotations whose owner sits above
 #: the importer.
-TYPE_CHECKING_UP = {
-    ("repro.analysis.reachability", "repro.bugs.corpus"),
-    ("repro.analysis.reachability", "repro.faults.spec"),
-}
+TYPE_CHECKING_UP: set[tuple[str, str]] = set()
 
 
 def read_layers() -> dict[str, int]:

@@ -3,8 +3,9 @@
 Covers the logical/physical plan layer end to end: lowering SELECTs
 into operator trees, the rule-based rewrites (constant folding,
 predicate pushdown, index selection), EXPLAIN rendering at every API
-level, the engine's plan cache (one plan per statement, parameter-type
-tuple, rule set and catalog generation), unique-index maintenance in
+level, the one plan cache (one plan per statement, parameter-type
+tuple, rule set and catalog content, shared by every engine that runs
+the statement over an equal catalog), unique-index maintenance in
 storage, point probes served from a scan when the index cannot answer,
 planned DML, and the dual-plan divergence oracle that catches
 rewrite-level wrong results on a single replica.  Answers are compared
@@ -13,15 +14,21 @@ with :class:`tests.reference.ReferenceEngine`, the tree-walker.
 
 from __future__ import annotations
 
+import copy
+import gc
 from decimal import Decimal
 
 import pytest
 
 from repro.errors import CatalogError, ParseError, SqlError
-from repro.faults import AlwaysTrigger, FaultSpec, PlanStageBugEffect
+from repro.faults import AlwaysTrigger, FaultSpec, PlanStageBugEffect, PredicateFoldBugEffect
+from repro.hunt import run_hunt
 from repro.middleware import DiverseServer, ServerConfig
+from repro.middleware.rephrase import QueryRephraser
 from repro.servers import make_interbase, make_server
 from repro.sqlengine import Engine
+from repro.sqlengine import engine as engine_module
+from repro.sqlengine.engine import ParsedStatement, statement_plans
 from repro.sqlengine.parser import parse_statement
 from repro.sqlengine.plan import (
     PROBE_SCRIPTS,
@@ -138,10 +145,11 @@ class TestLoweringAndRewrites:
         engine = Engine(name="witness")
         fired: set[str] = set()
         for sql in PROBE_SCRIPTS:
-            engine.execute(sql)
-        for _, _, plan in engine._plans.values():
-            if isinstance(plan, PhysicalSelect):
-                fired.update(plan.plan.applied_rules)
+            parsed = ParsedStatement.parse(sql)
+            engine.execute(parsed)
+            for plan in statement_plans(parsed.statement):
+                if isinstance(plan, PhysicalSelect):
+                    fired.update(plan.plan.applied_rules)
         assert fired >= set(REWRITE_RULES)
 
     def test_rewrites_reach_every_block(self):
@@ -262,45 +270,70 @@ class TestCompiledExecution:
         for key in (1, 2, 7):
             for sql in (select, update):
                 assert _outcome(planned, sql, (key,)) == _outcome(walker, sql, (key,))
-        plan = compile_select(parse_statement(select), planned, ("n",)).plan
+        plan = compile_select(parse_statement(select), planned.catalog, ("n",)).plan
         assert "index_selection" in plan.applied_rules
 
 
 # -- the plan cache --------------------------------------------------------
 
 
+def _plans_by_key(statement) -> dict:
+    """``(parameter types, rewrite, catalog token) -> plan`` for the
+    plans cached for ``statement``."""
+    return {
+        key[1:]: engine_module._PLANS[key]
+        for key in engine_module._PLAN_KEYS.get(id(statement), ())
+    }
+
+
+@pytest.fixture
+def compiles(monkeypatch) -> list:
+    """The statements handed to the compiler, one entry per compile
+    (clear it once the set-up has run)."""
+    compiled: list = []
+
+    def counting(stmt, *args, _compile=engine_module.compile_statement):
+        plan = _compile(stmt, *args)
+        compiled.append(stmt)
+        return plan
+
+    monkeypatch.setattr(engine_module, "compile_statement", counting)
+    return compiled
+
+
 class TestPlanCache:
-    def test_prepared_handle_reuses_one_plan(self):
+    def test_prepared_handle_reuses_one_plan(self, compiles):
         engine = _engine()
-        engine._plans.clear()
+        compiles.clear()
         handle = engine.prepare("SELECT owner FROM accounts WHERE id = ?")
         handle.execute((1,))
         handle.execute((2,))
-        assert len(engine._plans) == 1
+        assert len(statement_plans(handle.statement)) == 1
+        assert compiles == [handle.statement]
 
     def test_ddl_invalidates_cached_plans(self):
         engine = _engine()
-        engine._plans.clear()
         handle = engine.prepare("SELECT owner FROM accounts WHERE id = ?")
         handle.execute((1,))
-        stmt_id, (stmt, generation, plan) = next(iter(engine._plans.items()))
+        [(_, _, before)] = _plans_by_key(handle.statement)
         engine.execute("CREATE TABLE extra (x INTEGER)")
-        assert engine.catalog.generation > generation
+        assert engine.catalog.content_token() != before
         handle.execute((1,))
-        _, new_generation, new_plan = engine._plans[stmt_id]
-        assert new_generation == engine.catalog.generation
-        assert new_plan is not plan
+        plans = _plans_by_key(handle.statement)
+        assert [token for _, _, token in plans] == [before, engine.catalog.content_token()]
+        first, second = plans.values()
+        assert second is not first
 
     def test_failed_compile_is_not_cached(self):
         engine = _engine()
-        engine._plans.clear()
         handle = engine.prepare("INSERT INTO later (x) VALUES (1)")
         for _ in range(2):
             with pytest.raises(CatalogError, match="table 'later' does not exist"):
                 handle.execute(())
-        assert not engine._plans
+        assert statement_plans(handle.statement) == []
         engine.execute("CREATE TABLE later (x INTEGER)")
         assert handle.execute(()).rowcount == 1
+        assert len(statement_plans(handle.statement)) == 1
 
     def test_missing_relation_raises_only_when_read(self):
         # The walker built every FROM item, so a missing table raises
@@ -318,22 +351,22 @@ class TestPlanCache:
 
     def test_rule_set_is_part_of_the_key(self):
         engine = _engine()
-        engine._plans.clear()
         handle = engine.prepare("SELECT owner FROM accounts WHERE id = ?")
         handle.execute((1,))
         engine.rewrite = False
         handle.execute((1,))
-        plans = {key[2]: plan.plan for key, (_, _, plan) in engine._plans.items()}
+        handle.execute((2,))
+        plans = {rewrite: plan.plan for (_, rewrite, _), plan in _plans_by_key(handle.statement).items()}
+        assert list(plans) == [True, False]
         assert "index_selection" in plans[True].applied_rules
         assert plans[False].applied_rules == []
 
     def test_one_plan_per_parameter_type_tuple(self):
         engine = _engine()
-        engine._plans.clear()
         handle = engine.prepare("SELECT owner FROM accounts WHERE id = ?")
         for value in (2, "2", 3, None, "3", 2.0, 1):
             handle.execute((value,))
-        plans = {types: plan.plan for (_, types, _), (_, _, plan) in engine._plans.items()}
+        plans = {types: plan.plan for (types, _, _), plan in _plans_by_key(handle.statement).items()}
         assert list(plans) == [(int,), (str,), (type(None),), (float,)]
         # A numeric parameter pins the key; a string one may raise
         # against a number, so its plan keeps the WHERE whole and scans.
@@ -341,12 +374,161 @@ class TestPlanCache:
         assert "index_selection" in plans[(float,)].applied_rules
         assert plans[(str,)].applied_rules == []
 
-    def test_reset_clears_plans(self):
+    def test_reset_and_restore_never_serve_a_plan_for_other_content(self):
+        # A reset or restore whose generation counter lands where an
+        # older catalog's was must not find that catalog's plan: the key
+        # is the content.
         engine = _engine()
-        engine.execute("SELECT owner FROM accounts")
-        assert engine._plans
+        parsed = ParsedStatement.parse("SELECT * FROM accounts WHERE id = 1")
+        assert engine.execute(parsed).columns == ["id", "owner", "balance"]
+        snapshot = engine.snapshot()
+        engine.execute("ALTER TABLE accounts ADD COLUMN note VARCHAR(5) DEFAULT 'n'")
+        assert engine.execute(parsed).rows == [(1, "bob", Decimal("20.50"), "n")]
+        engine.restore(snapshot)
+        assert engine.execute(parsed).rows == [(1, "bob", Decimal("20.50"))]
         engine.reset()
-        assert not engine._plans
+        engine.execute("CREATE TABLE accounts (id INTEGER, kind VARCHAR(3))")
+        engine.execute("INSERT INTO accounts VALUES (1, 'new')")
+        result = engine.execute(parsed)
+        assert (result.columns, result.rows) == (["id", "kind"], [(1, "new")])
+        assert len(statement_plans(parsed.statement)) == 3
+
+    def test_plans_live_as_long_as_their_statement(self):
+        engine = _engine()
+        parsed = ParsedStatement.parse("SELECT owner FROM accounts WHERE id = 1")
+        engine.execute(parsed)
+        key = id(parsed.statement)
+        assert key in engine_module._PLAN_KEYS
+        del parsed
+        gc.collect()
+        assert key not in engine_module._PLAN_KEYS
+        assert all(plan_key[0] != key for plan_key in engine_module._PLANS)
+
+
+#: A schema script, and variants of it that differ in one object each.
+_SHARED_SCHEMA = (
+    "CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(8), c INTEGER)",
+    "CREATE VIEW v AS SELECT a, b FROM t WHERE c > 0",
+    "CREATE TABLE u (x INTEGER)",
+    "INSERT INTO t VALUES (1, 'one', 1)",
+    "INSERT INTO t VALUES (2, 'two', 2)",
+)
+_VARIANTS = {
+    "index": _SHARED_SCHEMA + ("CREATE UNIQUE INDEX t_b ON t (b)",),
+    "column-type": (
+        "CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(9), c INTEGER)",
+        *_SHARED_SCHEMA[1:],
+    ),
+    "check": (
+        "CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR(8), c INTEGER CHECK (c > -9))",
+        *_SHARED_SCHEMA[1:],
+    ),
+    "view-body": (
+        _SHARED_SCHEMA[0],
+        "CREATE VIEW v AS SELECT a, b FROM t WHERE c > 1",
+        *_SHARED_SCHEMA[2:],
+    ),
+    "dropped-table": _SHARED_SCHEMA + ("DROP TABLE u",),
+}
+
+
+def _shared_engine(script=_SHARED_SCHEMA, name: str = "shared", cls: type = Engine) -> Engine:
+    engine = cls(name=name)
+    for sql in script:
+        engine.execute(sql)
+    return engine
+
+
+class TestPlanSharing:
+    """One statement run on several engines compiles once per catalog
+    content, and a shared plan answers for the engine that runs it."""
+
+    def test_equal_catalogs_compile_once(self, compiles):
+        a, b = _shared_engine(name="a"), _shared_engine(name="b")
+        b.execute("INSERT INTO t VALUES (3, 'three', 3)")
+        assert a.catalog.content_token() == b.catalog.content_token()
+        compiles.clear()
+        select = ParsedStatement.parse("SELECT a, b FROM v WHERE a > 1")
+        insert = ParsedStatement.parse("INSERT INTO t VALUES (4, 'four', 4)")
+        for statement in (select, insert, select):
+            a.execute(statement)
+        for statement in (select, insert, select):
+            b.execute(statement)
+        assert compiles == [select.statement, insert.statement]
+        # Each engine's rows, though the plans were compiled on `a`.
+        assert a.execute(select).rows == [(2, "two"), (4, "four")]
+        assert b.execute(select).rows == [(2, "two"), (3, "three"), (4, "four")]
+
+    @pytest.mark.parametrize("variant", sorted(_VARIANTS))
+    def test_catalogs_that_differ_compile_separately(self, compiles, variant):
+        a = _shared_engine(name="a")
+        b = _shared_engine(_VARIANTS[variant], name="b")
+        assert a.catalog.content_token() != b.catalog.content_token()
+        compiles.clear()
+        select = ParsedStatement.parse("SELECT a, b FROM v WHERE b <> 'x'")
+        answers = [engine.execute(select).rows for engine in (a, b)]
+        assert compiles == [select.statement, select.statement]
+        expected = [
+            _shared_engine(script, cls=ReferenceEngine).execute(select.sql).rows
+            for script in (_SHARED_SCHEMA, _VARIANTS[variant])
+        ]
+        assert answers == expected
+
+    def test_alter_table_on_one_engine_leaves_the_other_alone(self, compiles):
+        a, b = _shared_engine(name="a"), _shared_engine(name="b")
+        compiles.clear()
+        select = ParsedStatement.parse("SELECT * FROM t")
+        insert = ParsedStatement.parse("INSERT INTO t VALUES (7, 'seven', 7)")
+        update = ParsedStatement.parse("UPDATE t SET c = c + 1 WHERE a = 7")
+        for statement in (select, insert, update):
+            a.execute(statement)
+        a.execute("ALTER TABLE t ADD COLUMN d INTEGER DEFAULT 0")
+        assert a.execute(select).columns == ["a", "b", "c", "d"]
+        # `b` still has the old content, so it runs the plans compiled
+        # on `a` before the ALTER: none may read `a`'s altered schema.
+        for statement in (insert, update):
+            b.execute(statement)
+        result = b.execute(select)
+        assert result.columns == ["a", "b", "c"]
+        assert result.rows == [(1, "one", 1), (2, "two", 2), (7, "seven", 8)]
+        assert len(compiles) == 4
+
+    def test_restore_to_a_snapshot_before_ddl_runs_a_correct_plan(self):
+        engine = _shared_engine()
+        snapshot = engine.snapshot()
+        select = ParsedStatement.parse("SELECT * FROM t WHERE a > 0")
+        engine.execute("ALTER TABLE t ADD COLUMN d INTEGER DEFAULT 5")
+        engine.execute("INSERT INTO t VALUES (3, 'three', 3, 3)")
+        assert len(engine.execute(select).rows) == 3
+        engine.restore(snapshot)
+        result = engine.execute(select)
+        assert result.columns == ["a", "b", "c"]
+        assert result.rows == [(1, "one", 1), (2, "two", 2)]
+
+    def test_a_rephrased_deep_copy_carries_no_plans(self):
+        engine = _shared_engine()
+        parsed = ParsedStatement.parse("SELECT a FROM t WHERE a = 1 OR b = 'two'")
+        engine.execute(parsed)
+        assert statement_plans(parsed.statement)
+        rephrased = QueryRephraser().rephrase(parsed.statement)
+        assert statement_plans(rephrased) == []
+        copied = copy.deepcopy(parsed.statement)
+        assert statement_plans(copied) == []
+
+    def test_a_fault_on_one_product_fires_only_there(self):
+        # The fold bug is a behaviour flag the plan consults at run time;
+        # PG runs plans the other products compiled first.
+        fault = FaultSpec(
+            fault_id="fold-bug",
+            description="fold-bug",
+            trigger=AlwaysTrigger(),
+            effect=PredicateFoldBugEffect(),
+        )
+        report = run_hunt(30, seed=7, faults={"PG": [fault]})
+        assert report.findings
+        tlp = [finding for finding in report.findings if finding.oracle == "tlp"]
+        assert [finding.product for finding in tlp] == ["PG"]
+        assert all("PG" in finding.product.split("/") for finding in report.findings)
 
 
 # -- storage unique indexes ------------------------------------------------

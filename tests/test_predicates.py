@@ -23,8 +23,11 @@ from repro.analysis.predicates import (
 )
 from repro.analysis.schema import ScriptSchema
 from repro.errors import NumericOverflow, SqlError
+from repro import hunt
+from repro.hunt import run_hunt
 from repro.servers import make_server
 from repro.sqlengine import Engine
+from repro.sqlengine.engine import ParsedStatement
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.expressions import ColumnBinding
 from repro.sqlengine.parser import parse_statement
@@ -378,13 +381,56 @@ def _rows(product, sql):
     return [tuple(row) for row in product.engine.execute(sql).rows]
 
 
+class TestTlpStatementsEqualTheirParse:
+    """The base and partitions :func:`tlp_partition` builds from the tree
+    it holds are what parsing their text gives, so the hunt may run them
+    (and share their plans) without a parse."""
+
+    @staticmethod
+    def _assert_built_equal_parsed(triple) -> int:
+        built = (triple.base, *triple.partitions)
+        for statement in built:
+            assert statement == ParsedStatement.parse(statement.sql), statement.sql
+        return len(built)
+
+    def test_hunt_campaigns(self, monkeypatch):
+        checked = 0
+
+        def partition(stmt, schema, _partition=tlp_partition):
+            nonlocal checked
+            triple = _partition(stmt, schema)
+            if triple is not None:
+                checked += self._assert_built_equal_parsed(triple)
+            return triple
+
+        monkeypatch.setattr(hunt, "tlp_partition", partition)
+        for seed in range(1, 6):
+            run_hunt(60, seed=seed, products=["IB"])
+        assert checked > 1000
+
+    def test_corpus_selects(self, corpus):
+        checked = 0
+        for report in corpus:
+            schema = ScriptSchema()
+            for sql in split_statements(report.script):
+                try:
+                    stmt = parse_statement(sql)
+                except SqlError:
+                    break
+                triple = tlp_partition(stmt, schema)
+                schema.observe(stmt)
+                if triple is not None:
+                    checked += self._assert_built_equal_parsed(triple)
+        assert checked > 0
+
+
 class TestTlpGating:
     def test_plain_select_partitions(self):
         stmt = parse_statement("SELECT id FROM hunt WHERE a > 0")
         triple = tlp_partition(stmt, SCHEMA)
         assert triple is not None
         assert len(triple.partitions) == 3
-        assert "IS NULL" in triple.partitions[2]
+        assert "IS NULL" in triple.partitions[2].sql
 
     def test_no_where_does_not_partition(self):
         assert tlp_partition(parse_statement("SELECT id FROM hunt"), SCHEMA) is None
@@ -405,8 +451,8 @@ class TestTlpGating:
         stmt = parse_statement("SELECT id FROM hunt WHERE a > 0 ORDER BY id")
         triple = tlp_partition(stmt, SCHEMA)
         assert triple is not None
-        assert "ORDER BY" not in triple.base
-        assert all("ORDER BY" not in sql for sql in triple.partitions)
+        assert "ORDER BY" not in triple.base.sql
+        assert all("ORDER BY" not in partition.sql for partition in triple.partitions)
 
 
 class TestRewriteCertificates:
