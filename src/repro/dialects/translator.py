@@ -12,8 +12,8 @@
    (:func:`repro.sqlengine.lexer.render_tokens`).
 
 Steps 2 and 3 are :func:`translate_tokens`, which the middleware's
-pipeline, the durability WAL (for a bound prepared write) and the study
-(for a bug script) call on the one scan they already hold.
+pipeline and the study (for a bug script) call on the one scan they
+already hold.
 The rewrite works on the token stream, so comments vanish and spacing
 normalises, but string literals and quoted identifiers survive exactly.
 """

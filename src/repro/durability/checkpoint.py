@@ -9,6 +9,11 @@ stores (NULL, booleans, integers, floats, strings, ``Decimal``,
 ``date``, ``datetime``).  Alongside them it records the WAL watermark:
 the LSN from which redo must resume.
 
+The C JSON encoder writes the payload: it spells NULL, booleans,
+integers, floats and strings itself and calls back
+(:func:`repro.records.json_default`) only for the values that travel in
+the scalar envelope.
+
 A checkpoint blob is one :mod:`repro.records` record around a JSON
 payload, read with the WAL's distrust: a checkpoint that fails its
 checksum or fails to apply is skipped and recovery falls back to the
@@ -29,7 +34,8 @@ class CheckpointInvalid(Exception):
 
 
 def pack_checkpoint(payload: dict) -> bytes:
-    return records.pack(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+    text = json.dumps(payload, ensure_ascii=False, default=records.json_default)
+    return records.pack(text.encode("utf-8"))
 
 
 def unpack_checkpoint(data: bytes) -> dict:
@@ -50,14 +56,18 @@ def unpack_checkpoint(data: bytes) -> dict:
 def build_checkpoint(
     engine: Any, *, lsn: int, ddl: list[str], taken_at: float = 0.0
 ) -> dict:
-    """The logical snapshot payload of one engine at WAL position ``lsn``."""
+    """The logical snapshot payload of one engine at WAL position ``lsn``.
+
+    Each table's rows are :meth:`TableData.snapshot` tuples, one copy
+    per row: the payload shares no list with the live heap, and its
+    values are encoded only by :func:`pack_checkpoint`."""
     tables = []
     for data in engine.storage.tables():
         tables.append(
             {
                 "name": data.name,
                 "columns": data.column_count,
-                "rows": [records.encode_row(row) for row in data.snapshot()],
+                "rows": data.snapshot(),
             }
         )
     return {

@@ -15,14 +15,13 @@ twice:
   the InterBase replica damages only the InterBase log: fault
   *diversity* extends to the disks.
 
-A literal write's records are the texts its replicas ran: the
-pipeline's translations, or, for a statement the middleware lifted to
-a prepared shape, its literals spliced into the shape's translations.
-A bound prepared write is scanned once;
-every replica's record is rendered from that one token list by
-:func:`repro.dialects.translator.translate_tokens`, the gate, rewrite
-and render steps of ``translate_script``.  A replica
-whose translation refuses a statement
+Every replica's record is spliced, not re-rendered: the translated
+template of the prepared handle that replica ran, with the call's
+parameter texts (a lifted statement's literals, or a bound call's
+values as the renderer spells them) in place of its placeholders.
+That is byte for byte the translation of the bound text, which
+supervisor replay runs, and no write is scanned again to log it.  A
+replica whose translation refuses a statement
 (:class:`~repro.errors.FeatureNotSupported`) gets no record — it never
 applied the write in service either, and redo would refuse it again.
 
@@ -43,7 +42,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.reachability import StaticContext
 from repro.analysis.verdicts import DDL_KINDS
-from repro.dialects.translator import translate_tokens
 from repro.durability.checkpoint import CheckpointStore, build_checkpoint
 from repro.durability.medium import StorageMedium
 from repro.durability.recovery import (
@@ -62,7 +60,6 @@ from repro.faults.effects import (
 from repro.middleware.supervisor import ReplicaState
 from repro.sqlengine.analysis import StatementTraits
 from repro.sqlengine.engine import executable_text
-from repro.sqlengine.lexer import tokenize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.spec import FaultSpec
@@ -197,27 +194,18 @@ class DurabilityManager:
     def log_write(self, call: "StatementCall", traits: StatementTraits) -> None:
         """Append one committed write to the shared and replica WALs.
 
-        A write that binds no values of its own (a lifted literal
-        statement, or a statement run on the handle of its own text)
-        records the texts its replicas ran
-        (:meth:`DiverseServer.literal_text`), resolved by the service
-        call.  A bound call's text was never translated, so it is
-        scanned once here and rendered for every replica from that
-        scan, and nothing is cached for it: splicing a rendered value
-        into the translated template is not that rendering (``-5``
-        beside the ``- 5`` replay runs)."""
+        Each replica's record is the literal statement its call stands
+        for (:meth:`DiverseServer.literal_text`): the translated
+        template of the handle it ran, with the call's parameter texts
+        spliced in.  A bound value is spelled as the renderer spells
+        it (``-5`` as ``- 5``), so the record is the translation of the
+        bound text that supervisor replay and restart redo run; nothing
+        is scanned here."""
         server = self._server
-        bound_sql = call.bound_sql
-        self._shared.append(bound_sql, server.pipeline.generation)
-        bound = call.params and call.lift is None
-        tokens = tokenize(bound_sql) if bound else None
+        self._shared.append(call.bound_sql, server.pipeline.generation)
         for replica in server.replicas:
-            product = replica.product
             try:
-                if tokens is None:
-                    translated = server.literal_text(call, product)
-                else:
-                    translated, _ = translate_tokens(tokens, traits, product.descriptor)
+                translated = server.literal_text(call, replica.product)
             except FeatureNotSupported:
                 continue
             store = self._stores[replica.key]

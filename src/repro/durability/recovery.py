@@ -181,7 +181,7 @@ def engine_state_signature(engine: Any) -> str:
     tables = {}
     for data in engine.storage.tables():
         rows = sorted(
-            json.dumps(records.encode_row(row), sort_keys=True)
+            json.dumps(row, sort_keys=True, default=records.json_default)
             for row in data.snapshot()
         )
         tables[data.name.lower()] = rows

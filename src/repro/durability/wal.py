@@ -6,6 +6,9 @@ monotonically increasing log sequence number, the replica catalog's
 ``generation`` counter observed when the statement committed (a cheap
 cross-check that redo reproduces the same schema history), and the
 committed write statement in the replica's own dialect.
+:func:`encode_record` spells that JSON object with a format string
+around the C encoder's string escape: the bytes ``json.dumps`` of the
+dict writes, without the dict.
 
 The scan (:meth:`WriteAheadLog.scan`) is the recovery contract: read
 records in order and stop at the *first* invalid one — a torn header,
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Callable, Optional
 
 from repro import records
@@ -64,8 +68,11 @@ class WalScan:
 
 
 def encode_record(lsn: int, generation: int, sql: str) -> bytes:
-    payload = json.dumps(
-        {"lsn": lsn, "gen": generation, "sql": sql}, ensure_ascii=False
+    """One WAL record: the bytes ``json.dumps({"lsn": lsn, "gen":
+    generation, "sql": sql}, ensure_ascii=False)`` writes, spelled
+    without building the dict."""
+    payload = '{"lsn": %d, "gen": %d, "sql": %s}' % (
+        lsn, generation, encode_basestring(sql)
     )
     return records.pack(payload.encode("utf-8"))
 

@@ -42,6 +42,11 @@ class FaultInjector:
         stress_mode: bool = False,
     ) -> None:
         self._faults: dict[str, FaultSpec] = {}
+        #: The installed faults by ``effect.phase``, and the behaviour-
+        #: flag faults by flag name, each in installation order: a hook
+        #: walks only the faults that can answer it.
+        self._by_phase: dict[str, list[FaultSpec]] = {}
+        self._by_flag: dict[str, list[FaultSpec]] = {}
         self._rng = random.Random(seed)
         self.stress_mode = stress_mode
         self.activations: list[FaultActivation] = []
@@ -55,9 +60,19 @@ class FaultInjector:
         if fault.fault_id in self._faults:
             raise ValueError(f"duplicate fault id {fault.fault_id!r}")
         self._faults[fault.fault_id] = fault
+        effect = fault.effect
+        self._by_phase.setdefault(effect.phase, []).append(fault)
+        if isinstance(effect, BehaviourFlagEffect):
+            self._by_flag.setdefault(effect.flag, []).append(fault)
 
     def remove(self, fault_id: str) -> None:
-        self._faults.pop(fault_id, None)
+        fault = self._faults.pop(fault_id, None)
+        if fault is None:
+            return
+        effect = fault.effect
+        self._by_phase[effect.phase].remove(fault)
+        if isinstance(effect, BehaviourFlagEffect):
+            self._by_flag[effect.flag].remove(fault)
 
     def get(self, fault_id: str) -> FaultSpec:
         return self._faults[fault_id]
@@ -78,10 +93,7 @@ class FaultInjector:
         flag faults can be scoped (e.g. only for statements touching a
         bug script's tables).
         """
-        for fault in self._faults.values():
-            effect = fault.effect
-            if not isinstance(effect, BehaviourFlagEffect) or effect.flag != name:
-                continue
+        for fault in self._by_flag.get(name, ()):
             if ctx is not None and not fault.trigger.matches(ctx):
                 continue
             if not self._activates(fault):
@@ -148,9 +160,7 @@ class FaultInjector:
     # -- internals ------------------------------------------------------------
 
     def _active_faults(self, ctx, phase: str):
-        for fault in self._faults.values():
-            if fault.effect.phase != phase:
-                continue
+        for fault in self._by_phase.get(phase, ()):
             if not fault.trigger.matches(ctx):
                 continue
             if not self._activates(fault):

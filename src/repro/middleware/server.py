@@ -126,6 +126,7 @@ from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.params import (
     Lifted,
     misreads_literals,
+    param_text,
     render_param,
     splice_texts,
 )
@@ -324,6 +325,17 @@ class StatementCall:
     params: tuple = ()
     lift: Optional[Lifted] = None
     targets: dict[ServerProduct, EnginePrepared] = field(default_factory=dict)
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        """The literal spelling of each parameter, in placeholder order,
+        as a replica's rendering spells it: a lifted call's literals, a
+        bound call's values (:func:`~repro.sqlengine.params.param_text`),
+        none for a handle of the statement's own text.  Computed on the
+        first :meth:`DiverseServer.literal_text` of the call."""
+        if self.lift is not None:
+            return self.lift.texts
+        return tuple(map(param_text, self.params))
 
 
 #: Upper bound on memoized PreparedStatement handles per server.
@@ -1023,16 +1035,15 @@ class DiverseServer:
         return targets[product].execute(call.params, self.literal_text(call, product))
 
     def literal_text(self, call: StatementCall, product: ServerProduct) -> str:
-        """The literal statement ``product`` runs for a ``call`` that
-        binds no values of its own, in its dialect: the translation of
-        the handle's text, with a lifted call's literals spliced in —
-        the translation of the literal statement, as renames touch
-        identifiers only.  Raises :class:`FeatureNotSupported` when the
+        """The literal statement ``call`` is on ``product``, in its
+        dialect: the translation of the handle's text with the call's
+        :attr:`~StatementCall.texts` spliced in.  That is the
+        translation of the literal statement, as renames touch
+        identifiers only and each text is what the renderer writes for
+        its value.  Raises :class:`FeatureNotSupported` when the
         dialect refuses the statement."""
         target = call.targets.get(product) or self._resolve(call, product)
-        if call.lift is None:
-            return target.sql
-        return splice_texts(target.sql, target.positions, call.lift.texts)
+        return splice_texts(target.sql, target.positions, call.texts)
 
     def _ask(self, replica: Replica, call: StatementCall) -> ReplicaAnswer:
         replica.stats.statements += 1

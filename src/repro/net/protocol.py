@@ -51,7 +51,7 @@ class FrameCorrupt(ProtocolViolation):
 
 def encode_frame(message: dict) -> bytes:
     """Serialise one message into its framed wire representation."""
-    payload = json.dumps(message, separators=(",", ":"), default=_json_default)
+    payload = json.dumps(message, separators=(",", ":"), default=records.json_default)
     return records.pack(payload.encode("utf-8"))
 
 
@@ -108,13 +108,6 @@ class FrameStream:
 
 
 # -- value codec -------------------------------------------------------------
-
-def _json_default(value: Any) -> Any:
-    encoded = records.encode_value(value)
-    if encoded is value:
-        raise TypeError(f"unserialisable value of type {type(value).__name__}")
-    return encoded
-
 
 def decode_row(row: Any) -> list:
     """One row (or parameter list) of wire scalars; a malformed

@@ -112,6 +112,16 @@ def encode_value(value: Any) -> Any:
     return value
 
 
+def json_default(value: Any) -> Any:
+    """The ``default`` hook of ``json.dumps`` for SQL values, on the
+    wire and on disk: the envelope of a value JSON cannot carry, and
+    the encoder's ``TypeError`` for anything that is not a SQL scalar."""
+    encoded = encode_value(value)
+    if encoded is value:
+        raise TypeError(f"unserialisable value of type {type(value).__name__}")
+    return encoded
+
+
 def decode_value(value: Any) -> Any:
     """Undo :func:`encode_value`; raises :class:`ScalarInvalid`."""
     if not isinstance(value, dict):
@@ -126,10 +136,6 @@ def decode_value(value: Any) -> Any:
         return decoder(text)
     except (InvalidOperation, ValueError, TypeError):
         raise ScalarInvalid(f"undecodable {tag} value {text!r}") from None
-
-
-def encode_row(row: Any) -> list:
-    return [encode_value(value) for value in row]
 
 
 def decode_row(row: Any) -> list:

@@ -83,9 +83,10 @@ class ServerProduct:
 
     def prepare(self, sql: Executable) -> EnginePrepared:
         """Parse one statement (``?`` placeholders allowed) once; the
-        returned handle executes it with bound parameters.  Dialect
-        validation and fault injection run per execution, exactly as
-        for :meth:`execute` of the equivalent literal statement."""
+        returned handle executes it with bound parameters.  Fault
+        injection runs per execution, exactly as for :meth:`execute` of
+        the equivalent literal statement; the dialect gate, whose answer
+        reads only the statement's traits, is decided once per handle."""
         return self.engine.prepare(sql)
 
     # -- lifecycle -------------------------------------------------------------

@@ -297,9 +297,10 @@ class Engine:
         sql: str,
         params: tuple = (),
         traits: Optional[StatementTraits] = None,
+        admitted: bool = False,
     ) -> Result:
         ctx = ExecutionContext(self, sql, stmt, params=params, traits=traits)
-        if self.statement_validator is not None:
+        if not admitted and self.statement_validator is not None:
             self.statement_validator(stmt, ctx.traits)
         try:
             self.injector.before_statement(ctx)
@@ -788,6 +789,25 @@ class EnginePrepared:
         placeholders."""
         return self.traits.literal()
 
+    @cached_property
+    def _admitted(self) -> bool:
+        """The engine's dialect gate on :attr:`traits`, run on the first
+        execution only: its answer reads the traits and the dialect.  A
+        refusal raises and is not kept, so every execution of a refused
+        handle raises it afresh."""
+        return self._admit(self.traits)
+
+    @cached_property
+    def _literal_admitted(self) -> bool:
+        """:attr:`_admitted` for :attr:`literal_traits`."""
+        return self._admit(self.literal_traits)
+
+    def _admit(self, traits: StatementTraits) -> bool:
+        validator = self._engine.statement_validator
+        if validator is not None:
+            validator(self.statement, traits)
+        return True
+
     def execute(self, params: tuple = (), literal: Optional[str] = None) -> Result:
         """Execute with positional values for the ``?`` placeholders.
 
@@ -807,10 +827,10 @@ class EnginePrepared:
             raise SqlError(f"cannot bind a NaN or infinite parameter value in {bound!r}")
         if literal is None:
             return self._engine._execute_statement(
-                self.statement, self.sql, params=bound, traits=self.traits
+                self.statement, self.sql, bound, self.traits, self._admitted
             )
         return self._engine._execute_statement(
-            self.statement, literal, params=bound, traits=self.literal_traits
+            self.statement, literal, bound, self.literal_traits, self._literal_admitted
         )
 
     def executemany(self, rows) -> list[Result]:

@@ -5,7 +5,9 @@ The prepared-statement pipeline binds parameters at evaluation time
 still need *literal* SQL text for a bound statement, and the one move
 that turns literal text into a bound statement:
 
-* the middleware's write log (recovery replays plain text);
+* the middleware's write log and the replicas' WALs (recovery replays
+  plain text; :func:`param_text` is a value as a replica's record
+  spells it);
 * equivalence checks — ``prepare(sql).execute(params)`` must match
   executing ``substitute_params(sql, params)``;
 * the TPC-C generator, which derives its literal statement text from
@@ -51,6 +53,16 @@ def render_param(value: Any) -> str:
     if isinstance(value, (int, float, Decimal)) and is_finite(value):
         return repr(value) if isinstance(value, float) else str(value)
     raise SqlError(f"cannot bind parameter value {value!r}")
+
+
+def param_text(value: Any) -> str:
+    """:func:`render_param` as the renderer spells it: the text
+    ``render_tokens(tokenize(render_param(value)))`` gives, built
+    without a scan.  A leading minus is an operator token of its own,
+    so ``-5`` is written ``- 5``; every other rendering is one token
+    (an exponent's sign belongs to its number)."""
+    text = render_param(value)
+    return "- " + text[1:] if text[0] == "-" else text
 
 
 def placeholder_positions(sql: str) -> list[int]:

@@ -36,16 +36,20 @@ class Storm:
         """Build the system under storm; one endpoint per terminal."""
         raise NotImplementedError
 
-    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> None:
-        """Print the storm's layer-specific telemetry."""
+    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> bool:
+        """Print the storm's layer-specific telemetry; False when the
+        storm's closing consistency check failed."""
         raise NotImplementedError
 
-    def aftermath(self, count: int) -> None:
-        """Optional post-workload phases (restart, rebuild...)."""
+    def aftermath(self, count: int) -> bool:
+        """Optional post-workload phases (restart, rebuild...); False
+        when one of their closing checks failed."""
+        return True
 
 
 def run_storm(storm: Storm, count: int) -> int:
-    """The shared storm driver: build, load, report, aftermath."""
+    """The shared storm driver: build, load, report, aftermath.  The
+    exit status is 1 when a closing check of the storm failed."""
     endpoints = storm.endpoints()
     runners = [
         WorkloadRunner(endpoint, seed=storm.seed + index, **storm.runner_kwargs)  # type: ignore[arg-type]
@@ -56,9 +60,9 @@ def run_storm(storm: Storm, count: int) -> int:
         metrics = runners[0].run(count)
     else:
         metrics = run_interleaved(runners, count, granularity=storm.granularity)
-    storm.report(metrics, runners)
-    storm.aftermath(count)
-    return 0
+    reported = storm.report(metrics, runners)
+    settled = storm.aftermath(count)
+    return 0 if reported and settled else 1
 
 
 class CrashStorm(Storm):
@@ -98,7 +102,7 @@ class CrashStorm(Storm):
         )
         return [self.server]
 
-    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> None:
+    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> bool:
         stats = self.server.stats
         ib = self.server.replica("IB")
         print(f"3v majority under crash storm: {metrics.transactions} transactions, "
@@ -117,6 +121,7 @@ class CrashStorm(Storm):
               f"quorum losses={stats.quorum_losses}")
         print(f"IB final state: {ib.state.value} "
               f"(quarantined {ib.health.quarantines} time(s))")
+        return True
 
 
 class HangStorm(Storm):
@@ -164,7 +169,7 @@ class HangStorm(Storm):
         )
         return [self.server]
 
-    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> None:
+    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> bool:
         stats = self.server.stats
         ib = self.server.replica("IB")
         hangs = sum(1 for entry in self.server.timeout_audit if entry.kind == "hang")
@@ -184,6 +189,7 @@ class HangStorm(Storm):
               f"retirements={stats.retirements}")
         print(f"IB final state: {ib.state.value} "
               f"(timed out {ib.stats.timeouts} time(s))")
+        return True
 
 
 class DiskStorm(Storm):
@@ -258,7 +264,7 @@ class DiskStorm(Storm):
         self.server = self._build(self.disk)
         return [self.server]
 
-    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> None:
+    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> bool:
         stats = self.server.stats
         print(f"phase 1 -- durable 3v majority under disk storm: "
               f"{metrics.transactions} transactions, "
@@ -267,8 +273,9 @@ class DiskStorm(Storm):
         print(f"WAL records={stats.wal_records} torn={stats.wal_torn_writes} "
               f"lost={stats.wal_lost_flushes} corrupt={stats.wal_corruptions} "
               f"durable checkpoints={stats.durable_checkpoints}")
+        return True
 
-    def aftermath(self, count: int) -> None:
+    def aftermath(self, count: int) -> bool:
         restarted = self._build(self.disk.clone())
         recovery = restarted.durability.recover_server()
         print(f"phase 2 -- power cut + restart: write log restored "
@@ -299,8 +306,10 @@ class DiskStorm(Storm):
               f"delta replayed={stats2.rebuild_replayed_statements}")
         print(f"IB final state: {ib.state.value} "
               f"(last rebuild took {ib.health.last_rebuild_duration} tick(s))")
+        consistency = restarted.verify_consistency()
         print(f"consistency after rebuild: "
-              f"{restarted.verify_consistency() or 'all replicas agree'}")
+              f"{consistency or 'all replicas agree'}")
+        return not disagreements and not consistency
 
 
 class NetStorm(Storm):
@@ -410,7 +419,7 @@ class NetStorm(Storm):
         ]
         return list(self.supervisors)
 
-    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> None:
+    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> bool:
         from repro.reliability import NetworkPolicyModel
 
         net = self.net_server.stats
@@ -453,6 +462,7 @@ class NetStorm(Storm):
                   f"{model.request_success_probability():.6f}, "
                   f"expected retry delay "
                   f"{model.expected_retry_delay():.1f} ticks")
+        return not disagreements
 
 
 class RaceStorm(Storm):
@@ -574,7 +584,7 @@ class RaceStorm(Storm):
         ]
         return list(self.supervisors)
 
-    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> None:
+    def report(self, metrics: WorkloadMetrics, runners: List[WorkloadRunner]) -> bool:
         net = self.net_server.stats
         stats = self.server.stats
         ib = self.server.replica("IB")
@@ -600,6 +610,7 @@ class RaceStorm(Storm):
         disagreements = self.server.verify_consistency()
         print(f"replica consistency after storm: "
               f"{disagreements or 'all replicas agree'}")
+        return not disagreements
 
 
 #: The dispatch registry: command name -> storm class.

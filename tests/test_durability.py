@@ -21,10 +21,12 @@ from repro.durability import (
 )
 from repro.faults import (
     ChecksumCorruptionEffect,
+    CrashEffect,
     Detectability,
     FailureKind,
     FaultSpec,
     LostFlushEffect,
+    RecoveryTrigger,
     SqlPatternTrigger,
     TornWriteEffect,
 )
@@ -471,8 +473,10 @@ class TestDurabilityManager:
 
     def test_bound_write_logs_the_text_replay_runs(self):
         # Supervisor replay runs the translation of the bound text, where
-        # ``-5`` renders as ``- 5``: splicing the rendered values into the
-        # translated template would log text that replay never runs.
+        # ``-5`` renders as ``- 5``: a record spliced from ``render_param``
+        # values would log text that replay never runs.  Lifted literal
+        # writes (and a ``-7`` that runs on its own text's handle) log
+        # the translation of the text as sent.
         server = DiverseServer(
             [make_server(key) for key in ("IB", "PG", "OR", "MS")],
             config=ServerConfig(durability=DurabilityManager(MemoryMedium())),
@@ -484,19 +488,52 @@ class TestDurabilityManager:
         insert = server.prepare("INSERT INTO t VALUES (?, ?, ?, ?, ?)")
         update = server.prepare("UPDATE t SET n = ?, f = ? WHERE id = ?")
         calls = [
-            (insert, (1, -5, -2.5, Decimal("-3.25"), "it's")),
-            (insert, (2, 7, 1.5e-7, Decimal("12.50"), 'say "hi"')),
-            (insert, (3, -1, 6.02e23, Decimal("0.01"), "")),
-            (update, (-40, -1e-300, 2)),
+            (insert.execute, (1, -5, -2.5, Decimal("-3.25"), "it's")),
+            (insert.execute, (2, 7, 1.5e-7, Decimal("12.50"), 'say "hi"')),
+            (insert.execute, (3, -1, 6.02e23, Decimal("0.01"), "")),
+            (update.execute, (-40, -1e-300, 2)),
+            (server.execute, "INSERT INTO t VALUES (4, 5, 2.5E-7, 3.25, 'it''s')"),
+            (server.execute, "INSERT  INTO t(id, s) VALUES (5,'--x')"),
+            (server.execute, "UPDATE t SET f = 1e3, s = 'y' WHERE id = 4"),
+            (server.execute, "UPDATE t SET n = -7 WHERE id = 5"),
+            (server.execute, "DELETE FROM t WHERE id = 3"),
         ]
-        for handle, params in calls:
-            handle.execute(params)
+        for run, argument in calls:
+            run(argument)
             bound_sql = server.write_log[-1]
             for replica in server.replicas:
                 logged = server.durability.store(replica.key).wal.scan().records[-1].sql
                 replayed = server.pipeline.translation(bound_sql, replica.product.descriptor)
                 assert logged == executable_text(replayed), (replica.key, bound_sql)
+        # The literal INSERT ran on its shape, the ``-7`` on its own text.
+        assert calls[4][1] not in server._prepared
+        assert calls[7][1] in server._prepared
         assert server.stats.wal_records == 4 * (1 + len(calls))
+
+    def test_bound_write_reaches_a_quarantined_replica_wal(self):
+        # IB crashes replaying the CREATE, so it stays quarantined while
+        # the bound write commits: it never ran the call, and its record
+        # is still the translation of the bound text.
+        relapse = FaultSpec(
+            "F-RELAPSE",
+            "crashes replaying the schema",
+            RecoveryTrigger() & SqlPatternTrigger(r"CREATE"),
+            CrashEffect("recovery deadlock"),
+        )
+        server = durable_server(MemoryMedium(), ib_faults=[relapse], interval=None)
+        server.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT, d DECIMAL(8, 2))")
+        ib = server.replica("IB")
+        server.supervisor.quarantine(ib)
+        insert = server.prepare("INSERT INTO t VALUES (?, ?, ?)")
+        insert.execute((1, -5, Decimal("-0.50")))
+        assert ib.state is not ReplicaState.ACTIVE
+        bound_sql = server.write_log[-1]
+        assert bound_sql == "INSERT INTO t VALUES (1, -5, -0.50)"
+        for replica in server.replicas:
+            (_, record) = server.durability.store(replica.key).wal.scan().records
+            assert record.sql == translate_script(bound_sql, replica.key)
+            assert record.sql == "INSERT INTO t VALUES (1, - 5, - 0.50)"
+        assert server.stats.wal_records == 3 * 2
 
     def test_quarantined_replica_wal_stays_current(self):
         medium = MemoryMedium()
@@ -586,6 +623,15 @@ class TestDiskstormCli:
         out = capsys.readouterr().out
         assert "phase 2 -- power cut + restart" in out
         assert "IB final state: active" in out
+
+    def test_an_inconsistent_ending_exits_1(self, capsys, monkeypatch):
+        from repro.__main__ import main
+
+        monkeypatch.setattr(
+            DiverseServer, "verify_consistency", lambda self: {"stock": ["IB"]}
+        )
+        assert main(["diskstorm", "6"]) == 1
+        assert "consistency after rebuild: {'stock': ['IB']}" in capsys.readouterr().out
 
 
 def test_durability_counters_present():

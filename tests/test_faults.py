@@ -200,6 +200,29 @@ class TestInjector:
         result = engine.execute("SELECT id FROM victim")
         assert len(result.rows) == 2 and result.virtual_cost >= 200
 
+    def test_hooks_fire_in_installation_order(self):
+        # The injector indexes its faults by hook; each hook still walks
+        # its faults in the order they were installed, re-adds last.
+        engine = make_engine(
+            fault(RowDropEffect(keep_one_in=2), fault_id="F-A"),
+            fault(BehaviourFlagEffect("mod_precision"), fault_id="F-FLAG"),
+            fault(PerformanceEffect(5), fault_id="F-B"),
+            fault(BehaviourFlagEffect("mod_precision"), fault_id="F-FLAG2"),
+            fault(PerformanceEffect(7), fault_id="F-C"),
+        )
+        injector = engine.injector
+        injector.remove("F-A")
+        injector.add(fault(RowDropEffect(keep_one_in=2), fault_id="F-A"))
+        injector.reset_history()
+        engine.execute("SELECT id FROM victim")
+        assert injector.flag("mod_precision")
+        assert [(a.fault_id, a.phase) for a in injector.activations] == [
+            ("F-B", "after"), ("F-C", "after"), ("F-A", "after"), ("F-FLAG", "flag"),
+        ]
+        injector.remove("F-FLAG")
+        assert injector.flag("mod_precision")
+        assert injector.activations[-1].fault_id == "F-FLAG2"
+
 
 class TestHeisenbugs:
     def test_never_fires_in_normal_mode(self):

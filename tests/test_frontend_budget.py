@@ -130,15 +130,21 @@ def test_repeated_literal_statement_uses_no_front_end(front_end):
     assert (front_end.scans, front_end.parses) == (0, 0)
 
 
-def test_warm_prepared_durable_write_is_scanned_once_and_not_parsed(front_end):
+def test_warm_prepared_durable_write_is_neither_scanned_nor_parsed(front_end):
     server = four_version(durability=DurabilityManager(MemoryMedium()))
     insert = server.prepare("INSERT INTO t VALUES (?, ?)")
     insert.execute((2, "y"))
     front_end.reset()
-    insert.execute((3, "it's"))
-    # The one scan renders every replica's WAL record from the bound text.
-    assert (front_end.scans, front_end.parses) == (1, 0)
+    insert.execute((-3, "it's"))
+    # Every replica's WAL record is spliced from the translated template
+    # its handle holds; nothing scans the bound text.
+    assert (front_end.scans, front_end.parses) == (0, 0)
     assert server.stats.wal_records == 4 * 4
+    bound_sql = server.write_log[-1]
+    tokens, traits = lexer.tokenize(bound_sql), parse_once(bound_sql).traits
+    for replica in server.replicas:
+        logged = server.durability.store(replica.key).wal.scan().records[-1].sql
+        assert logged == translate_tokens(tokens, traits, replica.product.descriptor)[0]
 
 
 def test_literal_durable_write_logs_the_translations_it_ran(front_end):

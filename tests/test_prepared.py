@@ -20,12 +20,15 @@ from hypothesis import strategies as st
 
 from repro.analysis import OrderVerdict
 from repro.bugs import build_corpus
-from repro.errors import MiddlewareError, ReproError, SqlError
+from repro.dialects.features import DialectDescriptor
+from repro.errors import FeatureNotSupported, MiddlewareError, ReproError, SqlError
 from repro.faults import FaultSpec, RelationTrigger, RowDropEffect
 from repro.middleware import DiverseServer, PreparedStatement, ServerConfig
 from repro.servers import make_server
 from repro.sqlengine import Engine
+from repro.sqlengine.lexer import render_tokens, tokenize
 from repro.sqlengine.params import (
+    param_text,
     placeholder_positions,
     render_param,
     substitute_params,
@@ -71,6 +74,39 @@ class TestParamSubstitution:
     def test_render_param_rejects_unknown_types(self):
         with pytest.raises(SqlError):
             render_param(object())
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.integers(min_value=10**30).flatmap(lambda n: st.sampled_from([n, -n])),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True,
+                      max_value=1e-300, min_value=-1e-300),
+            st.decimals(allow_nan=False, allow_infinity=False),
+            st.sampled_from([
+                -0.0, 5e-324, -2.5e-310, 1.5e-07, -6.02e23, 1e16,
+                Decimal("-0"), Decimal("1E+2"), Decimal("-3.25"), Decimal("1E-7"),
+                Decimal("-1.5E+3"), Decimal("0E-7"), -(2**63), 10**100,
+                "it's", "--", "-5", "line\nbreak", "snowman \u2603", "''",
+            ]),
+            st.text(),
+        )
+    )
+    def test_param_text_is_the_rendering_of_the_rendered_value(self, value):
+        # A replica's WAL record splices this text into its translated
+        # template; replay runs the rendering of the whole bound text.
+        assert param_text(value) == render_tokens(tokenize(render_param(value)))
+
+    def test_param_text_spaces_a_leading_minus_only(self):
+        assert param_text(-5) == "- 5"
+        assert param_text(Decimal("-0")) == "- 0"
+        assert param_text(1.5e-07) == "1.5e-07"
+        assert param_text(Decimal("1E+2")) == "1E+2"
+        assert param_text("-5") == "'-5'"
+        assert [param_text(v) for v in (None, True, False)] == ["NULL", "TRUE", "FALSE"]
 
     def test_count_placeholders(self):
         assert len(placeholder_positions("SELECT 1")) == 0
@@ -149,6 +185,38 @@ class TestEnginePrepared:
         server.prepare(ACCOUNTS_INSERT).executemany(ACCOUNT_ROWS)
         result = server.prepare("SELECT COUNT(*) FROM accounts").execute(())
         assert result.rows == [(3,)]
+
+    CASE_QUERY = "SELECT CASE WHEN id = ? THEN 1 ELSE 0 END FROM accounts"
+
+    def test_the_dialect_gate_is_decided_once_per_handle(self, monkeypatch):
+        asked = []
+        missing_tags = DialectDescriptor.missing_tags
+        monkeypatch.setattr(
+            DialectDescriptor,
+            "missing_tags",
+            lambda descriptor, traits: asked.append(descriptor.key)
+            or missing_tags(descriptor, traits),
+        )
+        server = make_server("PG")
+        server.execute(ACCOUNTS_DDL)
+        query = server.prepare(self.CASE_QUERY)
+        asked.clear()
+        for value in (1, 2, 3):
+            query.execute((value,))
+            query.execute((value,), self.CASE_QUERY.replace("?", str(value)))
+        # Once for the handle's traits, once for its literal traits.
+        assert asked == ["PG", "PG"]
+
+    def test_a_refused_handle_refuses_every_execution(self):
+        # Interbase 6 has no CASE: the refusal is not kept, so every
+        # execution raises the gate's error afresh, literal or bound.
+        server = make_server("IB")
+        server.execute(ACCOUNTS_DDL)
+        query = server.prepare(self.CASE_QUERY)
+        for literal in (None, self.CASE_QUERY.replace("?", "1")) * 2:
+            with pytest.raises(FeatureNotSupported) as refusal:
+                query.execute((1,), literal)
+            assert (refusal.value.feature, refusal.value.server) == ("clause.case", "IB")
 
 
 # -- ServerConfig construction surface ------------------------------------

@@ -8,6 +8,7 @@ falls back).  The matrix pins every user × every kind of damage.
 """
 
 import datetime
+import json
 from decimal import Decimal
 
 import pytest
@@ -177,10 +178,91 @@ def test_malformed_envelope_is_one_error_mapped_per_user(envelope):
 
 
 def test_envelope_spelling_is_the_on_disk_one():
-    assert records.encode_row(
-        [Decimal("1.50"), datetime.date(2004, 6, 28), datetime.datetime(2004, 6, 28, 12, 30)]
-    ) == [
+    row = (Decimal("1.50"), datetime.date(2004, 6, 28), datetime.datetime(2004, 6, 28, 12, 30))
+    envelopes = [
         {"$": "decimal", "v": "1.50"},
         {"$": "date", "v": "2004-06-28"},
         {"$": "datetime", "v": "2004-06-28T12:30:00"},
     ]
+    assert [records.encode_value(value) for value in row] == envelopes
+    # The checkpoint writer's hook puts exactly these envelopes on disk.
+    assert json.dumps(row, default=records.json_default) == json.dumps(envelopes)
+
+
+# -- the durable writers: the bytes of the dict-and-dumps spelling ------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=0, max_value=2**31),
+    st.text(),
+)
+def test_wal_record_is_the_dict_spelling(lsn, generation, sql):
+    spelled = json.dumps({"lsn": lsn, "gen": generation, "sql": sql}, ensure_ascii=False)
+    assert encode_record(lsn, generation, sql) == records.pack(spelled.encode("utf-8"))
+
+
+def row_encoded_checkpoint(engine, lsn: int, ddl: list, taken_at: float) -> bytes:
+    """A checkpoint blob as the writer that envelopes every value of
+    every row before one ``json.dumps`` spells it."""
+    payload = {
+        "lsn": lsn,
+        "generation": engine.catalog.generation,
+        "taken_at": taken_at,
+        "ddl": list(ddl),
+        "tables": [
+            {
+                "name": data.name,
+                "columns": data.column_count,
+                "rows": [
+                    [records.encode_value(value) for value in row]
+                    for row in data.snapshot()
+                ],
+            }
+            for data in engine.storage.tables()
+        ],
+    }
+    return records.pack(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+
+
+#: One value of every scalar kind the engine stores, a datetime beside a date.
+EVERY_KIND = (
+    None, True, False, -7, 2**70, -0.0, 2.5e-310, "o'brien ☃\n",
+    Decimal("-3.25"), Decimal("1E+2"), datetime.date(2004, 6, 28),
+    datetime.datetime(2004, 6, 28, 12, 30, 1, 500),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(SCALARS, min_size=3, max_size=3), max_size=6))
+def test_checkpoint_is_the_row_encoded_spelling(rows):
+    engine = make_server("IB").engine
+    ddl = [
+        "CREATE TABLE a (x VARCHAR(8), y VARCHAR(8), z VARCHAR(8))",
+        "CREATE TABLE b ("
+        + ", ".join(f"c{i} VARCHAR(8)" for i in range(len(EVERY_KIND)))
+        + ")",
+        "CREATE TABLE empty (x INT)",
+    ]
+    for statement in ddl:
+        engine.execute(statement)
+    for row in rows:
+        engine.storage.get("a").insert(row)
+    engine.storage.get("b").insert(EVERY_KIND)
+    blob = pack_checkpoint(build_checkpoint(engine, lsn=3, ddl=ddl, taken_at=1.5))
+    assert blob == row_encoded_checkpoint(engine, 3, ddl, 1.5)
+
+
+def test_packed_checkpoint_does_not_alias_the_live_heap():
+    product = make_server("IB")
+    product.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(20))")
+    product.execute("INSERT INTO t VALUES (1, 'a')")
+    product.execute("INSERT INTO t VALUES (2, 'b')")
+    payload = build_checkpoint(product.engine, lsn=0, ddl=[])
+    before = pack_checkpoint(payload)
+    product.execute("UPDATE t SET v = 'z' WHERE id = 1")
+    product.execute("DELETE FROM t WHERE id = 2")
+    product.execute("INSERT INTO t VALUES (3, 'c')")
+    product.engine.storage.get("t").rows()[0][1] = "mutated in place"
+    assert pack_checkpoint(payload) == before
