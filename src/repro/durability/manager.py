@@ -10,18 +10,18 @@ twice:
   server's in-memory write log, from which ``restore_write_log``
   rebuilds adjudication state after a restart), and
 * once per replica, **translated to that replica's dialect** — the
-  text supervisor replay would feed it — with the replica's own
-  storage-phase faults applied to the encoded bytes.  A torn write on
-  the InterBase replica damages only the InterBase log: fault
-  *diversity* extends to the disks.
+  text supervisor replay shows its fault triggers — with the
+  replica's own storage-phase faults applied to the encoded bytes.  A
+  torn write on the InterBase replica damages only the InterBase log:
+  fault *diversity* extends to the disks.
 
 Every replica's record is spliced, not re-rendered: the translated
 template of the prepared handle that replica ran, with the call's
 parameter texts (a lifted statement's literals, or a bound call's
 values as the renderer spells them) in place of its placeholders.
-That is byte for byte the translation of the bound text, which
-supervisor replay runs, and no write is scanned again to log it.  A
-replica whose translation refuses a statement
+That is byte for byte the translation of the bound text, the text
+supervisor replay's call stands for, and no write is scanned again to
+log it.  A replica whose translation refuses a statement
 (:class:`~repro.errors.FeatureNotSupported`) gets no record — it never
 applied the write in service either, and redo would refuse it again.
 
@@ -59,7 +59,6 @@ from repro.faults.effects import (
 )
 from repro.middleware.supervisor import ReplicaState
 from repro.sqlengine.analysis import StatementTraits
-from repro.sqlengine.engine import executable_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.spec import FaultSpec
@@ -199,8 +198,8 @@ class DurabilityManager:
         template of the handle it ran, with the call's parameter texts
         spliced in.  A bound value is spelled as the renderer spells
         it (``-5`` as ``- 5``), so the record is the translation of the
-        bound text that supervisor replay and restart redo run; nothing
-        is scanned here."""
+        bound text, the text supervisor replay's call stands for and
+        restart redo runs; nothing is scanned here."""
         server = self._server
         self._shared.append(call.bound_sql, server.pipeline.generation)
         for replica in server.replicas:
@@ -253,19 +252,16 @@ class DurabilityManager:
 
     def _translated_ddl_history(self, replica: "Replica") -> list[str]:
         """The replica's DDL history recomputed from the middleware
-        write log (translation is pure, so this is always available)."""
+        write log: the text each DDL call is in the replica's dialect
+        (translation is pure, so this is always available)."""
         history: list[str] = []
         server = self._server
         for sql in server._write_log:
-            _, traits, _ = server.pipeline.parsed(sql)
+            call, traits = server.statement_call(sql)
             if traits.kind not in DDL_KINDS:
                 continue
             try:
-                history.append(
-                    executable_text(
-                        server.pipeline.translation(sql, replica.product.descriptor)
-                    )
-                )
+                history.append(server.literal_text(call, replica.product))
             except FeatureNotSupported:
                 continue
         return history

@@ -4,8 +4,8 @@ Every ``DiverseServer.execute`` call runs the same front-end stages:
 lift its literals, parse the statement, extract traits, translate it to
 each replica's dialect, and (with static analysis on) compute
 order/access verdicts.  All of that work depends only on the statement
-*text* and — for the verdicts and per-dialect artifacts — on the
-current schema, so it is memoized here and amortized across repeated
+*text*, the dialect and — for the analysis layers — on the current
+schema, so it is memoized here and amortized across repeated
 executions.
 
 Cache keys and invalidation:
@@ -22,13 +22,13 @@ Cache keys and invalidation:
   that follow.
 * **parsed** — keyed on statement text alone.  Parsing is
   schema-independent; name binding happens at execute time.
-* **translation** — keyed on ``(dialect key, text, generation)``.  The
-  token-level rewrite itself is schema-independent, but prepared
-  handles derived from a translation are re-prepared after DDL, so the
-  generation is part of the key (the satellite contract: dialect AND
-  text AND schema generation).  An entry is what the replica's engine
-  runs: the translated text with its parse, built from the parse
-  layer's one scan and parse of the text (see :meth:`translation`).
+* **translation** — keyed on ``(dialect key, text)``.  The
+  token-level rewrite reads no schema, and neither does the engine
+  handle prepared from it (a compiled plan is keyed by the catalog's
+  content), so no DDL makes an entry stale.  An entry is what the
+  replica's engine runs: the translated text with its parse, built
+  from the parse layer's one scan and parse of the text (see
+  :meth:`translation`).
 * **verdict** — keyed on ``(text, generation)``.  Order verdicts read
   the schema's unique keys (``ORDER BY c`` is TOTAL only while ``c``
   is unique), so a stale entry after ``CREATE INDEX`` / ``ALTER
@@ -52,7 +52,7 @@ exactly when every replica catalog bumped its own.
 
 Translation *refusals* (:class:`~repro.errors.FeatureNotSupported`)
 are cached too — a dialect that rejects a statement rejects it every
-time — and re-raised on each hit.
+time — and re-raised on each hit with a traceback that starts afresh.
 """
 
 from __future__ import annotations
@@ -150,9 +150,11 @@ class StatementPipeline:
         """``layer``'s entry for ``key``, computed and kept (evicting
         the least recently used entry at capacity) on a miss.  A
         :class:`FeatureNotSupported` refusal is an entry too: it is
-        kept, and raised on the miss and on every hit.  Any other
-        exception from ``compute`` propagates with nothing kept or
-        counted."""
+        kept, and raised on the miss and on every hit, each time with
+        a traceback from this frame only (a kept exception would
+        otherwise grow its traceback, and pin the frames in it, on
+        every raise).  Any other exception from ``compute`` propagates
+        with nothing kept or counted."""
         cache, hits, misses = self._layers[layer]
         entry = cache.get(key)
         if entry is not None:
@@ -169,7 +171,7 @@ class StatementPipeline:
             counter = misses
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
         if isinstance(entry, FeatureNotSupported):
-            raise entry
+            raise entry.with_traceback(None)
         return entry
 
     # -- stages ------------------------------------------------------------
@@ -217,7 +219,7 @@ class StatementPipeline:
         does not parse)."""
         return self._memo(
             "translate",
-            (descriptor.key, sql, self.generation),
+            (descriptor.key, sql),
             lambda: self._translate(sql, descriptor),
         )
 

@@ -394,7 +394,8 @@ class DiverseServer:
         self._schema = ScriptSchema()
         self.stats = MiddlewareStats()
         #: Memoized front-end stages (parse / per-dialect translation /
-        #: analysis verdicts), invalidated on DDL via its generation.
+        #: analysis verdicts); the analysis layers are invalidated on
+        #: DDL via its generation.
         self.pipeline = StatementPipeline()
         self.supervisor = ReplicaSupervisor(policy=config.policy, clock=config.clock)
         self.supervisor.attach(self)
@@ -411,10 +412,6 @@ class DiverseServer:
         #: Prepared handles by statement text, and the parse errors of
         #: texts that did not prepare (lifted shapes, among them).
         self._prepared: dict[str, PreparedStatement | SqlError] = {}
-        #: Called (no arguments) after each committed DDL statement has
-        #: bumped the pipeline generation; the serving layer uses this
-        #: to eagerly invalidate cross-session prepared handles.
-        self.ddl_listeners: list[Callable[[], None]] = []
         #: (sql, group leaders) pairs recorded in ``monitor`` mode.
         self.disagreement_log: list[tuple[str, list[str]]] = []
         #: (sql, replica key) pairs where the dual-plan oracle found the
@@ -471,23 +468,32 @@ class DiverseServer:
         statement in its dialect, and the write log records ``sql`` as
         sent.  A statement that does not lift, or whose shape cannot
         stand for it (see :meth:`_shape`), runs on the handle of its
-        own text.
+        own text (see :meth:`statement_call`).
         """
         if params is not None:
             return self.prepare(sql).execute(tuple(params))
+        return self._execute_bound(*self.statement_call(sql))
+
+    def statement_call(self, sql: str) -> tuple["StatementCall", StatementTraits]:
+        """The call every replica runs for literal statement ``sql``, and
+        the traits it runs with: a lifted call on the statement's shape,
+        or a call of the handle of its own text.  Live execution,
+        supervisor replay and the durable restart all turn a text into
+        what a replica runs here, so a replayed write runs the call, the
+        compiled plan and the replica-dialect text that ran live."""
         lifted = self.pipeline.lifted(sql)
         if lifted is not None:
             shape = self._shape(lifted.shape)
             if shape is not None:
-                return shape.execute_lifted(sql, lifted)
+                call = StatementCall(shape.sql, sql, shape, lifted.values, lifted)
+                return call, shape.literal_traits
         handle = self.prepare(sql)
         if handle.param_count:
             raise MiddlewareError(
                 f"statement has {handle.param_count} unbound parameter(s); "
                 "use prepare() to execute it with values"
             )
-        call = StatementCall(sql, sql, handle)
-        return self._execute_bound(call, handle.statement, handle.traits)
+        return StatementCall(sql, sql, handle), handle.traits
 
     def explain(self, sql: str) -> str:
         """Render the logical plan the first active replica's planner
@@ -543,16 +549,12 @@ class DiverseServer:
             return None
         return handle if handle.lifts else None
 
-    def _execute_bound(
-        self,
-        call: StatementCall,
-        statement: ast.Statement,
-        traits: StatementTraits,
-    ) -> Result:
+    def _execute_bound(self, call: StatementCall, traits: StatementTraits) -> Result:
         """The replica round every call runs, literal, lifted, bound or
         batched.  Charges exactly one supervisor tick — ``executemany``
         calls this once per row, so deadlines and quarantine backoffs
         see batches as row sequences."""
+        statement = call.prepared.statement
         is_write = traits.kind in WRITE_KINDS
         verdict: Optional[StatementVerdict] = None
         divergence: Optional[StatementDivergence] = None
@@ -604,8 +606,6 @@ class DiverseServer:
                 self._schema.observe(statement)
             if traits.kind in DDL_KINDS:
                 self.pipeline.bump_generation()
-                for listener in self.ddl_listeners:
-                    listener()
             if self.durability is not None:
                 self.durability.log_write(call, traits)
             if self.supervised:
@@ -1012,16 +1012,16 @@ class DiverseServer:
     # -- plumbing --------------------------------------------------------------------
 
     def _resolve(self, call: StatementCall, product: ServerProduct) -> EnginePrepared:
-        """The engine handle ``product`` runs ``call`` through, (re)prepared
-        from the pipeline's translation of the statement into its
-        dialect when the schema generation moved."""
+        """The engine handle ``product`` runs ``call`` through, prepared
+        once from the pipeline's translation of the statement into its
+        dialect.  DDL never makes it stale: the engine binds names and
+        keys its compiled plans by the live catalog."""
         handles = call.prepared._handles
-        generation = self.pipeline.generation
-        entry = handles.get(product)
-        if entry is None or entry[0] != generation:
+        handle = handles.get(product)
+        if handle is None:
             translated = self.pipeline.translation(call.sql, product.descriptor)
-            entry = handles[product] = (generation, product.prepare(translated))
-        return entry[1]
+            handle = handles[product] = product.prepare(translated)
+        return handle
 
     def _run(self, product: ServerProduct, call: StatementCall) -> Result:
         """Run ``call`` on one replica's product through its resolved
@@ -1071,7 +1071,8 @@ class DiverseServer:
         """Rebuild a failed/suspected replica by checkpoint + log replay.
 
         The replica's latest checkpoint (if any) is restored and the
-        write-log tail replayed in order (translated to its dialect);
+        write-log tail replayed in order (each write as the call it ran
+        live, :meth:`statement_call`);
         without a checkpoint the replica is reset to a fresh install and
         the full history replayed.  On success it rejoins the active
         set.  Retired replicas are only resurrected with ``force=True``
@@ -1129,14 +1130,15 @@ class DiverseServer:
 
         Rebuilds the derived middleware state — schema model for the
         static analyzer and the pipeline's schema generation — exactly
-        as if the statements had been executed through this server.
+        as if the statements had been executed through this server:
+        each from the call :meth:`statement_call` makes of it.
         """
         self._write_log = list(statements)
         self._schema = ScriptSchema()
         for sql in self._write_log:
-            statement, traits, _ = self.pipeline.parsed(sql)
+            call, traits = self.statement_call(sql)
             if self.static_analysis:
-                self._schema.observe(statement)
+                self._schema.observe(call.prepared.statement)
             if traits.kind in DDL_KINDS:
                 self.pipeline.bump_generation()
 
@@ -1183,12 +1185,13 @@ class PreparedStatement:
     :class:`DiverseServer`: parsed, analyzed, and dialect-translated up
     front, then executed many times with bound parameters.
 
-    Per-replica engine handles are cached keyed on the pipeline's
-    schema generation, so DDL transparently re-prepares.  Adjudication,
-    supervision, deadlines, and the write log behave exactly as for
-    :meth:`DiverseServer.execute` of the equivalent literal statement —
-    the write log records the literal-substituted text, so recovery
-    replay is parameter-free.
+    Each replica's engine handle is prepared once and kept: it never
+    goes stale, as the engine binds names and compiles plans against the
+    live catalog on every execution, so a handle answers with the
+    columns DDL added since.  Adjudication, supervision, deadlines, and
+    the write log behave exactly as for :meth:`DiverseServer.execute` of
+    the equivalent literal statement — the write log records the
+    literal-substituted text, so recovery replay is parameter-free.
     """
 
     def __init__(self, server: DiverseServer, sql: str) -> None:
@@ -1196,8 +1199,8 @@ class PreparedStatement:
         self.sql = sql
         self.statement, self.traits, self._positions = server.pipeline.parsed(sql)
         self.param_count = len(self._positions)
-        #: replica product -> (pipeline generation, engine-prepared handle)
-        self._handles: dict[ServerProduct, tuple[int, EnginePrepared]] = {}
+        #: replica product -> engine-prepared handle
+        self._handles: dict[ServerProduct, EnginePrepared] = {}
 
     @cached_property
     def lifts(self) -> bool:
@@ -1224,14 +1227,7 @@ class PreparedStatement:
             else self.sql
         )
         call = StatementCall(self.sql, bound_sql, self, params)
-        return self._server._execute_bound(call, self.statement, self.traits)
-
-    def execute_lifted(self, sql: str, lifted: Lifted) -> Result:
-        """The adjudicated execution of literal statement ``sql``, whose
-        literals lifted to this shape: bound to their values, logged
-        and reported as ``sql``."""
-        call = StatementCall(self.sql, sql, self, lifted.values, lifted)
-        return self._server._execute_bound(call, self.statement, self.literal_traits)
+        return self._server._execute_bound(call, self.traits)
 
     def executemany(self, rows: Iterable[Sequence[Any]]) -> list[Result]:
         """:meth:`execute` once per parameter tuple, each row its own

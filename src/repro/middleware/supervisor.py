@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.errors import EngineCrash, ReproError, SqlError
+from repro.errors import EngineCrash, FeatureNotSupported, ReproError, SqlError
 from repro.middleware.normalizer import normalized_state
 from repro.sqlengine.engine import EngineSnapshot
 
@@ -354,11 +354,15 @@ class ReplicaSupervisor:
 
     def attempt_recovery(self, replica: "Replica", *, manual: bool = False) -> bool:
         """One recovery attempt: checkpoint restore + tail replay, or
-        full replay when no checkpoint exists.  Returns success."""
+        full replay when no checkpoint exists.  Returns success.  A
+        replay that crashes, stalls, or meets a write the replica's
+        dialect refuses (committed while it was out of service) fails
+        the attempt: backoff and the circuit breaker take it, and an
+        online rebuild seeds it past that write."""
         health = replica.health
         try:
             replayed = self._replay(replica)
-        except (EngineCrash, RecoveryStalled):
+        except (EngineCrash, RecoveryStalled, FeatureNotSupported):
             self._recovery_failed(replica, manual=manual)
             return False
         replica.state = ReplicaState.ACTIVE
@@ -441,7 +445,7 @@ class ReplicaSupervisor:
 
         try:
             self._replay_log(replica, batch())
-        except (EngineCrash, RecoveryStalled):
+        except (EngineCrash, RecoveryStalled, FeatureNotSupported):
             self._rebuild_failed(replica)
             return
         if rebuild.cursor >= len(log) and not product.engine.transactions.in_transaction:
@@ -543,27 +547,30 @@ class ReplicaSupervisor:
         return len(tail)
 
     def _replay_log(self, replica: "Replica", statements: Iterable[str]) -> None:
-        """Re-execute write-log statements on one replica, in its own
-        dialect, with its engine in the recovery phase.  Statements that
-        legitimately errored at commit time error again and are skipped;
-        one that costs more than the recovery deadline is audited and
-        raises :class:`RecoveryStalled`; an :class:`EngineCrash`
-        propagates.  The caller decides what a failure means."""
+        """Re-execute write-log statements on one replica, with its
+        engine in the recovery phase: each text runs as the call it ran
+        live (:meth:`DiverseServer.statement_call`), on the replica's
+        own prepared handle, so fault triggers see the same
+        replica-dialect text.  Statements that legitimately errored at
+        commit time error again and are skipped; one that costs more
+        than the recovery deadline is audited and raises
+        :class:`RecoveryStalled`; an :class:`EngineCrash` or a dialect
+        refusal (:class:`FeatureNotSupported`) propagates.  The caller
+        decides what a failure means."""
+        server = self._server
         product = replica.product
         deadline = self.policy.statement_deadline
         product.engine.phase = "recover"
         try:
             for sql in statements:
                 try:
-                    translated = self._server.pipeline.translation(
-                        sql, product.descriptor
-                    )
-                    result = product.execute(translated)
+                    call, _ = server.statement_call(sql)
+                    result = server._run(product, call)
                 except SqlError:
                     continue
                 if deadline is not None and result.virtual_cost > deadline:
                     self.stats.recovery_timeouts += 1
-                    self._server.timeout_audit.append(
+                    server.timeout_audit.append(
                         TimeoutAuditEntry(
                             replica=replica.key,
                             sql=sql,

@@ -389,7 +389,6 @@ class NetServer:
                 handle.prepared.traits.kind,
                 lambda: handle.prepared.execute(values),
             )
-            self.sessions.note_handle_executed(handle)
             traits = handle.prepared.traits
             sql = handle.sql
         else:

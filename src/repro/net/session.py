@@ -16,10 +16,11 @@ about.  Everything exactly-once hangs off it:
   everyone else.  An expiring or closing holder gets its transaction
   rolled back, never silently committed.
 * **Prepared handles.**  Handles wrap middleware
-  :class:`~repro.middleware.server.PreparedStatement` objects.  When
-  *any* session commits DDL the manager eagerly marks every live handle
-  stale (via the server's DDL listener hook) and counts the
-  invalidation; the middleware re-prepares transparently on next use.
+  :class:`~repro.middleware.server.PreparedStatement` objects.  They
+  never go stale: when *any* session commits DDL, a handle's next
+  execution binds names and compiles its plan against the new catalog
+  (a ``SELECT *`` handle answers with the added column), with nothing
+  re-translated or re-prepared.
 * **Deadlines.**  Sessions idle past ``NetPolicy.idle_deadline`` are
   expired (transaction rolled back, dedupe state discarded), which is
   exactly the moment a client-side retry stops being provably safe.
@@ -66,7 +67,7 @@ class NetPolicy:
 
 @dataclass
 class NetStats:
-    """Serving-layer counters (sessions, dedupe, shedding, handles)."""
+    """Serving-layer counters (sessions, dedupe, shedding, admission)."""
 
     sessions_opened: int = 0
     sessions_resumed: int = 0
@@ -79,8 +80,6 @@ class NetStats:
     shed_compares: int = 0
     shed_statements: int = 0
     queue_deadline_sheds: int = 0
-    handles_invalidated: int = 0
-    handles_refreshed: int = 0
     corrupt_frames: int = 0
     protocol_errors: int = 0
     rollbacks_on_expiry: int = 0
@@ -103,12 +102,7 @@ class SessionHandle:
     handle_id: int
     sql: str
     prepared: PreparedStatement
-    #: Pipeline schema generation the handle was last known fresh at.
-    generation: int
     param_count: int
-    #: Set eagerly when another session commits DDL; cleared (and
-    #: counted as a refresh) on next execution.
-    stale: bool = False
 
 
 @dataclass
@@ -156,7 +150,6 @@ class SessionManager:
         self._next_session = 1
         #: Session currently holding the server's open transaction.
         self.txn_holder: Optional[str] = None
-        server.ddl_listeners.append(self._on_ddl)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -300,33 +293,11 @@ class SessionManager:
             handle_id=session.next_handle,
             sql=sql,
             prepared=prepared,
-            generation=self.server.pipeline.generation,
             param_count=prepared.param_count,
         )
         session.next_handle += 1
         session.handles[handle.handle_id] = handle
         return handle
-
-    def note_handle_executed(self, handle: SessionHandle) -> None:
-        """Refresh a handle's generation bookkeeping after use."""
-        current = self.server.pipeline.generation
-        if handle.stale or handle.generation != current:
-            self.stats.handles_refreshed += 1
-        handle.stale = False
-        handle.generation = current
-
-    def _on_ddl(self) -> None:
-        """Server DDL hook: eagerly mark every live handle stale.
-
-        The middleware re-prepares lazily anyway; the eager pass exists
-        so the *count* of cross-session invalidations is observable the
-        moment the DDL commits, not when a handle is next used."""
-        current = self.server.pipeline.generation
-        for session in self._sessions.values():
-            for handle in session.handles.values():
-                if not handle.stale and handle.generation != current:
-                    handle.stale = True
-                    self.stats.handles_invalidated += 1
 
     # -- introspection -------------------------------------------------------
 

@@ -19,9 +19,10 @@ that turns literal text into a bound statement:
 
 Substitution is text surgery on the original statement: each ``?``
 token is replaced in place (:func:`splice_texts`), so the bound text is
-byte-identical to the template everywhere else.  ``?`` inside string
-literals is untouched — the lexer already consumed it as part of the
-string token.
+byte-identical to the template everywhere else (but for the one space
+that keeps a ``-`` before a ``?`` from meeting a negative value's
+``-``).  ``?`` inside string literals is untouched — the lexer already
+consumed it as part of the string token.
 """
 
 from __future__ import annotations
@@ -90,7 +91,10 @@ def substitute_params(sql: str, params: Sequence[Any]) -> str:
 
 def splice_texts(sql: str, positions: Sequence[int], texts: Sequence[str]) -> str:
     """Replace the one-character ``?`` at each offset in ``positions``
-    with the text at the same index of ``texts``.
+    with the text at the same index of ``texts``.  A text starting with
+    ``-`` after a ``-`` (``-?`` bound to ``-5``) is spliced after a
+    space: ``--`` would open a comment that swallows the rest of the
+    statement.
 
     Raises :class:`SqlError` when the two counts differ.
     """
@@ -104,6 +108,8 @@ def splice_texts(sql: str, positions: Sequence[int], texts: Sequence[str]) -> st
     cursor = 0
     for position, text in zip(positions, texts):
         pieces.append(sql[cursor:position])
+        if text[:1] == "-" and sql[position - 1 : position] == "-":
+            pieces.append(" ")
         pieces.append(text)
         cursor = position + 1
     pieces.append(sql[cursor:])

@@ -121,7 +121,7 @@ class CrashStorm(Storm):
               f"quorum losses={stats.quorum_losses}")
         print(f"IB final state: {ib.state.value} "
               f"(quarantined {ib.health.quarantines} time(s))")
-        return True
+        return not self.server.verify_consistency()
 
 
 class HangStorm(Storm):
@@ -189,7 +189,7 @@ class HangStorm(Storm):
               f"retirements={stats.retirements}")
         print(f"IB final state: {ib.state.value} "
               f"(timed out {ib.stats.timeouts} time(s))")
-        return True
+        return not self.server.verify_consistency()
 
 
 class DiskStorm(Storm):

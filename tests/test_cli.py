@@ -35,6 +35,16 @@ class TestCli:
         assert "client-visible timeouts=0" in output
         assert "IB final state: active" in output
 
+    @pytest.mark.parametrize("storm", ["crashstorm", "hangstorm"])
+    def test_an_inconsistent_ending_exits_1(self, storm, capsys, monkeypatch):
+        from repro.middleware import DiverseServer
+
+        monkeypatch.setattr(
+            DiverseServer, "verify_consistency", lambda self: {"stock": ["IB"]}
+        )
+        assert main([storm, "30"]) == 1
+        assert "IB final state:" in capsys.readouterr().out
+
     def test_netstorm_command(self, capsys):
         assert main(["netstorm", "20"]) == 0
         output = capsys.readouterr().out

@@ -156,21 +156,33 @@ class TestSessions:
         rows = fresh.execute("SELECT v FROM t WHERE id = 1").rows
         assert rows == [(10,)] or rows == [[10]]
 
-    def test_cross_session_ddl_invalidates_prepared_handles(self):
-        # Satellite: a handle prepared in one session goes stale when a
-        # *different* session commits DDL; next execute re-prepares.
-        _, net_server, network = deployment()
+    def test_cross_session_ddl_reaches_prepared_handles(self):
+        # A handle prepared in one session answers with the column a
+        # different session's DDL added: handles never go stale, so
+        # nothing is re-translated to serve it.
+        server, _, network = deployment()
         writer = supervised(network)
         for sql in SETUP:
             writer.execute(sql)
-        handle = writer.prepare("SELECT v FROM t WHERE id = ?")
-        assert handle.execute([1]).rows
+        sql = "SELECT * FROM t WHERE id = ?"
+        handle = writer.prepare(sql)
+        assert list(handle.execute([1]).columns) == ["id", "v"]
         other = supervised(network)
-        other.execute("CREATE INDEX t_v ON t (v)")
-        assert net_server.stats.handles_invalidated >= 1
-        refreshed_before = net_server.stats.handles_refreshed
-        assert handle.execute([2]).rows
-        assert net_server.stats.handles_refreshed > refreshed_before
+        other.execute("ALTER TABLE t ADD COLUMN w INT")
+        misses = server.pipeline.stats.translate_misses
+        result = handle.execute([1])
+        assert list(result.columns) == ["id", "v", "w"]
+        assert [tuple(row) for row in result.rows] == [(1, 10, None)]
+        # In process, the same middleware handle answers on every replica.
+        asked = [replica.stats.statements for replica in server.replicas]
+        unanimous = server.stats.unanimous
+        result = server.prepare(sql).execute([2])
+        assert list(result.columns) == ["id", "v", "w"]
+        assert [replica.stats.statements for replica in server.replicas] == [
+            count + 1 for count in asked
+        ]
+        assert server.stats.unanimous == unanimous + 1
+        assert server.pipeline.stats.translate_misses == misses
 
 
 class TestMalformedParams:

@@ -11,6 +11,7 @@ execution on every product under corpus fault injection.
 
 from __future__ import annotations
 
+import traceback
 import warnings
 from decimal import Decimal
 
@@ -24,6 +25,7 @@ from repro.dialects.features import DialectDescriptor
 from repro.errors import FeatureNotSupported, MiddlewareError, ReproError, SqlError
 from repro.faults import FaultSpec, RelationTrigger, RowDropEffect
 from repro.middleware import DiverseServer, PreparedStatement, ServerConfig
+from repro.middleware.pipeline import StatementPipeline
 from repro.servers import make_server
 from repro.sqlengine import Engine
 from repro.sqlengine.lexer import render_tokens, tokenize
@@ -31,6 +33,7 @@ from repro.sqlengine.params import (
     param_text,
     placeholder_positions,
     render_param,
+    splice_texts,
     substitute_params,
 )
 from repro.workload import TpccGenerator, WorkloadRunner
@@ -107,6 +110,20 @@ class TestParamSubstitution:
         assert param_text(Decimal("1E+2")) == "1E+2"
         assert param_text("-5") == "'-5'"
         assert [param_text(v) for v in (None, True, False)] == ["NULL", "TRUE", "FALSE"]
+
+    def test_a_negative_value_after_a_minus_is_spaced(self):
+        # ``--`` would open a comment that swallows the rest of the text.
+        sql = "UPDATE t SET v = -? WHERE id = ?"
+        positions = placeholder_positions(sql)
+        assert substitute_params(sql, (-5, 1)) == "UPDATE t SET v = - -5 WHERE id = 1"
+        assert splice_texts(sql, positions, ("- 5", "1")) == (
+            "UPDATE t SET v = - - 5 WHERE id = 1"
+        )
+        # Every other bound text keeps its spelling.
+        assert substitute_params(sql, (5, 1)) == "UPDATE t SET v = -5 WHERE id = 1"
+        assert substitute_params(sql, ("-x", 1)) == "UPDATE t SET v = -'-x' WHERE id = 1"
+        assert substitute_params("SELECT ? - ?", (-5, -5)) == "SELECT -5 - -5"
+        assert substitute_params("SELECT ?", (-5,)) == "SELECT -5"
 
     def test_count_placeholders(self):
         assert len(placeholder_positions("SELECT 1")) == 0
@@ -217,6 +234,19 @@ class TestEnginePrepared:
             with pytest.raises(FeatureNotSupported) as refusal:
                 query.execute((1,), literal)
             assert (refusal.value.feature, refusal.value.server) == ("clause.case", "IB")
+
+    def test_a_kept_refusal_does_not_grow_its_traceback(self):
+        # The pipeline keeps IB's translation refusal and raises it on
+        # every hit; each raise starts a fresh traceback.
+        pipeline = StatementPipeline()
+        descriptor = make_server("IB").descriptor
+        lengths = []
+        for _ in range(5):
+            with pytest.raises(FeatureNotSupported) as refusal:
+                pipeline.translation(self.CASE_QUERY, descriptor)
+            lengths.append(len(traceback.extract_tb(refusal.value.__traceback__)))
+        assert len(set(lengths)) == 1, lengths
+        assert (pipeline.stats.translate_misses, pipeline.stats.translate_hits) == (1, 4)
 
 
 # -- ServerConfig construction surface ------------------------------------

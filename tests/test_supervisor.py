@@ -3,6 +3,7 @@ breaker, checkpointed recovery, and graceful degradation."""
 
 import pytest
 
+from repro.dialects.translator import translate_script
 from repro.errors import MiddlewareError, NoReplicasAvailable
 from repro.faults import (
     CrashEffect,
@@ -19,6 +20,8 @@ from repro.middleware import (
 )
 from repro.middleware import supervisor
 from repro.servers import make_interbase, make_server
+from repro.sqlengine.analysis import extract_traits
+from repro.sqlengine.parser import parse_statement
 from repro.workload import WorkloadRunner
 
 
@@ -406,3 +409,94 @@ class TestSatelliteFixes:
         )
         disagreements = server.verify_consistency()
         assert "rogue" in disagreements
+
+
+class SeenPattern(SqlPatternTrigger):
+    """Never fires; records the text and kind of every statement whose
+    text matches the pattern."""
+
+    def __init__(self, pattern, seen):
+        super().__init__(pattern)
+        self.seen = seen
+
+    def matches(self, ctx):
+        if super().matches(ctx):
+            self.seen.append((ctx.sql, ctx.traits.kind))
+        return False
+
+
+class TestReplayRunsTheLiveCall:
+    """Supervisor replay turns each logged text into the call it ran
+    live (``DiverseServer.statement_call``) and runs that call on the
+    replica's own handle."""
+
+    def test_a_negative_bound_value_replays_as_it_ran(self):
+        server = triple()
+        server.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        server.execute("INSERT INTO t (id, v) VALUES (1, 0)")
+        server.prepare("UPDATE t SET v = -? WHERE id = ?").execute((-5, 1))
+        assert server.write_log[-1] == "UPDATE t SET v = - -5 WHERE id = 1"
+        server.recover("IB")  # no checkpoint yet: a full replay
+        assert server.stats.full_replays == 1
+        ib = server.replica("IB")
+        assert ib.state is ReplicaState.ACTIVE
+        assert ib.product.execute("SELECT v FROM t WHERE id = 1").rows == [(5,)]
+        assert server.verify_consistency() == {}
+
+    def test_a_dialect_refusal_fails_the_recovery_attempt(self):
+        server = seed_accounts(triple())
+        ib = server.replica("IB")
+        ib.state = ReplicaState.FAILED
+        # Interbase 6 has no CASE; the write commits on OR and MS.
+        server.execute(
+            "UPDATE accounts SET balance = CASE WHEN id = 1 THEN 2 ELSE 3 END"
+        )
+        server.recover("IB")
+        assert ib.state is ReplicaState.QUARANTINED
+        assert server.verify_consistency() == {}
+        # Backoff retries fail alike until the circuit breaker retires
+        # IB; a rebuild then seeds it past the write from a donor.
+        for _ in range(100):
+            if ib.state is ReplicaState.RETIRED:
+                break
+            server.supervisor.tick()
+        assert ib.state is ReplicaState.RETIRED
+        assert server.rebuild("IB")
+        assert server.drive_rebuilds()
+        assert ib.state is ReplicaState.ACTIVE
+        assert server.verify_consistency() == {}
+        rows = ib.product.execute("SELECT id, balance FROM accounts ORDER BY id").rows
+        assert rows == [(1, 2), (2, 3)]
+
+    def test_recovery_triggers_see_the_replica_dialect_text(self):
+        # OR renames COALESCE to NVL: the replayed lifted, bound and
+        # own-text writes show the spy the text translate_script gives
+        # for the logged write, as replay of the literal text did.
+        seen = []
+        spy = FaultSpec(
+            "T-SPY",
+            "records what replay shows the triggers",
+            RecoveryTrigger() & SeenPattern(r".", seen),
+            CrashEffect("never fires"),
+        )
+        server = DiverseServer(
+            [make_server("IB"), make_server("OR", [spy]), make_server("MS")],
+            adjudication="majority",
+        )
+        server.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, s VARCHAR(9))")
+        server.execute("INSERT INTO t (id, v, s) VALUES (1, 10, 'it''s')")
+        server.execute("UPDATE t SET v = COALESCE(v, 0) + 1 WHERE id = 1")
+        server.execute("UPDATE t SET v = -1 WHERE id = 1")
+        insert = server.prepare("INSERT INTO t (id, v, s) VALUES (?, ?, ?)")
+        insert.execute((2, -7, "--x"))
+        update = server.prepare("UPDATE t SET v = COALESCE(-?, v) WHERE id = ?")
+        update.execute((-5, 2))
+        server.execute("DELETE FROM t WHERE v < 0")
+        server.recover("OR")
+        assert server.replica("OR").state is ReplicaState.ACTIVE
+        texts = [translate_script(sql, "OR") for sql in server.write_log]
+        assert "NVL (v, 0)" in texts[2] and "NVL (- - 5, v)" in texts[5]
+        assert seen == [
+            (text, extract_traits(parse_statement(text)).kind) for text in texts
+        ]
+        assert server.verify_consistency() == {}
