@@ -34,7 +34,7 @@ from repro.sqlengine.parser import parse_prepared, parse_script
 from repro.sqlengine.plan.dml import compile_statement
 from repro.sqlengine.plan.lattice import kind_of_class
 from repro.sqlengine.plan.physical import compile_row_expression, compile_select
-from repro.sqlengine.storage import Storage
+from repro.sqlengine.storage import Storage, TableImage
 from repro.sqlengine.tokens import Token
 from repro.sqlengine.transactions import TransactionManager
 from repro.sqlengine.typenames import resolve_type
@@ -141,17 +141,20 @@ class ExecutionContext:
 
 @dataclass
 class EngineSnapshot:
-    """A self-contained copy of an engine's durable state.
+    """An engine's durable state at one moment.
 
     Used by the middleware's checkpointed recovery: restoring a snapshot
     and replaying the write-log tail past it is equivalent to replaying
     the full history, at a cost bounded by writes-since-checkpoint.
-    The snapshot owns deep copies, so it stays valid however the live
-    engine mutates afterwards and can be restored repeatedly.
+    The catalog is copied; each table is a copy-on-write
+    :class:`~repro.sqlengine.storage.TableImage` that shares unchanged
+    rows with the live engine.  Either way the snapshot stays valid
+    however the live engine mutates afterwards, and can be restored
+    repeatedly.
     """
 
     catalog: Catalog
-    storage: Storage
+    tables: dict[str, TableImage]
 
 
 class NullInjector:
@@ -240,7 +243,7 @@ class Engine:
         """Capture the full durable state (schema + rows)."""
         return EngineSnapshot(
             catalog=self.catalog.clone(),
-            storage=self.storage.clone(),
+            tables=self.storage.image(),
         )
 
     def restore(self, snapshot: EngineSnapshot) -> None:
@@ -248,7 +251,7 @@ class Engine:
         state.  The snapshot is copied, so it can be restored again."""
         self.transactions.abort_if_open()
         self.catalog = snapshot.catalog.clone()
-        self.storage = snapshot.storage.clone()
+        self.storage = Storage.restored(snapshot.tables)
         # A restore rewinds the generation counter, so generation-keyed
         # caches cannot be trusted across it.
         self._constraints.clear()
@@ -756,9 +759,7 @@ class Engine:
 
         def undo() -> None:
             schema.columns.pop()
-            data.column_count -= 1
-            for row in data.rows():
-                row.pop()
+            data.drop_last_column()
             self.catalog.bump()
 
         self.transactions.record(undo)

@@ -1,13 +1,21 @@
-"""Row storage with transactional undo.
+"""Row storage with transactional undo and copy-on-write images.
 
 One :class:`TableData` per base table: rows are mutable lists so that
 updates can patch in place and the undo journal can restore prior
 values.  The journal lives in :mod:`repro.sqlengine.transactions`; this
 module only provides primitive mutations that report what they did.
+
+A :class:`TableImage` is one table's rows as they stood when it was
+taken.  It shares every row object with the live heap; the heap's two
+in-place writers (:meth:`TableData.update_row` and the column
+add/drop pair) save a row's prior values into the newest image before
+their first write to it, so taking an image costs one list copy and
+each later write at most one tuple.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Iterable, Optional
 
 from repro.sqlengine.values import distinct_key
@@ -34,6 +42,44 @@ class UniqueIndex:
         self.poisoned = False
 
 
+class TableImage:
+    """One table's rows as they stood when :meth:`TableData.image` ran.
+
+    ``rows`` is a shallow copy of the heap: it holds the live row
+    objects, which keeps them (and so their ids) alive.  ``before`` maps
+    ``id(row)`` to the row's values as they stood when this image was
+    the table's newest, saved by the heap before its first in-place
+    write to the row after that; ``newer`` links to the next image of
+    the same table.  A row's value at this image is therefore the first
+    ``before`` entry found walking from this image to the newest, or
+    else the live row.
+    """
+
+    __slots__ = ("name", "column_count", "rows", "before", "newer", "__weakref__")
+
+    def __init__(self, data: "TableData") -> None:
+        self.name = data.name
+        self.column_count = data.column_count
+        self.rows = list(data._rows)
+        self.before: dict[int, tuple] = {}
+        self.newer: Optional[TableImage] = None
+
+    def restore(self) -> "TableData":
+        """A fresh heap holding copies of this image's rows; the image
+        stays valid, so it can be restored again."""
+        chain = []
+        image: Optional[TableImage] = self
+        while image is not None:
+            chain.append(image.before)
+            image = image.newer
+        before: dict[int, tuple] = {}
+        for entries in reversed(chain):
+            before.update(entries)
+        data = TableData(self.name, self.column_count)
+        data._rows = [list(before.get(id(row), row)) for row in self.rows]
+        return data
+
+
 class TableData:
     """Heap of rows for one table."""
 
@@ -41,18 +87,33 @@ class TableData:
         self.name = name
         self.column_count = column_count
         self._rows: list[list[Any]] = []
-        #: Bumped on every mutation; callers that patch row lists in
-        #: place (the UPDATE path) must call :meth:`touch`.  Caches
-        #: keyed on (table, version) use it for invalidation.
-        self.version = 0
         #: Maintained unique indexes, keyed by their column-index tuple.
         self._indexes: dict[tuple[int, ...], UniqueIndex] = {}
+        #: Weak reference to the newest :class:`TableImage`; None when
+        #: none was taken or the newest has died.
+        self._image: Optional[weakref.ref[TableImage]] = None
 
-    def touch(self) -> None:
-        """Record an in-place row mutation made outside these methods."""
-        self.version += 1
-        # The mutation may have changed indexed values under us.
-        self._indexes.clear()
+    # -- images --------------------------------------------------------------
+
+    def image(self) -> TableImage:
+        """The heap as it stands now, sharing every row object."""
+        image = TableImage(self)
+        previous = self._image() if self._image is not None else None
+        if previous is not None:
+            previous.newer = image
+        self._image = weakref.ref(image)
+        return image
+
+    def _save_before(self, row: list[Any]) -> None:
+        """Give the newest image the prior values of ``row``, which is
+        about to be written in place."""
+        image = self._image() if self._image is not None else None
+        if image is None:
+            self._image = None
+            return
+        key = id(row)
+        if key not in image.before:
+            image.before[key] = tuple(row)
 
     # -- unique indexes ------------------------------------------------------
 
@@ -130,14 +191,6 @@ class TableData:
         """An immutable copy of all rows (for resync / comparison)."""
         return [tuple(row) for row in self._rows]
 
-    def clone(self) -> "TableData":
-        """A deep, independent copy.  Row values are immutable scalars
-        (numbers, strings, dates, NULL), so copying the two list levels
-        is as deep as a copy can meaningfully go."""
-        data = TableData(self.name, self.column_count)
-        data._rows = [list(row) for row in self._rows]
-        return data
-
     def insert(self, values: Iterable[Any]) -> list[Any]:
         row = list(values)
         if len(row) != self.column_count:
@@ -145,7 +198,6 @@ class TableData:
                 f"row width {len(row)} != table width {self.column_count}"
             )
         self._rows.append(row)
-        self.version += 1
         if self._indexes:
             self._indexes_add(row)
         return row
@@ -154,6 +206,8 @@ class TableData:
         """Patch ``row`` (a live member of this heap) in place, keeping
         maintained indexes consistent.  ``changes`` maps column position
         to new value; passing the previous values back undoes the call."""
+        if self._image is not None:
+            self._save_before(row)
         affected = [
             (indices, index)
             for indices, index in self._indexes.items()
@@ -165,7 +219,6 @@ class TableData:
             row[position] = value
         for indices, index in affected:
             self._index_add(index, indices, row)
-        self.version += 1
 
     def delete_rows(self, predicate: Callable[[list[Any]], bool]) -> list[tuple[int, list[Any]]]:
         """Delete matching rows; return (position, row) pairs for undo."""
@@ -177,7 +230,6 @@ class TableData:
             else:
                 kept.append(row)
         self._rows = kept
-        self.version += 1
         if self._indexes:
             for _, row in removed:
                 self._indexes_remove(row)
@@ -188,7 +240,6 @@ class TableData:
         for index, candidate in enumerate(self._rows):
             if candidate is row:
                 del self._rows[index]
-                self.version += 1
                 if self._indexes:
                     self._indexes_remove(row)
                 return
@@ -200,7 +251,6 @@ class TableData:
             self._rows.insert(min(position, len(self._rows)), row)
             if self._indexes:
                 self._indexes_add(row)
-        self.version += 1
 
     def replace_rows(self, rows: Iterable[Iterable[Any]]) -> None:
         """Bulk-load the heap from a snapshot (checkpoint restore).
@@ -217,23 +267,23 @@ class TableData:
                     f"row width {len(row)} != table width {self.column_count}"
                 )
         self._rows = loaded
-        self.version += 1
         self._indexes.clear()
 
     def add_column(self, default_value: Any) -> None:
         """Widen every row for ALTER TABLE ADD COLUMN."""
         self.column_count += 1
         for row in self._rows:
+            self._save_before(row)
             row.append(default_value)
-        self.version += 1
         self._indexes.clear()
 
-    def clear(self) -> list[list[Any]]:
-        """Remove all rows, returning them for undo."""
-        rows, self._rows = self._rows, []
-        self.version += 1
+    def drop_last_column(self) -> None:
+        """Undo :meth:`add_column`."""
+        self.column_count -= 1
+        for row in self._rows:
+            self._save_before(row)
+            row.pop()
         self._indexes.clear()
-        return rows
 
 
 class Storage:
@@ -267,13 +317,16 @@ class Storage:
         """Total rows across all heaps (rebuild seeding cost model)."""
         return sum(len(data) for data in self._tables.values())
 
-    def clone(self) -> "Storage":
-        """An independent copy of every table heap (see
-        :meth:`TableData.clone`); much cheaper than ``copy.deepcopy``
-        on the checkpoint path."""
-        copied = Storage()
-        copied._tables = {key: data.clone() for key, data in self._tables.items()}
-        return copied
+    def image(self) -> dict[str, TableImage]:
+        """Every table heap as it stands now (see :meth:`TableData.image`)."""
+        return {key: data.image() for key, data in self._tables.items()}
+
+    @classmethod
+    def restored(cls, images: dict[str, TableImage]) -> "Storage":
+        """Fresh heaps holding copies of ``images``' rows."""
+        storage = cls()
+        storage._tables = {key: image.restore() for key, image in images.items()}
+        return storage
 
     def clear(self) -> None:
         self._tables.clear()

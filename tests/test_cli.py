@@ -35,7 +35,7 @@ class TestCli:
         assert "client-visible timeouts=0" in output
         assert "IB final state: active" in output
 
-    @pytest.mark.parametrize("storm", ["crashstorm", "hangstorm"])
+    @pytest.mark.parametrize("storm", ["crashstorm", "hangstorm", "netstorm", "racestorm"])
     def test_an_inconsistent_ending_exits_1(self, storm, capsys, monkeypatch):
         from repro.middleware import DiverseServer
 
@@ -43,7 +43,11 @@ class TestCli:
             DiverseServer, "verify_consistency", lambda self: {"stock": ["IB"]}
         )
         assert main([storm, "30"]) == 1
-        assert "IB final state:" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        if storm in ("crashstorm", "hangstorm"):
+            assert "IB final state:" in output
+        else:
+            assert "replica consistency after storm: {'stock': ['IB']}" in output
 
     def test_netstorm_command(self, capsys):
         assert main(["netstorm", "20"]) == 0

@@ -4,6 +4,7 @@ breaker, checkpointed recovery, and graceful degradation."""
 import pytest
 
 from repro.dialects.translator import translate_script
+from repro.durability import engine_state_signature
 from repro.errors import MiddlewareError, NoReplicasAvailable
 from repro.faults import (
     CrashEffect,
@@ -500,3 +501,104 @@ class TestReplayRunsTheLiveCall:
             (text, extract_traits(parse_statement(text)).kind) for text in texts
         ]
         assert server.verify_consistency() == {}
+
+
+class TestCopyOnWriteCheckpoints:
+    """Checkpoints and rebuild seeds are copy-on-write table images
+    (:mod:`repro.sqlengine.storage`) that share unchanged rows with the
+    live engine.  The updates below add to a balance, so a snapshot
+    that restored a later value would be caught by the replay that
+    follows it: the update would land twice.
+
+    Mutations these were checked against: no pre-image save in
+    ``TableData.update_row`` fails all three; ``TableImage.restore``
+    reading only its own ``before`` fails the rebuild test;
+    ``TableImage.restore`` handing out the image's unchanged row objects
+    instead of copies fails the rebuild and the restored-again tests.
+    """
+
+    def test_rebuild_seed_and_checkpoint_images_share_a_table(self, monkeypatch):
+        # One row per tick keeps the seed phase open across checkpoints.
+        monkeypatch.setattr(supervisor, "REBUILD_SEED_ROWS", 1)
+        server = seed_accounts(triple(policy=SupervisorPolicy(checkpoint_interval=2)))
+        for i in range(3, 9):
+            server.execute(f"INSERT INTO accounts (id, balance) VALUES ({i}, {i})")
+        donor = server.replica("IB")
+        ms = server.replica("MS")
+        server.supervisor.retire(ms)
+        assert server.rebuild("MS")
+        seed = ms.health.rebuild.snapshot.tables["accounts"]
+        checkpoints = server.stats.checkpoints
+        for i in range(1, 9):
+            server.execute(f"UPDATE accounts SET balance = balance + 1 WHERE id = {i}")
+            if i == 3:
+                # The donor checkpointed after the seed image was taken:
+                # two live images on one table, the seed the older.
+                assert server.stats.checkpoints > checkpoints
+                assert not ms.health.rebuild.seeded
+                checkpoint = donor.health.checkpoint.snapshot.tables["accounts"]
+                assert seed.newer is checkpoint
+        server.drive_rebuilds()
+        assert ms.state is ReplicaState.ACTIVE
+        assert server.stats.rebuilds_failed == 0
+        assert server.verify_consistency() == {}
+
+    def test_one_checkpoint_restored_again_and_again(self):
+        relapse = CountdownTrigger(
+            RecoveryTrigger() & SqlPatternTrigger(r"INSERT INTO accounts"), count=1
+        )
+        server = seed_accounts(
+            triple(
+                [crash_during_recovery(relapse)],
+                policy=SupervisorPolicy(checkpoint_interval=6),
+            )
+        )
+        for i in range(3, 7):
+            server.execute(f"INSERT INTO accounts (id, balance) VALUES ({i}, {i})")
+        ib = server.replica("IB")
+        position = ib.health.checkpoint.log_position
+        server.execute("UPDATE accounts SET balance = balance + 1 WHERE id = 1")
+        server.execute("UPDATE accounts SET balance = balance + 1 WHERE id = 2")
+        server.execute("INSERT INTO accounts (id, balance) VALUES (50, 50)")
+        assert ib.health.checkpoint.log_position == position
+        # The first attempt restores the checkpoint, replays both
+        # updates and crashes on the insert; the second restores it
+        # again and completes.
+        server.supervisor.quarantine(ib)
+        assert ib.state is ReplicaState.QUARANTINED
+        for _ in range(4):
+            server.execute("SELECT 1")
+            if ib.state is ReplicaState.ACTIVE:
+                break
+        assert ib.state is ReplicaState.ACTIVE
+        assert server.stats.checkpoint_replays == 2
+        assert ib.health.replay_lengths == [3]
+        majority = engine_state_signature(server.replica("OR").product.engine)
+        assert engine_state_signature(ib.product.engine) == majority
+        # The recovered engine's writes stay out of the checkpoint: a
+        # third restore still starts from the checkpointed rows.
+        server.execute("UPDATE accounts SET balance = balance + 1 WHERE id = 3")
+        assert ib.health.checkpoint.log_position == position
+        server.supervisor.quarantine(ib)
+        assert ib.state is ReplicaState.ACTIVE
+        assert ib.health.replay_lengths == [3, 4]
+        assert server.verify_consistency() == {}
+
+    def test_a_snapshot_copies_nothing_and_a_write_saves_one_row(self):
+        product = make_server("IB")
+        product.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, v INTEGER)")
+        data = product.engine.storage.get("big")
+        for i in range(10_000):
+            data.insert([i, 0])
+        image = product.snapshot().tables["big"]
+        assert len(image.rows) == 10_000
+        assert all(kept is live for kept, live in zip(image.rows, data.rows()))
+        assert image.before == {}
+        for k, key in enumerate((7, 4_242, 9_999, 7), start=1):
+            product.execute(f"UPDATE big SET v = {k} WHERE id = {key}")
+        # Three distinct rows written, the first of them twice.
+        assert image.before == {
+            id(data.rows()[7]): (7, 0),
+            id(data.rows()[4_242]): (4_242, 0),
+            id(data.rows()[9_999]): (9_999, 0),
+        }
