@@ -50,7 +50,6 @@ from repro.durability.medium import (
 from repro.durability.recovery import (
     RecoveryReport,
     apply_checkpoint,
-    engine_state_signature,
     recover_engine,
 )
 from repro.durability.session import DurableSession
@@ -61,6 +60,7 @@ from repro.durability.wal import (
     encode_record,
     scan_records,
 )
+from repro.servers.product import engine_state_signature
 
 __all__ = [
     "CheckpointInvalid",

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.dataflow import SliceResult, minimize_script
-from repro.durability.recovery import engine_state_signature
 from repro.durability.session import DurableSession
 from repro.errors import SqlError
 from repro.faults.effects import (
@@ -212,9 +211,9 @@ def classify_repro(report: StorageBugReport) -> StorageClassification:
             pristine.execute(record.sql)
         except SqlError:
             continue
-    prefix_consistent = engine_state_signature(
-        recovered.product.engine
-    ) == engine_state_signature(pristine.engine)
+    prefix_consistent = (
+        recovered.product.state_signature() == pristine.state_signature()
+    )
 
     return StorageClassification(
         bucket=buckets.pop() if len(buckets) == 1 else "|".join(sorted(buckets)),

@@ -1,4 +1,4 @@
-"""Durable checkpoints: checksummed logical snapshots of one engine.
+"""Durable checkpoints: checksummed logical snapshots of one product.
 
 A checkpoint is *logical*, not a byte image: the schema is stored as
 the replica's own DDL history (replayed verbatim on restore, which
@@ -23,10 +23,10 @@ previous one — or to a full-history redo when none survive.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from repro import records
 from repro.durability.medium import StorageMedium
+from repro.servers.product import ServerProduct
 
 
 class CheckpointInvalid(Exception):
@@ -54,28 +54,24 @@ def unpack_checkpoint(data: bytes) -> dict:
 
 
 def build_checkpoint(
-    engine: Any, *, lsn: int, ddl: list[str], taken_at: float = 0.0
+    product: ServerProduct, *, lsn: int, ddl: list[str], taken_at: float = 0.0
 ) -> dict:
-    """The logical snapshot payload of one engine at WAL position ``lsn``.
+    """The logical snapshot payload of one product at WAL position
+    ``lsn``.
 
-    Each table's rows are :meth:`TableData.snapshot` tuples, one copy
-    per row: the payload shares no list with the live heap, and its
-    values are encoded only by :func:`pack_checkpoint`."""
-    tables = []
-    for data in engine.storage.tables():
-        tables.append(
-            {
-                "name": data.name,
-                "columns": data.column_count,
-                "rows": data.snapshot(),
-            }
-        )
+    Each table's rows are the product's tuple copies
+    (:meth:`~repro.servers.product.ServerProduct.table_rows`): the
+    payload shares no list with the live heap, and its values are
+    encoded only by :func:`pack_checkpoint`."""
     return {
         "lsn": lsn,
-        "generation": engine.catalog.generation,
+        "generation": product.catalog_generation,
         "taken_at": taken_at,
         "ddl": list(ddl),
-        "tables": tables,
+        "tables": [
+            {"name": name, "columns": columns, "rows": rows}
+            for name, columns, rows in product.table_rows()
+        ],
     }
 
 

@@ -44,11 +44,7 @@ from repro.analysis.reachability import StaticContext
 from repro.analysis.verdicts import DDL_KINDS
 from repro.durability.checkpoint import CheckpointStore, build_checkpoint
 from repro.durability.medium import StorageMedium
-from repro.durability.recovery import (
-    RecoveryReport,
-    engine_state_signature,
-    recover_engine,
-)
+from repro.durability.recovery import RecoveryReport, recover_engine
 from repro.durability.wal import WriteAheadLog
 from repro.errors import EngineCrash, FeatureNotSupported
 from repro.faults.effects import (
@@ -108,7 +104,7 @@ class ReplicaStore:
             fired.extend(faults)
             return mutated
 
-        self.wal.append(sql, product.engine.catalog.generation, mutate=mutate)
+        self.wal.append(sql, product.catalog_generation, mutate=mutate)
         if traits.kind in DDL_KINDS:
             self.ddl_history.append(sql)
         return fired
@@ -117,7 +113,7 @@ class ReplicaStore:
         """Publish a checkpoint at the current WAL position."""
         return self.checkpoints.save(
             build_checkpoint(
-                product.engine,
+                product,
                 lsn=self.wal.next_lsn,
                 ddl=self.ddl_history,
                 taken_at=taken_at,
@@ -127,13 +123,7 @@ class ReplicaStore:
     def recover(self, product: "ServerProduct") -> RecoveryReport:
         """Restart recovery of ``product`` from the medium; the DDL
         history resumes from what recovery restored and redid."""
-        report = recover_engine(
-            product.engine,
-            self.wal,
-            self.checkpoints,
-            replica=self.name,
-            execute=product.execute,
-        )
+        report = recover_engine(product, self.wal, self.checkpoints)
         self.ddl_history = list(report.ddl_history)
         return report
 
@@ -307,8 +297,7 @@ class DurabilityManager:
             return []
         groups: dict[str, list] = {}
         for replica in active:
-            signature = engine_state_signature(replica.product.engine)
-            groups.setdefault(signature, []).append(replica)
+            groups.setdefault(replica.product.state_signature(), []).append(replica)
         if len(groups) == 1:
             return []
         majority = max(

@@ -1,6 +1,6 @@
 """ARIES-lite restart recovery: checkpoint restore + WAL redo.
 
-The restart sequence for one replica engine:
+The restart sequence for one replica product:
 
 1. **Analysis** — scan the WAL's valid record prefix (everything past
    the first torn/corrupt/gapped record is distrusted and discarded).
@@ -12,14 +12,16 @@ The restart sequence for one replica engine:
    prefix-consistency contract.
 3. **Redo** — replay WAL records with ``lsn >= watermark`` in order.
    Statements that error replay as errors (the engine's SqlError-
-   continue semantics, identical to supervisor log replay).
+   continue semantics, identical to supervisor log replay); a record
+   the product's dialect refuses is skipped with a warning.
 4. **Undo** — the engine's transaction journal rolls back any
-   transaction left open at the end of the log (``Engine.restart``),
+   transaction left open at the end of the log (``ServerProduct.restart``),
    so a power cut mid-transaction recovers to the last commit point.
 5. **Re-baseline** — truncate the WAL to its valid prefix, making
    recovery idempotent: running it twice lands on the same state.
 
-Throughout, the engine is in its ``recover`` phase, so recovery-scoped
+Throughout, the product is in its recovery phase
+(:meth:`~repro.servers.product.ServerProduct.recovering`), so recovery-scoped
 faults (:class:`repro.faults.triggers.RecoveryTrigger`) fire exactly
 as they do during supervisor replay — recovery itself stays under
 test.
@@ -27,23 +29,22 @@ test.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro import records
 from repro.analysis.verdicts import DDL_KINDS
 from repro.durability.checkpoint import CheckpointInvalid, CheckpointStore
 from repro.durability.wal import WalScan, WriteAheadLog
-from repro.errors import SqlError
-from repro.sqlengine.engine import Executable, ParsedStatement
+from repro.errors import FeatureNotSupported, SqlError
+from repro.servers.product import ServerProduct
+from repro.sqlengine.engine import ParsedStatement
 
 
 @dataclass
 class RecoveryReport:
     """What one restart recovery did (telemetry + test oracle)."""
 
-    replica: str
     #: Name of the checkpoint restored, or ``None`` (full redo).
     checkpoint: Optional[str] = None
     #: WAL position redo resumed from (0 without a checkpoint).
@@ -66,135 +67,88 @@ class RecoveryReport:
     ddl_history: list[str] = field(default_factory=list)
 
 
-def apply_checkpoint(engine: Any, payload: dict) -> None:
-    """Rebuild an engine from a checkpoint payload (schema via DDL
+def apply_checkpoint(product: ServerProduct, payload: dict) -> None:
+    """Rebuild a product from a checkpoint payload (schema via DDL
     replay, data via bulk row load).  Raises
     :class:`CheckpointInvalid` when the payload cannot reproduce the
-    state it claims (e.g. a table dump with no matching schema)."""
-    engine.reset()
-    engine.restart()
-    engine.phase = "recover"
-    try:
+    state it claims: DDL the product's dialect refuses, or a table
+    dump with no matching schema."""
+    product.reset()
+    with product.recovering():
         for sql in payload.get("ddl", ()):
             try:
-                engine.execute(sql)
+                product.execute(sql)
             except SqlError:
                 continue  # errored at original execution; errors again
-        for table in payload.get("tables", ()):
-            data = engine.storage.get_optional(table["name"])
-            if data is None:
-                raise CheckpointInvalid(
-                    f"checkpoint dumps table {table['name']!r} with no schema"
+            except FeatureNotSupported as error:
+                raise CheckpointInvalid(f"checkpoint DDL refused: {error}") from None
+        try:
+            for table in payload.get("tables", ()):
+                product.load_rows(
+                    table["name"], table["columns"], map(records.decode_row, table["rows"])
                 )
-            if data.column_count != table["columns"]:
-                raise CheckpointInvalid(
-                    f"checkpoint width mismatch on {table['name']!r}"
-                )
-            data.replace_rows(records.decode_row(row) for row in table["rows"])
-    except records.ScalarInvalid as error:
-        raise CheckpointInvalid(f"checkpoint row dump: {error}") from None
-    finally:
-        engine.phase = "serve"
+        except ValueError as error:
+            raise CheckpointInvalid(f"checkpoint row dump: {error}") from None
 
 
 def recover_engine(
-    engine: Any,
-    wal: WriteAheadLog,
-    checkpoints: Optional[CheckpointStore] = None,
-    *,
-    replica: str = "?",
-    execute: Optional[Callable[[Executable], Any]] = None,
+    product: ServerProduct, wal: WriteAheadLog, checkpoints: CheckpointStore
 ) -> RecoveryReport:
-    """Restart one engine from its durable state; see module docs.
+    """Restart one product from its durable state; see module docs.
 
-    ``execute`` defaults to ``engine.execute``; pass the owning
-    product's ``execute`` so dialect validation runs as in service.
-    """
-    run = execute or engine.execute
+    A record the product's dialect refuses is skipped like one that
+    errors, with a warning: service never applied it (the middleware
+    logs no record a replica refused)."""
     scan: WalScan = wal.scan()
     report = RecoveryReport(
-        replica=replica,
         wal_records=len(scan.records),
         dropped_bytes=scan.dropped_bytes,
         stopped=scan.stopped,
     )
 
-    restored = False
-    if checkpoints is not None:
-        for name, payload in checkpoints.load_all():
-            if payload["lsn"] > len(scan.records):
-                # The checkpoint is ahead of the salvaged log prefix:
-                # trusting it would resurrect discarded history.
-                report.checkpoints_skipped += 1
-                report.warnings.append(
-                    f"checkpoint {name} watermark {payload['lsn']} beyond "
-                    f"salvaged WAL prefix {len(scan.records)}"
-                )
-                continue
-            try:
-                apply_checkpoint(engine, payload)
-            except CheckpointInvalid as error:
-                report.checkpoints_skipped += 1
-                report.warnings.append(f"checkpoint {name} skipped: {error}")
-                continue
-            report.checkpoint = name
-            report.watermark = int(payload["lsn"])
-            report.ddl_history = [str(sql) for sql in payload.get("ddl", ())]
-            restored = True
-            break
-    if not restored:
-        engine.reset()
-        engine.restart()
+    for name, payload in checkpoints.load_all():
+        if payload["lsn"] > len(scan.records):
+            # The checkpoint is ahead of the salvaged log prefix:
+            # trusting it would resurrect discarded history.
+            report.checkpoints_skipped += 1
+            report.warnings.append(
+                f"checkpoint {name} watermark {payload['lsn']} beyond "
+                f"salvaged WAL prefix {len(scan.records)}"
+            )
+            continue
+        try:
+            apply_checkpoint(product, payload)
+        except CheckpointInvalid as error:
+            report.checkpoints_skipped += 1
+            report.warnings.append(f"checkpoint {name} skipped: {error}")
+            continue
+        report.checkpoint = name
+        report.watermark = int(payload["lsn"])
+        report.ddl_history = [str(sql) for sql in payload.get("ddl", ())]
+        break
+    else:
+        product.reset()
 
-    engine.phase = "recover"
-    try:
+    with product.recovering():
         for record in scan.records:
             if record.lsn < report.watermark:
                 continue
+            ddl = False
             try:
                 parsed = ParsedStatement.parse(record.sql)
-                if parsed.traits.kind in DDL_KINDS:
-                    report.ddl_history.append(record.sql)
-                run(parsed)
+                ddl = parsed.traits.kind in DDL_KINDS
+                product.execute(parsed)
             except SqlError:
                 pass  # errored at original execution; errors again
+            except FeatureNotSupported as error:
+                ddl = False  # never applied, so not schema history
+                report.warnings.append(f"WAL record {record.lsn} refused: {error}")
+            if ddl:
+                report.ddl_history.append(record.sql)
             report.redone += 1
-    finally:
-        engine.phase = "serve"
 
-    if engine.transactions.in_transaction:
+    if product.in_transaction:
         report.aborted_transaction = True
-    engine.restart()  # undo pass: roll back any open transaction
+    product.restart()  # undo pass: roll back any open transaction
     wal.truncate_to_valid()
     return report
-
-
-def engine_state_signature(engine: Any) -> str:
-    """A canonical fingerprint of one engine's durable state.
-
-    Covers the catalog (tables, views, indexes by name) and every
-    table's row multiset in the checkpoint value codec.  Two engines
-    with equal signatures hold the same logical database; the
-    restart-recovery healer and the power-cut property tests compare
-    these.
-    """
-    tables = {}
-    for data in engine.storage.tables():
-        rows = sorted(
-            json.dumps(row, sort_keys=True, default=records.json_default)
-            for row in data.snapshot()
-        )
-        tables[data.name.lower()] = rows
-    catalog = engine.catalog
-    indexes = sorted(
-        index.name.lower()
-        for table in catalog.tables()
-        for index in catalog.indexes_on(table.name)
-    )
-    payload = {
-        "tables": tables,
-        "table_names": sorted(t.name.lower() for t in catalog.tables()),
-        "views": sorted(v.name.lower() for v in catalog.views()),
-        "indexes": indexes,
-    }
-    return json.dumps(payload, sort_keys=True)

@@ -69,7 +69,7 @@ class DurableSession:
         if (
             interval
             and self._writes_since_checkpoint >= interval
-            and not self.product.engine.transactions.in_transaction
+            and not self.product.in_transaction
         ):
             self.store.checkpoint(self.product)
             self._writes_since_checkpoint = 0

@@ -196,7 +196,7 @@ def run_hunt(
         parsed_setup = ParsedStatement.parse(statement)
         schema.observe(parsed_setup.statement)
         for server in servers.values():
-            server.engine.execute(parsed_setup)
+            server.execute(parsed_setup)
 
     report = HuntReport(products=products, seed=seed)
     bank = _Bank()
@@ -217,7 +217,7 @@ def run_hunt(
 
     def run_on(key: str, sql: Executable) -> Optional[Counter]:
         try:
-            return _multiset(servers[key].engine.execute(remember(sql)))
+            return _multiset(servers[key].execute(remember(sql)))
         except SqlError:
             report.errors += 1
             return None

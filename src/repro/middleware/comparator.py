@@ -30,6 +30,20 @@ class ReplicaAnswer:
     #: shared by :meth:`ResultComparator.compare` with identical answers.
     _normal: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
+    @classmethod
+    def of(cls, replica: str, result: Any) -> "ReplicaAnswer":
+        """The ``ok`` answer of a replica whose statement ran: the
+        columns, rows, rowcount and cost of its engine ``result``."""
+        return cls(
+            replica=replica,
+            status="ok",
+            columns=tuple(result.columns),
+            rows=tuple(result.rows),
+            rowcount=result.rowcount,
+            virtual_cost=result.virtual_cost,
+            result=result,
+        )
+
     def unwrap(self):
         """The engine :class:`~repro.sqlengine.engine.Result` behind a
         winning answer.  An ``error`` answer re-raises: when it wins

@@ -8,25 +8,12 @@ canonicalised by :func:`repro.sqlengine.values.normalize_value` (which
 the study's cross-server identicality check shares), so representation
 differences do not count as disagreement, while real value differences
 (including the one-ulp skews of the arithmetic bugs) do, and whole
-result sets by :func:`~repro.sqlengine.values.normalize_result`.  This
-module applies them to the middleware's comparisons and database states.
+result sets by :func:`~repro.sqlengine.values.normalize_result`, which
+this module hands to the middleware's comparisons.  A replica's whole
+database is compared through
+:meth:`~repro.servers.product.ServerProduct.normalized_state`.
 """
 
-from __future__ import annotations
+from repro.sqlengine.values import normalize_result
 
-from typing import Any
-
-from repro.sqlengine.values import normalize_result, normalize_row
-
-__all__ = ["normalize_result", "normalized_state"]
-
-
-def normalized_state(engine: Any) -> dict[str, list[tuple]]:
-    """One engine's whole database in canonical form: every base table
-    (lower-cased name) mapped to its sorted normalised rows.  The
-    consistency check and the rebuild admission gate both compare
-    replicas through this dump."""
-    return {
-        data.name.lower(): sorted(normalize_row(row) for row in data.snapshot())
-        for data in engine.storage.tables()
-    }
+__all__ = ["normalize_result"]

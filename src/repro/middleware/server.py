@@ -108,7 +108,6 @@ from repro.errors import (
     StatementTimeout,
 )
 from repro.middleware.comparator import ReplicaAnswer, ResultComparator, identical
-from repro.middleware.normalizer import normalized_state
 from repro.middleware.pipeline import StatementPipeline
 from repro.middleware.supervisor import (
     ReplicaHealth,
@@ -122,7 +121,6 @@ from repro.servers.product import ServerProduct
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits
 from repro.sqlengine.engine import EnginePrepared, Result
-from repro.sqlengine.lexer import split_statements
 from repro.sqlengine.params import (
     Lifted,
     misreads_literals,
@@ -644,32 +642,20 @@ class DiverseServer:
         if not active:
             return
         replica = active[0]
-        engine = replica.product.engine
-        answers: list[ReplicaAnswer] = []
-        for label, rewrite in (("rewritten", True), ("unrewritten", False)):
-            engine.rewrite = rewrite
+        product = replica.product
+
+        def ask(label: str) -> ReplicaAnswer:
             try:
-                answer_result = self._run(replica.product, call)
-                answers.append(
-                    ReplicaAnswer(
-                        replica=label,
-                        status="ok",
-                        columns=tuple(answer_result.columns),
-                        rows=tuple(answer_result.rows),
-                        rowcount=answer_result.rowcount,
-                        virtual_cost=answer_result.virtual_cost,
-                        result=answer_result,
-                    )
-                )
+                return ReplicaAnswer.of(label, self._run(product, call))
             except EngineCrash:
-                replica.product.restart()
-                answers.append(ReplicaAnswer(replica=label, status="crash"))
+                product.restart()
+                return ReplicaAnswer(replica=label, status="crash")
             except (SqlError, FeatureNotSupported) as error:
-                answers.append(
-                    ReplicaAnswer(replica=label, status="error", error=str(error))
-                )
-            finally:
-                engine.rewrite = True
+                return ReplicaAnswer(replica=label, status="error", error=str(error))
+
+        rewritten = ask("rewritten")
+        with product.unrewritten():
+            answers = [rewritten, ask("unrewritten")]
         if any(answer.status == "crash" for answer in answers):
             return  # a crashed run proves nothing about the planner
         self.stats.dual_plan_checks += 1
@@ -682,9 +668,6 @@ class DiverseServer:
                 f"dual-plan divergence on {replica.key}: rewritten and "
                 "unrewritten plans disagree"
             )
-
-    def execute_script(self, sql: str) -> list[Result]:
-        return [self.execute(statement) for statement in split_statements(sql)]
 
     def _effective_adjudication(self, active_count: int) -> str:
         """Degrade the adjudication policy when too few replicas remain."""
@@ -1055,15 +1038,7 @@ class DiverseServer:
         except SqlError as error:
             replica.stats.errors += 1
             return ReplicaAnswer(replica=replica.key, status="error", error=str(error))
-        return ReplicaAnswer(
-            replica=replica.key,
-            status="ok",
-            columns=tuple(result.columns),
-            rows=tuple(result.rows),
-            rowcount=result.rowcount,
-            virtual_cost=result.virtual_cost,
-            result=result,
-        )
+        return ReplicaAnswer.of(replica.key, result)
 
     # -- recovery ---------------------------------------------------------------------
 
@@ -1160,10 +1135,10 @@ class DiverseServer:
         active = self.active_replicas()
         if len(active) < 2:
             return {}
-        baseline = normalized_state(active[0].product.engine)
+        baseline = active[0].product.normalized_state()
         disagreements: dict[str, list[str]] = {}
         for replica in active[1:]:
-            dump = normalized_state(replica.product.engine)
+            dump = replica.product.normalized_state()
             for name in baseline.keys() | dump.keys():
                 if dump.get(name) != baseline.get(name):
                     disagreements.setdefault(name, []).append(replica.key)
@@ -1174,10 +1149,6 @@ class DiverseServer:
     @property
     def write_log(self) -> list[str]:
         return list(self._write_log)
-
-    def availability(self) -> float:
-        """Fraction of replicas currently active."""
-        return len(self.active_replicas()) / len(self.replicas)
 
 
 class PreparedStatement:

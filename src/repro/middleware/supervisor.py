@@ -42,7 +42,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import EngineCrash, FeatureNotSupported, ReproError, SqlError
-from repro.middleware.normalizer import normalized_state
 from repro.sqlengine.engine import EngineSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -315,7 +314,7 @@ class ReplicaSupervisor:
         if not interval or self.stats.writes - since_writes < interval:
             return []
         active = self._server.active_replicas()
-        if any(r.product.engine.transactions.in_transaction for r in active):
+        if any(r.product.in_transaction for r in active):
             return []
         return active
 
@@ -405,14 +404,14 @@ class ReplicaSupervisor:
         donors = self._server.active_replicas()
         if not donors:
             return False
-        if any(r.product.engine.transactions.in_transaction for r in donors):
+        if any(r.product.in_transaction for r in donors):
             return False
         donor = donors[0]
         replica.health.rebuild = RebuildProgress(
             started_at=self.clock.now,
             snapshot=donor.product.snapshot(),
             cursor=len(self._server._write_log),
-            seed_rows_total=donor.product.engine.storage.row_count(),
+            seed_rows_total=donor.product.row_count(),
         )
         replica.state = ReplicaState.REBUILDING
         self.stats.rebuilds_started += 1
@@ -448,14 +447,14 @@ class ReplicaSupervisor:
         except (EngineCrash, RecoveryStalled, FeatureNotSupported):
             self._rebuild_failed(replica)
             return
-        if rebuild.cursor >= len(log) and not product.engine.transactions.in_transaction:
+        if rebuild.cursor >= len(log) and not product.in_transaction:
             self._try_admit(replica)
 
     def _try_admit(self, replica: "Replica") -> None:
         """Re-admission gate: the rebuilt state must agree with the
         quorum of active replicas before the replica serves again."""
         active = self._server.active_replicas()
-        if any(r.product.engine.transactions.in_transaction for r in active):
+        if any(r.product.in_transaction for r in active):
             return  # mid-transaction states are not comparable; retry
         if active and not self._matches_quorum(replica, active):
             self._rebuild_failed(replica)
@@ -478,10 +477,8 @@ class ReplicaSupervisor:
         a majority of the active replicas' states (the
         ``verify_consistency`` criterion applied at the admission
         gate)."""
-        target = normalized_state(replica.product.engine)
-        matches = sum(
-            1 for peer in active if normalized_state(peer.product.engine) == target
-        )
+        target = replica.product.normalized_state()
+        matches = sum(1 for peer in active if peer.product.normalized_state() == target)
         return 2 * matches > len(active)
 
     def _rebuild_failed(self, replica: "Replica") -> None:
@@ -523,8 +520,8 @@ class ReplicaSupervisor:
 
         With a checkpoint: restore the snapshot, replay only the write
         log tail past its position.  Without: reset to a fresh install
-        and replay the full history.  The engine is flagged as being in
-        its recovery phase so recovery-scoped faults
+        and replay the full history.  The product is in its recovery
+        phase (:meth:`ServerProduct.recovering`) so recovery-scoped faults
         (:class:`repro.faults.triggers.RecoveryTrigger`) can fire.
         """
         product = replica.product
@@ -548,7 +545,7 @@ class ReplicaSupervisor:
 
     def _replay_log(self, replica: "Replica", statements: Iterable[str]) -> None:
         """Re-execute write-log statements on one replica, with its
-        engine in the recovery phase: each text runs as the call it ran
+        product in the recovery phase: each text runs as the call it ran
         live (:meth:`DiverseServer.statement_call`), on the replica's
         own prepared handle, so fault triggers see the same
         replica-dialect text.  Statements that legitimately errored at
@@ -560,8 +557,7 @@ class ReplicaSupervisor:
         server = self._server
         product = replica.product
         deadline = self.policy.statement_deadline
-        product.engine.phase = "recover"
-        try:
+        with product.recovering():
             for sql in statements:
                 try:
                     call, _ = server.statement_call(sql)
@@ -583,8 +579,6 @@ class ReplicaSupervisor:
                         f"replica {replica.key} stalled replaying {sql!r} "
                         f"(cost {result.virtual_cost} > deadline {deadline})"
                     )
-        finally:
-            product.engine.phase = "serve"
 
     def _recovery_failed(self, replica: "Replica", *, manual: bool) -> None:
         health = replica.health

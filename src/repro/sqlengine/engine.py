@@ -260,19 +260,17 @@ class Engine:
     # -- execution -----------------------------------------------------------
 
     def execute(self, sql: Executable) -> Result:
-        """Execute all statements in ``sql``; return the last result."""
-        results = self.execute_script(sql)
-        return results[-1] if results else Result(kind="txn")
-
-    def execute_script(self, sql: Executable) -> list[Result]:
-        """Execute a semicolon-separated script, statement by statement
-        (or the one statement a caller already parsed)."""
+        """Execute a semicolon-separated script statement by statement
+        (or the one statement a caller already parsed); return the last
+        result."""
         if self.crashed:
             raise EngineCrash(self.name, "engine is down (previous crash)")
         if isinstance(sql, ParsedStatement):
-            return [self._execute_statement(sql.statement, sql.sql, traits=sql.traits)]
-        statements = parse_script(sql)
-        return [self._execute_statement(stmt, sql) for stmt in statements]
+            return self._execute_statement(sql.statement, sql.sql, traits=sql.traits)
+        result = Result(kind="txn")
+        for stmt in parse_script(sql):
+            result = self._execute_statement(stmt, sql)
+        return result
 
     def prepare(self, sql: Executable) -> "EnginePrepared":
         """Parse ``sql`` (one statement, ``?`` placeholders allowed) once

@@ -98,7 +98,7 @@ class TestCheckpoint:
         product = make_server("IB")
         product.execute("CREATE TABLE t (x INT)")
         names = [
-            store.save(build_checkpoint(product.engine, lsn=i, ddl=[], taken_at=0.0))
+            store.save(build_checkpoint(product, lsn=i, ddl=[], taken_at=0.0))
             for i in range(3)
         ]
         kept = medium.names("IB/")
@@ -155,6 +155,18 @@ class TestRecovery:
         assert report.redone == 1
         # Only the CREATE TABLE survives.
         assert recovered.product.engine.storage.get_optional("t").snapshot() == []
+
+    def test_a_checkpoint_row_of_the_wrong_width_falls_back(self):
+        session = self.script_session()
+        older = session.store.checkpoint(session.product)
+        (_, payload), = session.store.checkpoints.load_all()
+        payload["tables"][0]["rows"].append([3])  # t is two columns wide
+        session.store.checkpoints.save(payload)
+        recovered, report = DurableSession.resume(make_server("IB"), session.power_cut())
+        assert report.checkpoint == older
+        assert report.checkpoints_skipped == 1
+        assert "row width 1 != table width 2" in report.warnings[0]
+        assert recovered.product.state_signature() == session.product.state_signature()
 
     def test_open_transaction_rolled_back(self):
         session = self.script_session()
@@ -544,6 +556,58 @@ class TestDurabilityManager:
         server.execute("INSERT INTO t VALUES (50, 500)")
         # The write reached IB's WAL even though IB did not serve it.
         assert len(server.durability.store("IB").wal.scan().records) == 14
+
+
+#: A write Interbase 6 refuses (it has no MOD).  The middleware logs no
+#: record a replica refused, so only a foreign or hand-made log holds one.
+REFUSED = "UPDATE t SET a = MOD(a, 2)"
+
+
+class TestRestartRecoveryMeetsARefusal:
+    """A dialect refusal (``FeatureNotSupported``, not a ``SqlError``)
+    during restart recovery is skipped with a warning, not raised."""
+
+    def session(self):
+        session = DurableSession(make_server("IB"))
+        session.execute("CREATE TABLE t (a INT)")
+        session.execute("INSERT INTO t VALUES (3)")
+        return session
+
+    def test_resume_skips_a_refused_record(self):
+        session = self.session()
+        session.store.wal.append(REFUSED, 1)
+        recovered, report = DurableSession.resume(make_server("IB"), session.power_cut())
+        assert report.redone == 3
+        assert [w for w in report.warnings if "fn.MOD" in w] == [
+            "WAL record 2 refused: feature 'fn.MOD' is not supported by server 'IB'"
+        ]
+        assert report.ddl_history == ["CREATE TABLE t (a INT)"]
+        assert recovered.product.execute("SELECT a FROM t").rows == [(3,)]
+
+    def test_recover_server_skips_a_refused_record(self):
+        medium = MemoryMedium()
+        server = durable_server(medium)
+        server.execute("CREATE TABLE t (a INT)")
+        server.execute("INSERT INTO t VALUES (3)")
+        server.durability.store("IB").wal.append(REFUSED, 1)
+        restarted = durable_server(medium.clone())
+        outcome = restarted.durability.recover_server()
+        assert outcome.crashed == [] and outcome.healed == []
+        assert outcome.residual_disagreements == {}
+        assert any("fn.MOD" in w for w in outcome.reports["IB"].warnings)
+        assert restarted.execute("SELECT a FROM t").rows == [(3,)]
+
+    def test_a_checkpoint_whose_ddl_is_refused_falls_back_to_the_older_one(self):
+        session = self.session()
+        older = session.store.checkpoint(session.product)
+        (_, payload), = session.store.checkpoints.load_all()
+        payload["ddl"].append("CREATE VIEW v AS SELECT MOD(a, 2) AS m FROM t")
+        session.store.checkpoints.save(payload)
+        recovered, report = DurableSession.resume(make_server("IB"), session.power_cut())
+        assert report.checkpoint == older
+        assert report.checkpoints_skipped == 1
+        assert "DDL refused" in report.warnings[0]
+        assert recovered.product.state_signature() == session.product.state_signature()
 
 
 class TestOnlineRebuild:

@@ -233,6 +233,26 @@ def test_the_study_runs_products_without_the_middleware():
     assert names_from("study", "middleware") == set()
 
 
+def engine_reach_ins() -> list[str]:
+    """``module:line`` for every load of an attribute named ``engine``
+    in a module whose row is above ``repro.servers``."""
+    servers = LAYERS["repro.servers"]
+    return [
+        f"{module}:{node.lineno}"
+        for module, tree in sorted(TREES.items())
+        if LAYERS[owner(module)] > servers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "engine"
+        and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_nothing_above_the_servers_reaches_into_an_engine():
+    """A replica is read and changed through ``ServerProduct`` only."""
+    assert engine_reach_ins() == []
+
+
 # -- what the entry points reach ---------------------------------------------
 
 #: Public definitions no entry point reaches, kept because a DESIGN.md

@@ -31,7 +31,7 @@ from repro.analysis.schema import ScriptSchema
 from repro.bugs.groundtruth import SERVER_KEYS
 from repro.dialects.features import dialect
 from repro.dialects.translator import translate_script, translate_tokens
-from repro.durability.recovery import engine_state_signature
+from repro.durability import engine_state_signature
 from repro.errors import EngineCrash, MiddlewareError, ReproError, SqlError
 from repro.faults import (
     AlwaysTrigger,

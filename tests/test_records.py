@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro import records
 from repro.durability import CheckpointInvalid, CheckpointStore, MemoryMedium
 from repro.durability.checkpoint import build_checkpoint, pack_checkpoint, unpack_checkpoint
-from repro.durability.recovery import apply_checkpoint, engine_state_signature
+from repro.durability.recovery import apply_checkpoint
 from repro.durability.wal import encode_record, scan_records
 from repro.net import FrameCorrupt, decode_frame, encode_frame, protocol
 from repro.net.errors import ProtocolViolation
@@ -69,8 +69,8 @@ def check_checkpoint(how: str) -> None:
     product.execute("CREATE TABLE t (x INT)")
     medium = MemoryMedium()
     store = CheckpointStore(medium, "IB")
-    older = store.save(build_checkpoint(product.engine, lsn=0, ddl=[]))
-    newer = store.save(build_checkpoint(product.engine, lsn=1, ddl=[]))
+    older = store.save(build_checkpoint(product, lsn=0, ddl=[]))
+    newer = store.save(build_checkpoint(product, lsn=1, ddl=[]))
     blob = damaged(medium.read(newer), how)
     with pytest.raises(CheckpointInvalid):
         unpack_checkpoint(blob)
@@ -129,17 +129,17 @@ def test_every_stored_scalar_survives_wire_engine_checkpoint_restore(values):
     # engine: it is stored in a table heap
     width = len(values)
     ddl = f"CREATE TABLE t ({', '.join(f'c{i} VARCHAR(8)' for i in range(width))})"
-    engine = make_server("IB").engine
-    engine.execute(ddl)
-    engine.storage.get("t").insert(arrived)
+    product = make_server("IB")
+    product.execute(ddl)
+    product.engine.storage.get("t").insert(arrived)
 
-    # checkpoint -> restore on a fresh engine
-    blob = pack_checkpoint(build_checkpoint(engine, lsn=0, ddl=[ddl]))
-    restored = make_server("IB").engine
+    # checkpoint -> restore on a fresh product
+    blob = pack_checkpoint(build_checkpoint(product, lsn=0, ddl=[ddl]))
+    restored = make_server("IB")
     apply_checkpoint(restored, unpack_checkpoint(blob))
-    (row,) = restored.storage.get("t").snapshot()
+    (row,) = restored.engine.storage.get("t").snapshot()
     assert exact(row) == exact(values)
-    assert engine_state_signature(restored) == engine_state_signature(engine)
+    assert restored.state_signature() == product.state_signature()
 
     # and back out to a client in a result message
     reply = decode_frame(encode_frame(protocol.result(1, Result("select", ["c"], [row], 1))))
@@ -171,10 +171,10 @@ def test_malformed_envelope_is_one_error_mapped_per_user(envelope):
         protocol.decode_row([envelope])
     product = make_server("IB")
     product.execute("CREATE TABLE t (x INT)")
-    payload = build_checkpoint(product.engine, lsn=0, ddl=["CREATE TABLE t (x INT)"])
+    payload = build_checkpoint(product, lsn=0, ddl=["CREATE TABLE t (x INT)"])
     payload["tables"][0]["rows"] = [[envelope]]
     with pytest.raises(CheckpointInvalid):
-        apply_checkpoint(make_server("IB").engine, payload)
+        apply_checkpoint(make_server("IB"), payload)
 
 
 def test_envelope_spelling_is_the_on_disk_one():
@@ -237,7 +237,8 @@ EVERY_KIND = (
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(SCALARS, min_size=3, max_size=3), max_size=6))
 def test_checkpoint_is_the_row_encoded_spelling(rows):
-    engine = make_server("IB").engine
+    product = make_server("IB")
+    engine = product.engine
     ddl = [
         "CREATE TABLE a (x VARCHAR(8), y VARCHAR(8), z VARCHAR(8))",
         "CREATE TABLE b ("
@@ -250,7 +251,7 @@ def test_checkpoint_is_the_row_encoded_spelling(rows):
     for row in rows:
         engine.storage.get("a").insert(row)
     engine.storage.get("b").insert(EVERY_KIND)
-    blob = pack_checkpoint(build_checkpoint(engine, lsn=3, ddl=ddl, taken_at=1.5))
+    blob = pack_checkpoint(build_checkpoint(product, lsn=3, ddl=ddl, taken_at=1.5))
     assert blob == row_encoded_checkpoint(engine, 3, ddl, 1.5)
 
 
@@ -259,7 +260,7 @@ def test_packed_checkpoint_does_not_alias_the_live_heap():
     product.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(20))")
     product.execute("INSERT INTO t VALUES (1, 'a')")
     product.execute("INSERT INTO t VALUES (2, 'b')")
-    payload = build_checkpoint(product.engine, lsn=0, ddl=[])
+    payload = build_checkpoint(product, lsn=0, ddl=[])
     before = pack_checkpoint(payload)
     product.execute("UPDATE t SET v = 'z' WHERE id = 1")
     product.execute("DELETE FROM t WHERE id = 2")
