@@ -9,7 +9,7 @@ the observable evidence, which is what downstream analysis consumes.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from repro.bugs.corpus import Corpus
 from repro.bugs.report import BugReport
@@ -48,6 +48,10 @@ def corpus_to_dict(corpus: Corpus) -> dict[str, Any]:
     }
 
 
-def corpus_to_json(corpus: Corpus, *, indent: Optional[int] = 2) -> str:
-    return json.dumps(corpus_to_dict(corpus), indent=indent)
+#: Spaces per nesting level of the exported JSON.
+JSON_INDENT = 2
+
+
+def corpus_to_json(corpus: Corpus) -> str:
+    return json.dumps(corpus_to_dict(corpus), indent=JSON_INDENT)
 

@@ -39,6 +39,11 @@ def pack_checkpoint(payload: dict) -> bytes:
 
 
 def unpack_checkpoint(data: bytes) -> dict:
+    """The payload of a checkpoint blob, refused unless recovery can walk
+    its structure: ``lsn`` a non-negative int, ``ddl`` a list of str,
+    ``tables`` a list of ``{"name": str, "columns": int, "rows": list}``.
+    Rows are left to the decoder that loads them, so the check costs one
+    step per table, not per value; keys it does not name are ignored."""
     # No size limit: a checkpoint is a whole database, and a length the
     # blob cannot cover already reads as a torn payload.
     blob, _, damage = records.unpack(data)
@@ -48,14 +53,25 @@ def unpack_checkpoint(data: bytes) -> dict:
         payload = json.loads(blob.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as error:
         raise CheckpointInvalid(f"undecodable checkpoint: {error}") from None
-    if not isinstance(payload, dict) or "lsn" not in payload:
-        raise CheckpointInvalid("checkpoint payload missing fields")
+    if not isinstance(payload, dict):
+        raise CheckpointInvalid("checkpoint payload is not an object")
+    lsn, ddl, tables = payload.get("lsn"), payload.get("ddl"), payload.get("tables")
+    if type(lsn) is not int or lsn < 0:
+        raise CheckpointInvalid(f"checkpoint lsn {lsn!r} is not a WAL position")
+    if not isinstance(ddl, list) or not all(isinstance(sql, str) for sql in ddl):
+        raise CheckpointInvalid("checkpoint ddl is not a list of statements")
+    if not isinstance(tables, list) or not all(
+        isinstance(table, dict)
+        and isinstance(table.get("name"), str)
+        and type(table.get("columns")) is int
+        and isinstance(table.get("rows"), list)
+        for table in tables
+    ):
+        raise CheckpointInvalid("checkpoint tables are not name/columns/rows dumps")
     return payload
 
 
-def build_checkpoint(
-    product: ServerProduct, *, lsn: int, ddl: list[str], taken_at: float = 0.0
-) -> dict:
+def build_checkpoint(product: ServerProduct, *, lsn: int, ddl: list[str]) -> dict:
     """The logical snapshot payload of one product at WAL position
     ``lsn``.
 
@@ -65,8 +81,6 @@ def build_checkpoint(
     encoded only by :func:`pack_checkpoint`."""
     return {
         "lsn": lsn,
-        "generation": product.catalog_generation,
-        "taken_at": taken_at,
         "ddl": list(ddl),
         "tables": [
             {"name": name, "columns": columns, "rows": rows}

@@ -104,20 +104,15 @@ class ReplicaStore:
             fired.extend(faults)
             return mutated
 
-        self.wal.append(sql, product.catalog_generation, mutate=mutate)
+        self.wal.append(sql, mutate=mutate)
         if traits.kind in DDL_KINDS:
             self.ddl_history.append(sql)
         return fired
 
-    def checkpoint(self, product: "ServerProduct", taken_at: float = 0.0) -> str:
+    def checkpoint(self, product: "ServerProduct") -> str:
         """Publish a checkpoint at the current WAL position."""
         return self.checkpoints.save(
-            build_checkpoint(
-                product,
-                lsn=self.wal.next_lsn,
-                ddl=self.ddl_history,
-                taken_at=taken_at,
-            )
+            build_checkpoint(product, lsn=self.wal.next_lsn, ddl=self.ddl_history)
         )
 
     def recover(self, product: "ServerProduct") -> RecoveryReport:
@@ -191,7 +186,7 @@ class DurabilityManager:
         bound text, the text supervisor replay's call stands for and
         restart redo runs; nothing is scanned here."""
         server = self._server
-        self._shared.append(call.bound_sql, server.pipeline.generation)
+        self._shared.append(call.bound_sql)
         for replica in server.replicas:
             try:
                 translated = server.literal_text(call, replica.product)
@@ -227,9 +222,7 @@ class DurabilityManager:
     def checkpoint_replica(self, replica: "Replica") -> str:
         """Write one replica's durable checkpoint at its current WAL
         position (also the re-baseline step after recovery/rebuild)."""
-        name = self._stores[replica.key].checkpoint(
-            replica.product, self._server.clock.now
-        )
+        name = self._stores[replica.key].checkpoint(replica.product)
         self.stats.durable_checkpoints += 1
         return name
 

@@ -69,13 +69,14 @@ class RecoveryReport:
 
 def apply_checkpoint(product: ServerProduct, payload: dict) -> None:
     """Rebuild a product from a checkpoint payload (schema via DDL
-    replay, data via bulk row load).  Raises
+    replay, data via bulk row load), one :func:`build_checkpoint`
+    gives or :func:`unpack_checkpoint` accepts.  Raises
     :class:`CheckpointInvalid` when the payload cannot reproduce the
-    state it claims: DDL the product's dialect refuses, or a table
-    dump with no matching schema."""
+    state it claims: DDL the product's dialect refuses, a table dump
+    with no matching schema, or a row that does not decode."""
     product.reset()
     with product.recovering():
-        for sql in payload.get("ddl", ()):
+        for sql in payload["ddl"]:
             try:
                 product.execute(sql)
             except SqlError:
@@ -83,7 +84,7 @@ def apply_checkpoint(product: ServerProduct, payload: dict) -> None:
             except FeatureNotSupported as error:
                 raise CheckpointInvalid(f"checkpoint DDL refused: {error}") from None
         try:
-            for table in payload.get("tables", ()):
+            for table in payload["tables"]:
                 product.load_rows(
                     table["name"], table["columns"], map(records.decode_row, table["rows"])
                 )
@@ -123,8 +124,8 @@ def recover_engine(
             report.warnings.append(f"checkpoint {name} skipped: {error}")
             continue
         report.checkpoint = name
-        report.watermark = int(payload["lsn"])
-        report.ddl_history = [str(sql) for sql in payload.get("ddl", ())]
+        report.watermark = payload["lsn"]
+        report.ddl_history = list(payload["ddl"])
         break
     else:
         product.reset()

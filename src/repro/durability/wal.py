@@ -1,11 +1,10 @@
 """The write-ahead log: checksummed, length-prefixed redo records.
 
 Each record is one :mod:`repro.records` record (length, CRC32, payload).
-The payload carries ``{"lsn": n, "gen": g, "sql": text}``: a
-monotonically increasing log sequence number, the replica catalog's
-``generation`` counter observed when the statement committed (a cheap
-cross-check that redo reproduces the same schema history), and the
-committed write statement in the replica's own dialect.
+The payload carries ``{"lsn": n, "sql": text}``: a monotonically
+increasing log sequence number and the committed write statement in
+the replica's own dialect.  The scan ignores any other key, so a log
+written with the older ``"gen"`` field still reads.
 :func:`encode_record` spells that JSON object with a format string
 around the C encoder's string escape: the bytes ``json.dumps`` of the
 dict writes, without the dict.
@@ -40,7 +39,6 @@ class WalRecord:
     """One committed write statement as recovered from the log."""
 
     lsn: int
-    generation: int
     sql: str
 
 
@@ -67,13 +65,10 @@ class WalScan:
         return self.stopped is None
 
 
-def encode_record(lsn: int, generation: int, sql: str) -> bytes:
-    """One WAL record: the bytes ``json.dumps({"lsn": lsn, "gen":
-    generation, "sql": sql}, ensure_ascii=False)`` writes, spelled
-    without building the dict."""
-    payload = '{"lsn": %d, "gen": %d, "sql": %s}' % (
-        lsn, generation, encode_basestring(sql)
-    )
+def encode_record(lsn: int, sql: str) -> bytes:
+    """One WAL record: the bytes ``json.dumps({"lsn": lsn, "sql": sql},
+    ensure_ascii=False)`` writes, spelled without building the dict."""
+    payload = '{"lsn": %d, "sql": %s}' % (lsn, encode_basestring(sql))
     return records.pack(payload.encode("utf-8"))
 
 
@@ -91,11 +86,7 @@ def scan_records(blob: bytes) -> WalScan:
             break
         try:
             fields = json.loads(payload.decode("utf-8"))
-            record = WalRecord(
-                lsn=int(fields["lsn"]),
-                generation=int(fields["gen"]),
-                sql=str(fields["sql"]),
-            )
+            record = WalRecord(lsn=int(fields["lsn"]), sql=str(fields["sql"]))
         except (ValueError, KeyError, TypeError, UnicodeDecodeError):
             stopped = "undecodable"
             break
@@ -133,7 +124,6 @@ class WriteAheadLog:
     def append(
         self,
         sql: str,
-        generation: int,
         mutate: Optional[Callable[[bytes], Optional[bytes]]] = None,
     ) -> WalRecord:
         """Encode and append one committed write statement.
@@ -143,8 +133,8 @@ class WriteAheadLog:
         — exactly the gap the scan detects.
         """
         lsn = self.next_lsn
-        record = WalRecord(lsn=lsn, generation=generation, sql=sql)
-        data: Optional[bytes] = encode_record(lsn, generation, sql)
+        record = WalRecord(lsn=lsn, sql=sql)
+        data: Optional[bytes] = encode_record(lsn, sql)
         if mutate is not None:
             data = mutate(data)
         if data:

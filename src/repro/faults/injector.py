@@ -74,9 +74,6 @@ class FaultInjector:
         if isinstance(effect, BehaviourFlagEffect):
             self._by_flag[effect.flag].remove(fault)
 
-    def get(self, fault_id: str) -> FaultSpec:
-        return self._faults[fault_id]
-
     def faults(self) -> list[FaultSpec]:
         return list(self._faults.values())
 

@@ -42,22 +42,12 @@ class Trigger:
     def __and__(self, other: "Trigger") -> "Trigger":
         return AllOf((self, other))
 
-    def __or__(self, other: "Trigger") -> "Trigger":
-        return AnyOf((self, other))
-
 
 class AlwaysTrigger(Trigger):
     """Fires on every statement (used for behaviour-flag faults)."""
 
     def matches(self, ctx: TriggerContext) -> bool:
         return True
-
-
-class NeverTrigger(Trigger):
-    """Never fires (placeholder for disabled behaviour)."""
-
-    def matches(self, ctx: TriggerContext) -> bool:
-        return False
 
 
 class TagTrigger(Trigger):
@@ -111,19 +101,6 @@ class RelationTrigger(Trigger):
         return bool(self.names & ctx.traits.relations)
 
 
-class RelationPrefixTrigger(Trigger):
-    """Fires when any referenced relation name starts with a prefix."""
-
-    def __init__(self, prefix: str, kind: str | None = None) -> None:
-        self.prefix = prefix.lower()
-        self.kind = kind
-
-    def matches(self, ctx: TriggerContext) -> bool:
-        if self.kind is not None and ctx.traits.kind != self.kind:
-            return False
-        return any(name.startswith(self.prefix) for name in ctx.traits.relations)
-
-
 class SqlPatternTrigger(Trigger):
     """Fires when the raw SQL text matches a regular expression."""
 
@@ -160,13 +137,3 @@ class AllOf(Trigger):
 
     def matches(self, ctx: TriggerContext) -> bool:
         return all(trigger.matches(ctx) for trigger in self.triggers)
-
-
-class AnyOf(Trigger):
-    """Disjunction of triggers."""
-
-    def __init__(self, triggers: Iterable[Trigger]) -> None:
-        self.triggers = tuple(triggers)
-
-    def matches(self, ctx: TriggerContext) -> bool:
-        return any(trigger.matches(ctx) for trigger in self.triggers)

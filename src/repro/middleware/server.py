@@ -282,7 +282,6 @@ class ServerConfig:
     read_split: bool = False
     auto_recover: bool = True
     policy: Optional[SupervisorPolicy] = None
-    clock: Optional[VirtualClock] = None
     allow_duplicates: bool = False
     static_analysis: bool = True
     #: Multi-plan divergence oracle (differential query execution): every
@@ -367,7 +366,7 @@ class DiverseServer:
         adjudication = config.adjudication
         if len(replicas) < 2 and adjudication != "primary":
             raise MiddlewareError("a diverse server needs at least two replicas")
-        if adjudication not in ("compare", "majority", "monitor", "primary"):
+        if adjudication not in ("compare", "majority", "primary"):
             raise MiddlewareError(f"unknown adjudication policy {adjudication!r}")
         if not config.allow_duplicates:
             seen = set()
@@ -395,7 +394,7 @@ class DiverseServer:
         #: analysis verdicts); the analysis layers are invalidated on
         #: DDL via its generation.
         self.pipeline = StatementPipeline()
-        self.supervisor = ReplicaSupervisor(policy=config.policy, clock=config.clock)
+        self.supervisor = ReplicaSupervisor(policy=config.policy)
         self.supervisor.attach(self)
         #: Durability subsystem (per-replica WALs + durable checkpoints);
         #: ``None`` for the original in-memory-only deployment.
@@ -410,8 +409,6 @@ class DiverseServer:
         #: Prepared handles by statement text, and the parse errors of
         #: texts that did not prepare (lifted shapes, among them).
         self._prepared: dict[str, PreparedStatement | SqlError] = {}
-        #: (sql, group leaders) pairs recorded in ``monitor`` mode.
-        self.disagreement_log: list[tuple[str, list[str]]] = []
         #: (sql, replica key) pairs where the dual-plan oracle found the
         #: rewritten and the unrewritten plan disagreeing.
         self.dual_plan_log: list[tuple[str, str]] = []
@@ -423,10 +420,6 @@ class DiverseServer:
     def supervised(self) -> bool:
         """True when the supervision subsystem drives replica lifecycle."""
         return self.auto_recover
-
-    @property
-    def policy(self) -> SupervisorPolicy:
-        return self.supervisor.policy
 
     @property
     def clock(self) -> VirtualClock:
@@ -508,14 +501,6 @@ class DiverseServer:
         commuting reads for mid-transaction admission."""
         statement, traits, _ = self.pipeline.parsed(sql)
         return self.pipeline.def_use(sql, statement, self._schema, traits)
-
-    def abstraction(self, sql: str):
-        """Ternary-logic predicate abstraction of one statement against
-        the current schema: WHERE truth set, dead-predicate findings,
-        and the TLP partition triple when one is certifiable.  Memoized
-        per (text, schema generation) by the pipeline."""
-        statement, _, _ = self.pipeline.parsed(sql)
-        return self.pipeline.abstraction(sql, statement, self._schema)
 
     def prepare(self, sql: str) -> "PreparedStatement":
         """Parse, analyze, and translate ``sql`` once; execute it many
@@ -815,19 +800,6 @@ class DiverseServer:
             self.stats.benign_dialect_divergences += 1
         else:
             self.stats.fault_indicating_divergences += 1
-        if policy == "monitor":
-            # Observation mode (Section 7: "the user could decide on an
-            # ongoing basis which architecture is giving the best
-            # trade-off"): log the disagreement, answer from the largest
-            # agreeing group, never interrupt service.
-            self.disagreement_log.append(
-                (call.bound_sql, [g[0].replica for g in comparison.groups])
-            )
-            result = comparison.largest[0].unwrap()
-            result.warnings.append(
-                "replicas disagreed; answered from the largest agreeing group"
-            )
-            return result
         if policy == "compare":
             self.stats.adjudication_failures += 1
             raise AdjudicationFailure(
@@ -957,7 +929,7 @@ class DiverseServer:
         if not is_write:
             return True
         return (
-            self.policy.idempotent_write_retry
+            self.supervisor.policy.idempotent_write_retry
             and verdict is not None
             and verdict.access.reexecution_safe
         )

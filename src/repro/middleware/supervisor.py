@@ -7,8 +7,8 @@ up under sustained load.  This module supplies the machinery real
 replication middleware has:
 
 * a per-replica health **state machine**
-  (ACTIVE → SUSPECTED → QUARANTINED → FAILED/RETIRED) driven by an
-  injectable deterministic :class:`VirtualClock`;
+  (ACTIVE → SUSPECTED → QUARANTINED → FAILED/RETIRED) driven by a
+  deterministic :class:`VirtualClock`;
 * **bounded recovery retries with exponential backoff** instead of a
   single synchronous replay attempt;
 * a **circuit breaker** that permanently retires a replica caught in a
@@ -116,14 +116,15 @@ class VirtualClock:
 
 #: Minimum active replicas each adjudication policy needs to deliver
 #: its guarantee (majority voting is meaningless below three).
-POLICY_QUORUM = {"majority": 3, "compare": 2, "monitor": 1, "primary": 1}
+POLICY_QUORUM = {"majority": 3, "compare": 2, "primary": 1}
 
 #: Adjudication fallback order when active replicas drop below the
 #: configured policy's quorum (see :data:`POLICY_QUORUM`).
 DEGRADATION_CHAIN = ("majority", "compare", "primary")
 
-#: Circuit breaker: ``SupervisorPolicy.circuit_threshold`` failed
-#: recoveries within this many clock units retire the replica for good.
+#: Circuit breaker: this many failed recoveries within
+#: :data:`CIRCUIT_WINDOW` clock units retire the replica for good.
+CIRCUIT_THRESHOLD = 5
 CIRCUIT_WINDOW = 256.0
 
 #: Donor snapshot rows copied per clock tick while seeding a rebuild;
@@ -163,9 +164,6 @@ class SupervisorPolicy:
     #: rowcount — e.g. ``UPDATE t SET lbl = 'x' WHERE id = 1``).  Off
     #: reverts to the blanket "writes never retry" rule.
     idempotent_write_retry: bool = True
-    #: Circuit breaker: this many failed recoveries within
-    #: :data:`CIRCUIT_WINDOW` clock units retires the replica for good.
-    circuit_threshold: int = 5
     #: Snapshot every active replica's engine after this many committed
     #: writes; ``None`` disables checkpointing (full replay always).
     checkpoint_interval: Optional[int] = 32
@@ -186,7 +184,6 @@ class Checkpoint:
 
     log_position: int
     snapshot: EngineSnapshot
-    taken_at: float
 
 
 @dataclass
@@ -264,13 +261,9 @@ class ReplicaSupervisor:
     degradation.  All counters surface through ``MiddlewareStats``.
     """
 
-    def __init__(
-        self,
-        policy: Optional[SupervisorPolicy] = None,
-        clock: Optional[VirtualClock] = None,
-    ) -> None:
+    def __init__(self, policy: Optional[SupervisorPolicy] = None) -> None:
         self.policy = policy or SupervisorPolicy()
-        self.clock = clock or VirtualClock()
+        self.clock = VirtualClock()
         self._server: Optional["DiverseServer"] = None
         self._last_checkpoint_writes = 0
 
@@ -330,7 +323,6 @@ class ReplicaSupervisor:
             replica.health.checkpoint = Checkpoint(
                 log_position=position,
                 snapshot=replica.product.snapshot(),
-                taken_at=self.clock.now,
             )
         self.stats.checkpoints += 1
         self._last_checkpoint_writes = self.stats.writes
@@ -590,7 +582,7 @@ class ReplicaSupervisor:
         if manual and not self._server.supervised:
             replica.state = ReplicaState.FAILED
             return
-        if len(health.failure_times) >= self.policy.circuit_threshold:
+        if len(health.failure_times) >= CIRCUIT_THRESHOLD:
             self.retire(replica)
             return
         health.attempts += 1

@@ -21,10 +21,6 @@ class NetTimeout(NetworkError):
     the deduplicated cached answer, never both.
     """
 
-    def __init__(self, message: str, *, timeout: float = 0.0) -> None:
-        super().__init__(message)
-        self.timeout = timeout
-
 
 class ConnectionLost(NetworkError):
     """The connection reset (peer reset, corrupt frame, closed port)."""

@@ -237,10 +237,7 @@ class ClientPort:
                     self._network._close(self._conn)
                     raise ConnectionLost(f"corrupt frame received: {err}") from err
             if self._network.clock.now >= deadline:
-                raise NetTimeout(
-                    f"no reply within {timeout} virtual time units",
-                    timeout=timeout,
-                )
+                raise NetTimeout(f"no reply within {timeout} virtual time units")
             self._network.idle_tick()
 
     def request(self, message: dict, timeout: float) -> dict:

@@ -139,7 +139,8 @@ def decode_value(value: Any) -> Any:
 
 
 def decode_row(row: Any) -> list:
-    """Decode one row; a row that is not a list is itself invalid."""
-    if not isinstance(row, list):
+    """Decode one row; a row that is not a list (or, in memory, a
+    tuple) is itself invalid."""
+    if not isinstance(row, (list, tuple)):
         raise ScalarInvalid(f"a row must be a list, not {type(row).__name__}")
     return [decode_value(value) for value in row]

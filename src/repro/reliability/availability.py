@@ -189,6 +189,12 @@ class TimeoutPolicyModel:
         return self.deadline
 
 
+#: P(the session is still resumable when the client reconnects).
+RESUME_PROBABILITY = 0.95
+#: Fraction of the statement mix provably re-execution-safe.
+REEXECUTION_SAFE_FRACTION = 0.5
+
+
 @dataclass(frozen=True)
 class NetworkPolicyModel:
     """Client-observed availability through the serving layer's wire.
@@ -208,10 +214,10 @@ class NetworkPolicyModel:
     Each attempt independently fails with ``loss_probability`` (drop,
     reset, corrupt frame, or timeout on either direction of the round
     trip).  After a failed attempt the session resumes with
-    ``resume_probability`` (it expired otherwise — outages longer than
-    the idle deadline), and an expired session only permits a retry for
-    the ``reexecution_safe_fraction`` of the statement mix the static
-    analyzer proves safe.  The attempt budget (one initial attempt plus
+    :data:`RESUME_PROBABILITY` (it expired otherwise — outages longer
+    than the idle deadline), and an expired session only permits a
+    retry for the :data:`REEXECUTION_SAFE_FRACTION` of the statement
+    mix the static analyzer proves safe.  The attempt budget (one initial attempt plus
     :data:`~repro.net.client.MAX_RECONNECT_ATTEMPTS`) and the backoff
     schedule are the session supervisor's own, which price the latency
     of surviving.
@@ -219,27 +225,17 @@ class NetworkPolicyModel:
 
     #: P(one request/response round trip is lost or reset).
     loss_probability: float
-    #: P(the session is still resumable when the client reconnects).
-    resume_probability: float = 0.95
-    #: Fraction of the statement mix provably re-execution-safe.
-    reexecution_safe_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_probability < 1.0:
             raise ValueError("loss_probability must be in [0, 1)")
-        for name in ("resume_probability", "reexecution_safe_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
 
     @property
     def continuation_probability(self) -> float:
         """P(a failed attempt is allowed another try): the session
         resumed (always retryable — the server deduplicates), or it
         expired but the statement is provably safe to re-submit."""
-        return self.resume_probability + (
-            (1.0 - self.resume_probability) * self.reexecution_safe_fraction
-        )
+        return RESUME_PROBABILITY + (1.0 - RESUME_PROBABILITY) * REEXECUTION_SAFE_FRACTION
 
     def request_success_probability(self) -> float:
         """P(a request eventually receives an exactly-once answer)."""

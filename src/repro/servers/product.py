@@ -169,11 +169,6 @@ class ServerProduct:
         """:func:`engine_state_signature` of this product."""
         return engine_state_signature(self.engine)
 
-    @property
-    def catalog_generation(self) -> int:
-        """The schema generation, bumped by every DDL statement."""
-        return self.engine.catalog.generation
-
     def table_rows(self) -> list[tuple[str, int, list[tuple]]]:
         """Every base table as ``(name, column count, rows)``, each row
         a tuple copy that shares nothing with the live heap."""

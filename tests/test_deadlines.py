@@ -21,6 +21,7 @@ from repro.middleware import (
     TimeoutAuditEntry,
 )
 from repro.middleware.comparator import ReplicaAnswer
+from repro.middleware.supervisor import CIRCUIT_THRESHOLD
 from repro.reliability import TimeoutPolicyModel
 from repro.servers import make_server
 from repro.workload import WorkloadRunner
@@ -268,7 +269,7 @@ class TestStallDuringRecovery:
                 break
         assert ib.state is ReplicaState.RETIRED
         assert server.stats.retirements == 1
-        assert server.stats.recovery_timeouts >= server.policy.circuit_threshold
+        assert server.stats.recovery_timeouts >= CIRCUIT_THRESHOLD
         entries = [e for e in server.timeout_audit if e.during_recovery]
         assert entries and all(e.kind == "stall" for e in entries)
         # The healthy pair kept serving throughout.

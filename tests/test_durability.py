@@ -1,8 +1,12 @@
 """Durability subsystem: WAL, checkpoints, recovery, rebuild, bank."""
 
 import dataclasses
+import json
 from decimal import Decimal
 
+import pytest
+
+from repro import records
 from repro.dialects.translator import translate_script
 from repro.durability import (
     CheckpointStore,
@@ -37,7 +41,6 @@ from repro.middleware import (
     ReplicaState,
     ServerConfig,
 )
-from repro.middleware.supervisor import VirtualClock
 from repro.servers import make_server
 from repro.sqlengine.engine import executable_text
 from repro.workload import WorkloadRunner
@@ -53,8 +56,8 @@ class TestWal:
 
     def test_append_scan_roundtrip(self):
         wal = wal_on(MemoryMedium())
-        wal.append("INSERT INTO t VALUES (1)", 3)
-        wal.append("UPDATE t SET x = 2", 3)
+        wal.append("INSERT INTO t VALUES (1)")
+        wal.append("UPDATE t SET x = 2")
         scan = wal.scan()
         assert scan.clean
         assert [r.sql for r in scan.records] == [
@@ -62,19 +65,18 @@ class TestWal:
             "UPDATE t SET x = 2",
         ]
         assert [r.lsn for r in scan.records] == [0, 1]
-        assert scan.records[0].generation == 3
 
     def test_next_lsn_recomputed_from_medium(self):
         medium = MemoryMedium()
-        wal_on(medium).append("A", 0)
-        wal_on(medium).append("B", 0)
+        wal_on(medium).append("A")
+        wal_on(medium).append("B")
         assert [r.lsn for r in wal_on(medium).scan().records] == [0, 1]
 
     def test_lost_flush_leaves_detectable_gap(self):
         wal = wal_on(MemoryMedium())
-        wal.append("A", 0)
-        wal.append("B", 0, mutate=lambda data: None)  # lost flush
-        wal.append("C", 0)
+        wal.append("A")
+        wal.append("B", mutate=lambda data: None)  # lost flush
+        wal.append("C")
         scan = wal.scan()
         assert scan.stopped == "lsn-gap"
         assert [r.sql for r in scan.records] == ["A"]
@@ -82,9 +84,9 @@ class TestWal:
     def test_truncate_to_valid_is_idempotent(self):
         medium = MemoryMedium()
         wal = wal_on(medium)
-        wal.append("A", 0)
-        wal.append("B", 0)
-        medium.corrupt("t/wal", len(encode_record(0, 0, "A")) + 9)
+        wal.append("A")
+        wal.append("B")
+        medium.corrupt("t/wal", len(encode_record(0, "A")) + 9)
         assert wal.truncate_to_valid() > 0
         assert wal.scan().clean
         assert wal.truncate_to_valid() == 0
@@ -98,7 +100,7 @@ class TestCheckpoint:
         product = make_server("IB")
         product.execute("CREATE TABLE t (x INT)")
         names = [
-            store.save(build_checkpoint(product, lsn=i, ddl=[], taken_at=0.0))
+            store.save(build_checkpoint(product, lsn=i, ddl=[]))
             for i in range(3)
         ]
         kept = medium.names("IB/")
@@ -146,7 +148,7 @@ class TestRecovery:
         disk = session.power_cut()
         # Tear the log back to one record: the checkpoint's watermark
         # now vouches for history the log cannot.
-        disk.truncate(f"{session.name}/wal", len(encode_record(0, 0, session.store.wal.scan().records[0].sql)))
+        disk.truncate(f"{session.name}/wal", len(encode_record(0, session.store.wal.scan().records[0].sql)))
         recovered, report = DurableSession.resume(
             make_server("IB"), disk, name=session.name, checkpoint_interval=4
         )
@@ -167,6 +169,51 @@ class TestRecovery:
         assert report.checkpoints_skipped == 1
         assert "row width 1 != table width 2" in report.warnings[0]
         assert recovered.product.state_signature() == session.product.state_signature()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"lsn": "x"},
+            {"lsn": None},
+            {"lsn": 0, "tables": [5]},
+            {"lsn": 0, "ddl": 7},
+            {"lsn": 0, "tables": [{"name": "t", "columns": 1, "rows": 3}]},
+        ],
+    )
+    def test_a_checksummed_checkpoint_of_the_wrong_shape_falls_back_to_redo(self, payload):
+        session = DurableSession(make_server("IB"))
+        session.execute("CREATE TABLE t (a INT)")
+        session.execute("INSERT INTO t VALUES (1)")
+        disk = session.power_cut()
+        disk.write("IB/ckpt-00000000", records.pack(json.dumps(payload).encode("utf-8")))
+        recovered, report = DurableSession.resume(make_server("IB"), disk)
+        assert report.checkpoint is None
+        assert report.redone == 2
+        assert recovered.product.state_signature() == session.product.state_signature()
+
+    def test_the_older_layouts_with_generation_fields_still_recover(self):
+        """WAL records with a ``"gen"`` field and a checkpoint with
+        ``generation`` and ``taken_at``, as the logs once were written:
+        the readers ignore keys they do not name."""
+        medium = MemoryMedium()
+        ddl = "CREATE TABLE t (id INT PRIMARY KEY, v INT)"
+        log = [ddl, "INSERT INTO t VALUES (1, 10)", "INSERT INTO t VALUES (2, 20)"]
+        for lsn, sql in enumerate(log):
+            record = {"lsn": lsn, "gen": 1, "sql": sql}
+            medium.append("IB/wal", records.pack(json.dumps(record).encode("utf-8")))
+        checkpoint = {
+            "lsn": 2,
+            "generation": 1,
+            "taken_at": 7.0,
+            "ddl": [ddl],
+            "tables": [{"name": "t", "columns": 2, "rows": [[1, 10]]}],
+        }
+        medium.write("IB/ckpt-00000000", records.pack(json.dumps(checkpoint).encode("utf-8")))
+        recovered, report = DurableSession.resume(make_server("IB"), medium)
+        assert report.checkpoint == "IB/ckpt-00000000"
+        assert (report.wal_records, report.redone) == (3, 1)
+        result = recovered.product.execute("SELECT id, v FROM t ORDER BY id")
+        assert result.rows == [(1, 10), (2, 20)]
 
     def test_open_transaction_rolled_back(self):
         session = self.script_session()
@@ -226,7 +273,7 @@ class TestStorageEffects:
         assert LostFlushEffect().apply_storage(None, b"abc") is None
 
     def test_checksum_corruption_flips_payload_byte(self):
-        data = encode_record(0, 0, "SELECT 1")
+        data = encode_record(0, "SELECT 1")
         rotted = ChecksumCorruptionEffect(offset=2, xor=0x10).apply_storage(None, data)
         assert rotted != data
         assert len(rotted) == len(data)
@@ -338,13 +385,6 @@ def run_script(server, sql):
         server.execute(statement)
 
 
-class FrozenClock(VirtualClock):
-    """Checkpoints carry ``taken_at``; a session has no clock (0.0)."""
-
-    def advance(self, delta: float = 1.0) -> float:
-        return self.now
-
-
 class TestOneStorePath:
     def test_session_and_single_replica_manager_leave_identical_bytes(self):
         statements = [
@@ -366,7 +406,6 @@ class TestOneStorePath:
             [make_server("IB")],
             config=ServerConfig(
                 adjudication="primary",
-                clock=FrozenClock(),
                 durability=DurabilityManager(managed, checkpoint_interval=4),
             ),
         )
@@ -575,7 +614,7 @@ class TestRestartRecoveryMeetsARefusal:
 
     def test_resume_skips_a_refused_record(self):
         session = self.session()
-        session.store.wal.append(REFUSED, 1)
+        session.store.wal.append(REFUSED)
         recovered, report = DurableSession.resume(make_server("IB"), session.power_cut())
         assert report.redone == 3
         assert [w for w in report.warnings if "fn.MOD" in w] == [
@@ -589,7 +628,7 @@ class TestRestartRecoveryMeetsARefusal:
         server = durable_server(medium)
         server.execute("CREATE TABLE t (a INT)")
         server.execute("INSERT INTO t VALUES (3)")
-        server.durability.store("IB").wal.append(REFUSED, 1)
+        server.durability.store("IB").wal.append(REFUSED)
         restarted = durable_server(medium.clone())
         outcome = restarted.durability.recover_server()
         assert outcome.crashed == [] and outcome.healed == []

@@ -19,7 +19,6 @@ from repro.faults import (
     TagTrigger,
     ValueSkewEffect,
 )
-from repro.faults.triggers import NeverTrigger, RelationPrefixTrigger
 from repro.sqlengine import Engine
 
 
@@ -80,7 +79,7 @@ class TestTriggers:
 
     def test_prefix_trigger(self):
         engine = make_engine(
-            fault(CrashEffect(), RelationPrefixTrigger("vic", kind="select"))
+            fault(CrashEffect(), RelationTrigger(["victim"], kind="select"))
         )
         engine.execute("SELECT id FROM bystander")
         with pytest.raises(EngineCrash):
@@ -94,7 +93,7 @@ class TestTriggers:
             engine.execute("SELECT id FROM victim ORDER BY id")
 
     def test_never_and_always(self):
-        engine = make_engine(fault(CrashEffect(), NeverTrigger()))
+        engine = make_engine(fault(CrashEffect(), RelationTrigger(["nowhere"])))
         engine.execute("SELECT id FROM victim")
         injector = FaultInjector([fault(CrashEffect(), AlwaysTrigger())])
         engine2 = Engine("t", injector=injector)

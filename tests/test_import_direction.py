@@ -24,7 +24,9 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -258,11 +260,16 @@ def test_nothing_above_the_servers_reaches_into_an_engine():
 #: Public definitions no entry point reaches, kept because a DESIGN.md
 #: section 4 evidence row's test needs them: name -> that row's Exp id.
 ALLOW_LIST = {
+    "repro.durability.medium.FileMedium": "DUR",
+    "repro.faults.effects.DialectRenderEffect": "D1",
     "repro.faults.effects.PartitionDropBugEffect": "H1",
     "repro.faults.effects.PlanStageBugEffect": "P2",
     "repro.faults.effects.PredicateFoldBugEffect": "H1",
+    "repro.faults.effects.ScanOrderEffect": "A4",
+    "repro.faults.triggers.AlwaysTrigger": "H1",
     "repro.middleware.server.MiddlewareStats.detection_events": "M1",
-    "repro.net.tcp.TcpNetServer.address": "NET",
+    "repro.net.protocol.FrameStream": "NET",
+    "repro.net.tcp.TcpNetServer": "NET",
     "repro.net.tcp.tcp_exchange": "NET",
     "repro.net.transport.ClientPort.request": "NET",
     "repro.reliability.availability.TimeoutPolicyModel": "W6",
@@ -300,47 +307,75 @@ def names_read(node: ast.AST) -> set[str]:
     return names
 
 
+def dict_keys(tree: ast.AST) -> set[int]:
+    """``id`` of every key of a dict literal in ``tree``: a key names
+    what the dict writes."""
+    return {
+        id(key)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        for key in node.keys
+        if key is not None
+    }
+
+
 ENTRY_TREES = [ast.parse(path.read_text()) for path in ENTRY_FILES]
 
 
-def reach() -> tuple[dict[str, ast.AST], dict[str, str], set[str], list[ast.AST]]:
-    """``(definitions, method -> class, live, roots)``: every top-level
-    function and class under ``src/repro`` and every method, by
-    qualified name; which of them the real entry points reach; and the
-    root nodes themselves.
+class Reach(NamedTuple):
+    #: Every top-level function and class and every method, by
+    #: qualified name.
+    nodes: dict[str, ast.AST]
+    #: method -> its class.
+    classes: dict[str, str]
+    #: The definitions the roots reach.
+    live: set[str]
+    roots: list[ast.AST]
 
-    The roots are the two CLI front ends, every file under
-    ``examples/`` and ``benchmarks/e2e/``, and every module-level
-    statement under ``src/repro`` that is neither a definition nor an
-    import: an import, an ``__init__`` re-export or ``__all__`` is not a
-    reader. A live definition makes live every definition or public
-    method named by what its body reads; a live method makes its class
-    live, and a live class its private and dunder methods (which a
-    ``getattr`` may reach by a computed name). Names match bare,
-    whatever object they belong to, which over-approximates liveness: the safe
-    direction, in which a dead definition can escape but one whose name
-    is read anywhere live is never convicted.
+
+def reach(
+    trees: dict[str, ast.AST] = TREES,
+    entry_trees: list[ast.AST] = ENTRY_TREES,
+    front_ends: set[str] = CLI_FRONT_ENDS,
+) -> Reach:
+    """Which definitions of ``trees`` the real entry points reach.
+
+    The roots are the CLI front ends (``front_ends``), every file under
+    ``examples/`` and ``benchmarks/e2e/`` (``entry_trees``), and every
+    module-level statement that is neither a definition nor an import:
+    an import, an ``__init__`` re-export or ``__all__`` is not a
+    reader. A live definition makes live every definition named by
+    what its body reads. A name reaches a top-level function or class
+    of that name, and a public method of that name only on a live
+    class: a method name read anywhere does not make its class live,
+    only the class's own name does. A live class makes live its private
+    and dunder methods (which a ``getattr`` may reach by a computed
+    name). Names match bare, whatever object they belong to, which
+    over-approximates liveness: the safe direction, in which a dead
+    definition can escape but one whose name is read anywhere live is
+    never convicted. A method name alone would keep ``FileMedium``
+    alive through ``append``.
     """
     nodes: dict[str, ast.AST] = {}
-    classes: dict[str, str] = {}  # method -> its class
-    by_name: dict[str, list[str]] = {}
+    classes: dict[str, str] = {}
+    top: dict[str, list[str]] = {}  # bare name -> top-level definitions
+    methods: dict[str, list[str]] = {}  # bare name -> public methods
     aliases: dict[str, set[str]] = {}
-    root_nodes: list[ast.AST] = list(ENTRY_TREES)
-    for module, tree in TREES.items():
-        if module in CLI_FRONT_ENDS:
+    root_nodes: list[ast.AST] = list(entry_trees)
+    for module, tree in trees.items():
+        if module in front_ends:
             root_nodes.append(tree)
             continue
         for statement in tree.body:
             if isinstance(statement, DEFINITIONS):
                 name = f"{module}.{statement.name}"
                 nodes[name] = statement
-                by_name.setdefault(statement.name, []).append(name)
+                top.setdefault(statement.name, []).append(name)
                 for item in statement.body if isinstance(statement, ast.ClassDef) else ():
                     if isinstance(item, FUNCTIONS):
                         method = f"{name}.{item.name}"
                         nodes[method], classes[method] = item, name
-                        if not item.name.startswith("_"):
-                            by_name.setdefault(item.name, []).append(method)
+                        methods.setdefault(item.name, []).append(method)
             elif isinstance(statement, (ast.Import, ast.ImportFrom)):
                 for alias in statement.names:
                     if alias.asname:
@@ -356,15 +391,13 @@ def reach() -> tuple[dict[str, ast.AST], dict[str, str], set[str], list[ast.AST]
             return
         live.add(name)
         node = nodes[name]
-        if name in classes:
-            mark(classes[name])
         if not isinstance(node, ast.ClassDef):
             pending.extend(names_read(node))
             return
         for item in node.body:
             if not isinstance(item, FUNCTIONS):
                 pending.extend(names_read(item))
-            elif item.name.startswith("_"):
+            elif item.name.startswith("_") or item.name in seen:
                 mark(f"{name}.{item.name}")
         for part in (*node.bases, *node.keywords, *node.decorator_list):
             pending.extend(names_read(part))
@@ -374,24 +407,26 @@ def reach() -> tuple[dict[str, ast.AST], dict[str, str], set[str], list[ast.AST]
         if name not in seen:
             seen.add(name)
             pending.extend(aliases.get(name, ()))
-            for definition in by_name.get(name, ()):
+            for definition in top.get(name, ()):
                 mark(definition)
-    return nodes, classes, live, root_nodes
+            for method in methods.get(name, ()):
+                if classes[method] in live:
+                    mark(method)
+    return Reach(nodes, classes, live, root_nodes)
 
 
-NODES, CLASSES, LIVE, ROOT_NODES = reach()
+REACH = reach()
 
 
-def unreachable() -> set[str]:
-    """Public top-level functions and classes under ``src/repro``, and
-    public methods of reachable classes, that nothing reaches from the
-    real entry points."""
+def unreachable(found: Reach = REACH) -> set[str]:
+    """Public top-level functions and classes, and public methods of
+    reachable classes, that nothing reaches from the entry points."""
     return {
         name
-        for name, node in NODES.items()
-        if name not in LIVE
+        for name, node in found.nodes.items()
+        if name not in found.live
         and not node.name.startswith("_")
-        and (name not in CLASSES or CLASSES[name] in LIVE)
+        and (name not in found.classes or found.classes[name] in found.live)
     }
 
 
@@ -401,9 +436,25 @@ def design_exp_ids() -> set[str]:
     return set(re.findall(r"^\| (\w+) \|", section, flags=re.MULTILINE)) - {"Exp"}
 
 
+def evidence_files(exp_id: str) -> set[str]:
+    """The test files DESIGN.md section 4's row ``exp_id`` names."""
+    row = re.search(rf"^\| {exp_id} \|.*$", DESIGN.read_text(), flags=re.MULTILINE)
+    return set(re.findall(r"test_\w+\.py", row.group(0).rsplit("|", 2)[1]))
+
+
+def evidence_trees(exp_id: str) -> list[ast.AST]:
+    return [ast.parse((REPO / "tests" / name).read_text()) for name in evidence_files(exp_id)]
+
+
 def test_every_unread_public_definition_is_evidence():
+    """Each allow-listed definition is one its row's evidence tests
+    reach, read as entry points."""
     assert unreachable() == set(ALLOW_LIST)
     assert set(ALLOW_LIST.values()) <= design_exp_ids()
+    for exp_id in set(ALLOW_LIST.values()):
+        used = reach(entry_trees=evidence_trees(exp_id)).live
+        listed = {name for name, row in ALLOW_LIST.items() if row == exp_id}
+        assert listed <= used, (exp_id, listed - used)
 
 
 # -- options nobody sets -----------------------------------------------------
@@ -411,16 +462,23 @@ def test_every_unread_public_definition_is_evidence():
 #: Options no live root sets, kept because a DESIGN.md section 4
 #: evidence row's test flips them: option -> that row's Exp id.
 OPTION_ALLOW_LIST = {
+    "repro.durability.session.DurableSession.__init__(checkpoint_interval=)": "DUR",
+    "repro.hunt.run_hunt(faults=)": "H1",
     "repro.hunt.run_hunt(triage=)": "H1",
     "repro.middleware.server.ServerConfig.allow_duplicates": "M2",
     "repro.middleware.server.ServerConfig.dual_plan": "P2",
+    "repro.middleware.server.ServerConfig.normalize": "A1",
+    "repro.middleware.server.ServerConfig.static_analysis": "A4",
     "repro.middleware.supervisor.SupervisorPolicy.idempotent_write_retry": "A4",
     "repro.net.session.NetPolicy.conflict_admission": "C1",
+    "repro.net.tcp.tcp_exchange(timeout=)": "NET",
     "repro.reliability.availability.TimeoutPolicyModel.cost_median": "W6",
     "repro.reliability.availability.TimeoutPolicyModel.cost_sigma": "W6",
     "repro.reliability.availability.TimeoutPolicyModel.stall_delay": "W6",
     "repro.study.runner.StudyRunner.__init__(faults_by_server=)": "R1",
+    "repro.study.runner.StudyRunner.__init__(stress_mode=)": "A2",
     "repro.study.runner.run_study(faults_by_server=)": "R1",
+    "repro.study.runner.run_study(stress_mode=)": "A2",
 }
 
 OPTION_CLASS = re.compile(r"\w*(Config|Policy|PolicyModel)\Z")
@@ -438,28 +496,28 @@ def fields_of(node: ast.ClassDef):
                 yield item.target.id, item.value is not None
 
 
-def options() -> dict[str, str]:
-    """``qualified option -> bare name``: every defaulted field of a
-    ``*Config`` / ``*Policy`` / ``*PolicyModel`` dataclass, and every
-    keyword-only parameter of a public function or a public class's
-    constructor under ``src/repro``."""
+def options(trees: dict[str, ast.AST] = TREES) -> dict[str, tuple[str, str]]:
+    """``qualified option -> (callee, keyword)``: every defaulted field
+    of a ``*Config`` / ``*Policy`` / ``*PolicyModel`` dataclass, and
+    every keyword-only parameter of a public function or a public
+    class's constructor. A call of ``callee`` sets it by ``keyword``."""
     found = {}
-    for module, tree in TREES.items():
+    for module, tree in trees.items():
         for statement in tree.body:
             if isinstance(statement, FUNCTIONS) and not statement.name.startswith("_"):
                 for arg in statement.args.kwonlyargs:
-                    found[f"{module}.{statement.name}({arg.arg}=)"] = arg.arg
+                    found[f"{module}.{statement.name}({arg.arg}=)"] = (statement.name, arg.arg)
             if not isinstance(statement, ast.ClassDef) or statement.name.startswith("_"):
                 continue
             cls = f"{module}.{statement.name}"
             if OPTION_CLASS.match(statement.name) and is_dataclass(statement):
                 for name, defaulted in fields_of(statement):
                     if defaulted:
-                        found[f"{cls}.{name}"] = name
+                        found[f"{cls}.{name}"] = (statement.name, name)
             for item in statement.body:
                 if isinstance(item, FUNCTIONS) and item.name == "__init__":
                     for arg in item.args.kwonlyargs:
-                        found[f"{cls}.{item.name}({arg.arg}=)"] = arg.arg
+                        found[f"{cls}.{item.name}({arg.arg}=)"] = (statement.name, arg.arg)
     return found
 
 
@@ -469,74 +527,158 @@ def parameters(function: ast.AST) -> set[str]:
     return {arg.arg for arg in every if arg}
 
 
-def names_set(node: ast.AST) -> set[str]:
-    """Names ``node`` gives a value: keyword arguments, attribute
-    stores and identifier strings (a ``runner_kwargs`` key, a
-    ``setattr`` name). Forwarding a same-named parameter of the
-    enclosing function, ``x=x`` or ``self.x = x``, sets nothing."""
-    names = set()
-    pending: list[tuple[ast.AST, set[str]]] = [(node, set())]
-    while pending:
-        sub, params = pending.pop()
-        if isinstance(sub, (*FUNCTIONS, ast.Lambda)):
-            params = parameters(sub)
-
-        def forwards(name: str, value: ast.AST) -> bool:
-            return isinstance(value, ast.Name) and value.id == name and name in params
-
-        if isinstance(sub, ast.keyword) and sub.arg and not forwards(sub.arg, sub.value):
-            names.add(sub.arg)
-        elif isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and sub.value:
-            targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-            for target in targets:
-                for store in ast.walk(target):
-                    if isinstance(store, ast.Attribute) and not forwards(store.attr, sub.value):
-                        names.add(store.attr)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            if IDENTIFIER.match(sub.value):
-                names.add(sub.value)
-        pending.extend((child, params) for child in ast.iter_child_nodes(sub))
-    return names
+def callee(call: ast.Call) -> Optional[str]:
+    """The name a call reaches its definition by: ``f(...)``, ``x.f(...)``."""
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
 
 
-def live_nodes():
-    """The root nodes, then every live definition (a live class only
-    through what is not a method: its methods are definitions of their
-    own)."""
-    yield from ROOT_NODES
-    for name in LIVE:
-        node = NODES[name]
+class Setters(NamedTuple):
+    #: ``(callee, keyword)`` of every keyword argument that is not a
+    #: forwarded parameter.
+    keywords: set[tuple[str, str]]
+    #: Names set whatever they belong to: attribute stores on a
+    #: receiver other than ``self``, and dict-literal keys (a
+    #: ``runner_kwargs`` entry).
+    names: set[str]
+    #: ``x=x`` forwarding of an enclosing parameter: ``(the enclosing
+    #: function's (callee, x), the call's (callee, x))``.
+    forwards: set[tuple[tuple[str, str], tuple[str, str]]]
+    #: ``**kwargs`` forwarding: ``(enclosing callee, its named
+    #: parameters, the call's callee)``.
+    spreads: set[tuple[str, frozenset, str]]
+
+
+def setters(roots: list[tuple[ast.AST, Optional[str]]]) -> Setters:
+    """What ``roots`` set; each root comes with the class it is a
+    method of, if any. A function is called by its name, an
+    ``__init__`` by its class's; a nested function or a lambda has a
+    key no call spells, so what it forwards counts as set."""
+    found = Setters(set(), set(), set(), set())
+    for root, owner_class in roots:
+        keys = dict_keys(root)
+        # (node, class whose body holds it, enclosing function's key and
+        # parameters, that function's ``**`` name)
+        pending = [(root, owner_class, None, frozenset(), None)]
+        while pending:
+            node, cls, key, params, spread = pending.pop()
+            if isinstance(node, (*FUNCTIONS, ast.Lambda)):
+                name = getattr(node, "name", "<lambda>")
+                if key is not None or isinstance(node, ast.Lambda):
+                    key = f"<local>.{name}"
+                elif cls is None:
+                    key = name
+                else:
+                    key = cls if name == "__init__" else name
+                params = frozenset(parameters(node))
+                spread = node.args.kwarg.arg if node.args.kwarg else None
+                cls = None
+            elif isinstance(node, ast.ClassDef):
+                cls, key = node.name, None
+            elif isinstance(node, ast.Call) and callee(node):
+                target = callee(node)
+                for keyword in node.keywords:
+                    value = keyword.value
+                    if keyword.arg is None:
+                        if key and isinstance(value, ast.Name) and value.id == spread:
+                            found.spreads.add((key, params - {spread}, target))
+                    elif key and isinstance(value, ast.Name) and value.id == keyword.arg in params:
+                        found.forwards.add(((key, keyword.arg), (target, keyword.arg)))
+                    else:
+                        found.keywords.add((target, keyword.arg))
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.names.update(
+                    store.attr
+                    for target in targets
+                    for store in ast.walk(target)
+                    if isinstance(store, ast.Attribute)
+                    and isinstance(store.ctx, ast.Store)
+                    and not (isinstance(store.value, ast.Name) and store.value.id == "self")
+                )
+            elif id(node) in keys and isinstance(node, ast.Constant):
+                if isinstance(node.value, str) and IDENTIFIER.match(node.value):
+                    found.names.add(node.value)
+            pending.extend(
+                (child, cls, key, params, spread) for child in ast.iter_child_nodes(node)
+            )
+    return found
+
+
+def set_options(found: Setters, option_keys: set[tuple[str, str]]) -> set[tuple[str, str]]:
+    """Every ``(callee, keyword)`` ``found`` sets, forwarding followed:
+    ``f(x=x)`` sets ``f``'s ``x`` when the enclosing function's ``x`` is
+    set or is no option (a positional parameter every call passes);
+    ``f(**kwargs)`` sets ``f``'s ``x`` for every ``x`` a call of the
+    enclosing function sets that is none of its named parameters."""
+    done = set(found.keywords)
+    while True:
+        size = len(done)
+        for source, target in found.forwards:
+            if source in done or source not in option_keys:
+                done.add(target)
+        for source, named, target in found.spreads:
+            done |= {(target, name) for key, name in done if key == source and name not in named}
+        if len(done) == size:
+            return done
+
+
+def live_roots(found: Reach = REACH) -> list[tuple[ast.AST, Optional[str]]]:
+    """The root nodes, then every live definition with the class it is
+    a method of (a live class only through what is not a method: its
+    methods are definitions of their own)."""
+    roots = [(node, None) for node in found.roots]
+    for name in found.live:
+        node = found.nodes[name]
         if not isinstance(node, ast.ClassDef):
-            yield node
+            method_of = found.classes.get(name)
+            roots.append((node, method_of and found.nodes[method_of].name))
             continue
-        yield from (item for item in node.body if not isinstance(item, FUNCTIONS))
-        yield from (*node.bases, *node.keywords, *node.decorator_list)
+        parts = [item for item in node.body if not isinstance(item, FUNCTIONS)]
+        parts += [*node.bases, *node.keywords, *node.decorator_list]
+        roots += [(part, node.name) for part in parts]
+    return roots
 
 
-def unset_options() -> set[str]:
-    """Options in scope that no live root sets; tests are no setters."""
-    live_set = set().union(*map(names_set, live_nodes()))
-    return {option for option, name in options().items() if name not in live_set}
+OPTIONS = options()
 
 
-def evidence_files(exp_id: str) -> set[str]:
-    """The test files DESIGN.md section 4's row ``exp_id`` names."""
-    row = re.search(rf"^\| {exp_id} \|.*$", DESIGN.read_text(), flags=re.MULTILINE)
-    return set(re.findall(r"test_\w+\.py", row.group(0).rsplit("|", 2)[1]))
+def unset_options(found: Setters, every: dict[str, tuple[str, str]] = OPTIONS) -> set[str]:
+    """Options ``found`` sets neither by keyword nor by name."""
+    done = set_options(found, set(every.values()))
+    return {
+        option
+        for option, (target, name) in every.items()
+        if (target, name) not in done and name not in found.names
+    }
+
+
+#: What every definition under ``src/repro`` forwards, live or not: a
+#: test that sets ``run_study(stress_mode=)`` sets ``StudyRunner``'s too.
+SOURCE_FORWARDS = setters(
+    [
+        (node, REACH.nodes[REACH.classes[name]].name if name in REACH.classes else None)
+        for name, node in REACH.nodes.items()
+        if not isinstance(node, ast.ClassDef)
+    ]
+)
 
 
 def test_every_unset_option_is_evidence():
-    assert unset_options() == set(OPTION_ALLOW_LIST)
+    """Live roots set every option but these; tests are no setters.
+    Each allow-listed option is set by its row's evidence tests."""
+    assert unset_options(setters(live_roots())) == set(OPTION_ALLOW_LIST)
     assert set(OPTION_ALLOW_LIST.values()) <= design_exp_ids()
-    options_by_name = options()
     for option, exp_id in OPTION_ALLOW_LIST.items():
-        setters = set().union(
-            *(
-                names_set(ast.parse((REPO / "tests" / name).read_text()))
-                for name in evidence_files(exp_id)
-            )
+        found = setters([(tree, None) for tree in evidence_trees(exp_id)])
+        found = found._replace(
+            forwards=found.forwards | SOURCE_FORWARDS.forwards,
+            spreads=found.spreads | SOURCE_FORWARDS.spreads,
         )
-        assert options_by_name[option] in setters, (option, exp_id)
+        assert option not in unset_options(found), (option, exp_id)
 
 
 # -- state nobody reads ------------------------------------------------------
@@ -548,17 +690,17 @@ READER_FILES = [
 ]
 
 
-def attributes() -> dict[str, str]:
-    """``qualified attribute -> bare name``: every dataclass field, and
-    every attribute an ``__init__`` assigns on ``self``."""
+def attributes(trees: dict[str, ast.AST] = TREES) -> dict[str, tuple[str, str]]:
+    """``qualified attribute -> (class, name)``: every dataclass field,
+    and every attribute an ``__init__`` assigns on ``self``."""
     found = {}
-    for module, tree in TREES.items():
+    for module, tree in trees.items():
         for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             cls = f"{module}.{node.name}"
             if is_dataclass(node):
-                found.update((f"{cls}.{name}", name) for name, _ in fields_of(node))
+                found.update((f"{cls}.{name}", (node.name, name)) for name, _ in fields_of(node))
             for item in node.body:
                 if isinstance(item, FUNCTIONS) and item.name == "__init__":
                     for store in ast.walk(item):
@@ -568,7 +710,7 @@ def attributes() -> dict[str, str]:
                             and isinstance(store.value, ast.Name)
                             and store.value.id == "self"
                         ):
-                            found[f"{cls}.{store.attr}"] = store.attr
+                            found[f"{cls}.{store.attr}"] = (node.name, store.attr)
     return found
 
 
@@ -588,40 +730,196 @@ def computed_name(node: ast.AST):
     return None
 
 
-def names_loaded(tree: ast.AST) -> tuple[set[str], list[re.Pattern]]:
-    """Attribute loads, identifier strings, and patterns for the names
-    ``getattr`` computes."""
-    names, patterns = set(), []
-    for sub in ast.walk(tree):
-        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            if IDENTIFIER.match(sub.value):
-                names.add(sub.value)
-        elif isinstance(sub, ast.Call) and ast.unparse(sub.func) == "getattr":
-            pattern = computed_name(sub.args[1]) if len(sub.args) > 1 else None
-            if pattern:
-                patterns.append(re.compile(pattern + r"\Z"))
-    return names, patterns
+class Loads(NamedTuple):
+    #: Attribute loads on any receiver but ``self``, and identifier
+    #: strings that are no dict-literal key.
+    names: set[str]
+    #: ``(class, name)`` of every ``self.name`` load in a method of ``class``.
+    own: set[tuple[str, str]]
+    #: Patterns for the names ``getattr`` computes.
+    patterns: list[re.Pattern]
+    #: ``class -> its bases``, by bare name.
+    bases: dict[str, set[str]]
 
 
-def unread_attributes() -> set[str]:
-    """Attributes nothing reads, in ``src/repro``, tests, examples or
-    ``benchmarks/e2e``."""
-    names, patterns = set(), []
-    for path in READER_FILES:
-        found, computed = names_loaded(ast.parse(path.read_text()))
-        names |= found
-        patterns += computed
+def loads(trees: list[ast.AST]) -> Loads:
+    found = Loads(set(), set(), [], {})
+    for tree in trees:
+        keys = dict_keys(tree)
+        pending: list[tuple[ast.AST, Optional[str]]] = [(tree, None)]
+        while pending:
+            node, cls = pending.pop()
+            if isinstance(node, ast.ClassDef):
+                cls = node.name
+                found.bases.setdefault(cls, set()).update(
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in node.bases
+                    if isinstance(base, (ast.Name, ast.Attribute))
+                )
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if cls and isinstance(node.value, ast.Name) and node.value.id == "self":
+                    found.own.add((cls, node.attr))
+                else:
+                    found.names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if IDENTIFIER.match(node.value) and id(node) not in keys:
+                    found.names.add(node.value)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr":
+                pattern = computed_name(node.args[1]) if len(node.args) > 1 else None
+                if pattern:
+                    found.patterns.append(re.compile(pattern + r"\Z"))
+            pending.extend((child, cls) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def family(cls: str, bases: dict[str, set[str]], subclasses: dict[str, set[str]]) -> set[str]:
+    """``cls``, its bases and its subclasses, transitively, by bare name:
+    the classes whose attribute a ``self`` load in ``cls`` may read."""
+    related = {cls}
+    for step in (bases, subclasses):
+        pending = [cls]
+        while pending:
+            for other in step.get(pending.pop(), ()):
+                if other not in related:
+                    related.add(other)
+                    pending.append(other)
+    return related
+
+
+def unread_attributes(every: dict[str, tuple[str, str]], readers: list[ast.AST]) -> set[str]:
+    """The attributes of ``every`` nothing in ``readers`` reads. A
+    ``self.x`` load reads only an ``x`` of its own class, its bases and
+    its subclasses; any other load, or an identifier string that is no
+    dict-literal key, reads every attribute of that name."""
+    found = loads(readers)
+    subclasses: dict[str, set[str]] = {}
+    for cls, supers in found.bases.items():
+        for base in supers:
+            subclasses.setdefault(base, set()).add(cls)
+    own = {
+        (related, name)
+        for cls, name in found.own
+        for related in family(cls, found.bases, subclasses)
+    }
     return {
         attribute
-        for attribute, name in attributes().items()
-        if name not in names and not any(pattern.match(name) for pattern in patterns)
+        for attribute, (cls, name) in every.items()
+        if name not in found.names
+        and (cls, name) not in own
+        and not any(pattern.match(name) for pattern in found.patterns)
     }
 
 
 def test_every_attribute_is_read():
-    assert unread_attributes() == set()
+    """Nothing in ``src/repro``, tests, examples or ``benchmarks/e2e``
+    leaves an attribute unread."""
+    readers = [ast.parse(path.read_text()) for path in READER_FILES]
+    assert unread_attributes(attributes(), readers) == set()
+
+
+# -- the census rules on sources small enough to read -------------------------
+#
+# Each test fails with its rule reverted, checked on a copy of the tree:
+# a method marking its class live; a ``self.x`` load, or a dict-literal
+# key, reading every ``x``; a keyword, or any identifier string, setting
+# every option of its name; ``x=x`` or ``**kwargs`` forwarding setting
+# nothing.
+
+
+def parsed(**modules: str) -> dict[str, ast.AST]:
+    return {name: ast.parse(textwrap.dedent(source)) for name, source in modules.items()}
+
+
+def test_reachability_needs_the_class_name():
+    """A class whose only "reader" is a same-named method called on
+    another class is dead, and so are its methods."""
+    trees = parsed(
+        toy="""
+        class Wanted:
+            def append(self, item): ...
+
+        class Unwanted:
+            def append(self, item): ...
+        """
+    )
+    entry = ast.parse("from toy import Wanted\nWanted().append(1)")
+    found = reach(trees, [entry], set())
+    assert unreachable(found) == {"toy.Unwanted"}
+    assert {"toy.Wanted", "toy.Wanted.append"} <= found.live
+
+
+def test_a_self_load_and_a_dict_key_read_only_what_they_resolve_to():
+    """A dataclass field whose name appears only as a dict-literal key
+    is unread; ``self.x`` reads the ``x`` of its own class, its bases
+    and its subclasses, not of an unrelated class."""
+    trees = parsed(
+        toy="""
+        from dataclasses import dataclass
+
+        @dataclass
+        class Snapshot:
+            kept: int
+            stamped: float
+
+        def dump(snapshot):
+            return {"kept": snapshot.kept, "stamped": 0.0}
+
+        class Timeout(Exception):
+            def __init__(self, timeout):
+                self.timeout = timeout
+
+        class Client:
+            def __init__(self, timeout):
+                self.timeout = timeout
+
+            def wait(self):
+                return self.timeout
+
+        class Base:
+            def size(self):
+                return self.width
+
+        class Wide(Base):
+            def __init__(self):
+                self.width = 2
+        """
+    )
+    unread = unread_attributes(attributes(trees), list(trees.values()))
+    assert unread == {"toy.Snapshot.stamped", "toy.Timeout.timeout"}
+
+
+def test_an_option_is_set_only_through_its_own_callee():
+    """A keyword sets an option of the definition the call names; an
+    identifier string that is no dict key sets nothing; ``x=x`` and
+    ``**kwargs`` forwarding still set what they pass on."""
+    trees = parsed(
+        toy="""
+        from dataclasses import dataclass
+
+        @dataclass
+        class ToyConfig:
+            scale: str = "exact"
+            normalize: bool = True
+            forwarded: int = 0
+            spread: int = 0
+            elsewhere: int = 0
+
+        def build(*, forwarded=0, **kwargs):
+            return ToyConfig(forwarded=forwarded, **kwargs)
+
+        def unrelated(*, elsewhere=0):
+            return elsewhere
+
+        PROFILE = {"scale": "normalize"}
+        build(forwarded=1, spread=2)
+        unrelated(elsewhere=3)
+        """
+    )
+    every = options(trees)
+    assert unset_options(setters([(trees["toy"], None)]), every) == {
+        "toy.ToyConfig.normalize",
+        "toy.ToyConfig.elsewhere",
+    }
 
 
 # -- one owner per algorithm -------------------------------------------------

@@ -545,14 +545,19 @@ class TestPipelineAbstraction:
         server = DiverseServer(
             [ServerProduct(dialect(key)) for key in ("PG", "MS")]
         )
+
+        def abstraction(sql):
+            statement, _, _ = server.pipeline.parsed(sql)
+            return server.pipeline.abstraction(sql, statement, server._schema)
+
         server.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
-        first = server.abstraction("SELECT id FROM t WHERE v > 0")
-        again = server.abstraction("SELECT id FROM t WHERE v > 0")
+        first = abstraction("SELECT id FROM t WHERE v > 0")
+        again = abstraction("SELECT id FROM t WHERE v > 0")
         assert again is first
         assert server.pipeline.stats.abstraction_hits == 1
         assert server.pipeline.stats.abstraction_misses == 1
         server.execute("CREATE INDEX ix_v ON t (v)")
-        server.abstraction("SELECT id FROM t WHERE v > 0")
+        abstraction("SELECT id FROM t WHERE v > 0")
         assert server.pipeline.stats.abstraction_misses == 2
         assert first.tlp is not None
         assert server.pipeline.stats.hits >= 1

@@ -54,10 +54,10 @@ def check_wal(how: str) -> None:
         "flipped payload byte": "checksum-mismatch",
         "oversize length": "torn-header",
     }[how]
-    good = encode_record(0, 0, "A")
+    good = encode_record(0, "A")
     # A tear is the end of the log; rot can sit in front of sound records.
-    after = b"" if how.startswith("torn") else encode_record(2, 0, "C")
-    scan = scan_records(good + damaged(encode_record(1, 0, "B"), how) + after)
+    after = b"" if how.startswith("torn") else encode_record(2, "C")
+    scan = scan_records(good + damaged(encode_record(1, "B"), how) + after)
     assert scan.stopped == reason
     assert [record.sql for record in scan.records] == ["A"]
     assert scan.valid_bytes == len(good)
@@ -193,23 +193,17 @@ def test_envelope_spelling_is_the_on_disk_one():
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=2**40),
-    st.integers(min_value=0, max_value=2**31),
-    st.text(),
-)
-def test_wal_record_is_the_dict_spelling(lsn, generation, sql):
-    spelled = json.dumps({"lsn": lsn, "gen": generation, "sql": sql}, ensure_ascii=False)
-    assert encode_record(lsn, generation, sql) == records.pack(spelled.encode("utf-8"))
+@given(st.integers(min_value=0, max_value=2**40), st.text())
+def test_wal_record_is_the_dict_spelling(lsn, sql):
+    spelled = json.dumps({"lsn": lsn, "sql": sql}, ensure_ascii=False)
+    assert encode_record(lsn, sql) == records.pack(spelled.encode("utf-8"))
 
 
-def row_encoded_checkpoint(engine, lsn: int, ddl: list, taken_at: float) -> bytes:
+def row_encoded_checkpoint(engine, lsn: int, ddl: list) -> bytes:
     """A checkpoint blob as the writer that envelopes every value of
     every row before one ``json.dumps`` spells it."""
     payload = {
         "lsn": lsn,
-        "generation": engine.catalog.generation,
-        "taken_at": taken_at,
         "ddl": list(ddl),
         "tables": [
             {
@@ -251,8 +245,19 @@ def test_checkpoint_is_the_row_encoded_spelling(rows):
     for row in rows:
         engine.storage.get("a").insert(row)
     engine.storage.get("b").insert(EVERY_KIND)
-    blob = pack_checkpoint(build_checkpoint(product, lsn=3, ddl=ddl, taken_at=1.5))
-    assert blob == row_encoded_checkpoint(engine, 3, ddl, 1.5)
+    blob = pack_checkpoint(build_checkpoint(product, lsn=3, ddl=ddl))
+    assert blob == row_encoded_checkpoint(engine, 3, ddl)
+
+
+def test_a_checkpoint_applies_without_the_byte_round_trip():
+    source = make_server("IB")
+    ddl = ["CREATE TABLE t (id INT PRIMARY KEY, v DECIMAL(8, 2), d DATE)"]
+    source.execute(ddl[0])
+    source.execute("INSERT INTO t VALUES (1, 1.25, '2004-06-28')")
+    source.execute("INSERT INTO t VALUES (2, NULL, NULL)")
+    restored = make_server("IB")
+    apply_checkpoint(restored, build_checkpoint(source, lsn=0, ddl=ddl))
+    assert restored.state_signature() == source.state_signature()
 
 
 def test_packed_checkpoint_does_not_alias_the_live_heap():

@@ -1,4 +1,4 @@
-"""Serialisation, reporting, availability-model, and monitor-mode tests."""
+"""Serialisation, reporting and availability-model tests."""
 
 import json
 from collections import Counter
@@ -107,28 +107,3 @@ class TestAvailabilityModel:
             ReplicaAvailability(-1.0, 1.0)
         with pytest.raises(ValueError):
             ReplicaAvailability(1.0, 0.0)
-
-
-class TestMonitorMode:
-    def test_monitor_logs_but_never_interrupts(self):
-        from repro.faults import FaultSpec, RelationTrigger, RowDropEffect
-        from repro.middleware import DiverseServer
-        from repro.servers import make_server
-
-        fault = FaultSpec(
-            "F-MON", "wrong rows",
-            RelationTrigger(["t"], kind="select"), RowDropEffect(keep_one_in=2),
-        )
-        server = DiverseServer(
-            [make_server("IB", [fault]), make_server("OR"), make_server("MS")],
-            adjudication="monitor",
-            auto_recover=False,
-        )
-        server.execute("CREATE TABLE t (a INTEGER)")
-        server.execute("INSERT INTO t VALUES (1), (2)")
-        result = server.execute("SELECT a FROM t ORDER BY a")
-        assert len(result.rows) == 2  # majority answer served
-        assert server.disagreement_log
-        assert server.stats.disagreements_detected == 1
-        # Monitor mode does not suspect replicas.
-        assert all(r.state.value == "active" for r in server.replicas)

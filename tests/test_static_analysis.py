@@ -340,14 +340,6 @@ class TestMultisetVoting:
             server.execute("SELECT id, balance FROM accounts")
         assert server.stats.multiset_comparisons == 0
 
-    def test_monitor_mode_logs_instead(self):
-        server = diverse(
-            adjudication="monitor", ib_faults=[ORDER_FAULT], static_analysis=False
-        )
-        server.execute("SELECT id, balance FROM accounts")
-        assert server.disagreement_log
-        assert server.stats.disagreements_detected == 1
-
 
 def stall_fault(pattern):
     return FaultSpec(

@@ -198,11 +198,9 @@ class TestBackoffAndCircuitBreaker:
 
     def test_attempt_budget_exhaustion_fails_replica(self, monkeypatch):
         monkeypatch.setattr(supervisor, "MAX_RECOVERY_ATTEMPTS", 3)
+        monkeypatch.setattr(supervisor, "CIRCUIT_THRESHOLD", 100)
         server = seed_accounts(
-            triple(
-                [crash_on_accounts_select(), crash_during_recovery()],
-                policy=SupervisorPolicy(circuit_threshold=100),
-            )
+            triple([crash_on_accounts_select(), crash_during_recovery()])
         )
         server.execute("SELECT id FROM accounts")
         ib = server.replica("IB")
