@@ -100,8 +100,8 @@ class VirtualClock:
     wall-clock flakiness.  Tests may advance it directly.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = start
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -22,6 +22,7 @@ will not hash evaluates the equality row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
@@ -74,17 +75,36 @@ def _sort_key(value: Any) -> tuple:
     return (1,) if value is None else (0, distinct_key(value))
 
 
-def order_rows(decorated: list[tuple[tuple, tuple]], directions: list[bool]) -> list[tuple]:
-    """The rows of ``decorated`` — ``(ORDER BY values, row)`` pairs in
-    input order — sorted by those values, ``directions[i]`` true for
-    DESC.  NULLs sort last ascending and first descending; ties keep
-    input order.  One stable sort per key, the least significant first
+_NUMERIC = {int, Decimal}
+
+
+def _column_keys(values: list) -> list:
+    """Sort keys for one ORDER BY item's values, chosen once for the
+    column: the raw values when every one is exactly ``int`` or
+    ``Decimal`` (they compare exactly across the two), the stripped
+    strings when every one is exactly ``str`` (PAD SPACE), else
+    ``_sort_key`` per value.  Floats stay wrapped, because
+    ``distinct_key`` compares them as ``Decimal(str(f))`` (so ``0.1``
+    ties ``Decimal('0.1')``); so do NULLs, booleans, dates and mixes."""
+    kinds = set(map(type, values))
+    if kinds <= _NUMERIC:
+        return values
+    if kinds == {str}:
+        return [value.rstrip() for value in values]
+    return list(map(_sort_key, values))
+
+
+def order_rows(keys: list[list], rows: list[tuple], directions: list[bool]) -> list[tuple]:
+    """``rows`` sorted by their ORDER BY values — ``keys[i][j]`` is item
+    ``i``'s value for row ``j`` — with ``directions[i]`` true for DESC.
+    NULLs sort last ascending and first descending; ties keep input
+    order.  One stable sort per item, the least significant first
     (``reverse=`` keeps ties in order), so no key is wrapped to invert
     its comparisons."""
-    entries = [(*map(_sort_key, values), row) for values, row in decorated]
-    for position in reversed(range(len(directions))):
-        entries.sort(key=itemgetter(position), reverse=directions[position])
-    return [entry[-1] for entry in entries]
+    order = list(range(len(rows)))
+    for values, descending in zip(reversed(keys), reversed(directions)):
+        order.sort(key=_column_keys(values).__getitem__, reverse=descending)
+    return [rows[index] for index in order]
 
 
 def _distinct_rows(rows: list[tuple]) -> list[tuple]:
@@ -622,6 +642,7 @@ class PhysicalSelect:
         left_index = scope.resolve(node.left_key)
         right_index = scope.resolve(node.right_key) - _subtree_shift(node.right)
         expected = node.key_kind
+        numeric = expected == "n"
         # Exact-semantics fallback for rows/batches whose key values the
         # hash cannot represent faithfully: evaluate the original
         # equality predicate over the cross product.
@@ -640,10 +661,13 @@ class PhysicalSelect:
                 value = rrow[right_index]
                 if value is None:
                     continue  # NULL keys never compare TRUE
-                try:
-                    key = _join_key(value, expected)
-                except TypeMismatch:
-                    key = None
+                if numeric and type(value) is int:
+                    key = ("n", value)  # what _join_key returns, inline
+                else:
+                    try:
+                        key = _join_key(value, expected)
+                    except TypeMismatch:
+                        key = None
                 if key is None:
                     clean = False
                     break
@@ -660,10 +684,13 @@ class PhysicalSelect:
                 value = lrow[left_index]
                 if value is None:
                     continue
-                try:
-                    key = _join_key(value, expected)
-                except TypeMismatch:
-                    key = None
+                if numeric and type(value) is int:
+                    key = ("n", value)
+                else:
+                    try:
+                        key = _join_key(value, expected)
+                    except TypeMismatch:
+                        key = None
                 if key is None:
                     # Odd probe value: nested-loop this row only, keeping
                     # the equality's per-comparison raise behaviour.
@@ -787,27 +814,30 @@ class PhysicalSelect:
             else:
                 resolved.append((kind, payload, descending))
 
-        decorated = []
-        for index, row in enumerate(out_rows):
-            values = []
-            for kind, payload, _ in resolved:
-                if kind == "ordinal":
-                    if not 1 <= payload <= len(row):
-                        raise BindError(
-                            f"ORDER BY position {payload} is out of range"
-                        )
-                    value = row[payload - 1]
-                elif kind == "output":
-                    value = row[payload]
-                else:
-                    value = payload(
-                        ctx_rows[index],
-                        ctx_aggs[index] if ctx_aggs is not None else None,
-                        ctx,
-                    )
-                values.append(value)
-            decorated.append((tuple(values), row))
-        return order_rows(decorated, [descending for _, _, descending in resolved])
+        # An output column cannot raise, so it is taken whole; ordinals
+        # and expressions run row by row, item by item, so the first
+        # error is the one the walker raises.
+        keys: list[list] = []
+        raising = []
+        for kind, payload, _ in resolved:
+            if kind == "output":
+                keys.append(list(map(itemgetter(payload), out_rows)))
+            else:
+                keys.append([])
+                raising.append((kind, payload, keys[-1].append))
+        if raising:
+            aggs_of = ctx_aggs if ctx_aggs is not None else [None] * len(out_rows)
+            for row, ctx_row, aggs in zip(out_rows, ctx_rows, aggs_of):
+                for kind, payload, append in raising:
+                    if kind == "ordinal":
+                        if not 1 <= payload <= len(row):
+                            raise BindError(
+                                f"ORDER BY position {payload} is out of range"
+                            )
+                        append(row[payload - 1])
+                    else:
+                        append(payload(ctx_row, aggs, ctx))
+        return order_rows(keys, out_rows, [descending for _, _, descending in resolved])
 
 
 def _raise(error: Exception) -> Any:

@@ -30,7 +30,7 @@ from repro.sqlengine.expressions import (
     collect_aggregates,
 )
 from repro.sqlengine.functions import AGGREGATE_NAMES, Accumulator, fn_mod, lookup_scalar
-from repro.sqlengine.plan.physical import QueryResult, order_rows
+from repro.sqlengine.plan.physical import QueryResult
 from repro.sqlengine.typenames import resolve_type
 from repro.sqlengine.types import cast_value
 from repro.sqlengine.values import (
@@ -773,7 +773,39 @@ class SelectExecutor:
             for index, row in enumerate(result.rows)
         ]
         directions = [item.descending for item in order_by]
-        return QueryResult(result.columns, order_rows(decorated, directions))
+        return QueryResult(result.columns, _composite_order(decorated, directions))
+
+
+class _Desc:
+    """Inverts the comparisons of a DESC key in the reference sort."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def __lt__(self, other):
+        return other.key < self.key
+
+    def __eq__(self, other):
+        return other.key == self.key
+
+
+def _composite_order(decorated, directions):
+    """Reference ORDER BY: one sort on a composite key per row — a
+    (rank, key) part per ORDER BY item, then the input position."""
+
+    def key(entry):
+        index, (values, _) = entry
+        parts = []
+        for value, descending in zip(values, directions):
+            if value is None:
+                parts.append((0, 0) if descending else (1, 0))
+            elif descending:
+                parts.append((1, _Desc(distinct_key(value))))
+            else:
+                parts.append((0, distinct_key(value)))
+        return tuple(parts), index
+
+    return [row for _, (_, row) in sorted(enumerate(decorated), key=key)]
 
 
 def _distinct_rows(rows: list[tuple]) -> list[tuple]:

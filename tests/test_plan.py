@@ -274,6 +274,89 @@ class TestCompiledExecution:
         assert "index_selection" in plan.applied_rules
 
 
+def _keyed_pair(cls: type, column_type: str, left: list, right: list) -> Engine:
+    """Two tables whose ``k`` columns hold ``left`` and ``right``, written
+    past the engine so a column can hold values of several kinds."""
+    engine = cls(name="join-keys")
+    for table, values in (("lk", left), ("rk", right)):
+        engine.execute(f"CREATE TABLE {table} (k {column_type}, tag VARCHAR(5))")
+        for index, value in enumerate(values):
+            engine.storage.get(table).insert([value, f"{table[0]}{index}"])
+    return engine
+
+
+_NUMERIC_KEYS = [1, Decimal("1.00"), True, 2, None, Decimal("2.5"), False, 3]
+_PLAIN_KEYS = [1, Decimal("2.0"), None, 0, 2, Decimal("2.50")]
+
+
+class TestSortAndJoinKeys:
+    JOIN = "SELECT lk.tag, rk.tag FROM lk, rk WHERE lk.k = rk.k"
+
+    @pytest.mark.parametrize(
+        "column_type, left, right",
+        [
+            ("INTEGER", _NUMERIC_KEYS, list(reversed(_NUMERIC_KEYS))),
+            ("INTEGER", [*_PLAIN_KEYS, "2 "], _PLAIN_KEYS),
+            ("INTEGER", _PLAIN_KEYS, ["1  ", *_PLAIN_KEYS]),
+            ("CHAR(4)", ["ab", "ab  ", "b", None, "c "], ["ab ", "b", "c", "ab"]),
+        ],
+        ids=["numeric-kinds", "padded-probe", "padded-build", "char-keys"],
+    )
+    def test_mixed_key_kinds_join_as_the_walker(self, column_type, left, right):
+        planned, walker = (
+            _keyed_pair(cls, column_type, left, right) for cls in (Engine, ReferenceEngine)
+        )
+        assert "HashJoin" in explain_statement(self.JOIN, planned.catalog)
+        rows = planned.execute(self.JOIN).rows
+        assert rows == walker.execute(self.JOIN).rows
+        assert rows
+
+    @pytest.mark.parametrize(
+        "column_type, values",
+        [
+            ("INTEGER", [3, 1, 2, 1, 3]),
+            ("INTEGER", [3, None, 1, 2, None, 1]),
+            ("NUMERIC(6,2)", [Decimal("1.50"), 1, Decimal("1.5"), 2, Decimal("0.25")]),
+            ("CHAR(4)", ["b  ", "a", "a   ", "b", "ab"]),
+            ("VARCHAR(4)", ["b", "a ", None, "a", "b "]),
+            ("FLOAT", [0.1, Decimal("0.1"), 0.5, 1, 0.1]),
+            ("INTEGER", [True, 1, Decimal("1.0"), False, "1 ", 0]),
+        ],
+        ids=["int", "int-null", "int-decimal", "char", "varchar-null", "float", "mixed"],
+    )
+    @pytest.mark.parametrize("direction", ["", " DESC"])
+    def test_order_by_each_key_kind_sorts_as_the_walker(self, column_type, values, direction):
+        sql = f"SELECT tag FROM lk ORDER BY k{direction}"
+        planned, walker = (
+            _keyed_pair(cls, column_type, values, []) for cls in (Engine, ReferenceEngine)
+        )
+        assert planned.execute(sql).rows == walker.execute(sql).rows
+
+    @pytest.mark.parametrize(
+        "sql, error",
+        [
+            # Row 0 raises in the second key, row 2 in the first: the
+            # keys are evaluated row by row, so the cast error wins.
+            (
+                "SELECT id FROM accounts ORDER BY 10 / (id - 2), CAST(owner AS INTEGER)",
+                "TypeMismatch",
+            ),
+            # An expression key that raises on row 0 comes before the
+            # out-of-range ordinal that follows it.
+            ("SELECT id FROM accounts ORDER BY 10 / (id - 0), 5", "DivisionByZero"),
+            ("SELECT id FROM accounts ORDER BY 5, 10 / (id - 0)", "BindError"),
+        ],
+    )
+    def test_order_by_raises_the_walkers_first_error(self, sql, error):
+        raised = []
+        for cls in (Engine, ReferenceEngine):
+            with pytest.raises(SqlError) as caught:
+                _engine(cls).execute(sql)
+            raised.append((type(caught.value).__name__, str(caught.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == error
+
+
 # -- the plan cache --------------------------------------------------------
 
 

@@ -40,6 +40,7 @@ from repro.sqlengine.values import (
 )
 from repro.study.classify import classify_run
 from repro.study.runner import ScriptPieces, StudyRunner, parse_pieces, run_script
+from tests.reference import _composite_order
 
 tribool = st.sampled_from([True, False, None])
 
@@ -217,38 +218,6 @@ class TestIdentityVote:
                     assert _voted([a, b], normalize, ordered) == [["R0", "R1"]]
 
 
-class _Desc:
-    """Inverts the comparisons of a DESC key in the reference sort."""
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
-
-    def __eq__(self, other):
-        return other.key == self.key
-
-
-def _composite_order(decorated, directions):
-    """Reference ORDER BY: one sort on a composite key per row — a
-    (rank, key) part per ORDER BY item, then the input position."""
-
-    def key(entry):
-        index, (values, _) = entry
-        parts = []
-        for value, descending in zip(values, directions):
-            if value is None:
-                parts.append((0, 0) if descending else (1, 0))
-            elif descending:
-                parts.append((1, _Desc(distinct_key(value))))
-            else:
-                parts.append((0, distinct_key(value)))
-        return tuple(parts), index
-
-    return [row for _, (_, row) in sorted(enumerate(decorated), key=key)]
-
-
 _ORDER_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -259,15 +228,48 @@ _ORDER_VALUES = st.one_of(
     st.sampled_from([datetime.date(2004, 6, 1), datetime.datetime(2004, 6, 1, 9)]),
 )
 
+#: One kind per ORDER BY column, so that every key path of
+#: ``order_rows`` is drawn: the raw ``int``/``Decimal`` and ``str``
+#: keys, and the wrapped keys of floats, booleans, dates and mixes.
+_ORDER_COLUMN_KINDS = [
+    st.integers(-3, 3),
+    st.one_of(st.integers(-3, 3), st.decimals(min_value=-3, max_value=3, places=1)),
+    st.sampled_from(["a", "ab", "b", "B"]),
+    st.sampled_from(["a", "a ", "a  ", "ab", "b ", "B"]),
+    st.floats(min_value=-3, max_value=3, allow_nan=False),
+    st.one_of(st.integers(-3, 3), st.floats(min_value=-3, max_value=3, allow_nan=False)),
+    st.booleans(),
+    st.sampled_from([datetime.date(2004, 6, 1), datetime.datetime(2004, 6, 1, 9)]),
+    _ORDER_VALUES,
+]
+
+
+@st.composite
+def _order_column(draw):
+    kind = draw(st.sampled_from(_ORDER_COLUMN_KINDS))
+    return st.one_of(st.none(), kind) if draw(st.booleans()) else kind
+
 
 class TestOrderRows:
+    @staticmethod
+    def _check(rows_values, directions):
+        decorated = [(values, (index,)) for index, values in enumerate(rows_values)]
+        keys = [[values[item] for values in rows_values] for item in range(len(directions))]
+        rows = [row for _, row in decorated]
+        assert order_rows(keys, rows, directions) == _composite_order(decorated, directions)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), directions=st.lists(st.booleans(), min_size=1, max_size=3))
     def test_order_rows_equals_the_composite_key_sort(self, data, directions):
-        width = len(directions)
-        values = data.draw(st.lists(st.tuples(*[_ORDER_VALUES] * width), max_size=12))
-        decorated = [(row_values, (index,)) for index, row_values in enumerate(values)]
-        assert order_rows(decorated, directions) == _composite_order(decorated, directions)
+        columns = [data.draw(_order_column()) for _ in directions]
+        self._check(data.draw(st.lists(st.tuples(*columns), max_size=12)), directions)
+
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("first", [0.1, Decimal("0.1")])
+    def test_a_float_ties_its_decimal_in_input_order(self, first, descending):
+        second = Decimal("0.1") if isinstance(first, float) else 0.1
+        self._check([(first,), (second,)], [descending])
+        assert order_rows([[first, second]], [(0,), (1,)], [descending]) == [(0,), (1,)]
 
 
 class TestLexerProperties:
