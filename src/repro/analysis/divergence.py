@@ -48,8 +48,8 @@ from typing import Optional
 
 from repro.analysis.predicates import PredicateEnv, flatten_from
 from repro.analysis.schema import ScriptSchema
-from repro.analysis.verdicts import VOLATILE_FUNCTIONS
 from repro.sqlengine import ast_nodes as ast
+from repro.sqlengine.functions import VOLATILE_FUNCTIONS
 from repro.sqlengine.plan.compiler import CMP_OPERATORS
 from repro.sqlengine.plan.lattice import (
     TOP_VALUE,

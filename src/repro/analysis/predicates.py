@@ -31,11 +31,11 @@ from decimal import Decimal
 from typing import Any, Iterable, Optional
 
 from repro.analysis.schema import ScriptSchema
-from repro.analysis.verdicts import VOLATILE_FUNCTIONS
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.engine import Engine, ParsedStatement, statement_plans
 from repro.sqlengine.expressions import contains_aggregate
+from repro.sqlengine.functions import VOLATILE_FUNCTIONS
 from repro.sqlengine.plan import REWRITE_RULES, PhysicalSelect
 from repro.sqlengine.plan.compiler import Scope, compile_expression
 from repro.sqlengine.plan.lattice import (

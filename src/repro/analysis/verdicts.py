@@ -64,13 +64,9 @@ from repro.analysis.schema import ScriptSchema
 from repro.dialects.features import SERVER_KEYS, dialect
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits, script_traits
-from repro.sqlengine.functions import AGGREGATE_NAMES
+from repro.sqlengine.functions import AGGREGATE_NAMES, VOLATILE_FUNCTIONS
 from repro.sqlengine.parser import parse_script
 from repro.sqlengine.sqlgen import render_expression
-
-#: Functions whose value differs between correct executions.  Scripts
-#: using them are inherently nondeterministic for comparison purposes.
-VOLATILE_FUNCTIONS = frozenset({"GETDATE", "GEN_ID"})
 
 #: Statement kinds that modify state and must reach every replica (and
 #: be replayed on recovery).  The single source of truth — the

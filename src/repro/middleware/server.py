@@ -123,6 +123,7 @@ from repro.sqlengine.analysis import StatementTraits
 from repro.sqlengine.engine import EnginePrepared, Result
 from repro.sqlengine.params import (
     Lifted,
+    check_params,
     misreads_literals,
     param_text,
     render_param,
@@ -305,23 +306,36 @@ class StatementCall:
     a call of the prepared statement ``prepared``, whose text is
     ``sql``.
 
-    ``bound_sql`` is the literal text recorded in the write log so
-    recovery replay needs no parameter store.  A bound call has its
-    ``params`` spliced into the template; a lifted literal statement
-    runs on its shape, with ``bound_sql`` the statement exactly as the
-    client sent it and ``lift`` the literals lifted from it
-    (``params`` their values); a statement that does not lift runs on
-    a handle of its own text, so ``bound_sql`` is ``sql`` and there are
-    no ``params``.  ``targets`` holds, per replica product, the engine
-    handle that replica runs (see :meth:`DiverseServer._resolve`).
+    A bound call has ``params`` for the template's placeholders; a
+    lifted literal statement runs on its shape, with ``sent`` the
+    statement exactly as the client sent it and ``lift`` the literals
+    lifted from it (``params`` their values); a statement that does not
+    lift runs on a handle of its own text, so ``sent`` is ``sql`` and
+    there are no ``params``.  ``targets`` holds, per replica product,
+    the engine handle that replica runs (see
+    :meth:`DiverseServer._resolve`).
     """
 
     sql: str
-    bound_sql: str
     prepared: "PreparedStatement"
     params: tuple = ()
     lift: Optional[Lifted] = None
+    sent: Optional[str] = None
     targets: dict[ServerProduct, EnginePrepared] = field(default_factory=dict)
+
+    @cached_property
+    def bound_sql(self) -> str:
+        """The literal text of the call, recorded in the write log so
+        recovery replay needs no parameter store: the text as sent, or
+        a bound call's ``params`` spliced into the template.  Rendered
+        on the first read — a write's log entry, the dual-plan log, an
+        eviction or an error message — so a read that succeeds never
+        renders it."""
+        if self.sent is not None:
+            return self.sent
+        return splice_texts(
+            self.sql, self.prepared.positions, tuple(map(render_param, self.params))
+        )
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
@@ -476,7 +490,7 @@ class DiverseServer:
         if lifted is not None:
             shape = self._shape(lifted.shape)
             if shape is not None:
-                call = StatementCall(shape.sql, sql, shape, lifted.values, lifted)
+                call = StatementCall(shape.sql, shape, lifted.values, lifted, sql)
                 return call, shape.literal_traits
         handle = self.prepare(sql)
         if handle.param_count:
@@ -484,7 +498,7 @@ class DiverseServer:
                 f"statement has {handle.param_count} unbound parameter(s); "
                 "use prepare() to execute it with values"
             )
-        return StatementCall(sql, sql, handle), handle.traits
+        return StatementCall(sql, handle, sent=sql), handle.traits
 
     def explain(self, sql: str) -> str:
         """Render the logical plan the first active replica's planner
@@ -1140,8 +1154,8 @@ class PreparedStatement:
     def __init__(self, server: DiverseServer, sql: str) -> None:
         self._server = server
         self.sql = sql
-        self.statement, self.traits, self._positions = server.pipeline.parsed(sql)
-        self.param_count = len(self._positions)
+        self.statement, self.traits, self.positions = server.pipeline.parsed(sql)
+        self.param_count = len(self.positions)
         #: replica product -> engine-prepared handle
         self._handles: dict[ServerProduct, EnginePrepared] = {}
 
@@ -1164,12 +1178,8 @@ class PreparedStatement:
                 f"statement takes {self.param_count} parameter(s), "
                 f"{len(params)} given"
             )
-        bound_sql = (
-            splice_texts(self.sql, self._positions, tuple(map(render_param, params)))
-            if params
-            else self.sql
-        )
-        call = StatementCall(self.sql, bound_sql, self, params)
+        check_params(params)
+        call = StatementCall(self.sql, self, params, sent=None if params else self.sql)
         return self._server._execute_bound(call, self.traits)
 
     def executemany(self, rows: Iterable[Sequence[Any]]) -> list[Result]:

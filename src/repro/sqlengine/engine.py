@@ -13,9 +13,9 @@ and hands each engine the :class:`ParsedStatement` instead of the text.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from dataclasses import dataclass, field
+from decimal import Decimal
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional, Union
 
@@ -220,9 +220,6 @@ class Engine:
         #: Whether SELECT plans apply ``REWRITE_RULES``; the dual-plan
         #: oracle turns it off for its unrewritten second plan.
         self.rewrite = True
-        #: Compiled CHECKs and DEFAULTs per table (see
-        #: :meth:`_table_constraints`), guarded by the schema generation.
-        self._constraints: dict[str, tuple[TableSchema, int, tuple]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -231,7 +228,6 @@ class Engine:
         self.transactions.abort_if_open()
         self.catalog.clear()
         self.storage.clear()
-        self._constraints.clear()
         self.crashed = False
 
     def restart(self) -> None:
@@ -252,9 +248,6 @@ class Engine:
         self.transactions.abort_if_open()
         self.catalog = snapshot.catalog.clone()
         self.storage = Storage.restored(snapshot.tables)
-        # A restore rewinds the generation counter, so generation-keyed
-        # caches cannot be trusted across it.
-        self._constraints.clear()
         self.crashed = False
 
     # -- execution -----------------------------------------------------------
@@ -404,57 +397,7 @@ class Engine:
     # -- DML -------------------------------------------------------------------
 
     def _execute_insert(self, stmt: ast.Insert, ctx: ExecutionContext) -> Result:
-        return self._cached_plan(stmt, ctx.params).execute(ctx)
-
-    def _insert_rows(
-        self,
-        schema: TableSchema,
-        data,
-        target_indices: list[int],
-        source_rows: list[tuple],
-        ctx: ExecutionContext,
-    ) -> Result:
-        """Validate and store evaluated INSERT rows: all checks run
-        against the pending batch before any row lands in the heap."""
-        inserted: list[list[Any]] = []
-        pending: list[list[Any]] = []
-        for source in source_rows:
-            if len(source) != len(target_indices):
-                raise SqlError(
-                    f"INSERT has {len(source)} values for {len(target_indices)} columns"
-                )
-            row = self._complete_row(schema, target_indices, source, ctx)
-            self._check_row_constraints(schema, row, ctx)
-            self._check_uniqueness(schema, data, row, pending=pending)
-            pending.append(row)
-        for row in pending:
-            stored = data.insert(row)
-            inserted.append(stored)
-            self.transactions.record(lambda r=stored, d=data: d.remove_row(r))
-        return Result(kind="dml", rowcount=len(inserted))
-
-    def _complete_row(
-        self,
-        schema: TableSchema,
-        target_indices: list[int],
-        source: tuple,
-        ctx: ExecutionContext,
-    ) -> list[Any]:
-        missing = object()
-        row: list[Any] = [missing] * len(schema.columns)
-        for index, value in zip(target_indices, source):
-            column = schema.columns[index]
-            row[index] = cast_value(value, column.sql_type, implicit=True)
-        defaults = None
-        for index, column in enumerate(schema.columns):
-            if row[index] is missing:
-                if defaults is None:
-                    defaults = self._table_constraints(schema)[1]
-                default = defaults[index]
-                row[index] = None if default is None else self._cast_default(
-                    default(None, None, ctx), column
-                )
-        return row
+        return Result(kind="dml", rowcount=self._cached_plan(stmt, ctx.params).execute(ctx))
 
     @staticmethod
     def _cast_default(value: Any, column: ColumnDef) -> Any:
@@ -463,123 +406,8 @@ class Engine:
         # with high latency" runtime error the paper describes.
         return cast_value(value, column.sql_type, implicit=True)
 
-    def _table_constraints(self, schema: TableSchema) -> tuple:
-        """``(checks, defaults)`` of ``schema``, compiled once per table
-        and catalog generation: each CHECK as ``(closure, violation
-        message)``, column CHECKs in column order then table CHECKs, and
-        per column its DEFAULT's closure or None."""
-        # Probed with `in` and a subscript: this runs for every inserted
-        # and updated row.
-        constraints = self._constraints
-        generation = self.catalog.generation
-        if schema.name in constraints:
-            entry = constraints[schema.name]
-            if entry[0] is schema and entry[1] == generation:
-                return entry[2]
-        bindings = [ColumnBinding(schema.name, column.name) for column in schema.columns]
-        checks = [
-            (
-                compile_row_expression(column.check, self.catalog, bindings),
-                f"CHECK constraint on column {column.name!r} violated",
-            )
-            for column in schema.columns
-            if column.check is not None
-        ]
-        checks.extend(
-            (
-                compile_row_expression(check, self.catalog, bindings),
-                f"CHECK constraint on table {schema.name!r} violated",
-            )
-            for check in schema.checks
-        )
-        defaults = [
-            None
-            if column.default is None
-            else compile_row_expression(column.default, self.catalog)
-            for column in schema.columns
-        ]
-        compiled = (checks, defaults)
-        constraints[schema.name] = (schema, generation, compiled)
-        return compiled
-
-    def _check_row_constraints(
-        self, schema: TableSchema, row: list[Any], ctx: ExecutionContext
-    ) -> None:
-        for index, column in enumerate(schema.columns):
-            if column.not_null and row[index] is None:
-                raise ConstraintViolation(
-                    f"column {column.name!r} of {schema.name!r} may not be NULL"
-                )
-        for check, message in self._table_constraints(schema)[0]:
-            if check(row, None, ctx) is False:
-                raise ConstraintViolation(message)
-
-    def _check_uniqueness(
-        self,
-        schema: TableSchema,
-        data,
-        row: list[Any],
-        *,
-        pending: list[list[Any]] = (),
-        skip: Optional[list[Any]] = None,
-    ) -> None:
-        for _, _, indices, primary in self.catalog.unique_sets(schema):
-            values = [row[i] for i in indices]
-            if any(value is None for value in values):
-                if primary:
-                    raise ConstraintViolation(
-                        f"primary key of {schema.name!r} may not be NULL"
-                    )
-                continue  # SQL UNIQUE ignores NULLs
-            key = row_key(tuple(values))
-            index = data.unique_index(indices)
-            if index is not None:
-                # Maintained-index probe: O(1) against the heap, then
-                # just the (small) pending batch linearly.
-                hit = index.map.get(key)
-                if hit is not None and hit is not row and hit is not skip:
-                    label = "primary key" if primary else "unique"
-                    raise ConstraintViolation(
-                        f"{label} constraint violated on {schema.name!r}"
-                    )
-                candidates: Any = pending
-            else:
-                # The heap itself cannot be uniquely indexed (duplicate
-                # or unkeyable stored values): scan, as before.
-                candidates = itertools.chain(data.rows(), pending)
-            for existing in candidates:
-                if existing is row or existing is skip:
-                    continue
-                if row_key(tuple(existing[i] for i in indices)) == key:
-                    label = "primary key" if primary else "unique"
-                    raise ConstraintViolation(
-                        f"{label} constraint violated on {schema.name!r}"
-                    )
-
     def _execute_update(self, stmt: ast.Update, ctx: ExecutionContext) -> Result:
         return Result(kind="dml", rowcount=self._cached_plan(stmt, ctx.params).execute(ctx))
-
-    def apply_row_update(
-        self,
-        schema: TableSchema,
-        data,
-        row: list[Any],
-        new_values: dict[int, Any],
-        ctx: ExecutionContext,
-    ) -> None:
-        """Validate and apply one row's UPDATE, recording undo.  Goes
-        through :meth:`TableData.update_row` so maintained unique
-        indexes stay consistent without a rebuild."""
-        old_values = {index: row[index] for index in new_values}
-        candidate = list(row)
-        for index, value in new_values.items():
-            candidate[index] = value
-        self._check_row_constraints(schema, candidate, ctx)
-        self._check_uniqueness(schema, data, candidate, skip=row)
-        data.update_row(row, new_values)
-        self.transactions.record(
-            lambda r=row, old=old_values, d=data: d.update_row(r, old)
-        )
 
     def _execute_delete(self, stmt: ast.Delete, ctx: ExecutionContext) -> Result:
         return Result(kind="dml", rowcount=self._cached_plan(stmt, ctx.params).execute(ctx))
@@ -751,6 +579,17 @@ class Engine:
             raise ConstraintViolation(
                 f"cannot add NOT NULL column {column.name!r} without a default"
             )
+        if column.check is not None and len(data) > 0:
+            # Every stored row passes every CHECK, which is why an UPDATE
+            # re-checks only the CHECKs that read a column it assigns: so
+            # the rows that take the fill value must pass the new CHECK.
+            bindings = [ColumnBinding(schema.name, c.name) for c in (*schema.columns, column)]
+            check = compile_row_expression(column.check, self.catalog, bindings)
+            for row in data.rows():
+                if check([*row, fill], None, ctx) is False:
+                    raise ConstraintViolation(
+                        f"CHECK constraint on column {column.name!r} violated"
+                    )
         schema.columns.append(column)
         data.add_column(fill)
         self.catalog.bump()
@@ -762,6 +601,10 @@ class Engine:
 
         self.transactions.record(undo)
         return Result(kind="ddl")
+
+
+#: The classes a NaN or an infinity can hide in.
+_INEXACT = (float, Decimal)
 
 
 class EnginePrepared:
@@ -822,8 +665,9 @@ class EnginePrepared:
                 f"statement takes {self.param_count} parameter(s), "
                 f"{len(bound)} given"
             )
-        if not all(map(is_finite, bound)):
-            raise SqlError(f"cannot bind a NaN or infinite parameter value in {bound!r}")
+        for value in bound:
+            if isinstance(value, _INEXACT) and not is_finite(value):
+                raise SqlError(f"cannot bind a NaN or infinite parameter value in {bound!r}")
         if literal is None:
             return self._engine._execute_statement(
                 self.statement, self.sql, bound, self.traits, self._admitted

@@ -16,7 +16,7 @@ from repro.errors import BindError, DivisionByZero, NumericOverflow, TypeMismatc
 from repro.records import finite_decimal
 from repro.sqlengine.typenames import resolve_type
 from repro.sqlengine.types import cast_value, format_numeric
-from repro.sqlengine.values import distinct_key, sql_add, sql_compare
+from repro.sqlengine.values import column_keys, distinct_key, sql_add, sql_compare
 
 ScalarFunction = Callable[..., Any]
 
@@ -264,6 +264,12 @@ def fn_convert(ctx, value, type_text=None):
     return cast_value(value, resolve_type(_as_text(type_text, "CONVERT")))
 
 
+#: Functions whose value differs between correct executions of a real
+#: product (the simulation pins them).  Scripts using them are
+#: inherently nondeterministic for comparison purposes, and a CHECK that
+#: calls one reads more than its row.
+VOLATILE_FUNCTIONS = frozenset({"GETDATE", "GEN_ID"})
+
 SCALAR_FUNCTIONS: dict[str, ScalarFunction] = {
     "GEN_ID": fn_gen_id,
     "DECODE": fn_decode,
@@ -321,6 +327,10 @@ class Accumulator:
         self._min: Any = None
         self._max: Any = None
         self._seen: Optional[set] = set() if distinct else None
+        #: COUNT(DISTINCT)'s arguments, keyed once per group by
+        #: :func:`column_keys` in :meth:`result`: counting cannot raise,
+        #: so nothing is lost by keying late.
+        self._values: Optional[list] = [] if distinct and name == "COUNT" else None
 
     def add(self, value: Any) -> None:
         if self.star:
@@ -328,6 +338,9 @@ class Accumulator:
             return
         if value is None:
             return  # aggregates skip NULLs
+        if self._values is not None:
+            self._values.append(value)
+            return
         if self._seen is not None:
             key = distinct_key(value)
             if key in self._seen:
@@ -348,6 +361,8 @@ class Accumulator:
 
     def result(self) -> Any:
         if self.name == "COUNT":
+            if self._values is not None:
+                return len(set(column_keys(self._values)))
             return self._count
         if self.name == "SUM":
             return self._sum

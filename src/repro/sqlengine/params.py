@@ -40,8 +40,30 @@ from repro.sqlengine.tokens import Token, TokenKind
 from repro.sqlengine.values import is_finite
 
 
+#: The classes every value of which a parameter binds, unchecked.
+_BINDABLE = frozenset({type(None), bool, int, str})
+
+
+def check_params(values: Sequence[Any]) -> None:
+    """Raise :class:`SqlError` for the first of ``values`` no parameter
+    binds: a NaN or infinite number, or a value outside the SQL classes.
+    The one bind check: :func:`render_param` runs it before rendering a
+    value, and a prepared call on its values before any replica runs,
+    whether or not its text is ever rendered."""
+    for value in values:
+        if type(value) in _BINDABLE:
+            continue
+        if isinstance(value, (int, str)) or (
+            isinstance(value, (float, Decimal)) and is_finite(value)
+        ):
+            continue
+        raise SqlError(f"cannot bind parameter value {value!r}")
+
+
 def render_param(value: Any) -> str:
     """Render one parameter value as a SQL literal."""
+    if type(value) not in _BINDABLE:
+        check_params((value,))
     if value is None:
         return "NULL"
     if value is True:
@@ -51,9 +73,7 @@ def render_param(value: Any) -> str:
     if isinstance(value, str):
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
-    if isinstance(value, (int, float, Decimal)) and is_finite(value):
-        return repr(value) if isinstance(value, float) else str(value)
-    raise SqlError(f"cannot bind parameter value {value!r}")
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def param_text(value: Any) -> str:

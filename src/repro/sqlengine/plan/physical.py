@@ -22,7 +22,6 @@ will not hash evaluates the equality row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
@@ -56,7 +55,7 @@ from repro.sqlengine.plan.logical import (
     lower_select,
 )
 from repro.sqlengine.plan.rewrites import apply_rewrites
-from repro.sqlengine.values import distinct_key, row_key, sql_compare
+from repro.sqlengine.values import column_keys, distinct_key, row_key, sql_compare
 
 Source = Callable[[Any], list]
 Selector = Callable[[list, Any], list]
@@ -75,35 +74,17 @@ def _sort_key(value: Any) -> tuple:
     return (1,) if value is None else (0, distinct_key(value))
 
 
-_NUMERIC = {int, Decimal}
-
-
-def _column_keys(values: list) -> list:
-    """Sort keys for one ORDER BY item's values, chosen once for the
-    column: the raw values when every one is exactly ``int`` or
-    ``Decimal`` (they compare exactly across the two), the stripped
-    strings when every one is exactly ``str`` (PAD SPACE), else
-    ``_sort_key`` per value.  Floats stay wrapped, because
-    ``distinct_key`` compares them as ``Decimal(str(f))`` (so ``0.1``
-    ties ``Decimal('0.1')``); so do NULLs, booleans, dates and mixes."""
-    kinds = set(map(type, values))
-    if kinds <= _NUMERIC:
-        return values
-    if kinds == {str}:
-        return [value.rstrip() for value in values]
-    return list(map(_sort_key, values))
-
-
 def order_rows(keys: list[list], rows: list[tuple], directions: list[bool]) -> list[tuple]:
     """``rows`` sorted by their ORDER BY values — ``keys[i][j]`` is item
     ``i``'s value for row ``j`` — with ``directions[i]`` true for DESC.
     NULLs sort last ascending and first descending; ties keep input
-    order.  One stable sort per item, the least significant first
-    (``reverse=`` keeps ties in order), so no key is wrapped to invert
-    its comparisons."""
+    order.  Each item's key is picked once per sort (:func:`column_keys`,
+    ``_sort_key`` per value when the kinds are mixed).  One stable sort
+    per item, the least significant first (``reverse=`` keeps ties in
+    order), so no key is wrapped to invert its comparisons."""
     order = list(range(len(rows)))
     for values, descending in zip(reversed(keys), reversed(directions)):
-        order.sort(key=_column_keys(values).__getitem__, reverse=descending)
+        order.sort(key=column_keys(values, _sort_key).__getitem__, reverse=descending)
     return [rows[index] for index in order]
 
 

@@ -211,7 +211,7 @@ class TableData:
         affected = [
             (indices, index)
             for indices, index in self._indexes.items()
-            if any(position in changes for position in indices)
+            if not changes.keys().isdisjoint(indices)
         ]
         for indices, index in affected:
             self._index_remove(index, indices, row)

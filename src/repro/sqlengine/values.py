@@ -11,7 +11,7 @@ import datetime
 import math
 import re
 from decimal import Decimal
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import DivisionByZero, NumericOverflow, TypeMismatch
 from repro.records import finite_decimal
@@ -142,6 +142,25 @@ def distinct_key(value: Any) -> Any:
     if value is None:
         return ("null",)
     return _comparable(value)
+
+
+_EXACT_NUMBERS = {int, Decimal}
+
+
+def column_keys(values: list, key: Callable[[Any], Any] = distinct_key) -> list:
+    """Keys for one column's values, chosen once for the column: the raw
+    values when every one is exactly ``int`` or ``Decimal`` (they compare
+    and hash exactly across the two), the stripped strings when every one
+    is exactly ``str`` (PAD SPACE), else ``key`` per value.  Floats stay
+    keyed, because :func:`distinct_key` takes them as ``Decimal(str(f))``
+    (so ``0.1`` ties ``Decimal('0.1')``); so do NULLs, booleans, dates and
+    mixes."""
+    kinds = set(map(type, values))
+    if kinds <= _EXACT_NUMBERS:
+        return values
+    if kinds == {str}:
+        return [value.rstrip() for value in values]
+    return list(map(key, values))
 
 
 def row_key(row: tuple) -> tuple:

@@ -13,6 +13,7 @@ it statement by statement.  Nothing under ``src/`` imports this.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -644,7 +645,7 @@ class SelectExecutor:
         for _, rows in group_items:
             agg_values: dict[int, Any] = {}
             accumulators = [
-                (node, Accumulator(node.name, node.distinct, node.star)) for node in aggregates
+                (node, _Accumulator(node.name, node.distinct, node.star)) for node in aggregates
             ]
             for row in rows:
                 env = Environment(columns, row, outer=outer_env)
@@ -776,6 +777,17 @@ class SelectExecutor:
         return QueryResult(result.columns, _composite_order(decorated, directions))
 
 
+class _Accumulator(Accumulator):
+    """The walker's aggregate: COUNT(DISTINCT) keys each argument by
+    ``distinct_key`` as it arrives, as the other DISTINCT aggregates do,
+    so planned == walker checks the key the engine picks once per group
+    (``values.column_keys``)."""
+
+    def __init__(self, name: str, distinct: bool, star: bool) -> None:
+        super().__init__(name, distinct, star)
+        self._values = None
+
+
 class _Desc:
     """Inverts the comparisons of a DESC key in the reference sort."""
 
@@ -900,6 +912,53 @@ class ReferenceEngine(Engine):
         removed = data.delete_rows(matches)
         self.transactions.record(lambda r=removed, d=data: d.restore_rows(r))
         return Result(kind="dml", rowcount=len(removed))
+
+    def _insert_rows(self, schema, data, target_indices, source_rows, ctx) -> Result:
+        """Validate and store evaluated INSERT rows: every check runs
+        against the pending batch before any row lands in the heap."""
+        pending: list[list[Any]] = []
+        for source in source_rows:
+            if len(source) != len(target_indices):
+                raise SqlError(
+                    f"INSERT has {len(source)} values for {len(target_indices)} columns"
+                )
+            row = self._complete_row(schema, target_indices, source, ctx)
+            self._check_row_constraints(schema, row, ctx)
+            self._check_uniqueness(schema, data, row, pending=pending)
+            pending.append(row)
+        for row in pending:
+            stored = data.insert(row)
+            self.transactions.record(lambda r=stored, d=data: d.remove_row(r))
+        return Result(kind="dml", rowcount=len(pending))
+
+    def apply_row_update(self, schema, data, row: list[Any], new_values: dict, ctx) -> None:
+        """Validate and apply one row's UPDATE with every check — every
+        NOT NULL, every CHECK, every unique set — whatever it assigns."""
+        old_values = {index: row[index] for index in new_values}
+        candidate = list(row)
+        for index, value in new_values.items():
+            candidate[index] = value
+        self._check_row_constraints(schema, candidate, ctx)
+        self._check_uniqueness(schema, data, candidate, skip=row)
+        data.update_row(row, new_values)
+        self.transactions.record(lambda r=row, old=old_values, d=data: d.update_row(r, old))
+
+    def _check_uniqueness(self, schema, data, row: list[Any], *, pending=(), skip=None) -> None:
+        """Every unique set of ``schema``, each against every other row
+        of the heap and of ``pending``: a scan, never an index."""
+        for _, _, indices, primary in self.catalog.unique_sets(schema):
+            values = tuple(row[i] for i in indices)
+            if any(value is None for value in values):
+                if primary:
+                    raise ConstraintViolation(f"primary key of {schema.name!r} may not be NULL")
+                continue
+            key = row_key(values)
+            for existing in itertools.chain(data.rows(), pending):
+                if existing is row or existing is skip:
+                    continue
+                if row_key(tuple(existing[i] for i in indices)) == key:
+                    label = "primary key" if primary else "unique"
+                    raise ConstraintViolation(f"{label} constraint violated on {schema.name!r}")
 
     def _complete_row(self, schema, target_indices, source, ctx) -> list[Any]:
         missing = object()

@@ -4,7 +4,9 @@ from decimal import Decimal
 
 import pytest
 
-from repro.errors import CatalogError, ConstraintViolation, SqlError, TypeMismatch
+from repro.errors import CatalogError, ConstraintViolation, ReproError, SqlError, TypeMismatch
+from repro.servers import make_server
+from tests.reference import reference_server
 
 
 class TestInsert:
@@ -191,3 +193,192 @@ class TestDelete:
             "DELETE FROM product WHERE id IN (SELECT id FROM product WHERE qty > 50)"
         )
         assert seeded_engine.execute("SELECT COUNT(*) FROM product").rows[0][0] == 2
+
+
+KEYS = ("IB", "PG", "OR", "MS")
+
+
+def _outcomes(server, calls) -> list[tuple]:
+    outcomes = []
+    for sql, params in calls:
+        try:
+            result = server.execute(sql, params)
+        except ReproError as error:
+            outcomes.append(("error", type(error).__name__, str(error)))
+        else:
+            outcomes.append((result.rowcount, tuple(result.rows)))
+    return outcomes
+
+
+def _planned_and_walker(key, calls, load=None) -> list[tuple]:
+    """The outcome of each call on a compiled product and on the walker
+    (which checks every constraint of every row it writes), asserted
+    equal; ``load`` bulk-loads rows around the checks first."""
+    runs = []
+    for make in (make_server, reference_server):
+        server = make(key)
+        if load is not None:
+            server.execute(load[0])
+            server.load_rows(*load[1:])
+        runs.append(_outcomes(server, calls))
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+ACCOUNTS = (
+    "CREATE TABLE acct (id INTEGER PRIMARY KEY, code INTEGER UNIQUE, "
+    "lo INTEGER CHECK (lo >= 0), hi INTEGER CHECK (hi < 100), "
+    "bal NUMERIC(8,2) NOT NULL DEFAULT 0, CHECK (lo <= hi))"
+)
+SEEDED = [
+    (ACCOUNTS, None),
+    ("INSERT INTO acct (id, code, lo, hi) VALUES (1, 10, 1, 5), (2, 20, 2, 6)", None),
+]
+
+
+@pytest.mark.parametrize("key", KEYS)
+class TestWriteChecksEqualTheWalker:
+    """Each write gives the walker's answer, and its error class and
+    message, whatever subset of constraints its plan decided to check."""
+
+    def test_update_of_a_key_to_a_colliding_value(self, key):
+        outcomes = _planned_and_walker(key, SEEDED + [
+            ("UPDATE acct SET id = ? WHERE id = ?", (2, 1)),
+            ("UPDATE acct SET code = 20 WHERE id = 1", None),
+        ])
+        assert outcomes[-2:] == [
+            ("error", "ConstraintViolation", "primary key constraint violated on 'acct'"),
+            ("error", "ConstraintViolation", "unique constraint violated on 'acct'"),
+        ]
+
+    def test_update_of_a_key_to_itself(self, key):
+        outcomes = _planned_and_walker(key, SEEDED + [
+            ("UPDATE acct SET id = id, code = ? WHERE lo >= ?", (10, 2)),
+            ("UPDATE acct SET id = id WHERE lo >= 0", None),
+        ])
+        assert outcomes[-2:] == [
+            ("error", "ConstraintViolation", "unique constraint violated on 'acct'"),
+            (2, ()),
+        ]
+
+    def test_null_into_a_not_null_column(self, key):
+        outcomes = _planned_and_walker(key, SEEDED + [
+            ("UPDATE acct SET bal = ? WHERE id = 1", (None,)),
+            ("INSERT INTO acct (id, bal) VALUES (3, NULL)", None),
+            ("UPDATE acct SET id = NULL WHERE id = 2", None),
+        ])
+        message = "column 'bal' of 'acct' may not be NULL"
+        assert outcomes[-3:] == [
+            ("error", "ConstraintViolation", message),
+            ("error", "ConstraintViolation", message),
+            ("error", "ConstraintViolation", "column 'id' of 'acct' may not be NULL"),
+        ]
+
+    def test_check_beside_an_untouched_check(self, key):
+        # `lo` has a CHECK; `hi`'s CHECK and the table CHECK read `hi`.
+        outcomes = _planned_and_walker(key, SEEDED + [
+            ("UPDATE acct SET lo = ? WHERE id = 1", (-1,)),
+            ("UPDATE acct SET hi = 100 WHERE id = 1", None),
+            ("UPDATE acct SET lo = 9 WHERE id = 1", None),
+            ("UPDATE acct SET bal = ? WHERE id = 1", (Decimal("7.5"),)),
+            ("SELECT id, lo, hi, bal FROM acct ORDER BY id", None),
+        ])
+        assert outcomes[-5:] == [
+            ("error", "ConstraintViolation", "CHECK constraint on column 'lo' violated"),
+            ("error", "ConstraintViolation", "CHECK constraint on column 'hi' violated"),
+            ("error", "ConstraintViolation", "CHECK constraint on table 'acct' violated"),
+            (1, ()),
+            (2, ((1, 1, 5, Decimal("7.50")), (2, 2, 6, Decimal("0.00")))),
+        ]
+
+    @pytest.mark.parametrize("bound", [True, False], ids=["bound", "literal"])
+    def test_string_into_numeric_and_integer(self, key, bound):
+        def call(sql, value):
+            if bound:
+                return (sql, (value,))
+            return (sql.replace("?", f"'{value}'"), None)
+
+        outcomes = _planned_and_walker(key, SEEDED + [
+            call("UPDATE acct SET bal = ? WHERE id = 1", "alpha"),
+            call("UPDATE acct SET lo = ? WHERE id = 1", "alpha"),
+            call("INSERT INTO acct (id, bal) VALUES (3, ?)", "alpha"),
+            call("UPDATE acct SET lo = ? WHERE id = 1", " 3 "),
+            ("SELECT lo FROM acct WHERE id = 1", None),
+        ])
+        assert outcomes[-5:] == [
+            ("error", "TypeMismatch", "cannot store string 'alpha' in column of type NUMERIC(8,2)"),
+            ("error", "TypeMismatch", "cannot store string 'alpha' in column of type INTEGER"),
+            ("error", "TypeMismatch", "cannot store string 'alpha' in column of type NUMERIC(8,2)"),
+            (1, ()),
+            (1, ((3,),)),
+        ]
+
+    def test_bools_and_ints_into_integer(self, key):
+        outcomes = _planned_and_walker(key, SEEDED + [
+            ("UPDATE acct SET lo = ?, hi = ? WHERE id = 1", (True, 7)),
+            ("SELECT lo, hi FROM acct WHERE id = 1", None),
+        ])
+        assert outcomes[-1] == (1, ((1, 7),))
+        assert type(outcomes[-1][1][0][0]) is int
+
+    def test_defaults(self, key):
+        outcomes = _planned_and_walker(key, SEEDED + [
+            ("INSERT INTO acct (id) VALUES (?)", (3,)),
+            ("INSERT INTO acct (id, bal) SELECT id + 10, NULL FROM acct WHERE id > 5", None),
+            ("SELECT id, code, bal FROM acct WHERE id = 3", None),
+        ])
+        assert outcomes[-2:] == [(0, ()), (1, ((3, None, Decimal("0.00")),))]
+
+    def test_alter_table_add_column_then_insert_and_update(self, key):
+        outcomes = _planned_and_walker(key, SEEDED + [
+            ("INSERT INTO acct VALUES (?, ?, ?, ?, ?)", (3, 30, 3, 7, Decimal("1"))),
+            ("UPDATE acct SET bal = ? WHERE id = ?", (Decimal("2"), 3)),
+            ("ALTER TABLE acct ADD COLUMN note NUMERIC(8,2) DEFAULT 1 CHECK (note < 10)", None),
+            ("INSERT INTO acct VALUES (?, ?, ?, ?, ?)", (4, 40, 4, 8, Decimal("1"))),
+            ("INSERT INTO acct VALUES (?, ?, ?, ?, ?, ?)", (4, 40, 4, 8, Decimal("1"), "alpha")),
+            ("INSERT INTO acct VALUES (?, ?, ?, ?, ?, ?)", (4, 40, 4, 8, Decimal("1"), 11)),
+            ("UPDATE acct SET bal = ? WHERE id = ?", (Decimal("3"), 3)),
+            ("UPDATE acct SET note = ? WHERE id = ?", ("alpha", 3)),
+            ("UPDATE acct SET note = ? WHERE id = ?", (12, 3)),
+            ("ALTER TABLE acct ADD COLUMN flag INTEGER DEFAULT 5 CHECK (flag < 5)", None),
+            ("SELECT id, bal, note FROM acct ORDER BY id", None),
+        ])
+        note_type = "cannot store string 'alpha' in column of type NUMERIC(8,2)"
+        note_check = "CHECK constraint on column 'note' violated"
+        assert outcomes[2:] == [
+            (1, ()),
+            (1, ()),
+            (0, ()),
+            ("error", "SqlError", "INSERT has 5 values for 6 columns"),
+            ("error", "TypeMismatch", note_type),
+            ("error", "ConstraintViolation", note_check),
+            (1, ()),
+            ("error", "TypeMismatch", note_type),
+            ("error", "ConstraintViolation", note_check),
+            ("error", "ConstraintViolation", "CHECK constraint on column 'flag' violated"),
+            (3, (
+                (1, Decimal("0.00"), Decimal("1.00")),
+                (2, Decimal("0.00"), Decimal("1.00")),
+                (3, Decimal("3.00"), Decimal("1.00")),
+            )),
+        ]
+
+    def test_poisoned_index_keeps_the_full_scan(self, key):
+        # Two rows with id 1 loaded around the checks poison the
+        # primary key's index: an UPDATE of either row, of a column
+        # outside the key, still finds the duplicate, as a full check
+        # does; the row without a twin updates.
+        load = (
+            "CREATE TABLE dup (id INTEGER PRIMARY KEY, v INTEGER)",
+            "dup", 2, [(1, 10), (1, 20), (2, 30)],
+        )
+        outcomes = _planned_and_walker(key, [
+            ("UPDATE dup SET v = ? WHERE v = ?", (11, 10)),
+            ("UPDATE dup SET v = 31 WHERE id = 2", None),
+            ("SELECT id, v FROM dup ORDER BY v", None),
+        ], load)
+        assert outcomes == [
+            ("error", "ConstraintViolation", "primary key constraint violated on 'dup'"),
+            (1, ()),
+            (3, ((1, 10), (1, 20), (2, 31))),
+        ]

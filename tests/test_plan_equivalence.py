@@ -25,6 +25,8 @@ seeded, on both engines, and requires identical adjudication.
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,7 @@ from repro.bugs import build_corpus
 from repro.errors import ReproError
 from repro.servers import make_server
 from repro.sqlengine.analysis import extract_traits
+from repro.sqlengine.params import substitute_params
 from repro.sqlengine.parser import parse_statement
 from repro.study.runner import split_statements
 from tests.reference import reference_server
@@ -225,6 +228,103 @@ def _scripts(draw) -> list[str]:
 @settings(max_examples=60, deadline=None)
 def test_generated_scripts_planned_equals_walker(script, key):
     assert _observe(script, key, False) == _observe(script, key, True)
+
+
+# -- generated DML over constraints -------------------------------------
+#
+# What a write checks is decided when its plan compiles (the write-check
+# rule in ``repro.sqlengine.plan.dml``); the walker checks every NOT
+# NULL, every CHECK and every unique set of every row it writes.  Each
+# statement runs literal or bound (so plans for several parameter kinds
+# meet), and an ALTER TABLE between them changes the shape the cached
+# INSERT and UPDATE plans were compiled for.
+
+CONSTRAINED = (
+    "CREATE TABLE con (id INTEGER PRIMARY KEY, code INTEGER NOT NULL UNIQUE, "
+    "lo INTEGER CHECK (lo >= 0), hi INTEGER, "
+    "tag VARCHAR(6) NOT NULL DEFAULT 'none', "
+    "amt NUMERIC(8,2) DEFAULT 1.5 CHECK (amt < 100), "
+    "CHECK (hi IS NULL OR hi >= lo), UNIQUE (lo, hi))"
+)
+
+#: Valid rows whose ids and codes the drawn keys collide with.
+_SEED_ROWS = ("0, 6, 0, 1", "1, 5, 1, 3", "2, 4, 2, NULL", "3, 3, 3, 3", "4, 2, 1, NULL")
+
+_KEY = st.one_of(st.integers(0, 6), st.none())
+_SMALL = st.integers(-1, 6)
+_ANY = st.one_of(
+    st.none(),
+    st.integers(-2, 8),
+    st.sampled_from((True, "alpha", "3", " 4 ", Decimal("2.50"), 2.5, 150)),
+)
+_TAG = st.sampled_from((None, "t", "tag", "toolongtag", 7))
+
+_DML = (
+    ("INSERT INTO con (id, code, lo, hi) VALUES (?, ?, ?, ?)", (_KEY, _KEY, _SMALL, _ANY)),
+    (
+        "INSERT INTO con (id, code, lo, hi, tag, amt) VALUES (?, ?, ?, ?, ?, ?)",
+        (_KEY, _KEY, _ANY, _ANY, _TAG, _ANY),
+    ),
+    ("INSERT INTO con VALUES (?, ?, ?, ?, ?, ?)", (_KEY, _KEY, _SMALL, _SMALL, _TAG, _ANY)),
+    ("INSERT INTO con (id, code) SELECT id + ?, code + ? FROM con WHERE lo > ?", (_SMALL,) * 3),
+    ("UPDATE con SET id = ? WHERE id = ?", (_KEY, _KEY)),  # a key, colliding or not
+    ("UPDATE con SET id = id, code = code WHERE lo >= ?", (_SMALL,)),  # keys to themselves
+    ("UPDATE con SET code = ? WHERE id = ?", (_ANY, _KEY)),
+    ("UPDATE con SET lo = ?, hi = ? WHERE id = ?", (_ANY, _ANY, _KEY)),
+    ("UPDATE con SET hi = ? WHERE lo < ?", (_ANY, _SMALL)),
+    ("UPDATE con SET amt = ? WHERE id = ?", (_ANY, _KEY)),  # beside untouched CHECKs
+    ("UPDATE con SET tag = ? WHERE code > ?", (_TAG, _SMALL)),  # NULL into NOT NULL
+    ("UPDATE con SET lo = lo + ? WHERE hi IS NOT NULL", (_SMALL,)),
+    ("UPDATE con SET extra = ? WHERE id = ?", (_ANY, _KEY)),
+    ("INSERT INTO con (id, code, extra) VALUES (?, ?, ?)", (_KEY, _KEY, _ANY)),
+    ("DELETE FROM con WHERE id = ?", (_KEY,)),
+    ("ALTER TABLE con ADD COLUMN extra INTEGER DEFAULT 2 CHECK (extra < 5)", ()),
+    ("ALTER TABLE con ADD COLUMN extra INTEGER DEFAULT 7 CHECK (extra < 5)", ()),
+    ("ALTER TABLE con ADD COLUMN note VARCHAR(4) NOT NULL DEFAULT 'n'", ()),
+    ("CREATE UNIQUE INDEX con_hi ON con (hi)", ()),
+    ("BEGIN", ()),
+    ("ROLLBACK", ()),
+    ("COMMIT", ()),
+)
+
+
+@st.composite
+def _dml_scripts(draw) -> list[tuple]:
+    calls: list[tuple] = [(CONSTRAINED, None)]
+    calls += [
+        (f"INSERT INTO con (id, code, lo, hi) VALUES ({row})", None)
+        for row in _SEED_ROWS[: draw(st.integers(0, len(_SEED_ROWS)))]
+    ]
+    for _ in range(draw(st.integers(3, 12))):
+        template, values = draw(st.sampled_from(_DML))
+        params = tuple(draw(value) for value in values)
+        if not params:
+            calls.append((template, None))
+        elif draw(st.booleans()):
+            calls.append((template, params))
+        else:
+            calls.append((substitute_params(template, params), None))
+    calls.append(("SELECT * FROM con ORDER BY id", None))
+    return calls
+
+
+def _run_calls(calls: list[tuple], key: str, reference: bool) -> list[tuple]:
+    server = (reference_server if reference else make_server)(key)
+    outcomes: list[tuple] = []
+    for sql, params in calls:
+        try:
+            result = server.execute(sql, params)
+        except ReproError as error:
+            outcomes.append(("error", type(error).__name__, str(error)))
+        else:
+            outcomes.append((result.kind, result.rowcount, tuple(result.rows)))
+    return outcomes
+
+
+@given(calls=_dml_scripts(), key=st.sampled_from(KEYS))
+@settings(max_examples=80, deadline=None)
+def test_generated_dml_planned_equals_walker(calls, key):
+    assert _run_calls(calls, key, False) == _run_calls(calls, key, True)
 
 
 def _nested_scalar(depth: int) -> str:

@@ -21,6 +21,7 @@ from repro.servers.product import ServerProduct
 from repro.sqlengine import Engine
 from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.engine import ParsedStatement, parse_once
+from repro.sqlengine.functions import Accumulator
 from repro.sqlengine.plan.physical import order_rows
 from repro.sqlengine.lexer import split_statements, tokenize
 from repro.sqlengine.params import placeholder_positions
@@ -40,7 +41,7 @@ from repro.sqlengine.values import (
 )
 from repro.study.classify import classify_run
 from repro.study.runner import ScriptPieces, StudyRunner, parse_pieces, run_script
-from tests.reference import _composite_order
+from tests.reference import _Accumulator, _composite_order
 
 tribool = st.sampled_from([True, False, None])
 
@@ -270,6 +271,41 @@ class TestOrderRows:
         second = Decimal("0.1") if isinstance(first, float) else 0.1
         self._check([(first,), (second,)], [descending])
         assert order_rows([[first, second]], [(0,), (1,)], [descending]) == [(0,), (1,)]
+
+
+class TestCountDistinct:
+    """COUNT(DISTINCT) keys a group's values once per column
+    (``values.column_keys``); the walker's accumulator keys each value
+    by ``distinct_key`` as it arrives."""
+
+    @staticmethod
+    def _counts(values) -> list:
+        counts = []
+        for accumulator in (Accumulator("COUNT", True, False), _Accumulator("COUNT", True, False)):
+            for value in values:
+                accumulator.add(value)
+            counts.append(accumulator.result())
+        return counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_count_distinct_equals_the_walkers(self, data):
+        values = data.draw(st.lists(data.draw(_order_column()), max_size=12))
+        planned, walker = self._counts(values)
+        assert planned == walker
+
+    @pytest.mark.parametrize(
+        ("values", "count"),
+        [
+            ([1, 1.0], 1),
+            ([1, Decimal("1.00"), 2], 2),
+            (["a", "a  ", "b"], 2),
+            ([1, True], 2),
+            ([None, 3, None], 1),
+        ],
+    )
+    def test_mixed_columns_count_as_sql_compares(self, values, count):
+        assert self._counts(values) == [count, count]
 
 
 class TestLexerProperties:
