@@ -199,6 +199,7 @@ def cmd_lint(as_json: bool = False) -> int:
 
 def cmd_slice(bug_id: str) -> int:
     from repro.bugs import minimize_report
+    from repro.dialects.translator import ScriptPieces
 
     corpus = build_corpus()
     matches = [report for report in corpus if report.bug_id == bug_id]
@@ -211,7 +212,7 @@ def cmd_slice(bug_id: str) -> int:
         )
         return 2
     report = matches[0]
-    sliced = minimize_report(report)
+    sliced = minimize_report(report, ScriptPieces(report.script))
     total = len(sliced.kept) + len(sliced.dropped)
     anchors = dict(sliced.anchors)
     print(f"{report.bug_id}: kept {len(sliced.kept)}/{total} statement(s), "
@@ -225,6 +226,7 @@ def cmd_slice(bug_id: str) -> int:
 
 def cmd_conflicts(terminals: int) -> int:
     from repro.analysis.conflicts import analyze_sessions
+    from repro.dialects.translator import ScriptPieces
     from repro.workload import TpccGenerator
     from repro.workload.schema import SCHEMA_STATEMENTS
 
@@ -234,8 +236,8 @@ def cmd_conflicts(terminals: int) -> int:
         statements: list[str] = []
         for transaction in generator.transactions(2):
             statements.extend(transaction.statements)
-        scripts.append(";\n".join(statements))
-    report = analyze_sessions(scripts, setup=";\n".join(SCHEMA_STATEMENTS))
+        scripts.append(ScriptPieces(";\n".join(statements)))
+    report = analyze_sessions(scripts, setup=ScriptPieces(";\n".join(SCHEMA_STATEMENTS)))
     print(f"conflict analysis over {terminals} TPC-C terminal script(s), "
           f"{len(report.transactions)} transaction(s):")
     for kind, count in report.pair_counts.items():

@@ -14,7 +14,7 @@ Four verdict families, four consumers:
 * **Dialect portability** (:class:`PortabilityVerdict`) — each server's
   can-run/cannot-run verdict predicted from traits alone.  Cross-checked
   against the dynamic translator outcome by the lint.
-* **Fault reachability** (:func:`fault_reachability`) — which seeded
+* **Fault reachability** (:class:`FaultReachability`) — which seeded
   faults are statically reachable from the corpus scripts; the static
   complement of the dynamic dead-fault audit, covering Heisenbugs too.
 
@@ -47,7 +47,9 @@ Three *script-level* layers compose the per-statement facts:
   statements past an open transaction instead of parking them.
 
 Everything exported here is a function of SQL text and schema (at most
-a bare :class:`~repro.sqlengine.engine.Engine` certifies a rewrite): it
+a bare :class:`~repro.sqlengine.engine.Engine` certifies a rewrite),
+and a whole-script analysis reads the script's one
+:class:`~repro.dialects.translator.ScriptPieces`: it
 runs no product, fault or middleware, so the package sits below all
 three in the layer table (DESIGN.md section 3).
 The one exception is :mod:`repro.analysis.lint`, which runs the corpus
@@ -103,10 +105,9 @@ from repro.analysis.predicates import (
 )
 from repro.analysis.reachability import (
     StaticContext,
-    fault_reachability,
+    FaultReachability,
     script_contexts,
     server_contexts,
-    unreachable_faults,
 )
 from repro.analysis.schema import ScriptSchema, TableInfo, ViewInfo
 from repro.analysis.verdicts import (
@@ -135,6 +136,7 @@ __all__ = [
     "DivergenceAtom",
     "DivergenceKind",
     "DivergenceVerdict",
+    "FaultReachability",
     "InterleavingReport",
     "Interval",
     "PairConflict",
@@ -169,7 +171,6 @@ __all__ = [
     "certify_rewrites",
     "classify_pair",
     "commutes_with_footprint",
-    "fault_reachability",
     "minimize_script",
     "predicted_hosts",
     "script_contexts",
@@ -180,5 +181,4 @@ __all__ = [
     "statement_portability",
     "summarize_statement",
     "tlp_partition",
-    "unreachable_faults",
 ]

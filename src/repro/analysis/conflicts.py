@@ -49,9 +49,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.dataflow import Cell, DefUse, statement_def_use
 from repro.analysis.schema import ScriptSchema
-from repro.sqlengine.analysis import extract_traits
-from repro.sqlengine.lexer import split_statements
-from repro.sqlengine.parser import parse_statement
+from repro.dialects.translator import ScriptPieces
 
 
 class ConflictKind(Enum):
@@ -231,7 +229,7 @@ class SessionTransaction:
 
 
 def session_transactions(
-    script: str, session: int, *, setup: str = ""
+    script: ScriptPieces, session: int, *, setup: Optional[ScriptPieces] = None
 ) -> List[SessionTransaction]:
     """Segment one session script into transactions.
 
@@ -242,8 +240,8 @@ def session_transactions(
     """
 
     schema = ScriptSchema()
-    for statement_sql in split_statements(setup):
-        schema.observe(parse_statement(statement_sql))
+    for piece in setup.statements() if setup is not None else ():
+        schema.observe(piece.statement)
 
     transactions: List[SessionTransaction] = []
     group: List[TxnStatement] = []
@@ -264,9 +262,8 @@ def session_transactions(
         group = []
         explicit = False
 
-    for index, statement_sql in enumerate(split_statements(script)):
-        stmt = parse_statement(statement_sql)
-        traits = extract_traits(stmt)
+    for index, piece in enumerate(script.statements()):
+        traits = piece.traits
         if traits.kind == "begin":
             close(True)
             explicit = True
@@ -276,8 +273,8 @@ def session_transactions(
             continue
         if traits.kind == "savepoint":
             continue
-        def_use = statement_def_use(stmt, schema, traits)
-        node = TxnStatement(index=index, sql=statement_sql, kind=traits.kind, def_use=def_use)
+        def_use = statement_def_use(piece.statement, schema, traits)
+        node = TxnStatement(index=index, sql=piece.sql, kind=traits.kind, def_use=def_use)
         if explicit:
             group.append(node)
         else:
@@ -290,7 +287,7 @@ def session_transactions(
                     committed=True,
                 )
             )
-        schema.observe(stmt)
+        schema.observe(piece.statement)
     # An unterminated explicit transaction never commits in-script.
     close(False)
     return transactions
@@ -567,7 +564,7 @@ def _graph_cycle(
 
 
 def analyze_sessions(
-    scripts: Sequence[str], *, setup: str = ""
+    scripts: Sequence[ScriptPieces], *, setup: Optional[ScriptPieces] = None
 ) -> InterleavingReport:
     """Analyze all statement interleavings of several session scripts.
 

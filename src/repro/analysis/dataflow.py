@@ -43,14 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.analysis.reachability import StaticContext
+from repro.analysis.reachability import statement_contexts
 from repro.analysis.schema import ScriptSchema, ViewInfo
 from repro.analysis.verdicts import WRITE_KINDS
 from repro.dialects.features import SERVER_KEYS, dialect
+from repro.dialects.translator import ScriptPieces
 from repro.sqlengine import ast_nodes as ast
 from repro.sqlengine.analysis import StatementTraits, extract_traits
-from repro.sqlengine.lexer import split_statements
-from repro.sqlengine.parser import parse_statement
 
 #: One dependence cell: (relation, column | "*" | "@schema").
 Cell = tuple[str, str]
@@ -371,27 +370,25 @@ def _cells_overlap(defs: frozenset[Cell], uses: frozenset[Cell]) -> bool:
     return False
 
 
-def build_graph(sql: str) -> ScriptGraph:
-    """Parse a script and compose its per-statement def/use sets into a
-    dependence graph."""
+def build_graph(script: ScriptPieces) -> ScriptGraph:
+    """Compose a script's per-statement def/use sets into a dependence
+    graph."""
 
     schema = ScriptSchema()
     nodes: list[StatementNode] = []
-    for index, statement_sql in enumerate(split_statements(sql)):
-        stmt = parse_statement(statement_sql)
-        traits = extract_traits(stmt)
-        def_use = statement_def_use(stmt, schema, traits)
+    for index, piece in enumerate(script.statements()):
+        def_use = statement_def_use(piece.statement, schema, piece.traits)
         nodes.append(
             StatementNode(
                 index=index,
-                sql=statement_sql,
-                kind=traits.kind,
+                sql=piece.sql,
+                kind=piece.traits.kind,
                 defs=def_use.defs,
                 uses=def_use.uses,
                 barrier=def_use.barrier,
             )
         )
-        schema.observe(stmt)
+        schema.observe(piece.statement)
 
     deps: list[frozenset[int]] = []
     for j, node in enumerate(nodes):
@@ -429,12 +426,14 @@ class SliceResult:
         return ";\n".join(self.statements) + (";" if self.statements else "")
 
 
-def minimize_script(sql: str, targets: Iterable[int] = (), faults: Iterable = ()) -> SliceResult:
-    """Shrink ``sql`` to the backward slice of the given targets plus
+def minimize_script(
+    script: ScriptPieces, targets: Iterable[int] = (), faults: Iterable = ()
+) -> SliceResult:
+    """Shrink ``script`` to the backward slice of the given targets plus
     every statement any of ``faults``' triggers statically matches."""
-    graph = build_graph(sql)
+    graph = build_graph(script)
     anchors: dict[int, str] = {int(index): "target" for index in targets}
-    for index in trigger_matches(sql, faults):
+    for index in trigger_matches(script, faults):
         anchors.setdefault(index, "trigger")
     return slice_graph(graph, anchors)
 
@@ -453,30 +452,20 @@ def slice_graph(graph: ScriptGraph, anchors: dict[int, str]) -> SliceResult:
     )
 
 
-def trigger_matches(sql: str, faults: Iterable) -> set[int]:
-    """Statement indices of ``sql`` whose serve- or recover-phase
+def trigger_matches(script: ScriptPieces, faults: Iterable) -> set[int]:
+    """Statement indices of ``script`` whose serve- or recover-phase
     context any fault's trigger matches."""
     faults = list(faults)
     if not faults:
         return set()
-    matched: set[int] = set()
-    schema = ScriptSchema()
-    for index, statement_sql in enumerate(split_statements(sql)):
-        stmt = parse_statement(statement_sql)
-        traits = extract_traits(stmt)
-        dynamic = schema.predicted_dynamic_tags(traits)
-        contexts = [StaticContext(statement_sql, traits, dynamic)]
-        if traits.kind in WRITE_KINDS:
-            contexts.append(
-                StaticContext(statement_sql, traits, dynamic, phase="recover")
-            )
-        if any(fault.trigger.matches(ctx) for fault in faults for ctx in contexts):
-            matched.add(index)
-        schema.observe(stmt)
-    return matched
+    return {
+        index
+        for index, contexts in enumerate(statement_contexts(script))
+        if any(fault.trigger.matches(ctx) for fault in faults for ctx in contexts)
+    }
 
 
-def portability_anchors(sql: str) -> set[int]:
+def portability_anchors(script: ScriptPieces) -> set[int]:
     """Earliest carrier statement per gated tag missing on any server.
 
     A slice's traits are a subset of the full script's, so every
@@ -485,17 +474,10 @@ def portability_anchors(sql: str) -> set[int]:
     prediction of the slice identical to the full script's.
     """
 
-    statements = split_statements(sql)
-    per_statement: list[StatementTraits] = [
-        extract_traits(parse_statement(statement_sql)) for statement_sql in statements
-    ]
-    full = StatementTraits(kind="script")
-    for traits in per_statement:
-        full.tags |= traits.tags
-        full.relations |= traits.relations
+    per_statement = [piece.traits for piece in script.statements()]
     needed: set[str] = set()
     for server in SERVER_KEYS:
-        needed |= set(dialect(server).missing_tags(full))
+        needed |= set(dialect(server).missing_tags(script.traits))
     anchors: set[int] = set()
     for tag in needed:
         for index, traits in enumerate(per_statement):

@@ -20,7 +20,7 @@ the script-level analyses can silently drift apart:
 ``dead-fault``
     Every seeded fault's trigger must be statically reachable from at
     least one statement of a hosting script
-    (:func:`repro.analysis.reachability.unreachable_faults`) —
+    (:class:`repro.analysis.reachability.FaultReachability`) —
     including Heisenbug faults the dynamic audit cannot judge.
 
 ``slice-drift``
@@ -43,7 +43,7 @@ three more checks:
 ``storage-dead-fault``
     Every banked storage fault's trigger must statically match at
     least one statement of its own repro script
-    (:func:`repro.faults.audit.dead_storage_faults`) — a fault that
+    (:func:`repro.faults.audit.dead_repro_faults`) — a fault that
     never reaches the WAL append path tests nothing.
 
 ``storage-duplicate-slice``
@@ -64,7 +64,7 @@ checks:
 ``concurrency-dead-fault``
     Every banked concurrency fault's trigger must statically match at
     least one statement of its own repro — setup or either session
-    script (:func:`repro.faults.audit.dead_concurrency_faults`).
+    script (:func:`repro.faults.audit.dead_repro_faults`).
 
 ``concurrency-certificate-drift``
     The conflict analyzer (:func:`repro.analysis.conflicts.analyze_sessions`)
@@ -99,27 +99,27 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Optional
 
 from repro.analysis.conflicts import analyze_sessions
-from repro.analysis.dataflow import build_graph
+from repro.analysis.dataflow import SliceResult, build_graph
 from repro.analysis.divergence import DivergenceKind, analyze_divergence
 from repro.analysis.predicates import certify_rewrites, summarize_statement
-from repro.analysis.reachability import unreachable_faults
+from repro.analysis.reachability import FaultReachability
 from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import predicted_hosts
 from repro.bugs.corpus import Corpus, minimize_report
+from repro.bugs.report import BugReport
 from repro.dialects.features import SERVER_KEYS, dialect
-from repro.dialects.translator import translation_verdict
+from repro.dialects.translator import ScriptPieces, translation_verdict
 from repro.durability.bank import classify_repro, storage_fault_bank, trigger_slice_signature
 from repro.errors import FeatureNotSupported, ReproError
-from repro.faults.audit import concurrency_fault_bank, dead_concurrency_faults, dead_storage_faults
+from repro.faults.audit import concurrency_fault_bank, dead_repro_faults
 from repro.servers.product import ServerProduct
-from repro.sqlengine.engine import Engine, ParsedStatement, parse_once, statement_plans
-from repro.sqlengine.lexer import split_statements
-from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.engine import Engine, Executable, ParsedStatement, parse_once, statement_plans
 from repro.sqlengine.plan import PROBE_SCRIPTS, REWRITE_RULES, PhysicalSelect
-from repro.study.runner import ScriptPieces, StudyRunner, run_script
+from repro.study.runner import StudyRunner, run_script
 from repro.workload.generator import TpccGenerator
 from repro.workload.schema import SCHEMA_STATEMENTS
 
@@ -160,20 +160,45 @@ class LintFinding:
 
 
 def lint_corpus(corpus: "Corpus") -> list[LintFinding]:
-    """Run every check; an empty list means the corpus is consistent."""
-    findings: list[LintFinding] = []
-    findings.extend(_check_portability_drift(corpus))
-    findings.extend(_check_translator_agreement(corpus))
-    findings.extend(_check_dead_faults(corpus))
-    findings.extend(_check_slice_reproduction(corpus))
-    findings.extend(_check_agree_proven(corpus))
-    findings.extend(_check_storage_bank())
-    findings.extend(_check_concurrency_bank())
-    findings.extend(_check_rewrite_certificates())
-    findings.extend(_check_dead_code(corpus))
-    findings.extend(_check_dead_rewrites(corpus))
-    findings.extend(_check_dead_predicates(corpus))
-    return _dedupe(findings)
+    """Run every check; an empty list means the corpus is consistent.
+
+    Each report's script is scanned and parsed once, into the
+    :class:`ScriptPieces` every per-report check reads; the study runner
+    and the pristine products serve every report in turn."""
+    runner = StudyRunner(corpus)
+    pristine = {server: ServerProduct(dialect(server)) for server in SERVER_KEYS}
+    reachability = FaultReachability(corpus)
+    rewrites = _RewriteCoverage()
+    portability, translator, slices, agreement, dead_code, predicates = ([] for _ in range(6))
+    for report in corpus:
+        script = ScriptPieces(report.script)
+        # First, while no engine has compiled a plan for these pieces:
+        # the coverage pass reads the plans each statement holds.
+        rewrites.add(script)
+        reachability.add(report, script)
+        predicted = predicted_hosts(script)
+        sliced = minimize_report(report, script)
+        portability += _check_portability_drift(report, predicted)
+        translator += _check_translator_agreement(report, script, predicted)
+        slices += _check_slice_reproduction(runner, report, script, sliced)
+        agreement += _check_agree_proven(pristine, report, script)
+        dead_code += _check_dead_code(report, script, sliced)
+        predicates += _check_dead_predicates(report, script)
+    return _dedupe(
+        [
+            *portability,
+            *translator,
+            *_check_dead_faults(reachability),
+            *slices,
+            *agreement,
+            *_check_storage_bank(),
+            *_check_concurrency_bank(),
+            *_check_rewrite_certificates(),
+            *dead_code,
+            *rewrites.findings(),
+            *predicates,
+        ]
+    )
 
 
 def _dedupe(findings: list[LintFinding]) -> list[LintFinding]:
@@ -193,60 +218,57 @@ def _dedupe(findings: list[LintFinding]) -> list[LintFinding]:
     return unique
 
 
-def _check_portability_drift(corpus: "Corpus") -> list[LintFinding]:
+def _check_portability_drift(report: BugReport, predicted: frozenset[str]) -> list[LintFinding]:
+    expected = frozenset(report.runnable_on | report.translation_pending)
+    if predicted == expected:
+        return []
+    return [
+        LintFinding(
+            check="portability-drift",
+            subject=report.bug_id,
+            detail=(
+                f"static prediction {sorted(predicted)} != "
+                f"ground truth {sorted(expected)}"
+            ),
+        )
+    ]
+
+
+def _check_translator_agreement(
+    report: BugReport, script: ScriptPieces, predicted: frozenset[str]
+) -> list[LintFinding]:
     findings: list[LintFinding] = []
-    for report in corpus:
-        predicted = predicted_hosts(report.script)
-        expected = frozenset(report.runnable_on | report.translation_pending)
-        if predicted != expected:
+    for server in SERVER_KEYS:
+        if server == report.reported_for:
+            continue
+        outcome = translation_verdict(script, server)
+        statically_hosted = server in predicted
+        if outcome.ok != statically_hosted:
             findings.append(
                 LintFinding(
-                    check="portability-drift",
-                    subject=report.bug_id,
+                    check="translator-disagreement",
+                    subject=f"{report.bug_id}->{server}",
                     detail=(
-                        f"static prediction {sorted(predicted)} != "
-                        f"ground truth {sorted(expected)}"
+                        f"translator {'accepted' if outcome.ok else 'refused'} "
+                        f"but static prediction says "
+                        f"{'can run' if statically_hosted else 'cannot run'}"
+                        + (f" (missing {outcome.missing})" if outcome.missing else "")
                     ),
+                )
+            )
+        elif outcome.ok and not outcome.reparse_ok:
+            findings.append(
+                LintFinding(
+                    check="translator-disagreement",
+                    subject=f"{report.bug_id}->{server}",
+                    detail="translated output fails to reparse/revalidate "
+                    "in the target dialect",
                 )
             )
     return findings
 
 
-def _check_translator_agreement(corpus: "Corpus") -> list[LintFinding]:
-    findings: list[LintFinding] = []
-    for report in corpus:
-        predicted = predicted_hosts(report.script)
-        for server in SERVER_KEYS:
-            if server == report.reported_for:
-                continue
-            outcome = translation_verdict(report.script, server)
-            statically_hosted = server in predicted
-            if outcome.ok != statically_hosted:
-                findings.append(
-                    LintFinding(
-                        check="translator-disagreement",
-                        subject=f"{report.bug_id}->{server}",
-                        detail=(
-                            f"translator {'accepted' if outcome.ok else 'refused'} "
-                            f"but static prediction says "
-                            f"{'can run' if statically_hosted else 'cannot run'}"
-                            + (f" (missing {outcome.missing})" if outcome.missing else "")
-                        ),
-                    )
-                )
-            elif outcome.ok and not outcome.reparse_ok:
-                findings.append(
-                    LintFinding(
-                        check="translator-disagreement",
-                        subject=f"{report.bug_id}->{server}",
-                        detail="translated output fails to reparse/revalidate "
-                        "in the target dialect",
-                    )
-                )
-    return findings
-
-
-def _check_dead_faults(corpus: "Corpus") -> list[LintFinding]:
+def _check_dead_faults(reachability: FaultReachability) -> list[LintFinding]:
     return [
         LintFinding(
             check="dead-fault",
@@ -254,42 +276,40 @@ def _check_dead_faults(corpus: "Corpus") -> list[LintFinding]:
             detail=f"trigger unreachable from any hosting script "
             f"({fault.description})",
         )
-        for server, fault in unreachable_faults(corpus)
+        for server, fault in reachability.unreachable()
     ]
 
 
-def _check_slice_reproduction(corpus: "Corpus") -> list[LintFinding]:
-    """The static trigger slice of every bug script must classify the
-    same as the full script, on every server."""
-    runner = StudyRunner(corpus)
+def _check_slice_reproduction(
+    runner: StudyRunner, report: BugReport, script: ScriptPieces, sliced: SliceResult
+) -> list[LintFinding]:
+    """The static trigger slice of a bug script must classify the same
+    as the full script, on every server."""
+    if not sliced.dropped:
+        return []  # slice == full script: nothing to drift
+    reduced_script = script.sliced(sliced.kept)
+    fulls = [runner.run_cell(report, server, script=script) for server in SERVER_KEYS]
+    reduceds = [runner.run_cell(report, server, script=reduced_script) for server in SERVER_KEYS]
     findings: list[LintFinding] = []
-    for report in corpus:
-        sliced = minimize_report(report)
-        if not sliced.dropped:
-            continue  # slice == full script: nothing to drift
-        # All full cells before all sliced ones: the runner scans and
-        # parses each script once for its four cells.
-        fulls = [runner.run_cell(report, server) for server in SERVER_KEYS]
-        reduceds = [runner.run_cell(report, server, script=sliced.sql) for server in SERVER_KEYS]
-        for server, full, reduced in zip(SERVER_KEYS, fulls, reduceds):
-            same = (
-                full.kind is reduced.kind
-                and full.failure_kind is reduced.failure_kind
-                and full.detectability is reduced.detectability
-            )
-            if not same:
-                findings.append(
-                    LintFinding(
-                        check="slice-drift",
-                        subject=f"{report.bug_id}@{server}",
-                        detail=(
-                            f"full script classifies as {_cell_label(full)} but "
-                            f"its trigger slice (dropped statements "
-                            f"{list(sliced.dropped)}) classifies as "
-                            f"{_cell_label(reduced)}"
-                        ),
-                    )
+    for server, full, reduced in zip(SERVER_KEYS, fulls, reduceds):
+        same = (
+            full.kind is reduced.kind
+            and full.failure_kind is reduced.failure_kind
+            and full.detectability is reduced.detectability
+        )
+        if not same:
+            findings.append(
+                LintFinding(
+                    check="slice-drift",
+                    subject=f"{report.bug_id}@{server}",
+                    detail=(
+                        f"full script classifies as {_cell_label(full)} but "
+                        f"its trigger slice (dropped statements "
+                        f"{list(sliced.dropped)}) classifies as "
+                        f"{_cell_label(reduced)}"
+                    ),
                 )
+            )
     return findings
 
 
@@ -302,59 +322,46 @@ def _cell_label(cell) -> str:
     return "/".join(parts)
 
 
-def _check_agree_proven(corpus: "Corpus") -> list[LintFinding]:
-    """AGREE_PROVEN product pairs must never dynamically diverge on the
-    corpus without an active fault."""
-    pristine = {server: ServerProduct(dialect(server)) for server in SERVER_KEYS}
-    findings: list[LintFinding] = []
-    for report in corpus:
-        servers = sorted(report.runnable_on)
-        if len(servers) < 2:
+def _check_agree_proven(
+    pristine: dict[str, ServerProduct], report: BugReport, script: ScriptPieces
+) -> list[LintFinding]:
+    """AGREE_PROVEN product pairs must never dynamically diverge on a
+    corpus script without an active fault."""
+    servers = sorted(report.runnable_on)
+    if len(servers) < 2:
+        return []
+    outcomes = {}
+    for server in servers:
+        try:
+            hosted = script if server == report.reported_for else script.translated(server)
+        except FeatureNotSupported:  # pragma: no cover - drift check
             continue
-        pieces = ScriptPieces(report.script)
-        outcomes = {}
-        for server in servers:
-            try:
-                script = (
-                    pieces.home if server == report.reported_for
-                    else pieces.translated(server)
-                )
-            except FeatureNotSupported:  # pragma: no cover - drift check
+        pristine[server].reset()
+        outcomes[server] = run_script(pristine[server], hosted.pieces).normalized_signature()
+    findings: list[LintFinding] = []
+    schema = ScriptSchema()
+    for index, piece in enumerate(script.statements()):
+        divergence = analyze_divergence(piece.statement, schema)
+        schema.observe(piece.statement)
+        for a, b in combinations([server for server in servers if server in outcomes], 2):
+            if divergence.verdict(a, b, normalized=True).kind is not DivergenceKind.AGREE_PROVEN:
                 continue
-            pristine[server].reset()
-            outcomes[server] = run_script(pristine[server], script).normalized_signature()
-        schema = ScriptSchema()
-        for index, piece in enumerate(pieces.home):
-            stmt = (
-                piece.statement if isinstance(piece, ParsedStatement)
-                else parse_statement(piece)
-            )
-            divergence = analyze_divergence(stmt, schema)
-            schema.observe(stmt)
-            for i, a in enumerate(servers):
-                for b in servers[i + 1 :]:
-                    if a not in outcomes or b not in outcomes:
-                        continue
-                    verdict = divergence.verdict(a, b, normalized=True)
-                    if verdict.kind is not DivergenceKind.AGREE_PROVEN:
-                        continue
-                    sig_a = outcomes[a]
-                    sig_b = outcomes[b]
-                    if index >= len(sig_a) or index >= len(sig_b):
-                        continue  # an earlier crash truncated the run
-                    if sig_a[index] != sig_b[index]:
-                        findings.append(
-                            LintFinding(
-                                check="agree-proven-divergence",
-                                subject=f"{report.bug_id}:{a}-{b}",
-                                statement_index=index,
-                                detail=(
-                                    "analyzer proved agreement but pristine "
-                                    f"products answered differently: "
-                                    f"{sig_a[index]!r} vs {sig_b[index]!r}"
-                                ),
-                            )
-                        )
+            sig_a, sig_b = outcomes[a], outcomes[b]
+            if index >= len(sig_a) or index >= len(sig_b):
+                continue  # an earlier crash truncated the run
+            if sig_a[index] != sig_b[index]:
+                findings.append(
+                    LintFinding(
+                        check="agree-proven-divergence",
+                        subject=f"{report.bug_id}:{a}-{b}",
+                        statement_index=index,
+                        detail=(
+                            "analyzer proved agreement but pristine "
+                            f"products answered differently: "
+                            f"{sig_a[index]!r} vs {sig_b[index]!r}"
+                        ),
+                    )
+                )
     return findings
 
 
@@ -370,7 +377,7 @@ def _check_storage_bank() -> list[LintFinding]:
             detail=f"trigger matches no statement of its repro script "
             f"({entry.description})",
         )
-        for entry in dead_storage_faults(bank)
+        for entry in dead_repro_faults((report, [ScriptPieces(report.script)]) for report in bank)
     ]
     slices: dict[tuple[str, ...], str] = {}
     for report in bank:
@@ -408,7 +415,10 @@ def _check_storage_bank() -> list[LintFinding]:
 def _check_concurrency_bank() -> list[LintFinding]:
     """The concurrency-anomaly bank's gate: reachable triggers and a
     conflict analyzer that still predicts every banked anomaly."""
-    bank = concurrency_fault_bank()
+    bank = [
+        (entry, [ScriptPieces(script) for script in (entry.setup, *entry.sessions)])
+        for entry in concurrency_fault_bank()
+    ]
     findings: list[LintFinding] = [
         LintFinding(
             check="concurrency-dead-fault",
@@ -416,10 +426,10 @@ def _check_concurrency_bank() -> list[LintFinding]:
             detail=f"trigger matches no statement of its repro sessions "
             f"({entry.description})",
         )
-        for entry in dead_concurrency_faults(bank)
+        for entry in dead_repro_faults(bank)
     ]
-    for entry in bank:
-        report = analyze_sessions(entry.sessions, setup=entry.setup)
+    for entry, (setup, *sessions) in bank:
+        report = analyze_sessions(sessions, setup=setup)
         if entry.anomaly.value not in report.verdict.anomaly_kinds:
             findings.append(
                 LintFinding(
@@ -454,67 +464,67 @@ def _check_rewrite_certificates() -> list[LintFinding]:
     ]
 
 
-def _check_dead_predicates(corpus: "Corpus") -> list[LintFinding]:
+def _check_dead_predicates(report: BugReport, script: ScriptPieces) -> list[LintFinding]:
     """Warning-severity dead-predicate findings from the ternary-logic
     abstraction: WHERE clauses that can never (or always) hold and CASE
     arms no row can reach (:func:`repro.analysis.predicates.summarize_statement`)."""
     findings: list[LintFinding] = []
-    for report in corpus:
-        schema = ScriptSchema()
-        for index, sql in enumerate(split_statements(report.script)):
-            stmt = parse_statement(sql)
-            summary = summarize_statement(stmt, schema)
-            schema.observe(stmt)
-            for dead in summary.dead:
-                findings.append(
-                    LintFinding(
-                        check="dead-predicate",
-                        subject=report.bug_id,
-                        severity="warning",
-                        statement_index=index,
-                        detail=f"{dead.site}: {dead.detail}",
-                    )
+    schema = ScriptSchema()
+    for index, piece in enumerate(script.statements()):
+        summary = summarize_statement(piece.statement, schema)
+        schema.observe(piece.statement)
+        for dead in summary.dead:
+            findings.append(
+                LintFinding(
+                    check="dead-predicate",
+                    subject=report.bug_id,
+                    severity="warning",
+                    statement_index=index,
+                    detail=f"{dead.site}: {dead.detail}",
                 )
+            )
     return findings
 
 
-def _check_dead_code(corpus: "Corpus") -> list[LintFinding]:
-    """Warning-severity dead-code findings from each script's def-use
-    graph.  Statements the trigger slice anchors are excluded — being
-    invisible to SELECTs is often precisely the bug's point."""
+def _check_dead_code(
+    report: BugReport, script: ScriptPieces, sliced: SliceResult
+) -> list[LintFinding]:
+    """Warning-severity dead-code findings from a script's def-use
+    graph.  Statements its trigger slice ``sliced`` anchors are
+    excluded — being invisible to SELECTs is often precisely the bug's
+    point."""
     findings: list[LintFinding] = []
-    for report in corpus:
-        graph = build_graph(report.script)
-        kept = set(minimize_report(report).kept)
-        dead = [index for index in graph.dead_statements() if index not in kept]
-        if dead:
-            findings.append(
-                LintFinding(
-                    check="dead-statement",
-                    subject=report.bug_id,
-                    severity="warning",
-                    statement_index=dead[0],
-                    detail=(
-                        f"write statement(s) {dead} define cells no SELECT "
-                        "observes and the trigger slice does not anchor"
-                    ),
-                )
+    graph = build_graph(script)
+    kept = set(sliced.kept)
+    dead = [index for index in graph.dead_statements() if index not in kept]
+    if dead:
+        findings.append(
+            LintFinding(
+                check="dead-statement",
+                subject=report.bug_id,
+                severity="warning",
+                statement_index=dead[0],
+                detail=(
+                    f"write statement(s) {dead} define cells no SELECT "
+                    "observes and the trigger slice does not anchor"
+                ),
             )
-        columns = graph.dead_columns()
-        if columns:
-            findings.append(
-                LintFinding(
-                    check="dead-column",
-                    subject=report.bug_id,
-                    severity="warning",
-                    detail="created column(s) never read: "
-                    + ", ".join(f"{relation}.{column}" for relation, column in columns),
-                )
+        )
+    columns = graph.dead_columns()
+    if columns:
+        findings.append(
+            LintFinding(
+                check="dead-column",
+                subject=report.bug_id,
+                severity="warning",
+                detail="created column(s) never read: "
+                + ", ".join(f"{relation}.{column}" for relation, column in columns),
             )
+        )
     return findings
 
 
-def _check_dead_rewrites(corpus: "Corpus") -> list[LintFinding]:
+class _RewriteCoverage:
     """Warning-severity dead-rewrite detection.
 
     Every rewrite rule registered in the planner
@@ -523,15 +533,23 @@ def _check_dead_rewrites(corpus: "Corpus") -> list[LintFinding]:
     TPC-C (sqlgen) statement; a rule no script exercises is dead weight
     whose correctness nothing tests.  Statements are replayed on a
     pristine engine because rule applicability depends on live catalog
-    state (index selection reads the unique-key sets)."""
-    all_rules = set(REWRITE_RULES)
-    exercised: set[str] = set()
+    state (index selection reads the unique-key sets).  The witness
+    scripts run first (one per registered rule, cheap): a rule that
+    silently regressed into never applying is caught even when no
+    corpus script happens to exercise it.  Each corpus script
+    (:meth:`add`) and then TPC-C (:meth:`findings`) run only while a
+    rule has not fired."""
 
-    def run(engine: Engine, sql: str) -> None:
+    def __init__(self) -> None:
+        self.exercised: set[str] = set()
+        engine = Engine(name="lint")
+        for sql in PROBE_SCRIPTS:
+            self._run(engine, parse_once(sql))
+
+    def _run(self, engine: Engine, piece: Executable) -> None:
         """Run one statement and note the rules its SELECT plans
         applied (a statement that errors by design may still have
         compiled one)."""
-        piece = parse_once(sql)
         try:
             engine.execute(piece)
         except ReproError:
@@ -539,44 +557,37 @@ def _check_dead_rewrites(corpus: "Corpus") -> list[LintFinding]:
         if isinstance(piece, ParsedStatement):
             for plan in statement_plans(piece.statement):
                 if isinstance(plan, PhysicalSelect):
-                    exercised.update(plan.plan.applied_rules)
+                    self.exercised.update(plan.plan.applied_rules)
 
-    # The planner's own witness scripts first (one per registered rule,
-    # cheap): a rule that silently regressed into never applying is
-    # caught even when no corpus script happens to exercise it.
-    engine = Engine(name="lint")
-    for sql in PROBE_SCRIPTS:
-        run(engine, sql)
-    if exercised >= all_rules:
-        return []
+    def add(self, script: ScriptPieces) -> None:
+        """Replay one corpus script; its pieces must hold no plan yet,
+        so the plans read are the ones this replay compiled."""
+        if set(REWRITE_RULES) - self.exercised:
+            engine = Engine(name="lint")
+            for piece in script.pieces:
+                self._run(engine, piece)
 
-    for report in corpus:
-        engine = Engine(name="lint")
-        for sql in split_statements(report.script):
-            run(engine, sql)
-        if exercised >= all_rules:
-            return []
-
-    engine = Engine(name="lint")
-    for sql in SCHEMA_STATEMENTS:
-        engine.execute(sql)
-    generator = TpccGenerator(seed=1)
-    for transaction in generator.transactions(4):
-        for sql in transaction.statements:
-            run(engine, sql)
-
-    return [
-        LintFinding(
-            check="dead-rewrite",
-            subject=rule,
-            severity="warning",
-            detail=(
-                "plan rewrite rule never fires on any corpus, generated "
-                "TPC-C, or planner witness statement"
-            ),
-        )
-        for rule in sorted(all_rules - exercised)
-    ]
+    def findings(self) -> list[LintFinding]:
+        if set(REWRITE_RULES) - self.exercised:
+            engine = Engine(name="lint")
+            for sql in SCHEMA_STATEMENTS:
+                engine.execute(sql)
+            generator = TpccGenerator(seed=1)
+            for transaction in generator.transactions(4):
+                for sql in transaction.statements:
+                    self._run(engine, parse_once(sql))
+        return [
+            LintFinding(
+                check="dead-rewrite",
+                subject=rule,
+                severity="warning",
+                detail=(
+                    "plan rewrite rule never fires on any corpus, generated "
+                    "TPC-C, or planner witness statement"
+                ),
+            )
+            for rule in sorted(set(REWRITE_RULES) - self.exercised)
+        ]
 
 
 def run_lint(

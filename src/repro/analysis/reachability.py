@@ -20,16 +20,14 @@ The evaluation is exact because triggers only inspect the
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import WRITE_KINDS
 from repro.dialects.features import SERVER_KEYS
-from repro.dialects.translator import translate_script
+from repro.dialects.translator import ScriptPieces
 from repro.errors import FeatureNotSupported
-from repro.sqlengine.analysis import StatementTraits, extract_traits
-from repro.sqlengine.lexer import split_statements
-from repro.sqlengine.parser import parse_statement
+from repro.sqlengine.analysis import StatementTraits
 
 
 class _Trigger(Protocol):
@@ -47,15 +45,12 @@ class SeededFault(Protocol):
 
 class _Report(Protocol):
     reported_for: str
-    script: str
     runnable_on: frozenset[str]
 
 
 class FaultCorpus(Protocol):
     """What is read of the bug corpus (:class:`repro.bugs.corpus.Corpus`):
-    its reports and each server's seeded faults."""
-
-    def __iter__(self) -> Iterator[_Report]: ...
+    each server's seeded faults."""
 
     def faults_for(self, server: str) -> Sequence[SeededFault]: ...
 
@@ -87,75 +82,68 @@ class StaticContext:
         return self.traits.tags | self.dynamic_tags
 
 
-def script_contexts(sql: str, schema: Optional[ScriptSchema] = None) -> list[StaticContext]:
-    """One serve-phase context per statement of ``sql`` (plus a
-    recover-phase twin for each write, since recovery replays writes).
+def statement_contexts(script: ScriptPieces) -> Iterator[list[StaticContext]]:
+    """Per statement of ``script``, its serve-phase context (plus a
+    recover-phase twin for a write, since recovery replays writes).
 
     Dynamic view tags are predicted against the schema state *before*
     each statement, exactly as the engine would see it.
     """
-    if schema is None:
-        schema = ScriptSchema()
-    contexts: list[StaticContext] = []
-    for statement_sql in split_statements(sql):
-        stmt = parse_statement(statement_sql)
-        traits = extract_traits(stmt)
+    schema = ScriptSchema()
+    for piece in script.statements():
+        traits = piece.traits
         dynamic = schema.predicted_dynamic_tags(traits)
-        contexts.append(StaticContext(statement_sql, traits, dynamic))
+        contexts = [StaticContext(piece.sql, traits, dynamic)]
         if traits.kind in WRITE_KINDS:
-            contexts.append(
-                StaticContext(statement_sql, traits, dynamic, phase="recover")
-            )
-        schema.observe(stmt)
-    return contexts
+            contexts.append(StaticContext(piece.sql, traits, dynamic, phase="recover"))
+        yield contexts
+        schema.observe(piece.statement)
 
 
-def server_contexts(corpus: FaultCorpus, server: str) -> list[StaticContext]:
-    """Static contexts for every statement ``server`` would execute
-    across the corpus: its own reports verbatim, foreign runnable
-    reports through the dialect translator."""
-    contexts: list[StaticContext] = []
-    for report in corpus:
-        if server not in report.runnable_on:
-            continue
-        if server == report.reported_for:
-            script = report.script
-        else:
-            try:
-                script = translate_script(report.script, server)
-            except FeatureNotSupported:
-                # A portability-drift finding, reported by the lint's
-                # translator check — not a reachability question.
-                continue
-        contexts.extend(script_contexts(script))
-    return contexts
+def script_contexts(script: ScriptPieces) -> list[StaticContext]:
+    """Every statement context of ``script`` (:func:`statement_contexts`)."""
+    return [ctx for contexts in statement_contexts(script) for ctx in contexts]
 
 
-def fault_reachability(corpus: FaultCorpus) -> dict[str, dict[str, bool]]:
-    """Per server: fault id -> is any seeded trigger statically
-    reachable from the statements that server would execute?"""
-    result: dict[str, dict[str, bool]] = {}
-    for server in SERVER_KEYS:
-        contexts = server_contexts(corpus, server)
-        result[server] = {
-            fault.fault_id: any(fault.trigger.matches(ctx) for ctx in contexts)
-            for fault in corpus.faults_for(server)
-        }
-    return result
+def server_contexts(report: _Report, script: ScriptPieces, server: str) -> list[StaticContext]:
+    """Static contexts for every statement ``server`` would execute of
+    one report's ``script``: none when it does not run there, the
+    script verbatim at home and translated elsewhere."""
+    if server not in report.runnable_on:
+        return []
+    if server != report.reported_for:
+        try:
+            script = script.translated(server)
+        except FeatureNotSupported:
+            # A portability-drift finding, reported by the lint's
+            # translator check — not a reachability question.
+            return []
+    return script_contexts(script)
 
 
-def unreachable_faults(corpus: FaultCorpus) -> list[tuple[str, SeededFault]]:
-    """Faults no statement of any hosting script can trigger.
+class FaultReachability:
+    """The seeded faults no statement a server would execute can
+    trigger, gathered one report's script at a time (:meth:`add`), so a
+    caller that holds each script's pieces hands them in as it goes."""
 
-    Unlike the dynamic audit's :func:`repro.study.runner.dead_faults`,
-    Heisenbug faults are *included*: activation probability is
-    irrelevant to whether the trigger is reachable at all.
-    """
-    reachability = fault_reachability(corpus)
-    dead: list[tuple[str, SeededFault]] = []
-    for server in SERVER_KEYS:
-        reachable = reachability[server]
-        for fault in corpus.faults_for(server):
-            if not reachable[fault.fault_id]:
-                dead.append((server, fault))
-    return dead
+    def __init__(self, corpus: FaultCorpus) -> None:
+        self._faults = {server: corpus.faults_for(server) for server in SERVER_KEYS}
+        self._contexts: dict[str, list[StaticContext]] = {server: [] for server in SERVER_KEYS}
+
+    def add(self, report: _Report, script: ScriptPieces) -> None:
+        for server, contexts in self._contexts.items():
+            contexts.extend(server_contexts(report, script, server))
+
+    def unreachable(self) -> list[tuple[str, SeededFault]]:
+        """Faults no statement of any hosting script can trigger.
+
+        Unlike the dynamic audit's :func:`repro.study.runner.dead_faults`,
+        Heisenbug faults are *included*: activation probability is
+        irrelevant to whether the trigger is reachable at all.
+        """
+        return [
+            (server, fault)
+            for server, faults in self._faults.items()
+            for fault in faults
+            if not any(fault.trigger.matches(ctx) for ctx in self._contexts[server])
+        ]

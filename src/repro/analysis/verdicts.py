@@ -62,10 +62,10 @@ from typing import Optional
 
 from repro.analysis.schema import ScriptSchema
 from repro.dialects.features import SERVER_KEYS, dialect
+from repro.dialects.translator import ScriptPieces
 from repro.sqlengine import ast_nodes as ast
-from repro.sqlengine.analysis import StatementTraits, extract_traits, script_traits
+from repro.sqlengine.analysis import StatementTraits, extract_traits
 from repro.sqlengine.functions import AGGREGATE_NAMES, VOLATILE_FUNCTIONS
-from repro.sqlengine.parser import parse_script
 from repro.sqlengine.sqlgen import render_expression
 
 #: Statement kinds that modify state and must reach every replica (and
@@ -445,17 +445,17 @@ def statement_portability(traits: StatementTraits, server: str) -> PortabilityVe
     return PortabilityVerdict(server=server, can_run=not missing, missing=tuple(missing))
 
 
-def script_portability(sql: str) -> dict[str, PortabilityVerdict]:
+def script_portability(script: ScriptPieces) -> dict[str, PortabilityVerdict]:
     """Predict each server's verdict for a whole script from traits
     alone (no execution, no translation attempt)."""
-    traits = script_traits(parse_script(sql))
+    traits = script.traits
     return {server: statement_portability(traits, server) for server in SERVER_KEYS}
 
 
-def predicted_hosts(sql: str) -> frozenset[str]:
+def predicted_hosts(script: ScriptPieces) -> frozenset[str]:
     """Servers predicted to host the script (natively or translated)."""
     return frozenset(
         server
-        for server, verdict in script_portability(sql).items()
+        for server, verdict in script_portability(script).items()
         if verdict.can_run
     )

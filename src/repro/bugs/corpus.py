@@ -28,7 +28,7 @@ from repro.bugs import groundtruth as gt
 from repro.bugs.notable import NOTABLE_CELLS, notable_bugs, pg_clustered_index_fault
 from repro.bugs.report import BugReport
 from repro.bugs.scripts import build_generic_script, probe_table
-from repro.dialects.translator import translate_script
+from repro.dialects.translator import ScriptPieces
 from repro.errors import FeatureNotSupported
 from repro.faults.effects import (
     CrashEffect,
@@ -39,7 +39,6 @@ from repro.faults.effects import (
 )
 from repro.faults.spec import Detectability, FailureKind, FaultSpec
 from repro.faults.triggers import RelationTrigger
-from repro.sqlengine.lexer import split_statements
 
 K = FailureKind
 D = Detectability
@@ -294,19 +293,19 @@ def build_corpus() -> Corpus:
     return Corpus(reports)
 
 
-def minimize_report(report: BugReport) -> SliceResult:
-    """Shrink a corpus bug script to its trigger slice.
+def minimize_report(report: BugReport, script: ScriptPieces) -> SliceResult:
+    """Shrink a corpus bug script, whose pieces ``script`` are, to its
+    trigger slice.
 
     Anchors: every statement that any of the report's seeded fault
     triggers matches — evaluated per hosting server on that server's
-    *translated* statement sequence (token-level translation preserves
-    statement count and order) — plus one carrier statement per gated
+    *translated* statement sequence (a token rewrite renames words, so
+    it keeps every statement at its index) — plus one carrier statement per gated
     feature, so the CANNOT_RUN / FURTHER_WORK classification of every
     server is preserved.  The paper's shared PostgreSQL clustered-index
     fault is included whenever PostgreSQL hosts the script.
     """
-    graph = build_graph(report.script)
-    total = len(graph)
+    graph = build_graph(script)
     anchors: dict[int, str] = {}
     for server in gt.SERVER_KEYS:
         if server not in report.runnable_on:
@@ -316,20 +315,14 @@ def minimize_report(report: BugReport) -> SliceResult:
             faults.append(pg_clustered_index_fault())
         if not faults:
             continue
-        if server == report.reported_for:
-            script = report.script
-        else:
+        hosted = script
+        if server != report.reported_for:
             try:
-                script = translate_script(report.script, server)
+                hosted = script.translated(server)
             except FeatureNotSupported:  # pragma: no cover - lint territory
                 continue
-        if len(split_statements(script)) != total:  # pragma: no cover
-            # Translation changed the statement count: statement indices
-            # no longer align, so minimization cannot be trusted.
-            anchors.update({index: "trigger" for index in range(total)})
-            continue
-        for index in trigger_matches(script, faults):
+        for index in trigger_matches(hosted, faults):
             anchors.setdefault(index, "trigger")
-    for index in portability_anchors(report.script):
+    for index in portability_anchors(script):
         anchors.setdefault(index, "portability")
     return slice_graph(graph, anchors)

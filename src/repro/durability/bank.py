@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.dataflow import SliceResult, minimize_script
+from repro.dialects.translator import ScriptPieces
 from repro.durability.session import DurableSession
 from repro.errors import SqlError
 from repro.faults.effects import (
@@ -66,7 +67,7 @@ class StorageBugReport:
 
     def minimized(self) -> SliceResult:
         """The banked form: the script's static trigger slice."""
-        return minimize_script(self.script, targets=self.anchors, faults=[self.fault])
+        return minimize_script(ScriptPieces(self.script), targets=self.anchors, faults=[self.fault])
 
     def matches(self, observed: "StorageClassification") -> bool:
         """Does a dynamic classification agree with the ground truth?"""

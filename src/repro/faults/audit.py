@@ -15,9 +15,11 @@ concurrency-anomaly bank defined here (:func:`concurrency_fault_bank`)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.conflicts import AnomalyKind
 from repro.analysis.reachability import script_contexts
+from repro.dialects.translator import ScriptPieces
 from repro.faults.effects import DirtyReadEffect, Effect, LostUpdateEffect, PhantomRowEffect
 from repro.faults.spec import Detectability, FailureKind, FaultSpec
 from repro.faults.triggers import SqlPatternTrigger
@@ -35,28 +37,35 @@ class FaultAuditEntry:
     fired_on_bugs: list[str] = field(default_factory=list)
 
 
-def dead_storage_faults(bank) -> list[FaultAuditEntry]:
-    """Banked storage faults whose trigger matches no statement of
-    their own repro script.
+def dead_repro_faults(
+    bank: Iterable[tuple[Any, Sequence[ScriptPieces]]],
+) -> list[FaultAuditEntry]:
+    """Banked faults whose trigger matches no statement of their own
+    repro: ``bank`` pairs each banked repro (its ``server`` and
+    ``fault``) with the pieces of its scripts — a storage repro's one
+    script, a concurrency repro's setup and each session script.
 
-    Storage faults fire on the WAL append of a committed write, so the
-    serve-phase statement contexts of the script are exactly the
+    Storage faults fire on the WAL append of a committed write and
+    concurrency faults on the reads their anomaly distorts, so the
+    serve-phase statement contexts of the scripts are exactly the
     contexts the injector will see; a trigger no context satisfies can
-    never tear, drop, or corrupt a byte.
+    never tear, drop or corrupt a byte, nor smuggle a lost update, dirty
+    read or phantom past the analyzer's certificates.
     """
-    dead: list[FaultAuditEntry] = []
-    for report in bank:
-        contexts = script_contexts(report.script)
-        if not any(report.fault.trigger.matches(ctx) for ctx in contexts):
-            dead.append(
-                FaultAuditEntry(
-                    fault_id=report.fault.fault_id,
-                    server=report.server,
-                    description=report.fault.description,
-                    heisenbug=report.fault.heisenbug,
-                )
-            )
-    return dead
+    return [
+        FaultAuditEntry(
+            fault_id=repro.fault.fault_id,
+            server=repro.server,
+            description=repro.fault.description,
+            heisenbug=repro.fault.heisenbug,
+        )
+        for repro, scripts in bank
+        if not any(
+            repro.fault.trigger.matches(ctx)
+            for script in scripts
+            for ctx in script_contexts(script)
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -200,30 +209,3 @@ def concurrency_fault_bank() -> list[ConcurrencyRepro]:
             ),
         ),
     ]
-
-
-def dead_concurrency_faults(bank) -> list[FaultAuditEntry]:
-    """Banked concurrency-anomaly faults whose trigger matches no
-    statement of their own repro — setup or either session script.
-
-    Concurrency faults fire on the reads their anomaly distorts, so the
-    serve-phase contexts of the repro's scripts are exactly what the
-    injector will see; an unmatched trigger can never smuggle a lost
-    update, dirty read, or phantom past the analyzer's certificates.
-    """
-    dead: list[FaultAuditEntry] = []
-    for entry in bank:
-        contexts = []
-        for script in (entry.setup, *entry.sessions):
-            if script.strip():
-                contexts.extend(script_contexts(script))
-        if not any(entry.fault.trigger.matches(ctx) for ctx in contexts):
-            dead.append(
-                FaultAuditEntry(
-                    fault_id=entry.fault.fault_id,
-                    server=entry.server,
-                    description=entry.fault.description,
-                    heisenbug=entry.fault.heisenbug,
-                )
-            )
-    return dead

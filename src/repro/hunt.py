@@ -55,6 +55,7 @@ from repro.analysis.predicates import tlp_partition
 from repro.analysis.schema import ScriptSchema
 from repro.analysis.verdicts import statement_portability
 from repro.dialects.features import SERVER_KEYS
+from repro.dialects.translator import ScriptPieces
 from repro.errors import SqlError
 from repro.faults.spec import FaultSpec
 from repro.servers import make_server
@@ -165,7 +166,7 @@ def _repro_script(setup: list[str], statement: str) -> str:
     statements = setup + [statement]
     script = ";\n".join(statements) + ";"
     try:
-        return minimize_script(script, targets=[len(statements) - 1]).sql
+        return minimize_script(ScriptPieces(script), targets=[len(statements) - 1]).sql
     except SqlError:
         return script
 

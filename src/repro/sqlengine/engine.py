@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import Any, Callable, NamedTuple, Optional, Union
 
 from repro.errors import (
+    BindError,
     CatalogError,
     ConstraintViolation,
     EngineCrash,
@@ -469,6 +470,11 @@ class Engine:
         )
         for key in primary_key:
             schema.column_index(key)  # raises if the PK names a missing column
+        for column in columns:
+            if column.check is not None:
+                _bind_check(column.check, stmt.name, columns)
+        for check in checks:
+            _bind_check(check, stmt.name, columns)
         self.catalog.add_table(schema)
         self.storage.create(stmt.name, len(columns))
         self.transactions.record(lambda: self._undo_create_table(stmt.name))
@@ -564,6 +570,8 @@ class Engine:
             raise CatalogError(
                 f"column {stmt.column.name!r} already exists in {stmt.table!r}"
             )
+        if stmt.column.primary_key and schema.primary_key:
+            raise SqlError(f"table {stmt.table!r} has two primary keys")
         sql_type = resolve_type(stmt.column.type_name, stmt.column.type_args)
         column = ColumnDef(
             name=stmt.column.name,
@@ -572,6 +580,8 @@ class Engine:
             default=stmt.column.default,
             check=stmt.column.check,
         )
+        if column.check is not None:
+            _bind_check(column.check, schema.name, [*schema.columns, column])
         fill: Any = None
         if column.default is not None:
             fill = self._cast_default(self._no_row_value(column.default, ctx), column)
@@ -590,17 +600,43 @@ class Engine:
                     raise ConstraintViolation(
                         f"CHECK constraint on column {column.name!r} violated"
                     )
+        # Every stored row takes the fill, so a key on the new column
+        # holds only while at most one row takes a non-NULL fill (a
+        # primary key column is NOT NULL, refused above without one).
+        keyed = stmt.column.primary_key or stmt.column.unique
+        if keyed and fill is not None and len(data) > 1:
+            label = "primary key" if stmt.column.primary_key else "unique"
+            raise ConstraintViolation(f"{label} constraint violated on {schema.name!r}")
+        keys = (schema.primary_key[:], schema.unique_sets[:])
         schema.columns.append(column)
+        if stmt.column.primary_key:
+            schema.primary_key.append(column.key)
+        if stmt.column.unique:
+            schema.unique_sets.append([column.key])
         data.add_column(fill)
         self.catalog.bump()
 
         def undo() -> None:
             schema.columns.pop()
+            schema.primary_key[:], schema.unique_sets[:] = keys
             data.drop_last_column()
             self.catalog.bump()
 
         self.transactions.record(undo)
         return Result(kind="ddl")
+
+
+def _bind_check(check: ast.Expression, table: str, columns: list[ColumnDef]) -> None:
+    """Raise the error a row reaching ``check`` would raise for a column
+    it names outside its subqueries that is not one of ``table``'s
+    ``columns``: like the products, a CREATE binds its CHECKs' columns.
+    A subquery's names are bound on the first row that reaches it."""
+    for node in ast.walk_expressions(check):
+        if isinstance(node, ast.ColumnRef) and (
+            not any(column.key == node.name.lower() for column in columns)
+            or (node.table is not None and node.table.lower() != table.lower())
+        ):
+            raise BindError(f"unknown column {node.qualified!r}")
 
 
 #: The classes a NaN or an infinity can hide in.

@@ -9,14 +9,13 @@ from typing import Optional
 from repro.bugs.corpus import Corpus, build_corpus
 from repro.bugs.report import BugReport
 from repro.dialects.features import SERVER_KEYS, dialect
-from repro.dialects.translator import translate_script, translate_tokens
+from repro.dialects.translator import ScriptPieces
 from repro.errors import EngineCrash, FeatureNotSupported, SqlError
 from repro.faults.audit import FaultAuditEntry
 from repro.faults.spec import FaultSpec
 from repro.servers.product import ServerProduct
-from repro.sqlengine.analysis import union_traits
-from repro.sqlengine.engine import Executable, ParsedStatement, parse_once
-from repro.sqlengine.lexer import render_tokens, split_statements, split_tokens, tokenize
+from repro.sqlengine.engine import Executable
+from repro.sqlengine.lexer import split_statements
 from repro.study.classify import (
     CellOutcome,
     OutcomeKind,
@@ -30,8 +29,9 @@ def run_script(server: ServerProduct, sql: str | list[Executable]) -> ScriptOutc
     """Run a script statement by statement, like the study's client did:
     errors are recorded and execution continues; a crash ends the run.
 
-    ``sql`` is the script text, or its statements already split and
-    parsed (:func:`parse_pieces`) when several servers run it."""
+    ``sql`` is the script text, or the pieces of its
+    :class:`~repro.dialects.translator.ScriptPieces` when several
+    servers run it."""
     outcome = ScriptOutcome()
     for statement in split_statements(sql) if isinstance(sql, str) else sql:
         try:
@@ -55,49 +55,6 @@ def run_script(server: ServerProduct, sql: str | list[Executable]) -> ScriptOutc
             )
         )
     return outcome
-
-
-def parse_pieces(sql: str) -> list[Executable]:
-    """The statements of a script, each parsed once (see
-    :func:`~repro.sqlengine.engine.parse_once`)."""
-    return [parse_once(piece) for piece in split_statements(sql)]
-
-
-class ScriptPieces:
-    """A script scanned once, cut at its top-level semicolons once and
-    each piece parsed once, for every server it runs on.
-
-    Each piece's text is what :func:`split_statements` gives and its
-    parse what :func:`parse_pieces` gives, so a server sees what it
-    would have seen of the text.
-    """
-
-    def __init__(self, script: str) -> None:
-        self.script = script
-        self._tokens = tokenize(script)
-        eof = self._tokens[-1]
-        #: The pieces in the script's own dialect.
-        self.home: list[Executable] = [
-            parse_once(render_tokens(piece), [*piece, eof])
-            for piece in split_tokens(self._tokens)
-        ]
-        parsed = [piece for piece in self.home if isinstance(piece, ParsedStatement)]
-        #: The dialect gate's input, ``script_traits(parse_script(script))``;
-        #: None when a piece is not exactly one statement.
-        self._traits = (
-            union_traits(piece.traits for piece in parsed)
-            if len(parsed) == len(self.home)
-            else None
-        )
-
-    def translated(self, target: str) -> list[Executable]:
-        """``parse_pieces(translate_script(script, target))``, raising
-        like :func:`translate_script`: the home pieces themselves when
-        the translation renames nothing."""
-        if self._traits is None:
-            return parse_pieces(translate_script(self.script, target))
-        text, renamed = translate_tokens(self._tokens, self._traits, dialect(target))
-        return parse_pieces(text) if renamed else self.home
 
 
 @dataclass
@@ -189,26 +146,37 @@ class StudyRunner:
         self._fault_index: dict[str, dict[str, FaultSpec]] = {
             key: {fault.fault_id: fault for fault in faults[key]} for key in SERVER_KEYS
         }
-        #: The last script's pieces: the cells of one bug run in a row.
-        self._last: Optional[ScriptPieces] = None
+        #: The report whose cells run now and its script's pieces, built
+        #: for its first cell: the runner holds no other report's.
+        self._current: Optional[tuple[BugReport, ScriptPieces]] = None
 
     def run_cell(
-        self, report: BugReport, target: str, *, script: Optional[str] = None
+        self, report: BugReport, target: str, *, script: Optional[ScriptPieces] = None
     ) -> CellOutcome:
         """Classify one (bug, server) cell.
 
-        ``script`` substitutes a home-dialect script for the report's
-        own (the lint's slice cross-check classifies each bug's static
-        trigger slice through the exact same pipeline).
+        ``script`` substitutes home-dialect pieces for the report's own
+        (the lint hands its pieces of the report, and classifies each
+        bug's static trigger slice through the exact same pipeline).
+        Without it the cell runs the report's own pieces, which the
+        report's cells in a row share, and a translation of them that
+        is not kept past the cell.
         """
-        source = report.script if script is None else script
         home = target == report.reported_for
         if not home and target in report.translation_pending:
             return CellOutcome(kind=OutcomeKind.FURTHER_WORK)
-        if self._last is None or self._last.script != source:
-            self._last = ScriptPieces(source)
+        if script is not None:
+            translate = script.translated
+        else:
+            if self._current is None or self._current[0] is not report:
+                self._current = (report, ScriptPieces(report.script))
+            script = self._current[1]
+            # Each translation lives for its own cell only: memoised on
+            # the shared pieces, its parses and the plans they key would
+            # stay alive through the report's later cells.
+            translate = script.translation
         try:
-            pieces = self._last.home if home else self._last.translated(target)
+            pieces = script.pieces if home else translate(target).pieces
         except FeatureNotSupported:
             return CellOutcome(kind=OutcomeKind.CANNOT_RUN)
 

@@ -9,9 +9,8 @@ from repro.analysis.divergence import DivergenceKind, analyze_divergence
 from repro.analysis.schema import ScriptSchema
 from repro.bugs import groundtruth as gt
 from repro.dialects.features import SERVER_KEYS
+from repro.dialects.translator import ScriptPieces
 from repro.faults.spec import FailureKind
-from repro.sqlengine.lexer import split_statements
-from repro.sqlengine.parser import parse_statement
 from repro.study.classify import CellOutcome, OutcomeKind
 from repro.study.runner import StudyResult
 
@@ -282,12 +281,11 @@ def separate_identical_pairs(study: StudyResult) -> IdenticalPairBreakdown:
             ]
             schema = ScriptSchema()
             verdicts = []
-            for index, statement_sql in enumerate(split_statements(report.script)):
-                stmt = parse_statement(statement_sql)
+            for index, piece in enumerate(ScriptPieces(report.script).statements()):
                 if index in differing:
-                    divergence = analyze_divergence(stmt, schema)
+                    divergence = analyze_divergence(piece.statement, schema)
                     verdicts.append(divergence.verdict(x, y, normalized=False))
-                schema.observe(stmt)
+                schema.observe(piece.statement)
             benign = verdicts and all(
                 verdict.kind is DivergenceKind.BENIGN_DIALECT
                 and verdict.atom is not None

@@ -15,6 +15,36 @@ class TestCli:
         assert "Table 3: EXACT" in output
         assert "Table 4: EXACT" in output
 
+    def test_study_command_runs_to_the_end(self, capsys):
+        assert main(["study"]) == 0
+        output = capsys.readouterr().out
+        assert (
+            "incorrect-result failures: 64.5% (paper 64.5%); crashes: 17.1% (paper 17.1%)"
+            in output
+        )
+        assert (
+            "identical coincident failures: 4 identical incorrect result(s), "
+            "0 identically rendered dialect artifact(s), 0 unexplained"
+        ) in output
+
+    def test_report_command_writes_the_report(self, tmp_path, capsys):
+        path = tmp_path / "report.md"
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        text = path.read_text()
+        assert text.startswith("# Fault-diversity study report")
+        assert "* Home failures observed: **152**" in text
+        assert "* Incorrect-result share: **64.5%** (paper: 64.5%)" in text
+        assert "* Engine-crash share: **17.1%** (paper: 17.1%)" in text
+
+    def test_conflicts_command_runs_to_the_end(self, capsys):
+        assert main(["conflicts", "2"]) == 0
+        output = capsys.readouterr().out
+        assert "conflict analysis over 2 TPC-C terminal script(s), 4 transaction(s):" in output
+        assert "  commutes       188 statement pair(s)" in output
+        assert "verdict: anomaly_possible (5 anomaly pattern(s) realizable)" in output
+        assert "possible write_skew between S0.T1 and S1.T1" in output
+
     def test_tpcc_command(self, capsys):
         assert main(["tpcc", "10"]) == 0
         output = capsys.readouterr().out

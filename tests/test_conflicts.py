@@ -31,7 +31,9 @@ from repro.faults import (
     PhantomRowEffect,
     SqlPatternTrigger,
 )
-from repro.faults.audit import concurrency_fault_bank, dead_concurrency_faults
+from repro.bugs import minimize_report
+from repro.dialects.translator import ScriptPieces
+from repro.faults.audit import concurrency_fault_bank, dead_repro_faults
 from repro.middleware import DiverseServer
 from repro.net import (
     ClientPolicy,
@@ -49,6 +51,12 @@ from repro.workload import WorkloadRunner, run_interleaved
 
 TABLE_T = "CREATE TABLE t (id INT PRIMARY KEY, a INT, b INT)"
 TABLE_U = "CREATE TABLE u (id INT PRIMARY KEY, x INT)"
+
+
+def analyze_bank_entry(entry):
+    return analyze_sessions(
+        [ScriptPieces(script) for script in entry.sessions], setup=ScriptPieces(entry.setup)
+    )
 
 
 def schema_for(*ddl):
@@ -157,7 +165,7 @@ class TestSessionSegmentation:
     )
 
     def test_segments_explicit_and_autocommit(self):
-        txns = session_transactions(self.SCRIPT, 3, setup=TABLE_T)
+        txns = session_transactions(ScriptPieces(self.SCRIPT), 3, setup=ScriptPieces(TABLE_T))
         assert [t.label for t in txns] == ["S3.T0", "S3.T1", "S3.T2", "S3.T3"]
         assert [t.explicit for t in txns] == [False, True, True, True]
         # ROLLBACK closes T2 uncommitted; the unterminated trailing
@@ -166,13 +174,13 @@ class TestSessionSegmentation:
         assert [len(t.statements) for t in txns] == [1, 2, 1, 1]
 
     def test_statement_indices_count_barriers(self):
-        txns = session_transactions(self.SCRIPT, 0, setup=TABLE_T)
+        txns = session_transactions(ScriptPieces(self.SCRIPT), 0, setup=ScriptPieces(TABLE_T))
         # BEGIN/COMMIT consume script positions: T1's statements sit at
         # indices 2 and 3 of the raw statement list.
         assert [s.index for s in txns[1].statements] == [2, 3]
 
     def test_footprints_aggregate_over_statements(self):
-        txns = session_transactions(self.SCRIPT, 0, setup=TABLE_T)
+        txns = session_transactions(ScriptPieces(self.SCRIPT), 0, setup=ScriptPieces(TABLE_T))
         assert ("t", "a") in txns[1].writes
         assert ("t", "a") in txns[1].reads
         assert txns[1].multi_statement
@@ -183,25 +191,29 @@ class TestInterleavingVerdicts:
     def test_disjoint_tables_prove_serializable(self):
         report = analyze_sessions(
             (
-                "BEGIN; SELECT a FROM t WHERE id = 1; "
-                "UPDATE t SET a = 2 WHERE id = 1; COMMIT",
-                "BEGIN; SELECT x FROM u WHERE id = 1; "
-                "UPDATE u SET x = 2 WHERE id = 1; COMMIT",
+                ScriptPieces(
+                    "BEGIN; SELECT a FROM t WHERE id = 1; "
+                    "UPDATE t SET a = 2 WHERE id = 1; COMMIT"
+                ),
+                ScriptPieces(
+                    "BEGIN; SELECT x FROM u WHERE id = 1; "
+                    "UPDATE u SET x = 2 WHERE id = 1; COMMIT"
+                ),
             ),
-            setup=f"{TABLE_T};\n{TABLE_U}",
+            setup=ScriptPieces(f"{TABLE_T};\n{TABLE_U}"),
         )
         assert report.verdict.status is VerdictStatus.SERIALIZABLE_PROVEN
         assert report.verdict.anomalies == ()
         assert report.pair_counts[ConflictKind.COMMUTES] > 0
 
     def test_unparseable_script_is_unknown(self):
-        report = analyze_sessions(("FROBNICATE THE THING",))
+        report = analyze_sessions((ScriptPieces("FROBNICATE THE THING"),))
         assert report.verdict.status is VerdictStatus.UNKNOWN
         assert "defeated" in report.verdict.reason
 
     def test_bank_anomalies_are_all_predicted(self):
         for entry in concurrency_fault_bank():
-            report = analyze_sessions(entry.sessions, setup=entry.setup)
+            report = analyze_bank_entry(entry)
             assert report.verdict.status is VerdictStatus.ANOMALY_POSSIBLE
             assert entry.anomaly.value in report.verdict.anomaly_kinds, entry.bug_id
 
@@ -210,7 +222,7 @@ class TestInterleavingVerdicts:
             e for e in concurrency_fault_bank()
             if e.anomaly is AnomalyKind.LOST_UPDATE
         )
-        report = analyze_sessions(entry.sessions, setup=entry.setup)
+        report = analyze_bank_entry(entry)
         witness = next(
             w for w in report.verdict.anomalies
             if w.kind is AnomalyKind.LOST_UPDATE
@@ -230,7 +242,7 @@ class TestInterleavingVerdicts:
             e for e in concurrency_fault_bank()
             if e.anomaly is AnomalyKind.WRITE_SKEW
         )
-        report = analyze_sessions(entry.sessions, setup=entry.setup)
+        report = analyze_bank_entry(entry)
         assert report.pair_counts[ConflictKind.RW_CONFLICT] > 0
         assert "write_skew" in report.verdict.anomaly_kinds
 
@@ -538,6 +550,11 @@ class TestInterleavedConflictingTerminals:
 # -- the lint gates ----------------------------------------------------------
 
 
+def with_pieces(entry):
+    """A bank entry paired with the pieces of its setup and sessions."""
+    return entry, [ScriptPieces(script) for script in (entry.setup, *entry.sessions)]
+
+
 def unreachable_entry():
     """A bank entry whose fault trigger matches none of its statements."""
     entry = concurrency_fault_bank()[0]
@@ -554,10 +571,10 @@ def unreachable_entry():
 
 class TestConcurrencyLintGates:
     def test_shipped_bank_has_no_dead_faults(self):
-        assert dead_concurrency_faults(concurrency_fault_bank()) == []
+        assert dead_repro_faults(map(with_pieces, concurrency_fault_bank())) == []
 
     def test_dead_trigger_is_detected(self):
-        dead = dead_concurrency_faults([unreachable_entry()])
+        dead = dead_repro_faults([with_pieces(unreachable_entry())])
         assert [d.fault_id for d in dead] == ["CONC-DEAD"]
 
     def test_lint_flags_dead_concurrency_fault(self, monkeypatch):
@@ -605,7 +622,14 @@ class TestConcurrencyLintGates:
     def test_dead_code_findings_are_warnings(self, corpus):
         from repro.analysis import lint as lint_module
 
-        findings = lint_module._check_dead_code(corpus)
+        findings = [
+            finding
+            for report in corpus
+            for script in [ScriptPieces(report.script)]
+            for finding in lint_module._check_dead_code(
+                report, script, minimize_report(report, script)
+            )
+        ]
         assert findings
         assert all(f.severity == "warning" for f in findings)
         dead_statements = [f for f in findings if f.check == "dead-statement"]

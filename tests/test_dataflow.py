@@ -4,10 +4,15 @@ from repro.analysis import build_graph, minimize_script
 from repro.analysis.dataflow import statement_def_use
 from repro.analysis.schema import ScriptSchema
 from repro.bugs import minimize_report
+from repro.dialects.translator import ScriptPieces
 from repro.middleware.pipeline import StatementPipeline
 from repro.sqlengine.analysis import extract_traits
 from repro.sqlengine.parser import parse_statement
 from repro.study.runner import split_statements
+
+
+def graph_of(sql):
+    return build_graph(ScriptPieces(sql))
 
 
 def def_use(sql, schema=None):
@@ -81,13 +86,13 @@ class TestGraph:
     )
 
     def test_backward_slice_drops_unrelated_statements(self):
-        graph = build_graph(self.SCRIPT)
+        graph = graph_of(self.SCRIPT)
         assert graph.backward_slice([4]) == [0, 2, 4]
 
     def test_data_write_does_not_satisfy_schema_use(self):
         # INSERT INTO b defines (b, "*"), which must not feed a later
         # statement's (b, "@schema") existence dependence.
-        graph = build_graph(
+        graph = graph_of(
             "CREATE TABLE b (id INTEGER);\n"
             "INSERT INTO b (id) VALUES (1);\n"
             "CREATE VIEW vb AS SELECT id FROM b;\n"
@@ -96,7 +101,7 @@ class TestGraph:
         assert graph.backward_slice([3]) == [0, 2, 3]
 
     def test_view_reading_select_depends_on_base_inserts(self):
-        graph = build_graph(
+        graph = graph_of(
             "CREATE TABLE b (id INTEGER);\n"
             "CREATE VIEW vb AS SELECT id FROM b;\n"
             "INSERT INTO b (id) VALUES (1);\n"
@@ -107,7 +112,7 @@ class TestGraph:
         assert graph.backward_slice([3]) == [0, 1, 2, 3]
 
     def test_barrier_pins_everything_before_it(self):
-        graph = build_graph(
+        graph = graph_of(
             "CREATE TABLE a (id INTEGER);\n"
             "INSERT INTO a (id) VALUES (1);\n"
             "COMMIT;\n"
@@ -119,7 +124,7 @@ class TestGraph:
         # The two `SELECT a FROM v` share one text but not one meaning:
         # the second reads the view recreated over t2, so it depends on
         # t2's CREATE, not t1's.
-        graph = build_graph(
+        graph = graph_of(
             "CREATE TABLE t1 (a INTEGER);\n"
             "CREATE TABLE t2 (a INTEGER);\n"
             "CREATE VIEW v AS SELECT a FROM t1;\n"
@@ -132,19 +137,19 @@ class TestGraph:
         assert graph.deps[6] == {1, 2, 4, 5}
 
     def test_dead_statements(self):
-        graph = build_graph(self.SCRIPT)
+        graph = graph_of(self.SCRIPT)
         # INSERT INTO b feeds no SELECT; CREATE TABLE b feeds only it.
         assert graph.dead_statements() == [1, 3]
 
     def test_dead_columns(self):
-        graph = build_graph(
+        graph = graph_of(
             "CREATE TABLE t (id INTEGER, unused VARCHAR(8));\n"
             "SELECT id FROM t;"
         )
         assert graph.dead_columns() == [("t", "unused")]
 
     def test_dead_columns_respects_star(self):
-        graph = build_graph(
+        graph = graph_of(
             "CREATE TABLE t (id INTEGER, v VARCHAR(8));\n"
             "SELECT * FROM t;"
         )
@@ -153,7 +158,7 @@ class TestGraph:
 
 class TestMinimize:
     def test_minimize_script_keeps_targets_and_deps(self):
-        sliced = minimize_script(TestGraph.SCRIPT, targets=[4])
+        sliced = minimize_script(ScriptPieces(TestGraph.SCRIPT), targets=[4])
         assert sliced.kept == (0, 2, 4)
         assert sliced.dropped == (1, 3)
         assert len(split_statements(sliced.sql)) == 3
@@ -161,7 +166,7 @@ class TestMinimize:
     def test_minimize_report_keeps_trigger_statements(self, corpus):
         checked = 0
         for report in corpus.reports[:30]:
-            sliced = minimize_report(report)
+            sliced = minimize_report(report, ScriptPieces(report.script))
             anchors = dict(sliced.anchors)
             assert anchors, report.bug_id
             assert all(index in sliced.kept for index in anchors), report.bug_id
@@ -172,23 +177,23 @@ class TestMinimize:
         from repro.analysis import predicted_hosts
 
         for report in corpus.reports[:30]:
-            sliced = minimize_report(report)
+            sliced = minimize_report(report, ScriptPieces(report.script))
             if not sliced.dropped:
                 continue
-            assert predicted_hosts(sliced.sql) == predicted_hosts(report.script), (
-                report.bug_id
-            )
+            assert predicted_hosts(ScriptPieces(sliced.sql)) == predicted_hosts(
+                ScriptPieces(report.script)
+            ), report.bug_id
 
     def test_corpus_wide_reduction_is_substantial(self, corpus):
         total = kept = 0
         for report in corpus:
-            sliced = minimize_report(report)
+            sliced = minimize_report(report, ScriptPieces(report.script))
             total += len(sliced.kept) + len(sliced.dropped)
             kept += len(sliced.kept)
         assert (total - kept) / total > 0.1
 
     def test_slice_result_reduction(self):
-        sliced = minimize_script(TestGraph.SCRIPT, targets=[4])
+        sliced = minimize_script(ScriptPieces(TestGraph.SCRIPT), targets=[4])
         assert (len(sliced.kept), len(sliced.dropped)) == (3, 2)
 
 

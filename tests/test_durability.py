@@ -34,7 +34,8 @@ from repro.faults import (
     SqlPatternTrigger,
     TornWriteEffect,
 )
-from repro.faults.audit import dead_storage_faults
+from repro.dialects.translator import ScriptPieces
+from repro.faults.audit import dead_repro_faults
 from repro.middleware import (
     DiverseServer,
     MiddlewareStats,
@@ -704,7 +705,9 @@ class TestStorageBank:
             assert report.minimized().dropped, report.bug_id
 
     def test_dead_storage_fault_detected(self):
-        assert dead_storage_faults(storage_fault_bank()) == []
+        assert dead_repro_faults(
+            (report, [ScriptPieces(report.script)]) for report in storage_fault_bank()
+        ) == []
         broken = storage_fault_bank()[0]
         dead = type(broken)(
             **{**broken.__dict__,
@@ -714,7 +717,7 @@ class TestStorageBank:
                    TornWriteEffect(), kind=FailureKind.STORAGE,
                )}
         )
-        entries = dead_storage_faults([dead])
+        entries = dead_repro_faults([(dead, [ScriptPieces(dead.script)])])
         assert [entry.fault_id for entry in entries] == ["STOR-DEAD"]
 
 

@@ -382,3 +382,72 @@ class TestWriteChecksEqualTheWalker:
             (1, ()),
             (3, ((1, 10), (1, 20), (2, 31))),
         ]
+
+
+@pytest.mark.parametrize("key", KEYS)
+class TestDdlBindsWhatWritesCheck:
+    """A CREATE or ALTER records and binds the constraints the writes
+    after it check, on the compiled products and on the walker alike."""
+
+    TWO_ROWS = [
+        ("CREATE TABLE t (a INTEGER)", None),
+        ("INSERT INTO t (a) VALUES (1), (2)", None),
+    ]
+
+    def test_added_unique_column_is_checked(self, key):
+        outcomes = _planned_and_walker(key, self.TWO_ROWS + [
+            ("ALTER TABLE t ADD COLUMN b INTEGER UNIQUE", None),
+            ("UPDATE t SET b = 5 WHERE a = 1", None),
+            ("UPDATE t SET b = 5 WHERE a = 2", None),
+            ("INSERT INTO t (a, b) VALUES (3, 5)", None),
+            ("SELECT a, b FROM t ORDER BY a", None),
+        ])
+        violated = ("error", "ConstraintViolation", "unique constraint violated on 't'")
+        assert outcomes[-5:] == [
+            (0, ()),
+            (1, ()),
+            violated,
+            violated,
+            (2, ((1, 5), (2, None))),
+        ]
+
+    def test_added_key_with_a_default_over_two_rows_is_refused(self, key):
+        outcomes = _planned_and_walker(key, self.TWO_ROWS + [
+            ("ALTER TABLE t ADD COLUMN b INTEGER DEFAULT 7 UNIQUE", None),
+            ("ALTER TABLE t ADD COLUMN c INTEGER DEFAULT 7 PRIMARY KEY", None),
+            ("DELETE FROM t WHERE a = 2", None),
+            ("ALTER TABLE t ADD COLUMN c INTEGER DEFAULT 7 PRIMARY KEY", None),
+            ("INSERT INTO t (a, c) VALUES (2, 7)", None),
+            ("ALTER TABLE t ADD COLUMN d INTEGER PRIMARY KEY", None),
+            ("SELECT a, c FROM t", None),
+        ])
+        assert outcomes[-7:] == [
+            ("error", "ConstraintViolation", "unique constraint violated on 't'"),
+            ("error", "ConstraintViolation", "primary key constraint violated on 't'"),
+            (1, ()),
+            (0, ()),
+            ("error", "ConstraintViolation", "primary key constraint violated on 't'"),
+            ("error", "SqlError", "table 't' has two primary keys"),
+            (1, ((1, 7),)),
+        ]
+
+    def test_check_naming_no_column_of_its_table_is_refused(self, key):
+        outcomes = _planned_and_walker(key, [
+            ("CREATE TABLE u (a INTEGER CHECK (zz > 1))", None),
+            ("CREATE TABLE u (a INTEGER, CHECK (w.a > 1))", None),
+            ("CREATE TABLE u (a INTEGER CHECK (u.a > 1), CHECK (a > (SELECT zz FROM u)))", None),
+            ("INSERT INTO u (a) VALUES (2)", None),
+            ("INSERT INTO u (a) VALUES (3)", None),
+            ("ALTER TABLE u ADD COLUMN b INTEGER CHECK (b > zz)", None),
+            ("SELECT a FROM u", None),
+        ])
+        assert outcomes == [
+            ("error", "BindError", "unknown column 'zz'"),
+            ("error", "BindError", "unknown column 'w.a'"),
+            (0, ()),
+            (1, ()),
+            # A subquery's names are bound on the first row it reads.
+            ("error", "BindError", "unknown column 'zz'"),
+            ("error", "BindError", "unknown column 'zz'"),
+            (1, ((2,),)),
+        ]

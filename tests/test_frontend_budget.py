@@ -16,15 +16,16 @@ from collections import Counter
 import pytest
 
 import repro.hunt
-from repro.dialects.translator import translate_tokens
+from repro.dialects.translator import ScriptPieces, translate_tokens
 from repro.durability import DurabilityManager, MemoryMedium
+from repro.errors import FeatureNotSupported
 from repro.middleware import DiverseServer
 from repro.servers import make_server
 from repro.sqlengine import engine as engine_module
 from repro.sqlengine import lexer, parser
 from repro.sqlengine.engine import parse_once
 from repro.sqlengine.lexer import split_statements
-from repro.study.runner import ScriptPieces, StudyRunner
+from repro.study.runner import StudyRunner
 
 KEYS = ("IB", "PG", "OR", "MS")
 
@@ -38,15 +39,17 @@ ENTRY_POINTS = (
 
 
 class FrontEnd:
-    """Counts of scans and parses, and the texts handed to parses."""
+    """Counts of scans and parses, and the texts handed to each."""
 
     def __init__(self) -> None:
         self.counts: Counter = Counter()
         self.parsed_texts: list[str] = []
+        self.scanned_texts: list[str] = []
 
     def reset(self) -> None:
         self.counts.clear()
         self.parsed_texts.clear()
+        self.scanned_texts.clear()
 
     @property
     def scans(self) -> int:
@@ -65,8 +68,9 @@ def front_end(monkeypatch) -> FrontEnd:
 
         def counted(source, *args, _original=original, _bucket=bucket):
             seen.counts[_bucket] += 1
-            if _bucket == "parses" and isinstance(source, str):
-                seen.parsed_texts.append(source)
+            if isinstance(source, str):
+                texts = seen.parsed_texts if _bucket == "parses" else seen.scanned_texts
+                texts.append(source)
             return _original(source, *args)
 
         for holder in list(sys.modules.values()):
@@ -166,7 +170,7 @@ def _renamed_targets(report) -> int:
     token for (they re-parse the translated text)."""
     pieces = ScriptPieces(report.script)
     return sum(
-        pieces.translated(key) is not pieces.home for key in KEYS if key != report.reported_for
+        pieces.translated(key) is not pieces for key in KEYS if key != report.reported_for
     )
 
 
@@ -185,9 +189,47 @@ def test_study_bug_scans_once_and_parses_each_piece_once(front_end, corpus, rena
     for target in KEYS:
         runner.run_cell(report, target)
     # One scan and one parse per piece serve all four cells; a target
-    # whose translation renames a token splits and parses its text.
-    assert front_end.scans == 1 + renames * (1 + pieces)
+    # whose translation renames a token scans its text once and parses
+    # each of its pieces.
+    assert front_end.scans == 1 + renames
     assert front_end.parses == pieces + renames * pieces
+
+
+def test_lint_scans_each_script_once_and_shares_its_parses(front_end, corpus, monkeypatch):
+    """One lint scans each corpus script, and each translation of one
+    that renames a token, exactly once (two targets may render the same
+    translated text); every check reads those pieces and none changes a
+    tree it shares."""
+    from repro.analysis import lint
+
+    built: list[ScriptPieces] = []
+
+    class Recorded(ScriptPieces):
+        def __init__(self, script: str) -> None:
+            super().__init__(script)
+            built.append(self)
+
+    monkeypatch.setattr(lint, "ScriptPieces", Recorded)
+    front_end.reset()
+    lint.lint_corpus(corpus)
+    scans = Counter(front_end.scanned_texts)
+    shared = [pieces for pieces in built if pieces.script in {r.script for r in corpus}]
+    assert len(shared) == len(corpus)
+    for pieces in list(shared):
+        for key in KEYS:
+            try:
+                translated = pieces.translated(key)  # memoised: scans nothing
+            except FeatureNotSupported:
+                continue
+            if translated is not pieces:
+                shared.append(translated)
+    assert len(shared) > len(corpus)
+    expected = Counter(pieces.script for pieces in shared)
+    assert {text: scans[text] for text in expected} == expected
+    assert all(expected[report.script] == 1 for report in corpus)
+    for pieces in shared:
+        for piece in pieces.pieces:
+            assert piece.statement == parser.parse_statement(piece.sql), piece.sql
 
 
 def test_hunt_round_parses_each_distinct_text_once(front_end, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.analysis.lint import (
     _check_dead_predicates,
     _check_rewrite_certificates,
+    _RewriteCoverage,
     lint_corpus,
 )
 from repro.analysis.predicates import (
@@ -22,6 +23,7 @@ from repro.analysis.predicates import (
     tlp_partition,
 )
 from repro.analysis.schema import ScriptSchema
+from repro.dialects.translator import ScriptPieces
 from repro.errors import NumericOverflow, SqlError
 from repro import hunt
 from repro.hunt import run_hunt
@@ -481,6 +483,42 @@ class TestRewriteCertificates:
         assert all(f.severity == "error" for f in findings)
 
 
+def _probes_without(monkeypatch, *markers):
+    """Drop each planner witness whose text holds one of ``markers``
+    from the scripts the lint's dead-rewrite check replays first."""
+    from repro.analysis import lint
+    from repro.sqlengine.plan import PROBE_SCRIPTS
+
+    kept = tuple(sql for sql in PROBE_SCRIPTS if not any(marker in sql for marker in markers))
+    assert len(kept) == len(PROBE_SCRIPTS) - len(markers)
+    monkeypatch.setattr(lint, "PROBE_SCRIPTS", kept)
+
+
+class TestDeadRewrites:
+    """The corpus and TPC-C passes of the dead-rewrite check, which run
+    only when the planner witnesses miss a rule."""
+
+    def test_each_pass_marks_what_it_fires(self, monkeypatch, corpus):
+        # Every witness also pushes a predicate down, so take all three.
+        _probes_without(monkeypatch, "1 + 1", "probe_b.ref", "id = 1")
+        coverage = _RewriteCoverage()
+        assert coverage.exercised == set()
+        for report in corpus:
+            coverage.add(ScriptPieces(report.script))
+        assert coverage.exercised == {"predicate_pushdown"}
+        findings = coverage.findings()
+        # TPC-C selects by key; no corpus or TPC-C statement folds a constant.
+        assert coverage.exercised == {"predicate_pushdown", "index_selection"}
+        assert [(f.check, f.subject, f.severity) for f in findings] == [
+            ("dead-rewrite", "constant_folding", "warning")
+        ]
+
+    def test_a_rule_nothing_fires_is_one_dead_rewrite_warning(self, monkeypatch, corpus):
+        _probes_without(monkeypatch, "1 + 1")
+        findings = [f for f in lint_corpus(corpus) if f.check == "dead-rewrite"]
+        assert [(f.subject, f.severity) for f in findings] == [("constant_folding", "warning")]
+
+
 class _StubReport:
     def __init__(self, bug_id, script):
         self.bug_id = bug_id
@@ -494,7 +532,7 @@ class TestLintPredicates:
             "CREATE TABLE t (id INTEGER PRIMARY KEY);\n"
             "SELECT id FROM t WHERE 1 = 0",
         )
-        findings = _check_dead_predicates([report])
+        findings = _check_dead_predicates(report, ScriptPieces(report.script))
         assert findings and findings[0].check == "dead-predicate"
         assert findings[0].severity == "warning"
         assert findings[0].statement_index == 1
@@ -505,7 +543,7 @@ class TestLintPredicates:
             "CREATE TABLE t (id INTEGER PRIMARY KEY);\n"
             "SELECT id FROM t WHERE id > 0",
         )
-        assert _check_dead_predicates([report]) == []
+        assert _check_dead_predicates(report, ScriptPieces(report.script)) == []
 
 
 class TestLintDeterminism:

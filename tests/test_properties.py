@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dialects import SERVER_KEYS, dialect
-from repro.dialects.translator import render_tokens, translate_script
+from repro.dialects.translator import ScriptPieces, render_tokens, translate_script
 from repro.durability import DurabilityManager, MemoryMedium
 from repro.errors import FeatureNotSupported, SqlError
 from repro.middleware import DiverseServer, ServerConfig
@@ -40,7 +40,7 @@ from repro.sqlengine.values import (
     tri_or,
 )
 from repro.study.classify import classify_run
-from repro.study.runner import ScriptPieces, StudyRunner, parse_pieces, run_script
+from repro.study.runner import StudyRunner, run_script
 from tests.reference import _Accumulator, _composite_order
 
 tribool = st.sampled_from([True, False, None])
@@ -451,10 +451,10 @@ class TestOneParsePerStatement:
                     assert raised.value.feature == refusal.feature
                     continue
                 pieces = split_statements(script)
-                parsed = parse_pieces(script)
-                handed = shared.home if home else shared.translated(key)
-                renamed += handed is not shared.home
-                assert handed == parsed, (report.bug_id, key)
+                parsed = [parse_once(piece) for piece in pieces]
+                handed = shared if home else shared.translated(key)
+                renamed += handed is not shared
+                assert handed.pieces == parsed, (report.bug_id, key)
                 assert [entry.sql for entry in parsed] == pieces
                 for piece, entry in zip(pieces, parsed):
                     assert [entry.statement] == parse_script(piece), piece
@@ -479,19 +479,21 @@ class TestOneParsePerStatement:
         report = next(report for report in corpus if not report.translation_pending)
         runner = StudyRunner(corpus)
         shared = ScriptPieces(script)
-        assert shared.home == parse_pieces(script)
-        assert any(isinstance(piece, str) for piece in shared.home)
+        assert shared.pieces == [parse_once(piece) for piece in split_statements(script)]
+        assert any(isinstance(piece, str) for piece in shared.pieces)
         for key in SERVER_KEYS:
             home = key == report.reported_for
             try:
                 text = script if home else translate_script(script, key)
             except SqlError as error:
                 with pytest.raises(type(error), match=re.escape(str(error))):
-                    runner.run_cell(report, key, script=script)
+                    runner.run_cell(report, key, script=shared)
                 continue
             if not home:
-                assert shared.translated(key) == parse_pieces(text)
-            assert runner.run_cell(report, key, script=script) == _classify_text(
+                assert shared.translated(key).pieces == [
+                    parse_once(piece) for piece in split_statements(text)
+                ]
+            assert runner.run_cell(report, key, script=shared) == _classify_text(
                 runner, key, text
             ), key
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.analysis import build_graph
 from repro.bugs import build_corpus
 from repro.dialects import dialect
+from repro.dialects.translator import ScriptPieces
 from repro.servers.product import ServerProduct
 from repro.sqlengine.parser import parse_statement
 from repro.study.runner import run_script, split_statements
@@ -45,7 +46,7 @@ def test_corpus_final_select_slice_preserves_result(index):
     target = final_select_index(statements)
     assume(target is not None)
 
-    graph = build_graph(report.script)
+    graph = build_graph(ScriptPieces(report.script))
     kept = graph.backward_slice([target])
     sliced_sql = ";\n".join(statements[i] for i in kept) + ";"
 
@@ -103,7 +104,7 @@ def test_generated_final_select_slice_preserves_result(script):
     statements = split_statements(script)
     target = len(statements) - 1
 
-    kept = build_graph(script).backward_slice([target])
+    kept = build_graph(ScriptPieces(script)).backward_slice([target])
     sliced_sql = ";\n".join(statements[i] for i in kept) + ";"
 
     full = outcome_of("PG", script, target)

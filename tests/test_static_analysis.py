@@ -7,18 +7,18 @@ import datetime
 import pytest
 
 from repro.analysis import (
+    FaultReachability,
     OrderVerdict,
     ScriptSchema,
     analyze_statement,
-    fault_reachability,
     predicted_hosts,
     script_contexts,
     script_portability,
-    unreachable_faults,
 )
 from repro.analysis.lint import lint_corpus
 from repro.bugs import build_corpus
 from repro.dialects.features import SERVER_KEYS
+from repro.dialects.translator import ScriptPieces
 from repro.errors import AdjudicationFailure
 from repro.faults import (
     ErrorEffect,
@@ -211,9 +211,11 @@ class TestScriptSchema:
 
     def test_dynamic_view_tags_predicted_for_readers_only(self):
         contexts = script_contexts(
-            "CREATE TABLE t (a INTEGER);"
-            "CREATE VIEW dv AS SELECT DISTINCT a FROM t;"
-            "SELECT * FROM dv"
+            ScriptPieces(
+                "CREATE TABLE t (a INTEGER);"
+                "CREATE VIEW dv AS SELECT DISTINCT a FROM t;"
+                "SELECT * FROM dv"
+            )
         )
         by_sql = {ctx.sql: ctx for ctx in contexts if ctx.engine.phase == "serve"}
         create_view = by_sql["CREATE VIEW dv AS SELECT DISTINCT a FROM t"]
@@ -224,7 +226,7 @@ class TestScriptSchema:
         assert {"view.used", "view.distinct_used"} <= reader.all_tags
 
     def test_writes_get_recover_phase_twins(self):
-        contexts = script_contexts("CREATE TABLE t (a INTEGER); SELECT 1 FROM t")
+        contexts = script_contexts(ScriptPieces("CREATE TABLE t (a INTEGER); SELECT 1 FROM t"))
         phases = [ctx.engine.phase for ctx in contexts]
         assert phases == ["serve", "recover", "serve"]
 
@@ -232,10 +234,10 @@ class TestScriptSchema:
 class TestPortability:
     def test_plain_script_runs_everywhere(self):
         sql = ITEMS + "; INSERT INTO items (id, val) VALUES (1, 2)"
-        assert predicted_hosts(sql) == frozenset(SERVER_KEYS)
+        assert predicted_hosts(ScriptPieces(sql)) == frozenset(SERVER_KEYS)
 
     def test_verdicts_name_missing_features(self):
-        for verdicts in [script_portability("SELECT 1 FROM t LIMIT 1")]:
+        for verdicts in [script_portability(ScriptPieces("SELECT 1 FROM t LIMIT 1"))]:
             refused = [v for v in verdicts.values() if not v.can_run]
             accepted = [v for v in verdicts.values() if v.can_run]
             assert accepted, "LIMIT must be hosted somewhere"
@@ -244,7 +246,7 @@ class TestPortability:
 
     def test_predictions_match_corpus_ground_truth(self, corpus):
         for report in corpus.reports[:20]:
-            assert predicted_hosts(report.script) == frozenset(
+            assert predicted_hosts(ScriptPieces(report.script)) == frozenset(
                 report.runnable_on | report.translation_pending
             ), report.bug_id
 
@@ -259,9 +261,11 @@ class TestReachabilityAndLint:
         assert all(f.severity == "warning" for f in findings)
 
     def test_every_seeded_fault_reachable(self, corpus):
-        assert unreachable_faults(corpus) == []
-        reachability = fault_reachability(corpus)
-        assert any(reachability[server] for server in SERVER_KEYS)
+        reachability = FaultReachability(corpus)
+        for report in corpus:
+            reachability.add(report, ScriptPieces(report.script))
+        assert reachability.unreachable() == []
+        assert any(corpus.faults_for(server) for server in SERVER_KEYS)
 
     def test_seeded_dead_fault_is_found(self):
         mutated = build_corpus()
