@@ -103,7 +103,7 @@ from itertools import combinations
 from typing import Callable, Optional
 
 from repro.analysis.conflicts import analyze_sessions
-from repro.analysis.dataflow import SliceResult, build_graph
+from repro.analysis.dataflow import ScriptGraph, SliceResult, build_graph
 from repro.analysis.divergence import DivergenceKind, analyze_divergence
 from repro.analysis.predicates import certify_rewrites, summarize_statement
 from repro.analysis.reachability import FaultReachability
@@ -177,12 +177,13 @@ def lint_corpus(corpus: "Corpus") -> list[LintFinding]:
         rewrites.add(script)
         reachability.add(report, script)
         predicted = predicted_hosts(script)
-        sliced = minimize_report(report, script)
+        graph = build_graph(script)
+        sliced = minimize_report(report, script, graph)
         portability += _check_portability_drift(report, predicted)
         translator += _check_translator_agreement(report, script, predicted)
         slices += _check_slice_reproduction(runner, report, script, sliced)
         agreement += _check_agree_proven(pristine, report, script)
-        dead_code += _check_dead_code(report, script, sliced)
+        dead_code += _check_dead_code(report, graph, sliced)
         predicates += _check_dead_predicates(report, script)
     return _dedupe(
         [
@@ -379,9 +380,10 @@ def _check_storage_bank() -> list[LintFinding]:
         )
         for entry in dead_repro_faults((report, [ScriptPieces(report.script)]) for report in bank)
     ]
+    minimized = {report.bug_id: report.minimized() for report in bank}
     slices: dict[tuple[str, ...], str] = {}
     for report in bank:
-        signature = trigger_slice_signature(report)
+        signature = trigger_slice_signature(minimized[report.bug_id])
         first = slices.setdefault(signature, report.bug_id)
         if first != report.bug_id:
             findings.append(
@@ -393,7 +395,7 @@ def _check_storage_bank() -> list[LintFinding]:
                 )
             )
     for report in bank:
-        observed = classify_repro(report)
+        observed = classify_repro(report, minimized[report.bug_id])
         if not report.matches(observed):
             findings.append(
                 LintFinding(
@@ -487,14 +489,13 @@ def _check_dead_predicates(report: BugReport, script: ScriptPieces) -> list[Lint
 
 
 def _check_dead_code(
-    report: BugReport, script: ScriptPieces, sliced: SliceResult
+    report: BugReport, graph: ScriptGraph, sliced: SliceResult
 ) -> list[LintFinding]:
     """Warning-severity dead-code findings from a script's def-use
-    graph.  Statements its trigger slice ``sliced`` anchors are
+    ``graph``.  Statements its trigger slice ``sliced`` anchors are
     excluded — being invisible to SELECTs is often precisely the bug's
     point."""
     findings: list[LintFinding] = []
-    graph = build_graph(script)
     kept = set(sliced.kept)
     dead = [index for index in graph.dead_statements() if index not in kept]
     if dead:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.analysis.dataflow import (
+    ScriptGraph,
     SliceResult,
     build_graph,
     portability_anchors,
@@ -293,9 +294,12 @@ def build_corpus() -> Corpus:
     return Corpus(reports)
 
 
-def minimize_report(report: BugReport, script: ScriptPieces) -> SliceResult:
+def minimize_report(
+    report: BugReport, script: ScriptPieces, graph: Optional[ScriptGraph] = None
+) -> SliceResult:
     """Shrink a corpus bug script, whose pieces ``script`` are, to its
-    trigger slice.
+    trigger slice, over ``graph`` when the caller already built
+    ``script``'s def-use graph.
 
     Anchors: every statement that any of the report's seeded fault
     triggers matches — evaluated per hosting server on that server's
@@ -305,7 +309,8 @@ def minimize_report(report: BugReport, script: ScriptPieces) -> SliceResult:
     server is preserved.  The paper's shared PostgreSQL clustered-index
     fault is included whenever PostgreSQL hosts the script.
     """
-    graph = build_graph(script)
+    if graph is None:
+        graph = build_graph(script)
     anchors: dict[int, str] = {}
     for server in gt.SERVER_KEYS:
         if server not in report.runnable_on:

@@ -8,8 +8,10 @@ simulated deployment:
   and file), the "disk" under everything else;
 * :mod:`repro.durability.wal` — write-ahead log of
   :mod:`repro.records` records with prefix-salvage scanning;
-* :mod:`repro.durability.checkpoint` — logical engine snapshots (DDL
-  history + row dumps in the :mod:`repro.records` scalar codec);
+* :mod:`repro.durability.checkpoint` — logical engine snapshots in
+  chains of a base (DDL history + row dumps in the :mod:`repro.records`
+  scalar codec) and deltas (runs of the previous checkpoint's heap plus
+  the rows written since);
 * :mod:`repro.durability.recovery` — ARIES-lite restart recovery
   (checkpoint restore, WAL redo, open-transaction undo);
 * :mod:`repro.durability.manager` — :class:`ReplicaStore`, the one

@@ -177,17 +177,17 @@ def storage_fault_bank() -> list[StorageBugReport]:
     ]
 
 
-def trigger_slice_signature(report: StorageBugReport) -> tuple[str, ...]:
-    """The dedupe key: the minimized statement sequence, whitespace
-    normalized.  Two banked repros with equal signatures exercise the
-    same fault path."""
-    return tuple(
-        " ".join(statement.split()) for statement in report.minimized().statements
-    )
+def trigger_slice_signature(minimized: SliceResult) -> tuple[str, ...]:
+    """The dedupe key of a banked repro, from its
+    :meth:`~StorageBugReport.minimized` slice: the statement sequence,
+    whitespace normalized.  Two banked repros with equal signatures
+    exercise the same fault path."""
+    return tuple(" ".join(statement.split()) for statement in minimized.statements)
 
 
-def classify_repro(report: StorageBugReport) -> StorageClassification:
-    """Run a banked repro's minimized script, power-cut, recover, and
+def classify_repro(report: StorageBugReport, minimized: SliceResult) -> StorageClassification:
+    """Run a banked repro's minimized script (its
+    :meth:`~StorageBugReport.minimized` slice), power-cut, recover, and
     classify what the durability layer observed.
 
     Checkpoints are disabled so recovery is pure WAL redo — the prefix
@@ -197,7 +197,7 @@ def classify_repro(report: StorageBugReport) -> StorageClassification:
     session = DurableSession(
         make_server(report.server, [report.fault]), name=report.bug_id
     )
-    session.execute_script(report.minimized().sql)
+    session.execute_script(minimized.sql)
     buckets = {bucket for _, bucket in session.storage_fault_log}
     committed = session.store.wal.next_lsn
 

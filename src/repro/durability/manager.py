@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.reachability import StaticContext
 from repro.analysis.verdicts import DDL_KINDS
-from repro.durability.checkpoint import CheckpointStore, build_checkpoint
+from repro.durability.checkpoint import CheckpointStore, build_checkpoint, build_delta
 from repro.durability.medium import StorageMedium
 from repro.durability.recovery import RecoveryReport, recover_engine
 from repro.durability.wal import WriteAheadLog
@@ -55,6 +55,8 @@ from repro.faults.effects import (
 )
 from repro.middleware.supervisor import ReplicaState
 from repro.sqlengine.analysis import StatementTraits
+from repro.sqlengine.params import splice_texts
+from repro.sqlengine.storage import TableImage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.spec import FaultSpec
@@ -76,12 +78,25 @@ def classify_storage_effect(effect: StorageEffect) -> str:
     return "other"
 
 
+def _rows(payload: dict) -> int:
+    return sum(len(table["rows"]) for table in payload["tables"])
+
+
 class ReplicaStore:
     """One replica's durable state on a medium: its WAL (``<name>/wal``),
     its checkpoints (``<name>/ckpt-<seq>``) and the DDL history the next
     checkpoint will carry.  The single-product
     :class:`~repro.durability.session.DurableSession` holds one; the
-    :class:`DurabilityManager` holds one per replica."""
+    :class:`DurabilityManager` holds one per replica.
+
+    A checkpoint is a delta against the previous one, diffed from the
+    :class:`~repro.sqlengine.storage.TableImage` of each table the store
+    keeps from it.  It is a base instead for the store's first
+    checkpoint, after DDL, after :meth:`rebase` (recovery, supervisor
+    replay, rebuild: row identities change), when a heap was replaced,
+    and once the deltas since the last base weigh more than its rows, a
+    delta weighing its rows plus one — so a chain never costs recovery
+    more than two bases."""
 
     def __init__(self, medium: StorageMedium, name: str) -> None:
         self.name = name
@@ -89,13 +104,24 @@ class ReplicaStore:
         self.checkpoints = CheckpointStore(medium, name)
         #: Every DDL statement logged so far (checkpoint schema).
         self.ddl_history: list[str] = []
+        #: The images of the last checkpoint and its sequence number;
+        #: None after DDL or a rebase: the next checkpoint is a base.
+        self._images: Optional[dict[str, TableImage]] = None
+        self._parent = -1
+        #: Rows of the last base less the weight of the deltas since.
+        self._budget = 0
 
     def append(
-        self, product: "ServerProduct", sql: str, traits: StatementTraits
+        self,
+        product: "ServerProduct",
+        sql: str,
+        traits: StatementTraits,
+        encoded: Optional[dict] = None,
     ) -> list["FaultSpec"]:
         """Log one committed write, in ``product``'s dialect, through
         that product's storage-phase faults; returns the faults that
-        fired on the encoded record."""
+        fired on the encoded record.  ``encoded`` is shared by the logs
+        of one write (see :meth:`WriteAheadLog.append`)."""
         ctx = StaticContext(sql, traits)
         fired: list["FaultSpec"] = []
 
@@ -104,22 +130,40 @@ class ReplicaStore:
             fired.extend(faults)
             return mutated
 
-        self.wal.append(sql, mutate=mutate)
+        self.wal.append(sql, mutate=mutate, encoded=encoded)
         if traits.kind in DDL_KINDS:
             self.ddl_history.append(sql)
+            self._images = None
         return fired
 
     def checkpoint(self, product: "ServerProduct") -> str:
-        """Publish a checkpoint at the current WAL position."""
-        return self.checkpoints.save(
-            build_checkpoint(product, lsn=self.wal.next_lsn, ddl=self.ddl_history)
-        )
+        """Publish a checkpoint at the current WAL position: a delta
+        when the rules above allow one, else a base."""
+        lsn = self.wal.next_lsn
+        images = product.snapshot().tables
+        payload = None
+        if self._images is not None and self._budget >= 0:
+            payload = build_delta(self._images, images, lsn=lsn, parent=self._parent)
+        if payload is None:
+            payload = build_checkpoint(product, lsn=lsn, ddl=self.ddl_history)
+            self._budget = _rows(payload)
+        else:
+            self._budget -= 1 + _rows(payload)
+        name = self.checkpoints.save(payload)
+        self._images, self._parent = images, self.checkpoints.sequence(name)
+        return name
+
+    def rebase(self, ddl_history: list[str]) -> None:
+        """The replica's rows were rebuilt from ``ddl_history`` and
+        other rows: the next checkpoint is a base."""
+        self.ddl_history = list(ddl_history)
+        self._images = None
 
     def recover(self, product: "ServerProduct") -> RecoveryReport:
         """Restart recovery of ``product`` from the medium; the DDL
         history resumes from what recovery restored and redid."""
         report = recover_engine(product, self.wal, self.checkpoints)
-        self.ddl_history = list(report.ddl_history)
+        self.rebase(report.ddl_history)
         return report
 
 
@@ -184,16 +228,25 @@ class DurabilityManager:
         spliced in.  A bound value is spelled as the renderer spells
         it (``-5`` as ``- 5``), so the record is the translation of the
         bound text, the text supervisor replay's call stands for and
-        restart redo runs; nothing is scanned here."""
+        restart redo runs; nothing is scanned here.  Replicas whose
+        handles share a translated template share one splice, and logs
+        that write the same ``(lsn, text)`` share one encoding."""
         server = self._server
-        self._shared.append(call.bound_sql)
+        encoded: dict = {}
+        self._shared.append(call.bound_sql, encoded=encoded)
+        spliced: dict[str, str] = {}
         for replica in server.replicas:
             try:
-                translated = server.literal_text(call, replica.product)
+                target = server.target(call, replica.product)
             except FeatureNotSupported:
                 continue
+            translated = spliced.get(target.sql)
+            if translated is None:
+                translated = spliced[target.sql] = splice_texts(
+                    target.sql, target.positions, call.texts
+                )
             store = self._stores[replica.key]
-            for fault in store.append(replica.product, translated, traits):
+            for fault in store.append(replica.product, translated, traits, encoded):
                 self._count_storage_fault(fault)
             self.stats.wal_records += 1
 
@@ -229,8 +282,7 @@ class DurabilityManager:
     def on_replica_recovered(self, replica: "Replica") -> None:
         """Server hook: a replica just rejoined via supervisor replay
         or online rebuild; its durable baseline must catch up."""
-        store = self._stores[replica.key]
-        store.ddl_history = self._translated_ddl_history(replica)
+        self._stores[replica.key].rebase(self._translated_ddl_history(replica))
         self.checkpoint_replica(replica)
 
     def _translated_ddl_history(self, replica: "Replica") -> list[str]:

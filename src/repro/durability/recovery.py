@@ -4,9 +4,10 @@ The restart sequence for one replica product:
 
 1. **Analysis** — scan the WAL's valid record prefix (everything past
    the first torn/corrupt/gapped record is distrusted and discarded).
-2. **Restore** — apply the newest checkpoint that validates *and*
-   applies cleanly; fall back to older checkpoints, then to a fresh
-   install with full-history redo.  A checkpoint whose watermark lies
+2. **Restore** — apply the newest checkpoint whose chain (its base,
+   then its deltas in order) validates *and* applies cleanly; fall back
+   to older chain points, then to a fresh install with full-history
+   redo.  A checkpoint whose watermark lies
    beyond the salvaged WAL prefix is rejected too: it would encode
    state the (damaged) log can no longer vouch for, breaking the
    prefix-consistency contract.
@@ -32,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro import records
 from repro.analysis.verdicts import DDL_KINDS
-from repro.durability.checkpoint import CheckpointInvalid, CheckpointStore
+from repro.durability.checkpoint import CheckpointInvalid, CheckpointStore, chain_tables
 from repro.durability.wal import WalScan, WriteAheadLog
 from repro.errors import FeatureNotSupported, SqlError
 from repro.servers.product import ServerProduct
@@ -67,16 +67,19 @@ class RecoveryReport:
     ddl_history: list[str] = field(default_factory=list)
 
 
-def apply_checkpoint(product: ServerProduct, payload: dict) -> None:
-    """Rebuild a product from a checkpoint payload (schema via DDL
-    replay, data via bulk row load), one :func:`build_checkpoint`
-    gives or :func:`unpack_checkpoint` accepts.  Raises
-    :class:`CheckpointInvalid` when the payload cannot reproduce the
-    state it claims: DDL the product's dialect refuses, a table dump
-    with no matching schema, or a row that does not decode."""
+def apply_checkpoint(product: ServerProduct, base: dict, *deltas: dict) -> None:
+    """Rebuild a product from a checkpoint chain (schema via the base's
+    DDL replay, data via one bulk row load per table of the heaps
+    :func:`chain_tables` rebuilds), payloads :func:`build_checkpoint`
+    and :func:`build_delta` give or :func:`unpack_checkpoint` accepts.
+    Raises :class:`CheckpointInvalid` when the chain cannot reproduce
+    the state it claims: a malformed delta, DDL the product's dialect
+    refuses, a table dump with no matching schema, or a row that does
+    not decode."""
+    tables = chain_tables(base, *deltas)
     product.reset()
     with product.recovering():
-        for sql in payload["ddl"]:
+        for sql in base["ddl"]:
             try:
                 product.execute(sql)
             except SqlError:
@@ -84,10 +87,8 @@ def apply_checkpoint(product: ServerProduct, payload: dict) -> None:
             except FeatureNotSupported as error:
                 raise CheckpointInvalid(f"checkpoint DDL refused: {error}") from None
         try:
-            for table in payload["tables"]:
-                product.load_rows(
-                    table["name"], table["columns"], map(records.decode_row, table["rows"])
-                )
+            for name, columns, rows in tables:
+                product.load_rows(name, columns, rows)
         except ValueError as error:
             raise CheckpointInvalid(f"checkpoint row dump: {error}") from None
 
@@ -107,25 +108,26 @@ def recover_engine(
         stopped=scan.stopped,
     )
 
-    for name, payload in checkpoints.load_all():
-        if payload["lsn"] > len(scan.records):
+    for name, chain in checkpoints.chains():
+        lsn = chain[-1]["lsn"]
+        if lsn > len(scan.records):
             # The checkpoint is ahead of the salvaged log prefix:
             # trusting it would resurrect discarded history.
             report.checkpoints_skipped += 1
             report.warnings.append(
-                f"checkpoint {name} watermark {payload['lsn']} beyond "
+                f"checkpoint {name} watermark {lsn} beyond "
                 f"salvaged WAL prefix {len(scan.records)}"
             )
             continue
         try:
-            apply_checkpoint(product, payload)
+            apply_checkpoint(product, *chain)
         except CheckpointInvalid as error:
             report.checkpoints_skipped += 1
             report.warnings.append(f"checkpoint {name} skipped: {error}")
             continue
         report.checkpoint = name
-        report.watermark = payload["lsn"]
-        report.ddl_history = list(payload["ddl"])
+        report.watermark = lsn
+        report.ddl_history = list(chain[0]["ddl"])
         break
     else:
         product.reset()

@@ -110,12 +110,11 @@ class DurableSession:
         medium: StorageMedium,
         *,
         name: Optional[str] = None,
-        checkpoint_interval: Optional[int] = None,
     ) -> tuple["DurableSession", RecoveryReport]:
         """Open a session over an existing disk image and recover it —
-        the full restart path (fresh process, surviving medium)."""
-        session = cls(
-            product, medium, name=name, checkpoint_interval=checkpoint_interval
-        )
+        the full restart path (fresh process, surviving medium).  The
+        session takes no checkpoints until its ``checkpoint_interval``
+        is set."""
+        session = cls(product, medium, name=name)
         report = session.recover()
         return session, report

@@ -125,16 +125,25 @@ class WriteAheadLog:
         self,
         sql: str,
         mutate: Optional[Callable[[bytes], Optional[bytes]]] = None,
+        *,
+        encoded: Optional[dict[tuple[int, str], bytes]] = None,
     ) -> WalRecord:
         """Encode and append one committed write statement.
 
         The LSN advances even when ``mutate`` drops the record (a lost
         flush): the statement *did* commit, the log just never learned
-        — exactly the gap the scan detects.
+        — exactly the gap the scan detects.  ``encoded`` memoises record
+        bytes by ``(lsn, sql)`` across logs that write the same record;
+        ``mutate`` returns new bytes, so sharing them is safe.
         """
         lsn = self.next_lsn
         record = WalRecord(lsn=lsn, sql=sql)
-        data: Optional[bytes] = encode_record(lsn, sql)
+        if encoded is None:
+            data: Optional[bytes] = encode_record(lsn, sql)
+        else:
+            data = encoded.get((lsn, sql))
+            if data is None:
+                data = encoded[lsn, sql] = encode_record(lsn, sql)
         if mutate is not None:
             data = mutate(data)
         if data:

@@ -1014,6 +1014,12 @@ class DiverseServer:
         target = call.targets.get(product) or self._resolve(call, product)
         return splice_texts(target.sql, target.positions, call.texts)
 
+    def target(self, call: StatementCall, product: ServerProduct) -> EnginePrepared:
+        """The handle ``product`` runs ``call`` through: the one it ran,
+        or else the one it would.  Raises :class:`FeatureNotSupported`
+        when the dialect refuses the statement."""
+        return call.targets.get(product) or self._resolve(call, product)
+
     def _ask(self, replica: Replica, call: StatementCall) -> ReplicaAnswer:
         replica.stats.statements += 1
         try:

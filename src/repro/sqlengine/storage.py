@@ -64,6 +64,20 @@ class TableImage:
         self.before: dict[int, tuple] = {}
         self.newer: Optional[TableImage] = None
 
+    def written_until(self, later: "TableImage") -> Optional[set[int]]:
+        """The ids of the rows written in place between this image and
+        ``later``: every ``before`` key on the chain from this image up
+        to, not including, ``later``.  None when ``later`` is not on
+        this image's chain (the heap was replaced or restored since)."""
+        written: set[int] = set()
+        image: Optional[TableImage] = self
+        while image is not later:
+            if image is None:
+                return None
+            written.update(image.before)
+            image = image.newer
+        return written
+
     def restore(self) -> "TableData":
         """A fresh heap holding copies of this image's rows; the image
         stays valid, so it can be restored again."""

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import statement_def_use
+from repro.analysis import build_graph, statement_def_use
 from repro.analysis.conflicts import (
     AnomalyKind,
     ConflictKind,
@@ -626,8 +626,9 @@ class TestConcurrencyLintGates:
             finding
             for report in corpus
             for script in [ScriptPieces(report.script)]
+            for graph in [build_graph(script)]
             for finding in lint_module._check_dead_code(
-                report, script, minimize_report(report, script)
+                report, graph, minimize_report(report, script, graph)
             )
         ]
         assert findings

@@ -135,7 +135,7 @@ class TestRecovery:
         session = self.script_session(interval=2)
         expected = engine_state_signature(session.product.engine)
         recovered, report = DurableSession.resume(
-            make_server("IB"), session.power_cut(), checkpoint_interval=2
+            make_server("IB"), session.power_cut()
         )
         assert report.checkpoint is not None
         assert report.watermark > 0
@@ -151,7 +151,7 @@ class TestRecovery:
         # now vouches for history the log cannot.
         disk.truncate(f"{session.name}/wal", len(encode_record(0, session.store.wal.scan().records[0].sql)))
         recovered, report = DurableSession.resume(
-            make_server("IB"), disk, name=session.name, checkpoint_interval=4
+            make_server("IB"), disk, name=session.name
         )
         assert report.checkpoint is None
         assert report.checkpoints_skipped >= 1
@@ -231,12 +231,11 @@ class TestRecovery:
         disk = session.power_cut()
         disk.corrupt(f"{session.name}/wal", disk.size(f"{session.name}/wal") - 4)
         recovered, _ = DurableSession.resume(
-            make_server("IB"), disk, name=session.name, checkpoint_interval=2
+            make_server("IB"), disk, name=session.name
         )
         first = engine_state_signature(recovered.product.engine)
         again, report = DurableSession.resume(
-            make_server("IB"), recovered.power_cut(), name=session.name,
-            checkpoint_interval=2,
+            make_server("IB"), recovered.power_cut(), name=session.name
         )
         assert engine_state_signature(again.product.engine) == first
         assert report.stopped is None  # the first recovery truncated
@@ -251,7 +250,7 @@ class TestRecovery:
             for i in range(120):
                 session.execute(f"INSERT INTO t VALUES ({i}, {i}.25)")
             recovered, report = DurableSession.resume(
-                make_server("IB"), session.power_cut(), checkpoint_interval=interval
+                make_server("IB"), session.power_cut()
             )
             assert engine_state_signature(recovered.product.engine) == (
                 engine_state_signature(session.product.engine)
@@ -356,7 +355,7 @@ class TestFileMedium:
         expected = engine_state_signature(session.product.engine)
         fresh = FileMedium(str(tmp_path / "disk"))  # a new process
         recovered, report = DurableSession.resume(
-            make_server("IB"), fresh, name="IB", checkpoint_interval=2
+            make_server("IB"), fresh, name="IB"
         )
         assert engine_state_signature(recovered.product.engine) == expected
         assert report.wal_records == 3
@@ -689,7 +688,7 @@ class TestOnlineRebuild:
 class TestStorageBank:
     def test_every_banked_repro_matches_ground_truth(self):
         for report in storage_fault_bank():
-            observed = classify_repro(report)
+            observed = classify_repro(report, report.minimized())
             assert report.matches(observed), (report.bug_id, observed)
 
     def test_bank_covers_all_three_classes(self):
@@ -699,7 +698,7 @@ class TestStorageBank:
 
     def test_trigger_slices_unique_and_minimal(self):
         bank = storage_fault_bank()
-        signatures = {trigger_slice_signature(r) for r in bank}
+        signatures = {trigger_slice_signature(r.minimized()) for r in bank}
         assert len(signatures) == len(bank)
         for report in bank:
             assert report.minimized().dropped, report.bug_id

@@ -518,7 +518,16 @@ def options(trees: dict[str, ast.AST] = TREES) -> dict[str, tuple[str, str]]:
                 if isinstance(item, FUNCTIONS) and item.name == "__init__":
                     for arg in item.args.kwonlyargs:
                         found[f"{cls}.{item.name}({arg.arg}=)"] = (statement.name, arg.arg)
+                elif is_classmethod(item) and not item.name.startswith("_"):
+                    for arg in item.args.kwonlyargs:
+                        found[f"{cls}.{item.name}({arg.arg}=)"] = (item.name, arg.arg)
     return found
+
+
+def is_classmethod(node: ast.AST) -> bool:
+    return isinstance(node, FUNCTIONS) and any(
+        ast.unparse(decorator) == "classmethod" for decorator in node.decorator_list
+    )
 
 
 def parameters(function: ast.AST) -> set[str]:
@@ -527,9 +536,12 @@ def parameters(function: ast.AST) -> set[str]:
     return {arg.arg for arg in every if arg}
 
 
-def callee(call: ast.Call) -> Optional[str]:
-    """The name a call reaches its definition by: ``f(...)``, ``x.f(...)``."""
+def callee(call: ast.Call, owner: Optional[str] = None) -> Optional[str]:
+    """The name a call reaches its definition by: ``f(...)``, ``x.f(...)``,
+    and ``cls(...)`` inside a classmethod of ``owner``: ``owner``."""
     if isinstance(call.func, ast.Name):
+        if owner is not None and call.func.id == "cls":
+            return owner
         return call.func.id
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
@@ -556,15 +568,17 @@ def setters(roots: list[tuple[ast.AST, Optional[str]]]) -> Setters:
     """What ``roots`` set; each root comes with the class it is a
     method of, if any. A function is called by its name, an
     ``__init__`` by its class's; a nested function or a lambda has a
-    key no call spells, so what it forwards counts as set."""
+    key no call spells, so what it forwards counts as set. ``cls(...)``
+    in a classmethod calls the class that holds it."""
     found = Setters(set(), set(), set(), set())
     for root, owner_class in roots:
         keys = dict_keys(root)
         # (node, class whose body holds it, enclosing function's key and
-        # parameters, that function's ``**`` name)
-        pending = [(root, owner_class, None, frozenset(), None)]
+        # parameters, that function's ``**`` name, the class ``cls``
+        # names there)
+        pending = [(root, owner_class, None, frozenset(), None, None)]
         while pending:
-            node, cls, key, params, spread = pending.pop()
+            node, cls, key, params, spread, owner = pending.pop()
             if isinstance(node, (*FUNCTIONS, ast.Lambda)):
                 name = getattr(node, "name", "<lambda>")
                 if key is not None or isinstance(node, ast.Lambda):
@@ -573,13 +587,14 @@ def setters(roots: list[tuple[ast.AST, Optional[str]]]) -> Setters:
                     key = name
                 else:
                     key = cls if name == "__init__" else name
+                    owner = cls if is_classmethod(node) else None
                 params = frozenset(parameters(node))
                 spread = node.args.kwarg.arg if node.args.kwarg else None
                 cls = None
             elif isinstance(node, ast.ClassDef):
-                cls, key = node.name, None
-            elif isinstance(node, ast.Call) and callee(node):
-                target = callee(node)
+                cls, key, owner = node.name, None, None
+            elif isinstance(node, ast.Call) and callee(node, owner):
+                target = callee(node, owner)
                 for keyword in node.keywords:
                     value = keyword.value
                     if keyword.arg is None:
@@ -603,7 +618,8 @@ def setters(roots: list[tuple[ast.AST, Optional[str]]]) -> Setters:
                 if isinstance(node.value, str) and IDENTIFIER.match(node.value):
                     found.names.add(node.value)
             pending.extend(
-                (child, cls, key, params, spread) for child in ast.iter_child_nodes(node)
+                (child, cls, key, params, spread, owner)
+                for child in ast.iter_child_nodes(node)
             )
     return found
 
@@ -919,6 +935,31 @@ def test_an_option_is_set_only_through_its_own_callee():
     assert unset_options(setters([(trees["toy"], None)]), every) == {
         "toy.ToyConfig.normalize",
         "toy.ToyConfig.elsewhere",
+    }
+
+
+def test_a_classmethod_option_is_followed_through_cls():
+    """A public classmethod's keyword-only parameter is an option, and
+    ``cls(x=x)`` inside it forwards to the class's constructor."""
+    trees = parsed(
+        toy="""
+        class Session:
+            def __init__(self, *, name=None, interval=None):
+                self.name, self.interval = name, interval
+
+            @classmethod
+            def resume(cls, *, name=None, interval=None):
+                return cls(name=name, interval=interval)
+
+        Session.resume(name="a")
+        """
+    )
+    every = options(trees)
+    found = setters([(trees["toy"], None)])
+    assert (("resume", "interval"), ("Session", "interval")) in found.forwards
+    assert unset_options(found, every) == {
+        "toy.Session.resume(interval=)",
+        "toy.Session.__init__(interval=)",
     }
 
 
